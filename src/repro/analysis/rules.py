@@ -224,7 +224,7 @@ class GlobalRngRule(Rule):
 #: call names that consume elements in an order-sensitive way
 _ORDER_SINKS: FrozenSet[str] = frozenset({
     "push", "heappush", "emit", "submit", "schedule", "schedule_cancel",
-    "offer", "route", "choose", "append",
+    "offer", "route", "choose", "append", "move_to_end",
 })
 
 

@@ -36,12 +36,15 @@ including future ones — by name through :func:`create_engine`.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Type
+from typing import (Any, Callable, Container, Dict, Iterable, List, Optional,
+                    Sequence, Type)
 
 from ..hardware.cluster import GPUNode
 from ..sim import (Arrival, Cancel, Event, EventQueue, IterationDone,
                    PhaseTransition, new_clock)
+from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .metrics import EngineStats, ServingResult
 from .model_manager import ArtifactKind, ModelManager
@@ -52,7 +55,8 @@ from .streaming_metrics import RecordPolicy, StreamingMetrics
 __all__ = [
     "WORKSPACE_FRACTION", "PREEMPT_SWAP_S", "FULL_MODEL_LOADER_FACTOR",
     "KV_RESERVE_FRACTION", "EngineConfig", "TimelineEvent", "Admission",
-    "ServingEngine", "ENGINES", "register_engine", "create_engine",
+    "RunningBatch", "ServingEngine", "ENGINES", "register_engine",
+    "create_engine",
 ]
 
 # Shared memory/timing constants (previously duplicated privately between
@@ -154,6 +158,62 @@ class Admission:
     load_time_s: float = 0.0
 
 
+class RunningBatch:
+    """The running batch and the integer totals every iteration asks of it.
+
+    Continuous batching is lockstep: an executed iteration gives *every*
+    running request exactly one token, so the batch's KV footprint grows
+    by ``len(requests)`` (:meth:`advance`) and everything else changes
+    only when a request joins or leaves.  The ledger is the single owner
+    of membership — nothing else appends to, removes from or rebuilds
+    ``requests`` — which is what lets admission, batch composition and
+    the scheduler read totals instead of rescanning the batch.  It holds
+    integers only, so reading a total is bit-identical to re-summing it.
+
+    ``per_model`` counts running requests per variant in the order each
+    variant (re)entered the batch; a count that reaches zero is deleted.
+    ``version`` moves on every membership change.
+    """
+
+    __slots__ = ("requests", "context_tokens", "cached_prefix_tokens",
+                 "per_model", "version")
+
+    def __init__(self, requests: Iterable[ServingRequest] = ()):
+        self.requests: List[ServingRequest] = []
+        self.context_tokens = 0          # sum of context_length
+        self.cached_prefix_tokens = 0    # sum of cached_prefix_tokens
+        self.per_model: Dict[str, int] = {}
+        self.version = 0
+        for req in requests:
+            self.join(req)
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def join(self, req: ServingRequest) -> None:
+        self.requests.append(req)
+        self.context_tokens += req.context_length
+        self.cached_prefix_tokens += req.cached_prefix_tokens
+        per_model = self.per_model
+        per_model[req.model_id] = per_model.get(req.model_id, 0) + 1
+        self.version += 1
+
+    def leave(self, req: ServingRequest) -> None:
+        self.requests.remove(req)        # identity: requests are eq=False
+        self.context_tokens -= req.context_length
+        self.cached_prefix_tokens -= req.cached_prefix_tokens
+        left = self.per_model[req.model_id] - 1
+        if left:
+            self.per_model[req.model_id] = left
+        else:
+            del self.per_model[req.model_id]
+        self.version += 1
+
+    def advance(self) -> None:
+        """One lockstep iteration: every member generated one token."""
+        self.context_tokens += len(self.requests)
+
+
 # callback signatures: (request, clock_s)
 TokenCallback = Callable[[ServingRequest, float], None]
 FinishCallback = Callable[[ServingRequest, float], None]
@@ -242,7 +302,9 @@ class ServingEngine:
         self._live: Dict[int, ServingRequest] = {}
         self._n_submitted = 0
         self._n_retired = 0
-        self.running: List[ServingRequest] = []
+        self.batch = RunningBatch()
+        self._lru_version = -1            # batch.version at the last LRU touch
+        self._sanitize = _sanitizer.enabled()
         self.finished: List[ServingRequest] = []
         self.timeline: List[TimelineEvent] = []
         self.stats = EngineStats()
@@ -254,6 +316,12 @@ class ServingEngine:
         self.metrics = StreamingMetrics(policy=self.config.record_policy,
                                         sample_k=self.config.sample_k)
         self._reset_engine()
+
+    @property
+    def running(self) -> Sequence[ServingRequest]:
+        """The running batch in admission order.  Read-only: membership
+        changes only through :attr:`batch` (join / leave)."""
+        return self.batch.requests
 
     @property
     def clock(self) -> float:
@@ -334,8 +402,8 @@ class ServingEngine:
             cap = getattr(sched, "max_batch_requests", None)
         if cap is None:
             cap = getattr(self, "max_batch_requests", None)
-        batch = len(self.running) / cap if cap else 0.0
-        return {"batch_occupancy": batch, "kv_occupancy": 0.0}
+        occupancy = len(self.batch) / cap if cap else 0.0
+        return {"batch_occupancy": occupancy, "kv_occupancy": 0.0}
 
     def step(self) -> bool:
         """Run one scheduling iteration.
@@ -364,7 +432,8 @@ class ServingEngine:
                     phase="queue", model_id=req.model_id,
                     tenant_id=req.tenant_id, source=self.name))
 
-        if not self.running and not self.has_queued():
+        batch = self.batch
+        if not batch.requests and not self.has_queued():
             wake = self._next_wake()
             if wake is None:
                 return False
@@ -405,12 +474,14 @@ class ServingEngine:
 
         # token accounting: admitted requests first (their first token
         # lands this iteration), then the previously-running prefix of
-        # ``running`` — the slice bound taken before the appends replaces
-        # the old per-request membership test against an admitted-id set
+        # the batch, which moves in lockstep (+1 token each).  Finished
+        # requests are collected on the way, in batch order: old first.
         now = self._sim.now
         on_token = self.on_token
-        running = self.running
-        n_old = len(running)
+        n_old = len(batch.requests)
+        batch.advance()
+        newly_done: List[ServingRequest] = []
+        done_on_first_token: List[ServingRequest] = []
         for req in admitted:
             req.prefilled = True
             req.generated_tokens += 1
@@ -422,32 +493,32 @@ class ServingEngine:
                         phase="decode", model_id=req.model_id,
                         tenant_id=req.tenant_id, source=self.name))
             req.inference_s += iter_time
-            running.append(req)
+            batch.join(req)
             if on_token is not None:
                 on_token(req, now)
-        for req in running[:n_old]:
+            if req.generated_tokens >= req.output_tokens:   # req.done
+                done_on_first_token.append(req)
+        for req in batch.requests[:n_old]:
             req.generated_tokens += 1
             req.inference_s += iter_time
             if on_token is not None:
                 on_token(req, now)
+            if req.generated_tokens >= req.output_tokens:
+                newly_done.append(req)
+        newly_done += done_on_first_token
 
         # 5. retire finished requests; engine-specific cleanup (preemption)
-        newly_done: List[ServingRequest] = []
-        still_running: List[ServingRequest] = []
-        for req in running:
-            (newly_done if req.done else still_running).append(req)
-        if newly_done:
-            for req in newly_done:
-                req.state = RequestState.FINISHED
-                req.finish_s = now
-                self._retire_terminal(req)
-            self.running = still_running
+        for req in newly_done:
+            batch.leave(req)
+            req.state = RequestState.FINISHED
+            req.finish_s = now
+            self._retire_terminal(req)
         self._sim.tick(self.retire(newly_done))
         if executed and self.on_event is not None:
             self.on_event(IterationDone(
                 time=self.clock, iter_time_s=iter_time,
                 load_time_s=load_time,
-                n_running=len(self.running), n_admitted=len(admitted),
+                n_running=len(batch.requests), n_admitted=len(admitted),
                 n_finished=len(newly_done), source=self.name))
 
         if self.collect_timeline:
@@ -461,6 +532,8 @@ class ServingEngine:
         if self.on_finish is not None:
             for req in newly_done:
                 self.on_finish(req, self.clock)
+        if self._sanitize:
+            _sanitizer.check_running_batch(self.name, batch)
         return True
 
     def run_until_drained(self) -> None:
@@ -544,6 +617,36 @@ class ServingEngine:
         seconds to advance the clock."""
         return 0.0
 
+    def _touch_active(self, resident: "OrderedDict[str, Any]",
+                      admitted: List[ServingRequest],
+                      resident_changed: bool) -> None:
+        """Move every active model to the recent end of ``resident``, in
+        batch order then admission order (a hash-ordered set here would
+        make later evictions depend on PYTHONHASHSEED).  Touching again
+        with the same batch, nothing admitted and ``resident`` unchanged
+        would reproduce the same order, so that case is skipped."""
+        batch = self.batch
+        if not admitted and not resident_changed \
+                and batch.version == self._lru_version:
+            return
+        self._lru_version = batch.version
+        for model_id in batch.per_model:
+            if model_id in resident:
+                resident.move_to_end(model_id)
+        for req in admitted:
+            if req.model_id in resident:
+                resident.move_to_end(req.model_id)
+
+    @staticmethod
+    def _evict_lru(resident: "OrderedDict[str, Any]",
+                   active: Container[str]) -> Optional[Any]:
+        """Pop the least-recently-used inactive model; its entry, or None
+        when every resident model is active."""
+        for model_id in resident:
+            if model_id not in active:
+                return resident.pop(model_id)
+        return None
+
     def _stall_clock(self, next_arrival_s: float) -> float:
         """hook: where the clock jumps when nothing was runnable."""
         return max(self.clock, next_arrival_s)
@@ -621,11 +724,10 @@ class ServingEngine:
         req = self._live.get(request_id)
         if req is None or req.terminal:
             return None              # unknown or stale: already terminal
-        was_running = any(r is req for r in self.running)
-        if was_running:
+        if req in self.batch.requests:
             # frees the batch slot and the KV share immediately: the next
             # admit() sees one fewer running request
-            self.running = [r for r in self.running if r is not req]
+            self.batch.leave(req)
         elif self.remove_queued(request_id) is None:
             # not queued either: still a pending (future) arrival
             self._pending.remove_request(request_id)
@@ -639,6 +741,8 @@ class ServingEngine:
                                  reason=reason))
         if self.on_finish is not None:
             self.on_finish(req, self.clock)
+        if self._sanitize:
+            _sanitizer.check_running_batch(self.name, self.batch)
         return req
 
 

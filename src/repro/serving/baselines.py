@@ -110,9 +110,9 @@ class VLLMSCBEngine(ServingEngine):
         if self._queue:
             head_model = self._queue[0].model_id
             if head_model not in self._resident:
-                active = {r.model_id for r in self.running}
                 while len(self._resident) >= self._max_resident:
-                    if self._evict_lru(self._resident, active) is None:
+                    if self._evict_lru(self._resident,
+                                       self.batch.per_model) is None:
                         break
                 if len(self._resident) < self._max_resident:
                     src = Tier.CPU if head_model in self._in_cpu else Tier.DISK
@@ -123,12 +123,13 @@ class VLLMSCBEngine(ServingEngine):
 
         # admit queued requests whose model is resident (FCFS), within
         # the KV reserve
-        capacity = self.max_batch_requests - len(self.running)
-        kv_in_use = sum(r.context_length for r in self.running)
+        batch = self.batch
+        capacity = self.max_batch_requests - len(batch)
+        kv_in_use = batch.context_tokens
         admitted: List[ServingRequest] = []
         still: List[ServingRequest] = []
         for req in self._queue:
-            need = req.trace.prompt_tokens + 1
+            need = req.prompt_tokens + 1
             if capacity > 0 and req.model_id in self._resident \
                     and kv_in_use + need <= self._kv_budget_tokens:
                 admitted.append(req)
@@ -137,37 +138,22 @@ class VLLMSCBEngine(ServingEngine):
             else:
                 still.append(req)
         self._queue = still
-        for model_id in {r.model_id for r in self.running + admitted}:
-            if model_id in self._resident:
-                self._resident.move_to_end(model_id)
+        self._touch_active(self._resident, admitted, load_time > 0.0)
         return Admission(admitted=admitted, load_time_s=load_time)
 
     def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
-        rows: Dict[str, int] = {}
         prefill: Dict[str, int] = {}
-        context = 0
-        for req in self.running:
-            rows[req.model_id] = rows.get(req.model_id, 0) + 1
-            context += req.context_length
         for req in admitted:
             prefill[req.model_id] = prefill.get(req.model_id, 0) \
-                + req.trace.prompt_tokens
-        iter_time = self.cost.fullmodel_iteration_time(rows, context, prefill)
+                + req.prompt_tokens
+        iter_time = self.cost.fullmodel_iteration_time(
+            self.batch.per_model, self.batch.context_tokens, prefill)
         return None if iter_time == 0.0 else iter_time
 
     def result_config(self) -> Dict[str, object]:
         return {"tp_degree": self.config.tp_degree,
                 "max_resident_models": self._max_resident,
                 "max_batch_requests": self.max_batch_requests}
-
-    @staticmethod
-    def _evict_lru(resident: "OrderedDict[str, bool]",
-                   active: Set[str]) -> Optional[str]:
-        for model_id in resident:
-            if model_id not in active:
-                resident.pop(model_id)
-                return model_id
-        return None
 
 
 @register_engine

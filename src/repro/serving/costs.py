@@ -15,7 +15,7 @@ Implements the timing consequences of §5.1-§5.3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,7 +95,15 @@ class IterationCostModel:
         self._ns = np.array([n for _, n in self._shape_pairs],
                             dtype=np.float64)
         self._kns = self._ks * self._ns        # exact: integer products
-        self._kn_list = self._kns.tolist()
+        # the variant passes price each *distinct* (k, n) once (q/k/v/o
+        # and gate/up repeat), all of them in one shapes x deltas numpy
+        # evaluation, and add the times back up in layer order
+        distinct = list(dict.fromkeys(self._shape_pairs))
+        self._shape_slots: List[int] = \
+            [distinct.index(pair) for pair in self._shape_pairs]
+        self._dks = np.array([[k] for k, _ in distinct], dtype=np.float64)
+        self._dns = np.array([[n] for _, n in distinct], dtype=np.float64)
+        self._kv_bytes_per_token = spec.kv_bytes_per_token()
         self._base_memo: Dict[int, float] = {}
         self._delta_memo: Dict[Tuple[int, ...], float] = {}
         self._lora_memo: Dict[Tuple[int, ...], float] = {}
@@ -139,47 +147,67 @@ class IterationCostModel:
             self.gpu)
 
     def _sbmm_breakdown(self, counts: List[int], carr: np.ndarray,
-                        k: int, n: int, kn: float, weight_bits: float,
-                        density: float, impl: str) -> Tuple[float, float]:
-        """(total, compute) of one batched multi-delta matmul — the
-        vectorized twin of :func:`~repro.hardware.kernels.sbmm_time`."""
+                        ks: Union[np.ndarray, float],
+                        ns: Union[np.ndarray, float], weight_bits: float,
+                        density: float,
+                        impl: str) -> List[Tuple[float, float]]:
+        """(total, compute) of one batched multi-delta matmul per GEMM
+        shape — the vectorized twin of
+        :func:`~repro.hardware.kernels.sbmm_time`.  ``ks``/``ns`` are
+        (shapes, 1) columns (or a scalar, broadcast), ``carr`` the
+        per-delta row counts: every elementwise term is evaluated once
+        as a shapes x deltas array."""
         gpu = self.gpu
+        kns = ks * ns                          # exact: integer products
         if impl == "fp16_bmm":
             # per-request stacked BMM has no per-delta vector dimension;
             # keep the (rarely hot) scalar model authoritative
-            br = sbmm_time(counts, k, n, gpu, impl=impl,
-                           weight_bits=int(weight_bits), density=density)
-            return br.total, br.compute
+            out = []
+            for k, n in zip(ks.ravel().tolist(), ns.ravel().tolist()):
+                br = sbmm_time(counts, int(k), int(n), gpu, impl=impl,
+                               weight_bits=int(weight_bits), density=density)
+                out.append((br.total, br.compute))
+            return out
         dense = impl.startswith("fp16")
         scattered = impl.endswith("forloop")
         fill = np.minimum(1.0, carr / _SMALL_M_KNEE)
         eff = gpu.mma_efficiency * (0.15 + 0.85 * fill)
         peak = gpu.peak_flops if dense \
             else gpu.peak_flops * gpu.sparse_speedup
-        comp = (2.0 * carr) * kn / (peak * eff)
+        comp = (2.0 * carr) * kns / (peak * eff)
         per_value = 16.0 if dense \
             else weight_bits * density + 2.0 * density
-        weight = kn * per_value / 8.0
-        act = (carr * k + carr * n) * 2.0
+        weight = kns * per_value / 8.0
+        act = (carr * ks + carr * ns) * 2.0
         if scattered:
             act = act / _SCATTERED_BW_FRACTION
         mem = (weight + act) / gpu.hbm_bytes_per_s
-        per_list = np.maximum(comp, mem).tolist()
-        compute = 0.0
-        for t in per_list:
-            compute += t
         launch = gpu.kernel_launch_us * 1e-6
-        d = len(per_list)
-        if impl == "sbmm":
-            overlapped = max(per_list) + gpu.dynamic_launch_us * 1e-6 * d
-            total = launch + max(overlapped,
-                                 compute / _sbmm_parallelism(gpu, d))
-        elif impl == "sbmm_reorder":
-            total = compute + launch * d
-        else:  # fp16_forloop / naive_forloop
-            gather = _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * sum(counts)
-            total = compute + launch * d + gather
-        return total, compute
+        d = len(counts)
+        gather = _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * sum(counts)
+        out = []
+        for per_list in np.maximum(comp, mem).tolist():
+            compute = 0.0
+            for t in per_list:
+                compute += t
+            if impl == "sbmm":
+                overlapped = max(per_list) + gpu.dynamic_launch_us * 1e-6 * d
+                total = launch + max(overlapped,
+                                     compute / _sbmm_parallelism(gpu, d))
+            elif impl == "sbmm_reorder":
+                total = compute + launch * d
+            else:  # fp16_forloop / naive_forloop
+                total = compute + launch * d + gather
+            out.append((total, compute))
+        return out
+
+    def _sum_over_layer_shapes(self, per_distinct: List[float]) -> float:
+        """Sum per-distinct-shape times over the block's linears, in the
+        original layer order (float addition is not associative)."""
+        total = 0.0
+        for slot in self._shape_slots:
+            total += per_distinct[slot]
+        return total
 
     def _delta_pass(self, rows_per_delta: Sequence[int]) -> float:
         """SBMM pass: grouped sparse low-precision matmuls per linear."""
@@ -192,11 +220,10 @@ class IterationCostModel:
             return cached
         carr = np.array(counts, dtype=np.float64)
         bits = float(self.delta_bits)
-        total = 0.0
-        for (k, n), kn in zip(self._shape_pairs, self._kn_list):
-            t, _ = self._sbmm_breakdown(counts, carr, k, n, kn, bits,
-                                        self.delta_density, self.sbmm_impl)
-            total += t
+        total = self._sum_over_layer_shapes([
+            t for t, _ in self._sbmm_breakdown(
+                counts, carr, self._dks, self._dns, bits,
+                self.delta_density, self.sbmm_impl)])
         total = total * self.spec.n_layers
         if len(self._delta_memo) >= _MEMO_LIMIT:
             self._delta_memo.clear()
@@ -219,14 +246,13 @@ class IterationCostModel:
             return cached
         r = self.lora_rank
         carr = np.array(counts, dtype=np.float64)
-        total = 0.0
-        for k, n in self._shape_pairs:
-            down_total, _ = self._sbmm_breakdown(
-                counts, carr, k, r, float(k * r), 16.0, 1.0, "sbmm")
-            _, up_compute = self._sbmm_breakdown(
-                counts, carr, r, n, float(r * n), 16.0, 1.0, "sbmm")
-            total += (down_total + up_compute) \
-                / _LORA_KERNEL_EFFICIENCY * 0.5
+        down = self._sbmm_breakdown(counts, carr, self._dks, float(r),
+                                    16.0, 1.0, "sbmm")
+        up = self._sbmm_breakdown(counts, carr, float(r), self._dns,
+                                  16.0, 1.0, "sbmm")
+        total = self._sum_over_layer_shapes([
+            (down_total + up_compute) / _LORA_KERNEL_EFFICIENCY * 0.5
+            for (down_total, _), (_, up_compute) in zip(down, up)])
         total = total * self.spec.n_layers
         if len(self._lora_memo) >= _MEMO_LIMIT:
             self._lora_memo.clear()
@@ -235,8 +261,8 @@ class IterationCostModel:
 
     def _attention(self, context_tokens: int, new_tokens: int) -> float:
         """KV-cache read/write traffic (memory-bound decode attention)."""
-        kv_read = context_tokens * self.spec.kv_bytes_per_token() / self.tp
-        kv_write = new_tokens * self.spec.kv_bytes_per_token() / self.tp
+        kv_read = context_tokens * self._kv_bytes_per_token / self.tp
+        kv_write = new_tokens * self._kv_bytes_per_token / self.tp
         return (kv_read + kv_write) / self.gpu.hbm_bytes_per_s
 
     def _allreduce(self, m: int) -> float:
@@ -256,20 +282,21 @@ class IterationCostModel:
         ``variant_kind``: "delta" (compressed FMT), "lora", or "none"
         (requests all target the base model).
         """
-        if batch.empty:
+        decode = batch.decode_per_delta
+        prefill = batch.prefill_tokens_per_delta
+        # rows in sorted variant order: dict/set order differs across
+        # batches and processes, and the row order feeds non-associative
+        # float sums in the variant pass
+        if prefill:
+            rows = [decode.get(delta_id, 0) + prefill.get(delta_id, 0)
+                    for delta_id in sorted(decode.keys() | prefill.keys())]
+        else:
+            rows = [decode[delta_id] for delta_id in sorted(decode)]
+        m_total = sum(rows)              # integers: exact in any order
+        if m_total == 0:
             return 0.0
-        m_decode = batch.decode_requests
-        m_prefill = batch.prefill_tokens
-        m_total = m_decode + m_prefill
 
         base = self._base_pass(m_total)
-        rows = []
-        # sorted: set order is hash-randomized across processes, and the
-        # row order feeds non-associative float sums in the variant pass
-        for delta_id in sorted(set(batch.decode_per_delta) |
-                               set(batch.prefill_tokens_per_delta)):
-            rows.append(batch.decode_per_delta.get(delta_id, 0)
-                        + batch.prefill_tokens_per_delta.get(delta_id, 0))
         if variant_kind == "delta":
             variant = self._delta_pass(rows)
         elif variant_kind == "lora":

@@ -128,7 +128,7 @@ class _PrefillWorker(_PoolWorker):
 
     def iteration_cost(self,
                        admitted: List[ServingRequest]) -> Optional[float]:
-        batch = self._compose(self.running, admitted)
+        batch = self._compose(admitted)
         if batch.empty:
             return None
         self._last_batch = batch

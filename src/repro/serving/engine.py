@@ -25,7 +25,7 @@ Timeline semantics per iteration (the shared loop lives in
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
@@ -108,27 +108,21 @@ class DeltaZipEngine(ServingEngine):
         return self.scheduler.remove(request_id)
 
     def admit(self) -> Admission:
-        decision = self.scheduler.schedule(self.running, list(self._resident))
+        batch = self.batch
+        decision = self.scheduler.schedule(batch, self._resident)
         admitted = decision.admitted
         cache = self._prefix_cache
 
         # swap newly selected deltas onto the GPU; deltas compete with the
-        # KV cache for the group budget.  With the prefix cache on, KV in
-        # use is the shared block pool plus each running request's private
-        # (non-pooled) context; cache-off keeps the original expression.
-        if cache is None:
-            kv_tokens_running = sum(r.context_length for r in self.running)
-        else:
-            kv_tokens_running = cache.n_tokens + sum(
-                r.context_length - r.cached_prefix_tokens
-                for r in self.running)
+        # KV cache for the group budget
+        kv_tokens_running = self._kv_tokens_in_use()
         load_time = 0.0
         for delta_id in decision.new_deltas:
             entry = self.manager.get(delta_id)
             nbytes = entry.nbytes
             kv_bytes = kv_tokens_running * self._kv_per_token
-            active = {r.model_id for r in self.running} | \
-                {r.model_id for r in admitted}
+            active = set(batch.per_model)
+            active.update(r.model_id for r in admitted)
             while self._base_bytes + self._resident_bytes + nbytes + \
                     kv_bytes > self._usable and self._resident:
                 evicted = self._evict_lru(self._resident, active)
@@ -162,9 +156,8 @@ class DeltaZipEngine(ServingEngine):
             self.stats.swap_ins += 1
             self._resident[delta_id] = nbytes
             self._resident_bytes += nbytes
-        for r_id in {r.model_id for r in self.running + admitted}:
-            if r_id in self._resident:
-                self._resident.move_to_end(r_id)
+        self._touch_active(self._resident, admitted,
+                           bool(decision.new_deltas))
 
         # KV-capacity admission control: every admitted request must fit
         # its full context into the remaining budget
@@ -178,7 +171,7 @@ class DeltaZipEngine(ServingEngine):
                     and req.request_id not in self._prefix_refs:
                 self._prefix_lookup(req)
             need = req.context_length if req.generated_tokens > 0 \
-                else req.trace.prompt_tokens + 1
+                else req.prompt_tokens + 1
             need -= req.cached_prefix_tokens
             if kv_in_use + need <= kv_budget_tokens:
                 kept.append(req)
@@ -206,7 +199,7 @@ class DeltaZipEngine(ServingEngine):
         return Admission(admitted=kept, load_time_s=load_time)
 
     def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
-        batch = self._compose(self.running, admitted)
+        batch = self._compose(admitted)
         if batch.empty:
             return None
         self._last_batch = batch
@@ -214,13 +207,15 @@ class DeltaZipEngine(ServingEngine):
 
     def on_iteration(self, iter_time: float, load_time: float,
                      admitted: List[ServingRequest]) -> None:
-        batch = self._last_batch
+        decode = self._last_batch.decode_per_delta
+        n_deltas = len(decode)
+        for delta_id in self._last_batch.prefill_tokens_per_delta:
+            if delta_id not in decode:
+                n_deltas += 1
         self.stats.iterations += 1
         self.stats.total_load_s += load_time
-        self.stats.batched_requests += len(self.running) + len(admitted)
-        self.stats.batched_deltas += len(
-            set(batch.decode_per_delta) |
-            set(batch.prefill_tokens_per_delta))
+        self.stats.batched_requests += len(self.batch) + len(admitted)
+        self.stats.batched_deltas += n_deltas
 
     def retire(self, newly_done: List[ServingRequest]) -> float:
         if self._prefix_cache is not None and newly_done:
@@ -229,9 +224,9 @@ class DeltaZipEngine(ServingEngine):
             self._prefix_trim()
         preempt_time = 0.0
         for parent in newly_done:
-            for child in self.scheduler.children_to_preempt(parent,
-                                                            self.running):
-                self.running.remove(child)
+            for child in self.scheduler.children_to_preempt(
+                    parent, self.batch.requests):
+                self.batch.leave(child)
                 child.preemptions += 1
                 self.stats.preemptions += 1
                 if self.config.preempt_mode == "swap":
@@ -260,14 +255,18 @@ class DeltaZipEngine(ServingEngine):
             0, int((self._usable - self._base_bytes - self._resident_bytes)
                    // self._kv_per_token))
         if kv_budget > 0:
-            if self._prefix_cache is None:
-                kv_tokens = sum(r.context_length for r in self.running)
-            else:
-                kv_tokens = self._prefix_cache.n_tokens + sum(
-                    r.context_length - r.cached_prefix_tokens
-                    for r in self.running)
-            util["kv_occupancy"] = kv_tokens / kv_budget
+            util["kv_occupancy"] = self._kv_tokens_in_use() / kv_budget
         return util
+
+    def _kv_tokens_in_use(self) -> int:
+        """KV tokens held right now.  With the prefix cache on that is
+        the shared block pool plus each running request's private
+        (non-pooled) context; cache-off it is the batch's context."""
+        batch = self.batch
+        if self._prefix_cache is None:
+            return batch.context_tokens
+        return self._prefix_cache.n_tokens + batch.context_tokens \
+            - batch.cached_prefix_tokens
 
     def result_config(self) -> Dict[str, object]:
         cfg: Dict[str, object] = {
@@ -348,8 +347,7 @@ class DeltaZipEngine(ServingEngine):
         kv_budget_tokens = max(
             0, int((self._usable - self._base_bytes - self._resident_bytes)
                    // self._kv_per_token))
-        private = sum(r.context_length - r.cached_prefix_tokens
-                      for r in self.running)
+        private = self.batch.context_tokens - self.batch.cached_prefix_tokens
         allowed = max(0, kv_budget_tokens - private) // cache.block_tokens
         self.stats.prefix_evictions += cache.evict_to(allowed)
 
@@ -389,32 +387,18 @@ class DeltaZipEngine(ServingEngine):
         pcie = self.node.load_time(nbytes, Tier.CPU, Tier.GPU)
         return wait + pcie
 
-    @staticmethod
-    def _evict_lru(resident: "OrderedDict[str, int]",
-                   active: Set[str]) -> Optional[int]:
-        for model_id in resident:
-            if model_id not in active:
-                return resident.pop(model_id)
-        return None
-
-    def _compose(self, running: List[ServingRequest],
-                 admitted: List[ServingRequest]) -> BatchComposition:
-        decode: Dict[str, int] = {}
+    def _compose(self, admitted: List[ServingRequest]) -> BatchComposition:
+        batch = self.batch
+        decode = dict(batch.per_model)
         prefill: Dict[str, int] = {}
-        context = 0
-        admitted_ids = {r.request_id for r in admitted}
-        for req in running:
-            if req.request_id in admitted_ids:
-                continue
-            decode[req.model_id] = decode.get(req.model_id, 0) + 1
-            context += req.context_length
+        context = batch.context_tokens
         for req in admitted:
             # a prefix-cache hit shifts the reused tokens from prefill to
             # attention context; cached_prefix_tokens is 0 whenever the
             # cache is off, so this is the exact pre-existing arithmetic
             if req.generated_tokens == 0:
                 prefill[req.model_id] = prefill.get(req.model_id, 0) \
-                    + req.trace.prompt_tokens - req.cached_prefix_tokens
+                    + req.prompt_tokens - req.cached_prefix_tokens
                 context += req.cached_prefix_tokens
             elif req.needs_recompute:
                 # recompute resume: re-prefill the whole (uncached) context

@@ -32,9 +32,13 @@ TERMINAL_STATES = frozenset((RequestState.FINISHED, RequestState.CANCELLED,
                              RequestState.EXPIRED))
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class ServingRequest:
-    """Mutable serving state wrapped around an immutable trace request."""
+    """Mutable serving state wrapped around an immutable trace request.
+
+    The trace fields every iteration reads (ids, arrival, token counts)
+    are copied in once at construction; requests compare and hash by
+    identity — two objects are never "the same request"."""
 
     trace: TraceRequest
     state: RequestState = RequestState.QUEUED
@@ -55,28 +59,26 @@ class ServingRequest:
     # memoized terminal record: retire-time metrics observation and the
     # gateway finish hooks both ask for it, and a terminal request can
     # never produce a different one
-    _record_cache: Optional["RequestRecord"] = field(
-        default=None, repr=False, compare=False)
+    _record_cache: Optional["RequestRecord"] = field(default=None, repr=False)
+    request_id: int = field(init=False)
+    model_id: str = field(init=False)
+    arrival_s: float = field(init=False)
+    tenant_id: Optional[str] = field(init=False)
+    prompt_tokens: int = field(init=False)
+    output_tokens: int = field(init=False)
 
-    @property
-    def request_id(self) -> int:
-        return self.trace.request_id
-
-    @property
-    def model_id(self) -> str:
-        return self.trace.model_id
-
-    @property
-    def tenant_id(self) -> Optional[str]:
-        return self.trace.tenant_id
+    def __post_init__(self) -> None:
+        trace = self.trace
+        self.request_id = trace.request_id
+        self.model_id = trace.model_id
+        self.arrival_s = trace.arrival_s
+        self.tenant_id = trace.tenant_id
+        self.prompt_tokens = trace.prompt_tokens
+        self.output_tokens = trace.output_tokens
 
     @property
     def conversation_id(self) -> Optional[str]:
         return self.trace.conversation_id
-
-    @property
-    def arrival_s(self) -> float:
-        return self.trace.arrival_s
 
     @property
     def deadline_s(self) -> Optional[float]:
@@ -84,11 +86,11 @@ class ServingRequest:
 
     @property
     def remaining_tokens(self) -> int:
-        return self.trace.output_tokens - self.generated_tokens
+        return self.output_tokens - self.generated_tokens
 
     @property
     def done(self) -> bool:
-        return self.generated_tokens >= self.trace.output_tokens
+        return self.generated_tokens >= self.output_tokens
 
     @property
     def terminal(self) -> bool:
@@ -97,7 +99,7 @@ class ServingRequest:
 
     @property
     def context_length(self) -> int:
-        return self.trace.prompt_tokens + self.generated_tokens
+        return self.prompt_tokens + self.generated_tokens
 
     def record(self) -> "RequestRecord":
         if self._record_cache is not None:
@@ -112,8 +114,8 @@ class ServingRequest:
             arrival_s=self.arrival_s,
             first_token_s=self.first_token_s,
             finish_s=self.finish_s,
-            prompt_tokens=self.trace.prompt_tokens,
-            output_tokens=self.trace.output_tokens,
+            prompt_tokens=self.prompt_tokens,
+            output_tokens=self.output_tokens,
             queue_wait_s=self.queue_wait_s,
             loading_s=self.loading_s,
             inference_s=self.inference_s,

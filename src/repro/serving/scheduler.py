@@ -14,9 +14,13 @@ from __future__ import annotations
 
 from bisect import insort_right
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, List, Optional, Sequence, Set
+from typing import (TYPE_CHECKING, Container, Dict, List, Mapping, Optional,
+                    Sequence, Set)
 
 from .request import RequestState, ServingRequest
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .base import RunningBatch
 
 __all__ = ["SchedulerConfig", "SchedulingDecision", "ContinuousBatchScheduler"]
 
@@ -124,8 +128,8 @@ class ContinuousBatchScheduler:
     # ------------------------------------------------------------------ #
     # admission
     # ------------------------------------------------------------------ #
-    def schedule(self, running: Sequence[ServingRequest],
-                 resident_deltas: Sequence[str]) -> SchedulingDecision:
+    def schedule(self, running: "RunningBatch",
+                 resident_deltas: Container[str]) -> SchedulingDecision:
         """Admit queued requests alongside the already-running batch.
 
         ``running`` requests keep their slots; their variants count toward
@@ -133,67 +137,91 @@ class ContinuousBatchScheduler:
         variants still need loading.
         """
         cfg = self.config
-        decision = SchedulingDecision()
-        active_deltas: Set[str] = {r.model_id for r in running}
-        decision.selected_deltas = set(active_deltas)
-        capacity = cfg.max_batch_requests - len(running)
+        selected: Set[str] = set(running.per_model)
+        decision = SchedulingDecision(selected_deltas=selected)
+        capacity = cfg.max_batch_requests - len(running.requests)
         if capacity <= 0:
             return decision
+        if self._queue:
+            self._admit_queued(running, decision, capacity)
+        decision.new_deltas = sorted(
+            d for d in selected if d not in resident_deltas)
+        return decision
 
-        # earliest in-flight/admitted request per variant, for parent links
+    def _admit_queued(self, running: "RunningBatch",
+                      decision: SchedulingDecision, capacity: int) -> None:
+        cfg = self.config
+        selected = decision.selected_deltas
+        admitted = decision.admitted
+        max_deltas = cfg.max_concurrent_deltas
+        # admission order: FCFS, or (priority desc, arrival) when the
+        # operator configured per-model priorities (§8)
+        if cfg.model_priorities is None:
+            order = self._queue
+        else:
+            order = sorted(self._queue,
+                           key=lambda r: (-cfg.priority_of(r.model_id),)
+                           + self._fcfs_key(r))
+
+        # earliest in-flight/admitted request per variant, for parent
+        # links; built on the first skip-the-line admission that needs it
+        parent_of: Optional[Dict[str, ServingRequest]] = None
+        # queued requests passed over; None while the admitted requests
+        # are exactly the head of ``order``
+        kept: Optional[List[ServingRequest]] = None
+        n_walked = len(order)
+        for i, req in enumerate(order):
+            if capacity <= 0:
+                n_walked = i
+                break
+            delta = req.model_id
+            if delta not in selected:
+                if len(selected) >= max_deltas:
+                    if kept is None:
+                        kept = []
+                    kept.append(req)
+                    continue
+                selected.add(delta)
+            if kept is not None:
+                req.skipped_line = True
+                if cfg.preemption:
+                    if parent_of is None:
+                        parent_of = self._earliest_per_model(
+                            running.requests, admitted)
+                    parent = parent_of.get(delta)
+                    if parent is not None:
+                        req.parent_id = parent.request_id
+                    else:
+                        parent_of[delta] = req
+            admitted.append(req)
+            capacity -= 1
+        if not admitted:
+            return                       # queue untouched
+        if kept is None:
+            del order[:n_walked]         # only the head was admitted: pop it
+            kept = order
+        else:
+            kept.extend(order[n_walked:])
+        if cfg.model_priorities is not None:
+            # priority order interleaves arrivals; restore FCFS.  In the
+            # plain-FCFS path kept is a subsequence of the already
+            # FCFS-ordered queue, so it is sorted by construction.
+            kept.sort(key=self._fcfs_key)
+        self._queue = kept
+
+    def _earliest_per_model(
+            self, running: Sequence[ServingRequest],
+            admitted: Sequence[ServingRequest]) -> Dict[str, ServingRequest]:
+        """Earliest running request per variant, else the first request
+        of that variant admitted so far this iteration."""
         parent_of: Dict[str, ServingRequest] = {}
         for req in running:
             cur = parent_of.get(req.model_id)
             if cur is None or self._fcfs_key(req) < self._fcfs_key(cur):
                 parent_of[req.model_id] = req
-
-        # admission order: FCFS, or (priority desc, arrival) when the
-        # operator configured per-model priorities (§8)
-        if self.config.model_priorities is None:
-            order = self._queue
-        else:
-            order = sorted(self._queue,
-                           key=lambda r: (-self.config.priority_of(r.model_id),)
-                           + self._fcfs_key(r))
-
-        blocked_seen = False
-        still_queued: List[ServingRequest] = []
-        for i, req in enumerate(order):
-            if capacity <= 0:
-                # nothing further can be admitted: keep the whole tail
-                # without walking it request-by-request
-                still_queued.extend(order[i:])
-                break
-            delta = req.model_id
-            selectable = (delta in decision.selected_deltas
-                          or len(decision.selected_deltas)
-                          < cfg.max_concurrent_deltas)
-            if not selectable:
-                blocked_seen = True
-                still_queued.append(req)
-                continue
-            # admit
-            decision.selected_deltas.add(delta)
-            decision.admitted.append(req)
-            capacity -= 1
-            if blocked_seen:
-                req.skipped_line = True
-                parent = parent_of.get(delta)
-                if parent is not None and cfg.preemption:
-                    req.parent_id = parent.request_id
-            if delta not in parent_of:
-                parent_of[delta] = req
-        if cfg.model_priorities is not None:
-            # priority order interleaves arrivals; restore FCFS.  In the
-            # plain-FCFS path still_queued is a subsequence of the already
-            # FCFS-ordered queue, so it is sorted by construction.
-            still_queued.sort(key=self._fcfs_key)
-        self._queue = still_queued
-
-        resident = set(resident_deltas)
-        decision.new_deltas = sorted(
-            d for d in decision.selected_deltas if d not in resident)
-        return decision
+        for req in admitted:
+            parent_of.setdefault(req.model_id, req)
+        return parent_of
 
     # ------------------------------------------------------------------ #
     # preemption

@@ -22,7 +22,11 @@ construction:
 * **token-bucket conservation** — charge/refund amounts are finite and
   non-negative, the level never exceeds ``burst``, cumulative refunds
   never exceed cumulative charges (cancel-refund symmetry), and a
-  charge never yields an eligibility earlier than the charge time.
+  charge never yields an eligibility earlier than the charge time;
+* **running-batch ledger conservation** — after every executed engine
+  iteration and every cancellation, the incremental totals of the
+  engine's :class:`~repro.serving.base.RunningBatch` equal a brute-force
+  recomputation from its member requests.
 
 Violations raise :class:`SimSanitizerError` carrying the offending
 value *and* the publishing call site (the first stack frame outside
@@ -35,7 +39,7 @@ from __future__ import annotations
 import os
 import traceback
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Set
 
 from .clock import SimClock
 from .events import (AutoscalerTick, Cancel, Event, ReplicaDrain,
@@ -232,6 +236,31 @@ def check_meter(tokens_charged: float, tenant_id: Optional[str]) -> None:
         raise _violation(
             f"billing meter for tenant {tenant_id!r} went negative: "
             f"{tokens_charged:.6f} tokens")
+
+
+def check_running_batch(engine: str, batch: Any) -> None:
+    """The engine's incremental :class:`~repro.serving.base.RunningBatch`
+    totals must equal a recomputation from the member requests."""
+    requests = batch.requests
+    per_model: Dict[str, int] = {}
+    for req in requests:
+        per_model[req.model_id] = per_model.get(req.model_id, 0) + 1
+    stray = [r.request_id for r in requests if r.state.value != "running"]
+    if stray or len({id(r) for r in requests}) != len(requests):
+        raise _violation(
+            f"running-batch ledger of engine {engine!r} drifted in "
+            f"membership: duplicate members or non-running requests "
+            f"{stray} in the batch")
+    for name, expected in (
+            ("context_tokens", sum(r.context_length for r in requests)),
+            ("cached_prefix_tokens",
+             sum(r.cached_prefix_tokens for r in requests)),
+            ("per_model", per_model)):
+        held = getattr(batch, name)
+        if held != expected:
+            raise _violation(
+                f"running-batch ledger of engine {engine!r} drifted in "
+                f"{name}: holds {held!r}, members give {expected!r}")
 
 
 def check_handle_finish(request_id: int, already_terminal: bool) -> None:

@@ -92,6 +92,23 @@ class TestSIM003SetOrder:
         src = "def f(xs):\n    return sum(x * 2.0 for x in set(xs))\n"
         assert rules_of(src) == ["SIM003"]
 
+    def test_set_into_lru_move_to_end_is_caught(self):
+        # the engines' old LRU touch: a hash-ordered str set deciding
+        # the order of an OrderedDict, hence later evictions
+        src = ("def f(self, admitted):\n"
+               "    for m in {r.model_id for r in self.running + admitted}:\n"
+               "        if m in self._resident:\n"
+               "            self._resident.move_to_end(m)\n")
+        assert rules_of(src, path=SERVING_PATH) == ["SIM003"]
+
+    def test_insertion_ordered_dict_into_move_to_end_is_clean(self):
+        src = ("def f(self, admitted):\n"
+               "    for m in self.batch.per_model:\n"
+               "        self._resident.move_to_end(m)\n"
+               "    for r in admitted:\n"
+               "        self._resident.move_to_end(r.model_id)\n")
+        assert rules_of(src, path=SERVING_PATH) == []
+
     def test_sorted_wrapper_is_clean(self):
         src = ("def f(q, xs):\n"
                "    for x in sorted(set(xs)):\n"

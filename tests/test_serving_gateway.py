@@ -167,6 +167,7 @@ class TestGatewayOnline:
         """Explicit arrival times that invert id order must still be
         admitted in arrival order (online FCFS, not id order)."""
         from repro.serving import ContinuousBatchScheduler, ServingRequest
+        from repro.serving.base import RunningBatch
 
         sched = ContinuousBatchScheduler(SchedulerConfig(4, 4))
         late = ServingRequest(trace=TraceRequest(
@@ -177,7 +178,7 @@ class TestGatewayOnline:
             prompt_tokens=8, output_tokens=2))
         sched.add(late)
         sched.add(early)
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert [r.request_id for r in decision.admitted] == [1, 0]
 
     def test_invalid_submit_rejected(self):

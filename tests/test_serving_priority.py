@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.serving.base import RunningBatch
 from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
 from tests.test_serving_scheduler import make_request
 
@@ -15,7 +16,7 @@ class TestPriorityAdmission:
         sched.add(make_request(0, "bronze"))
         sched.add(make_request(1, "bronze"))
         sched.add(make_request(2, "gold"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         admitted = [r.request_id for r in decision.admitted]
         assert 2 in admitted  # gold jumped the two earlier bronze requests
         assert len(admitted) == 2
@@ -27,7 +28,7 @@ class TestPriorityAdmission:
         sched = ContinuousBatchScheduler(config)
         for rid, model in [(0, "a"), (1, "b"), (2, "a")]:
             sched.add(make_request(rid, model))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert [r.request_id for r in decision.admitted] == [0, 1]
 
     def test_unlisted_models_default_zero(self):
@@ -37,7 +38,7 @@ class TestPriorityAdmission:
         sched = ContinuousBatchScheduler(config)
         sched.add(make_request(0, "unknown"))
         sched.add(make_request(1, "vip"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert [r.request_id for r in decision.admitted] == [1]
 
     def test_priority_respects_n_limit(self):
@@ -48,7 +49,7 @@ class TestPriorityAdmission:
         sched.add(make_request(0, "bronze"))
         sched.add(make_request(1, "gold"))
         sched.add(make_request(2, "gold"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         # only the gold variant is selected under N=1
         assert {r.model_id for r in decision.admitted} == {"gold"}
         assert len(sched.queued) == 1
@@ -60,14 +61,14 @@ class TestPriorityAdmission:
         sched = ContinuousBatchScheduler(config)
         for rid, model in [(0, "x"), (1, "vip"), (2, "y")]:
             sched.add(make_request(rid, model))
-        sched.schedule([], [])
+        sched.schedule(RunningBatch(), [])
         assert [r.request_id for r in sched.queued] == [0, 2]
 
     def test_no_priorities_is_pure_fcfs(self):
         sched = ContinuousBatchScheduler(SchedulerConfig(2, 8))
         for rid in (0, 1, 2):
             sched.add(make_request(rid, f"m{rid}"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert [r.request_id for r in decision.admitted] == [0, 1]
 
     def test_engine_runs_with_priorities(self):

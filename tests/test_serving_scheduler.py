@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving.base import RunningBatch
 from repro.serving.request import RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
 from repro.workload.spec import TraceRequest
@@ -29,14 +30,14 @@ class TestAdmission:
         sched = ContinuousBatchScheduler(SchedulerConfig(4, 4))
         for rid in (2, 0, 1):
             sched.add(make_request(rid, f"m{rid}"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert [r.request_id for r in decision.admitted] == [0, 1, 2]
 
     def test_k_limit(self):
         sched = ContinuousBatchScheduler(SchedulerConfig(2, 8))
         for rid in range(5):
             sched.add(make_request(rid, "m0"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert len(decision.admitted) == 2
         assert len(sched) == 3
 
@@ -45,7 +46,7 @@ class TestAdmission:
             SchedulerConfig(max_batch_requests=8, max_concurrent_deltas=2))
         for rid in range(6):
             sched.add(make_request(rid, f"m{rid % 3}"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert len(decision.selected_deltas) <= 2
         # m2's requests stay queued
         assert all(r.model_id != "m2" for r in decision.admitted)
@@ -55,21 +56,21 @@ class TestAdmission:
         sched = ContinuousBatchScheduler(SchedulerConfig(8, 2))
         running = [make_request(100, "a"), make_request(101, "b")]
         sched.add(make_request(0, "c"))
-        decision = sched.schedule(running, ["a", "b"])
+        decision = sched.schedule(RunningBatch(running), ["a", "b"])
         assert decision.admitted == []
 
     def test_running_capacity_counts_toward_k(self):
         sched = ContinuousBatchScheduler(SchedulerConfig(2, 8))
         running = [make_request(100, "a"), make_request(101, "a")]
         sched.add(make_request(0, "a"))
-        decision = sched.schedule(running, ["a"])
+        decision = sched.schedule(RunningBatch(running), ["a"])
         assert decision.admitted == []
 
     def test_new_deltas_reported(self):
         sched = ContinuousBatchScheduler(SchedulerConfig(8, 8))
         sched.add(make_request(0, "x"))
         sched.add(make_request(1, "y"))
-        decision = sched.schedule([], ["x"])  # x already resident
+        decision = sched.schedule(RunningBatch(), ["x"])  # x already resident
         assert decision.new_deltas == ["y"]
 
 
@@ -80,7 +81,7 @@ class TestSkipTheLine:
         sched = ContinuousBatchScheduler(SchedulerConfig(8, 2))
         for rid, model in [(0, "m0"), (1, "m1"), (2, "m2"), (3, "m0")]:
             sched.add(make_request(rid, model))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         admitted = {r.request_id: r for r in decision.admitted}
         assert set(admitted) == {0, 1, 3}
         assert admitted[3].skipped_line
@@ -91,7 +92,7 @@ class TestSkipTheLine:
         sched = ContinuousBatchScheduler(SchedulerConfig(8, 4))
         for rid in range(3):
             sched.add(make_request(rid, "m0"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         assert not any(r.skipped_line for r in decision.admitted)
 
     def test_parent_can_be_running_request(self):
@@ -100,7 +101,7 @@ class TestSkipTheLine:
         running = [parent, make_request(1, "m1")]
         sched.add(make_request(2, "m2"))  # blocked (N=2 used)
         sched.add(make_request(3, "m0"))  # skips, drafts behind running m0
-        decision = sched.schedule(running, ["m0", "m1"])
+        decision = sched.schedule(RunningBatch(running), ["m0", "m1"])
         admitted = {r.request_id: r for r in decision.admitted}
         assert set(admitted) == {3}
         assert admitted[3].parent_id == 0
@@ -110,7 +111,7 @@ class TestSkipTheLine:
             SchedulerConfig(8, 2, preemption=False))
         for rid, model in [(0, "m0"), (1, "m1"), (2, "m2"), (3, "m0")]:
             sched.add(make_request(rid, model))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         admitted = {r.request_id: r for r in decision.admitted}
         assert admitted[3].skipped_line
         assert admitted[3].parent_id is None
@@ -154,7 +155,7 @@ class TestConservation:
         sched = ContinuousBatchScheduler(SchedulerConfig(k, n))
         for rid, pick in enumerate(model_picks):
             sched.add(make_request(rid, f"m{pick}"))
-        decision = sched.schedule([], [])
+        decision = sched.schedule(RunningBatch(), [])
         admitted_ids = {r.request_id for r in decision.admitted}
         queued_ids = {r.request_id for r in sched.queued}
         assert admitted_ids | queued_ids == set(range(len(model_picks)))

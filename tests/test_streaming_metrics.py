@@ -32,6 +32,7 @@ from repro.serving import (BatchComposition, ClusterGateway, EngineConfig,
                            SKETCH_RELATIVE_ERROR, StreamingMetrics, Tenant,
                            TenantGateway, create_engine, summarize)
 from repro.serving.metrics import ServingResult
+from repro.serving.models import LLAMA_70B
 from repro.serving.request import RequestRecord
 from repro.workload.spec import Trace, TraceRequest
 
@@ -547,17 +548,26 @@ class TestCostModelBitExact:
         for m in M_VALUES:
             assert model._base_pass(m) == ref_base_pass(model, m)
 
+    # the variant passes evaluate each *distinct* (k, n) once, as one
+    # shapes x deltas array, and re-add the times in layer order: MHA has
+    # 3 distinct shapes of 7, GQA (kv_heads < heads) has 4
     @pytest.mark.parametrize("impl", ["sbmm", "sbmm_reorder", "fp16_bmm",
                                       "fp16_forloop", "naive_forloop"])
-    def test_delta_pass_all_impls(self, impl):
-        model = IterationCostModel(LLAMA_7B, A100, sbmm_impl=impl)
+    @pytest.mark.parametrize("tp", [1, 4])
+    @pytest.mark.parametrize("spec", [LLAMA_7B, LLAMA_70B],
+                             ids=["mha", "gqa"])
+    def test_delta_pass_all_impls(self, spec, tp, impl):
+        model = IterationCostModel(spec, A100, tp_degree=tp, sbmm_impl=impl)
+        assert len(set(model._shape_slots)) == \
+            (3 if spec.kv_heads == spec.n_heads else 4)
         for rows in ROW_SETS:
             assert model._delta_pass(rows) == ref_delta_pass(model, rows)
 
     @pytest.mark.parametrize("tp", [1, 4])
-    def test_lora_pass(self, tp):
-        model = IterationCostModel(LLAMA_7B, A100, tp_degree=tp,
-                                   lora_rank=16)
+    @pytest.mark.parametrize("spec", [LLAMA_7B, LLAMA_70B],
+                             ids=["mha", "gqa"])
+    def test_lora_pass(self, spec, tp):
+        model = IterationCostModel(spec, A100, tp_degree=tp, lora_rank=16)
         for rows in ROW_SETS:
             assert model._lora_pass(rows) == ref_lora_pass(model, rows)
 
