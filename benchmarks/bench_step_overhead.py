@@ -112,9 +112,7 @@ def bench_telemetry(mgr, trace, n_replicas):
     from repro.telemetry import Telemetry
 
     bare = build_gateway(mgr, n_replicas, None)
-    engines = [r.engine for r in bare.replicas] \
-        if isinstance(bare, ClusterGateway) else [bare.engine]
-    for engine in engines:
+    for engine in bare.engines():
         # zero-overhead-when-disabled is structural: no hook, no phase
         # emission, so the step loop never even branches into telemetry
         assert engine.on_event is None, "telemetry-off engine has a hook"
@@ -126,10 +124,7 @@ def bench_telemetry(mgr, trace, n_replicas):
 
     telemetry = Telemetry(interval_s=1.0)
     wired = build_gateway(mgr, n_replicas, None)
-    if isinstance(wired, ClusterGateway):
-        telemetry.attach_cluster(wired)
-    else:
-        telemetry.attach_serving(wired)
+    telemetry.attach(wired)
     start = time.perf_counter()
     wired_res = wired.replay(trace)
     wired_wall = time.perf_counter() - start

@@ -85,9 +85,10 @@ def online_token_bucket():
     print("=== online: tenant 'metered' at 100 tokens/s, burst 400, "
           "quota 6 outstanding ===")
     for i in range(8):
-        rid = gateway.submit("agg-variant-00", prompt_len=128, output_len=64,
-                             tenant_id="metered")
-        print(f"request {rid}: {gateway.decision(rid).value}")
+        handle = gateway.submit("agg-variant-00", prompt_len=128,
+                                output_len=64, tenant_id="metered")
+        print(f"request {handle.id}: "
+              f"{gateway.decision(handle.id).value}")
     result = gateway.run_until_drained()
     stats = gateway.controller.stats["metered"]
     print(f"completed {result.n_requests}; admitted {stats.admitted}, "

@@ -46,8 +46,9 @@ def main():
     def submit_turn(variant, turns, arrival_s=None):
         prompt = int(rng.integers(16, 256))
         output = int(rng.integers(8, 128))
-        rid = gateway.submit(variant, prompt, output, arrival_s=arrival_s)
-        turns_left[rid] = (variant, turns)
+        handle = gateway.submit(variant, prompt, output,
+                                arrival_s=arrival_s)
+        turns_left[handle.id] = (variant, turns)
 
     # session start: every user opens a conversation with their variant
     for u in range(N_USERS):

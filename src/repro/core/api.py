@@ -17,14 +17,12 @@ Example::
     dz.register_finetuned("vicuna", finetuned_model, calib_tokens)
     out = dz.generate("vicuna", prompt_tokens)
     session = dz.session("deltazip", served_spec=LLAMA_13B).build()
-    result = session.replay(trace)           # offline
-    rid = session.submit("vicuna", 128, 64)  # ... or online
+    result = session.replay(trace)             # offline
+    handle = session.submit("vicuna", 128, 64) # ... or online
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -32,16 +30,11 @@ import numpy as np
 from ..compression.artifacts import CompressedDelta
 from ..compression.configs import CompressionConfig
 from ..compression.pipeline import DeltaCompressor
-from ..hardware.cluster import GPUNode
 from ..nn.lora import LoRAAdapter
 from ..nn.transformer import TransformerModel
-from ..serving.base import EngineConfig
-from ..serving.metrics import ServingResult
 from ..serving.models import ServedModelSpec
 from ..serving.runner import DecoupledModelRunner
-from ..serving.scheduler import SchedulerConfig
-from ..workload.spec import Trace
-from .session import ServingSession, ServingSessionBuilder
+from .session import ServingSessionBuilder
 
 __all__ = ["DeltaZip"]
 
@@ -143,34 +136,3 @@ class DeltaZip:
         """
         return ServingSessionBuilder(self, engine=engine,
                                      served_spec=served_spec)
-
-    def simulate(
-        self,
-        trace: Trace,
-        served_spec: ServedModelSpec,
-        node: Optional[GPUNode] = None,
-        scheduler: Optional[SchedulerConfig] = None,
-        engine: Optional[EngineConfig] = None,
-        default_ratio: Optional[float] = None,
-    ) -> ServingResult:
-        """Deprecated: use :meth:`session` (kept as a thin wrapper).
-
-        Replays the trace on a ``deltazip`` session with the measured
-        compression ratios of the registered artifacts.  Every model id in
-        the trace must be registered unless ``default_ratio`` supplies a
-        fallback.
-        """
-        warnings.warn(
-            "DeltaZip.simulate is deprecated; use "
-            "DeltaZip.session(...).build().replay(trace) instead",
-            DeprecationWarning, stacklevel=2)
-        builder = self.session("deltazip", served_spec=served_spec)
-        if node is not None:
-            builder.on_node(node)
-        if scheduler is not None:
-            builder.with_scheduler(scheduler)
-        if engine is not None:
-            builder.with_engine_config(engine)
-        if default_ratio is not None:
-            builder.with_default_ratio(default_ratio)
-        return builder.replay(trace)

@@ -1,8 +1,7 @@
 """Fluent serving-session builder for the :class:`~repro.core.DeltaZip` facade.
 
-The at-scale entry point used to be one monolithic ``DeltaZip.simulate``
-call that required a fully pre-materialized offline trace.  The builder
-splits configuration from execution and exposes *both* workload paths::
+The builder splits configuration from execution and exposes *both*
+workload paths::
 
     session = (dz.session(engine="deltazip")
                  .serving(LLAMA_13B)
@@ -11,7 +10,7 @@ splits configuration from execution and exposes *both* workload paths::
                  .build())
 
     session.replay(trace)                      # offline trace replay
-    rid = session.submit("vicuna", 128, 64)    # ... or online submission
+    handle = session.submit("vicuna", 128, 64) # ... or online submission
     session.run_until_drained()
 
 Scaling out is one more builder call: ``.with_replicas(4)`` serves through
@@ -44,8 +43,7 @@ shedding); the session then serves through a
 
 Any engine registered in :data:`~repro.serving.base.ENGINES` can back a
 session; registered artifacts contribute their *measured* compression
-ratios to the simulated swap sizes, exactly as the legacy ``simulate``
-path did.
+ratios to the simulated swap sizes.
 """
 
 from __future__ import annotations
@@ -58,12 +56,12 @@ from ..serving.base import (ENGINES, EngineConfig, ServingEngine,
                             create_engine)
 from ..serving.cluster import (Autoscaler, AutoscalerConfig, ClusterGateway,
                                LoadBalancer, Replica)
-from ..serving.gateway import ServingGateway
+from ..serving.gateway import Gateway, ServingGateway
 from ..serving.metrics import ServingResult
 from ..serving.model_manager import ModelManager
 from ..serving.models import ServedModelSpec
 from ..serving.scheduler import SchedulerConfig
-from ..serving.tenancy import (AdmissionController, Tenant, TenantGateway)
+from ..serving.tenancy import AdmissionController, Tenant, TenantGateway
 from ..workload.spec import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -240,8 +238,7 @@ class ServingSessionBuilder:
                 and self._cluster is None:
             node = self._node or GPUNode(node_from_name("a800", 4))
             engine = self._make_engine(manager, node)
-            gateway: Union[ServingGateway, ClusterGateway] = \
-                ServingGateway(engine)
+            gateway: Gateway = ServingGateway(engine)
         else:
             cluster = self._cluster
             if cluster is None:
@@ -291,78 +288,68 @@ class ServingSessionBuilder:
 class ServingSession:
     """A live serving deployment: online ``submit`` plus trace ``replay``.
 
-    Backed by a single-replica
-    :class:`~repro.serving.gateway.ServingGateway`, a multi-replica
-    :class:`~repro.serving.cluster.ClusterGateway`, or either behind a
-    :class:`~repro.serving.tenancy.TenantGateway` admission frontier —
-    the session surface is identical, so clients are replica-count- and
-    tenancy-agnostic.
+    Backed by any :class:`~repro.serving.gateway.Gateway` stack — a
+    single-replica :class:`~repro.serving.gateway.ServingGateway`, a
+    multi-replica :class:`~repro.serving.cluster.ClusterGateway`, or
+    either behind a :class:`~repro.serving.tenancy.TenantGateway`
+    admission frontier — the session surface is identical, so clients
+    are replica-count- and tenancy-agnostic.
     """
 
-    def __init__(self, gateway: Union[ServingGateway, ClusterGateway,
-                                      TenantGateway],
+    def __init__(self, gateway: Gateway,
                  manager: ModelManager, base_model_id: str,
                  engine_cls=None, default_ratio: Optional[float] = None):
         self.gateway = gateway
         self.manager = manager
         self.base_model_id = base_model_id
         self.default_ratio = default_ratio
-        inner = self._inner_gateway
-        self._engine_cls = engine_cls or (
-            type(inner.engine) if isinstance(inner, ServingGateway)
-            else None)
+        self._engine_cls = engine_cls or type(gateway.engines()[0])
 
     # ------------------------------------------------------------------ #
     @property
-    def _inner_gateway(self) -> Union[ServingGateway, ClusterGateway]:
-        """The serving gateway under any admission frontier."""
-        return self.gateway.inner \
-            if isinstance(self.gateway, TenantGateway) else self.gateway
+    def _serving(self) -> Gateway:
+        """The engine-owning gateway under any admission frontier."""
+        return getattr(self.gateway, "inner", self.gateway)
 
     @property
     def admission(self) -> Optional[AdmissionController]:
         """The admission controller (None without a tenancy layer)."""
-        return self.gateway.controller \
-            if isinstance(self.gateway, TenantGateway) else None
+        return self.gateway.controller
 
     @property
     def engine(self) -> Optional[ServingEngine]:
         """The backing engine (single-replica sessions only)."""
-        inner = self._inner_gateway
-        return inner.engine if isinstance(inner, ServingGateway) else None
+        return getattr(self._serving, "engine", None)
 
     @property
     def replicas(self) -> List[Replica]:
         """The live replica set (empty for single-replica sessions)."""
-        inner = self._inner_gateway
-        return list(inner.replicas) \
-            if isinstance(inner, ClusterGateway) else []
+        return list(getattr(self._serving, "replicas", ()))
 
     def submit(self, model_id: str, prompt_len: int, output_len: int,
-               arrival_s: Optional[float] = None,
-               tenant_id: Optional[str] = None,
-               deadline_s: Optional[float] = None):
+               **kwargs):
         """Submit one online request; returns its
         :class:`~repro.serving.handle.RequestHandle`.
 
-        The handle streams this request's tokens (``for t, n in
-        handle.tokens``), exposes ``status``/``record()``, supports
-        ``cancel(at_s=...)``, and still coerces to the integer request id
-        for pre-handle call sites.  ``deadline_s`` (seconds from
-        arrival) bounds the request's completion.
+        ``kwargs`` go to :meth:`Gateway.submit
+        <repro.serving.gateway.Gateway.submit>` untouched: ``arrival_s``,
+        ``deadline_s`` (seconds from arrival) and every request-envelope
+        tag (``tenant_id``, ``conversation_id``, ...).  The handle streams
+        this request's tokens (``for t, n in handle.tokens``), exposes
+        ``status``/``record()`` and supports ``cancel(at_s=...)``.
         """
         self._ensure_registered(model_id)
         return self.gateway.submit(model_id, prompt_len, output_len,
-                                   arrival_s=arrival_s, tenant_id=tenant_id,
-                                   deadline_s=deadline_s)
+                                   **kwargs)
 
     def cancel(self, request_id, at_s: Optional[float] = None) -> None:
         """Cancel a submitted request (by handle or id) at ``at_s``."""
-        self.gateway.cancel(int(request_id), at_s=at_s)
+        self.gateway.cancel(getattr(request_id, "id", request_id), at_s=at_s)
 
     def handle(self, request_id):
-        """The :class:`RequestHandle` for a submitted request id."""
-        return self.gateway.handle(int(request_id))
+        """The :class:`RequestHandle` for a submitted request (by handle
+        or id)."""
+        return self.gateway.handle(getattr(request_id, "id", request_id))
 
     def step(self) -> bool:
         return self.gateway.step()
@@ -374,7 +361,7 @@ class ServingSession:
         return self.gateway.result()
 
     def replay(self, trace: Trace, cancels=None) -> ServingResult:
-        """Replay an offline trace (bit-identical to legacy simulate).
+        """Replay an offline trace through the gateway.
 
         ``cancels`` optionally schedules client cancellations as
         ``(request_id, at_s)`` pairs (see

@@ -16,7 +16,7 @@ from .kv_transfer import (InterconnectModel, KvTransferPlan,
 from .economics import (DeploymentCost, GPU_HOURLY_USD, compare_deployments,
                         cost_per_tenant, deployment_cost)
 from .engine import DeltaZipEngine
-from .gateway import ServingGateway
+from .gateway import Gateway, ServingGateway
 from .handle import HandleStatus, RequestHandle
 from .metrics import (EngineStats, ServingResult, UNTENANTED,
                       jain_fairness_index, slo_attainment,
@@ -42,7 +42,7 @@ from .tenancy import (AdmissionController, AdmissionDecision, DEFAULT_TENANT,
 from .tuning import ProfilePoint, pick_optimal_n, profile_concurrent_deltas
 
 __all__ = [
-    "Admission", "ENGINES", "ServingEngine", "ServingGateway",
+    "Admission", "ENGINES", "ServingEngine", "Gateway", "ServingGateway",
     "HandleStatus", "RequestHandle",
     "create_engine", "register_engine",
     "DedicatedEngine", "VLLMSCBEngine",

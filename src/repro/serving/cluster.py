@@ -51,9 +51,9 @@ from ..sim import (Arrival, AutoscalerTick, EventQueue, ReplicaDrain,
                    ReplicaSpawn, SimKernel)
 from ..workload.spec import Trace, TraceRequest
 from .base import ServingEngine
-from .gateway import (CancelSchedule, CompletionCallback, ServingGateway,
-                      TokenCallback)
-from .handle import HandleStatus, RequestHandle
+from .gateway import (CancelSchedule, CompletionCallback, Gateway,
+                      ServingGateway, TokenCallback)
+from .handle import HandleStatus
 from .metrics import ServingResult
 from .request import RequestRecord, synthesized_abort_record
 from .streaming_metrics import RecordPolicy
@@ -76,21 +76,16 @@ class Replica:
 
     def __init__(self, replica_id: int, engine: ServingEngine,
                  name: Optional[str] = None, node: Optional[GPUNode] = None,
-                 on_token: Optional[TokenCallback] = None,
                  on_request_complete: Optional[CompletionCallback] = None,
                  collect_timeline: bool = False):
         self.id = replica_id
         self.name = name or f"replica-{replica_id}"
         self.node = node
         self.gateway = ServingGateway(
-            engine, on_token=on_token,
-            on_request_complete=on_request_complete,
+            engine, on_request_complete=on_request_complete,
             collect_timeline=collect_timeline)
+        self.engine = engine
         self.draining = False
-
-    @property
-    def engine(self) -> ServingEngine:
-        return self.gateway.engine
 
     @property
     def clock(self) -> float:
@@ -194,7 +189,7 @@ class LineageAffinityBalancer(LoadBalancer):
     (per-variant stickiness); the multi-base router passes its lineage
     lookup so every variant of one base lands on that base's replica.
     Unseen keys fall through to a least-outstanding choice; ``pin`` fixes a
-    key's home up front.
+    key's home up front, and a pinned key never spills.
 
     When a home replica drains, keys with a surviving secondary home
     promote it for free (the delta is already there); sole-residency
@@ -250,6 +245,11 @@ class LineageAffinityBalancer(LoadBalancer):
         if not homes:
             chosen = self._fallback.choose(model_id, replicas)
             self._home[key] = chosen
+        elif homes[0] is self._pinned.get(key):
+            # a pin is a placement constraint, not a preference: only
+            # that replica is known to be able to serve the key at all
+            # (one GPU group per base model), so load never spills it
+            chosen = homes[0]
         else:
             bias = self._affinity_bias
             chosen = min(replicas, key=lambda r: (
@@ -395,7 +395,8 @@ class AutoscalerConfig:
 
     Scale up when the *offered* backlog per active replica — engine
     backlog plus any requests an admission layer holds at the cluster
-    frontier (see :meth:`ClusterGateway.set_admission_probe`) — exceeds
+    frontier (see :meth:`Gateway.set_admission_probe
+    <repro.serving.gateway.Gateway.set_admission_probe>`) — exceeds
     ``high_queue_per_replica`` (or recent TTFT tail exceeds
     ``ttft_high_s``); scale down when it drops below
     ``low_queue_per_replica``.  Cooldowns stop the controller from
@@ -486,8 +487,7 @@ class Autoscaler:
         # arrivals up front, and the controller must not scale on load
         # that has not been offered yet.  Admission-held requests count:
         # they are offered load the engines cannot see.
-        offered = sum(r.backlog for r in active) + \
-            getattr(gateway, "admission_queued", 0)
+        offered = sum(r.backlog for r in active) + gateway.admission_queued
         queue_per = offered / max(n, 1)
         ttft_tail = gateway.recent_ttft_percentile(cfg.ttft_quantile)
 
@@ -522,15 +522,16 @@ class Autoscaler:
 # --------------------------------------------------------------------------- #
 # the cluster gateway
 # --------------------------------------------------------------------------- #
-class ClusterGateway:
+class ClusterGateway(Gateway):
     """Replica-count-agnostic serving frontend over a set of replicas.
 
-    Exposes the single-gateway surface — ``submit`` / ``step`` /
-    ``run_until_drained`` / ``replay`` / ``result`` — over any number of
-    :class:`Replica`\\ s.  Construct it either from an ``engine_factory``
-    plus a hardware :class:`~repro.hardware.cluster.Cluster` (homogeneous
-    replicas, autoscalable) or from pre-built engines via
-    :meth:`from_engines` (heterogeneous replicas, e.g. one per base model).
+    The :class:`~repro.serving.gateway.Gateway` surface — ``submit`` /
+    ``step`` / ``run_until_drained`` / ``replay`` / ``result`` — over any
+    number of :class:`Replica`\\ s.  Construct it either from an
+    ``engine_factory`` plus a hardware
+    :class:`~repro.hardware.cluster.Cluster` (homogeneous replicas,
+    autoscalable) or from pre-built engines via :meth:`from_engines`
+    (heterogeneous replicas, e.g. one per base model).
     """
 
     def __init__(self, engine_factory: Optional[EngineFactory] = None,
@@ -546,6 +547,7 @@ class ClusterGateway:
                  _replicas: Optional[List[Replica]] = None):
         if n_replicas < 1:
             raise ValueError("need at least one replica")
+        super().__init__(on_token, on_request_complete)
         # the one clock: kernel time is the cluster frontier, and every
         # cross-layer event (spawns, drains, autoscaler ticks, engine
         # iterations when journaling) flows through it
@@ -554,23 +556,14 @@ class ClusterGateway:
         self.autoscaler = autoscaler
         self._factory = engine_factory
         self._cluster = cluster
-        self._on_token = on_token
-        self._on_complete = on_request_complete
         self._collect_timeline = collect_timeline
         self._journal = journal
-        self._telemetry = None
-        self._next_id = 0
         self._next_replica_id = 0
         # trace requests awaiting routing: replay defers each routing
         # decision until the simulation frontier reaches the arrival, so
         # balancers and the autoscaler see the load actually offered so far
         self._unrouted = EventQueue()     # Arrival events on the kernel
         self._ticks = EventQueue()        # scheduled AutoscalerTicks
-        self._admission_probe: Optional[Callable[[], int]] = None
-        self._listeners: List[CompletionCallback] = []
-        self._token_listeners: List[TokenCallback] = []
-        self._token_tap = False           # replica token fanout installed?
-        self._handles: Dict[int, RequestHandle] = {}
         self._owner: Dict[int, Replica] = {}       # routed request -> replica
         self._pending_cancels: Dict[int, Tuple[float, str]] = {}
         self._orphans: List[RequestRecord] = []    # cancelled before routing
@@ -597,13 +590,9 @@ class ClusterGateway:
             for _ in range(n_replicas):
                 self.spawn_replica()
         self._schedule_tick(0.0)
+        self._wire()                      # an on_token callback taps now
         if telemetry is not None:
-            telemetry.attach_cluster(self)
-
-    @property
-    def telemetry(self):
-        """The attached :class:`repro.telemetry.Telemetry`, or None."""
-        return self._telemetry
+            telemetry.attach(self)
 
     @classmethod
     def from_engines(cls, engines: Sequence[ServingEngine],
@@ -635,6 +624,9 @@ class ClusterGateway:
     @property
     def n_replicas(self) -> int:
         return len(self.active_replicas())
+
+    def engines(self) -> List[ServingEngine]:
+        return [r.engine for r in self.replicas]
 
     def spawn_replica(self) -> Replica:
         """Bring one more replica online at the current cluster clock.
@@ -684,8 +676,7 @@ class ClusterGateway:
     def _add_replica(self, engine: ServingEngine,
                      name: Optional[str] = None,
                      node: Optional[GPUNode] = None) -> Replica:
-        replica = Replica(self._next_replica_id, engine, name=name,
-                          node=node, on_token=self._on_token,
+        replica = Replica(self._next_replica_id, engine, name=name, node=node,
                           on_request_complete=self._record_completion,
                           collect_timeline=self._collect_timeline)
         self._next_replica_id += 1
@@ -758,49 +749,18 @@ class ClusterGateway:
             return RecordPolicy.KEEP_ALL
         return pool[0].engine.config.record_policy
 
-    def submit(self, model_id: str, prompt_len: int, output_len: int,
-               arrival_s: Optional[float] = None,
-               tenant_id: Optional[str] = None,
-               deadline_s: Optional[float] = None,
-               conversation_id: Optional[str] = None) -> RequestHandle:
-        """Submit one request; the balancer picks its replica.
-
-        Returns a :class:`~repro.serving.handle.RequestHandle` streaming
-        this request's tokens across whichever replica serves it;
-        ``deadline_s`` (relative to arrival) bounds its completion.
-        ``conversation_id`` tags the request as one turn of a session:
-        affinity balancers route it to the session's home replica, whose
-        prefix cache (when enabled) skips re-prefilling the shared
-        history.
-        """
-        if prompt_len < 1 or output_len < 1:
-            raise ValueError("prompt_len and output_len must be >= 1")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 when set")
+    def _accept(self, request: TraceRequest) -> None:
+        """A submitted request is routed at once: the balancer picks its
+        replica, whose engine holds it until its arrival.  Affinity
+        balancers send a ``conversation_id``-tagged request to the
+        session's home replica, whose prefix cache (when enabled) skips
+        re-prefilling the shared history."""
         active = self.active_replicas()
         if not active:
             raise RuntimeError("no active replicas")
-        if arrival_s is None:
-            arrival_s = self.clock
-        absolute_deadline = None if deadline_s is None \
-            else float(arrival_s) + float(deadline_s)
-        request = TraceRequest(request_id=self._next_id, model_id=model_id,
-                               arrival_s=float(arrival_s),
-                               prompt_tokens=int(prompt_len),
-                               output_tokens=int(output_len),
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline,
-                               conversation_id=conversation_id)
-        self._next_id += 1
-        handle = RequestHandle(request.request_id, self, model_id,
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline)
-        self._handles[request.request_id] = handle
-        self._install_token_tap()
         replica = self._choose_replica(request, active)
         replica.gateway.ingest(request)
         self._owner[request.request_id] = replica
-        return handle
 
     def _choose_replica(self, request: TraceRequest,
                         active: List[Replica]) -> Replica:
@@ -833,10 +793,6 @@ class ClusterGateway:
         else:
             self._pending_cancels[rid] = (float(at_s), reason)
 
-    def handle(self, request_id: int) -> Optional[RequestHandle]:
-        """The handle for a request submitted through this gateway."""
-        return self._handles.get(int(request_id))
-
     def ingest(self, request: TraceRequest) -> int:
         """Accept a fully-formed :class:`TraceRequest` verbatim.
 
@@ -849,52 +805,14 @@ class ClusterGateway:
         self._next_id = max(self._next_id, request.request_id + 1)
         return request.request_id
 
-    def add_completion_listener(self, listener: CompletionCallback) -> None:
-        """Register an extra per-request completion callback (fires after
-        the constructor's ``on_request_complete``); used by the admission
-        layer in :mod:`repro.serving.tenancy`."""
-        self._listeners.append(listener)
-
-    def add_token_listener(self, listener: TokenCallback) -> None:
-        """Register a per-token callback spanning every replica — the
-        streaming parity of :meth:`add_completion_listener`.  Survives
-        :meth:`reset`."""
-        self._token_listeners.append(listener)
-        self._install_token_tap()
-
-    def _install_token_tap(self) -> None:
+    def _wire(self) -> None:
         """Lazily fan replica token callbacks into cluster-level
         listeners and handles (installed on demand so replay paths
         without handles pay no per-token overhead)."""
-        if self._token_tap:
-            return
-        self._token_tap = True
-        for replica in self.replicas + self.retired:
-            replica.gateway.add_token_listener(self._token_fanout)
-
-    def _token_fanout(self, request_id: int, model_id: str,
-                      n_generated: int, clock: float) -> None:
-        for listener in self._token_listeners:
-            listener(request_id, model_id, n_generated, clock)
-        handle = self._handles.get(request_id)
-        if handle is not None:
-            handle._push_token(clock, n_generated)
-
-    def set_admission_probe(self, probe: Callable[[], int]) -> None:
-        """Let an admission layer report requests held at its frontier.
-
-        The autoscaler adds the probe's count to the engine backlog, so
-        the cluster scales on *offered* load — requests an admission
-        controller is still holding back are otherwise invisible to the
-        engines and the controller would scale too late (only after
-        shedding already kicked in)."""
-        self._admission_probe = probe
-
-    @property
-    def admission_queued(self) -> int:
-        """Requests an admission layer holds at the cluster frontier."""
-        return self._admission_probe() if self._admission_probe is not None \
-            else 0
+        if not self._token_tap and self._wants_tokens():
+            self._token_tap = True
+            for replica in self.replicas:
+                replica.gateway.add_token_listener(self._token_fanout)
 
     def step(self) -> bool:
         """Advance the least-advanced replica that has work by one engine
@@ -1000,12 +918,6 @@ class ClusterGateway:
         self._orphans.append(record)
         self._record_completion(record)
 
-    def run_until_drained(self) -> ServingResult:
-        """Serve until everything submitted so far has finished."""
-        while self.step():
-            pass
-        return self.result()
-
     def result(self) -> ServingResult:
         """Merged cluster-level snapshot of completions so far (records
         of requests cancelled before routing included)."""
@@ -1043,17 +955,7 @@ class ClusterGateway:
         ``(request_id, at_s)`` pairs; ``None`` replays bit-identically to
         a pre-cancellation run.
         """
-        self.reset()
-        max_id = -1
-        for request in trace:
-            self._unrouted.push(Arrival(time=request.arrival_s,
-                                        request=request))
-            max_id = max(max_id, request.request_id)
-        self._next_id = max_id + 1
-        if cancels is not None:
-            for request_id, at_s in cancels:
-                self.cancel(request_id, at_s=at_s)
-        return self.run_until_drained()
+        return self._replay(trace, cancels)
 
     def reset(self) -> None:
         """Fresh simulated timeline on the current replica set (replicas
@@ -1067,16 +969,13 @@ class ClusterGateway:
         self._ticks.clear()
         self._schedule_tick(0.0)
         self._recent_records.clear()
-        self._handles.clear()
         self._owner.clear()
         self._pending_cancels.clear()
         self._orphans.clear()
-        self._next_id = 0
         self.balancer.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-        if self._telemetry is not None:
-            self._telemetry.reset()
+        super().reset()
 
     # ------------------------------------------------------------------ #
     # cluster-level telemetry
@@ -1099,21 +998,13 @@ class ClusterGateway:
             else:
                 self.balancer.on_abandoned(record.model_id)
             self._owner.pop(record.request_id, None)
-        if self._on_complete is not None:
-            self._on_complete(record)
-        for listener in self._listeners:
-            listener(record)
-        if self.record_policy is RecordPolicy.KEEP_ALL:
-            handle = self._handles.get(record.request_id)
-        else:
-            # releasing policy: drop the routing/handle entries for every
-            # terminal request so cluster maps stay O(active).  (A stale
-            # cancel against a dropped owner parks in _pending_cancels;
-            # rare, bounded by the number of late cancels.)
+        elif self.record_policy is not RecordPolicy.KEEP_ALL:
+            # releasing policy: drop the routing entry of every terminal
+            # request so cluster maps stay O(active).  (A stale cancel
+            # against a dropped owner parks in _pending_cancels; rare,
+            # bounded by the number of late cancels.)
             self._owner.pop(record.request_id, None)
-            handle = self._handles.pop(record.request_id, None)
-        if handle is not None:
-            handle._finish(record)
+        self._complete(record)
 
     def _status_of(self, request_id: int) -> HandleStatus:
         """Live status for a handle: delegate to the owning replica, or

@@ -1,46 +1,50 @@
-"""Online serving gateway: submit/step instead of pre-baked traces.
+"""Online serving gateways: one client surface, three stackable layers.
 
 Real serving frontends (vLLM-style continuous batching) accept requests at
-runtime; they do not get the whole workload up front.  ``ServingGateway``
-is that entry point for every engine speaking the
-:class:`~repro.serving.base.ServingEngine` protocol:
+runtime; they do not get the whole workload up front.  :class:`Gateway`
+is that client surface, declared once for every layer of the stack:
 
-* :meth:`submit` — a request joins the simulated system *now* (or at an
-  explicit ``arrival_s``), returning a
+* :meth:`~Gateway.submit` — a request joins the simulated system *now*
+  (or at an explicit ``arrival_s``), returning a
   :class:`~repro.serving.handle.RequestHandle` — the client's view of
   that one request: per-request token streaming, status, ``cancel()``,
   a finish-by ``deadline_s``, and the terminal record;
-* :meth:`step` — advance the engine by one scheduling iteration;
-* :meth:`run_until_drained` — serve until every submitted request finished;
+* ``step`` — advance the system by one scheduling iteration;
+* :meth:`~Gateway.run_until_drained` — serve until every submitted
+  request finished;
 * per-token and per-request completion callbacks fire as the simulated
   clock produces tokens, enabling closed-loop clients, autoscalers, and
-  interactive sessions.  :meth:`add_token_listener` and
-  :meth:`add_completion_listener` register extra observers without
-  stealing the constructor callbacks' slots; listeners survive
-  :meth:`reset` (they are wiring, not per-timeline state).
+  interactive sessions.  :meth:`~Gateway.add_token_listener` and
+  :meth:`~Gateway.add_completion_listener` register extra observers
+  without stealing the constructor callbacks' slots; listeners survive
+  :meth:`~Gateway.reset` (they are wiring, not per-timeline state).
 
-Offline :meth:`replay` is a thin adapter over the same machinery — it
+The layers differ only in where an accepted request goes next:
+:class:`ServingGateway` (this module) hands it to one engine speaking the
+:class:`~repro.serving.base.ServingEngine` protocol,
+:class:`~repro.serving.cluster.ClusterGateway` routes it to a replica, and
+:class:`~repro.serving.tenancy.TenantGateway` holds it at the admission
+frontier of the gateway it wraps and releases it through ``ingest``.
+
+Offline ``replay`` is a thin adapter over the same machinery — it
 submits the trace's requests verbatim and drains — so replaying a trace
-through the gateway is bit-identical to the legacy ``engine.run(trace)``
+through a gateway is bit-identical to the reference ``engine.run(trace)``
 path.  ``replay(trace, cancels=[(request_id, at_s), ...])`` additionally
 schedules client cancellations at deterministic simulated times (the
 impatient-client workload model).
 
-Multi-tenant admission control (token buckets, VTC fair queueing,
-SLO-aware shedding) is layered *in front of* this gateway by
-:class:`repro.serving.tenancy.TenantGateway`, which holds requests at the
-frontier and releases them through :meth:`ingest`.
-
 Simulated time is owned by the :mod:`repro.sim` kernel underneath the
-engine; this gateway exposes it read-only through :attr:`clock` and
-:attr:`frontier` so stacked layers (cluster, tenancy) share one
-definition of "now" instead of re-deriving it.
+engine; gateways expose it read-only through ``clock`` and ``frontier``
+so stacked layers share one definition of "now" instead of re-deriving
+it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..sim import SimKernel
 from ..workload.spec import Trace, TraceRequest
 from .base import ServingEngine
 from .handle import HandleStatus, RequestHandle
@@ -48,7 +52,7 @@ from .metrics import ServingResult
 from .request import RequestRecord, RequestState, ServingRequest
 from .streaming_metrics import RecordPolicy
 
-__all__ = ["ServingGateway"]
+__all__ = ["Gateway", "ServingGateway"]
 
 # gateway-level callbacks
 TokenCallback = Callable[[int, str, int, float], None]
@@ -60,42 +64,96 @@ CompletionCallback = Callable[[RequestRecord], None]
 CancelSchedule = Iterable[Tuple[int, float]]
 
 
-class ServingGateway:
-    """Online submit/step facade over any registered serving engine."""
+class Gateway:
+    """The client surface and layer plumbing every frontend shares.
 
-    def __init__(self, engine: ServingEngine,
-                 on_token: Optional[TokenCallback] = None,
-                 on_request_complete: Optional[CompletionCallback] = None,
-                 collect_timeline: bool = False,
-                 telemetry=None):
-        self.engine = engine
+    A concrete layer defines ``step``, ``ingest``, ``cancel``, ``result``,
+    ``unfinished``, ``_accept`` (where a submitted request goes next) and
+    ``_status_of``.  The remaining layer questions (:attr:`clock`,
+    :attr:`backlog`, :attr:`record_policy`, :attr:`n_replicas`,
+    :meth:`engines`, :meth:`_wire`) default to asking ``self.inner``, the
+    gateway a stacked layer wraps; the layers that own engines answer
+    them directly.
+    """
+
+    #: the gateway a stacked layer wraps (unset on engine-owning layers)
+    inner: "Gateway"
+    #: the layer's ``AdmissionController`` (None on layers without one)
+    controller: Optional[Any] = None
+    #: the layer's own sim kernel (None: it has no events to forward)
+    kernel: Optional[SimKernel] = None
+
+    def __init__(self, on_token: Optional[TokenCallback] = None,
+                 on_request_complete: Optional[CompletionCallback] = None):
         self._on_token = on_token
         self._on_complete = on_request_complete
         self._listeners: List[CompletionCallback] = []
         self._token_listeners: List[TokenCallback] = []
+        self._token_tap = False           # inner token fan-out installed?
         self._handles: Dict[int, RequestHandle] = {}
-        engine.collect_timeline = collect_timeline
         self._next_id = 0
         self._telemetry = None
-        self._refresh_hooks()
-        if telemetry is not None:
-            telemetry.attach_serving(self)
+        self._admission_probe: Optional[Callable[[], int]] = None
 
-    @property
-    def telemetry(self):
-        """The attached :class:`repro.telemetry.Telemetry`, or None."""
-        return self._telemetry
+    # ------------------------------------------------------------------ #
+    # the client surface
+    # ------------------------------------------------------------------ #
+    def submit(self, model_id: str, prompt_len: int, output_len: int,
+               arrival_s: Optional[float] = None,
+               deadline_s: Optional[float] = None, **tags) -> RequestHandle:
+        """Submit one request; returns its :class:`RequestHandle`.
+
+        ``arrival_s`` defaults to the layer's current simulated time
+        ("the request arrives now"); an explicit value may also lie in the
+        future (it joins once the clock gets there) or the past (it joins
+        at the next step, keeping its nominal arrival for latency math).
+        ``deadline_s`` bounds the request: it must *finish* within that
+        many simulated seconds of its arrival or it is aborted as
+        expired.  ``tags`` are the remaining
+        :class:`~repro.workload.spec.TraceRequest` fields, forwarded
+        verbatim into the request envelope — ``tenant_id`` (per-tenant
+        metrics and admission), ``conversation_id`` (session affinity and
+        prefix reuse), and whatever else the envelope carries; no layer
+        names them, so a new field needs no gateway edit, and an unknown
+        tag is a ``TypeError``.  The returned handle streams this
+        request's tokens and exposes its status and terminal record.
+        """
+        if prompt_len < 1 or output_len < 1:
+            raise ValueError("prompt_len and output_len must be >= 1")
+        arrival_s = self._now() if arrival_s is None else float(arrival_s)
+        if not math.isfinite(arrival_s):
+            raise ValueError(f"arrival_s must be finite, got {arrival_s!r}")
+        if deadline_s is not None:
+            if not (math.isfinite(deadline_s) and deadline_s > 0):
+                raise ValueError("deadline_s must be finite and > 0 when "
+                                 f"set, got {deadline_s!r}")
+            deadline_s = arrival_s + float(deadline_s)
+        request = TraceRequest(request_id=self._next_id, model_id=model_id,
+                               arrival_s=arrival_s,
+                               prompt_tokens=int(prompt_len),
+                               output_tokens=int(output_len),
+                               deadline_s=deadline_s, **tags)
+        self._next_id += 1
+        handle = RequestHandle(request, self)
+        self._handles[request.request_id] = handle
+        self._wire()
+        self._accept(request)
+        return handle
+
+    def handle(self, request_id: int) -> Optional[RequestHandle]:
+        """The handle for a request submitted through this gateway."""
+        return self._handles.get(int(request_id))
 
     def add_completion_listener(self, listener: CompletionCallback) -> None:
         """Register an extra per-request completion callback.
 
-        Listeners run after the constructor's ``on_request_complete`` (if
-        any); the admission layer (:mod:`repro.serving.tenancy`) uses this
-        to track outstanding work and service rates without stealing the
+        Fires once per terminal record that appears in ``result()``,
+        after the constructor's ``on_request_complete`` (if any); outer
+        layers use this to track outstanding work without stealing the
         user's callback slot.  Listeners survive :meth:`reset`.
         """
         self._listeners.append(listener)
-        self._refresh_hooks()
+        self._wire()
 
     def add_token_listener(self, listener: TokenCallback) -> None:
         """Register an extra per-token callback — the streaming-side
@@ -103,66 +161,186 @@ class ServingGateway:
         ``(request_id, model_id, generated_tokens, clock_s)`` after the
         constructor's ``on_token`` (if any) and survives :meth:`reset`."""
         self._token_listeners.append(listener)
-        self._refresh_hooks()
+        self._wire()
 
-    def _refresh_hooks(self) -> None:
+    def run_until_drained(self) -> ServingResult:
+        """Serve until everything submitted so far has finished."""
+        while self.step():
+            pass
+        return self.result()
+
+    def reset(self) -> None:
+        """Fresh simulated timeline (request ids restart from zero).
+        Registered token/completion listeners survive; per-request
+        handles from the previous timeline are dropped.  Layers reset
+        their own state, then call this."""
+        self._handles.clear()
+        self._next_id = 0
+        self._wire()
+        if self._telemetry is not None:
+            self._telemetry.reset()      # idempotent across stacked layers
+
+    def _replay(self, trace: Trace,
+                cancels: Optional[CancelSchedule]) -> ServingResult:
+        """The body of every layer's ``replay``: reset, ingest each trace
+        request verbatim, schedule the cancels, drain."""
+        self.reset()
+        for request in trace:
+            self.ingest(request)
+        if cancels is not None:
+            for request_id, at_s in cancels:
+                self.cancel(request_id, at_s=at_s)
+        return self.run_until_drained()
+
+    @property
+    def telemetry(self):
+        """The attached :class:`repro.telemetry.Telemetry`, or None."""
+        return self._telemetry
+
+    # ------------------------------------------------------------------ #
+    # what outer layers ask the layer below
+    # ------------------------------------------------------------------ #
+    @property
+    def clock(self) -> float:
+        return self.inner.clock
+
+    @property
+    def backlog(self) -> int:
+        """Arrived-but-unfinished requests (future arrivals excluded)."""
+        return self.inner.backlog
+
+    @property
+    def record_policy(self) -> RecordPolicy:
+        """The engines' record-retention policy (every layer gates its
+        per-request maps on it)."""
+        return self.inner.record_policy
+
+    @property
+    def n_replicas(self) -> int:
+        """Replicas currently accepting new requests."""
+        return self.inner.n_replicas
+
+    def engines(self) -> List[ServingEngine]:
+        """Every live engine under this gateway."""
+        return self.inner.engines()
+
+    @property
+    def at_horizon(self) -> bool:
+        """True when ``step()`` would simulate past an engine's
+        ``max_sim_seconds``.  Only a layer whose ``step`` does not
+        enforce that cap itself ever answers True."""
+        return False
+
+    def lift_idle_clocks(self, now: float) -> None:
+        """Raise every idle engine's clock to ``now``: a request an outer
+        layer releases at ``now`` must not be served in an idle engine's
+        past."""
+        for engine in self.engines():
+            if engine.unfinished == 0:
+                engine.clock = max(engine.clock, now)
+
+    def set_admission_probe(self, probe: Callable[[], int]) -> None:
+        """Let an admission layer report requests held at its frontier.
+
+        An autoscaler adds the probe's count to the engine backlog, so
+        it scales on *offered* load — requests an admission controller
+        is still holding back are otherwise invisible to the engines and
+        the controller would scale too late (only after shedding already
+        kicked in)."""
+        self._admission_probe = probe
+
+    @property
+    def admission_queued(self) -> int:
+        """Requests an admission layer holds at this gateway's frontier."""
+        return self._admission_probe() if self._admission_probe is not None \
+            else 0
+
+    # ------------------------------------------------------------------ #
+    # layer plumbing
+    # ------------------------------------------------------------------ #
+    def _accept(self, request: TraceRequest) -> None:
+        """hook: where a submitted request goes next — an engine, a
+        replica, or the admission frontier."""
+        raise NotImplementedError
+
+    def _now(self) -> float:
+        """Arrival time of a request submitted without one."""
+        return self.clock
+
+    def _wants_tokens(self) -> bool:
+        return bool(self._on_token or self._token_listeners or self._handles)
+
+    def _wire(self) -> None:
+        """Ask the layer below for token events once someone consumes
+        them (installed on demand, so replay paths stay hook-free)."""
+        if not self._token_tap and self._wants_tokens():
+            self._token_tap = True
+            self.inner.add_token_listener(self._token_fanout)
+
+    def _token_fanout(self, request_id: int, model_id: str,
+                      n_generated: int, clock: float) -> None:
+        if self._on_token is not None:
+            self._on_token(request_id, model_id, n_generated, clock)
+        for listener in self._token_listeners:
+            listener(request_id, model_id, n_generated, clock)
+        handle = self._handles.get(request_id)
+        if handle is not None:
+            handle._push_token(clock, n_generated)
+
+    def _complete(self, record: RequestRecord) -> None:
+        """Deliver one terminal record: callbacks, then the handle."""
+        if self._on_complete is not None:
+            self._on_complete(record)
+        for listener in self._listeners:
+            listener(record)
+        if self._handles:
+            if self.record_policy is RecordPolicy.KEEP_ALL:
+                handle = self._handles.get(record.request_id)
+            else:
+                # releasing policy: terminal handles answer from their own
+                # record; dropping the map entry keeps gateway memory
+                # O(active requests)
+                handle = self._handles.pop(record.request_id, None)
+            if handle is not None:
+                handle._finish(record)
+
+
+class ServingGateway(Gateway):
+    """Online submit/step facade over any registered serving engine."""
+
+    def __init__(self, engine: ServingEngine,
+                 on_token: Optional[TokenCallback] = None,
+                 on_request_complete: Optional[CompletionCallback] = None,
+                 collect_timeline: bool = False,
+                 telemetry=None):
+        super().__init__(on_token, on_request_complete)
+        self.engine = engine
+        engine.collect_timeline = collect_timeline
+        self._wire()
+        if telemetry is not None:
+            telemetry.attach(self)
+
+    def _wire(self) -> None:
         """Engine callbacks are installed only while someone listens, so
         pure replay paths pay no per-token callback overhead."""
-        want_tokens = bool(self._on_token or self._token_listeners
-                           or self._handles)
-        want_finish = bool(self._on_complete or self._listeners
-                           or self._handles)
-        self.engine.on_token = self._token_hook if want_tokens else None
-        self.engine.on_finish = self._finish_hook if want_finish else None
+        self.engine.on_token = self._token_hook \
+            if self._wants_tokens() else None
+        self.engine.on_finish = self._finish_hook \
+            if self._on_complete or self._listeners or self._handles else None
+
+    def _token_hook(self, request: ServingRequest, clock: float) -> None:
+        self._token_fanout(request.request_id, request.model_id,
+                           request.generated_tokens, clock)
+
+    def _finish_hook(self, request: ServingRequest, clock: float) -> None:
+        self._complete(request.record())
+
+    def _accept(self, request: TraceRequest) -> None:
+        self.engine.submit(request)
 
     # ------------------------------------------------------------------ #
     # online path
     # ------------------------------------------------------------------ #
-    def submit(self, model_id: str, prompt_len: int, output_len: int,
-               arrival_s: Optional[float] = None,
-               tenant_id: Optional[str] = None,
-               deadline_s: Optional[float] = None,
-               conversation_id: Optional[str] = None) -> RequestHandle:
-        """Submit one request; returns its :class:`RequestHandle`.
-
-        ``arrival_s`` defaults to the engine's current simulated clock
-        ("the request arrives now"); an explicit value may also lie in the
-        future (it joins once the clock gets there) or the past (it joins
-        at the next step, keeping its nominal arrival for latency math).
-        ``tenant_id`` tags the request for per-tenant metrics and the
-        admission layer.  ``deadline_s`` bounds the request: it must
-        *finish* within that many simulated seconds of its arrival or it
-        is aborted as expired.  ``conversation_id`` marks the request as
-        one turn of a multi-turn session, which a prefix-cache-enabled
-        engine uses to skip re-prefilling the session's history.  The
-        returned handle streams this request's tokens, exposes its
-        status and terminal record, and coerces to the integer request
-        id for pre-handle call sites.
-        """
-        if prompt_len < 1 or output_len < 1:
-            raise ValueError("prompt_len and output_len must be >= 1")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 when set")
-        if arrival_s is None:
-            arrival_s = self.engine.clock
-        absolute_deadline = None if deadline_s is None \
-            else float(arrival_s) + float(deadline_s)
-        request = TraceRequest(request_id=self._next_id, model_id=model_id,
-                               arrival_s=float(arrival_s),
-                               prompt_tokens=int(prompt_len),
-                               output_tokens=int(output_len),
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline,
-                               conversation_id=conversation_id)
-        self._next_id += 1
-        handle = RequestHandle(request.request_id, self, model_id,
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline)
-        self._handles[request.request_id] = handle
-        self._refresh_hooks()
-        self.engine.submit(request)
-        return handle
-
     def ingest(self, request: TraceRequest) -> int:
         """Submit a fully-formed :class:`TraceRequest` verbatim.
 
@@ -185,10 +363,6 @@ class ServingGateway:
         self.engine.schedule_cancel(int(request_id), float(at_s),
                                     reason=reason)
 
-    def handle(self, request_id: int) -> Optional[RequestHandle]:
-        """The handle for a request submitted through this gateway."""
-        return self._handles.get(int(request_id))
-
     def step(self) -> bool:
         """One engine iteration; False when the engine is drained."""
         progressed = self.engine.step()
@@ -198,19 +372,38 @@ class ServingGateway:
 
     def run_until_drained(self) -> ServingResult:
         """Serve until everything submitted so far has finished."""
-        if self._telemetry is None:
-            self.engine.run_until_drained()
-        else:
-            # step() advances the telemetry clock each iteration; the
-            # direct engine path above stays the telemetry-off fast path
-            while self.step():
-                pass
+        if self._telemetry is not None:
+            # step() advances the telemetry clock each iteration
+            return super().run_until_drained()
+        # the telemetry-off fast path: drain inside the engine
+        self.engine.run_until_drained()
         return self.result()
 
     def result(self) -> ServingResult:
         """Snapshot of completions so far (callable mid-flight)."""
         return self.engine.build_result()
 
+    def reset(self) -> None:
+        self.engine.reset()
+        super().reset()
+
+    def replay(self, trace: Trace,
+               cancels: Optional[CancelSchedule] = None) -> ServingResult:
+        """Replay a pre-materialized trace through the online machinery.
+
+        Equivalent to (and bit-identical with) ``engine.run(trace)``:
+        resets the engine, submits every trace request verbatim
+        (preserving its request id and arrival time), and drains.
+        ``cancels`` schedules client cancellations — ``(request_id,
+        at_s)`` pairs — at deterministic simulated times; with
+        ``cancels=None`` the records are bit-identical to a
+        pre-cancellation replay.
+        """
+        return self._replay(trace, cancels)
+
+    # ------------------------------------------------------------------ #
+    # what outer layers ask: this layer owns the one engine
+    # ------------------------------------------------------------------ #
     @property
     def clock(self) -> float:
         return self.engine.clock
@@ -229,85 +422,29 @@ class ServingGateway:
 
     @property
     def backlog(self) -> int:
-        """Arrived-but-unfinished requests (future arrivals excluded)."""
         return self.engine.backlog
 
-    # ------------------------------------------------------------------ #
-    # offline adapter
-    # ------------------------------------------------------------------ #
-    def reset(self) -> None:
-        """Fresh simulated timeline (request ids restart from zero).
-        Registered token/completion listeners survive; per-request
-        handles from the previous timeline are dropped."""
-        self.engine.reset()
-        self._handles.clear()
-        self._next_id = 0
-        self._refresh_hooks()
-        if self._telemetry is not None:
-            self._telemetry.reset()
+    @property
+    def record_policy(self) -> RecordPolicy:
+        return self.engine.config.record_policy
 
-    def replay(self, trace: Trace,
-               cancels: Optional[CancelSchedule] = None) -> ServingResult:
-        """Replay a pre-materialized trace through the online machinery.
+    @property
+    def n_replicas(self) -> int:
+        return 1
 
-        Equivalent to (and bit-identical with) ``engine.run(trace)``:
-        resets the engine, submits every trace request verbatim
-        (preserving its request id and arrival time), and drains.
-        ``cancels`` schedules client cancellations — ``(request_id,
-        at_s)`` pairs — at deterministic simulated times; with
-        ``cancels=None`` the records are bit-identical to a
-        pre-cancellation replay.
-        """
-        self.reset()
-        for request in trace:
-            self.ingest(request)
-        if cancels is not None:
-            for request_id, at_s in cancels:
-                self.cancel(request_id, at_s=at_s)
-        return self.run_until_drained()
+    def engines(self) -> List[ServingEngine]:
+        return [self.engine]
 
-    # ------------------------------------------------------------------ #
-    # handle plumbing
-    # ------------------------------------------------------------------ #
+    @property
+    def at_horizon(self) -> bool:
+        return self.engine.clock >= self.engine.config.max_sim_seconds
+
     def _status_of(self, request_id: int) -> HandleStatus:
         """Live status for a handle (terminal handles answer locally)."""
         req = self.engine.lookup(request_id)
         if req is None:
             return HandleStatus.QUEUED
         return _engine_status(req, self.engine.clock)
-
-    def _token_hook(self, request: ServingRequest, clock: float) -> None:
-        if self._on_token is not None:
-            self._on_token(request.request_id, request.model_id,
-                           request.generated_tokens, clock)
-        for listener in self._token_listeners:
-            listener(request.request_id, request.model_id,
-                     request.generated_tokens, clock)
-        handle = self._handles.get(request.request_id)
-        if handle is not None:
-            handle._push_token(clock, request.generated_tokens)
-
-    @property
-    def record_policy(self) -> "RecordPolicy":
-        """The engine's record-retention policy (outer layers gate their
-        own per-request maps on it)."""
-        return self.engine.config.record_policy
-
-    def _finish_hook(self, request: ServingRequest, clock: float) -> None:
-        record = request.record()
-        if self._on_complete is not None:
-            self._on_complete(record)
-        for listener in self._listeners:
-            listener(record)
-        if self.record_policy is RecordPolicy.KEEP_ALL:
-            handle = self._handles.get(request.request_id)
-        else:
-            # releasing policy: terminal handles answer from their own
-            # record; dropping the map entry keeps gateway memory
-            # O(active requests)
-            handle = self._handles.pop(request.request_id, None)
-        if handle is not None:
-            handle._finish(record)
 
 
 def _engine_status(req: ServingRequest, clock: float) -> HandleStatus:

@@ -20,12 +20,8 @@ system.  A handle exposes
 * :meth:`~RequestHandle.cancel` — withdraw the request at an explicit
   simulated time (client disconnect, impatience).
 
-Backward compatibility: handles coerce to their integer request id
-(``__int__``/``__index__``/``__eq__``/``__hash__``), so every pre-handle
-call site that treated ``submit()``'s return value as an ``int`` — using
-it as a dict key, comparing it to a record's ``request_id`` — keeps
-working unchanged.  ``RequestHandle.shim_int()`` returns the bare id for
-callers that want to silence the transition explicitly.
+Handles compare and hash by identity; ``handle.id`` is the integer
+request id that records, ``cancel()`` and ``gateway.handle()`` speak.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from enum import Enum
 from typing import Callable, Iterator, List, Optional, Protocol, Tuple
 
 from ..sim import sanitizer as _sanitizer
+from ..workload.spec import TraceRequest
 from .request import RequestRecord
 
 __all__ = ["HandleStatus", "RequestHandle", "TokenEvent", "HandleGateway"]
@@ -64,10 +61,8 @@ class HandleStatus(str, Enum):
 
 class HandleGateway(Protocol):
     """What a handle needs from the gateway that issued it: stepping,
-    cancellation routing, and live status lookup.  All three gateways
-    (:class:`~repro.serving.gateway.ServingGateway`,
-    :class:`~repro.serving.cluster.ClusterGateway`,
-    :class:`~repro.serving.tenancy.TenantGateway`) satisfy this."""
+    cancellation routing, and live status lookup — every
+    :class:`~repro.serving.gateway.Gateway` layer satisfies this."""
 
     def step(self) -> bool: ...  # pragma: no cover - protocol
 
@@ -91,22 +86,18 @@ _RECORD_STATUS = {
 class RequestHandle:
     """A client's live view of one submitted request.
 
-    Created by the gateway ``submit()`` that owns the request; fed by
-    that gateway's token/completion plumbing.  All methods are safe to
-    call at any point of the request's life.
+    Created by :meth:`Gateway.submit
+    <repro.serving.gateway.Gateway.submit>` around the request envelope
+    it built; fed by that gateway's token/completion plumbing.  All
+    methods are safe to call at any point of the request's life.
     """
 
-    __slots__ = ("_id", "_gateway", "_model_id", "_tenant_id", "_deadline_s",
-                 "_events", "_record", "_callbacks")
+    __slots__ = ("_request", "_gateway", "_events", "_record", "_callbacks")
 
-    def __init__(self, request_id: int, gateway: HandleGateway,
-                 model_id: str, tenant_id: Optional[str] = None,
-                 deadline_s: Optional[float] = None) -> None:
-        self._id = int(request_id)
+    def __init__(self, request: TraceRequest,
+                 gateway: HandleGateway) -> None:
+        self._request = request
         self._gateway = gateway
-        self._model_id = model_id
-        self._tenant_id = tenant_id
-        self._deadline_s = deadline_s
         self._events: List[TokenEvent] = []
         self._record: Optional[RequestRecord] = None
         self._callbacks: List[DoneCallback] = []
@@ -116,20 +107,20 @@ class RequestHandle:
     # ------------------------------------------------------------------ #
     @property
     def id(self) -> int:
-        return self._id
+        return self._request.request_id
 
     @property
     def model_id(self) -> str:
-        return self._model_id
+        return self._request.model_id
 
     @property
     def tenant_id(self) -> Optional[str]:
-        return self._tenant_id
+        return self._request.tenant_id
 
     @property
     def deadline_s(self) -> Optional[float]:
         """Absolute simulated finish-by time (None = unbounded)."""
-        return self._deadline_s
+        return self._request.deadline_s
 
     # ------------------------------------------------------------------ #
     # state
@@ -139,7 +130,7 @@ class RequestHandle:
         if self._record is not None:
             return _RECORD_STATUS.get(self._record.status,
                                       HandleStatus.FINISHED)
-        return self._gateway._status_of(self._id)
+        return self._gateway._status_of(self.id)
 
     @property
     def done(self) -> bool:
@@ -149,7 +140,7 @@ class RequestHandle:
     def record(self) -> RequestRecord:
         """The immutable per-request record; only valid once terminal."""
         if self._record is None:
-            raise ValueError(f"request {self._id} is not terminal yet "
+            raise ValueError(f"request {self.id} is not terminal yet "
                              f"(status={self.status.value})")
         return self._record
 
@@ -212,58 +203,10 @@ class RequestHandle:
         cancels (already terminal) are ignored."""
         if self._record is not None:
             return
-        self._gateway.cancel(self._id, at_s=at_s)
-
-    # ------------------------------------------------------------------ #
-    # int compatibility shim (pre-handle call sites)
-    # ------------------------------------------------------------------ #
-    def shim_int(self) -> int:
-        """The bare request id, for legacy ``int``-typed call sites."""
-        return self._id
-
-    def __int__(self) -> int:
-        return self._id
-
-    def __index__(self) -> int:
-        return self._id
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RequestHandle):
-            return self._id == other._id and self._gateway is other._gateway
-        if isinstance(other, int):
-            return self._id == other
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id < int(other)
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id <= int(other)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id > int(other)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (RequestHandle, int)):
-            return self._id >= int(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._id)
-
-    def __str__(self) -> str:
-        # part of the int shim: legacy call sites that printed the
-        # returned request id keep printing just the id
-        return str(self._id)
+        self._gateway.cancel(self.id, at_s=at_s)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"RequestHandle(id={self._id}, model={self._model_id!r}, "
+        return (f"RequestHandle(id={self.id}, model={self.model_id!r}, "
                 f"status={self.status.value}, tokens={self.n_generated})")
 
     # ------------------------------------------------------------------ #
@@ -277,7 +220,7 @@ class RequestHandle:
             # a second terminal transition is a status-machine bug; the
             # sanitizer turns the silent drop into a hard failure
             if _sanitizer.enabled():
-                _sanitizer.check_handle_finish(self._id, True)
+                _sanitizer.check_handle_finish(self.id, True)
             return
         self._record = record
         callbacks, self._callbacks = self._callbacks, []

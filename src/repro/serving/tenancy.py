@@ -17,14 +17,13 @@ deployment; this module adds the control layer that makes sharing safe:
   the frontier in either FCFS arrival order or VTC fair order
   (per-tenant virtual token counters with counter-lift, after Sheng et
   al.'s Virtual Token Counter and the FairServe family);
-* :class:`TenantGateway` — wraps a
-  :class:`~repro.serving.gateway.ServingGateway` or
-  :class:`~repro.serving.cluster.ClusterGateway` behind the same
-  ``submit`` / ``step`` / ``run_until_drained`` / ``replay`` surface,
-  holding requests at the frontier and releasing them through
-  ``inner.ingest`` in admission order while keeping the engine-side queue
-  shallow enough (``engine_queue_depth``) for the fair order to survive
-  the engines' internal FCFS scheduling.
+* :class:`TenantGateway` — wraps any engine-owning
+  :class:`~repro.serving.gateway.Gateway` (a single engine or a cluster)
+  behind the same ``submit`` / ``step`` / ``run_until_drained`` /
+  ``replay`` surface, holding requests at the frontier and releasing
+  them through ``inner.ingest`` in admission order while keeping the
+  engine-side queue shallow enough (``engine_queue_depth``) for the fair
+  order to survive the engines' internal FCFS scheduling.
 
 With the default tenant, FCFS order, and no limits the layer is a pure
 pass-through: replaying an untenanted trace produces records identical to
@@ -49,7 +48,7 @@ authoritative wake-up time remains
 :meth:`AdmissionController.next_eligible_s`, which the frontier polls).
 The tenancy layer also feeds :attr:`AdmissionController.total_queued`
 back into the cluster autoscaler
-(:meth:`~repro.serving.cluster.ClusterGateway.set_admission_probe`), so
+(:meth:`~repro.serving.gateway.Gateway.set_admission_probe`), so
 frontier-held requests count as offered load and the cluster scales
 before shedding starts.
 """
@@ -59,20 +58,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import (Arrival, BucketRefill, Cancel, EventQueue, KeyedHeap,
                    SimKernel)
 from ..sim import events as sim_events
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
-from .cluster import ClusterGateway
-from .gateway import CancelSchedule, ServingGateway, TokenCallback
-from .handle import HandleStatus, RequestHandle
+from .gateway import CancelSchedule, Gateway
+from .handle import HandleStatus
 from .metrics import ServingResult, summarize
 from .request import (DEFAULT_TENANT, RequestRecord,
                       synthesized_abort_record)
-from .streaming_metrics import RecordPolicy
 
 __all__ = [
     "DEFAULT_TENANT", "SLO_CLASSES", "Tenant", "TokenBucket",
@@ -683,15 +680,16 @@ class AdmissionController:
         }
 
 
-class TenantGateway:
+class TenantGateway(Gateway):
     """Admission-controlled frontend over a serving or cluster gateway.
 
-    Exposes the familiar ``submit`` / ``step`` / ``run_until_drained`` /
-    ``replay`` / ``result`` surface.  Requests first pass the
-    :class:`AdmissionController`; accepted ones queue *at the frontier*
-    and are released into the wrapped gateway in admission order, at most
-    ``engine_queue_depth`` per active replica outstanding, so the fair
-    order is preserved through the engines' internal FCFS scheduling.
+    The :class:`~repro.serving.gateway.Gateway` surface again — ``submit``
+    / ``step`` / ``run_until_drained`` / ``replay`` / ``result``.
+    Requests first pass the :class:`AdmissionController`; accepted ones
+    queue *at the frontier* and are released into the wrapped gateway in
+    admission order, at most ``engine_queue_depth`` per active replica
+    outstanding, so the fair order is preserved through the engines'
+    internal FCFS scheduling.
     Rejected and shed requests never reach an engine; they are visible in
     :attr:`AdmissionController.stats` and ``result().config["admission"]``.
 
@@ -701,13 +699,14 @@ class TenantGateway:
     weighted fair share.
     """
 
-    def __init__(self, gateway: Union[ServingGateway, ClusterGateway],
+    def __init__(self, gateway: Gateway,
                  controller: Optional[AdmissionController] = None,
                  tenants: Sequence[Tenant] = (), journal: bool = False,
                  telemetry=None,
                  **controller_kwargs):
         if controller is not None and (tenants or controller_kwargs):
             raise ValueError("pass either a controller or tenant/kwargs")
+        super().__init__()
         self.inner = gateway
         self.controller = controller or AdmissionController(
             tenants=tenants, **controller_kwargs)
@@ -718,45 +717,26 @@ class TenantGateway:
         self.kernel = SimKernel(journal=journal)
         self.controller.bind(self.kernel)
         gateway.add_completion_listener(self._completion_hook)
-        if isinstance(gateway, ClusterGateway):
-            # admission-aware autoscaling: frontier-held requests count
-            # as offered load in the cluster's watermark signal
-            gateway.set_admission_probe(lambda: self.controller.total_queued)
+        # admission-aware autoscaling: frontier-held requests count as
+        # offered load in the watermark signal of an autoscaler below
+        gateway.set_admission_probe(lambda: self.controller.total_queued)
         self._pending = EventQueue()      # offered-but-not-due Arrivals
-        self._token_listeners: List[TokenCallback] = []
-        self._token_tap = False           # inner token fanout installed?
         self._cancels = EventQueue()      # frontier-level Cancel events
         #: reason="cancel" schedules to forward when a request dispatches
         self._scheduled_cancels: Dict[int, Tuple[float, str]] = {}
         self._dispatched_ids: set = set()
         self._terminal_ids: set = set()   # resolved at this layer/below
         self._frontier_records: List[RequestRecord] = []
-        self._handles: Dict[int, RequestHandle] = {}
-        self._next_id = 0
         self._floor = 0.0                 # admission-time frontier floor
         self._dispatched_unfinished = 0
         self._recent_finish: Deque[float] = deque(
             maxlen=8 * _MIN_COMPLETIONS_FOR_PREDICTION)
-        self._telemetry = None
         if telemetry is not None:
-            telemetry.attach_tenancy(self)
-
-    @property
-    def telemetry(self):
-        """The attached :class:`repro.telemetry.Telemetry`, or None."""
-        return self._telemetry
+            telemetry.attach(self)
 
     # ------------------------------------------------------------------ #
     # the single-gateway surface
     # ------------------------------------------------------------------ #
-    @property
-    def clock(self) -> float:
-        return self.inner.clock
-
-    @property
-    def backlog(self) -> int:
-        return self.inner.backlog
-
     @property
     def unfinished(self) -> int:
         """In-system requests: frontier-queued plus dispatched-unfinished
@@ -764,55 +744,23 @@ class TenantGateway:
         return len(self._pending) + self.controller.total_queued + \
             self._dispatched_unfinished
 
-    @property
-    def record_policy(self) -> RecordPolicy:
-        """The wrapped gateway's record-retention policy."""
-        return getattr(self.inner, "record_policy", RecordPolicy.KEEP_ALL)
+    def _now(self) -> float:
+        return max(self.inner.clock, self._floor)
 
-    def submit(self, model_id: str, prompt_len: int, output_len: int,
-               arrival_s: Optional[float] = None,
-               tenant_id: Optional[str] = None,
-               deadline_s: Optional[float] = None,
-               conversation_id: Optional[str] = None) -> RequestHandle:
-        """Submit one request for a tenant; returns its
-        :class:`~repro.serving.handle.RequestHandle`.
-
-        The admission decision for a request arriving "now" is made
-        immediately and is readable via :meth:`decision` (a shed or
-        rejected request's handle is terminal at once, status ``SHED``).
-        ``deadline_s`` (relative to arrival) bounds completion: a
-        request still held at the admission frontier when its deadline
-        passes expires there — its bucket charge refunded, its quota
-        slot released — and a dispatched one is aborted mid-batch by the
-        owning engine.
-        """
-        if prompt_len < 1 or output_len < 1:
-            raise ValueError("prompt_len and output_len must be >= 1")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0 when set")
-        if arrival_s is None:
-            arrival_s = max(self.inner.clock, self._floor)
-        absolute_deadline = None if deadline_s is None \
-            else float(arrival_s) + float(deadline_s)
-        request = TraceRequest(request_id=self._next_id, model_id=model_id,
-                               arrival_s=float(arrival_s),
-                               prompt_tokens=int(prompt_len),
-                               output_tokens=int(output_len),
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline,
-                               conversation_id=conversation_id)
-        self._next_id += 1
-        handle = RequestHandle(request.request_id, self, model_id,
-                               tenant_id=tenant_id,
-                               deadline_s=absolute_deadline)
-        self._handles[request.request_id] = handle
-        self._install_token_tap()
+    def _accept(self, request: TraceRequest) -> None:
+        """A submitted request faces admission as soon as the frontier
+        reaches its arrival — immediately when it arrives "now", in which
+        case the decision is readable via :meth:`decision` on return (a
+        shed or rejected request's handle is terminal at once, status
+        ``SHED``).  A request still held at the admission frontier when
+        its deadline passes expires there — its bucket charge refunded,
+        its quota slot released — and a dispatched one is aborted
+        mid-batch by the owning engine."""
         self._admit_request(request)
         now = self._frontier()
         self._apply_due_cancels(now)
         self._offer_due(now)
         self._dispatch(now)
-        return handle
 
     def ingest(self, request: TraceRequest) -> int:
         """Queue a fully-formed request (verbatim id and arrival)."""
@@ -856,33 +804,6 @@ class TenantGateway:
         if existing is None or at_s < existing[0]:
             self._scheduled_cancels[rid] = (float(at_s), reason)
 
-    def handle(self, request_id: int) -> Optional[RequestHandle]:
-        """The handle for a request submitted through this gateway."""
-        return self._handles.get(int(request_id))
-
-    def add_token_listener(self, listener: TokenCallback) -> None:
-        """Register a per-token callback spanning the wrapped gateway —
-        the streaming parity of ``add_completion_listener``.  Survives
-        :meth:`reset`."""
-        self._token_listeners.append(listener)
-        self._install_token_tap()
-
-    def _install_token_tap(self) -> None:
-        """Lazily fan inner token events into this layer's listeners and
-        handles (on demand, so replay paths stay hook-free)."""
-        if self._token_tap:
-            return
-        self._token_tap = True
-        self.inner.add_token_listener(self._token_fanout)
-
-    def _token_fanout(self, request_id: int, model_id: str,
-                      n_generated: int, clock: float) -> None:
-        for listener in self._token_listeners:
-            listener(request_id, model_id, n_generated, clock)
-        handle = self._handles.get(request_id)
-        if handle is not None:
-            handle._push_token(clock, n_generated)
-
     def decision(self, request_id: int) -> Optional[AdmissionDecision]:
         """The admission decision for a request (None while pending)."""
         return self.controller.decisions.get(request_id)
@@ -898,8 +819,7 @@ class TenantGateway:
         the frontier jumps to the next admission event.
         """
         inner = self.inner
-        if isinstance(inner, ServingGateway) and \
-                inner.engine.clock >= inner.engine.config.max_sim_seconds:
+        if inner.at_horizon:
             return False
         now = self._frontier()
         self._apply_due_cancels(now)
@@ -920,11 +840,6 @@ class TenantGateway:
             return True
         return bool(offered or dispatched or cancelled) and \
             self._next_event_s() is not None
-
-    def run_until_drained(self) -> ServingResult:
-        while self.step():
-            pass
-        return self.result()
 
     def result(self) -> ServingResult:
         """The wrapped gateway's result plus admission telemetry.
@@ -1009,13 +924,7 @@ class TenantGateway:
         impatient-client model; ``None`` replays bit-identically to a
         pre-cancellation run.
         """
-        self.reset()
-        for request in trace:
-            self.ingest(request)
-        if cancels is not None:
-            for request_id, at_s in cancels:
-                self.cancel(request_id, at_s=at_s)
-        return self.run_until_drained()
+        return self._replay(trace, cancels)
 
     def reset(self) -> None:
         self.inner.reset()
@@ -1027,13 +936,10 @@ class TenantGateway:
         self._dispatched_ids.clear()
         self._terminal_ids.clear()
         self._frontier_records.clear()
-        self._handles.clear()
         self._recent_finish.clear()
-        self._next_id = 0
         self._floor = 0.0
         self._dispatched_unfinished = 0
-        if self._telemetry is not None:
-            self._telemetry.reset()      # idempotent (inner resets it too)
+        super().reset()
 
     # ------------------------------------------------------------------ #
     # handle plumbing
@@ -1119,9 +1025,7 @@ class TenantGateway:
         record = synthesized_abort_record(request, at_s, status)
         self._frontier_records.append(record)
         self._terminal_ids.add(request.request_id)
-        handle = self._handles.get(request.request_id)
-        if handle is not None:
-            handle._finish(record)
+        self._complete(record)
 
     def _offer_due(self, now: float) -> int:
         count = 0
@@ -1163,7 +1067,7 @@ class TenantGateway:
             if not bumped and not controller.passthrough:
                 # the released request physically reaches the engine at
                 # `now`; idle engines must not serve it in their past
-                self._bump_idle_engines(now)
+                self.inner.lift_idle_clocks(now)
                 bumped = True
             rid = request.request_id
             self.inner.ingest(request)
@@ -1191,32 +1095,17 @@ class TenantGateway:
             # in fair order (deeper engine queues would re-serialize the
             # backlog FCFS inside the engine)
             depth = self._engine_batch_size() or _DEFAULT_VTC_DEPTH
-        if isinstance(self.inner, ClusterGateway):
-            return depth * max(1, len(self.inner.active_replicas()))
-        return depth
+        return depth * max(1, self.inner.n_replicas)
 
     def _engine_batch_size(self) -> Optional[int]:
-        inner = self.inner
-        if isinstance(inner, ClusterGateway):
-            active = inner.active_replicas()
-            engine = active[0].engine if active else None
-        else:
-            engine = inner.engine
-        if engine is None:
+        engines = self.inner.engines()
+        if not engines:
             return None
+        engine = engines[0]
         scheduler_config = getattr(engine, "scheduler_config", None)
         if scheduler_config is not None:
             return scheduler_config.max_batch_requests
         return getattr(engine, "max_batch_requests", None)
-
-    def _bump_idle_engines(self, now: float) -> None:
-        inner = self.inner
-        if isinstance(inner, ClusterGateway):
-            for replica in inner.active_replicas():
-                if replica.unfinished == 0:
-                    replica.engine.clock = max(replica.engine.clock, now)
-        elif inner.unfinished == 0:
-            inner.engine.clock = max(inner.engine.clock, now)
 
     # ------------------------------------------------------------------ #
     # shed prediction
@@ -1258,11 +1147,4 @@ class TenantGateway:
         self.controller.on_complete(record)
         if not record.finished:
             self.controller.refund_unserved(record)
-        if self.record_policy is RecordPolicy.KEEP_ALL:
-            handle = self._handles.get(record.request_id)
-        else:
-            # releasing policy: keep the frontier handle map O(active)
-            # (terminal handles answer from their own record)
-            handle = self._handles.pop(record.request_id, None)
-        if handle is not None:
-            handle._finish(record)
+        self._complete(record)

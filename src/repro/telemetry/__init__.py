@@ -15,8 +15,8 @@ the observability surface a production deployment would have:
   that *assert* recovery invariants instead of just plotting curves.
 
 Wire it by passing ``telemetry=Telemetry(...)`` to the outermost
-gateway (``ServingGateway`` / ``ClusterGateway`` / ``TenantGateway``);
-the facade retrofits every layer underneath.  Telemetry is pure
+:class:`~repro.serving.gateway.Gateway` layer; :meth:`Telemetry.attach`
+retrofits every layer underneath.  Telemetry is pure
 observation: records and replay order are bit-identical with it on,
 off, or absent — the regression tests and ``bench_step_overhead.py``
 pin that down.
@@ -24,11 +24,10 @@ pin that down.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..serving.base import ServingEngine
-from ..serving.cluster import ClusterGateway
-from ..serving.gateway import ServingGateway
+from ..serving.gateway import Gateway
 from ..serving.streaming_metrics import RecordPolicy
 from ..sim.events import Event, TelemetryTick
 from ..sim.kernel import SimKernel
@@ -57,9 +56,9 @@ class Telemetry:
     O(active) automatically.
 
     Attach by passing the instance as the ``telemetry=`` kwarg of the
-    *outermost* gateway; each layer's constructor calls the matching
-    ``attach_*`` method, which subscribes the layer's kernel and flips
-    the engines' ``emit_phases`` wiring.
+    *outermost* gateway; its constructor calls :meth:`attach`, which
+    subscribes each layer's kernel and flips the engines'
+    ``emit_phases`` wiring.
     """
 
     def __init__(self, interval_s: Optional[float] = DEFAULT_INTERVAL_S,
@@ -78,9 +77,7 @@ class Telemetry:
         self.gauges = GaugeBoard(gauge_capacity)
         self.interval_s = interval_s
         self._next_tick: Optional[float] = None
-        self._serving: Optional[ServingGateway] = None
-        self._cluster: Optional[ClusterGateway] = None
-        self._tenancy = None            # TenantGateway (import cycle)
+        self._gateway: Optional[Gateway] = None     # outermost attached
         self._shed_prev: Tuple[float, float] = (0.0, 0.0)
         self.spans.subscribe(self.kernel)
 
@@ -92,61 +89,46 @@ class Telemetry:
         if self._pinned_policy is None and self.spans.n_closed == 0:
             self.spans.policy = RecordPolicy(policy)
 
-    def _wire_engine(self, engine: ServingEngine) -> None:
-        """Point an engine's event hook at the telemetry kernel (chained
-        after any pre-existing hook) and enable phase emission."""
+    @staticmethod
+    def _wire_engine(engine: ServingEngine,
+                     sink: Callable[[Event], None]) -> None:
+        """Point an engine's event hook at ``sink`` (chained after any
+        other pre-existing hook) and enable phase emission."""
         prev = engine.on_event
-        emit = self.kernel.emit
-        if prev is None:
-            engine.on_event = emit
-        elif prev is not emit:
+        if prev is None or prev == sink:
+            engine.on_event = sink
+        else:
             chained = prev
             def fanout(event: Event) -> None:
                 chained(event)
-                emit(event)
+                sink(event)
             engine.on_event = fanout
         engine.emit_phases = True
 
-    def attach_serving(self, gateway: ServingGateway) -> None:
-        """Wire a bare :class:`ServingGateway` (engine events flow
-        straight into the telemetry kernel)."""
-        if gateway.telemetry is self:
-            return
-        gateway._telemetry = self
-        self._serving = gateway
-        self._adopt_policy(gateway.record_policy)
-        self._wire_engine(gateway.engine)
+    def attach(self, gateway: Gateway) -> None:
+        """Wire a gateway and every layer under it (idempotent).
 
-    def attach_cluster(self, gateway: ClusterGateway) -> None:
-        """Wire a :class:`ClusterGateway`: the cluster kernel forwards
-        every event (spawns, drains, ticks, replica engine events) into
-        the telemetry kernel; replica engines publish phases."""
+        A layer with a kernel of its own (cluster: spawns, drains, ticks,
+        replica engine events; tenancy: admission decisions, bucket
+        refills, frontier retirements) forwards every event into the
+        telemetry kernel; the engine-owning layer's engines publish
+        phases into that layer's kernel, or straight into the telemetry
+        kernel when it has none."""
         if gateway.telemetry is self:
             return
+        kernel = gateway.kernel
+        inner = getattr(gateway, "inner", None)
+        if inner is not None:
+            self.attach(inner)
+        else:
+            self._adopt_policy(gateway.record_policy)
+            sink = self.kernel.emit if kernel is None else kernel.emit
+            for engine in gateway.engines():
+                self._wire_engine(engine, sink)
         gateway._telemetry = self
-        self._cluster = gateway
-        self._adopt_policy(gateway.record_policy)
-        gateway.kernel.subscribe(Event, self.kernel.emit)
-        for replica in gateway.replicas + gateway.retired:
-            engine = replica.engine
-            if engine.on_event is None:
-                engine.on_event = gateway.kernel.emit
-            engine.emit_phases = True
-
-    def attach_tenancy(self, gateway) -> None:
-        """Wire a :class:`~repro.serving.tenancy.TenantGateway` plus the
-        gateway it wraps; the tenancy kernel (admission decisions,
-        bucket refills, frontier retirements) forwards too."""
-        if gateway.telemetry is self:
-            return
-        inner = gateway.inner
-        if isinstance(inner, ClusterGateway):
-            self.attach_cluster(inner)
-        elif isinstance(inner, ServingGateway):
-            self.attach_serving(inner)
-        gateway._telemetry = self
-        self._tenancy = gateway
-        gateway.kernel.subscribe(Event, self.kernel.emit)
+        self._gateway = gateway
+        if kernel is not None:
+            kernel.subscribe(Event, self.kernel.emit)
 
     # ------------------------------------------------------------------ #
     # the clock hook (driven by the innermost stepping layer)
@@ -173,34 +155,20 @@ class Telemetry:
     # ------------------------------------------------------------------ #
     # gauge assembly
     # ------------------------------------------------------------------ #
-    def _engines(self) -> List[ServingEngine]:
-        if self._cluster is not None:
-            return [r.engine for r in self._cluster.replicas]
-        if self._serving is not None:
-            return [self._serving.engine]
-        return []
-
     def _snapshot(self, t: float) -> GaugeSnapshot:
-        engines = self._engines()
-        if self._cluster is not None:
-            backlog = self._cluster.backlog
-            n_replicas = self._cluster.n_replicas
-        elif self._serving is not None:
-            backlog = self._serving.backlog
-            n_replicas = 1
-        else:
-            backlog, n_replicas = 0, 0
-
+        gateway = self._gateway
+        if gateway is None:
+            raise RuntimeError("gauge snapshots need an attached gateway; "
+                               "pass telemetry= to one or call attach()")
+        engines = gateway.engines()
+        backlog = gateway.backlog
         queued = 0
-        unfinished = backlog
         shed_rate = 0.0
         attainment: Dict[str, float] = {}
-        tenancy = self._tenancy
-        if tenancy is not None:
-            controller = tenancy.controller
+        controller = gateway.controller
+        if controller is not None:
             queued = controller.total_queued
             backlog += queued
-            unfinished = tenancy.unfinished
             shed_total = float(sum(s.shed + s.rejected
                                    for s in controller.stats.values()))
             prev_t, prev_shed = self._shed_prev
@@ -217,10 +185,6 @@ class Telemetry:
                           .slo_met_count(slo_s, metric="ttft")
                           for e in engines)
                 attainment[tid] = met / stats.offered
-        elif self._serving is not None:
-            unfinished = self._serving.unfinished
-        elif self._cluster is not None:
-            unfinished = self._cluster.unfinished
 
         batch = kv = 0.0
         if engines:
@@ -241,8 +205,8 @@ class Telemetry:
             for key in ("prefill_occupancy", "decode_occupancy"):
                 pools[key] = pools.get(key, 0.0) / len(pooled)
         return GaugeSnapshot(
-            time_s=t, backlog=backlog, unfinished=unfinished,
-            queued_at_admission=queued, n_replicas=n_replicas,
+            time_s=t, backlog=backlog, unfinished=gateway.unfinished,
+            queued_at_admission=queued, n_replicas=gateway.n_replicas,
             batch_occupancy=batch, kv_occupancy=kv,
             shed_rate_per_s=shed_rate, n_retired=n_retired,
             spans_active=self.spans.active_count,

@@ -1,5 +1,7 @@
 """The DeltaZip facade: registration, generation, simulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,12 @@ class TestGeneration:
         assert acc_compressed >= acc_fmt - 0.1
 
 
+def session_builder(system):
+    return (system.session("deltazip", served_spec=LLAMA_7B)
+            .with_scheduler(SchedulerConfig(8, 2))
+            .with_engine_config(EngineConfig(tp_degree=1)))
+
+
 class TestSimulate:
     def test_simulation_with_registered_ratio(self, system):
         trace = synthetic_trace(1, rate=0.5, duration_s=30.0, seed=0,
@@ -86,27 +94,24 @@ class TestSimulate:
         for req in trace.requests:
             req.model_id = "review-ft"
         trace.model_ids = ["review-ft"]
-        result = system.simulate(trace, served_spec=LLAMA_7B,
-                                 scheduler=SchedulerConfig(8, 2),
-                                 engine=EngineConfig(tp_degree=1))
+        result = session_builder(system).replay(trace)
         assert result.n_requests == len(trace)
 
-    def test_simulate_warns_deprecated(self, system):
-        """The legacy wrapper must announce its retirement path."""
+    def test_simulate_is_retired(self, system):
+        """The deprecated wrapper is gone, and the session path it
+        pointed at replays without a deprecation warning."""
+        assert not hasattr(system, "simulate")
         trace = synthetic_trace(1, rate=0.5, duration_s=20.0, seed=0)
-        with pytest.warns(DeprecationWarning,
-                          match=r"DeltaZip\.session"):
-            system.simulate(trace, served_spec=LLAMA_7B,
-                            default_ratio=8.0,
-                            scheduler=SchedulerConfig(8, 2),
-                            engine=EngineConfig(tp_degree=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = session_builder(system).with_default_ratio(8.0) \
+                .replay(trace)
+        assert result.n_requests == len(trace)
 
     def test_unregistered_model_needs_default(self, system):
         trace = synthetic_trace(2, rate=0.5, duration_s=20.0, seed=0)
         with pytest.raises(KeyError):
-            system.simulate(trace, served_spec=LLAMA_7B)
-        result = system.simulate(trace, served_spec=LLAMA_7B,
-                                 default_ratio=8.0,
-                                 scheduler=SchedulerConfig(8, 2),
-                                 engine=EngineConfig(tp_degree=1))
+            system.session("deltazip", served_spec=LLAMA_7B).replay(trace)
+        result = session_builder(system).with_default_ratio(8.0) \
+            .replay(trace)
         assert result.n_requests == len(trace)

@@ -69,9 +69,10 @@ class TestLifeOfAModel:
             req.model_id = ("review-expert" if req.model_id.endswith("0")
                             else "yesno-expert")
         trace.model_ids = ["review-expert", "yesno-expert"]
-        result = dz.simulate(trace, served_spec=LLAMA_7B,
-                             scheduler=SchedulerConfig(8, 2),
-                             engine=EngineConfig(tp_degree=1))
+        result = (dz.session("deltazip", served_spec=LLAMA_7B)
+                  .with_scheduler(SchedulerConfig(8, 2))
+                  .with_engine_config(EngineConfig(tp_degree=1))
+                  .replay(trace))
         assert result.n_requests == len(trace)
         assert result.stats is not None
         assert result.stats.iterations > 0

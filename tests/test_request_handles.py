@@ -8,8 +8,12 @@ across engines × wrappers × idle-skip modes); zero-cancel replay stays
 bit-identical to the pre-handle behavior.
 """
 
+import inspect
+import math
+
 import pytest
 
+from repro.core.session import ServingSession
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.serving import (ClusterGateway, EngineConfig, HandleStatus,
                            LLAMA_7B, LineageAffinityBalancer, ModelManager,
@@ -43,21 +47,25 @@ def make_engine(mgr=None, engine_name="deltazip", batch=8, deltas=4,
                                    idle_quantum_s=idle_quantum_s))
 
 
-def make_factory(mgr, engine_name, idle_quantum_s=None):
+def make_factory(mgr, engine_name, idle_quantum_s=None, **engine_config):
     def factory(node):
         return create_engine(
             engine_name, mgr, node or GPUNode(node_from_name("a800", 1)),
             scheduler_config=SchedulerConfig(max_batch_requests=8,
                                              max_concurrent_deltas=4),
             engine_config=EngineConfig(tp_degree=1,
-                                       idle_quantum_s=idle_quantum_s))
+                                       idle_quantum_s=idle_quantum_s,
+                                       **engine_config))
     return factory
 
 
-def build_wrapper(wrapper, mgr, engine_name, idle_quantum_s=None):
-    factory = make_factory(mgr, engine_name, idle_quantum_s)
+def build_wrapper(wrapper, mgr, engine_name, idle_quantum_s=None,
+                  **engine_config):
+    factory = make_factory(mgr, engine_name, idle_quantum_s, **engine_config)
     if wrapper == "gateway":
         return ServingGateway(factory(None))
+    if wrapper == "session":
+        return ServingSession(ServingGateway(factory(None)), mgr, "base")
     kind, _, arg = wrapper.partition(":")
     balancer = arg if kind == "cluster" else "least-outstanding"
     cluster = ClusterGateway(
@@ -77,6 +85,8 @@ def record_key(rec):
 
 WRAPPERS = ["gateway", "cluster:round-robin", "cluster:least-outstanding",
             "cluster:lineage", "tenant:fcfs", "tenant:vtc"]
+#: every client entry point: the gateway layers plus the session facade
+FRONTS = WRAPPERS + ["session"]
 
 
 # --------------------------------------------------------------------------- #
@@ -129,17 +139,6 @@ class TestCancelEvent:
 # the handle surface (engine-backed gateway)
 # --------------------------------------------------------------------------- #
 class TestHandleBasics:
-    def test_submit_returns_handle_with_int_shim(self):
-        gw = ServingGateway(make_engine())
-        h0 = gw.submit("variant-00", 32, 4)
-        h1 = gw.submit("variant-01", 32, 4)
-        assert isinstance(h0, RequestHandle)
-        # pre-handle call sites treated the return value as an int
-        assert h0 == 0 and int(h1) == 1 and h1.shim_int() == 1
-        assert {h0: "a"}[0] == "a"          # dict key interop
-        assert sorted([h1, h0]) == [h0, h1]
-        assert list(range(3))[h1] == 1       # __index__
-
     def test_token_stream_drives_the_simulation(self):
         gw = ServingGateway(make_engine())
         h = gw.submit("variant-00", 32, 6)
@@ -255,6 +254,66 @@ class TestHandleBasics:
         assert gw.handle(0) is None
 
 
+class TestRequestEnvelope:
+    """One ``submit()`` builds the one ``TraceRequest`` envelope: the
+    same validation and the same tag forwarding behind every front."""
+
+    @pytest.mark.parametrize("front", FRONTS)
+    @pytest.mark.parametrize("times", [
+        {"arrival_s": math.nan}, {"arrival_s": math.inf},
+        {"arrival_s": -math.inf}, {"deadline_s": math.nan},
+        {"deadline_s": math.inf}, {"deadline_s": -1.0}],
+        ids=lambda times: "{}={}".format(*next(iter(times.items()))))
+    def test_non_finite_times_are_rejected(self, front, times):
+        """Regression: ``arrival_s=nan`` used to spin ``run_until_drained``
+        forever and ``inf`` stranded the request at ``clock == inf``."""
+        (name, value), = times.items()
+        front = build_wrapper(front, make_manager(), "deltazip")
+        with pytest.raises(ValueError, match=f"{name}.*{value!r}"):
+            front.submit("variant-00", 32, 4, **times)
+        handle = front.submit("variant-00", 32, 4)
+        result = front.run_until_drained()
+        assert result.n_requests == 1 and handle.record().finished
+        assert math.isfinite(front.clock)
+
+    # round-robin alternates replicas, so turn 2 meets a cold cache there
+    @pytest.mark.parametrize(
+        "front", [f for f in FRONTS if f != "cluster:round-robin"])
+    def test_tags_reach_the_engine(self, front):
+        front = build_wrapper(front, make_manager(), "deltazip",
+                              prefix_cache=True, prefix_block_tokens=16)
+        tags = dict(conversation_id="conv-0", shared_prefix_id="sys",
+                    shared_prefix_tokens=64)
+        first = front.submit("variant-00", 200, 8, **tags)
+        assert isinstance(first, RequestHandle) and first.id == 0
+        front.run_until_drained()
+        second = front.submit("variant-00", 260, 8, **tags)
+        front.run_until_drained()
+        assert first.record().cached_prefix_tokens == 0
+        assert second.record().cached_prefix_tokens > 0
+        assert second.record().conversation_id == "conv-0"
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_unknown_tag_is_a_type_error(self, front):
+        front = build_wrapper(front, make_manager(), "deltazip")
+        with pytest.raises(TypeError, match="no_such_tag"):
+            front.submit("variant-00", 32, 4, no_such_tag=1)
+
+    def test_no_frontend_names_the_prefix_tags(self):
+        """A per-request field that only engines read is threaded by the
+        envelope alone: no gateway, session or client spells it."""
+        import repro.core.session
+        import repro.serving.cluster
+        import repro.serving.gateway
+        import repro.serving.handle
+        import repro.serving.tenancy
+        import repro.workload.clients
+        for module in (repro.serving.gateway, repro.serving.cluster,
+                       repro.serving.tenancy, repro.serving.handle,
+                       repro.core.session, repro.workload.clients):
+            assert "shared_prefix" not in inspect.getsource(module), module
+
+
 class TestTokenListeners:
     def test_add_token_listener_parity(self):
         """Satellite fix: token listeners register like completion
@@ -365,7 +424,7 @@ class TestTenancyCancellation:
         # first request drains the bucket; the second defers behind it
         tg.submit("variant-00", 32, 8, tenant_id="t")
         h2 = tg.submit("variant-00", 32, 8, tenant_id="t")
-        assert tg.decision(h2).value == "deferred"
+        assert tg.decision(h2.id).value == "deferred"
         bucket = controller._buckets["t"]
         before = bucket.tokens
         charged_before = controller.stats["t"].tokens_charged
@@ -437,7 +496,7 @@ class TestTenancyCancellation:
         # deferred ~4s for refill, but the deadline hits at 2s: expires
         # at the frontier without ever reaching an engine
         h = tg.submit("variant-00", 32, 8, tenant_id="t", deadline_s=2.0)
-        assert tg.decision(h).value == "deferred"
+        assert tg.decision(h.id).value == "deferred"
         bucket = controller._buckets["t"]
         res = tg.run_until_drained()
         assert h.status is HandleStatus.EXPIRED
@@ -487,12 +546,30 @@ class TestTenancyCancellation:
         # deferred briefly behind the bucket, dispatches well before 5s
         tg.submit("variant-00", 80, 8, tenant_id="t")
         h = tg.submit("variant-00", 80, 2000, tenant_id="t")
-        tg.cancel(h, at_s=5.0, reason="deadline")
+        tg.cancel(h.id, at_s=5.0, reason="deadline")
         tg.run_until_drained()
         rec = h.record()
         assert rec.status == "expired" and rec.tokens_served < 2000
         assert rec.finish_s >= 5.0
         assert tg.controller.stats["t"].expired == 1
+
+    def test_completion_listener_sees_every_result_record(self):
+        """The inherited listener registry fires once per record that
+        appears in ``result()`` — frontier-retired ones included."""
+        tenant = Tenant("t", rate_tokens_per_s=10.0, burst_tokens=40.0)
+        tg = self.make_tenant_gateway(tenants=[tenant])
+        seen = []
+        tg.add_completion_listener(seen.append)
+        tg.submit("variant-00", 32, 8, tenant_id="t")      # drains bucket
+        # deferred behind the refill; its deadline expires it at the frontier
+        tg.submit("variant-00", 32, 8, tenant_id="t", deadline_s=2.0)
+        # withdrawn before it is even offered to admission
+        tg.submit("variant-00", 32, 8, arrival_s=100.0).cancel(at_s=1.0)
+        res = tg.run_until_drained()
+        assert sorted(r.request_id for r in seen) == \
+            sorted(r.request_id for r in res.records) == [0, 1, 2]
+        assert {r.request_id: r.status for r in seen} == \
+            {0: "finished", 1: "expired", 2: "cancelled"}
 
     def test_unfinished_accounting_after_cancels(self):
         tg = self.make_tenant_gateway()

@@ -153,7 +153,7 @@ class TestClusterGateway:
 
     def test_request_ids_unique_across_replicas(self):
         gateway = make_gateway(n_replicas=3, balancer="round-robin")
-        ids = [gateway.submit(f"variant-{i % N_MODELS:02d}", 32, 4)
+        ids = [gateway.submit(f"variant-{i % N_MODELS:02d}", 32, 4).id
                for i in range(9)]
         assert ids == list(range(9))
         result = gateway.run_until_drained()

@@ -86,9 +86,9 @@ class TestProtocolParity:
             make_engine(name, short_trace.model_ids)).replay(short_trace)
         gw = ServingGateway(make_engine(name, short_trace.model_ids))
         for req in short_trace:  # trace ids are 0..n-1 in arrival order
-            rid = gw.submit(req.model_id, req.prompt_tokens,
-                            req.output_tokens, arrival_s=req.arrival_s)
-            assert rid == req.request_id
+            handle = gw.submit(req.model_id, req.prompt_tokens,
+                               req.output_tokens, arrival_s=req.arrival_s)
+            assert handle.id == req.request_id
         submitted = gw.run_until_drained()
         assert [record_key(r) for r in replayed.records] == \
             [record_key(r) for r in submitted.records]
@@ -242,12 +242,15 @@ class TestSessionBuilder:
                               finetuned.calibration_tokens)
         return dz
 
-    def test_session_replay_matches_simulate(self, system):
+    def test_session_replay_matches_built_session(self, system):
+        """Config objects + ``build().replay`` and kwargs + the builder's
+        ``replay`` shortcut are the same deployment: identical records."""
         trace = synthetic_trace(2, rate=0.5, duration_s=30.0, seed=4)
-        kwargs = dict(scheduler=SchedulerConfig(8, 2),
-                      engine=EngineConfig(tp_degree=1), default_ratio=8.0)
-        with pytest.deprecated_call():
-            legacy = system.simulate(trace, served_spec=LLAMA_7B, **kwargs)
+        legacy = (system.session("deltazip", served_spec=LLAMA_7B)
+                  .with_scheduler(SchedulerConfig(8, 2))
+                  .with_engine_config(EngineConfig(tp_degree=1))
+                  .with_default_ratio(8.0)
+                  .build().replay(trace))
         fluent = (system.session("deltazip", served_spec=LLAMA_7B)
                   .with_scheduler(SchedulerConfig(8, 2))
                   .with_engine_config(tp_degree=1)

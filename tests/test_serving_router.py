@@ -64,6 +64,20 @@ class TestRouting:
         ids = sorted(r.request_id for r in cluster.records)
         assert ids == list(range(5))
 
+    def test_pinned_lineage_never_spills_under_load(self, router):
+        """Regression (examples/multi_base_cluster.py crashed): a burst
+        deep enough to outweigh the lineage balancer's residency bias
+        must still stay on the group that owns the base — the other
+        group's engine cannot serve the variant at all."""
+        burst = [TraceRequest(request_id=i, model_id="llama-ft-a",
+                              arrival_s=0.0, prompt_tokens=64,
+                              output_tokens=64) for i in range(40)]
+        trace = Trace(requests=burst, model_ids=["llama-ft-a"],
+                      duration_s=1.0)
+        results = router.run(trace)
+        assert results["llama"].n_requests == 40
+        assert "pythia" not in results
+
     def test_empty_partition_skipped(self, router):
         trace = make_trace(["llama-ft-a", "llama-ft-b"])
         results = router.run(trace)
@@ -119,8 +133,8 @@ class TestOnlinePath:
         completions = []
         gateway = router.gateway(
             on_request_complete=lambda rec: completions.append(rec))
-        rid_p = gateway.submit("pythia-ft-a", 16, 4)
-        rid_l = gateway.submit("llama-ft-a", 16, 4)
+        rid_p = gateway.submit("pythia-ft-a", 16, 4).id
+        rid_l = gateway.submit("llama-ft-a", 16, 4).id
         gateway.run_until_drained()
         assert sorted(r.request_id for r in completions) == \
             sorted([rid_p, rid_l])

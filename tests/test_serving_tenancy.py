@@ -378,7 +378,7 @@ class TestTenantGatewayPolicies:
     def test_online_quota_and_decisions(self):
         gateway = TenantGateway(make_gateway(),
                                 tenants=[Tenant("q", max_outstanding=2)])
-        ids = [gateway.submit("variant-00", 32, 8, tenant_id="q")
+        ids = [gateway.submit("variant-00", 32, 8, tenant_id="q").id
                for _ in range(4)]
         decisions = [gateway.decision(i) for i in ids]
         assert decisions[:2] == [AdmissionDecision.ADMITTED] * 2
@@ -527,11 +527,12 @@ class TestSessionIntegration:
         assert session.admission is not None
         assert set(session.admission.tenants) == {"gold", "free"}
         assert session.engine is not None   # unwraps to the inner gateway
-        rid = session.submit("review-ft", 32, 8, tenant_id="gold")
+        handle = session.submit("review-ft", 32, 8, tenant_id="gold")
         result = session.run_until_drained()
         assert result.n_requests == 1
         assert result.records[0].tenant_id == "gold"
-        assert session.gateway.decision(rid) is AdmissionDecision.ADMITTED
+        assert session.gateway.decision(handle.id) is \
+            AdmissionDecision.ADMITTED
 
     def test_repeated_build_with_explicit_controller(self, system):
         """Regression: build() must not re-register the builder's tenants

@@ -226,6 +226,7 @@ class TestEndToEnd:
     def test_handle_double_finish_raises_under_sanitizer(self):
         from repro.serving.handle import RequestHandle
         from repro.serving.request import RequestRecord
+        from repro.workload.spec import TraceRequest
 
         class _Gateway:
             def step(self):
@@ -242,7 +243,9 @@ class TestEndToEnd:
             finish_s=0.2, prompt_tokens=1, output_tokens=1,
             queue_wait_s=0.0, loading_s=0.0, inference_s=0.2,
             skipped_line=False, preemptions=0)
-        handle = RequestHandle(1, _Gateway(), "m")
+        handle = RequestHandle(
+            TraceRequest(request_id=1, model_id="m", arrival_s=0.0,
+                         prompt_tokens=1, output_tokens=1), _Gateway())
         handle._finish(record)
         with sanitized(True):
             with pytest.raises(SimSanitizerError, match="finished twice"):
