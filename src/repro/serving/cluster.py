@@ -47,8 +47,9 @@ from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
 import numpy as np
 
 from ..hardware.cluster import Cluster, GPUNode
-from ..sim import (Arrival, AutoscalerTick, EventQueue, ReplicaDrain,
-                   ReplicaSpawn, SimKernel)
+from ..sim import (Arrival, AutoscalerTick, EventQueue, KeyedHeap,
+                   ReplicaDrain, ReplicaSpawn, SimKernel)
+from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .base import ServingEngine
 from .gateway import (CancelSchedule, CompletionCallback, Gateway,
@@ -86,18 +87,20 @@ class Replica:
             collect_timeline=collect_timeline)
         self.engine = engine
         self.draining = False
+        #: clock it is filed under in the gateway's frontier ledger
+        self.frontier_key: Optional[float] = None
 
     @property
     def clock(self) -> float:
-        return self.gateway.clock
+        return self.engine.clock
 
     @property
     def unfinished(self) -> int:
-        return self.gateway.unfinished
+        return self.engine.unfinished
 
     @property
     def backlog(self) -> int:
-        return self.gateway.backlog
+        return self.engine.backlog
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "draining" if self.draining else "active"
@@ -509,7 +512,7 @@ class Autoscaler:
             action = "scale_down"
 
         self.history.append(AutoscalerSample(
-            clock_s=now, n_replicas=len(gateway.active_replicas()),
+            clock_s=now, n_replicas=gateway.n_replicas,
             queue_per_replica=queue_per, ttft_tail_s=ttft_tail,
             action=action))
         return action
@@ -570,6 +573,10 @@ class ClusterGateway(Gateway):
         self._recent_records: Deque[RequestRecord] = deque(maxlen=256)
         self.replicas: List[Replica] = []
         self.retired: List[Replica] = []
+        self._n_draining = 0              # draining members of `replicas`
+        self._sanitize = _sanitizer.enabled()
+        # the frontier ledger: busy replicas by (clock, id), see least_busy
+        self._busy: KeyedHeap[Replica] = KeyedHeap()
         if _replicas is not None:
             for replica in _replicas:
                 self.replicas.append(replica)
@@ -623,7 +630,11 @@ class ClusterGateway(Gateway):
 
     @property
     def n_replicas(self) -> int:
-        return len(self.active_replicas())
+        return len(self.replicas) - self._n_draining
+
+    def lead_engine(self) -> Optional[ServingEngine]:
+        pool = self.replicas or self.retired
+        return pool[0].engine if pool else None
 
     def engines(self) -> List[ServingEngine]:
         return [r.engine for r in self.replicas]
@@ -636,10 +647,11 @@ class ClusterGateway(Gateway):
         resident) and keeps the node count flat — which is what makes
         scale-up safe when draining replicas still hold their nodes.
         """
-        draining = [r for r in self.replicas if r.draining]
-        if draining:
-            revived = max(draining, key=lambda r: r.id)   # youngest first
+        if self._n_draining:
+            revived = max((r for r in self.replicas if r.draining),
+                          key=lambda r: r.id)             # youngest first
             revived.draining = False
+            self._n_draining -= 1
             self.kernel.emit(ReplicaSpawn(time=self.kernel.now,
                                           replica_id=revived.id,
                                           revived=True))
@@ -659,14 +671,15 @@ class ClusterGateway(Gateway):
         """Stop routing to one replica; it is retired once it drains."""
         if replica is not None and replica.draining:
             return replica
-        active = self.active_replicas()
-        if len(active) <= 1:
+        if self.n_replicas <= 1:
             raise RuntimeError("cannot drain the last active replica")
         if replica is None:
             # cheapest to retire: least outstanding work; on ties the
             # youngest goes first (spawned last, drained first)
-            replica = min(active, key=lambda r: (r.unfinished, -r.id))
+            replica = min(self.active_replicas(),
+                          key=lambda r: (r.unfinished, -r.id))
         replica.draining = True
+        self._n_draining += 1
         self.kernel.emit(ReplicaDrain(time=self.kernel.now,
                                       replica_id=replica.id))
         self.balancer.on_removed(replica, self.active_replicas())
@@ -694,10 +707,13 @@ class ClusterGateway(Gateway):
         return replica
 
     def _reap_drained(self) -> None:
+        if not self._n_draining:
+            return
         for replica in [r for r in self.replicas
                         if r.draining and r.unfinished == 0]:
             self.replicas.remove(replica)
             self.retired.append(replica)
+            self._n_draining -= 1
             if self._cluster is not None and replica.node is not None:
                 self._cluster.release(replica.node)
 
@@ -707,7 +723,7 @@ class ClusterGateway(Gateway):
     @property
     def clock(self) -> float:
         """The most-advanced replica's clock (the makespan frontier)."""
-        return max((r.clock for r in self.replicas + self.retired),
+        return max((r.engine.clock for r in self.replicas + self.retired),
                    default=0.0)
 
     @property
@@ -719,8 +735,37 @@ class ClusterGateway(Gateway):
         replica it falls back to :attr:`clock` (where the cluster last
         stopped), which can sit ahead of where a lagging replica resumes;
         consumers needing strict monotonicity use :attr:`sim_now`."""
-        busy = [r.clock for r in self.replicas if r.unfinished > 0]
-        return min(busy) if busy else self.clock
+        least = self.least_busy()
+        return least.frontier_key if least is not None else self.clock
+
+    def least_busy(self) -> Optional[Replica]:
+        """The busy replica with the least ``(clock, id)``: the top of
+        the frontier ledger, a lazy min-heap holding one live entry per
+        busy replica (the one under its ``frontier_key``).  The gateway
+        re-files a replica when it steps it or hands it a request and
+        drops superseded entries here.  Outside writers only move a busy
+        clock forward, so a stale key under-estimates and checking the
+        top against the live engine keeps every read exact."""
+        busy = self._busy
+        while (replica := busy.peek()) is not None:
+            key = busy.peek_key()[0]
+            live = key == replica.frontier_key
+            engine = replica.engine
+            if live and engine.unfinished > 0 and engine.clock == key:
+                return replica
+            busy.pop()
+            if live:
+                self._rekey(replica)            # moved by an outside writer
+        return None
+
+    def _rekey(self, replica: Replica) -> None:
+        """File ``replica`` under its current clock (idle: unfile it)."""
+        engine = replica.engine
+        key = engine.clock if engine.unfinished > 0 else None
+        if key != replica.frontier_key:
+            replica.frontier_key = key
+            if key is not None:
+                self._busy.push((key, replica.id), replica)
 
     @property
     def sim_now(self) -> float:
@@ -740,15 +785,6 @@ class ClusterGateway(Gateway):
         """Cluster-wide arrived-but-unfinished requests."""
         return sum(r.backlog for r in self.replicas)
 
-    @property
-    def record_policy(self) -> RecordPolicy:
-        """The replicas' shared record-retention policy (all replicas are
-        spawned from one engine-config template)."""
-        pool = self.replicas or self.retired
-        if not pool:
-            return RecordPolicy.KEEP_ALL
-        return pool[0].engine.config.record_policy
-
     def _accept(self, request: TraceRequest) -> None:
         """A submitted request is routed at once: the balancer picks its
         replica, whose engine holds it until its arrival.  Affinity
@@ -758,9 +794,14 @@ class ClusterGateway(Gateway):
         active = self.active_replicas()
         if not active:
             raise RuntimeError("no active replicas")
-        replica = self._choose_replica(request, active)
+        self._assign(self._choose_replica(request, active), request)
+
+    def _assign(self, replica: Replica, request: TraceRequest) -> None:
         replica.gateway.ingest(request)
         self._owner[request.request_id] = replica
+        self._rekey(replica)
+        if self._sanitize:
+            _sanitizer.check_cluster_frontier(self)
 
     def _choose_replica(self, request: TraceRequest,
                         active: List[Replica]) -> Replica:
@@ -818,33 +859,36 @@ class ClusterGateway(Gateway):
         """Advance the least-advanced replica that has work by one engine
         iteration; False once no replica can make progress (all drained,
         past their sim-time cap, or wedged on inadmissible requests)."""
-        self._route_due()
-        best: Optional[Replica] = None
-        for r in self.replicas:
-            if r.unfinished > 0 and \
-                    r.clock < r.engine.config.max_sim_seconds and \
-                    (best is None or (r.clock, r.id) < (best.clock, best.id)):
-                best = r
-        if best is not None:
-            if best.gateway.step():
+        first = self._route_due()
+        if first is not None:
+            if self._step_replica(first):
                 return self._made_progress()
-            # the least-advanced replica is wedged: fall through to the
-            # rest in (clock, id) order, matching the pre-kernel scan
-            rest = sorted(
-                (r for r in self.replicas
-                 if r is not best and r.unfinished > 0
-                 and r.clock < r.engine.config.max_sim_seconds),
-                key=lambda r: (r.clock, r.id))
-            for replica in rest:
-                if replica.gateway.step():
+            # the least-advanced replica is at its own horizon or wedged:
+            # fall through to the other busy ones in (clock, id) order
+            for replica in sorted(
+                    (r for r in self.replicas
+                     if r is not first and r.frontier_key is not None),
+                    key=lambda r: (r.engine.clock, r.id)):
+                if self._step_replica(replica):
                     return self._made_progress()
         self._reap_drained()
+        return False
+
+    def _step_replica(self, replica: Replica) -> bool:
+        engine = replica.engine
+        if engine.unfinished > 0 and \
+                engine.clock < engine.config.max_sim_seconds and \
+                replica.gateway.step():
+            self._rekey(replica)
+            return True
         return False
 
     def _made_progress(self) -> bool:
         """Post-step bookkeeping: advance the kernel clock to the new
         frontier and fire any autoscaler tick it has reached."""
         self._reap_drained()
+        if self._sanitize:
+            _sanitizer.check_cluster_frontier(self)
         now = max(self.kernel.now, self.frontier)
         fired = False
         if self.autoscaler is not None:
@@ -874,8 +918,9 @@ class ClusterGateway(Gateway):
         if self.autoscaler is not None:
             self._ticks.push(AutoscalerTick(time=at))
 
-    def _route_due(self) -> None:
-        """Route unrouted trace requests the frontier has reached.
+    def _route_due(self) -> Optional[Replica]:
+        """Route unrouted trace requests the frontier has reached;
+        returns the least busy replica once they are placed.
 
         The frontier is the kernel clock (least busy-replica clock) — the
         cluster never simulates a replica below it, so routing everything
@@ -890,9 +935,13 @@ class ClusterGateway(Gateway):
         was such an orphan while all replicas idle — the next arrival
         group is released immediately so the drain cannot wedge.
         """
+        busy = self.least_busy()
         while self._unrouted:
-            busy = [r.clock for r in self.replicas if r.unfinished > 0]
-            frontier = min(busy) if busy else self._unrouted.peek_time()
+            was_busy = busy is not None
+            due = self._unrouted.peek_time()
+            frontier = busy.frontier_key if was_busy else due
+            if due > frontier:
+                break
             routed_any = False
             for event in self._unrouted.pop_due(frontier):
                 request = event.request
@@ -900,16 +949,17 @@ class ClusterGateway(Gateway):
                 if pending is not None and pending[0] <= request.arrival_s:
                     self._retire_orphan(request, pending[1])
                     continue
-                active = self.active_replicas()
-                replica = self._choose_replica(request, active)
-                replica.gateway.ingest(request)
-                self._owner[request.request_id] = replica
+                replica = self._choose_replica(request,
+                                               self.active_replicas())
+                self._assign(replica, request)
                 if pending is not None:
                     replica.gateway.cancel(request.request_id,
                                            at_s=pending[0], reason=pending[1])
                 routed_any = True
-            if routed_any or busy:
-                return
+            busy = self.least_busy()
+            if routed_any or was_busy:
+                break
+        return busy
 
     def _retire_orphan(self, request: TraceRequest, reason: str) -> None:
         """Terminal record for a request cancelled before it was routed."""
@@ -963,6 +1013,8 @@ class ClusterGateway(Gateway):
         Registered listeners survive; per-request handles do not."""
         for replica in self.replicas:
             replica.engine.reset()
+            replica.frontier_key = None
+        self._busy.clear()
         self.retired.clear()
         self.kernel.reset()
         self._unrouted.clear()

@@ -70,7 +70,7 @@ class Gateway:
     A concrete layer defines ``step``, ``ingest``, ``cancel``, ``result``,
     ``unfinished``, ``_accept`` (where a submitted request goes next) and
     ``_status_of``.  The remaining layer questions (:attr:`clock`,
-    :attr:`backlog`, :attr:`record_policy`, :attr:`n_replicas`,
+    :attr:`backlog`, :meth:`lead_engine`, :attr:`n_replicas`,
     :meth:`engines`, :meth:`_wire`) default to asking ``self.inner``, the
     gateway a stacked layer wraps; the layers that own engines answer
     them directly.
@@ -213,7 +213,9 @@ class Gateway:
     def record_policy(self) -> RecordPolicy:
         """The engines' record-retention policy (every layer gates its
         per-request maps on it)."""
-        return self.inner.record_policy
+        engine = self.lead_engine()
+        return engine.config.record_policy if engine is not None \
+            else RecordPolicy.KEEP_ALL
 
     @property
     def n_replicas(self) -> int:
@@ -223,6 +225,10 @@ class Gateway:
     def engines(self) -> List[ServingEngine]:
         """Every live engine under this gateway."""
         return self.inner.engines()
+
+    def lead_engine(self) -> Optional[ServingEngine]:
+        """One engine standing for :meth:`engines` (one config template)."""
+        return self.inner.lead_engine()
 
     @property
     def at_horizon(self) -> bool:
@@ -425,15 +431,14 @@ class ServingGateway(Gateway):
         return self.engine.backlog
 
     @property
-    def record_policy(self) -> RecordPolicy:
-        return self.engine.config.record_policy
-
-    @property
     def n_replicas(self) -> int:
         return 1
 
     def engines(self) -> List[ServingEngine]:
         return [self.engine]
+
+    def lead_engine(self) -> Optional[ServingEngine]:
+        return self.engine
 
     @property
     def at_horizon(self) -> bool:

@@ -722,6 +722,8 @@ class TenantGateway(Gateway):
         gateway.set_admission_probe(lambda: self.controller.total_queued)
         self._pending = EventQueue()      # offered-but-not-due Arrivals
         self._cancels = EventQueue()      # frontier-level Cancel events
+        #: request id -> its Cancel events still in ``_cancels``
+        self._n_cancels: Dict[int, int] = {}
         #: reason="cancel" schedules to forward when a request dispatches
         self._scheduled_cancels: Dict[int, Tuple[float, str]] = {}
         self._dispatched_ids: set = set()
@@ -773,9 +775,12 @@ class TenantGateway(Gateway):
         if request.deadline_s is not None:
             # frontier-side expiry watch; once dispatched, the owning
             # engine schedules its own deadline Cancel from the trace
-            self._cancels.push(Cancel(time=request.deadline_s,
-                                      request_id=request.request_id,
-                                      reason="deadline"))
+            self._push_cancel(request.request_id, request.deadline_s,
+                              "deadline")
+
+    def _push_cancel(self, rid: int, at_s: float, reason: str) -> None:
+        self._cancels.push(Cancel(time=at_s, request_id=rid, reason=reason))
+        self._n_cancels[rid] = self._n_cancels.get(rid, 0) + 1
 
     def cancel(self, request_id: int, at_s: Optional[float] = None,
                reason: str = "cancel") -> None:
@@ -794,8 +799,7 @@ class TenantGateway(Gateway):
         if rid in self._dispatched_ids:
             self.inner.cancel(rid, at_s=at_s, reason=reason)
             return
-        self._cancels.push(Cancel(time=float(at_s), request_id=rid,
-                                  reason=reason))
+        self._push_cancel(rid, float(at_s), reason)
         # every *explicit* cancel is forwarded if the request dispatches
         # first (earliest wins); only the implicit trace-deadline watch
         # stays behind, because the owning engine re-derives it from
@@ -932,6 +936,7 @@ class TenantGateway(Gateway):
         self.kernel.reset()
         self._pending.clear()
         self._cancels.clear()
+        self._n_cancels.clear()
         self._scheduled_cancels.clear()
         self._dispatched_ids.clear()
         self._terminal_ids.clear()
@@ -997,6 +1002,9 @@ class TenantGateway(Gateway):
         for event in self._cancels.pop_due(now):
             count += 1
             rid = event.request_id
+            left = self._n_cancels.pop(rid) - 1
+            if left:
+                self._n_cancels[rid] = left
             if rid in self._terminal_ids or rid in self._dispatched_ids:
                 continue
             self._scheduled_cancels.pop(rid, None)
@@ -1076,8 +1084,8 @@ class TenantGateway(Gateway):
             # the request left the frontier: its deadline watch moves to
             # the owning engine (scheduled from the trace at submit), and
             # a pending client cancel is forwarded to the wrapped gateway
-            while self._cancels.remove_request(rid) is not None:
-                pass
+            for _ in range(self._n_cancels.pop(rid, 0)):
+                self._cancels.remove_request(rid)
             scheduled = self._scheduled_cancels.pop(rid, None)
             if scheduled is not None:
                 self.inner.cancel(rid, at_s=scheduled[0],
@@ -1098,10 +1106,9 @@ class TenantGateway(Gateway):
         return depth * max(1, self.inner.n_replicas)
 
     def _engine_batch_size(self) -> Optional[int]:
-        engines = self.inner.engines()
-        if not engines:
+        engine = self.inner.lead_engine()
+        if engine is None:
             return None
-        engine = engines[0]
         scheduler_config = getattr(engine, "scheduler_config", None)
         if scheduler_config is not None:
             return scheduler_config.max_batch_requests

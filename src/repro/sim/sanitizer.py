@@ -26,7 +26,11 @@ construction:
 * **running-batch ledger conservation** — after every executed engine
   iteration and every cancellation, the incremental totals of the
   engine's :class:`~repro.serving.base.RunningBatch` equal a brute-force
-  recomputation from its member requests.
+  recomputation from its member requests;
+* **cluster frontier ledger** — after every ``ClusterGateway.step`` and
+  routed ingest, no busy replica's key over-estimates its clock, the
+  ledger's least busy replica is the brute-force ``(clock, id)``
+  minimum, and the active-replica counter equals a recount.
 
 Violations raise :class:`SimSanitizerError` carrying the offending
 value *and* the publishing call site (the first stack frame outside
@@ -261,6 +265,28 @@ def check_running_batch(engine: str, batch: Any) -> None:
             raise _violation(
                 f"running-batch ledger of engine {engine!r} drifted in "
                 f"{name}: holds {held!r}, members give {expected!r}")
+
+
+def check_cluster_frontier(gateway: Any) -> None:
+    """The cluster's frontier ledger and active-replica counter must
+    equal a brute-force scan of the replica set."""
+    busy = [r for r in gateway.replicas if r.engine.unfinished > 0]
+    for r in busy:
+        if r.frontier_key is None or r.frontier_key > r.engine.clock:
+            raise _violation(
+                f"cluster frontier ledger drifted in frontier_key of "
+                f"{r.name}: holds {r.frontier_key!r}, busy at clock "
+                f"{r.engine.clock!r}")
+    expected = min(busy, key=lambda r: (r.engine.clock, r.id), default=None)
+    held = gateway.least_busy()
+    active = sum(1 for r in gateway.replicas if not r.draining)
+    for name, got, want in (
+            ("least_busy", held and held.name, expected and expected.name),
+            ("n_replicas", gateway.n_replicas, active)):
+        if got != want:
+            raise _violation(
+                f"cluster frontier ledger drifted in {name}: holds "
+                f"{got!r}, replicas give {want!r}")
 
 
 def check_handle_finish(request_id: int, already_terminal: bool) -> None:

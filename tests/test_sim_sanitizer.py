@@ -250,3 +250,63 @@ class TestEndToEnd:
         with sanitized(True):
             with pytest.raises(SimSanitizerError, match="finished twice"):
                 handle._finish(record)
+
+
+# --------------------------------------------------------------------- #
+# cluster frontier ledger: every kind of drift is named
+# --------------------------------------------------------------------- #
+class TestClusterFrontierCheck:
+    def gateway(self):
+        from test_serving_cluster import make_gateway
+        gateway = make_gateway(n_replicas=3, max_nodes=4)
+        for i in range(6):
+            gateway.submit(f"variant-{i:02d}", 32, 8, arrival_s=0.0)
+        gateway.step()
+        return gateway
+
+    def test_clean_gateway_passes(self):
+        gateway = self.gateway()
+        sanitizer.check_cluster_frontier(gateway)
+        gateway.replicas[2].engine.clock = 40.0    # forward: stays legal
+        sanitizer.check_cluster_frontier(gateway)
+        gateway.drain_replica()
+        gateway.spawn_replica()
+        sanitizer.check_cluster_frontier(gateway)
+
+    def test_busy_replica_missing_from_the_ledger(self):
+        gateway = self.gateway()
+        gateway.replicas[1].frontier_key = None
+        with pytest.raises(SimSanitizerError,
+                           match="frontier_key of replica-1"):
+            sanitizer.check_cluster_frontier(gateway)
+
+    def test_key_over_estimating_the_clock(self):
+        gateway = self.gateway()
+        busy = gateway.replicas[2]
+        busy.frontier_key = busy.engine.clock + 1.0
+        with pytest.raises(SimSanitizerError,
+                           match="frontier_key of replica-2"):
+            sanitizer.check_cluster_frontier(gateway)
+
+    def test_entry_lost_from_the_heap(self):
+        gateway = self.gateway()
+        gateway._busy.clear()                     # keys still claim entries
+        with pytest.raises(SimSanitizerError, match="least_busy"):
+            sanitizer.check_cluster_frontier(gateway)
+
+    def test_replica_count_drift(self):
+        gateway = self.gateway()
+        gateway.replicas[0].draining = True       # behind the gateway's back
+        with pytest.raises(SimSanitizerError, match="n_replicas"):
+            sanitizer.check_cluster_frontier(gateway)
+
+    def test_step_and_ingest_run_the_check_when_enabled(self):
+        with sanitized(True):
+            gateway = self.gateway()
+            gateway.replicas[0].draining = True
+            with pytest.raises(SimSanitizerError, match="n_replicas"):
+                gateway.step()
+            gateway.replicas[0].draining = False
+            gateway.replicas[1].frontier_key = None
+            with pytest.raises(SimSanitizerError, match="frontier_key"):
+                gateway.submit("variant-00", 16, 2)
