@@ -15,7 +15,8 @@ Implements the timing consequences of §5.1-§5.3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from ..hardware.kernels import (_RANDOM_ACCESS_US_PER_REQUEST,
 from ..hardware.specs import GPUSpec
 from .models import FP16, ServedModelSpec
 
-__all__ = ["IterationCostModel", "BatchComposition"]
+__all__ = ["IterationCostModel", "BatchComposition", "LinearPlan"]
 
 # fixed per-iteration software overhead (scheduler, python, launch queue)
 _ITERATION_OVERHEAD_S = 2e-3
@@ -68,6 +69,16 @@ class BatchComposition:
     @property
     def empty(self) -> bool:
         return self.decode_requests == 0 and self.prefill_tokens == 0
+
+
+class LinearPlan(NamedTuple):
+    """What :meth:`IterationCostModel.iteration_time` derives from a
+    batch's *composition* alone: total token-rows, the decoupled linear
+    pass ``max(base, variant)`` and the TP all-reduce of those rows."""
+
+    rows: int
+    linear_s: float
+    allreduce_s: float
 
 
 class IterationCostModel:
@@ -282,6 +293,15 @@ class IterationCostModel:
         ``variant_kind``: "delta" (compressed FMT), "lora", or "none"
         (requests all target the base model).
         """
+        return self.plan_time(self.linear_plan(batch, variant_kind),
+                              batch.context_tokens)
+
+    def linear_plan(self, batch: BatchComposition,
+                    variant_kind: str = "delta") -> LinearPlan:
+        """The composition-dependent part of :meth:`iteration_time`: it
+        reads which variants run how many rows and never
+        ``context_tokens``, so it stands for as long as the composition
+        does."""
         decode = batch.decode_per_delta
         prefill = batch.prefill_tokens_per_delta
         # rows in sorted variant order: dict/set order differs across
@@ -294,7 +314,7 @@ class IterationCostModel:
             rows = [decode[delta_id] for delta_id in sorted(decode)]
         m_total = sum(rows)              # integers: exact in any order
         if m_total == 0:
-            return 0.0
+            return LinearPlan(0, 0.0, 0.0)
 
         base = self._base_pass(m_total)
         if variant_kind == "delta":
@@ -307,9 +327,18 @@ class IterationCostModel:
             raise ValueError(f"unknown variant kind {variant_kind!r}")
 
         # decoupled: base GEMM and variant matmuls execute in parallel
-        linear = max(base, variant)
-        attn = self._attention(batch.context_tokens, m_total)
-        return linear + attn + self._allreduce(m_total) + _ITERATION_OVERHEAD_S
+        return LinearPlan(m_total, max(base, variant),
+                          self._allreduce(m_total))
+
+    def plan_time(self, plan: LinearPlan, context_tokens: int) -> float:
+        """The context-dependent part: attention over ``context_tokens``
+        on top of a :meth:`linear_plan`.  The iteration-time formula is
+        written here and nowhere else."""
+        m_total, linear, allreduce = plan
+        if m_total == 0:
+            return 0.0
+        attn = self._attention(context_tokens, m_total)
+        return linear + attn + allreduce + _ITERATION_OVERHEAD_S
 
     def fullmodel_iteration_time(
         self,

@@ -109,6 +109,9 @@ class _PoolWorker(DeltaZipEngine):
         if self._prefix_cache is not None:
             self._prefix_cache = PrefixCache(self.config.prefix_block_tokens)
         self._prefix_refs.clear()
+        # the "admit nothing" verdict was reached against the old
+        # resident set
+        self._idle_admit_key = None
 
     def _next_wake(self) -> Optional[float]:
         """Clamp idle jumps to the owner's next autoscaler check so the
@@ -331,6 +334,8 @@ class DisaggregatedEngine(ServingEngine):
                 max(decode_workers, pool_autoscaler.decode.max_workers)
         self._cluster = cluster if cluster is not None \
             else Cluster(node.spec, n_nodes=ceiling)
+        self._prefill_pool: List[_PoolWorker] = []
+        self._decode_pool: List[_PoolWorker] = []
         super().__init__(manager, node, engine_config)
 
     @classmethod
@@ -345,12 +350,11 @@ class DisaggregatedEngine(ServingEngine):
     # state
     # ------------------------------------------------------------------ #
     def _reset_engine(self) -> None:
-        for worker in list(getattr(self, "_prefill_pool", [])) + \
-                list(getattr(self, "_decode_pool", [])):
+        for worker in self._all_workers():
             self._cluster.release(worker.node)
         self._next_worker_id = 0
-        self._prefill_pool: List[_PoolWorker] = []
-        self._decode_pool: List[_PoolWorker] = []
+        self._prefill_pool = []
+        self._decode_pool = []
         self._parked: List[_PoolWorker] = []   # drained, node released
         self._owner_of: Dict[int, _PoolWorker] = {}
         self._cancel_log: Dict[int, List[Tuple[float, str]]] = {}
@@ -365,6 +369,9 @@ class DisaggregatedEngine(ServingEngine):
         if self._scaler is not None:
             self._scaler.reset()
             self._next_check_s = self._scaler.check_interval_s
+        # the owner hooks the pool workers are wired to; every worker is
+        # wired on its way into a pool, so step() rewires only on a change
+        self._wired_hooks = (self.on_event, self.emit_phases)
         for _ in range(self._n_prefill):
             self._spawn_worker("prefill", 0.0)
         for _ in range(self._n_decode):
@@ -378,6 +385,7 @@ class DisaggregatedEngine(ServingEngine):
                             self.config)
         self._next_worker_id += 1
         worker.clock = at_s
+        self._wire_hooks(worker)
         self._pool(role).append(worker)
         return worker
 
@@ -428,29 +436,36 @@ class DisaggregatedEngine(ServingEngine):
     # ------------------------------------------------------------------ #
     @property
     def clock(self) -> float:
-        workers = list(getattr(self, "_prefill_pool", [])) + \
-            list(getattr(self, "_decode_pool", []))
-        if not workers:
-            return 0.0
         # workers with arrived work advance on event-exact boundaries;
         # a worker whose only work is a *pending* future arrival (a KV
         # handoff in flight) reports that arrival time instead of its
         # raw clock, which under dense-quantum stepping creeps through
         # intermediate positions skip-mode never visits — outer layers
-        # (the tenancy frontier) must see the same "now" in both modes
-        active = [w.clock for w in workers
-                  if w.running or w.backlog > 0]
-        if active:
-            return min(active)
-        waiting = []
-        for w in workers:
-            if w.unfinished > 0:
-                nxt = w._pending.peek_time()
-                waiting.append(w.clock if nxt is None
-                               else max(w.clock, nxt))
-        if waiting:
-            return min(waiting)
-        return max(w.clock for w in workers)
+        # (the tenancy frontier) must see the same "now" in both modes.
+        # One pass: the earliest busy worker, else the earliest waiting
+        # one, else the latest clock of an all-idle fleet.
+        busy: Optional[float] = None
+        waiting: Optional[float] = None
+        latest: Optional[float] = None
+        for pool in (self._prefill_pool, self._decode_pool):
+            for w in pool:
+                now = w.clock
+                if w.running or w.backlog > 0:
+                    if busy is None or now < busy:
+                        busy = now
+                elif busy is None:
+                    if w.unfinished > 0:
+                        nxt = w._pending.peek_time()
+                        wake = now if nxt is None else max(now, nxt)
+                        if waiting is None or wake < waiting:
+                            waiting = wake
+                    if latest is None or now > latest:
+                        latest = now
+        if busy is not None:
+            return busy
+        if waiting is not None:
+            return waiting
+        return 0.0 if latest is None else latest
 
     @clock.setter
     def clock(self, value: float) -> None:
@@ -540,11 +555,18 @@ class DisaggregatedEngine(ServingEngine):
         return progress
 
     def _sync_hooks(self) -> None:
+        """Rewire the pooled workers when the owner's ``on_event`` /
+        ``emit_phases`` changed since they were last wired."""
+        hooks = (self.on_event, self.emit_phases)
+        if hooks != self._wired_hooks:
+            self._wired_hooks = hooks
+            for worker in self._all_workers():
+                self._wire_hooks(worker)
+
+    def _wire_hooks(self, worker: _PoolWorker) -> None:
         has_sink = self.on_event is not None
-        phases = self.emit_phases and has_sink
-        for worker in self._all_workers():
-            worker.emit_phases = phases
-            worker.on_event = worker._event_to_owner if has_sink else None
+        worker.emit_phases = self.emit_phases and has_sink
+        worker.on_event = worker._event_to_owner if has_sink else None
 
     def _prefill_frontier(self) -> Optional[float]:
         times = [w.clock for w in self._prefill_pool if w.unfinished > 0]
@@ -604,6 +626,7 @@ class DisaggregatedEngine(ServingEngine):
             worker.flush_residency()
             worker.draining = False
             worker.clock = at_s
+            self._wire_hooks(worker)       # parked workers miss rewires
             pool.append(worker)
             pool.sort(key=lambda w: w.worker_id)
             self._note_pool_peak(role)

@@ -25,14 +25,15 @@ Timeline semantics per iteration (the shared loop lives in
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
+from ..sim import sanitizer as _sanitizer
 from .base import (PREEMPT_SWAP_S, WORKSPACE_FRACTION, Admission,
                    EngineConfig, ServingEngine, TimelineEvent,
                    register_engine)
-from .costs import BatchComposition, IterationCostModel
+from .costs import BatchComposition, IterationCostModel, LinearPlan
 from .kv_transfer import InterconnectModel
 from .model_manager import ArtifactKind, ModelManager
 from .prefix_cache import PrefixCache, prefix_block_keys
@@ -90,6 +91,14 @@ class DeltaZipEngine(ServingEngine):
         self._resident: "OrderedDict[str, int]" = OrderedDict()  # id -> bytes
         self._resident_bytes = 0
         self._last_batch: Optional[BatchComposition] = None
+        # steady-state memos (see README "The steady-state iteration"):
+        # the (batch, scheduler) versions at which schedule() last decided
+        # nothing, and the batch version whose pure-decode pricing
+        # ``_last_batch`` / ``_steady_plan`` hold.  Versions only grow, so
+        # a stale key can never match again.
+        self._idle_admit_key: Optional[Tuple[int, int]] = None
+        self._steady_version = -1
+        self._steady_plan: Optional[LinearPlan] = None
         # opt-in prefix/KV cache: None keeps every pre-existing code path
         # untouched (cache-off records are bit-identical to older builds)
         self._prefix_cache: Optional[PrefixCache] = \
@@ -109,8 +118,19 @@ class DeltaZipEngine(ServingEngine):
 
     def admit(self) -> Admission:
         batch = self.batch
+        key = (batch.version, self.scheduler.version)
+        if key == self._idle_admit_key:
+            # same batch, same queue, same resident set as the call that
+            # decided nothing: schedule() would decide nothing again, and
+            # everything below is a no-op on an empty decision
+            if self._sanitize:
+                _sanitizer.check_steady_verdict(
+                    self.name, self.scheduler.schedule(batch, self._resident))
+            return Admission()
         decision = self.scheduler.schedule(batch, self._resident)
         admitted = decision.admitted
+        if not admitted and not decision.new_deltas:
+            self._idle_admit_key = key
         cache = self._prefix_cache
 
         # swap newly selected deltas onto the GPU; deltas compete with the
@@ -199,11 +219,28 @@ class DeltaZipEngine(ServingEngine):
         return Admission(admitted=kept, load_time_s=load_time)
 
     def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
+        kind = self.config.variant_kind
+        if not admitted and self.batch.version == self._steady_version:
+            # pure decode over the batch priced last iteration: the rows
+            # are the same, only the attention context grew
+            last = self._last_batch
+            last.context_tokens = self.batch.context_tokens
+            if self._steady_plan is None:
+                self._steady_plan = self.cost.linear_plan(last, kind)
+            cost = self.cost.plan_time(self._steady_plan,
+                                       last.context_tokens)
+            if self._sanitize:
+                _sanitizer.check_steady_price(
+                    self.name, cost,
+                    self.cost.iteration_time(self._compose([]), kind))
+            return cost
         batch = self._compose(admitted)
         if batch.empty:
             return None
         self._last_batch = batch
-        return self.cost.iteration_time(batch, self.config.variant_kind)
+        self._steady_version = -1 if admitted else self.batch.version
+        self._steady_plan = None
+        return self.cost.iteration_time(batch, kind)
 
     def on_iteration(self, iter_time: float, load_time: float,
                      admitted: List[ServingRequest]) -> None:

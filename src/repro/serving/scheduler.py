@@ -72,11 +72,21 @@ class SchedulingDecision:
 
 
 class ContinuousBatchScheduler:
-    """FCFS queue + per-iteration admission under (K, N) limits."""
+    """FCFS queue + per-iteration admission under (K, N) limits.
+
+    ``version`` moves on every queue mutation (an insert, a ``remove``
+    that hits, a ``schedule`` that admits) — the twin of
+    :attr:`RunningBatch.version <repro.serving.base.RunningBatch>`.
+    :meth:`schedule` is a pure function of the config, the queue, the
+    running batch's per-variant counts and size, and the resident set,
+    so a caller that saw it admit nothing may skip it while both
+    versions (and the resident set) stand.
+    """
 
     def __init__(self, config: SchedulerConfig):
         self.config = config
         self._queue: List[ServingRequest] = []
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # queue maintenance
@@ -100,6 +110,7 @@ class ContinuousBatchScheduler:
             queue.append(request)
         else:
             insort_right(queue, request, key=self._fcfs_key)
+        self.version += 1
 
     def add(self, request: ServingRequest) -> None:
         request.state = RequestState.QUEUED
@@ -115,6 +126,7 @@ class ContinuousBatchScheduler:
         """Withdraw a queued request (cancellation); None if not queued."""
         for i, req in enumerate(self._queue):
             if req.request_id == request_id:
+                self.version += 1
                 return self._queue.pop(i)
         return None
 
@@ -208,6 +220,7 @@ class ContinuousBatchScheduler:
             # FCFS-ordered queue, so it is sorted by construction.
             kept.sort(key=self._fcfs_key)
         self._queue = kept
+        self.version += 1
 
     def _earliest_per_model(
             self, running: Sequence[ServingRequest],

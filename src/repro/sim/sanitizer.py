@@ -27,6 +27,11 @@ construction:
   iteration and every cancellation, the incremental totals of the
   engine's :class:`~repro.serving.base.RunningBatch` equal a brute-force
   recomputation from its member requests;
+* **steady-state reuse** — an engine that skips ``schedule()`` because
+  neither its batch nor its queue changed, or re-prices only attention
+  on the last pure-decode plan, re-derives both the slow way: the fresh
+  verdict must still admit and load nothing, and the recomposed batch
+  must price to the same float, exactly;
 * **cluster frontier ledger** — after every ``ClusterGateway.step`` and
   routed ingest, no busy replica's key over-estimates its clock, the
   ledger's least busy replica is the brute-force ``(clock, id)``
@@ -265,6 +270,28 @@ def check_running_batch(engine: str, batch: Any) -> None:
             raise _violation(
                 f"running-batch ledger of engine {engine!r} drifted in "
                 f"{name}: holds {held!r}, members give {expected!r}")
+
+
+def check_steady_verdict(engine: str, decision: Any) -> None:
+    """An engine reused its "admit nothing" verdict: a fresh
+    ``schedule()`` over the same batch and queue must agree."""
+    if decision.admitted or decision.new_deltas:
+        raise _violation(
+            f"steady-state memo of engine {engine!r} drifted in the "
+            f"admission verdict: a fresh schedule() admits "
+            f"{[r.request_id for r in decision.admitted]} and loads "
+            f"{decision.new_deltas}")
+
+
+def check_steady_price(engine: str, reused: float, recomposed: float) -> None:
+    """An engine re-priced only attention on its last linear-pass plan:
+    pricing the recomposed batch from scratch must give the same float
+    (``==``, not a tolerance — records are compared bit for bit)."""
+    if reused != recomposed:
+        raise _violation(
+            f"steady-state memo of engine {engine!r} drifted in the "
+            f"linear-pass plan: the reused plan prices the iteration at "
+            f"{reused!r}s, the recomposed batch at {recomposed!r}s")
 
 
 def check_cluster_frontier(gateway: Any) -> None:

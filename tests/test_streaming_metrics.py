@@ -571,19 +571,44 @@ class TestCostModelBitExact:
         for rows in ROW_SETS:
             assert model._lora_pass(rows) == ref_lora_pass(model, rows)
 
-    def test_iteration_time_end_to_end(self):
-        model = IterationCostModel(LLAMA_7B, A100, tp_degree=2)
+    @pytest.mark.parametrize("tp", [1, 4])
+    @pytest.mark.parametrize("kind", ["delta", "lora", "none"])
+    def test_iteration_time_end_to_end(self, kind, tp):
+        model = IterationCostModel(LLAMA_7B, A100, tp_degree=tp,
+                                   lora_rank=16)
         batch = BatchComposition(
             decode_per_delta={"a": 3, "b": 5},
             prefill_tokens_per_delta={"a": 64, "c": 32},
             context_tokens=2048)
         expected_rows = [3 + 64, 5, 32]
         base = ref_base_pass(model, 8 + 96)
-        variant = ref_delta_pass(model, expected_rows)
-        attn = model._attention(2048, 104)
+        variant = {"delta": ref_delta_pass, "lora": ref_lora_pass,
+                   "none": lambda model, rows: 0.0}[kind](model,
+                                                          expected_rows)
         ar = model._allreduce(104)
-        assert model.iteration_time(batch) == \
-            max(base, variant) + attn + ar + 2e-3
+        assert (ar > 0.0) == (tp > 1)
+
+        def scalar(context_tokens):
+            attn = model._attention(context_tokens, 104)
+            return max(base, variant) + attn + ar + 2e-3
+
+        assert model.iteration_time(batch, kind) == scalar(2048)
+        # the engine's steady-state path: one plan from the composition,
+        # then only attention re-priced as the context grows
+        plan = model.linear_plan(batch, kind)
+        assert plan == (104, max(base, variant), ar)
+        for context_tokens in (2048, 2049, 2048 + 104, 10 ** 6):
+            assert model.plan_time(plan, context_tokens) == \
+                scalar(context_tokens)
+            batch.context_tokens = context_tokens
+            assert model.iteration_time(batch, kind) == \
+                scalar(context_tokens)
+
+    def test_empty_composition_prices_to_zero(self):
+        model = IterationCostModel(LLAMA_7B, A100, tp_degree=4)
+        empty = BatchComposition({}, {}, context_tokens=512)
+        assert model.linear_plan(empty).rows == 0
+        assert model.iteration_time(empty) == 0.0
 
     def test_memo_does_not_change_answers(self):
         model = IterationCostModel(LLAMA_7B, A100)
