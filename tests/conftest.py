@@ -15,6 +15,13 @@ from repro.evaluation import make_task, pretrain_base_model, run_fmt
 from repro.nn import TransformerConfig, TransformerModel
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regen", action="store_true", default=False,
+        help="rewrite the committed table in tests/test_golden_digests.py "
+             "from this tree instead of comparing against it")
+
+
 @pytest.fixture(scope="session")
 def tiny_config() -> TransformerConfig:
     return TransformerConfig.tiny(vocab_size=128, max_seq=64)

@@ -1,0 +1,332 @@
+"""Golden record digests for the ``disagg`` and ``sharded`` engines.
+
+Records are the contract: a refactor of the fleet mechanism under these
+engines must leave every record of every cell below bit-identical.  A
+cell is one scenario (pool sizes, prefix cache, trace shape) served
+through one wrapper (bare engine, :class:`ServingGateway`, the replicas
+of a 2-replica :class:`ClusterGateway`) in one stepping mode (idle-skip,
+``idle_quantum_s=0.05``); its digest is the sha256 of the record stream
+over the field list ``benchmarks/bench_disagg.record_digest`` uses.
+
+The table at the bottom was recorded on the commit *before* the refactor
+it guards.  Regenerate it only on purpose::
+
+    PYTHONPATH=src python -m pytest tests/test_golden_digests.py --regen
+
+which rewrites the block between the two ``GOLDEN`` markers in this file
+and skips the comparisons; without the flag nothing is ever written.
+"""
+
+import hashlib
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.hardware import Cluster, GPUNode, node_from_name
+from repro.serving import (ClusterGateway, EngineConfig, LLAMA_7B,
+                           ModelManager, SchedulerConfig, ServingGateway,
+                           Tenant, TenantGateway, create_engine)
+from repro.workload import LengthSampler, session_trace, synthetic_trace
+from repro.workload.spec import Trace, TraceRequest
+
+N_MODELS = 4
+MODELS = [f"variant-{i:02d}" for i in range(N_MODELS)]
+WRAPPERS = ("bare", "gateway", "cluster2")
+STEPPING = {"skip": None, "dense": 0.05}
+
+
+# --------------------------------------------------------------------- #
+# scenarios
+# --------------------------------------------------------------------- #
+def sessions():
+    return session_trace(N_MODELS, rate=0.5, duration_s=60.0, seed=7), None
+
+
+def long_prompts():
+    # prompts well past the 512-token chunk: every prefill is slabbed
+    sampler = LengthSampler(prompt_log_mean=6.8, prompt_log_sigma=0.3,
+                            output_mean=24.0, max_prompt=2048,
+                            max_output=64)
+    return synthetic_trace(N_MODELS, rate=1.5, duration_s=20.0, seed=5,
+                           length_sampler=sampler), None
+
+
+def cancels_and_deadlines():
+    # 400-token decodes (~seconds) behind ~0.1 s prefills: every deadline
+    # and every cancel below is scheduled while its request is still on
+    # the prefill side and lands after the KV handoff, or inside it
+    requests = [TraceRequest(
+        request_id=i, model_id=MODELS[i % N_MODELS], arrival_s=0.2 * i,
+        prompt_tokens=128 + 16 * i, output_tokens=400,
+        deadline_s=0.2 * i + 1.5 if i % 4 == 1 else None)   # 1, 5, (9)
+        for i in range(12)]
+    cancels = [(i, 0.2 * i + 0.1 + 0.3 * j)
+               for j, i in enumerate(range(0, 12, 3))]
+    return Trace(requests=requests, model_ids=list(MODELS),
+                 duration_s=3.0), cancels
+
+
+def traffic():
+    return synthetic_trace(N_MODELS, rate=2.0, duration_s=20.0, seed=9), None
+
+
+#: name -> (engine, engine kwargs, prefix cache, trace builder)
+SCENARIOS = {
+    "disagg-1p1d": ("disagg", {"prefill_workers": 1, "decode_workers": 1},
+                    False, sessions),
+    "disagg-1p1d-cache": ("disagg",
+                          {"prefill_workers": 1, "decode_workers": 1},
+                          True, sessions),
+    "disagg-2p2d": ("disagg", {"prefill_workers": 2, "decode_workers": 2},
+                    False, sessions),
+    "disagg-2p2d-cache": ("disagg",
+                          {"prefill_workers": 2, "decode_workers": 2},
+                          True, sessions),
+    "disagg-chunked": ("disagg",
+                       {"prefill_workers": 2, "decode_workers": 2},
+                       False, long_prompts),
+    "disagg-cancels": ("disagg",
+                       {"prefill_workers": 1, "decode_workers": 2},
+                       False, cancels_and_deadlines),
+    "sharded-1node": ("sharded", {"tp_degree": 1, "n_nodes": 1},
+                      False, traffic),
+    "sharded-2node": ("sharded", {"tp_degree": 2, "n_nodes": 2},
+                      False, traffic),
+}
+
+
+# --------------------------------------------------------------------- #
+# harness
+# --------------------------------------------------------------------- #
+def make_manager():
+    mgr = ModelManager(LLAMA_7B)
+    mgr.register_base("base")
+    for model_id in MODELS:
+        mgr.register_delta(model_id, "base", 8.0)
+    return mgr
+
+
+def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
+                node=None):
+    tp = kwargs.get("tp_degree", 1)
+    return create_engine(
+        name, mgr or make_manager(),
+        node or GPUNode(node_from_name("a800", 1)),
+        scheduler_config=SchedulerConfig(max_batch_requests=8,
+                                         max_concurrent_deltas=4),
+        engine_config=EngineConfig(tp_degree=tp, prefix_cache=prefix_cache,
+                                   idle_quantum_s=idle_quantum_s),
+        **kwargs)
+
+
+def cluster_of(name, kwargs, prefix_cache, idle_quantum_s, balancer):
+    mgr = make_manager()
+    return ClusterGateway(
+        engine_factory=lambda node: make_engine(
+            name, kwargs, prefix_cache, idle_quantum_s, mgr=mgr, node=node),
+        cluster=Cluster(node_from_name("a800", 1), n_nodes=2),
+        n_replicas=2, balancer=balancer)
+
+
+def record_digest(records):
+    """sha256 over ``bench_disagg.record_digest``'s field list."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(repr((r.request_id, r.model_id, r.arrival_s, r.finish_s,
+                       r.first_token_s, r.queue_wait_s, r.loading_s,
+                       r.inference_s, r.status)).encode())
+    return h.hexdigest()
+
+
+def serve(scenario, wrapper, stepping):
+    name, kwargs, prefix_cache, build_trace = SCENARIOS[scenario]
+    trace, cancels = build_trace()
+    quantum = STEPPING[stepping]
+    if wrapper == "cluster2":
+        gateway = cluster_of(name, kwargs, prefix_cache, quantum,
+                             "least-outstanding")
+        return gateway.replay(trace, cancels=cancels)
+    engine = make_engine(name, kwargs, prefix_cache, quantum)
+    if wrapper == "gateway":
+        return ServingGateway(engine).replay(trace, cancels=cancels)
+    for request in trace:
+        engine.submit(request)
+    for request_id, at_s in cancels or ():
+        engine.schedule_cancel(request_id, at_s)
+    engine.run_until_drained()
+    return engine.build_result()
+
+
+def tenant_stack(balancer):
+    """The composition the fleet refactor must not disturb: disagg
+    engines as the replicas of a cluster behind an admission frontier,
+    with nothing disagg-specific in either outer layer."""
+    inner = cluster_of("disagg", {"prefill_workers": 1, "decode_workers": 1},
+                       True, None, balancer)
+    gateway = TenantGateway(inner, tenants=(Tenant("default"),))
+    trace, _ = sessions()
+    result = gateway.replay(trace)
+    assert len(result.records) == len(trace)
+    assert all(r.finished for r in result.records)
+    return result
+
+
+CELLS = [f"{scenario}/{wrapper}/{stepping}" for scenario in SCENARIOS
+         for wrapper in WRAPPERS for stepping in STEPPING]
+TENANT_CELLS = [f"tenant-cluster2-disagg/{balancer}"
+                for balancer in ("lineage", "conversation")]
+
+
+def digest_of(cell):
+    if cell in TENANT_CELLS:
+        return record_digest(tenant_stack(cell.split("/")[1]).records)
+    result = serve(*cell.split("/"))
+    assert result.records, "an empty replay pins nothing"
+    return record_digest(result.records)
+
+
+# --------------------------------------------------------------------- #
+# tests
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("cell", CELLS + TENANT_CELLS)
+def test_records_match_the_golden_digest(cell, request):
+    if request.config.getoption("--regen"):
+        pytest.skip("--regen: the table is being rewritten")
+    assert cell in GOLDEN, f"no golden digest for {cell}; run --regen"
+    assert digest_of(cell) == GOLDEN[cell]
+
+
+def test_the_cancel_scenario_crosses_a_handoff():
+    """The scenario is only worth a digest while its cancels and
+    deadlines really land on the decode side of a handoff."""
+    result = serve("disagg-cancels", "gateway", "skip")
+    counts = result.status_counts()
+    assert counts["cancelled"] == 4 and counts["expired"] == 2
+    withdrawn = [r for r in result.records if not r.finished]
+    assert any(r.transfer_s > 0.0 for r in withdrawn)
+
+
+def test_the_table_has_no_stale_cells():
+    assert sorted(GOLDEN) == sorted(CELLS + TENANT_CELLS)
+
+
+def test_regen_rewrites_the_table(request):
+    if not request.config.getoption("--regen"):
+        pytest.skip("pass --regen to rewrite the golden table")
+    rows = [f'    "{cell}":\n        "{digest_of(cell)}",\n'
+            for cell in CELLS + TENANT_CELLS]
+    block = "# GOLDEN-BEGIN\nGOLDEN = {\n" + "".join(rows) + \
+        "}\n# GOLDEN-END\n"
+    path = Path(__file__)
+    source = path.read_text()
+    rewritten, n = re.subn(r"# GOLDEN-BEGIN\n.*?# GOLDEN-END\n",
+                           lambda _: block, source, flags=re.S)
+    assert n == 1, "GOLDEN markers missing"
+    path.write_text(rewritten)
+
+
+# GOLDEN-BEGIN
+GOLDEN = {
+    "disagg-1p1d/bare/skip":
+        "291fb83afd346b57508d84e1f1bd0d1e447122ced0cce892c6d6a589855bb493",
+    "disagg-1p1d/bare/dense":
+        "291fb83afd346b57508d84e1f1bd0d1e447122ced0cce892c6d6a589855bb493",
+    "disagg-1p1d/gateway/skip":
+        "291fb83afd346b57508d84e1f1bd0d1e447122ced0cce892c6d6a589855bb493",
+    "disagg-1p1d/gateway/dense":
+        "291fb83afd346b57508d84e1f1bd0d1e447122ced0cce892c6d6a589855bb493",
+    "disagg-1p1d/cluster2/skip":
+        "4f1d097d90d5f06cee60543cbd167faaabb779c7a0d18642ea8a96e52820f5cb",
+    "disagg-1p1d/cluster2/dense":
+        "4f1d097d90d5f06cee60543cbd167faaabb779c7a0d18642ea8a96e52820f5cb",
+    "disagg-1p1d-cache/bare/skip":
+        "8e9456de172bf57ba24b3e21200da003233ee86b389915b29b8dc988528e3e65",
+    "disagg-1p1d-cache/bare/dense":
+        "8e9456de172bf57ba24b3e21200da003233ee86b389915b29b8dc988528e3e65",
+    "disagg-1p1d-cache/gateway/skip":
+        "8e9456de172bf57ba24b3e21200da003233ee86b389915b29b8dc988528e3e65",
+    "disagg-1p1d-cache/gateway/dense":
+        "8e9456de172bf57ba24b3e21200da003233ee86b389915b29b8dc988528e3e65",
+    "disagg-1p1d-cache/cluster2/skip":
+        "dd6d860ed9f768842d336feb79c41aa81be78a33a3931979f2608c9b1012651c",
+    "disagg-1p1d-cache/cluster2/dense":
+        "dd6d860ed9f768842d336feb79c41aa81be78a33a3931979f2608c9b1012651c",
+    "disagg-2p2d/bare/skip":
+        "15ed9666a078340bf638980fc6bd5a40a7f466468daccaf27daa0ac700d681ba",
+    "disagg-2p2d/bare/dense":
+        "15ed9666a078340bf638980fc6bd5a40a7f466468daccaf27daa0ac700d681ba",
+    "disagg-2p2d/gateway/skip":
+        "15ed9666a078340bf638980fc6bd5a40a7f466468daccaf27daa0ac700d681ba",
+    "disagg-2p2d/gateway/dense":
+        "15ed9666a078340bf638980fc6bd5a40a7f466468daccaf27daa0ac700d681ba",
+    "disagg-2p2d/cluster2/skip":
+        "3b7453a3af658c050ee3ba1bc24d063de94e04d7004669d46d579fe90ef3e0a7",
+    "disagg-2p2d/cluster2/dense":
+        "3b7453a3af658c050ee3ba1bc24d063de94e04d7004669d46d579fe90ef3e0a7",
+    "disagg-2p2d-cache/bare/skip":
+        "3de41d974ddb53357a4463a615815ca98d76fba7115de94c1dbef98fa433d597",
+    "disagg-2p2d-cache/bare/dense":
+        "3de41d974ddb53357a4463a615815ca98d76fba7115de94c1dbef98fa433d597",
+    "disagg-2p2d-cache/gateway/skip":
+        "3de41d974ddb53357a4463a615815ca98d76fba7115de94c1dbef98fa433d597",
+    "disagg-2p2d-cache/gateway/dense":
+        "3de41d974ddb53357a4463a615815ca98d76fba7115de94c1dbef98fa433d597",
+    "disagg-2p2d-cache/cluster2/skip":
+        "b230944c1fe8c6dea0cb254d96e0d0a2644e58701241441a6afe88d55c22ca75",
+    "disagg-2p2d-cache/cluster2/dense":
+        "b230944c1fe8c6dea0cb254d96e0d0a2644e58701241441a6afe88d55c22ca75",
+    "disagg-chunked/bare/skip":
+        "0041a8c2f5eca623fc78f6a1796f10202b679d1a7d7d5bf60fc728fc03f3fc46",
+    "disagg-chunked/bare/dense":
+        "0041a8c2f5eca623fc78f6a1796f10202b679d1a7d7d5bf60fc728fc03f3fc46",
+    "disagg-chunked/gateway/skip":
+        "0041a8c2f5eca623fc78f6a1796f10202b679d1a7d7d5bf60fc728fc03f3fc46",
+    "disagg-chunked/gateway/dense":
+        "0041a8c2f5eca623fc78f6a1796f10202b679d1a7d7d5bf60fc728fc03f3fc46",
+    "disagg-chunked/cluster2/skip":
+        "f39fb1ab2ab5afca9b6ef86d9919e255d963c6f4303dfad88c4348726b38c996",
+    "disagg-chunked/cluster2/dense":
+        "f39fb1ab2ab5afca9b6ef86d9919e255d963c6f4303dfad88c4348726b38c996",
+    "disagg-cancels/bare/skip":
+        "25ca6d9b4288a66b446a5d5feb844a6c97f31db5dc50264082ed57b49c46af72",
+    "disagg-cancels/bare/dense":
+        "25ca6d9b4288a66b446a5d5feb844a6c97f31db5dc50264082ed57b49c46af72",
+    "disagg-cancels/gateway/skip":
+        "25ca6d9b4288a66b446a5d5feb844a6c97f31db5dc50264082ed57b49c46af72",
+    "disagg-cancels/gateway/dense":
+        "25ca6d9b4288a66b446a5d5feb844a6c97f31db5dc50264082ed57b49c46af72",
+    "disagg-cancels/cluster2/skip":
+        "61fbc8e491eee6d88a149a9e2339a240e7b115ffac38692e3f347634741cf1a2",
+    "disagg-cancels/cluster2/dense":
+        "61fbc8e491eee6d88a149a9e2339a240e7b115ffac38692e3f347634741cf1a2",
+    "sharded-1node/bare/skip":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "sharded-1node/bare/dense":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "sharded-1node/gateway/skip":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "sharded-1node/gateway/dense":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "sharded-1node/cluster2/skip":
+        "421d9ee037215e49d26094b91b053584c49673080075de6f984ed9a69d0f0fe7",
+    "sharded-1node/cluster2/dense":
+        "421d9ee037215e49d26094b91b053584c49673080075de6f984ed9a69d0f0fe7",
+    "sharded-2node/bare/skip":
+        "8fdc018d88f3110d05fda531fcd99f90d6e817b45c1e438bdc3d11869cd1261d",
+    "sharded-2node/bare/dense":
+        "8fdc018d88f3110d05fda531fcd99f90d6e817b45c1e438bdc3d11869cd1261d",
+    "sharded-2node/gateway/skip":
+        "8fdc018d88f3110d05fda531fcd99f90d6e817b45c1e438bdc3d11869cd1261d",
+    "sharded-2node/gateway/dense":
+        "8fdc018d88f3110d05fda531fcd99f90d6e817b45c1e438bdc3d11869cd1261d",
+    "sharded-2node/cluster2/skip":
+        "74103c8083b4f0938c3e60f8ee96d51f2dcf856539b2cca37aae9343b064b4cb",
+    "sharded-2node/cluster2/dense":
+        "74103c8083b4f0938c3e60f8ee96d51f2dcf856539b2cca37aae9343b064b4cb",
+    "tenant-cluster2-disagg/lineage":
+        "5fd9eff086e63d318445282c90a9aae5b3e843f95c77e385ebe2ecbfba93b58f",
+    "tenant-cluster2-disagg/conversation":
+        "d993dac20f21c5bfd66344339e2ba12a6bdb1b1aabb931ae6f974ff477c4d88c",
+}
+# GOLDEN-END
