@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from .interconnect import ring_allreduce_time
 from .memory import MemoryPool, Tier, TransferModel
 from .specs import GPUSpec, NodeSpec, node_from_name
 
@@ -32,16 +33,15 @@ class SimulatedGPU:
 def allreduce_time(nbytes: float, n_gpus: int, gpu: GPUSpec) -> float:
     """Ring all-reduce cost across a tensor-parallel group.
 
-    Ring moves ``2 (n-1)/n`` of the buffer per GPU over the peer link; with
-    no NVLink (RTX 3090) traffic crosses PCIe, which is the effect behind
-    Fig 18's platform gap.
+    The ring (:func:`~repro.hardware.interconnect.ring_allreduce_time`)
+    runs over the peer link; with no NVLink (RTX 3090) traffic crosses
+    PCIe, which is the effect behind Fig 18's platform gap.
     """
-    if n_gpus <= 1:
-        return 0.0
-    link_gbps = gpu.nvlink_gbps if gpu.nvlink_gbps > 0 else gpu.pcie_gbps
-    latency = _NVLINK_LATENCY_S if gpu.nvlink_gbps > 0 else _PCIE_P2P_LATENCY_S
-    volume = 2.0 * (n_gpus - 1) / n_gpus * nbytes
-    return latency * 2 * (n_gpus - 1) + volume / (link_gbps * 1e9)
+    if gpu.nvlink_gbps > 0:
+        return ring_allreduce_time(nbytes, n_gpus, gpu.nvlink_gbps,
+                                   _NVLINK_LATENCY_S)
+    return ring_allreduce_time(nbytes, n_gpus, gpu.pcie_gbps,
+                               _PCIE_P2P_LATENCY_S)
 
 
 @dataclass
@@ -116,6 +116,10 @@ class Cluster:
     @property
     def n_free(self) -> int:
         return self.n_nodes - len(self._allocated)
+
+    def is_allocated(self, node: Optional[GPUNode]) -> bool:
+        """Does a replica currently hold this very node object?"""
+        return any(allocated is node for allocated in self._allocated)
 
     def acquire(self) -> GPUNode:
         """Allocate one node (fresh memory pools) to a replica."""

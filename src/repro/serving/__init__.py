@@ -9,10 +9,8 @@ from .cluster import (Autoscaler, AutoscalerConfig, AutoscalerSample,
                       LoadBalancer, Replica, RoundRobinBalancer,
                       create_balancer)
 from .costs import BatchComposition, IterationCostModel
-from .disagg import (DisaggregatedEngine, PoolAutoscaler, PoolSample,
-                     PoolScalingPolicy, ShardedEngine)
-from .kv_transfer import (InterconnectModel, KvTransferPlan,
-                          plan_kv_transfer)
+from .disagg import DisaggregatedEngine, ShardedEngine
+from .kv_transfer import KvTransferPlan, plan_kv_transfer
 from .economics import (DeploymentCost, GPU_HOURLY_USD, compare_deployments,
                         cost_per_tenant, deployment_cost)
 from .engine import DeltaZipEngine
@@ -51,9 +49,8 @@ __all__ = [
     "LeastOutstandingBalancer", "LineageAffinityBalancer",
     "LoadBalancer", "Replica", "RoundRobinBalancer", "create_balancer",
     "BatchComposition", "IterationCostModel",
-    "DisaggregatedEngine", "PoolAutoscaler", "PoolSample",
-    "PoolScalingPolicy", "ShardedEngine",
-    "InterconnectModel", "KvTransferPlan", "plan_kv_transfer",
+    "DisaggregatedEngine", "ShardedEngine",
+    "KvTransferPlan", "plan_kv_transfer",
     "DeploymentCost", "GPU_HOURLY_USD", "compare_deployments",
     "cost_per_tenant", "deployment_cost",
     "DeltaZipEngine", "EngineConfig", "TimelineEvent",

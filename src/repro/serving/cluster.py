@@ -5,13 +5,16 @@ PR 1 made every engine an online submit/step system behind a
 single node.  This module scales that surface out:
 
 * :class:`Replica` — one engine + gateway on its own :class:`GPUNode`;
+* :class:`ReplicaSet` — a fleet's members and their spawn / un-drain /
+  drain / reap lifecycle on a hardware cluster: the gateway's replicas
+  here, and each worker pool of :mod:`repro.serving.disagg`;
 * :class:`LoadBalancer` policies (:data:`BALANCERS` registry):
   ``round-robin``, ``least-outstanding``, and ``lineage`` session affinity
   that keeps a variant's delta resident on the replica that already paid to
   load it;
 * :class:`Autoscaler` — a queue-depth / TTFT-watermark controller with
-  cooldowns that spawns and drains replicas at runtime through the engine
-  factory and the multi-node :class:`~repro.hardware.cluster.Cluster`;
+  cooldowns that spawns and drains the members of a gateway (or of one
+  disaggregated pool) at runtime;
 * :class:`ClusterGateway` — the same ``submit`` / ``step`` /
   ``run_until_drained`` / ``replay`` surface as a single gateway, so
   clients are replica-count-agnostic.
@@ -41,8 +44,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
-                    Type, Union)
+from typing import (Any, Callable, Deque, Dict, Generic, List, Optional,
+                    Sequence, Tuple, Type, TypeVar, Union)
 
 import numpy as np
 
@@ -60,7 +63,7 @@ from .request import RequestRecord, synthesized_abort_record
 from .streaming_metrics import RecordPolicy
 
 __all__ = [
-    "Replica", "LoadBalancer", "RoundRobinBalancer",
+    "Replica", "ReplicaSet", "LoadBalancer", "RoundRobinBalancer",
     "LeastOutstandingBalancer", "LineageAffinityBalancer",
     "ConversationAffinityBalancer",
     "BALANCERS", "create_balancer",
@@ -106,6 +109,81 @@ class Replica:
         state = "draining" if self.draining else "active"
         return (f"Replica({self.name}, {state}, "
                 f"unfinished={self.unfinished}, clock={self.clock:.1f})")
+
+
+#: a fleet member: anything with ``id``, ``draining``, ``unfinished``, ``node``
+M = TypeVar("M")
+
+
+class ReplicaSet(Generic[M]):
+    """One fleet's members and their spawn / un-drain / drain / reap
+    lifecycle: a :class:`ClusterGateway`'s replicas, and each worker
+    pool of a :class:`~repro.serving.disagg.DisaggregatedEngine`.
+    ``build(node)`` makes a member on a node acquired from ``cluster``
+    (``None``: a fleet without a hardware ledger).  A draining member
+    stays in ``members`` while it runs its queue dry, then moves to
+    ``retired`` (kept for its stats) and returns its node."""
+
+    def __init__(self, build: Callable[[Optional[GPUNode]], M],
+                 cluster: Optional[Cluster] = None):
+        self.members: List[M] = []
+        self.retired: List[M] = []
+        self.n_draining = 0               # draining entries of `members`
+        self.cluster = cluster
+        #: other sets leasing from ``cluster`` (for the sanitizer's census)
+        self.peers: Tuple["ReplicaSet[Any]", ...] = ()
+        self._build = build
+
+    def active_replicas(self) -> List[M]:
+        return [m for m in self.members if not m.draining]
+
+    @property
+    def n_replicas(self) -> int:
+        return len(self.members) - self.n_draining
+
+    def grow(self) -> Tuple[M, bool]:
+        """One more active member, and whether it was revived: the
+        youngest draining member is un-drained before anything is built
+        (no cold start, and draining members still hold their nodes)."""
+        revived = self.n_draining > 0
+        if revived:
+            member = max((m for m in self.members if m.draining),
+                         key=lambda m: m.id)
+            member.draining = False
+            self.n_draining -= 1
+        else:
+            member = self._build(self.cluster.acquire()
+                                 if self.cluster is not None else None)
+            self.members.append(member)
+        if _sanitizer.enabled():
+            _sanitizer.check_replica_set(self, self.cluster)
+        return member, revived
+
+    def shrink(self, member: Optional[M] = None) -> M:
+        """Stop routing to one member — by default the cheapest to
+        retire: least outstanding work, on ties the youngest."""
+        if self.n_replicas <= 1:
+            raise RuntimeError("cannot drain the last active replica")
+        if member is None:
+            member = min(self.active_replicas(),
+                         key=lambda m: (m.unfinished, -m.id))
+        member.draining = True
+        self.n_draining += 1
+        if _sanitizer.enabled():
+            _sanitizer.check_replica_set(self, self.cluster)
+        return member
+
+    def reap(self) -> None:
+        """Retire the draining members that ran dry; free their nodes."""
+        for member in [m for m in self.members
+                       if m.draining and m.unfinished == 0]:
+            self.members.remove(member)
+            self.retired.append(member)
+            self.n_draining -= 1
+            if self.cluster is not None and member.node is not None:
+                self.cluster.release(member.node)
+        if _sanitizer.enabled():
+            _sanitizer.check_replica_set(self, self.cluster)
 
 
 # --------------------------------------------------------------------------- #
@@ -423,6 +501,16 @@ class AutoscalerConfig:
             raise ValueError("max_replicas must be >= min_replicas")
         if self.low_queue_per_replica >= self.high_queue_per_replica:
             raise ValueError("low watermark must sit below the high one")
+        for knob, ok, want in (
+                ("check_interval_s", self.check_interval_s > 0, "> 0"),
+                ("scale_up_cooldown_s", self.scale_up_cooldown_s >= 0, ">= 0"),
+                ("scale_down_cooldown_s", self.scale_down_cooldown_s >= 0,
+                 ">= 0"),
+                ("ttft_quantile", 0 <= self.ttft_quantile <= 100,
+                 "in [0, 100]")):
+            if not ok:
+                raise ValueError(
+                    f"{knob} must be {want}, got {getattr(self, knob)!r}")
 
 
 @dataclass
@@ -437,7 +525,11 @@ class AutoscalerSample:
 
 
 class Autoscaler:
-    """Queue-driven replica controller for a :class:`ClusterGateway`.
+    """Queue-driven replica controller for a :class:`ClusterGateway`, or
+    for a disaggregated worker pool: anything with the six members
+    :meth:`control` uses (``sim_now``, ``active_replicas()``,
+    ``admission_queued``, ``recent_ttft_percentile()``,
+    ``spawn_replica()``, ``drain_replica()`` / ``n_replicas``).
 
     The gateway schedules the controller as
     :class:`~repro.sim.AutoscalerTick` events on its sim kernel — one
@@ -471,28 +563,28 @@ class Autoscaler:
     def max_replica_count(self) -> int:
         return max((s.n_replicas for s in self.history), default=0)
 
-    def control(self, gateway: "ClusterGateway") -> Optional[str]:
+    def control(self, target: Any) -> Optional[str]:
         # observe at the monotone kernel clock (the ratcheted frontier),
         # not the most-advanced replica: a replica that raced ahead must
         # not fast-forward the controller's notion of elapsed time, and
         # an idle-moment fallback to the max clock must not leave
         # _last_check stamped ahead of later frontier observations
-        now = gateway.sim_now
+        now = target.sim_now
         cfg = self.config
         if self._last_check is not None and \
                 now - self._last_check < cfg.check_interval_s:
             return None
         self._last_check = now
 
-        active = gateway.active_replicas()
+        active = target.active_replicas()
         n = len(active)
         # backlog, not unfinished: replayed traces submit far-future
         # arrivals up front, and the controller must not scale on load
         # that has not been offered yet.  Admission-held requests count:
         # they are offered load the engines cannot see.
-        offered = sum(r.backlog for r in active) + gateway.admission_queued
+        offered = sum(r.backlog for r in active) + target.admission_queued
         queue_per = offered / max(n, 1)
-        ttft_tail = gateway.recent_ttft_percentile(cfg.ttft_quantile)
+        ttft_tail = target.recent_ttft_percentile(cfg.ttft_quantile)
 
         action = None
         overloaded = queue_per > cfg.high_queue_per_replica or \
@@ -501,18 +593,18 @@ class Autoscaler:
             (cfg.ttft_high_s is None or ttft_tail <= cfg.ttft_high_s)
         if overloaded and n < cfg.max_replicas and \
                 self._cooled(self._last_up, now, cfg.scale_up_cooldown_s):
-            gateway.spawn_replica()
+            target.spawn_replica()
             self._last_up = now
             action = "scale_up"
         elif idle and n > cfg.min_replicas and \
                 self._cooled(self._last_down, now, cfg.scale_down_cooldown_s) \
                 and self._cooled(self._last_up, now, cfg.scale_down_cooldown_s):
-            gateway.drain_replica()
+            target.drain_replica()
             self._last_down = now
             action = "scale_down"
 
         self.history.append(AutoscalerSample(
-            clock_s=now, n_replicas=gateway.n_replicas,
+            clock_s=now, n_replicas=target.n_replicas,
             queue_per_replica=queue_per, ttft_tail_s=ttft_tail,
             action=action))
         return action
@@ -546,8 +638,7 @@ class ClusterGateway(Gateway):
                  on_request_complete: Optional[CompletionCallback] = None,
                  collect_timeline: bool = False,
                  journal: bool = False,
-                 telemetry=None,
-                 _replicas: Optional[List[Replica]] = None):
+                 telemetry=None, _fixed: bool = False):
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         super().__init__(on_token, on_request_complete)
@@ -558,7 +649,6 @@ class ClusterGateway(Gateway):
         self.balancer = create_balancer(balancer)
         self.autoscaler = autoscaler
         self._factory = engine_factory
-        self._cluster = cluster
         self._collect_timeline = collect_timeline
         self._journal = journal
         self._next_replica_id = 0
@@ -571,18 +661,14 @@ class ClusterGateway(Gateway):
         self._pending_cancels: Dict[int, Tuple[float, str]] = {}
         self._orphans: List[RequestRecord] = []    # cancelled before routing
         self._recent_records: Deque[RequestRecord] = deque(maxlen=256)
-        self.replicas: List[Replica] = []
-        self.retired: List[Replica] = []
-        self._n_draining = 0              # draining members of `replicas`
+        self._set: ReplicaSet[Replica] = ReplicaSet(self._build_replica,
+                                                    cluster)
+        self.replicas: List[Replica] = self._set.members   # the same lists
+        self.retired: List[Replica] = self._set.retired
         self._sanitize = _sanitizer.enabled()
         # the frontier ledger: busy replicas by (clock, id), see least_busy
         self._busy: KeyedHeap[Replica] = KeyedHeap()
-        if _replicas is not None:
-            for replica in _replicas:
-                self.replicas.append(replica)
-                self._next_replica_id = max(self._next_replica_id,
-                                            replica.id + 1)
-        else:
+        if not _fixed:
             if engine_factory is None:
                 raise ValueError(
                     "pass an engine_factory (or use from_engines)")
@@ -616,21 +702,22 @@ class ClusterGateway(Gateway):
             raise ValueError("names must match engines one-to-one")
         gateway = cls(balancer=balancer, on_token=on_token,
                       on_request_complete=on_request_complete,
-                      collect_timeline=collect_timeline, _replicas=[])
+                      collect_timeline=collect_timeline, _fixed=True)
         for i, engine in enumerate(engines):
             name = names[i] if names is not None else None
-            gateway._add_replica(engine, name=name)
+            gateway.replicas.append(
+                gateway._build_replica(None, engine, name))
         return gateway
 
     # ------------------------------------------------------------------ #
     # replica-set management
     # ------------------------------------------------------------------ #
     def active_replicas(self) -> List[Replica]:
-        return [r for r in self.replicas if not r.draining]
+        return self._set.active_replicas()
 
     @property
     def n_replicas(self) -> int:
-        return len(self.replicas) - self._n_draining
+        return len(self.replicas) - self._set.n_draining
 
     def lead_engine(self) -> Optional[ServingEngine]:
         pool = self.replicas or self.retired
@@ -640,60 +727,41 @@ class ClusterGateway(Gateway):
         return [r.engine for r in self.replicas]
 
     def spawn_replica(self) -> Replica:
-        """Bring one more replica online at the current cluster clock.
-
-        A still-draining replica is revived instead of spawning a fresh
-        one: it is strictly cheaper (no cold start, deltas still
-        resident) and keeps the node count flat — which is what makes
-        scale-up safe when draining replicas still hold their nodes.
-        """
-        if self._n_draining:
-            revived = max((r for r in self.replicas if r.draining),
-                          key=lambda r: r.id)             # youngest first
-            revived.draining = False
-            self._n_draining -= 1
-            self.kernel.emit(ReplicaSpawn(time=self.kernel.now,
-                                          replica_id=revived.id,
-                                          revived=True))
-            return revived
-        if self._factory is None:
-            raise RuntimeError(
-                "this gateway has a fixed replica set (no engine factory)")
-        node = self._cluster.acquire() if self._cluster is not None else None
-        engine = self._factory(node) if node is not None \
-            else self._factory(None)
-        # the new replica joins *now*: its private clock starts at the
-        # cluster clock so cold-start latencies are measured from spawn
-        engine.clock = max(engine.clock, self.clock)
-        return self._add_replica(engine, node=node)
+        """Bring one more replica online at the current cluster clock
+        (a still-draining one is revived first: :meth:`ReplicaSet.grow`)."""
+        replica, revived = self._set.grow()
+        self.kernel.emit(ReplicaSpawn(time=self.kernel.now,
+                                      replica_id=replica.id, revived=revived))
+        return replica
 
     def drain_replica(self, replica: Optional[Replica] = None) -> Replica:
         """Stop routing to one replica; it is retired once it drains."""
         if replica is not None and replica.draining:
             return replica
-        if self.n_replicas <= 1:
-            raise RuntimeError("cannot drain the last active replica")
-        if replica is None:
-            # cheapest to retire: least outstanding work; on ties the
-            # youngest goes first (spawned last, drained first)
-            replica = min(self.active_replicas(),
-                          key=lambda r: (r.unfinished, -r.id))
-        replica.draining = True
-        self._n_draining += 1
+        replica = self._set.shrink(replica)
         self.kernel.emit(ReplicaDrain(time=self.kernel.now,
                                       replica_id=replica.id))
         self.balancer.on_removed(replica, self.active_replicas())
         self._reap_drained()
         return replica
 
-    def _add_replica(self, engine: ServingEngine,
-                     name: Optional[str] = None,
-                     node: Optional[GPUNode] = None) -> Replica:
+    def _build_replica(self, node: Optional[GPUNode],
+                       engine: Optional[ServingEngine] = None,
+                       name: Optional[str] = None) -> Replica:
+        """A wired replica on ``node`` — around ``engine`` when given
+        (:meth:`from_engines`), else around one the factory builds."""
+        if engine is None:
+            if self._factory is None:
+                raise RuntimeError("this gateway has a fixed replica set "
+                                   "(no engine factory)")
+            engine = self._factory(node)
+            # the new replica joins *now*: its private clock starts at the
+            # cluster clock so cold-start latencies are measured from spawn
+            engine.clock = max(engine.clock, self.clock)
         replica = Replica(self._next_replica_id, engine, name=name, node=node,
                           on_request_complete=self._record_completion,
                           collect_timeline=self._collect_timeline)
         self._next_replica_id += 1
-        self.replicas.append(replica)
         if self._token_tap:
             replica.gateway.add_token_listener(self._token_fanout)
         if self._journal or self._telemetry is not None:
@@ -702,20 +770,11 @@ class ClusterGateway(Gateway):
             engine.on_event = self.kernel.emit
         if self._telemetry is not None:
             engine.emit_phases = True
-        self.kernel.emit(ReplicaSpawn(time=self.kernel.now,
-                                      replica_id=replica.id))
         return replica
 
     def _reap_drained(self) -> None:
-        if not self._n_draining:
-            return
-        for replica in [r for r in self.replicas
-                        if r.draining and r.unfinished == 0]:
-            self.replicas.remove(replica)
-            self.retired.append(replica)
-            self._n_draining -= 1
-            if self._cluster is not None and replica.node is not None:
-                self._cluster.release(replica.node)
+        if self._set.n_draining:
+            self._set.reap()
 
     # ------------------------------------------------------------------ #
     # the single-gateway surface

@@ -5,24 +5,29 @@ different machines (DistServe, Splitwise): *prefill* is compute-bound
 and batches well by tokens, *decode* is memory-bound and batches well
 by requests, so colocating them forces one pool's batching policy onto
 the other.  This module builds that architecture on top of the existing
-engine template:
+engine template and the cluster layer's fleet mechanism:
 
 * :class:`DisaggregatedEngine` (registered ``disagg``) owns two
-  heterogeneous worker pools acquired from a :class:`~repro.hardware.
-  cluster.Cluster` — a prefill pool running chunked prefill to
-  completion and a decode pool running continuous batching.  When a
-  request's prefill finishes, its KV blocks cross the pool interconnect
-  as a typed :class:`~repro.sim.KvTransfer` event priced by
+  heterogeneous worker pools on one :class:`~repro.hardware.cluster.
+  Cluster` — a prefill pool running chunked prefill to completion and a
+  decode pool running continuous batching.  Each pool *is* a
+  :class:`~repro.serving.cluster.ReplicaSet` (a cluster gateway's spawn
+  / un-drain / drain / reap lifecycle) routed by a cluster
+  :class:`~repro.serving.cluster.LoadBalancer`.  When a request's
+  prefill finishes, its KV blocks cross the node interconnect as a typed
+  :class:`~repro.sim.KvTransfer` event priced by
   :func:`~repro.serving.kv_transfer.plan_kv_transfer` (uncached suffix
   only when the prefill side's prefix cache held the shared prefix),
   and the request resumes decoding on the least-loaded decode worker.
-* :class:`PoolAutoscaler` makes scaling pool-aware: separate
-  watermarks, cooldowns, and spawn/drain per role, so a prefill-heavy
-  burst grows the prefill pool without over-provisioning decode.
+* Scaling is pool-aware: each pool takes its own
+  :class:`~repro.serving.cluster.Autoscaler` — separate watermarks,
+  cooldowns and check intervals per role — so a prefill-heavy burst
+  grows the prefill pool without over-provisioning decode.
 * :class:`ShardedEngine` (registered ``sharded``) spans one
   tensor-parallel group across several cluster nodes, charging the
-  per-layer inter-node ring all-reduce over the same interconnect
-  model on top of the intra-node collective already priced by
+  per-layer inter-node ring all-reduce over the same
+  :class:`~repro.hardware.interconnect.InterconnectModel` on top of the
+  intra-node collective already priced by
   :class:`~repro.serving.costs.IterationCostModel`.
 
 Determinism contract: pool workers are full
@@ -38,27 +43,28 @@ disaggregation off (nothing in this module runs unless constructed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import fields as dataclass_fields, replace
+from math import inf
+from typing import Any, Dict, List, Optional, Set, Tuple, Type
 
 from ..hardware.cluster import Cluster, GPUNode
+from ..hardware.interconnect import InterconnectModel
 from ..sim import Event, KvTransfer, PhaseTransition
 from ..workload.spec import TraceRequest
 from .base import (Admission, EngineConfig, ServingEngine, register_engine)
+from .cluster import (Autoscaler, ConversationAffinityBalancer,
+                      LeastOutstandingBalancer, LoadBalancer, ReplicaSet)
 from .costs import BatchComposition
 from .engine import DeltaZipEngine
-from .kv_transfer import InterconnectModel, plan_kv_transfer
+from .kv_transfer import plan_kv_transfer
 from .metrics import EngineStats
 from .model_manager import ArtifactKind, ModelManager
 from .models import FP16
-from .prefix_cache import PrefixCache
 from .request import RequestState, ServingRequest
 from .scheduler import SchedulerConfig
 
-__all__ = [
-    "DEFAULT_PREFILL_CHUNK_TOKENS", "PoolScalingPolicy", "PoolSample",
-    "PoolAutoscaler", "DisaggregatedEngine", "ShardedEngine",
-]
+__all__ = ["DEFAULT_PREFILL_CHUNK_TOKENS", "DisaggregatedEngine",
+           "ShardedEngine"]
 
 #: token budget of one chunked-prefill slab on a prefill worker
 DEFAULT_PREFILL_CHUNK_TOKENS = 512
@@ -72,20 +78,22 @@ class _PoolWorker(DeltaZipEngine):
 
     Workers forward tokens, finishes, and events to the owning
     :class:`DisaggregatedEngine`, which maintains the canonical
-    (client-visible) request objects.  ``draining`` workers accept no
-    new routes but run their queue dry before their node is released.
+    (client-visible) request objects.  A worker is itself its pool's
+    :class:`~repro.serving.cluster.ReplicaSet` member (``id``,
+    ``draining``): a draining worker accepts no new routes but runs its
+    queue dry before its node is released.
     """
 
-    def __init__(self, owner: "DisaggregatedEngine", role: str,
-                 worker_id: int, manager: ModelManager, node: GPUNode,
-                 scheduler_config: SchedulerConfig,
-                 engine_config: EngineConfig):
+    role = "worker"
+
+    def __init__(self, owner: "DisaggregatedEngine", worker_id: int,
+                 node: GPUNode):
         self.owner = owner
-        self.role = role
-        self.worker_id = worker_id
+        self.id = worker_id
         self.draining = False
-        self.name = f"disagg.{role}{worker_id}"
-        super().__init__(manager, node, scheduler_config, engine_config)
+        self.name = f"disagg.{self.role}{worker_id}"
+        super().__init__(owner.manager, node, owner.scheduler_config,
+                         owner.config)
         self.on_token = self._token_to_owner
         self.on_finish = self._finish_to_owner
 
@@ -99,28 +107,13 @@ class _PoolWorker(DeltaZipEngine):
     def _event_to_owner(self, event: Event) -> None:
         self.owner._on_worker_event(self, event)
 
-    def flush_residency(self) -> None:
-        """Cold-start state drop for a worker revived onto a fresh node:
-        resident deltas, prefetch futures, and the prefix pool are gone
-        (the new node's memory starts empty); swap-ins repay naturally."""
-        self._resident.clear()
-        self._resident_bytes = 0
-        self._cpu_ready_s.clear()
-        if self._prefix_cache is not None:
-            self._prefix_cache = PrefixCache(self.config.prefix_block_tokens)
-        self._prefix_refs.clear()
-        # the "admit nothing" verdict was reached against the old
-        # resident set
-        self._idle_admit_key = None
-
     def _next_wake(self) -> Optional[float]:
         """Clamp idle jumps to the owner's next autoscaler check so the
-        controller observes the pools at its scheduled boundaries in both
-        idle-skip modes (a jump may not overshoot a check)."""
+        controllers observe the pools at their scheduled boundaries in
+        both idle-skip modes (a jump may not overshoot a check)."""
         wake = super()._next_wake()
-        bound = self.owner._scaler_bound()
-        if wake is not None and bound is not None and \
-                self.clock < bound < wake:
+        bound = self.owner._next_check_s
+        if wake is not None and self.clock < bound < wake:
             return bound
         return wake
 
@@ -128,6 +121,8 @@ class _PoolWorker(DeltaZipEngine):
 class _PrefillWorker(_PoolWorker):
     """Prefill pool member: chunked prefill, requests retire after one
     token (their surrogate trace asks for exactly one output token)."""
+
+    role = "prefill"
 
     def iteration_cost(self,
                        admitted: List[ServingRequest]) -> Optional[float]:
@@ -176,6 +171,8 @@ class _DecodeWorker(_PoolWorker):
     so the engine's swap-resume path admits it straight into decode.
     """
 
+    role = "decode"
+
     def _reset_engine(self) -> None:
         super()._reset_engine()
         # prefix reuse is priced once, on the prefill side; the decode
@@ -206,85 +203,55 @@ class _DecodeWorker(_PoolWorker):
 
 
 # --------------------------------------------------------------------- #
-# pool-aware autoscaling
+# worker pools
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class PoolScalingPolicy:
-    """Per-role watermarks for the pool autoscaler."""
+class _Pool(ReplicaSet[_PoolWorker]):
+    """One role's workers: a :class:`~repro.serving.cluster.ReplicaSet`
+    whose members are the worker engines, the balancer that routes to
+    them, and the six members an :class:`~repro.serving.cluster.
+    Autoscaler` reads and drives on its target."""
 
-    min_workers: int = 1
-    max_workers: int = 4
-    high_backlog_per_worker: float = 8.0
-    low_backlog_per_worker: float = 1.0
-    scale_up_cooldown_s: float = 5.0
-    scale_down_cooldown_s: float = 30.0
+    def __init__(self, owner: "DisaggregatedEngine",
+                 worker_cls: Type[_PoolWorker], balancer: LoadBalancer,
+                 scaler: Optional[Autoscaler]):
+        super().__init__(self._build_worker, owner._cluster)
+        self.owner = owner
+        self.role = worker_cls.role
+        self.balancer = balancer
+        self.scaler = scaler
+        self._worker_cls = worker_cls
+        self.sim_now = 0.0    # the check boundary the controller observes
+        self.next_check_s = inf
+        if scaler is not None:
+            scaler.reset()
+            self.next_check_s = scaler.config.check_interval_s
 
+    def _build_worker(self, node: Optional[GPUNode]) -> _PoolWorker:
+        assert node is not None           # pools always sit on a cluster
+        owner = self.owner
+        worker = self._worker_cls(owner, owner._next_worker_id, node)
+        owner._next_worker_id += 1
+        worker.clock = self.sim_now       # cold start counts from spawn
+        owner._wire_hooks(worker)
+        return worker
 
-@dataclass(frozen=True)
-class PoolSample:
-    """One autoscaler action on one pool (observability record)."""
+    # the rest of what an Autoscaler asks of its target ----------------- #
+    @property
+    def admission_queued(self) -> int:
+        # KV moves in flight: decode load its engines cannot see yet
+        return len(self.owner._in_transfer) if self.role == "decode" else 0
 
-    clock_s: float
-    role: str
-    action: str            # "scale-up" | "scale-down"
-    n_workers: int         # active (non-draining) workers after the action
-    backlog_per_worker: float
+    def recent_ttft_percentile(self, q: float = 90.0) -> float:
+        return 0.0                        # pools scale on backlog alone
 
+    def spawn_replica(self) -> _PoolWorker:
+        return self.grow()[0]
 
-class PoolAutoscaler:
-    """Separate spawn/drain control loops for the prefill and decode
-    pools.  Checks run at fixed simulated intervals; each role compares
-    its backlog per active worker against its own watermarks, so a
-    prefill-heavy burst grows only the prefill pool.  Spawns prefer
-    reviving a draining/parked worker (warm pool) before acquiring a
-    fresh cluster node.  One autoscaler drives one engine."""
-
-    def __init__(self, prefill: PoolScalingPolicy = PoolScalingPolicy(),
-                 decode: PoolScalingPolicy = PoolScalingPolicy(),
-                 check_interval_s: float = 2.0):
-        if check_interval_s <= 0:
-            raise ValueError("check_interval_s must be > 0")
-        self.prefill = prefill
-        self.decode = decode
-        self.check_interval_s = check_interval_s
-        self.history: List[PoolSample] = []
-        self._cooldown_until: Dict[str, float] = {}
-        self.reset()
-
-    def reset(self) -> None:
-        self.history = []
-        self._cooldown_until = {"prefill": 0.0, "decode": 0.0}
-
-    def policy(self, role: str) -> PoolScalingPolicy:
-        return self.prefill if role == "prefill" else self.decode
-
-    def control(self, engine: "DisaggregatedEngine", at_s: float) -> None:
-        """One observation of both pools at simulated time ``at_s``."""
-        for role in ("prefill", "decode"):
-            policy = self.policy(role)
-            active = engine.active_workers(role)
-            backlog = engine.pool_backlog(role)
-            per = backlog / max(1, len(active))
-            if at_s < self._cooldown_until[role]:
-                continue
-            action = ""
-            if per > policy.high_backlog_per_worker and \
-                    len(active) < policy.max_workers:
-                if engine._grow_pool(role, at_s):
-                    action = "scale-up"
-                    self._cooldown_until[role] = \
-                        at_s + policy.scale_up_cooldown_s
-            elif per < policy.low_backlog_per_worker and \
-                    len(active) > policy.min_workers:
-                if engine._shrink_pool(role):
-                    action = "scale-down"
-                    self._cooldown_until[role] = \
-                        at_s + policy.scale_down_cooldown_s
-            if action:
-                self.history.append(PoolSample(
-                    clock_s=at_s, role=role, action=action,
-                    n_workers=len(engine.active_workers(role)),
-                    backlog_per_worker=per))
+    def drain_replica(self) -> _PoolWorker:
+        worker = self.shrink()
+        # e.g. conversation homes pinned to it re-learn on the next turn
+        self.balancer.on_removed(worker, self.active_replicas())
+        return worker
 
 
 # --------------------------------------------------------------------- #
@@ -316,26 +283,35 @@ class DisaggregatedEngine(ServingEngine):
                  prefill_chunk_tokens: int = DEFAULT_PREFILL_CHUNK_TOKENS,
                  cluster: Optional[Cluster] = None,
                  link: Optional[InterconnectModel] = None,
-                 pool_autoscaler: Optional[PoolAutoscaler] = None):
+                 prefill_autoscaler: Optional[Autoscaler] = None,
+                 decode_autoscaler: Optional[Autoscaler] = None):
         if prefill_workers < 1 or decode_workers < 1:
             raise ValueError("each pool needs at least one worker")
         if prefill_chunk_tokens < 1:
             raise ValueError("prefill_chunk_tokens must be >= 1")
+        if prefill_autoscaler is decode_autoscaler is not None:
+            raise ValueError("each pool needs its own Autoscaler")
         self.scheduler_config = scheduler_config
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self._n_prefill = prefill_workers
         self._n_decode = decode_workers
         self._link = link if link is not None else InterconnectModel()
-        self._scaler = pool_autoscaler
-        ceiling = prefill_workers + decode_workers
-        if pool_autoscaler is not None:
-            ceiling = max(prefill_workers,
-                          pool_autoscaler.prefill.max_workers) + \
-                max(decode_workers, pool_autoscaler.decode.max_workers)
+        self._scalers = (prefill_autoscaler, decode_autoscaler)
+        ceiling = 0
+        for n, scaler in zip((prefill_workers, decode_workers),
+                             self._scalers):
+            if scaler is not None and scaler.config.ttft_high_s is not None:
+                raise ValueError(
+                    "a pool autoscaler scales on backlog alone: it has no "
+                    f"signal for ttft_high_s={scaler.config.ttft_high_s!r}")
+            ceiling += n if scaler is None \
+                else max(n, scaler.config.max_replicas)
+        if cluster is not None and cluster.n_nodes < ceiling:
+            raise ValueError(
+                f"cluster has {cluster.n_nodes} nodes but up to "
+                f"{ceiling} workers were requested")
         self._cluster = cluster if cluster is not None \
             else Cluster(node.spec, n_nodes=ceiling)
-        self._prefill_pool: List[_PoolWorker] = []
-        self._decode_pool: List[_PoolWorker] = []
         super().__init__(manager, node, engine_config)
 
     @classmethod
@@ -350,78 +326,55 @@ class DisaggregatedEngine(ServingEngine):
     # state
     # ------------------------------------------------------------------ #
     def _reset_engine(self) -> None:
-        for worker in self._all_workers():
-            self._cluster.release(worker.node)
+        for pool in getattr(self, "_pools", {}).values():   # none at first
+            for worker in pool.members:
+                self._cluster.release(worker.node)
         self._next_worker_id = 0
-        self._prefill_pool = []
-        self._decode_pool = []
-        self._parked: List[_PoolWorker] = []   # drained, node released
         self._owner_of: Dict[int, _PoolWorker] = {}
         self._cancel_log: Dict[int, List[Tuple[float, str]]] = {}
-        self._conv_home: Dict[str, _PoolWorker] = {}
         self._in_transfer: Set[int] = set()
         self._kv_transfers = 0
         self._kv_transfer_bytes = 0
         self._kv_transfer_s = 0.0
-        self._max_prefill_seen = self._n_prefill
-        self._max_decode_seen = self._n_decode
-        self._next_check_s: Optional[float] = None
-        if self._scaler is not None:
-            self._scaler.reset()
-            self._next_check_s = self._scaler.check_interval_s
         # the owner hooks the pool workers are wired to; every worker is
         # wired on its way into a pool, so step() rewires only on a change
         self._wired_hooks = (self.on_event, self.emit_phases)
-        for _ in range(self._n_prefill):
-            self._spawn_worker("prefill", 0.0)
-        for _ in range(self._n_decode):
-            self._spawn_worker("decode", 0.0)
-
-    def _spawn_worker(self, role: str, at_s: float) -> _PoolWorker:
-        node = self._cluster.acquire()
-        worker_cls = _PrefillWorker if role == "prefill" else _DecodeWorker
-        worker = worker_cls(self, role, self._next_worker_id,
-                            self.manager, node, self.scheduler_config,
-                            self.config)
-        self._next_worker_id += 1
-        worker.clock = at_s
-        self._wire_hooks(worker)
-        self._pool(role).append(worker)
-        return worker
-
-    def _pool(self, role: str) -> List[_PoolWorker]:
-        return self._prefill_pool if role == "prefill" \
-            else self._decode_pool
+        # conversation affinity keeps a session on the prefill worker
+        # whose prefix cache holds its history; decode has no such state
+        prefill = _Pool(self, _PrefillWorker,
+                        ConversationAffinityBalancer()
+                        if self.config.prefix_cache
+                        else LeastOutstandingBalancer(), self._scalers[0])
+        decode = _Pool(self, _DecodeWorker, LeastOutstandingBalancer(),
+                       self._scalers[1])
+        prefill.peers, decode.peers = (decode,), (prefill,)
+        self._prefill, self._decode = prefill, decode
+        self._pools = {"prefill": prefill, "decode": decode}
+        self._prefill_pool, self._decode_pool = prefill.members, decode.members
+        self._next_check_s = min(prefill.next_check_s, decode.next_check_s)
+        for pool, n in ((prefill, self._n_prefill), (decode, self._n_decode)):
+            for _ in range(n):
+                pool.grow()
 
     def _all_workers(self) -> List[_PoolWorker]:
         return self._prefill_pool + self._decode_pool
 
     def active_workers(self, role: str) -> List[_PoolWorker]:
         """Non-draining members of one pool (the routable set)."""
-        return [w for w in self._pool(role) if not w.draining]
-
-    def pool_backlog(self, role: str) -> int:
-        """Arrived-but-unfinished work attributable to one pool; KV
-        moves in flight count against decode (that is where they land).
-        """
-        backlog = sum(w.backlog for w in self._pool(role))
-        if role == "decode":
-            backlog += len(self._in_transfer)
-        return backlog
+        return self._pools[role].active_replicas()
 
     # aggregated stats: the owner's counters are derived, so the base
     # class's ``self.stats = EngineStats()`` in reset() is a no-op here
     @property
     def stats(self) -> EngineStats:
         agg = EngineStats()
-        workers = list(getattr(self, "_prefill_pool", [])) + \
-            list(getattr(self, "_decode_pool", [])) + \
-            list(getattr(self, "_parked", []))
-        for worker in workers:
-            ws = worker.stats
-            for f in dataclass_fields(EngineStats):
-                setattr(agg, f.name,
-                        getattr(agg, f.name) + getattr(ws, f.name))
+        for pool in getattr(self, "_pools", {}).values():
+            # reaped workers stay in `retired` for exactly this sum
+            for worker in pool.members + pool.retired:
+                ws = worker.stats
+                for f in dataclass_fields(EngineStats):
+                    setattr(agg, f.name,
+                            getattr(agg, f.name) + getattr(ws, f.name))
         agg.kv_transfers += getattr(self, "_kv_transfers", 0)
         agg.kv_transfer_bytes += getattr(self, "_kv_transfer_bytes", 0)
         agg.kv_transfer_s += getattr(self, "_kv_transfer_s", 0.0)
@@ -482,7 +435,10 @@ class DisaggregatedEngine(ServingEngine):
         req = ServingRequest(trace=request)
         self._live[request.request_id] = req
         self._n_submitted += 1
-        worker = self._route_prefill(request)
+        pool = self._prefill
+        worker = pool.balancer.choose(request.model_id,
+                                      pool.active_replicas(),
+                                      request.conversation_id)
         self._owner_of[request.request_id] = worker
         # the prefill surrogate asks for exactly one token: prefill plus
         # the first decode step, after which the worker retires it and
@@ -490,23 +446,6 @@ class DisaggregatedEngine(ServingEngine):
         worker.submit(replace(request, output_tokens=1)
                       if request.output_tokens > 1 else request)
         return req
-
-    def _route_prefill(self, request: TraceRequest) -> _PoolWorker:
-        pool = self.active_workers("prefill") or self._prefill_pool
-        conv = request.conversation_id
-        if self.config.prefix_cache and conv is not None:
-            home = self._conv_home.get(conv)
-            if home is not None and not home.draining and \
-                    home in self._prefill_pool:
-                return home
-            chosen = min(pool, key=lambda w: (w.unfinished, w.worker_id))
-            self._conv_home[conv] = chosen
-            return chosen
-        return min(pool, key=lambda w: (w.unfinished, w.worker_id))
-
-    def _route_decode(self) -> _PoolWorker:
-        pool = self.active_workers("decode") or self._decode_pool
-        return min(pool, key=lambda w: (w.unfinished, w.worker_id))
 
     def schedule_cancel(self, request_id: int, at_s: float,
                         reason: str = "cancel") -> None:
@@ -540,7 +479,7 @@ class DisaggregatedEngine(ServingEngine):
         limit = self.config.max_sim_seconds
         candidates = [w for w in self._all_workers()
                       if w.unfinished > 0 and w.clock < limit]
-        candidates.sort(key=lambda w: (w.clock, w.worker_id))
+        candidates.sort(key=lambda w: (w.clock, w.id))
         progress = False
         for worker in candidates:
             before = (worker.clock, worker.unfinished)
@@ -551,7 +490,8 @@ class DisaggregatedEngine(ServingEngine):
                 break
             # a clamped idle jump moved nothing: let an earlier-frontier
             # worker (already stepped) or the next candidate make time
-        self._run_autoscaler()
+        if self._next_check_s < inf:
+            self._run_autoscalers()
         return progress
 
     def _sync_hooks(self) -> None:
@@ -572,9 +512,6 @@ class DisaggregatedEngine(ServingEngine):
         times = [w.clock for w in self._prefill_pool if w.unfinished > 0]
         return min(times) if times else None
 
-    def _scaler_bound(self) -> Optional[float]:
-        return self._next_check_s
-
     def _event_frontier(self) -> float:
         """The earliest point any worker can still act: raw clocks for
         workers with arrived work, next-arrival times for pending-only
@@ -594,77 +531,22 @@ class DisaggregatedEngine(ServingEngine):
                 vals.append(w.clock if nxt is None else max(w.clock, nxt))
         return min(vals) if vals else self.clock
 
-    def _run_autoscaler(self) -> None:
-        scaler = self._scaler
-        if scaler is None or self._next_check_s is None:
-            return
+    def _run_autoscalers(self) -> None:
+        """Let each pool's controller observe at every check boundary
+        the event frontier has reached, then retire drained workers."""
         if self.unfinished == 0:
             return                # a drained system never rescales
         now = self._event_frontier()
-        while self._next_check_s is not None and now >= self._next_check_s:
-            at_s = self._next_check_s
-            scaler.control(self, at_s)
-            self._next_check_s = at_s + scaler.check_interval_s
-        self._reap_drained()
-
-    def _grow_pool(self, role: str, at_s: float) -> bool:
-        """Add one worker to a pool: un-drain the youngest draining
-        member, revive a parked one onto a fresh node, or acquire a new
-        node.  Returns False when the cluster is exhausted."""
-        pool = self._pool(role)
-        draining = [w for w in pool if w.draining]
-        if draining:
-            revived = max(draining, key=lambda w: w.worker_id)
-            revived.draining = False
-            self._note_pool_peak(role)
-            return True
-        parked = [w for w in self._parked if w.role == role]
-        if parked and self._cluster.n_free > 0:
-            worker = max(parked, key=lambda w: w.worker_id)
-            self._parked.remove(worker)
-            worker.node = self._cluster.acquire()
-            worker.flush_residency()
-            worker.draining = False
-            worker.clock = at_s
-            self._wire_hooks(worker)       # parked workers miss rewires
-            pool.append(worker)
-            pool.sort(key=lambda w: w.worker_id)
-            self._note_pool_peak(role)
-            return True
-        if self._cluster.n_free > 0:
-            self._spawn_worker(role, at_s)
-            self._note_pool_peak(role)
-            return True
-        return False
-
-    def _shrink_pool(self, role: str) -> bool:
-        """Mark the least-loaded (youngest on ties) worker draining; it
-        keeps serving its queue and is reaped once idle."""
-        active = self.active_workers(role)
-        if len(active) <= 1:
-            return False
-        worker = min(active, key=lambda w: (w.unfinished, -w.worker_id))
-        worker.draining = True
-        return True
-
-    def _reap_drained(self) -> None:
-        for pool in (self._prefill_pool, self._decode_pool):
-            drained = [w for w in pool if w.draining and w.unfinished == 0]
-            for worker in drained:
-                pool.remove(worker)
-                self._cluster.release(worker.node)
-                self._parked.append(worker)
-                stale = [conv for conv, home in self._conv_home.items()
-                         if home is worker]
-                for conv in stale:
-                    del self._conv_home[conv]
-
-    def _note_pool_peak(self, role: str) -> None:
-        n = len(self.active_workers(role))
-        if role == "prefill":
-            self._max_prefill_seen = max(self._max_prefill_seen, n)
-        else:
-            self._max_decode_seen = max(self._max_decode_seen, n)
+        for pool in self._pools.values():
+            scaler = pool.scaler
+            while scaler is not None and now >= pool.next_check_s:
+                pool.sim_now = pool.next_check_s
+                scaler.control(pool)
+                pool.next_check_s += scaler.config.check_interval_s
+            if pool.n_draining:
+                pool.reap()
+        self._next_check_s = min(self._prefill.next_check_s,
+                                 self._decode.next_check_s)
 
     # ------------------------------------------------------------------ #
     # worker callbacks: canonical request maintenance + KV handoff
@@ -720,7 +602,8 @@ class DisaggregatedEngine(ServingEngine):
         self._kv_transfers += 1
         self._kv_transfer_bytes += plan.nbytes
         self._kv_transfer_s += plan.transfer_s
-        dst = self._route_decode()
+        dst = self._decode.balancer.choose(canonical.model_id,
+                                           self._decode.active_replicas())
         emit = self.on_event
         if emit is not None:
             emit(KvTransfer(
@@ -817,20 +700,18 @@ class DisaggregatedEngine(ServingEngine):
                 "kv_occupancy": kv / len(workers)}
 
     def pool_gauges(self) -> Dict[str, float]:
-        """Per-pool occupancy/backlog for the telemetry gauge board."""
-        def occupancy(pool: List[_PoolWorker]) -> float:
-            if not pool:
-                return 0.0
-            return sum(w.utilization()["batch_occupancy"]
-                       for w in pool) / len(pool)
-        return {
-            "prefill_workers": float(len(self.active_workers("prefill"))),
-            "decode_workers": float(len(self.active_workers("decode"))),
-            "prefill_occupancy": occupancy(self._prefill_pool),
-            "decode_occupancy": occupancy(self._decode_pool),
-            "prefill_backlog": float(self.pool_backlog("prefill")),
-            "decode_backlog": float(self.pool_backlog("decode")),
-        }
+        """Per-pool occupancy/backlog for the telemetry gauge board; KV
+        moves in flight count as decode backlog (where they land)."""
+        gauges: Dict[str, float] = {}
+        for role, pool in self._pools.items():
+            workers = pool.members
+            gauges[f"{role}_workers"] = float(pool.n_replicas)
+            gauges[f"{role}_occupancy"] = sum(
+                w.utilization()["batch_occupancy"]
+                for w in workers) / len(workers)
+            gauges[f"{role}_backlog"] = float(
+                sum(w.backlog for w in workers) + pool.admission_queued)
+        return gauges
 
     def result_config(self) -> Dict[str, object]:
         cfg: Dict[str, object] = {
@@ -844,9 +725,10 @@ class DisaggregatedEngine(ServingEngine):
             "prefill_chunk_tokens": self.prefill_chunk_tokens,
             "kv_link_gbps": self._link.gbps,
         }
-        if self._scaler is not None:
-            cfg["max_prefill_workers_seen"] = self._max_prefill_seen
-            cfg["max_decode_workers_seen"] = self._max_decode_seen
+        for role, pool in self._pools.items():
+            if pool.scaler is not None:
+                cfg[f"max_{role}_workers_seen"] = \
+                    pool.scaler.max_replica_count
         if self.config.prefix_cache:
             cfg["prefix_cache"] = True
             cfg["prefix_block_tokens"] = self.config.prefix_block_tokens

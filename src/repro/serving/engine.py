@@ -28,13 +28,13 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..hardware.cluster import GPUNode
+from ..hardware.interconnect import InterconnectModel
 from ..hardware.memory import Tier
 from ..sim import sanitizer as _sanitizer
 from .base import (PREEMPT_SWAP_S, WORKSPACE_FRACTION, Admission,
                    EngineConfig, ServingEngine, TimelineEvent,
                    register_engine)
 from .costs import BatchComposition, IterationCostModel, LinearPlan
-from .kv_transfer import InterconnectModel
 from .model_manager import ArtifactKind, ModelManager
 from .prefix_cache import PrefixCache, prefix_block_keys
 from .request import ServingRequest

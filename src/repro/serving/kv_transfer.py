@@ -2,77 +2,26 @@
 
 Disaggregated prefill/decode serving (DistServe/Splitwise-style) runs a
 request's prefill on one worker and its decode on another, so the KV
-blocks produced by prefill must cross the inter-worker interconnect
-before decode can start.  This module is the single place that cost is
-priced:
-
-* :class:`InterconnectModel` — a latency + bandwidth link model for the
-  RDMA-class NIC connecting pool workers.  It also prices ring
-  all-reduces over the same fabric, which is what the multi-node
-  ``sharded`` engine charges per layer for cross-node tensor
-  parallelism.
-* :func:`plan_kv_transfer` — turns one request's context into a
-  :class:`KvTransferPlan`: how many KV token-rows actually move (the
-  uncached suffix only, when the decode side's prefix cache already
-  holds the shared prefix), the byte count from
-  :meth:`~repro.serving.models.ServedModelSpec.kv_bytes_per_token`, and
-  the priced wire time.
-
-The numbers mirror the testbed class of the paper's hardware section: a
-200 Gbit RDMA NIC (~25 GB/s usable) with single-digit-microsecond
-latency.  As with every spec in :mod:`repro.hardware`, what matters
-downstream is the *relative* magnitude — KV transfer lands between
-NVLink and disk, so disaggregation pays a real but amortizable toll.
+blocks produced by prefill must cross the node interconnect before
+decode can start.  The wire itself is hardware
+(:class:`~repro.hardware.interconnect.InterconnectModel`); this module
+is the single place a request's move over it is sized:
+:func:`plan_kv_transfer` turns one request's context into a
+:class:`KvTransferPlan` — how many KV token-rows actually move (the
+uncached suffix only, when the decode side's prefix cache already holds
+the shared prefix), the byte count from
+:meth:`~repro.serving.models.ServedModelSpec.kv_bytes_per_token`, and
+the priced wire time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..hardware.interconnect import InterconnectModel
 from .models import ServedModelSpec
 
-__all__ = [
-    "KV_LINK_GBPS", "KV_LINK_LATENCY_S", "InterconnectModel",
-    "KvTransferPlan", "plan_kv_transfer",
-]
-
-#: usable bandwidth of the pool interconnect (GB/s; ≈ 200 Gbit RDMA)
-KV_LINK_GBPS = 25.0
-#: per-transfer setup latency of the pool interconnect
-KV_LINK_LATENCY_S = 10e-6
-
-
-@dataclass(frozen=True)
-class InterconnectModel:
-    """A node-to-node link: setup latency plus stream bandwidth.
-
-    The same fabric carries point-to-point KV moves (disaggregated
-    pools) and ring all-reduces (cross-node tensor parallelism), so
-    both cost functions live on one spec and can never disagree about
-    the wire.
-    """
-
-    gbps: float = KV_LINK_GBPS
-    latency_s: float = KV_LINK_LATENCY_S
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` point-to-point; zero moves free."""
-        if nbytes <= 0:
-            return 0.0
-        return self.latency_s + nbytes / (self.gbps * 1e9)
-
-    def allreduce_time(self, nbytes: float, n_participants: int) -> float:
-        """Ring all-reduce of ``nbytes`` across ``n_participants`` nodes.
-
-        Same 2(n-1)-step ring shape as
-        :func:`repro.hardware.cluster.allreduce_time`, over this link
-        instead of an intra-node NVLink/PCIe hop.
-        """
-        if n_participants <= 1 or nbytes <= 0:
-            return 0.0
-        steps = 2 * (n_participants - 1)
-        volume = steps / n_participants * nbytes
-        return self.latency_s * steps + volume / (self.gbps * 1e9)
+__all__ = ["KvTransferPlan", "plan_kv_transfer"]
 
 
 @dataclass(frozen=True)

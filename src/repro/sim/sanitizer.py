@@ -35,7 +35,13 @@ construction:
 * **cluster frontier ledger** — after every ``ClusterGateway.step`` and
   routed ingest, no busy replica's key over-estimates its clock, the
   ledger's least busy replica is the brute-force ``(clock, id)``
-  minimum, and the active-replica counter equals a recount.
+  minimum, and the active-replica counter equals a recount;
+* **replica-set node census** — after every grow / shrink / reap of a
+  :class:`~repro.serving.cluster.ReplicaSet` (cluster replicas, disagg
+  pools), the draining counter equals a recount, every live member
+  holds its own allocated node, no retired member's node is still
+  allocated, and the cluster's free count is its size minus the live
+  members.
 
 Violations raise :class:`SimSanitizerError` carrying the offending
 value *and* the publishing call site (the first stack frame outside
@@ -314,6 +320,35 @@ def check_cluster_frontier(gateway: Any) -> None:
             raise _violation(
                 f"cluster frontier ledger drifted in {name}: holds "
                 f"{got!r}, replicas give {want!r}")
+
+
+def check_replica_set(replica_set: Any, cluster: Any) -> None:
+    """A fleet's membership must agree with its own draining counter and
+    with the hardware cluster's node ledger; the live members of
+    ``replica_set.peers`` (other sets on the same cluster) count too."""
+    draining = sum(1 for m in replica_set.members if m.draining)
+    if replica_set.n_draining != draining:
+        raise _violation(
+            f"replica set drifted in n_draining: holds "
+            f"{replica_set.n_draining!r}, members give {draining!r}")
+    if cluster is None:
+        return
+    live = [m for s in (replica_set, *replica_set.peers) for m in s.members]
+    held = {id(m.node) for m in live}
+    for m in replica_set.members:
+        if not cluster.is_allocated(m.node):
+            raise _violation(
+                f"replica set member {m.name} holds a node the cluster "
+                f"does not list as allocated")
+    for m in replica_set.retired:
+        # a released node may have been re-issued to a live member
+        if id(m.node) not in held and cluster.is_allocated(m.node):
+            raise _violation(
+                f"retired member {m.name}'s node is still allocated")
+    if cluster.n_free != cluster.n_nodes - len(live):
+        raise _violation(
+            f"cluster node census drifted: {cluster.n_free!r} free of "
+            f"{cluster.n_nodes!r} with {len(live)!r} live members")
 
 
 def check_handle_finish(request_id: int, already_terminal: bool) -> None:

@@ -8,19 +8,19 @@ crossed the prefill/decode boundary must carry exactly the wire time
 ``plan_kv_transfer`` prices for its uncached KV suffix, and the
 engine-level byte/second counters must be the sum of the per-request
 plans.  The determinism tests extend the kernel record-identity
-contract to runs where the pool autoscaler is actively reshaping both
-pools mid-flight.
+contract to runs where one ``Autoscaler`` per pool is actively reshaping
+both pools mid-flight.
 """
 
 import pytest
 
-from repro.hardware import Cluster, GPUNode, node_from_name
-from repro.serving import (EngineConfig, LLAMA_7B, ModelManager,
+from repro.hardware import (Cluster, GPUNode, InterconnectModel,
+                            node_from_name)
+from repro.serving import (Autoscaler, EngineConfig, LLAMA_7B, ModelManager,
                            SchedulerConfig, ServingGateway, create_engine)
-from repro.serving.disagg import (PoolAutoscaler, PoolScalingPolicy,
-                                  ShardedEngine)
-from repro.serving.kv_transfer import (InterconnectModel, KvTransferPlan,
-                                       plan_kv_transfer)
+from repro.serving.disagg import ShardedEngine
+from repro.serving.kv_transfer import KvTransferPlan, plan_kv_transfer
+from repro.workload.spec import Trace, TraceRequest
 from repro.sim import KvTransfer, PhaseTransition
 from repro.workload import session_trace, synthetic_trace
 
@@ -303,28 +303,38 @@ class TestCancelAcrossPools:
 # pool autoscaling
 # --------------------------------------------------------------------------- #
 def eager_scaler():
-    policy = PoolScalingPolicy(min_workers=1, max_workers=3,
-                               high_backlog_per_worker=2.0,
-                               low_backlog_per_worker=0.5,
-                               scale_up_cooldown_s=1.0,
-                               scale_down_cooldown_s=5.0)
-    return PoolAutoscaler(prefill=policy, decode=policy,
-                          check_interval_s=1.0)
+    return Autoscaler(min_replicas=1, max_replicas=3,
+                      high_queue_per_replica=2.0, low_queue_per_replica=0.5,
+                      scale_up_cooldown_s=1.0, scale_down_cooldown_s=5.0,
+                      check_interval_s=1.0)
 
 
-class TestPoolAutoscaler:
-    def test_check_interval_validation(self):
-        with pytest.raises(ValueError, match="check_interval_s"):
-            PoolAutoscaler(check_interval_s=0.0)
+def autoscaled_disagg(**kwargs):
+    scalers = {"prefill": eager_scaler(), "decode": eager_scaler()}
+    engine = make_disagg(prefill_autoscaler=scalers["prefill"],
+                         decode_autoscaler=scalers["decode"], **kwargs)
+    return engine, scalers
+
+
+class TestPoolAutoscaling:
+    def test_constructor_validation(self):
+        shared = eager_scaler()
+        with pytest.raises(ValueError, match="its own Autoscaler"):
+            make_disagg(prefill_autoscaler=shared, decode_autoscaler=shared)
+        with pytest.raises(ValueError, match="ttft_high_s=0.5"):
+            make_disagg(decode_autoscaler=Autoscaler(ttft_high_s=0.5))
+        with pytest.raises(ValueError, match="cluster has 3 nodes"):
+            make_disagg(prefill_autoscaler=eager_scaler(),
+                        cluster=Cluster(node_from_name("a800", 1), 3))
 
     def test_burst_scales_up_then_drains_back_to_the_cluster(self):
-        scaler = eager_scaler()
-        engine = make_disagg(pool_autoscaler=scaler)
+        engine, scalers = autoscaled_disagg()
         gw = ServingGateway(engine)
         res = gw.replay(synthetic_trace(N_MODELS, rate=6.0, duration_s=20.0,
                                         seed=11))
         assert all(r.finished for r in res.records)
-        assert any(s.action == "scale-up" for s in scaler.history)
+        assert any(s.action == "scale_up" for scaler in scalers.values()
+                   for s in scaler.history)
         cfg = engine.result_config()
         assert max(cfg["max_prefill_workers_seen"],
                    cfg["max_decode_workers_seen"]) > 1
@@ -332,15 +342,76 @@ class TestPoolAutoscaler:
         held = len(engine._prefill_pool) + len(engine._decode_pool)
         assert engine._cluster.n_free == engine._cluster.n_nodes - held
 
+    def test_prefill_heavy_burst_grows_only_the_prefill_pool(self):
+        """Long prompts, two-token replies: the backlog piles up in front
+        of prefill, and decode — whose own controller tolerates two
+        batches' worth of queue — stays at its floor."""
+        requests = [TraceRequest(
+            request_id=i, model_id=f"variant-{i % N_MODELS:02d}",
+            arrival_s=0.05 * i, prompt_tokens=1536, output_tokens=2)
+            for i in range(100)]
+        trace = Trace(requests=requests,
+                      model_ids=[f"variant-{i:02d}" for i in range(N_MODELS)],
+                      duration_s=5.0)
+        prefill, decode = eager_scaler(), Autoscaler(
+            min_replicas=1, max_replicas=3, high_queue_per_replica=16.0,
+            low_queue_per_replica=0.5, check_interval_s=1.0)
+        engine = make_disagg(prefill_autoscaler=prefill,
+                             decode_autoscaler=decode)
+        res = ServingGateway(engine).replay(trace)
+        assert all(r.finished for r in res.records)
+        assert engine.stats.kv_transfers == len(trace)
+        cfg = engine.result_config()
+        assert cfg["max_prefill_workers_seen"] == 3
+        assert cfg["max_decode_workers_seen"] == 1
+        assert not any(s.action for s in decode.history)
+        # decode did see load (handoffs in flight count), just not enough
+        assert 2.0 < max(s.queue_per_replica for s in decode.history) \
+            < max(s.queue_per_replica for s in prefill.history)
+
     def test_autoscaled_replay_is_deterministic_across_idle_skip(self):
         trace = synthetic_trace(N_MODELS, rate=6.0, duration_s=20.0, seed=11)
         runs = []
         for quantum in (None, None, 0.05):
-            gw = ServingGateway(make_disagg(idle_quantum_s=quantum,
-                                            pool_autoscaler=eager_scaler()))
-            runs.append([record_key(r) for r in gw.replay(trace).records])
+            engine, scalers = autoscaled_disagg(idle_quantum_s=quantum)
+            gw = ServingGateway(engine)
+            runs.append(([record_key(r) for r in gw.replay(trace).records],
+                         [[(s.clock_s, s.n_replicas, s.action)
+                           for s in scaler.history]
+                          for scaler in scalers.values()]))
         assert runs[0] == runs[1], "run-to-run"
         assert runs[0] == runs[2], "idle-skip vs dense-quantum"
+        assert any(action for history in runs[0][1]
+                   for _, _, action in history)
+
+    def test_conversation_home_drops_with_its_worker_and_relearns(self):
+        engine = create_engine(
+            "disagg", make_manager(), GPUNode(node_from_name("a800", 1)),
+            scheduler_config=SchedulerConfig(max_batch_requests=8,
+                                             max_concurrent_deltas=4),
+            engine_config=EngineConfig(tp_degree=1, prefix_cache=True),
+            prefill_workers=2, decode_workers=1)
+        first, second = engine._prefill_pool
+        homes = engine._prefill.balancer._home
+
+        def turn(rid, arrival_s, prompt, conv):
+            return TraceRequest(request_id=rid, model_id="variant-00",
+                                arrival_s=arrival_s, prompt_tokens=prompt,
+                                output_tokens=4, conversation_id=conv)
+        engine.submit(turn(0, 0.0, 64, None))        # occupies `first`
+        engine.submit(turn(1, 0.0, 64, "conv-a"))    # learns `second`
+        assert homes == {"conv-a": second}
+        engine.run_until_drained()
+        # both idle: the youngest drains, and the home leaves with it
+        assert engine._prefill.drain_replica() is second
+        assert "conv-a" not in engine._prefill.balancer._home
+        engine._prefill.reap()
+        assert engine._prefill.retired == [second]
+        assert not engine._cluster.is_allocated(second.node)
+        engine.submit(turn(2, 10.0, 132, "conv-a"))
+        assert engine._prefill.balancer._home == {"conv-a": first}
+        engine.run_until_drained()
+        assert all(r.state.value == "finished" for r in engine.finished)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hardware import (A100, A800, GemmShape, GPUNode, MemoryPool,
+from repro.hardware import (A100, A800, GemmShape, GPUNode,
+                            InterconnectModel, MemoryPool,
                             OutOfMemoryError, RTX3090, SBMM_IMPLEMENTATIONS,
                             Tier, TransferModel, achieved_flops_ratio,
                             allreduce_time, dense_gemm_time, node_from_name,
@@ -132,6 +133,57 @@ class TestAllreduce:
 
     def test_nvlink_faster_than_pcie(self):
         assert allreduce_time(1e8, 2, A800) < allreduce_time(1e8, 2, RTX3090)
+
+    # the two ring bodies the tree carried before they became one
+    # (hardware.cluster.allreduce_time, kv_transfer.InterconnectModel)
+    @staticmethod
+    def old_intra_node(nbytes, n_gpus, gpu):
+        if n_gpus <= 1:
+            return 0.0
+        link_gbps = gpu.nvlink_gbps if gpu.nvlink_gbps > 0 else gpu.pcie_gbps
+        latency = 5e-6 if gpu.nvlink_gbps > 0 else 15e-6
+        volume = 2.0 * (n_gpus - 1) / n_gpus * nbytes
+        return latency * 2 * (n_gpus - 1) + volume / (link_gbps * 1e9)
+
+    @staticmethod
+    def old_inter_node(link, nbytes, n_participants):
+        if n_participants <= 1 or nbytes <= 0:
+            return 0.0
+        steps = 2 * (n_participants - 1)
+        volume = steps / n_participants * nbytes
+        return link.latency_s * steps + volume / (link.gbps * 1e9)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("nbytes", [0, 1, 1e6, 1e9])
+    def test_one_ring_formula_keeps_both_old_floats(self, n, nbytes):
+        """``==`` on floats, not ``approx``: records are bit-pinned."""
+        for gpu in (A800, A100, RTX3090):
+            assert allreduce_time(nbytes, n, gpu) == \
+                self.old_intra_node(nbytes, n, gpu)
+        for link in (InterconnectModel(),
+                     InterconnectModel(gbps=12.5, latency_s=3e-6)):
+            assert link.allreduce_time(nbytes, n) == \
+                self.old_inter_node(link, nbytes, n)
+        # an empty buffer still pays the intra-node hop latency, and is
+        # never sent between nodes: both pre-existing, both kept
+        if nbytes == 0 and n > 1:
+            assert allreduce_time(0, n, A800) > 0.0
+            assert InterconnectModel().allreduce_time(0, n) == 0.0
+
+
+class TestInterconnectValidation:
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"gbps": 0.0}, "gbps must be > 0, got 0.0"),
+        ({"gbps": -1.0}, "gbps must be > 0, got -1.0"),
+        ({"gbps": float("nan")}, "gbps must be > 0, got nan"),
+        ({"latency_s": -1}, "latency_s must be >= 0, got -1"),
+    ])
+    def test_non_physical_links_are_rejected(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            InterconnectModel(**kwargs)
+
+    def test_a_zero_latency_link_is_legal(self):
+        assert InterconnectModel(latency_s=0.0).transfer_time(25e9) == 1.0
 
 
 class TestMemoryPool:

@@ -241,6 +241,101 @@ class TestClusterGateway:
                                         names=["a", "b"])
 
 
+# --------------------------------------------------------------------------- #
+# the one fleet lifecycle, over both of its users
+# --------------------------------------------------------------------------- #
+class Fleet:
+    """A ``ReplicaSet`` reached the way its owner reaches it: the
+    gateway's replicas through ``spawn_replica`` / ``drain_replica``,
+    a disaggregated pool through the same two names on the pool."""
+
+    def __init__(self, kind):
+        self.cluster = Cluster.from_name("a800", 5, 1)
+        if kind == "cluster":
+            gateway = ClusterGateway(engine_factory=make_factory(),
+                                     cluster=self.cluster, n_replicas=3)
+            self.set = gateway._set
+            self.spawn, self.reap = gateway.spawn_replica, \
+                gateway._reap_drained
+            self.drain = gateway.drain_replica
+            self.engine_of = lambda member: member.engine
+        else:
+            engine = create_engine(
+                "disagg", make_manager(), GPUNode(node_from_name("a800", 1)),
+                scheduler_config=SchedulerConfig(max_batch_requests=8,
+                                                 max_concurrent_deltas=4),
+                prefill_workers=3, decode_workers=1, cluster=self.cluster)
+            self.set = engine._prefill
+            self.spawn, self.reap = self.set.spawn_replica, self.set.reap
+            self.drain = lambda member=None: self.set.drain_replica() \
+                if member is None else self.set.shrink(member)
+            self.engine_of = lambda member: member
+        self.n_other = self.cluster.n_allocated - 3   # the decode worker
+
+    def load(self, member, n):
+        for _ in range(n):
+            self.engine_of(member).submit(TraceRequest(
+                request_id=1000 + 10 * member.id + member.unfinished,
+                model_id="variant-00", arrival_s=0.0, prompt_tokens=16,
+                output_tokens=4))
+
+
+@pytest.fixture(params=["cluster", "disagg-pool"])
+def fleet(request):
+    return Fleet(request.param)
+
+
+class TestReplicaSetLifecycle:
+    def test_grow_undrains_the_youngest_before_building(self, fleet):
+        a, b, c = fleet.set.members
+        for member in (a, b, c):
+            fleet.load(member, 1)           # busy: a drain cannot reap
+        fleet.drain(b)
+        fleet.drain(c)
+        held = fleet.cluster.n_allocated
+        assert fleet.spawn() is c and not c.draining
+        assert fleet.spawn() is b and not b.draining
+        assert fleet.cluster.n_allocated == held     # node count stayed flat
+        assert fleet.set.n_draining == 0
+        fresh = fleet.spawn()
+        assert fresh not in (a, b, c) and fresh.id > c.id
+        assert fleet.set.members == [a, b, c, fresh]
+        assert fleet.cluster.n_allocated == held + 1
+        assert fleet.cluster.is_allocated(fresh.node)
+
+    def test_shrink_retires_the_least_loaded_youngest_first(self, fleet):
+        a, b, c = fleet.set.members
+        fleet.load(a, 1)
+        fleet.load(b, 2)
+        fleet.load(c, 1)
+        assert fleet.drain() is c           # ties on load: spawned last
+        assert fleet.drain() is a
+        assert fleet.set.active_replicas() == [b]
+
+    def test_reap_retires_and_returns_the_node(self, fleet):
+        a, b, c = fleet.set.members
+        fleet.load(b, 1)
+        fleet.drain(b)
+        fleet.drain(c)
+        fleet.reap()
+        # b still has work: it keeps draining, and keeps its node
+        assert fleet.set.members == [a, b] and fleet.set.retired == [c]
+        assert fleet.set.n_draining == 1 and fleet.set.n_replicas == 1
+        assert fleet.cluster.is_allocated(b.node)
+        assert not fleet.cluster.is_allocated(c.node)
+        assert fleet.cluster.n_free == 5 - 2 - fleet.n_other
+
+    def test_never_below_one_active_member(self, fleet):
+        a, b, c = fleet.set.members
+        fleet.drain()
+        fleet.drain()
+        assert fleet.set.n_replicas == 1
+        with pytest.raises(RuntimeError, match="last active"):
+            fleet.drain()
+        with pytest.raises(RuntimeError, match="last active"):
+            fleet.drain(fleet.set.active_replicas()[0])
+
+
 class TestAutoscaler:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -250,6 +345,27 @@ class TestAutoscaler:
         with pytest.raises(ValueError):
             AutoscalerConfig(high_queue_per_replica=1.0,
                              low_queue_per_replica=2.0)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"check_interval_s": -1.0}, "check_interval_s must be > 0, got -1.0"),
+        ({"check_interval_s": 0.0}, "check_interval_s must be > 0, got 0.0"),
+        ({"scale_up_cooldown_s": -5}, "scale_up_cooldown_s must be >= 0, "
+                                      "got -5"),
+        ({"scale_down_cooldown_s": float("nan")},
+         "scale_down_cooldown_s must be >= 0, got nan"),
+        ({"ttft_quantile": 250}, "ttft_quantile must be in .0, 100., "
+                                 "got 250"),
+        ({"ttft_quantile": -1.0}, "ttft_quantile must be in .0, 100., "
+                                  "got -1.0"),
+    ])
+    def test_config_rejects_clock_and_quantile_nonsense(self, kwargs, named):
+        """A negative interval would schedule every tick behind the
+        kernel clock; a quantile outside [0, 100] only failed later,
+        inside ``np.percentile``."""
+        with pytest.raises(ValueError, match=named):
+            AutoscalerConfig(**kwargs)
+        with pytest.raises(ValueError, match=named):
+            Autoscaler(**kwargs)
 
     def test_replicas_rise_and_fall_with_offered_load(self):
         """Acceptance: replica count traces a rate ramp up and back down."""
@@ -349,7 +465,7 @@ class TestAutoscaler:
         autoscaler = Autoscaler(min_replicas=1, max_replicas=2,
                                 high_queue_per_replica=1000.0,
                                 low_queue_per_replica=999.0,
-                                check_interval_s=0.0,
+                                check_interval_s=1e-3,
                                 scale_down_cooldown_s=0.0,
                                 scale_up_cooldown_s=0.0)
         gateway = make_gateway(n_replicas=2, balancer=balancer,

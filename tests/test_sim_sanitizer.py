@@ -310,3 +310,66 @@ class TestClusterFrontierCheck:
             gateway.replicas[1].frontier_key = None
             with pytest.raises(SimSanitizerError, match="frontier_key"):
                 gateway.submit("variant-00", 16, 2)
+
+
+# --------------------------------------------------------------------- #
+# replica-set node census: one seeded fault per clause, on both fleets
+# --------------------------------------------------------------------- #
+@pytest.fixture(params=["cluster", "disagg-pool"])
+def fleet(request):
+    from test_serving_cluster import Fleet
+    return Fleet(request.param)
+
+
+class TestReplicaSetCheck:
+    def test_clean_lifecycle_passes(self, fleet):
+        check = sanitizer.check_replica_set
+        check(fleet.set, fleet.cluster)
+        fleet.load(fleet.set.members[1], 1)
+        fleet.drain(fleet.set.members[1])
+        fleet.drain()
+        check(fleet.set, fleet.cluster)
+        fleet.reap()
+        check(fleet.set, fleet.cluster)
+        fleet.spawn()                       # un-drains
+        fleet.spawn()                       # re-issues the reaped node
+        check(fleet.set, fleet.cluster)
+        assert fleet.set.retired[0].node is fleet.set.members[-1].node
+
+    def test_draining_counter_drift(self, fleet):
+        fleet.set.members[0].draining = True      # behind the set's back
+        with pytest.raises(SimSanitizerError, match="n_draining"):
+            sanitizer.check_replica_set(fleet.set, fleet.cluster)
+
+    def test_live_member_on_a_released_node(self, fleet):
+        victim = fleet.set.members[1]
+        fleet.cluster.release(victim.node)
+        with pytest.raises(SimSanitizerError,
+                           match=f"{victim.name} holds a node the cluster "
+                                 "does not list"):
+            sanitizer.check_replica_set(fleet.set, fleet.cluster)
+
+    def test_retired_member_whose_node_was_never_released(self, fleet):
+        fleet.drain()
+        fleet.reap()
+        retired, = fleet.set.retired
+        # the free list re-issues that very node, to nobody in the set
+        assert fleet.cluster.acquire() is retired.node
+        with pytest.raises(SimSanitizerError,
+                           match=f"retired member {retired.name}"):
+            sanitizer.check_replica_set(fleet.set, fleet.cluster)
+
+    def test_node_taken_behind_the_sets_back(self, fleet):
+        fleet.cluster.acquire()
+        with pytest.raises(SimSanitizerError, match="node census"):
+            sanitizer.check_replica_set(fleet.set, fleet.cluster)
+
+    @pytest.mark.parametrize("kind", ["cluster", "disagg-pool"])
+    def test_grow_shrink_and_reap_run_the_check_when_enabled(self, kind):
+        from test_serving_cluster import Fleet
+        with sanitized(True):
+            fleet = Fleet(kind)
+            fleet.cluster.acquire()
+            for op in (fleet.drain, fleet.set.reap, fleet.spawn):
+                with pytest.raises(SimSanitizerError, match="node census"):
+                    op()

@@ -19,11 +19,10 @@ from dataclasses import asdict, astuple, replace
 import pytest
 
 from repro.hardware import GPUNode, node_from_name
-from repro.serving import (EngineConfig, LLAMA_7B, ModelManager,
+from repro.serving import (Autoscaler, EngineConfig, LLAMA_7B, ModelManager,
                            SchedulerConfig, create_engine)
 from repro.serving.costs import IterationCostModel
-from repro.serving.disagg import (DisaggregatedEngine, PoolAutoscaler,
-                                  PoolScalingPolicy, _PoolWorker)
+from repro.serving.disagg import DisaggregatedEngine
 from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.sim.sanitizer import SimSanitizerError, sanitized
 from repro.workload import session_trace, synthetic_trace
@@ -71,7 +70,7 @@ def hand_trace(rows):
 
 def memo_holders(engine):
     if isinstance(engine, DisaggregatedEngine):
-        return engine._prefill_pool + engine._decode_pool + engine._parked
+        return engine._prefill_pool + engine._decode_pool
     return [engine]
 
 
@@ -289,34 +288,37 @@ def test_receive_delta(monkeypatch, sanitize):
     assert seen["wire_s"] > 0.0 and shipped["stats"]["swap_ins"] == 4
 
 
-@SANITIZE
-def test_flush_residency_on_a_revived_pool_worker(monkeypatch, sanitize):
-    flushed = []
-    inner = _PoolWorker.flush_residency
+def eager_scaler():
+    return Autoscaler(min_replicas=1, max_replicas=3,
+                      high_queue_per_replica=2.0, low_queue_per_replica=0.5,
+                      scale_up_cooldown_s=1.0, scale_down_cooldown_s=3.0,
+                      check_interval_s=1.0)
 
-    def counting_flush(worker):
-        flushed.append(worker.name)
-        # the revived worker decided nothing against its old residents
-        inner(worker)
-        assert worker._idle_admit_key is None
-    monkeypatch.setattr(_PoolWorker, "flush_residency", counting_flush)
+
+@SANITIZE
+def test_pool_workers_built_and_reaped_mid_run(monkeypatch, sanitize):
+    engines = []
 
     def scenario():
-        policy = PoolScalingPolicy(min_workers=1, max_workers=3,
-                                   high_backlog_per_worker=2.0,
-                                   low_backlog_per_worker=0.5,
-                                   scale_up_cooldown_s=1.0,
-                                   scale_down_cooldown_s=3.0)
-        scaler = PoolAutoscaler(prefill=policy, decode=policy,
-                                check_interval_s=1.0)
-        # two bursts with a lull between: the pools grow, drain and park
-        # their extra workers, then revive them onto fresh nodes
+        # two bursts with a lull between: the pools grow, drain and
+        # retire their extra workers, then build fresh cold ones
         rows = [(i % 4, 0.1 * i, 48, 40 + i % 9) for i in range(60)]
         rows += [(i % 4, 40.0 + 0.1 * i, 48, 40 + i % 9) for i in range(60)]
-        engine = build("disagg", pool_autoscaler=scaler)
+        engine = build("disagg", prefill_autoscaler=eager_scaler(),
+                       decode_autoscaler=eager_scaler())
+        engines.append(engine)
         return engine, hand_trace(rows), None
     assert_reuse_changes_nothing(scenario, monkeypatch, sanitize)
-    assert flushed
+    for engine in engines:
+        retired = engine._prefill.retired + engine._decode.retired
+        assert retired, "the lull must retire a worker"
+        # the second burst was served by workers built after a retirement
+        youngest = max(w.id for w in memo_holders(engine) + retired)
+        assert youngest > min(w.id for w in retired)
+        assert not any(w in memo_holders(engine) for w in retired)
+        # retired workers stay counted in the engine's stats
+        assert engine.stats.iterations == sum(
+            w.stats.iterations for w in memo_holders(engine) + retired)
 
 
 @SANITIZE
@@ -580,27 +582,26 @@ class TestDisaggHookWiring:
         assert not any(w.emit_phases or w.on_event
                        for w in memo_holders(engine))
 
-    def test_spawned_and_revived_workers_join_wired(self):
+    def test_spawned_and_undrained_workers_join_wired(self):
         # a never-firing autoscaler: only there to size the node cluster
         engine = build("disagg", prefill_workers=1, decode_workers=1,
-                       pool_autoscaler=PoolAutoscaler(check_interval_s=1e9))
+                       decode_autoscaler=Autoscaler(check_interval_s=1e9))
         events = []
         engine.on_event = events.append
         engine.emit_phases = True
         engine.step()                            # wires the two pools
-        spawned = engine._spawn_worker("decode", 0.0)
+        spawned = engine._decode.spawn_replica()
+        assert spawned in engine._decode_pool
         assert spawned.emit_phases and spawned.on_event is not None
-        # park it the way the reaper does, change the owner's hooks
-        # while it is away, then revive it through the autoscaler path
-        spawned.draining = True
-        engine._reap_drained()
-        assert spawned in engine._parked
+        # a draining worker stays in its pool, so a hook change while it
+        # drains reaches it like any other member
+        spawned.submit(hand_trace([(0, 50.0, 16, 4)]).requests[0])
+        engine._decode.shrink(spawned)
         engine.emit_phases = False
         engine.step()
-        assert spawned.emit_phases               # parked: missed it
-        assert engine._grow_pool("decode", 1.0)
-        assert spawned in engine._decode_pool
         assert not spawned.emit_phases and spawned.on_event is not None
+        assert engine._decode.spawn_replica() is spawned     # un-drained
+        assert not spawned.draining
 
     def test_clock_matches_the_list_building_definition(self):
         def reference(engine):
