@@ -25,7 +25,7 @@ class SimulatedGPU:
     spec: GPUSpec
     memory: MemoryPool = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         self.memory = MemoryPool(name=f"gpu{self.index}",
                                  capacity=self.spec.memory_bytes)
 
@@ -53,7 +53,7 @@ class GPUNode:
     host_memory: MemoryPool = field(init=False)
     transfers: TransferModel = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         self.gpus = [SimulatedGPU(index=i, spec=self.spec.gpu)
                      for i in range(self.spec.n_gpus)]
         self.host_memory = MemoryPool(name="host",
@@ -72,7 +72,7 @@ class GPUNode:
         return self.gpus[:degree]
 
     def load_time(self, nbytes: float, src: Tier, dst: Tier,
-                  decompress_gbps=None) -> float:
+                  decompress_gbps: Optional[float] = None) -> float:
         return self.transfers.time(nbytes, src, dst,
                                    decompress_gbps=decompress_gbps)
 
@@ -94,7 +94,7 @@ class Cluster:
     never touches.
     """
 
-    def __init__(self, spec: NodeSpec, n_nodes: int = 1):
+    def __init__(self, spec: NodeSpec, n_nodes: int = 1) -> None:
         if n_nodes < 1:
             raise ValueError("a cluster needs at least one node")
         self.spec = spec

@@ -200,13 +200,12 @@ class LoadBalancer:
 
     name: str = "abstract"
 
-    def choose(self, model_id: str, replicas: Sequence[Replica],
-               conversation_id: Optional[str] = None) -> Replica:
+    def choose(self, model_id: str, replicas: Sequence[M],
+               conversation_id: Optional[str] = None) -> M:
         """Pick one of the eligible (non-draining) replicas."""
         raise NotImplementedError
 
-    def on_removed(self, replica: Replica,
-                   survivors: Sequence[Replica] = ()) -> None:
+    def on_removed(self, replica: M, survivors: Sequence[M] = ()) -> None:
         """A replica left the set (drained); drop any state pinned to
         it.  ``survivors`` is the remaining active set, so policies that
         keep residency state can migrate it instead of just dropping."""

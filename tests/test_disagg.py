@@ -302,10 +302,11 @@ class TestCancelAcrossPools:
 # --------------------------------------------------------------------------- #
 # pool autoscaling
 # --------------------------------------------------------------------------- #
-def eager_scaler():
+def eager_scaler(scale_down_cooldown_s=5.0):
     return Autoscaler(min_replicas=1, max_replicas=3,
                       high_queue_per_replica=2.0, low_queue_per_replica=0.5,
-                      scale_up_cooldown_s=1.0, scale_down_cooldown_s=5.0,
+                      scale_up_cooldown_s=1.0,
+                      scale_down_cooldown_s=scale_down_cooldown_s,
                       check_interval_s=1.0)
 
 

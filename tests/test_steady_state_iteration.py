@@ -27,6 +27,7 @@ from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.sim.sanitizer import SimSanitizerError, sanitized
 from repro.workload import session_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
+from test_disagg import eager_scaler
 
 N_MODELS = 8
 MODELS = [f"variant-{i:02d}" for i in range(N_MODELS)]
@@ -288,13 +289,6 @@ def test_receive_delta(monkeypatch, sanitize):
     assert seen["wire_s"] > 0.0 and shipped["stats"]["swap_ins"] == 4
 
 
-def eager_scaler():
-    return Autoscaler(min_replicas=1, max_replicas=3,
-                      high_queue_per_replica=2.0, low_queue_per_replica=0.5,
-                      scale_up_cooldown_s=1.0, scale_down_cooldown_s=3.0,
-                      check_interval_s=1.0)
-
-
 @SANITIZE
 def test_pool_workers_built_and_reaped_mid_run(monkeypatch, sanitize):
     engines = []
@@ -304,8 +298,8 @@ def test_pool_workers_built_and_reaped_mid_run(monkeypatch, sanitize):
         # retire their extra workers, then build fresh cold ones
         rows = [(i % 4, 0.1 * i, 48, 40 + i % 9) for i in range(60)]
         rows += [(i % 4, 40.0 + 0.1 * i, 48, 40 + i % 9) for i in range(60)]
-        engine = build("disagg", prefill_autoscaler=eager_scaler(),
-                       decode_autoscaler=eager_scaler())
+        engine = build("disagg", prefill_autoscaler=eager_scaler(3.0),
+                       decode_autoscaler=eager_scaler(3.0))
         engines.append(engine)
         return engine, hand_trace(rows), None
     assert_reuse_changes_nothing(scenario, monkeypatch, sanitize)
@@ -511,7 +505,7 @@ class TestSanitizer:
     def test_stale_residency_is_a_stale_verdict(self):
         with sanitized():
             engine = self.steady_engine()
-            engine._resident.clear()       # behind flush_residency's back
+            engine._resident.clear()       # behind admit's back
             with pytest.raises(SimSanitizerError,
                                match=r"admission verdict.*loads "
                                      r"\['variant-00'\]"):
