@@ -19,8 +19,13 @@ Covers the million-request-scale machinery:
 
 from __future__ import annotations
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.hardware.kernels import GemmShape, dense_gemm_time, sbmm_time
@@ -30,7 +35,8 @@ from repro.serving import (BatchComposition, ClusterGateway, EngineConfig,
                            ModelManager, QuantileSketch, RecordPolicy,
                            ReservoirSampler, SchedulerConfig, ServingGateway,
                            SKETCH_RELATIVE_ERROR, StreamingMetrics, Tenant,
-                           TenantGateway, create_engine, summarize)
+                           TenantCounters, TenantGateway, create_engine,
+                           summarize)
 from repro.serving.metrics import ServingResult
 from repro.serving.models import LLAMA_70B
 from repro.serving.request import RequestRecord
@@ -490,6 +496,239 @@ class TestStreamingMetricsSink:
         a.merge_from(b)
         assert a.n_finished == 30
         assert a.max_finish_s == 30.0
+
+
+# --------------------------------------------------------------------- #
+# differential: the sink's whole state == a reference made of public
+# QuantileSketch.add calls and plain counters, float for float
+# --------------------------------------------------------------------- #
+SKETCH_NAMES = ("e2e", "ttft", "fin_e2e", "fin_ttft")
+COUNTED_STATUSES = ("finished", "cancelled", "expired")
+
+
+class RefStream:
+    """One tenant's (or the overall) aggregates the slow way: every value
+    through the record's own properties, every sketch through ``add``."""
+
+    def __init__(self):
+        self.counters = dict.fromkeys(asdict(TenantCounters()), 0)
+        self.e2e = QuantileSketch()
+        self.ttft = QuantileSketch()
+        self.fin_e2e = QuantileSketch()
+        self.fin_ttft = QuantileSketch()
+        self.tpt_sum = 0.0
+        self.fin_tpt_sum = 0.0
+        self.min_arrival_s = math.inf
+        self.max_finish_s = -math.inf
+
+    def observe(self, rec):
+        c = self.counters
+        c[rec.status if rec.status in COUNTED_STATUSES else "shed"] += 1
+        c["tokens_served"] += rec.tokens_served
+        if rec.cached_prefix_tokens > 0:
+            c["prefix_hits"] += 1
+            c["prefix_saved_tokens"] += rec.cached_prefix_tokens
+        self.e2e.add(rec.e2e_latency_s)
+        self.ttft.add(rec.ttft_s)
+        self.tpt_sum += rec.time_per_token_s
+        if rec.finished:
+            self.fin_e2e.add(rec.e2e_latency_s)
+            self.fin_ttft.add(rec.ttft_s)
+            self.fin_tpt_sum += rec.time_per_token_s
+        else:
+            c["tokens_wasted"] += rec.tokens_served
+        self.min_arrival_s = min(self.min_arrival_s, rec.arrival_s)
+        self.max_finish_s = max(self.max_finish_s, rec.finish_s)
+
+    def merge(self, other):
+        for name, n in other.counters.items():
+            self.counters[name] += n
+        for name in SKETCH_NAMES:
+            getattr(self, name).merge(getattr(other, name))
+        self.tpt_sum += other.tpt_sum
+        self.fin_tpt_sum += other.fin_tpt_sum
+        self.min_arrival_s = min(self.min_arrival_s, other.min_arrival_s)
+        self.max_finish_s = max(self.max_finish_s, other.max_finish_s)
+
+
+class RefSink:
+    def __init__(self, records=()):
+        self.overall = RefStream()
+        self.tenants = {}
+        self.finish = QuantileSketch()
+        for rec in records:
+            self.observe(rec)
+
+    def observe(self, rec):
+        self.overall.observe(rec)
+        self.tenants.setdefault(rec.tenant_id or "default",
+                                RefStream()).observe(rec)
+        self.finish.add(rec.finish_s)
+
+    def merge(self, other):
+        self.overall.merge(other.overall)
+        for tenant, stream in other.tenants.items():
+            self.tenants.setdefault(tenant, RefStream()).merge(stream)
+        self.finish.merge(other.finish)
+
+    def state(self):
+        return {"overall": stream_state(self.overall),
+                "tenants": {t: stream_state(s)
+                            for t, s in self.tenants.items()},
+                "finish": sketch_state(self.finish)}
+
+
+def sketch_state(sketch):
+    return (sketch.count, sketch.total, sketch.min_value, sketch.max_value,
+            sketch._n_small, sorted(sketch._bins.items()))
+
+
+def stream_state(stream):
+    """Every field of a ``_TenantStream`` / ``RefStream``; compared with
+    ``==``, so a float that moved by one ulp is a failure."""
+    counters = stream.counters
+    state = {"counters": counters if isinstance(counters, dict)
+             else asdict(counters),
+             "tpt_sum": stream.tpt_sum, "fin_tpt_sum": stream.fin_tpt_sum,
+             "span": (stream.min_arrival_s, stream.max_finish_s)}
+    for name in SKETCH_NAMES:
+        state[name] = sketch_state(getattr(stream, name))
+    return state
+
+
+def sink_state(sink):
+    return {"overall": stream_state(sink._overall),
+            "tenants": {t: stream_state(s)
+                        for t, s in sink._tenants.items()},
+            "finish": sketch_state(sink._finish)}
+
+
+@st.composite
+def record_fields(draw):
+    # arrival 0.0 keeps `finish - arrival` equal to the drawn latency, so
+    # the zero bin (0.0, 1e-12) and its edge (1e-9) are reachable exactly
+    arrival = draw(st.sampled_from((0.0, 0.25)) | st.floats(0.0, 1e3))
+    latency = draw(st.sampled_from((0.0, 1e-12, 1e-9))
+                   | st.floats(0.0, 1e4))
+    finish = arrival + latency
+    first = draw(st.none() | st.floats(0.0, 1.0).map(
+        lambda share: min(arrival + share * latency, finish)))
+    output = draw(st.integers(0, 48))
+    return dict(
+        arrival_s=arrival, first_token_s=first, finish_s=finish,
+        output_tokens=output,
+        served_tokens=draw(st.none() | st.integers(0, output)),
+        status=draw(st.sampled_from(COUNTED_STATUSES + ("rejected",))),
+        cached_prefix_tokens=draw(st.sampled_from((0, 0, 16, 48))),
+        tenant_id=draw(st.sampled_from((None, "a", "b", "c"))))
+
+
+def build_records(rows):
+    return [RequestRecord(request_id=i, model_id="m", prompt_tokens=64,
+                          queue_wait_s=0.0, loading_s=0.0, inference_s=0.0,
+                          skipped_line=False, preemptions=0, **row)
+            for i, row in enumerate(rows)]
+
+
+def corner_row(latency, status, tenant, **over):
+    row = dict(arrival_s=0.0, first_token_s=None, finish_s=latency,
+               output_tokens=4, served_tokens=None, status=status,
+               cached_prefix_tokens=0, tenant_id=tenant)
+    row.update(over)
+    return row
+
+
+#: one hand-built stream that hits every corner the strategy can reach,
+#: so coverage does not depend on what Hypothesis happens to draw
+CORNER_ROWS = [
+    corner_row(0.0, "finished", None),
+    corner_row(1e-12, "finished", "a", first_token_s=5e-13),
+    corner_row(1e-12, "cancelled", "b", served_tokens=2),
+    corner_row(0.75, "rejected", "c", served_tokens=0),
+    corner_row(2.5, "expired", "a", first_token_s=0.5, served_tokens=3,
+               cached_prefix_tokens=32),
+    corner_row(2.5, "finished", "b", first_token_s=0.5, output_tokens=0),
+    corner_row(40.0, "finished", "c", arrival_s=7.0, first_token_s=9.0,
+               finish_s=47.0, cached_prefix_tokens=16),
+    corner_row(0.3, "finished", None, first_token_s=0.1),
+    corner_row(1e-9, "finished", "a"),
+]
+
+ROWS = st.lists(record_fields(), max_size=40)
+
+
+class TestSinkDifferential:
+    @pytest.mark.parametrize("policy", list(RecordPolicy))
+    @given(rows=ROWS)
+    @example(rows=CORNER_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_observe_matches_the_reference(self, policy, rows):
+        records = build_records(rows)
+        sink = StreamingMetrics(policy=policy, sample_k=4, sample_seed=7)
+        for rec in records:
+            sink.observe(rec)
+        assert sink_state(sink) == RefSink(records).state()
+        assert sink.n_observed == len(records)
+        if policy is RecordPolicy.KEEP_ALL:
+            assert sink.records == records
+        elif policy is RecordPolicy.SAMPLE_K:
+            reservoir = ReservoirSampler(4, sample_seed=7)
+            for rec in records:
+                reservoir.offer(rec)
+            assert sink.records == reservoir.samples
+        else:
+            assert sink.records == []
+
+    @given(rows=ROWS, cut=st.integers(0, 40))
+    @example(rows=CORNER_ROWS, cut=4)
+    @settings(max_examples=60, deadline=None)
+    def test_merge_and_copy_match_the_reference(self, rows, cut):
+        records = build_records(rows)
+        left = StreamingMetrics(policy=RecordPolicy.KEEP_ALL)
+        right = StreamingMetrics(policy=RecordPolicy.DROP)
+        left.observe_all(records[:cut])
+        right.observe_all(records[cut:])
+        expected = RefSink(records[:cut])
+        expected.merge(RefSink(records[cut:]))
+        left.merge_from(right)
+        assert sink_state(left) == expected.state()
+        assert not left.complete
+
+        snapshot = left.copy()
+        assert sink_state(snapshot) == expected.state()
+        snapshot.observe_all(records)          # the copy owns its state
+        assert sink_state(left) == expected.state()
+
+    @given(rows=ROWS)
+    @example(rows=CORNER_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_views_match_the_reference(self, rows):
+        records = build_records(rows)
+        sink = StreamingMetrics(policy=RecordPolicy.DROP)
+        sink.observe_all(records)
+        full = RefSink(records)
+
+        # finished_view: finished records only, except that the span and
+        # the prefix counters stay all-statuses (documented on the view)
+        expected = RefSink([r for r in records if r.finished])
+        expected.finish = QuantileSketch()
+        for tenant, stream in full.tenants.items():
+            expected.tenants.setdefault(tenant, RefStream())
+        for view, whole in [(expected.overall, full.overall)] + [
+                (expected.tenants[t], full.tenants[t])
+                for t in full.tenants]:
+            view.min_arrival_s = whole.min_arrival_s
+            view.max_finish_s = whole.max_finish_s
+            for name in ("prefix_hits", "prefix_saved_tokens"):
+                view.counters[name] = whole.counters[name]
+        assert sink_state(sink.finished_view()) == expected.state()
+
+        for tenant in (None, "a", "b", "c", "idle"):
+            key = tenant or "default"
+            mine = [r for r in records if (r.tenant_id or "default") == key]
+            expected = RefSink(mine)
+            expected.finish = QuantileSketch()
+            assert sink_state(sink.for_tenant(tenant)) == expected.state()
 
 
 # --------------------------------------------------------------------- #
