@@ -508,11 +508,12 @@ class ServingEngine:
         newly_done += done_on_first_token
 
         # 5. retire finished requests; engine-specific cleanup (preemption)
-        for req in newly_done:
-            batch.leave(req)
-            req.state = RequestState.FINISHED
-            req.finish_s = now
-            self._retire_terminal(req)
+        if newly_done:
+            for req in newly_done:
+                batch.leave(req)
+                req.state = RequestState.FINISHED
+                req.finish_s = now
+            self._retire(newly_done)
         self._sim.tick(self.retire(newly_done))
         if executed and self.on_event is not None:
             self.on_event(IterationDone(
@@ -695,26 +696,34 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     # retirement
     # ------------------------------------------------------------------ #
-    def _retire_terminal(self, req: ServingRequest) -> None:
-        """Account one terminal request: fold its record into the
-        streaming sink, then either keep the request object (KEEP_ALL)
-        or release it (SAMPLE_K/DROP) so live state stays O(active).
-        The memoized record is the same object the gateway finish hooks
-        will see.  A released request drops out of :meth:`lookup`; late
-        cancels against it are discarded as stale, exactly like cancels
-        against a kept-but-terminal request."""
-        self._n_retired += 1
-        self.metrics.observe(req.record())
-        if self.emit_phases and self.on_event is not None:
-            self.on_event(PhaseTransition(
-                time=req.finish_s, request_id=req.request_id,
-                phase="retire", model_id=req.model_id,
-                tenant_id=req.tenant_id, status=req.state.value,
-                source=self.name))
-        if self._keep_requests:
-            self.finished.append(req)
-        else:
-            self._live.pop(req.request_id, None)
+    def _retire(self, requests: List[ServingRequest]) -> None:
+        """Account terminal requests, in order — the one retire body:
+        :meth:`step` passes its finished partition, a cancel, a deadline
+        expiry or a disagg finalize a one-element list.  Each record is
+        folded into the streaming sink, then the request object is kept
+        (KEEP_ALL) or released (SAMPLE_K/DROP) so live state stays
+        O(active).  The memoized record is the same object the gateway
+        finish hooks will see.  A released request drops out of
+        :meth:`lookup`; late cancels against it are discarded as stale,
+        exactly like cancels against a kept-but-terminal request."""
+        # bound per call, never at construction: a profiler may swap
+        # StreamingMetrics.observe on the class after the engine exists
+        observe = self.metrics.observe
+        emit = self.on_event if self.emit_phases else None
+        keep = self._keep_requests
+        for req in requests:
+            self._n_retired += 1
+            observe(req.record())
+            if emit is not None:
+                emit(PhaseTransition(
+                    time=req.finish_s, request_id=req.request_id,
+                    phase="retire", model_id=req.model_id,
+                    tenant_id=req.tenant_id, status=req.state.value,
+                    source=self.name))
+            if keep:
+                self.finished.append(req)
+            else:
+                self._live.pop(req.request_id, None)
 
     # ------------------------------------------------------------------ #
     # cancellation mechanics
@@ -734,7 +743,7 @@ class ServingEngine:
         req.state = RequestState.EXPIRED if reason == "deadline" \
             else RequestState.CANCELLED
         req.finish_s = max(self.clock, req.arrival_s)
-        self._retire_terminal(req)
+        self._retire([req])
         self.stats.aborts += 1
         if self.on_event is not None:
             self.on_event(Cancel(time=req.finish_s, request_id=request_id,

@@ -639,13 +639,13 @@ class DisaggregatedEngine(ServingEngine):
         self._cancel_log.pop(rid, None)
         self._in_transfer.discard(rid)
         self._owner_of.pop(rid, None)
-        self._retire_terminal(canonical)
+        self._retire([canonical])
         if self.on_finish is not None:
             self.on_finish(canonical, clock_s)
 
     # phase translation: worker-local lifecycles map onto the canonical
     # queue → prefill → transfer → decode → retire span; the owner's own
-    # _retire_terminal emits retire, _handoff emits transfer
+    # _retire emits retire, _handoff emits transfer
     _PREFILL_PHASE_MAP = {"queue": "queue", "prefill": "prefill"}
     _DECODE_PHASE_MAP = {"prefill": "decode"}
 

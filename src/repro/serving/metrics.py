@@ -12,11 +12,14 @@ Scale: a :class:`ServingResult` optionally carries a
 (``result.stream``).  When the run's
 :class:`~repro.serving.streaming_metrics.RecordPolicy` retained every
 record (``KEEP_ALL``) the exact record-based math runs as always —
-with the latency arrays built and sorted *once* and cached, instead of
-a fresh list comprehension per percentile call.  When records were
-sampled or dropped, every aggregate routes through the sink's quantile
-sketches and counters instead, within the sketch's documented relative
-error (see :data:`~repro.serving.streaming_metrics.SKETCH_RELATIVE_ERROR`).
+with the latency arrays built and sorted *once* and cached (percentiles
+and SLO attainment both read them), and with the integer aggregates
+(``n_finished``, served and wasted tokens) read from the sink's exact
+counters whenever it observed exactly the records held, instead of one
+Python pass over the records per question.  When records were sampled
+or dropped, every aggregate routes through the sink's quantile sketches
+and counters instead, within the sketch's documented relative error
+(see :data:`~repro.serving.streaming_metrics.SKETCH_RELATIVE_ERROR`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sim import sanitizer as _sanitizer
 from .request import DEFAULT_TENANT, RequestRecord
 from .streaming_metrics import StreamingMetrics, merged_streams
 
@@ -139,6 +143,24 @@ class ServingResult:
             return self.stream
         return None
 
+    @property
+    def _counters(self) -> Optional[StreamingMetrics]:
+        """The sink, when its exact integer counters answer for this
+        result: always when it stands in for dropped records, and under
+        ``KEEP_ALL`` only if it observed exactly the records held here
+        (a record list assembled some other way is re-summed).  Integers
+        only — the sink's float sums are sequential, and a re-sum over
+        the records is not the same float."""
+        stream = self.stream
+        if stream is None:
+            return None
+        if stream.complete:
+            if stream.n_observed != len(self.records):
+                return None
+            if _sanitizer.enabled():
+                _sanitizer.check_exact_aggregates(stream, self.records)
+        return stream
+
     def _lat_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cached (sorted e2e, sorted ttft, per-token) latency arrays."""
         cache = self._lat_cache
@@ -225,9 +247,9 @@ class ServingResult:
 
     @property
     def n_finished(self) -> int:
-        sketch = self._sketch
-        if sketch is not None:
-            return sketch.n_finished
+        counters = self._counters
+        if counters is not None:
+            return counters.n_finished
         return sum(1 for r in self.records if r.finished)
 
     def finished_only(self) -> "ServingResult":
@@ -261,10 +283,10 @@ class ServingResult:
     def wasted_token_fraction(self) -> float:
         """Share of generated output tokens spent on requests that never
         finished — the capacity impatient clients burn."""
-        sketch = self._sketch
-        if sketch is not None:
-            served = sketch.tokens_served
-            return sketch.tokens_wasted / served if served else 0.0
+        counters = self._counters
+        if counters is not None:
+            served = counters.tokens_served
+            return counters.tokens_wasted / served if served else 0.0
         served = sum(r.tokens_served for r in self.records)
         if served == 0:
             return 0.0
@@ -298,9 +320,9 @@ class ServingResult:
         (identical to the requested-token rate when nothing aborted)."""
         if self.makespan_s <= 0:
             return 0.0
-        sketch = self._sketch
-        if sketch is not None:
-            return sketch.tokens_served / self.makespan_s
+        counters = self._counters
+        if counters is not None:
+            return counters.tokens_served / self.makespan_s
         return sum(r.tokens_served for r in self.records) / self.makespan_s
 
     def mean_e2e_latency_s(self) -> float:
@@ -365,12 +387,20 @@ class ServingResult:
 
     def slo_attainment(self, slo_s: float, metric: str = "e2e") -> float:
         """Fraction of requests meeting an SLO threshold; exact on
-        retained records, sketch-approximate (within the relative error
-        around the threshold) when records were dropped."""
+        retained records (a binary search of the cached sorted column),
+        sketch-approximate (within the relative error around the
+        threshold) when records were dropped."""
         sketch = self._sketch
         if sketch is not None:
             return sketch.slo_attainment(slo_s, metric=metric)
-        return slo_attainment(self.records, slo_s, metric=metric)
+        if metric not in ("e2e", "ttft"):
+            raise ValueError(f"unknown metric {metric!r}")
+        if not self.records:
+            return 0.0
+        values = self._lat_arrays()[0 if metric == "e2e" else 1]
+        # count / n is the float np.mean of the boolean list gives
+        met = int(np.searchsorted(values, slo_s, side="right"))
+        return met / len(values)
 
     def summary(self) -> Dict[str, float]:
         return summarize(self)

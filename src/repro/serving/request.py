@@ -1,10 +1,13 @@
-"""Serving-side request lifecycle and per-request timing records."""
+"""Serving-side request lifecycle and per-request timing records:
+:class:`ServingRequest` is the mutable state an engine steps,
+:class:`RequestRecord` the immutable row it leaves behind, built once
+per terminal request by :meth:`ServingRequest.record`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..workload.spec import TraceRequest
 
@@ -30,6 +33,10 @@ class RequestState(str, Enum):
 #: treat late Cancel events as stale
 TERMINAL_STATES = frozenset((RequestState.FINISHED, RequestState.CANCELLED,
                              RequestState.EXPIRED))
+
+#: terminal state -> the status string its record carries: one lookup in
+#: ``ServingRequest.record`` answers "terminal?" and "which status?"
+_TERMINAL_STATUS = {state: state.value for state in TERMINAL_STATES}
 
 
 @dataclass(eq=False, slots=True)
@@ -102,40 +109,35 @@ class ServingRequest:
         return self.prompt_tokens + self.generated_tokens
 
     def record(self) -> "RequestRecord":
-        if self._record_cache is not None:
-            return self._record_cache
-        if self.finish_s is None:
+        """This request's result row.  Built once per terminal request
+        (the retire path and the gateway finish hooks share the memo);
+        a running request's snapshot reads as ``finished`` and is not
+        kept.  Fields go in positionally, in ``RequestRecord`` order."""
+        rec = self._record_cache
+        if rec is not None:
+            return rec
+        finish_s = self.finish_s
+        if finish_s is None:
             raise ValueError(f"request {self.request_id} not finished")
-        status = self.state.value if self.terminal \
-            else RequestState.FINISHED.value
+        status = _TERMINAL_STATUS.get(self.state)
         rec = RequestRecord(
-            request_id=self.request_id,
-            model_id=self.model_id,
-            arrival_s=self.arrival_s,
-            first_token_s=self.first_token_s,
-            finish_s=self.finish_s,
-            prompt_tokens=self.prompt_tokens,
-            output_tokens=self.output_tokens,
-            queue_wait_s=self.queue_wait_s,
-            loading_s=self.loading_s,
-            inference_s=self.inference_s,
-            skipped_line=self.skipped_line,
-            preemptions=self.preemptions,
-            tenant_id=self.tenant_id,
-            status=status,
-            served_tokens=self.generated_tokens,
-            conversation_id=self.conversation_id,
-            cached_prefix_tokens=self.cached_prefix_tokens,
-            transfer_s=self.transfer_s,
-        )
-        if self.terminal:
+            self.request_id, self.model_id, self.arrival_s,
+            self.first_token_s, finish_s, self.prompt_tokens,
+            self.output_tokens, self.queue_wait_s, self.loading_s,
+            self.inference_s, self.skipped_line, self.preemptions,
+            self.tenant_id, status or RequestState.FINISHED.value,
+            self.generated_tokens, self.trace.conversation_id,
+            self.cached_prefix_tokens, self.transfer_s)
+        if status is not None:
             self._record_cache = rec
         return rec
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Immutable per-request result row (the unit of every Fig 11-19 metric).
+
+    A named tuple — one allocation per retirement, immutable, hashable,
+    keyword-constructible; ``tuple(record)`` is the fields in order.
 
     ``status`` distinguishes the terminal state: ``"finished"`` (the only
     value pre-cancellation runs produce), ``"cancelled"``, ``"expired"``,

@@ -23,6 +23,15 @@ maintained incrementally:
   serving stack releases terminal per-request state, so live memory is
   O(active requests) instead of O(total).
 
+Always-on is only true if the write is cheap: :meth:`StreamingMetrics.
+observe` derives each latency once, takes one ``math.log`` per distinct
+value (:meth:`QuantileSketch.bin_key`, the only definition of the bin
+rule) and feeds the same ``(value, key)`` to every sketch that wants it,
+which requires all sketches of one sink to share its ``relative_error``.
+The integer counters are exact, so a complete sink may answer
+``ServingResult`` reads; the float sums are sequential in retirement
+order and are only ever read as themselves.
+
 Error bounds
 ------------
 A sketch with relative accuracy ``alpha`` stores a value ``v`` in the
@@ -47,6 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sim import sanitizer as _sanitizer
 from .request import DEFAULT_TENANT, RequestRecord
 
 __all__ = ["RecordPolicy", "SKETCH_RELATIVE_ERROR", "QuantileSketch",
@@ -103,19 +113,31 @@ class QuantileSketch:
         self.max_value = -math.inf
 
     # ------------------------------------------------------------------ #
-    def add(self, value: float) -> None:
-        """Fold one observation in (O(1), pure bin arithmetic)."""
+    def bin_key(self, value: float) -> Optional[int]:
+        """The log bin ``value`` falls in (None: the "zero" bin) — the
+        one definition of the bin rule.  Sketches of equal
+        ``relative_error`` agree on every key."""
+        if value <= _MIN_TRACKABLE:
+            return None
+        return math.ceil(math.log(value) / self._log_gamma)
+
+    def add_binned(self, value: float, key: Optional[int]) -> None:
+        """Fold in one observation whose :meth:`bin_key` is ``key``."""
         self.count += 1
         self.total += value
         if value < self.min_value:
             self.min_value = value
         if value > self.max_value:
             self.max_value = value
-        if value <= _MIN_TRACKABLE:
+        if key is None:
             self._n_small += 1
-            return
-        key = math.ceil(math.log(value) / self._log_gamma)
-        self._bins[key] = self._bins.get(key, 0) + 1
+        else:
+            bins = self._bins
+            bins[key] = bins.get(key, 0) + 1
+
+    def add(self, value: float) -> None:
+        """Fold one observation in (O(1), pure bin arithmetic)."""
+        self.add_binned(value, self.bin_key(value))
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch in (bin-count addition; exact)."""
@@ -148,28 +170,36 @@ class QuantileSketch:
     def quantile(self, q: float) -> float:
         """The ``q``-th percentile (``q`` in [0, 100]) within the
         documented relative error; 0.0 on an empty sketch."""
-        if self.count == 0:
-            return 0.0
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("q must be in [0, 100]")
-        # index of the lower bracketing order statistic of the exact
-        # (linearly interpolated) percentile
-        rank = int(math.floor(q / 100.0 * (self.count - 1)))
-        if rank < self._n_small:
-            return max(self.min_value, 0.0)
-        cum = self._n_small
-        estimate = self.max_value
-        for key in sorted(self._bins):
-            cum += self._bins[key]
-            if cum > rank:
-                estimate = 2.0 * self._gamma ** key / (self._gamma + 1.0)
-                break
-        # min/max are exact: clamping only ever tightens the estimate
-        return min(max(estimate, self.min_value), self.max_value)
+        return self.quantiles((q,))[0]
 
     def quantiles(self, qs: Sequence[float]) -> List[float]:
-        """Several percentiles in one pass over the sorted bins."""
-        return [self.quantile(q) for q in qs]
+        """Several percentiles in one pass over the sorted bins (ranks
+        walked ascending, answers in ``qs``' order; 0.0 when empty)."""
+        if self.count == 0:
+            return [0.0 for _ in qs]
+        ranks = []
+        for q in qs:
+            if not 0.0 <= q <= 100.0:
+                raise ValueError("q must be in [0, 100]")
+            # index of the lower bracketing order statistic of the exact
+            # (linearly interpolated) percentile
+            ranks.append(int(math.floor(q / 100.0 * (self.count - 1))))
+        out = [0.0] * len(ranks)
+        keys = sorted(self._bins)
+        cum, taken = self._n_small, 0      # cum covers keys[:taken]
+        for i in sorted(range(len(ranks)), key=ranks.__getitem__):
+            rank = ranks[i]
+            if rank < self._n_small:
+                out[i] = max(self.min_value, 0.0)
+                continue
+            while cum <= rank and taken < len(keys):
+                cum += self._bins[keys[taken]]
+                taken += 1
+            estimate = 2.0 * self._gamma ** keys[taken - 1] \
+                / (self._gamma + 1.0) if cum > rank else self.max_value
+            # min/max are exact: clamping only ever tightens the estimate
+            out[i] = min(max(estimate, self.min_value), self.max_value)
+        return out
 
     def count_leq(self, threshold: float) -> int:
         """How many observed values are <= ``threshold`` (exact except
@@ -278,39 +308,6 @@ class _TenantStream:
         self.min_arrival_s = math.inf
         self.max_finish_s = -math.inf
 
-    def observe(self, record: RequestRecord) -> None:
-        c = self.counters
-        status = record.status
-        if status == "finished":
-            c.finished += 1
-        elif status == "cancelled":
-            c.cancelled += 1
-        elif status == "expired":
-            c.expired += 1
-        else:                       # "shed"/"rejected": frontier drops
-            c.shed += 1
-        served = record.tokens_served
-        c.tokens_served += served
-        if record.cached_prefix_tokens > 0:
-            c.prefix_hits += 1
-            c.prefix_saved_tokens += record.cached_prefix_tokens
-        e2e = record.e2e_latency_s
-        ttft = record.ttft_s
-        tpt = record.time_per_token_s
-        self.e2e.add(e2e)
-        self.ttft.add(ttft)
-        self.tpt_sum += tpt
-        if status == "finished":
-            self.fin_e2e.add(e2e)
-            self.fin_ttft.add(ttft)
-            self.fin_tpt_sum += tpt
-        else:
-            c.tokens_wasted += served
-        if record.arrival_s < self.min_arrival_s:
-            self.min_arrival_s = record.arrival_s
-        if record.finish_s > self.max_finish_s:
-            self.max_finish_s = record.finish_s
-
     def merge(self, other: "_TenantStream") -> None:
         c, o = self.counters, other.counters
         c.finished += o.finished
@@ -391,6 +388,7 @@ class StreamingMetrics:
         self._tenants: Dict[str, _TenantStream] = {}
         # finish-time sketch for throughput_within (overall only)
         self._finish = QuantileSketch(relative_error)
+        self._sanitize = _sanitizer.enabled()
         self._kept: List[RequestRecord] = []
         self._reservoir: Optional[ReservoirSampler] = \
             ReservoirSampler(sample_k, sample_seed) \
@@ -400,15 +398,72 @@ class StreamingMetrics:
     # ingestion
     # ------------------------------------------------------------------ #
     def observe(self, record: RequestRecord) -> None:
-        """Fold one retired request in (sketches, counters, retention)."""
-        self._overall.observe(record)
+        """Fold one retired request in (sketches, counters, retention).
+
+        One fused pass: each latency and bin key is computed once from
+        the record's plain fields and shared by the overall and the
+        tenant stream; every float sum sees the additions, and the
+        order, a per-stream ``add`` of each value would give it."""
+        arrival = record.arrival_s
+        finish = record.finish_s
+        first = record.first_token_s
+        e2e = finish - arrival
+        ttft = e2e if first is None else first - arrival
+        output = record.output_tokens
+        tpt = e2e / (output if output > 1 else 1)
+        served = record.served_tokens
+        if served is None:
+            served = output
+        cached = record.cached_prefix_tokens
+        status = record.status
+        finished = status == "finished"
+        bin_key = self._finish.bin_key
+        e2e_key = bin_key(e2e)
+        ttft_key = bin_key(ttft)
+        finish_key = bin_key(finish)
         tenant = record.tenant_id or DEFAULT_TENANT
         stream = self._tenants.get(tenant)
         if stream is None:
             stream = self._tenants[tenant] = \
                 _TenantStream(self.relative_error)
-        stream.observe(record)
-        self._finish.add(record.finish_s)
+            if self.relative_error != self._finish.relative_error:
+                raise ValueError(
+                    "every sketch of one sink shares its bin keys: tenant "
+                    f"{tenant!r} would bin at {self.relative_error!r}, "
+                    f"the sink at {self._finish.relative_error!r}")
+        for part in (self._overall, stream):
+            c = part.counters
+            if finished:
+                c.finished += 1
+            elif status == "cancelled":
+                c.cancelled += 1
+            elif status == "expired":
+                c.expired += 1
+            else:                       # "shed"/"rejected": frontier drops
+                c.shed += 1
+            c.tokens_served += served
+            if cached > 0:
+                c.prefix_hits += 1
+                c.prefix_saved_tokens += cached
+            part.e2e.add_binned(e2e, e2e_key)
+            part.ttft.add_binned(ttft, ttft_key)
+            part.tpt_sum += tpt
+            if finished:
+                part.fin_e2e.add_binned(e2e, e2e_key)
+                part.fin_ttft.add_binned(ttft, ttft_key)
+                part.fin_tpt_sum += tpt
+            else:
+                c.tokens_wasted += served
+            if arrival < part.min_arrival_s:
+                part.min_arrival_s = arrival
+            if finish > part.max_finish_s:
+                part.max_finish_s = finish
+        self._finish.add_binned(finish, finish_key)
+        if self._sanitize:
+            _sanitizer.check_sink_row(
+                record, (e2e, ttft, tpt, finish),
+                (e2e_key, ttft_key, finish_key), self._finish._log_gamma,
+                _MIN_TRACKABLE)
         if self.policy is RecordPolicy.KEEP_ALL:
             self._kept.append(record)
         elif self._reservoir is not None:
@@ -591,19 +646,24 @@ class StreamingMetrics:
         of ``ServingResult.throughput_within``'s numerator."""
         return self._finish.count_leq(horizon_s)
 
+    def _latency_sketch(self, metric: str, prefix: str = "") -> QuantileSketch:
+        """The overall ``e2e``/``ttft`` sketch (``prefix="fin_"``: its
+        finished-only twin); any other metric name is a caller typo."""
+        if metric not in ("e2e", "ttft"):
+            raise ValueError(f"unknown metric {metric!r}")
+        return getattr(self._overall, prefix + metric)
+
     def slo_met_count(self, slo_s: float, metric: str = "ttft") -> int:
         """Finished requests meeting the SLO (sketch-approximate within
         the relative error around the threshold)."""
-        sketch = self._overall.fin_ttft if metric == "ttft" \
-            else self._overall.fin_e2e
-        return sketch.count_leq(slo_s)
+        return self._latency_sketch(metric, "fin_").count_leq(slo_s)
 
     def slo_attainment(self, slo_s: float, metric: str = "e2e") -> float:
         """Fraction of *observed* requests whose latency meets the SLO —
         the sketch twin of :func:`repro.serving.metrics.slo_attainment`."""
+        sketch = self._latency_sketch(metric)
         if self.n_observed == 0:
             return 0.0
-        sketch = self._overall.e2e if metric == "e2e" else self._overall.ttft
         return sketch.count_leq(slo_s) / self.n_observed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -41,7 +41,13 @@ construction:
   pools), the draining counter equals a recount, every live member
   holds its own allocated node, no retired member's node is still
   allocated, and the cluster's free count is its size minus the live
-  members.
+  members;
+* **fused sink write** — after every ``StreamingMetrics.observe``, the
+  latencies and bin keys it computed once and shared across sketches
+  equal the record's own properties and the bin rule applied per value;
+* **exact aggregates on read** — whenever a ``ServingResult`` answers
+  from its sink's integer counters instead of re-summing its records,
+  the re-sum gives the same integers.
 
 Violations raise :class:`SimSanitizerError` carrying the offending
 value *and* the publishing call site (the first stack frame outside
@@ -51,10 +57,12 @@ the line that performed it, not to the kernel that noticed.
 
 from __future__ import annotations
 
+import math
 import os
 import traceback
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Set
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, Optional, Sequence,
+                    Set, Tuple)
 
 from .clock import SimClock
 from .events import (AutoscalerTick, Cancel, Event, ReplicaDrain,
@@ -349,6 +357,42 @@ def check_replica_set(replica_set: Any, cluster: Any) -> None:
         raise _violation(
             f"cluster node census drifted: {cluster.n_free!r} free of "
             f"{cluster.n_nodes!r} with {len(live)!r} live members")
+
+
+def check_sink_row(record: Any, values: Tuple[float, float, float, float],
+                   keys: Tuple[Optional[int], ...], log_gamma: float,
+                   min_trackable: float) -> None:
+    """The sink folded ``values`` = (e2e, ttft, time per token, finish)
+    and the bin ``keys`` of (e2e, ttft, finish), each computed once: the
+    record's own properties and a log per value must agree, bit for bit."""
+    slow = (record.e2e_latency_s, record.ttft_s, record.time_per_token_s,
+            record.finish_s)
+    slow_keys = tuple(
+        None if v <= min_trackable else math.ceil(math.log(v) / log_gamma)
+        for v in (slow[0], slow[1], slow[3]))
+    for name, held, expected in (("values", values, slow),
+                                 ("bin keys", keys, slow_keys)):
+        if held != expected:
+            raise _violation(
+                f"fused sink write of request {record.request_id} drifted "
+                f"in the {name}: folded {held!r}, the record gives "
+                f"{expected!r}")
+
+
+def check_exact_aggregates(stream: Any, records: Sequence[Any]) -> None:
+    """A result answered from its sink's integer counters: re-summing
+    the records it holds must give the same integers."""
+    for name, expected in (
+            ("n_finished", sum(1 for r in records if r.finished)),
+            ("tokens_served", sum(r.tokens_served for r in records)),
+            ("tokens_wasted", sum(r.tokens_served for r in records
+                                  if not r.finished))):
+        held = getattr(stream, name)
+        if held != expected:
+            raise _violation(
+                f"sink counter {name} drifted from the records it stands "
+                f"in for: holds {held!r}, {len(records)} records give "
+                f"{expected!r}")
 
 
 def check_handle_finish(request_id: int, already_terminal: bool) -> None:

@@ -17,7 +17,9 @@ import pytest
 from repro.hardware import (Cluster, GPUNode, InterconnectModel,
                             node_from_name)
 from repro.serving import (Autoscaler, EngineConfig, LLAMA_7B, ModelManager,
+                           RecordPolicy,
                            SchedulerConfig, ServingGateway, create_engine)
+from repro.serving.base import ServingEngine
 from repro.serving.disagg import ShardedEngine
 from repro.serving.kv_transfer import KvTransferPlan, plan_kv_transfer
 from repro.workload.spec import Trace, TraceRequest
@@ -297,6 +299,83 @@ class TestCancelAcrossPools:
         assert gw.engine.stats.aborts == len(cancelled)
         assert gw.engine.unfinished == 0
         assert not gw.engine._in_transfer
+
+
+# --------------------------------------------------------------------------- #
+# one retire body
+# --------------------------------------------------------------------------- #
+class TestOneRetireBody:
+    """A finish, a mid-batch cancel, a deadline expiry and (on ``disagg``)
+    a retirement that crossed the KV handoff all go through
+    ``ServingEngine._retire``: same counters, same ``finished`` / ``_live``
+    bookkeeping, one ``retire`` phase event each."""
+
+    @pytest.mark.parametrize("policy", [RecordPolicy.KEEP_ALL,
+                                        RecordPolicy.DROP])
+    @pytest.mark.parametrize("kind", ["deltazip", "disagg"])
+    def test_every_terminal_path_goes_through_it(self, kind, policy,
+                                                 monkeypatch):
+        workers = dict(prefill_workers=1, decode_workers=1) \
+            if kind == "disagg" else {}
+        engine = create_engine(
+            kind, make_manager(), GPUNode(node_from_name("a800", 1)),
+            scheduler_config=SchedulerConfig(max_batch_requests=8,
+                                             max_concurrent_deltas=4),
+            engine_config=EngineConfig(tp_degree=1, record_policy=policy),
+            **workers)
+        engine.emit_phases = True
+        events = []
+        engine.on_event = events.append
+        calls = []                  # (ids, records) per call on `engine`
+        inner = ServingEngine._retire
+
+        def spy(self, requests):
+            inner(self, requests)
+            if self is engine:
+                calls.append(([r.request_id for r in requests],
+                              [r.record() for r in requests]))
+
+        monkeypatch.setattr(ServingEngine, "_retire", spy)
+        for rid, (model, output, deadline) in enumerate([
+                ("variant-00", 6, None), ("variant-01", 400, None),
+                ("variant-00", 400, 3.0), ("variant-01", 6, None)]):
+            engine.submit(TraceRequest(
+                request_id=rid, model_id=model, arrival_s=0.0,
+                prompt_tokens=32, output_tokens=output, deadline_s=deadline))
+        engine.schedule_cancel(1, 2.0)
+        engine.run_until_drained()
+
+        assert all(ids for ids, _ in calls)      # never an empty partition
+        order = [rid for ids, _ in calls for rid in ids]
+        assert sorted(order) == [0, 1, 2, 3]
+        assert order[2:] == [1, 2]               # finishes, cancel, expiry
+        by_id = {rec.request_id: rec for _, recs in calls for rec in recs}
+        assert [by_id[i].status for i in range(4)] == \
+            ["finished", "cancelled", "expired", "finished"]
+        # cancelled and expired mid-batch: part of the output was served
+        assert 0 < by_id[1].served_tokens < 400
+        assert by_id[1].served_tokens < by_id[2].served_tokens < 400
+        if kind == "disagg":
+            assert all(rec.transfer_s > 0.0 for rec in by_id.values())
+        else:
+            assert [0, 3] in [ids for ids, _ in calls]   # one partition
+
+        assert engine._n_retired == 4 and engine.unfinished == 0
+        assert engine.metrics.n_observed == 4
+        assert engine.metrics.status_counts() == \
+            {"finished": 2, "cancelled": 1, "expired": 1}
+        if policy is RecordPolicy.KEEP_ALL:
+            assert [r.request_id for r in engine.finished] == order
+            assert sorted(engine._live) == [0, 1, 2, 3]
+            assert engine.metrics.records == \
+                [by_id[rid] for rid in order]
+        else:
+            assert engine.finished == [] and engine._live == {}
+            assert engine.metrics.records == []
+        retires = [(e.request_id, e.status) for e in events
+                   if isinstance(e, PhaseTransition) and e.phase == "retire"
+                   and e.source == engine.name]
+        assert retires == [(rid, by_id[rid].status) for rid in order]
 
 
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,10 @@ from repro.serving.metrics import (ServingResult, UNTENANTED,
                                    jain_fairness_index, slo_attainment,
                                    slo_attainment_by_tenant, summarize,
                                    summarize_by_tenant)
-from repro.serving.request import RequestRecord
+from repro.serving.request import (RequestRecord, RequestState,
+                                   ServingRequest, synthesized_abort_record)
+from repro.serving.streaming_metrics import RecordPolicy, StreamingMetrics
+from repro.workload.spec import TraceRequest
 
 
 def record(rid=0, arrival=0.0, first=1.0, finish=5.0, prompt=10, output=20,
@@ -35,6 +38,74 @@ class TestRequestRecord:
                           output_tokens=1, queue_wait_s=0, loading_s=0,
                           inference_s=4, skipped_line=False, preemptions=0)
         assert r.ttft_s == 4.0
+
+    def test_is_immutable_and_hashable(self):
+        r = record()
+        with pytest.raises(AttributeError):
+            r.status = "cancelled"
+        with pytest.raises(AttributeError):
+            r.note = "no instance dict either"
+        assert r == record() and hash(r) == hash(record())
+        assert r != record(finish=6.0)
+
+    def test_field_order_and_defaults(self):
+        # ServingRequest.record() fills the fields positionally, and
+        # tuple(record) is what digests hash: the order is the contract
+        assert RequestRecord._fields == (
+            "request_id", "model_id", "arrival_s", "first_token_s",
+            "finish_s", "prompt_tokens", "output_tokens", "queue_wait_s",
+            "loading_s", "inference_s", "skipped_line", "preemptions",
+            "tenant_id", "status", "served_tokens", "conversation_id",
+            "cached_prefix_tokens", "transfer_s")
+        # benchmarks/perf/workloads.py RecordDigest.FIELDS, by name
+        assert set(RequestRecord._fields) >= {
+            "request_id", "model_id", "arrival_s", "first_token_s",
+            "finish_s", "queue_wait_s", "loading_s", "inference_s",
+            "status", "served_tokens", "cached_prefix_tokens", "transfer_s"}
+        assert RequestRecord._field_defaults == {
+            "tenant_id": None, "status": "finished", "served_tokens": None,
+            "conversation_id": None, "cached_prefix_tokens": 0,
+            "transfer_s": 0.0}
+
+    def test_properties(self):
+        r = record(arrival=1.0, first=3.0, finish=11.0, output=20)
+        assert r.finished and r.tokens_served == 20
+        aborted = r._replace(status="expired", served_tokens=7,
+                             first_token_s=None, output_tokens=0)
+        assert not aborted.finished and aborted.tokens_served == 7
+        assert aborted.ttft_s == aborted.e2e_latency_s == 10.0
+        assert aborted.time_per_token_s == 10.0     # max(output, 1)
+
+    def test_request_and_frontier_build_the_same_row(self):
+        trace = TraceRequest(request_id=7, model_id="m", arrival_s=1.5,
+                             prompt_tokens=12, output_tokens=9,
+                             tenant_id="acme", conversation_id="c-3")
+        req = ServingRequest(trace=trace)
+        req.state = RequestState.CANCELLED
+        req.finish_s = 4.0
+        req.queue_wait_s = 2.5
+        rec = req.record()
+        assert rec == synthesized_abort_record(trace, 4.0, "cancelled")
+        assert rec == RequestRecord(
+            request_id=7, model_id="m", arrival_s=1.5, first_token_s=None,
+            finish_s=4.0, prompt_tokens=12, output_tokens=9,
+            queue_wait_s=2.5, loading_s=0.0, inference_s=0.0,
+            skipped_line=False, preemptions=0, tenant_id="acme",
+            status="cancelled", served_tokens=0, conversation_id="c-3",
+            cached_prefix_tokens=0, transfer_s=0.0)
+        assert req.record() is rec                   # terminal: memoized
+
+    def test_running_snapshot_reads_finished_and_is_not_kept(self):
+        req = ServingRequest(trace=TraceRequest(
+            request_id=1, model_id="m", arrival_s=0.0, prompt_tokens=4,
+            output_tokens=8))
+        with pytest.raises(ValueError, match="request 1 not finished"):
+            req.record()
+        req.state = RequestState.RUNNING
+        req.finish_s, req.generated_tokens = 2.0, 3
+        snap = req.record()
+        assert snap.status == "finished" and snap.served_tokens == 3
+        assert req.record() is not snap
 
 
 class TestServingResult:
@@ -91,6 +162,39 @@ class TestSLO:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             slo_attainment([record()], 1.0, "p99")
+
+    @pytest.mark.parametrize("policy", [RecordPolicy.KEEP_ALL,
+                                        RecordPolicy.DROP])
+    @pytest.mark.parametrize("ask", [
+        lambda res, metric: res.slo_attainment(1.0, metric=metric),
+        lambda res, metric: res.stream.slo_attainment(1.0, metric=metric),
+        lambda res, metric: res.stream.slo_met_count(1.0, metric=metric),
+    ], ids=["result", "sink-attainment", "sink-met-count"])
+    def test_a_metric_typo_raises_under_every_policy(self, ask, policy):
+        """A typo must not answer for the other metric — and must not
+        answer differently once records are dropped."""
+        sink = StreamingMetrics(policy=policy)
+        sink.observe_all(record(rid=i, first=0.5, finish=float(i + 1))
+                         for i in range(4))
+        res = ServingResult(engine="t", records=sink.records,
+                            makespan_s=4.0, stream=sink)
+        assert ask(res, "ttft") in (1.0, 4)
+        for typo in ("tpot", "e2e_s", "TTFT", ""):
+            with pytest.raises(ValueError, match=f"unknown metric {typo!r}"):
+                ask(res, typo)
+        empty = ServingResult(engine="t", records=[], makespan_s=1.0,
+                              stream=StreamingMetrics(policy=policy))
+        with pytest.raises(ValueError, match="unknown metric 'tpot'"):
+            ask(empty, "tpot")
+
+    def test_result_attainment_counts_on_the_sorted_columns(self):
+        records = [record(rid=i, first=0.25 * i, finish=float(i + 1))
+                   for i in range(7)]
+        res = ServingResult(engine="t", records=records, makespan_s=7.0)
+        for metric in ("e2e", "ttft"):
+            for slo in (-1.0, 0.0, 0.5, 1.0, 3.0, 3.5, 7.0, 99.0):
+                assert res.slo_attainment(slo, metric) == \
+                    slo_attainment(records, slo, metric)
 
 
 class TestEmptyAndDegenerateGuards:

@@ -3,7 +3,10 @@ violation and stays silent on clean runs (REPRO_SIM_SANITIZE=1)."""
 
 import pytest
 
-from repro.serving import LLAMA_7B, ModelManager, ServingGateway
+from repro.serving import (LLAMA_7B, ModelManager, QuantileSketch,
+                           RecordPolicy, ServingGateway, StreamingMetrics)
+from repro.serving.metrics import ServingResult
+from repro.serving.request import RequestRecord
 from repro.serving.tenancy import TokenBucket
 from repro.sim import (Arrival, AutoscalerTick, Cancel, SimClock, SimKernel,
                        SimSanitizerError, new_clock)
@@ -373,3 +376,115 @@ class TestReplicaSetCheck:
             for op in (fleet.drain, fleet.set.reap, fleet.spawn):
                 with pytest.raises(SimSanitizerError, match="node census"):
                     op()
+
+
+# --------------------------------------------------------------------- #
+# metrics plane: the fused sink write and the sink-answered reads
+# --------------------------------------------------------------------- #
+def sink_record(rid=0, finish=2.0, **over):
+    fields = dict(request_id=rid, model_id="m", arrival_s=0.0,
+                  first_token_s=0.5, finish_s=finish, prompt_tokens=8,
+                  output_tokens=4, queue_wait_s=0.0, loading_s=0.0,
+                  inference_s=finish, skipped_line=False, preemptions=0)
+    fields.update(over)
+    return RequestRecord(**fields)
+
+
+class TestSinkRowCheck:
+    def test_clean_stream_passes(self):
+        with sanitized(True):
+            sink = StreamingMetrics(policy=RecordPolicy.DROP)
+            sink.observe(sink_record(0))
+            sink.observe(sink_record(1, finish=0.0, first_token_s=None))
+            sink.observe(sink_record(2, finish=1e-12, status="cancelled",
+                                     served_tokens=1, output_tokens=0))
+            assert sink.n_observed == 3
+
+    def test_value_drift(self):
+        class Skewed(RequestRecord):
+            @property
+            def ttft_s(self):           # the property and the sink disagree
+                return super().ttft_s + 1e-12
+
+        with sanitized(True):
+            sink = StreamingMetrics(policy=RecordPolicy.DROP)
+            with pytest.raises(SimSanitizerError,
+                               match="request 3 drifted in the values"):
+                sink.observe(Skewed(*sink_record(3)))
+
+    def test_key_drift(self, monkeypatch):
+        real = QuantileSketch.bin_key
+        monkeypatch.setattr(
+            QuantileSketch, "bin_key",
+            lambda self, value: real(self, value) + (value == 2.0))
+        with sanitized(True):
+            sink = StreamingMetrics(policy=RecordPolicy.DROP)
+            with pytest.raises(SimSanitizerError,
+                               match="request 0 drifted in the bin keys"):
+                sink.observe(sink_record(0))
+
+    def test_zero_bin_drift(self):
+        rec = sink_record(0, finish=1e-12, first_token_s=None)
+        values = (1e-12, 1e-12, 2.5e-13, 1e-12)
+        sanitizer.check_sink_row(rec, values, (None, None, None), 0.02, 1e-9)
+        with pytest.raises(SimSanitizerError, match="bin keys"):
+            sanitizer.check_sink_row(rec, values, (None, -1382, None),
+                                     0.02, 1e-9)
+
+    def test_off_means_no_check(self):
+        class Skewed(RequestRecord):
+            @property
+            def ttft_s(self):
+                return -1.0
+
+        with sanitized(False):
+            sink = StreamingMetrics(policy=RecordPolicy.DROP)
+            sink.observe(Skewed(*sink_record(0)))
+            assert sink.mean_ttft_s() == 0.5
+
+
+class TestExactAggregatesCheck:
+    def result(self):
+        sink = StreamingMetrics(policy=RecordPolicy.KEEP_ALL)
+        sink.observe(sink_record(0))
+        sink.observe(sink_record(1, status="cancelled", served_tokens=3))
+        sink.observe(sink_record(2, status="expired", served_tokens=1))
+        return ServingResult(engine="t", records=sink.records,
+                             makespan_s=2.0, stream=sink)
+
+    def test_clean_result_passes(self):
+        with sanitized(True):
+            res = self.result()
+            assert res.n_finished == 1
+            assert res.token_throughput() == (4 + 3 + 1) / 2.0
+            assert res.wasted_token_fraction() == 4 / 8
+
+    @pytest.mark.parametrize("counter, bump", [
+        ("n_finished", dict(finished=1, cancelled=-1)),
+        ("tokens_served", dict(tokens_served=1)),
+        ("tokens_wasted", dict(tokens_wasted=-1)),
+    ])
+    def test_counter_drift(self, counter, bump):
+        res = self.result()
+        for name, delta in bump.items():
+            held = getattr(res.stream._overall.counters, name)
+            setattr(res.stream._overall.counters, name, held + delta)
+        with pytest.raises(SimSanitizerError,
+                           match=f"sink counter {counter} drifted"):
+            sanitizer.check_exact_aggregates(res.stream, res.records)
+        for read in (lambda: res.n_finished, res.token_throughput,
+                     res.wasted_token_fraction, res.goodput_rps):
+            with sanitized(True):
+                with pytest.raises(SimSanitizerError, match=counter):
+                    read()
+            with sanitized(False):
+                read()                   # off: the sink is simply trusted
+
+    def test_a_mismatched_record_list_is_re_summed_not_trusted(self):
+        res = self.result()
+        trimmed = ServingResult(engine="t", records=res.records[:2],
+                                makespan_s=2.0, stream=res.stream)
+        with sanitized(True):
+            assert trimmed.n_finished == 1
+            assert trimmed.token_throughput() == (4 + 3) / 2.0
+            assert trimmed.wasted_token_fraction() == 3 / 7

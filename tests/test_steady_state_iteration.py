@@ -14,7 +14,7 @@ caught the step it is used.
 """
 
 import hashlib
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -121,7 +121,7 @@ def replay(scenario, forget):
         steps += 1
         assert steps < 100_000
     records = engine.build_result().records
-    digest = hashlib.sha256(repr([astuple(r) for r in records]).encode())
+    digest = hashlib.sha256(repr([tuple(r) for r in records]).encode())
     return {"digest": digest.hexdigest(), "stats": asdict(engine.stats),
             "clock": engine.clock, "steps": steps,
             "n_records": len(records), "unfinished": engine.unfinished,

@@ -198,6 +198,71 @@ class TestQuantileSketch:
         assert sketch.quantile(50.0) == 0.0
         assert sketch.mean == 0.0
 
+    @staticmethod
+    def ref_quantile(sketch, q):
+        """One percentile by its own walk over the sorted bins (the
+        pre-batching ``quantile`` body, kept here as the reference)."""
+        if sketch.count == 0:
+            return 0.0
+        rank = int(math.floor(q / 100.0 * (sketch.count - 1)))
+        if rank < sketch._n_small:
+            return max(sketch.min_value, 0.0)
+        cum = sketch._n_small
+        estimate = sketch.max_value
+        for key in sorted(sketch._bins):
+            cum += sketch._bins[key]
+            if cum > rank:
+                estimate = 2.0 * sketch._gamma ** key / (sketch._gamma + 1.0)
+                break
+        return min(max(estimate, sketch.min_value), sketch.max_value)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [2.5], [0.0, 1e-12, 1e-9, 3.0, 3.0, 800.0],
+        list(np.random.default_rng(9).lognormal(0.0, 2.0, size=500))],
+        ids=["empty", "zero", "single", "zero-bin-mix", "lognormal"])
+    def test_quantiles_is_one_pass_with_per_q_answers(self, values):
+        sketch = QuantileSketch()
+        for v in values:
+            sketch.add(v)
+        qs = [99, 0, 50, 50, 100, 12.5, 90, 0, 99.9, 50]   # unsorted, dups
+        expected = [self.ref_quantile(sketch, q) for q in qs]
+        assert sketch.quantiles(qs) == expected
+        assert [sketch.quantile(q) for q in qs] == expected
+        assert sketch.quantiles(()) == []
+        if values:
+            assert all(min(values) <= v <= max(values) for v in expected)
+            with pytest.raises(ValueError, match=r"q must be in \[0, 100\]"):
+                sketch.quantiles([50, 100.5])
+            with pytest.raises(ValueError):
+                sketch.quantile(-1)
+
+    def test_quantiles_sorts_the_bins_once(self, monkeypatch):
+        import builtins
+        sketch = QuantileSketch()
+        for v in (0.5, 1.5, 9.0, 40.0):
+            sketch.add(v)
+        dict_sorts = []
+        real_sorted = builtins.sorted
+
+        def counting_sorted(iterable, **kw):
+            if iterable is sketch._bins:
+                dict_sorts.append(1)
+            return real_sorted(iterable, **kw)
+
+        monkeypatch.setattr("repro.serving.streaming_metrics.sorted",
+                            counting_sorted, raising=False)
+        sketch.quantiles((50, 90, 99))
+        assert len(dict_sorts) == 1
+
+    def test_add_is_bin_key_plus_add_binned(self):
+        a, b = QuantileSketch(), QuantileSketch()
+        for v in (0.0, 1e-12, 1e-9, 1.0000001e-9, 0.3, 0.3, 77.0):
+            a.add(v)
+            b.add_binned(v, b.bin_key(v))
+        assert a.bin_key(1e-9) is None and a.bin_key(0.3) == b.bin_key(0.3)
+        assert sketch_state(a) == sketch_state(b)
+        assert a._n_small == 3
+
 
 class TestReservoirSampler:
     def test_run_to_run_deterministic(self):
@@ -496,6 +561,16 @@ class TestStreamingMetricsSink:
         a.merge_from(b)
         assert a.n_finished == 30
         assert a.max_finish_s == 30.0
+
+    def test_every_sketch_of_a_sink_bins_alike(self):
+        """observe computes each bin key once and hands it to every
+        sketch, so a stream built at another accuracy must be refused."""
+        sink = StreamingMetrics(policy=RecordPolicy.DROP)
+        sink.observe(self.record(0, 1.0, tenant="a"))
+        sink.relative_error = 0.05
+        sink.observe(self.record(1, 2.0, tenant="a"))   # existing stream
+        with pytest.raises(ValueError, match="tenant 'b' would bin at 0.05"):
+            sink.observe(self.record(2, 3.0, tenant="b"))
 
 
 # --------------------------------------------------------------------- #
