@@ -409,14 +409,14 @@ class ServingResult:
 def slo_attainment(records: Sequence[RequestRecord], slo_s: float,
                    metric: str = "e2e") -> float:
     """Fraction of requests meeting an SLO threshold (Fig 13/19)."""
+    if metric not in ("e2e", "ttft"):
+        raise ValueError(f"unknown metric {metric!r}")
     if not records:
         return 0.0
     if metric == "e2e":
         values = [r.e2e_latency_s for r in records]
-    elif metric == "ttft":
-        values = [r.ttft_s for r in records]
     else:
-        raise ValueError(f"unknown metric {metric!r}")
+        values = [r.ttft_s for r in records]
     return float(np.mean([v <= slo_s for v in values]))
 
 

@@ -424,13 +424,13 @@ class StreamingMetrics:
         tenant = record.tenant_id or DEFAULT_TENANT
         stream = self._tenants.get(tenant)
         if stream is None:
-            stream = self._tenants[tenant] = \
-                _TenantStream(self.relative_error)
             if self.relative_error != self._finish.relative_error:
                 raise ValueError(
                     "every sketch of one sink shares its bin keys: tenant "
                     f"{tenant!r} would bin at {self.relative_error!r}, "
                     f"the sink at {self._finish.relative_error!r}")
+            stream = self._tenants[tenant] = \
+                _TenantStream(self.relative_error)
         for part in (self._overall, stream):
             c = part.counters
             if finished:

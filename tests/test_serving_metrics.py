@@ -162,6 +162,8 @@ class TestSLO:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             slo_attainment([record()], 1.0, "p99")
+        with pytest.raises(ValueError, match="unknown metric 'p99'"):
+            slo_attainment([], 1.0, "p99")
 
     @pytest.mark.parametrize("policy", [RecordPolicy.KEEP_ALL,
                                         RecordPolicy.DROP])

@@ -14,6 +14,7 @@ from repro.sim import sanitizer
 from repro.sim.sanitizer import SanitizedClock, install, sanitized
 from repro.workload import synthetic_trace
 from test_serving_gateway import make_engine
+from test_serving_metrics import record
 
 
 # --------------------------------------------------------------------- #
@@ -382,12 +383,8 @@ class TestReplicaSetCheck:
 # metrics plane: the fused sink write and the sink-answered reads
 # --------------------------------------------------------------------- #
 def sink_record(rid=0, finish=2.0, **over):
-    fields = dict(request_id=rid, model_id="m", arrival_s=0.0,
-                  first_token_s=0.5, finish_s=finish, prompt_tokens=8,
-                  output_tokens=4, queue_wait_s=0.0, loading_s=0.0,
-                  inference_s=finish, skipped_line=False, preemptions=0)
-    fields.update(over)
-    return RequestRecord(**fields)
+    return record(rid=rid, first=0.5, finish=finish,
+                  output=4)._replace(**over)
 
 
 class TestSinkRowCheck:

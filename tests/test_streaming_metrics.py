@@ -571,6 +571,7 @@ class TestStreamingMetricsSink:
         sink.observe(self.record(1, 2.0, tenant="a"))   # existing stream
         with pytest.raises(ValueError, match="tenant 'b' would bin at 0.05"):
             sink.observe(self.record(2, 3.0, tenant="b"))
+        assert sink.tenant_ids == ["a"] and sink.n_observed == 2
 
 
 # --------------------------------------------------------------------- #
