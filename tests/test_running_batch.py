@@ -5,6 +5,10 @@ active-variant set from :class:`~repro.serving.base.RunningBatch` instead
 of rescanning the batch, so the ledger must agree with the request objects
 after every join / lockstep advance / leave — through preemption and
 reinsert, cancel-while-running and recompute resume, on every engine kind.
+The batch is also the epoch ledger its members' ``generated_tokens`` and
+``inference_s`` are derived from: a differential test holds it against the
+eager loop it replaced (``+= 1`` and ``+= iter_time`` per member per
+iteration), floats compared with ``==``.
 The scheduler half checks that the lazily built parent links, the
 empty-queue early exit and the head-pop queue update decide exactly what
 the eager, rebuild-everything scheduler decided.
@@ -14,6 +18,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 from repro.hardware import GPUNode, node_from_name
 from repro.serving import (EngineConfig, LLAMA_7B, ModelManager,
                            SchedulerConfig, create_engine)
+from repro.serving import base
 from repro.serving.base import ENGINES, RunningBatch
 from repro.serving.request import RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchScheduler
@@ -83,14 +89,90 @@ class TestLedgerOps:
                 assert batch.version == version + 1
                 assert batch.requests[-1] is req
             elif op == "advance":
-                for req in batch.requests:
-                    req.generated_tokens += 1
                 batch.advance()
                 assert batch.version == version
             elif batch.requests:
                 batch.leave(batch.requests[pick % len(batch.requests)])
                 assert batch.version == version + 1
             assert_ledger_exact(batch)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["join", "rejoin", "advance", "advance", "advance",
+                         "leave"]),
+        st.integers(0, 10 ** 6), st.floats(1e-4, 0.25)),
+        min_size=1, max_size=80))
+    @settings(max_examples=120, deadline=None)
+    def test_epoch_ledger_matches_the_eager_loop(self, ops):
+        """Random join / advance(iter_time) / leave / re-join sequences
+        against the loop the ledger replaced.  ``eager`` maps every
+        request ever made to ``[generated_tokens, inference_s]``, updated
+        per member per iteration; after every op each request — member or
+        not — must read the same, the finishers must come out in batch
+        order, and the log (trimmed every 4 entries here) must cover every
+        member's join epoch without outliving the oldest by more than 4."""
+        with mock.patch.object(base, "_LOG", 4):
+            batch = RunningBatch()
+            eager, outside, oldest_seen = {}, [], 0
+            for op, pick, iter_time in ops:
+                if op == "join":
+                    req = make_request(len(eager), f"m{pick % 3}",
+                                       prompt=1 + pick % 50,
+                                       output=1 + pick % 9)
+                    req.generated_tokens = pick % 3
+                    req.inference_s = (pick % 7) * 0.125
+                    eager[req] = [req.generated_tokens, req.inference_s]
+                    batch.join(req)
+                elif op == "rejoin" and outside:
+                    # a preempted request comes back with what it had
+                    batch.join(outside.pop(pick % len(outside)))
+                elif op == "advance":
+                    expected = []
+                    for req in batch.requests:
+                        eager[req][0] += 1
+                        eager[req][1] += iter_time
+                        if eager[req][0] >= req.output_tokens:
+                            expected.append(req)
+                    finished = batch.advance(iter_time)
+                    assert finished == expected          # identity, in order
+                    for req in finished:
+                        assert req.done and req in batch.requests
+                        batch.leave(req)
+                elif op == "leave" and batch.requests:
+                    req = batch.requests[pick % len(batch.requests)]
+                    batch.leave(req)
+                    outside.append(req)
+                for req, (tokens, inference_s) in eager.items():
+                    assert req.generated_tokens == tokens
+                    assert req.inference_s == inference_s    # bit for bit
+                    assert req.context_length == req.prompt_tokens + tokens
+                    assert req.remaining_tokens == req.output_tokens - tokens
+                    assert req.done == (tokens >= req.output_tokens)
+                assert_ledger_exact(batch)
+                joins = [r._join_epoch for r in batch.requests]
+                assert len(batch._log) == batch.epoch - batch._log_base
+                assert batch._log_base <= min(joins, default=batch.epoch)
+                oldest_seen = max(oldest_seen,
+                                  batch.epoch - min(joins,
+                                                    default=batch.epoch))
+                assert len(batch._log) <= oldest_seen + 4
+                # the finish buckets hold the members, each once, ahead
+                waiting = [r for due in batch._finish.values() for r in due]
+                assert sorted(map(id, waiting)) == \
+                    sorted(map(id, batch.requests))
+                assert all(due > batch.epoch for due in batch._finish)
+
+    def test_values_are_writable_outside_a_batch_only(self):
+        req = make_request(0, "m", output=8)
+        req.generated_tokens, req.inference_s = 2, 0.5
+        batch = RunningBatch([req])
+        batch.advance(0.25)
+        assert (req.generated_tokens, req.inference_s) == (3, 0.75)
+        with pytest.raises(AttributeError, match="inference_s of request 0"):
+            req.inference_s = 0.0
+        batch.leave(req)
+        req.inference_s += 0.25                      # plain again
+        req.generated_tokens += 1
+        assert (req.generated_tokens, req.inference_s) == (4, 1.0)
 
     def test_constructible_from_a_list_in_order(self):
         reqs = [make_request(0, "b"), make_request(1, "a"),
