@@ -4,7 +4,9 @@ Every model returns seconds.  The common shape is
 
     time = max(flops / effective_compute, bytes / memory_bandwidth) + launch
 
-which captures the two regimes the paper leans on:
+written once, as :func:`roofline_time`, which every GEMM model here, SBMM
+and the serving cost model's memoised columns call; it captures the two
+regimes the paper leans on:
 
 * **decode** (tiny input rows): memory-bound — time tracks *weight bytes*,
   so 4-bit sparse deltas are ~5-10x faster to apply than FP16 weights;
@@ -23,13 +25,14 @@ parallelism launch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .specs import GPUSpec
 
 __all__ = ["GemmShape", "dense_gemm_time", "quantized_gemm_time",
            "sparse_quantized_gemm_time", "achieved_flops_ratio",
-           "SBMM_IMPLEMENTATIONS", "sbmm_time", "SBMMBreakdown"]
+           "SBMM_IMPLEMENTATIONS", "sbmm_time", "SBMMBreakdown",
+           "roofline_time", "sbmm_delta_time", "sbmm_compose"]
 
 # random-access penalty for gather/scatter of requests that are not grouped
 # by delta: effective HBM bandwidth fraction for the activation traffic ...
@@ -53,34 +56,41 @@ class GemmShape:
         return 2.0 * self.m * self.k * self.n
 
 
-def _compute_efficiency(m: int, base_efficiency: float) -> float:
-    """GEMMs with few rows cannot fill the SMs; ramp toward peak with m."""
-    fill = min(1.0, m / _SMALL_M_KNEE)
-    return base_efficiency * (0.15 + 0.85 * fill)
+def roofline_time(m: int, k: int, n: int, gpu: GPUSpec,
+                  weight_bits: float = 16.0,
+                  density: Optional[float] = None,
+                  scattered: bool = False) -> float:
+    """``max(flops / (peak * eff), bytes / hbm)`` of one ``(m x k) @ (k x n)``
+    GEMM, launch excluded — the roofline and the small-``m`` efficiency
+    ramp (few rows cannot fill the SMs), written here and nowhere else:
+    every kernel model below and the serving cost model's per-count
+    columns call it.  ``density=None`` is the dense pipeline at
+    ``weight_bits`` per weight; a float keeps that fraction of the weights
+    plus 2-bit metadata and runs on the sparse tensor cores.  ``scattered``
+    activations move at the random-access fraction of HBM bandwidth."""
+    eff = gpu.mma_efficiency * (0.15 + 0.85 * min(1.0, m / _SMALL_M_KNEE))
+    if density is None:
+        peak, per_value = gpu.peak_flops, weight_bits
+    else:
+        peak = gpu.peak_flops * gpu.sparse_speedup
+        per_value = weight_bits * density + 2.0 * density
+    act = (m * k + m * n) * 2.0
+    if scattered:
+        act = act / _SCATTERED_BW_FRACTION
+    return max(2.0 * m * k * n / (peak * eff),
+               (k * n * per_value / 8.0 + act) / gpu.hbm_bytes_per_s)
 
 
-def _weight_bytes(shape: GemmShape, weight_bits: float,
-                  sparse_density: float = 1.0,
-                  index_bits: float = 0.0) -> float:
-    per_value = weight_bits * sparse_density + index_bits * sparse_density
-    return shape.k * shape.n * per_value / 8.0
-
-
-def _activation_bytes(shape: GemmShape, scattered: bool = False) -> float:
-    raw = (shape.m * shape.k + shape.m * shape.n) * 2.0
-    return raw / _SCATTERED_BW_FRACTION if scattered else raw
+def _launch_s(gpu: GPUSpec, include_launch: bool) -> float:
+    return gpu.kernel_launch_us * 1e-6 if include_launch else 0.0
 
 
 def dense_gemm_time(shape: GemmShape, gpu: GPUSpec,
                     include_launch: bool = True,
                     scattered: bool = False) -> float:
     """FP16 x FP16 GEMM."""
-    eff = _compute_efficiency(shape.m, gpu.mma_efficiency)
-    compute = shape.flops / (gpu.peak_flops * eff)
-    mem = (_weight_bytes(shape, 16.0) + _activation_bytes(shape, scattered)) \
-        / gpu.hbm_bytes_per_s
-    launch = gpu.kernel_launch_us * 1e-6 if include_launch else 0.0
-    return max(compute, mem) + launch
+    return roofline_time(shape.m, shape.k, shape.n, gpu,
+                         scattered=scattered) + _launch_s(gpu, include_launch)
 
 
 def quantized_gemm_time(shape: GemmShape, gpu: GPUSpec, weight_bits: int,
@@ -92,12 +102,8 @@ def quantized_gemm_time(shape: GemmShape, gpu: GPUSpec, weight_bits: int,
     dense pipeline (dequantization fuses in), so large-m performance matches
     dense peak.
     """
-    eff = _compute_efficiency(shape.m, gpu.mma_efficiency)
-    compute = shape.flops / (gpu.peak_flops * eff)
-    mem = (_weight_bytes(shape, float(weight_bits))
-           + _activation_bytes(shape, scattered)) / gpu.hbm_bytes_per_s
-    launch = gpu.kernel_launch_us * 1e-6 if include_launch else 0.0
-    return max(compute, mem) + launch
+    return roofline_time(shape.m, shape.k, shape.n, gpu, float(weight_bits),
+                         scattered=scattered) + _launch_s(gpu, include_launch)
 
 
 def sparse_quantized_gemm_time(shape: GemmShape, gpu: GPUSpec,
@@ -107,17 +113,11 @@ def sparse_quantized_gemm_time(shape: GemmShape, gpu: GPUSpec,
     """2:4-sparse INTx x FP16 GEMM (Sparse-Marlin-style).
 
     Keeps only ``density`` of the weights (plus 2-bit metadata) and executes
-    on sparse tensor cores: ``sparse_speedup`` x dense peak at large m.
+    dense-equivalent flops on sparse tensor cores: ``sparse_speedup`` x dense
+    peak at large m.
     """
-    eff = _compute_efficiency(shape.m, gpu.mma_efficiency)
-    # dense-equivalent flops executed at the sparse tensor-core peak
-    peak = gpu.peak_flops * gpu.sparse_speedup
-    compute = shape.flops / (peak * eff)
-    mem = (_weight_bytes(shape, float(weight_bits), sparse_density=density,
-                         index_bits=2.0)
-           + _activation_bytes(shape, scattered)) / gpu.hbm_bytes_per_s
-    launch = gpu.kernel_launch_us * 1e-6 if include_launch else 0.0
-    return max(compute, mem) + launch
+    return roofline_time(shape.m, shape.k, shape.n, gpu, float(weight_bits),
+                         density, scattered) + _launch_s(gpu, include_launch)
 
 
 def achieved_flops_ratio(shape: GemmShape, gpu: GPUSpec, kind: str,
@@ -157,6 +157,45 @@ class SBMMBreakdown:
         return self.total - self.compute
 
 
+def sbmm_delta_time(count: int, shape_k: int, shape_n: int, gpu: GPUSpec,
+                    impl: str, weight_bits: int = 4,
+                    density: float = 0.5) -> float:
+    """One delta's ``count``-row GEMM inside an SBMM of flavour ``impl``,
+    launch excluded: the FP16 flavours run dense, the rest 2:4-sparse at
+    ``weight_bits``; the for-loops read ungrouped activations.  A function
+    of ``(shape, count)`` alone, hence memoisable per row count."""
+    dense = impl.startswith("fp16")
+    return roofline_time(count, shape_k, shape_n, gpu,
+                         16.0 if dense else float(weight_bits),
+                         None if dense else density, impl.endswith("forloop"))
+
+
+def sbmm_compose(per_delta: Sequence[float], n_requests: int, gpu: GPUSpec,
+                 impl: str) -> Tuple[float, float]:
+    """``(total, compute)`` of an SBMM whose deltas' GEMMs take
+    ``per_delta`` seconds, in batch order (every flavour but
+    ``fp16_bmm``, which has no per-delta term)."""
+    # an explicit left-to-right sum: sum() is compensated from Python 3.12
+    # on, and a price may not depend on the interpreter
+    compute = 0.0
+    for t in per_delta:
+        compute += t
+    n_deltas = len(per_delta)
+    launch = gpu.kernel_launch_us * 1e-6
+    if impl == "sbmm":
+        # "Ours+": one host launch; children overlap across SMs, bounded
+        # by the largest delta plus a small per-child scheduling cost
+        overlapped = max(per_delta) + gpu.dynamic_launch_us * 1e-6 * n_deltas
+        spread = compute / _sbmm_parallelism(gpu, n_deltas)
+        return launch + max(overlapped, spread), compute
+    # one launch per delta; requests grouped per delta (sbmm_reorder) read
+    # contiguously, the for-loops also pay a gather/scatter per request
+    total = compute + launch * n_deltas
+    if impl.endswith("forloop"):
+        total += _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * n_requests
+    return total, compute
+
+
 def sbmm_time(requests_per_delta: Sequence[int], shape_k: int, shape_n: int,
               gpu: GPUSpec, impl: str = "sbmm", weight_bits: int = 4,
               density: float = 0.5) -> SBMMBreakdown:
@@ -170,48 +209,20 @@ def sbmm_time(requests_per_delta: Sequence[int], shape_k: int, shape_n: int,
         raise ValueError(f"unknown SBMM impl {impl!r}")
     if not counts:
         return SBMMBreakdown(total=0.0, compute=0.0)
-    launch = gpu.kernel_launch_us * 1e-6
-    child_launch = gpu.dynamic_launch_us * 1e-6
-
-    def delta_compute(count: int, scattered: bool) -> float:
-        s = GemmShape(m=count, k=shape_k, n=shape_n)
-        if impl.startswith("fp16"):
-            return dense_gemm_time(s, gpu, include_launch=False,
-                                   scattered=scattered)
-        return sparse_quantized_gemm_time(s, gpu, weight_bits,
-                                          density=density,
-                                          include_launch=False,
-                                          scattered=scattered)
-
-    gather = _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * sum(counts)
-
-    if impl == "fp16_forloop":
-        compute = sum(delta_compute(c, scattered=True) for c in counts)
-        total = compute + launch * len(counts) + gather
-    elif impl == "fp16_bmm":
+    total_reqs = sum(counts)
+    if impl == "fp16_bmm":
         # stack per-request weight copies, then one batched dense kernel
-        total_reqs = sum(counts)
         stack_bytes = total_reqs * shape_k * shape_n * 2.0
         stack_time = stack_bytes / gpu.hbm_bytes_per_s
         compute = sum(dense_gemm_time(GemmShape(1, shape_k, shape_n), gpu,
                                       include_launch=False)
                       for _ in range(total_reqs))
-        total = compute + stack_time + launch
-    elif impl == "naive_forloop":
-        # low-precision kernels, but one launch per delta and ungrouped I/O
-        compute = sum(delta_compute(c, scattered=True) for c in counts)
-        total = compute + launch * len(counts) + gather
-    elif impl == "sbmm_reorder":
-        # requests grouped per delta: contiguous I/O, still serial launches
-        compute = sum(delta_compute(c, scattered=False) for c in counts)
-        total = compute + launch * len(counts)
-    else:  # sbmm ("Ours+"): one host launch; children run concurrently
-        per_delta = [delta_compute(c, scattered=False) for c in counts]
-        compute = sum(per_delta)
-        # children overlap across SMs: serialization is bounded by the
-        # largest delta plus a small per-child scheduling cost
-        overlapped = max(per_delta) + child_launch * len(counts)
-        total = launch + max(overlapped, compute / _sbmm_parallelism(gpu, len(counts)))
+        total = compute + stack_time + gpu.kernel_launch_us * 1e-6
+    else:
+        total, compute = sbmm_compose(
+            [sbmm_delta_time(c, shape_k, shape_n, gpu, impl, weight_bits,
+                             density) for c in counts],
+            total_reqs, gpu, impl)
     return SBMMBreakdown(total=total, compute=compute)
 
 

@@ -46,6 +46,7 @@ from ..sim import (Arrival, Cancel, Event, EventQueue, IterationDone,
                    PhaseTransition, new_clock)
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
+from .costs import check_pricing_knobs
 from .metrics import EngineStats, ServingResult
 from .model_manager import ArtifactKind, ModelManager
 from .request import RequestState, ServingRequest
@@ -126,6 +127,8 @@ class EngineConfig:
             raise ValueError(f"unknown preempt_mode {self.preempt_mode!r}")
         if self.variant_kind not in ("delta", "lora", "none"):
             raise ValueError(f"unknown variant_kind {self.variant_kind!r}")
+        check_pricing_knobs(self.sbmm_impl, self.delta_bits,
+                            self.delta_density, self.lora_rank)
         if self.idle_quantum_s is not None and self.idle_quantum_s <= 0:
             raise ValueError("idle_quantum_s must be > 0 when set")
         if not isinstance(self.record_policy, RecordPolicy):
@@ -158,25 +161,38 @@ class Admission:
     load_time_s: float = 0.0
 
 
+#: every this many epochs the log drops what no member's join epoch still
+#: needs, so it stays O(longest-lived member), not O(iterations)
+_LOG = 1024
+
+
 class RunningBatch:
-    """The running batch and the integer totals every iteration asks of it.
+    """The running batch: the integer totals every iteration asks of it,
+    and the epoch ledger its members' token and time accounts hang off.
 
     Continuous batching is lockstep: an executed iteration gives *every*
-    running request exactly one token, so the batch's KV footprint grows
-    by ``len(requests)`` (:meth:`advance`) and everything else changes
-    only when a request joins or leaves.  The ledger is the single owner
-    of membership — nothing else appends to, removes from or rebuilds
-    ``requests`` — which is what lets admission, batch composition and
-    the scheduler read totals instead of rescanning the batch.  It holds
-    integers only, so reading a total is bit-identical to re-summing it.
+    running request one token and the same ``iter_time``.  So
+    :meth:`advance` touches no member — it grows the KV footprint by
+    ``len(requests)``, bumps ``epoch`` and logs ``iter_time`` — and a
+    member's ``generated_tokens`` / ``inference_s`` are derived from what
+    it joined with plus the epochs since (see
+    :class:`~repro.serving.request.ServingRequest`) until :meth:`leave`
+    writes them back.  When a member finishes is known at its join, so
+    members wait in buckets keyed by finish epoch, each in batch order.
 
-    ``per_model`` counts running requests per variant in the order each
-    variant (re)entered the batch; a count that reaches zero is deleted.
-    ``version`` moves on every membership change.
+    The ledger is the single owner of membership — nothing else appends
+    to, removes from or rebuilds ``requests`` — which is what lets
+    admission, batch composition and the scheduler read totals instead
+    of rescanning the batch; the totals are integers, so reading one is
+    bit-identical to re-summing it.  ``per_model`` counts running
+    requests per variant in the order each variant (re)entered the batch
+    (a zero count is deleted).  ``version`` moves on every membership
+    change, ``epoch`` on every iteration.
     """
 
     __slots__ = ("requests", "context_tokens", "cached_prefix_tokens",
-                 "per_model", "version")
+                 "per_model", "version", "epoch", "_log", "_log_base",
+                 "_finish", "_shadow")
 
     def __init__(self, requests: Iterable[ServingRequest] = ()):
         self.requests: List[ServingRequest] = []
@@ -184,6 +200,12 @@ class RunningBatch:
         self.cached_prefix_tokens = 0    # sum of cached_prefix_tokens
         self.per_model: Dict[str, int] = {}
         self.version = 0
+        self.epoch = 0                   # iterations executed so far
+        self._log: List[float] = []      # iter_time of epochs _log_base..
+        self._log_base = 0
+        self._finish: Dict[int, List[ServingRequest]] = {}
+        self._shadow = _sanitizer.EpochShadow() \
+            if _sanitizer.enabled() else None
         for req in requests:
             self.join(req)
 
@@ -197,9 +219,24 @@ class RunningBatch:
         per_model = self.per_model
         per_model[req.model_id] = per_model.get(req.model_id, 0) + 1
         self.version += 1
+        # the epoch of its last token: a member always gets at least one
+        req._due = self.epoch + max(1, req.remaining_tokens)
+        req._ledger = self
+        req._join_epoch = self.epoch
+        self._finish.setdefault(req._due, []).append(req)
+        if self._shadow is not None:
+            self._shadow.join(req)
 
     def leave(self, req: ServingRequest) -> None:
         self.requests.remove(req)        # identity: requests are eq=False
+        if req._due > self.epoch:        # else advance() handed it out
+            self._finish[req._due].remove(req)
+            if not self._finish[req._due]:
+                del self._finish[req._due]
+        req._tokens, req._inference = req.generated_tokens, req.inference_s
+        req._ledger = None
+        if self._shadow is not None:
+            self._shadow.leave(req)
         self.context_tokens -= req.context_length
         self.cached_prefix_tokens -= req.cached_prefix_tokens
         left = self.per_model[req.model_id] - 1
@@ -209,9 +246,30 @@ class RunningBatch:
             del self.per_model[req.model_id]
         self.version += 1
 
-    def advance(self) -> None:
-        """One lockstep iteration: every member generated one token."""
+    def advance(self, iter_time: float = 0.0) -> List[ServingRequest]:
+        """One lockstep iteration of ``iter_time`` seconds: every member
+        generated one token.  O(1).  Returns the members it finished, still
+        in the batch: old ones in batch order, then those done on their
+        first token in admission order."""
         self.context_tokens += len(self.requests)
+        self.epoch += 1
+        self._log.append(iter_time)
+        if not self.epoch % _LOG:
+            keep = min((r._join_epoch for r in self.requests),
+                       default=self.epoch)
+            del self._log[:keep - self._log_base]
+            self._log_base = keep
+        if self._shadow is not None:
+            self._shadow.advance(iter_time)
+        return self._finish.pop(self.epoch, None) or []
+
+    def next_finish_epoch(self) -> int:
+        """The first epoch that finishes a member (there must be one)."""
+        return min(self._finish)
+
+    def times_since(self, epoch: int) -> List[float]:
+        """``iter_time`` of every iteration since ``epoch``, in order."""
+        return self._log[epoch - self._log_base:]
 
 
 # callback signatures: (request, clock_s)
@@ -472,19 +530,13 @@ class ServingEngine:
         if executed:
             self.on_iteration(iter_time, load_time, admitted)
 
-        # token accounting: admitted requests first (their first token
-        # lands this iteration), then the previously-running prefix of
-        # the batch, which moves in lockstep (+1 token each).  Finished
-        # requests are collected on the way, in batch order: old first.
+        # token accounting is the batch's: the admitted requests join
+        # (their first token lands this iteration), then one epoch gives
+        # every member its token and iter_time and hands back the finished
         now = self._sim.now
-        on_token = self.on_token
         n_old = len(batch.requests)
-        batch.advance()
-        newly_done: List[ServingRequest] = []
-        done_on_first_token: List[ServingRequest] = []
         for req in admitted:
             req.prefilled = True
-            req.generated_tokens += 1
             if req.first_token_s is None:
                 req.first_token_s = now
                 if emit is not None:
@@ -492,20 +544,12 @@ class ServingEngine:
                         time=now, request_id=req.request_id,
                         phase="decode", model_id=req.model_id,
                         tenant_id=req.tenant_id, source=self.name))
-            req.inference_s += iter_time
             batch.join(req)
-            if on_token is not None:
-                on_token(req, now)
-            if req.generated_tokens >= req.output_tokens:   # req.done
-                done_on_first_token.append(req)
-        for req in batch.requests[:n_old]:
-            req.generated_tokens += 1
-            req.inference_s += iter_time
-            if on_token is not None:
-                on_token(req, now)
-            if req.generated_tokens >= req.output_tokens:
-                newly_done.append(req)
-        newly_done += done_on_first_token
+        newly_done = batch.advance(iter_time)
+        if self.on_token is not None:
+            # the newly admitted first, then the older members
+            for req in batch.requests[n_old:] + batch.requests[:n_old]:
+                self.on_token(req, now)
 
         # 5. retire finished requests; engine-specific cleanup (preemption)
         if newly_done:
@@ -539,10 +583,14 @@ class ServingEngine:
 
     def run_until_drained(self) -> None:
         """Step until every submitted request finished (or the engine is
-        stuck / past ``max_sim_seconds``)."""
-        while self.unfinished > 0 and self.clock < self.config.max_sim_seconds:
+        stuck / past ``max_sim_seconds``).  No outer layer can inject an
+        event between two steps of this loop, so after each the engine may
+        :meth:`_coast` through the iterations that decide nothing."""
+        limit_s = self.config.max_sim_seconds
+        while self.unfinished > 0 and self.clock < limit_s:
             if not self.step():
                 break
+            self._coast(limit_s)
 
     def build_result(self) -> ServingResult:
         """Snapshot the retired requests as a :class:`ServingResult`.
@@ -617,6 +665,11 @@ class ServingEngine:
         """hook: post-retirement cleanup (preemption); returns extra
         seconds to advance the clock."""
         return 0.0
+
+    def _coast(self, limit_s: float) -> None:
+        """hook: execute, exactly as :meth:`step` would have, every
+        upcoming iteration that provably ingests, admits, finishes and
+        publishes nothing, each starting before ``limit_s``."""
 
     def _touch_active(self, resident: "OrderedDict[str, Any]",
                       admitted: List[ServingRequest],

@@ -10,38 +10,60 @@ Implements the timing consequences of §5.1-§5.3:
 * tensor parallelism splits every GEMM's output dimension ``1/tp`` and adds
   two ring all-reduces of the activations per layer (Fig 9);
 * attention adds KV-cache traffic, which is what makes decode memory-bound.
+
+A batch is priced in plain floats from the scalar kernel models of
+:mod:`repro.hardware.kernels`, which stay the only place a formula is
+written.  The one per-element term — the roofline of a ``c``-row GEMM —
+depends on (GEMM shape, ``c``) alone, so the variant passes keep it as a
+*column* per row count (one float per distinct layer shape) and a batch of
+``d`` deltas merely combines ``d`` columns; a membership change that moves
+one delta's count re-prices no roofline whose count was seen before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
-
-import numpy as np
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..hardware.cluster import allreduce_time
-from ..hardware.kernels import (GemmShape, dense_gemm_time,
-                                quantized_gemm_time, sbmm_time,
-                                sparse_quantized_gemm_time)
-# the scalar kernel models in hardware.kernels stay the ground truth; the
-# vectorized fast paths below reuse their private constants so the two can
-# never drift apart (equivalence is pinned by test_streaming_metrics)
-from ..hardware.kernels import (_RANDOM_ACCESS_US_PER_REQUEST,
-                                _SCATTERED_BW_FRACTION, _SMALL_M_KNEE,
-                                _sbmm_parallelism)
+from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, GemmShape,
+                                dense_gemm_time, sbmm_compose,
+                                sbmm_delta_time, sbmm_time)
 from ..hardware.specs import GPUSpec
+from ..sim import sanitizer as _sanitizer
 from .models import FP16, ServedModelSpec
 
-__all__ = ["IterationCostModel", "BatchComposition", "LinearPlan"]
+__all__ = ["IterationCostModel", "BatchComposition", "LinearPlan",
+           "check_pricing_knobs"]
 
 # fixed per-iteration software overhead (scheduler, python, launch queue)
 _ITERATION_OVERHEAD_S = 2e-3
-# LoRA adapters multiply two rank-r matrices per projection
+# LoRA adapters multiply two rank-r matrices per projection, each batched
+# like an SBMM of this (flavour, weight bits, density)
 _LORA_KERNEL_EFFICIENCY = 0.5
-# bounded memo caches for the per-iteration pass costs; cleared when full
-# so pathological workloads cannot grow them without bound
+_LORA_SBMM = ("sbmm", 16, 1.0)
+# bound on every memo below (pass totals and per-count columns alike):
+# cleared when full, so no workload grows them without bound
 _MEMO_LIMIT = 65536
+
+#: one SBMM the variant passes run: its GEMM shapes (one per distinct layer
+#: shape), (flavour, weight bits, density) and ``{row count: column}`` memo
+_Family = Tuple[List[Tuple[int, int]], Tuple[str, int, float],
+                Dict[int, List[float]]]
+
+
+def check_pricing_knobs(sbmm_impl: str, delta_bits: int,
+                        delta_density: float, lora_rank: int) -> None:
+    """Reject variant-pass knobs the kernel models cannot price (shared
+    by :class:`IterationCostModel` and ``EngineConfig``)."""
+    if sbmm_impl not in SBMM_IMPLEMENTATIONS:
+        raise ValueError(f"unknown sbmm_impl {sbmm_impl!r}")
+    if delta_bits < 1:
+        raise ValueError(f"delta_bits {delta_bits!r} must be >= 1")
+    if not 0.0 < delta_density <= 1.0:
+        raise ValueError(f"delta_density {delta_density!r} not in (0, 1]")
+    if lora_rank < 0:
+        raise ValueError(f"lora_rank {lora_rank!r} must be >= 0")
 
 
 @dataclass
@@ -87,9 +109,10 @@ class IterationCostModel:
     def __init__(self, spec: ServedModelSpec, gpu: GPUSpec,
                  tp_degree: int = 1, delta_bits: int = 4,
                  delta_density: float = 0.5, lora_rank: int = 0,
-                 sbmm_impl: str = "sbmm"):
+                 sbmm_impl: str = "sbmm") -> None:
         if tp_degree < 1:
             raise ValueError("tp_degree must be >= 1")
+        check_pricing_knobs(sbmm_impl, delta_bits, delta_density, lora_rank)
         self.spec = spec
         self.gpu = gpu
         self.tp = tp_degree
@@ -97,36 +120,34 @@ class IterationCostModel:
         self.delta_density = delta_density
         self.lora_rank = lora_rank
         self.sbmm_impl = sbmm_impl
-        # per-layer GEMM shapes with the TP split applied once (the inner
-        # loops below are the engine's single hottest code path)
-        self._shape_pairs: List[Tuple[int, int]] = \
-            [(k, n // self.tp) for k, n in spec.layer_gemm_shapes()]
-        self._ks = np.array([k for k, _ in self._shape_pairs],
-                            dtype=np.float64)
-        self._ns = np.array([n for _, n in self._shape_pairs],
-                            dtype=np.float64)
-        self._kns = self._ks * self._ns        # exact: integer products
-        # the variant passes price each *distinct* (k, n) once (q/k/v/o
-        # and gate/up repeat), all of them in one shapes x deltas numpy
-        # evaluation, and add the times back up in layer order
-        distinct = list(dict.fromkeys(self._shape_pairs))
-        self._shape_slots: List[int] = \
-            [distinct.index(pair) for pair in self._shape_pairs]
-        self._dks = np.array([[k] for k, _ in distinct], dtype=np.float64)
-        self._dns = np.array([[n] for _, n in distinct], dtype=np.float64)
+        # per-layer GEMM shapes with the TP split applied once; every pass
+        # prices each *distinct* (k, n) once (q/k/v/o and gate/up repeat)
+        # and adds the times back up in layer order
+        pairs = [(k, n // self.tp) for k, n in spec.layer_gemm_shapes()]
+        distinct = list(dict.fromkeys(pairs))
+        self._distinct: List[Tuple[int, int]] = distinct
+        self._shape_slots: List[int] = [distinct.index(p) for p in pairs]
+        # LoRA shrinks to rank r then expands, as two dense "sbmm" batches
+        r = lora_rank
+        self._families: Dict[str, _Family] = {
+            "delta": (distinct, (sbmm_impl, delta_bits, delta_density), {}),
+            "lora_down": ([(k, r) for k, _ in distinct], _LORA_SBMM, {}),
+            "lora_up": ([(r, n) for _, n in distinct], _LORA_SBMM, {}),
+        }
         self._kv_bytes_per_token = spec.kv_bytes_per_token()
         self._base_memo: Dict[int, float] = {}
         self._delta_memo: Dict[Tuple[int, ...], float] = {}
         self._lora_memo: Dict[Tuple[int, ...], float] = {}
+        self._sanitize = _sanitizer.enabled()
 
     # ------------------------------------------------------------------ #
     # building blocks
     #
-    # The vectorized passes reproduce hardware.kernels bit-for-bit: every
-    # elementwise term keeps the scalar models' operand grouping (all
-    # products of integers are exact in float64, so regrouping them is
-    # lossless), and reductions accumulate sequentially in the scalar
-    # call order.  test_streaming_metrics pins exact equality.
+    # Each pass is the scalar kernel composition of hardware.kernels over
+    # the layer's linears — same functions, same operand order, hence the
+    # floats of a loop over ``sbmm_time`` / ``dense_gemm_time`` (``==`` in
+    # tests/test_serving_costs.py) — minus the work that repeats: equal
+    # layer shapes, seen row counts (columns), seen batches (tuple memos).
     # ------------------------------------------------------------------ #
     def _base_pass(self, m: int) -> float:
         """Dense FP16 pass over ``m`` token-rows (whole shared-base batch)."""
@@ -134,18 +155,12 @@ class IterationCostModel:
             return 0.0
         cached = self._base_memo.get(m)
         if cached is not None:
+            if self._sanitize:
+                _sanitizer.check_cost_total(self, "base", m, cached)
             return cached
-        gpu = self.gpu
-        fill = min(1.0, m / _SMALL_M_KNEE)
-        eff = gpu.mma_efficiency * (0.15 + 0.85 * fill)
-        compute = (2.0 * m) * self._kns / (gpu.peak_flops * eff)
-        weight = self._kns * 16.0 / 8.0
-        act = (m * self._ks + m * self._ns) * 2.0
-        mem = (weight + act) / gpu.hbm_bytes_per_s
-        per_shape = np.maximum(compute, mem) + gpu.kernel_launch_us * 1e-6
-        total = 0.0
-        for t in per_shape.tolist():
-            total += t
+        total = self._sum_over_layer_shapes(
+            [dense_gemm_time(GemmShape(m, k, n), self.gpu)
+             for k, n in self._distinct])
         total = total * self.spec.n_layers + self._lm_head(m)
         if len(self._base_memo) >= _MEMO_LIMIT:
             self._base_memo.clear()
@@ -157,60 +172,29 @@ class IterationCostModel:
             GemmShape(m, self.spec.dim, self.spec.vocab_size // self.tp),
             self.gpu)
 
-    def _sbmm_breakdown(self, counts: List[int], carr: np.ndarray,
-                        ks: Union[np.ndarray, float],
-                        ns: Union[np.ndarray, float], weight_bits: float,
-                        density: float,
-                        impl: str) -> List[Tuple[float, float]]:
-        """(total, compute) of one batched multi-delta matmul per GEMM
-        shape — the vectorized twin of
-        :func:`~repro.hardware.kernels.sbmm_time`.  ``ks``/``ns`` are
-        (shapes, 1) columns (or a scalar, broadcast), ``carr`` the
-        per-delta row counts: every elementwise term is evaluated once
-        as a shapes x deltas array."""
+    def _sbmm(self, family: str,
+              counts: List[int]) -> List[Tuple[float, float]]:
+        """(total, compute) of one batched multi-delta matmul per distinct
+        GEMM shape of ``family``: one column per delta, looked up by its
+        row count (built on a miss), combined shape by shape."""
+        shapes, knobs, columns = self._families[family]
         gpu = self.gpu
-        kns = ks * ns                          # exact: integer products
-        if impl == "fp16_bmm":
-            # per-request stacked BMM has no per-delta vector dimension;
-            # keep the (rarely hot) scalar model authoritative
-            out = []
-            for k, n in zip(ks.ravel().tolist(), ns.ravel().tolist()):
-                br = sbmm_time(counts, int(k), int(n), gpu, impl=impl,
-                               weight_bits=int(weight_bits), density=density)
-                out.append((br.total, br.compute))
-            return out
-        dense = impl.startswith("fp16")
-        scattered = impl.endswith("forloop")
-        fill = np.minimum(1.0, carr / _SMALL_M_KNEE)
-        eff = gpu.mma_efficiency * (0.15 + 0.85 * fill)
-        peak = gpu.peak_flops if dense \
-            else gpu.peak_flops * gpu.sparse_speedup
-        comp = (2.0 * carr) * kns / (peak * eff)
-        per_value = 16.0 if dense \
-            else weight_bits * density + 2.0 * density
-        weight = kns * per_value / 8.0
-        act = (carr * ks + carr * ns) * 2.0
-        if scattered:
-            act = act / _SCATTERED_BW_FRACTION
-        mem = (weight + act) / gpu.hbm_bytes_per_s
-        launch = gpu.kernel_launch_us * 1e-6
-        d = len(counts)
-        gather = _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * sum(counts)
-        out = []
-        for per_list in np.maximum(comp, mem).tolist():
-            compute = 0.0
-            for t in per_list:
-                compute += t
-            if impl == "sbmm":
-                overlapped = max(per_list) + gpu.dynamic_launch_us * 1e-6 * d
-                total = launch + max(overlapped,
-                                     compute / _sbmm_parallelism(gpu, d))
-            elif impl == "sbmm_reorder":
-                total = compute + launch * d
-            else:  # fp16_forloop / naive_forloop
-                total = compute + launch * d + gather
-            out.append((total, compute))
-        return out
+        picked = []
+        for c in counts:
+            column = columns.get(c)
+            if column is None:
+                column = [sbmm_delta_time(c, k, n, gpu, *knobs)
+                          for k, n in shapes]
+                if len(columns) >= _MEMO_LIMIT:
+                    columns.clear()
+                columns[c] = column
+            elif self._sanitize:
+                _sanitizer.check_cost_column(family, gpu, shapes, knobs, c,
+                                             column)
+            picked.append(column)
+        n_requests = sum(counts)
+        return [sbmm_compose(per_delta, n_requests, gpu, knobs[0])
+                for per_delta in zip(*picked)]
 
     def _sum_over_layer_shapes(self, per_distinct: List[float]) -> float:
         """Sum per-distinct-shape times over the block's linears, in the
@@ -228,14 +212,16 @@ class IterationCostModel:
         key = tuple(counts)
         cached = self._delta_memo.get(key)
         if cached is not None:
+            if self._sanitize:
+                _sanitizer.check_cost_total(self, "delta", key, cached)
             return cached
-        carr = np.array(counts, dtype=np.float64)
-        bits = float(self.delta_bits)
-        total = self._sum_over_layer_shapes([
-            t for t, _ in self._sbmm_breakdown(
-                counts, carr, self._dks, self._dns, bits,
-                self.delta_density, self.sbmm_impl)])
-        total = total * self.spec.n_layers
+        if self.sbmm_impl == "fp16_bmm":
+            # per-request stacked BMM has no per-delta term to keep
+            per_shape = [sbmm_time(counts, k, n, self.gpu, "fp16_bmm").total
+                         for k, n in self._distinct]
+        else:
+            per_shape = [t for t, _ in self._sbmm("delta", counts)]
+        total = self._sum_over_layer_shapes(per_shape) * self.spec.n_layers
         if len(self._delta_memo) >= _MEMO_LIMIT:
             self._delta_memo.clear()
         self._delta_memo[key] = total
@@ -254,16 +240,14 @@ class IterationCostModel:
         key = tuple(counts)
         cached = self._lora_memo.get(key)
         if cached is not None:
+            if self._sanitize:
+                _sanitizer.check_cost_total(self, "lora", key, cached)
             return cached
-        r = self.lora_rank
-        carr = np.array(counts, dtype=np.float64)
-        down = self._sbmm_breakdown(counts, carr, self._dks, float(r),
-                                    16.0, 1.0, "sbmm")
-        up = self._sbmm_breakdown(counts, carr, float(r), self._dns,
-                                  16.0, 1.0, "sbmm")
         total = self._sum_over_layer_shapes([
             (down_total + up_compute) / _LORA_KERNEL_EFFICIENCY * 0.5
-            for (down_total, _), (_, up_compute) in zip(down, up)])
+            for (down_total, _), (_, up_compute)
+            in zip(self._sbmm("lora_down", counts),
+                   self._sbmm("lora_up", counts))])
         total = total * self.spec.n_layers
         if len(self._lora_memo) >= _MEMO_LIMIT:
             self._lora_memo.clear()

@@ -76,9 +76,9 @@ DEFAULT_PREFILL_CHUNK_TOKENS = 512
 class _PoolWorker(DeltaZipEngine):
     """One pool member: a DeltaZip engine on its own timeline.
 
-    Workers forward tokens, finishes, and events to the owning
-    :class:`DisaggregatedEngine`, which maintains the canonical
-    (client-visible) request objects.  A worker is itself its pool's
+    Workers forward finishes (and, while it has a listener, tokens and
+    events) to the owning :class:`DisaggregatedEngine`, which maintains
+    the canonical (client-visible) requests.  A worker is itself its pool's
     :class:`~repro.serving.cluster.ReplicaSet` member (``id``,
     ``draining``): a draining worker accepts no new routes but runs its
     queue dry before its node is released.
@@ -94,13 +94,10 @@ class _PoolWorker(DeltaZipEngine):
         self.name = f"disagg.{self.role}{worker_id}"
         super().__init__(owner.manager, node, owner.scheduler_config,
                          owner.config)
-        self.on_token = self._token_to_owner
         self.on_finish = self._finish_to_owner
 
-    # forwarded hooks (permanent: owner state is read at call time) ----- #
-    def _token_to_owner(self, req: ServingRequest, clock_s: float) -> None:
-        self.owner._on_worker_token(self, req, clock_s)
-
+    # forwarded hooks: finish is permanent, the owner's _wire_hooks
+    # installs the other two only while it has a listener for them
     def _finish_to_owner(self, req: ServingRequest, clock_s: float) -> None:
         self.owner._on_worker_finish(self, req, clock_s)
 
@@ -338,7 +335,7 @@ class DisaggregatedEngine(ServingEngine):
         self._kv_transfer_s = 0.0
         # the owner hooks the pool workers are wired to; every worker is
         # wired on its way into a pool, so step() rewires only on a change
-        self._wired_hooks = (self.on_event, self.emit_phases)
+        self._wired_hooks = (self.on_event, self.emit_phases, self.on_token)
         # conversation affinity keeps a session on the prefill worker
         # whose prefix cache holds its history; decode has no such state
         prefill = _Pool(self, _PrefillWorker,
@@ -447,6 +444,16 @@ class DisaggregatedEngine(ServingEngine):
                       if request.output_tokens > 1 else request)
         return req
 
+    def lookup(self, request_id: int) -> Optional[ServingRequest]:
+        """The canonical request, refreshed from the surrogate on the
+        worker that owns it now (no listener, no per-token forwarding)."""
+        canonical = self._live.get(request_id)
+        worker = self._owner_of.get(request_id)
+        surrogate = worker.lookup(request_id) if worker is not None else None
+        if canonical is not None and surrogate is not None:
+            self._sync_progress(canonical, surrogate)
+        return canonical
+
     def schedule_cancel(self, request_id: int, at_s: float,
                         reason: str = "cancel") -> None:
         worker = self._owner_of.get(request_id)
@@ -496,8 +503,9 @@ class DisaggregatedEngine(ServingEngine):
 
     def _sync_hooks(self) -> None:
         """Rewire the pooled workers when the owner's ``on_event`` /
-        ``emit_phases`` changed since they were last wired."""
-        hooks = (self.on_event, self.emit_phases)
+        ``emit_phases`` / ``on_token`` changed since they were last wired
+        (a listener attached mid-run takes effect at the next step)."""
+        hooks = (self.on_event, self.emit_phases, self.on_token)
         if hooks != self._wired_hooks:
             self._wired_hooks = hooks
             for worker in self._all_workers():
@@ -507,6 +515,9 @@ class DisaggregatedEngine(ServingEngine):
         has_sink = self.on_event is not None
         worker.emit_phases = self.emit_phases and has_sink
         worker.on_event = worker._event_to_owner if has_sink else None
+        # forwarded only while someone listens: no per-token cost otherwise
+        worker.on_token = self._on_worker_token \
+            if self.on_token is not None else None
 
     def _prefill_frontier(self) -> Optional[float]:
         times = [w.clock for w in self._prefill_pool if w.unfinished > 0]
@@ -551,18 +562,25 @@ class DisaggregatedEngine(ServingEngine):
     # ------------------------------------------------------------------ #
     # worker callbacks: canonical request maintenance + KV handoff
     # ------------------------------------------------------------------ #
-    def _on_worker_token(self, worker: _PoolWorker, req: ServingRequest,
-                         clock_s: float) -> None:
+    def _on_worker_token(self, req: ServingRequest, clock_s: float) -> None:
         canonical = self._live.get(req.request_id)
         if canonical is None:
             return
-        if canonical.first_token_s is None:
-            canonical.first_token_s = clock_s
+        self._sync_progress(canonical, req)
+        if self.on_token is not None:
+            self.on_token(canonical, clock_s)
+
+    @staticmethod
+    def _sync_progress(canonical: ServingRequest,
+                       req: ServingRequest) -> None:
+        """Bring the canonical request up to its worker-side surrogate
+        (first token, the running state it starts, token count): per token
+        while a listener is wired, else at handoff, finalize, ``lookup``."""
+        if canonical.first_token_s is None and req.first_token_s is not None:
+            canonical.first_token_s = req.first_token_s
             canonical.state = RequestState.RUNNING
         if req.generated_tokens > canonical.generated_tokens:
             canonical.generated_tokens = req.generated_tokens
-        if self.on_token is not None:
-            self.on_token(canonical, clock_s)
 
     def _on_worker_finish(self, worker: _PoolWorker, req: ServingRequest,
                           clock_s: float) -> None:
@@ -594,6 +612,7 @@ class DisaggregatedEngine(ServingEngine):
                  req: ServingRequest) -> None:
         rid = canonical.request_id
         assert req.finish_s is not None
+        self._sync_progress(canonical, req)
         start_s = req.finish_s
         plan = plan_kv_transfer(self.manager.spec, self._link,
                                 context_tokens=req.context_length,
@@ -630,12 +649,9 @@ class DisaggregatedEngine(ServingEngine):
     def _finalize(self, canonical: ServingRequest, req: ServingRequest,
                   clock_s: float) -> None:
         rid = canonical.request_id
-        if req.generated_tokens > canonical.generated_tokens:
-            canonical.generated_tokens = req.generated_tokens
+        self._sync_progress(canonical, req)
         canonical.state = req.state
         canonical.finish_s = req.finish_s
-        if canonical.first_token_s is None:
-            canonical.first_token_s = req.first_token_s
         self._cancel_log.pop(rid, None)
         self._in_transfer.discard(rid)
         self._owner_of.pop(rid, None)

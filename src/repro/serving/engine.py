@@ -91,11 +91,10 @@ class DeltaZipEngine(ServingEngine):
         self._resident: "OrderedDict[str, int]" = OrderedDict()  # id -> bytes
         self._resident_bytes = 0
         self._last_batch: Optional[BatchComposition] = None
-        # steady-state memos (see README "The steady-state iteration"):
-        # the (batch, scheduler) versions at which schedule() last decided
-        # nothing, and the batch version whose pure-decode pricing
-        # ``_last_batch`` / ``_steady_plan`` hold.  Versions only grow, so
-        # a stale key can never match again.
+        # steady-state memos: the (batch, scheduler) versions at which
+        # schedule() last decided nothing, and the batch version whose
+        # pure-decode pricing ``_last_batch`` / ``_steady_plan`` hold.
+        # Versions only grow, so a stale key can never match again.
         self._idle_admit_key: Optional[Tuple[int, int]] = None
         self._steady_version = -1
         self._steady_plan: Optional[LinearPlan] = None
@@ -116,12 +115,22 @@ class DeltaZipEngine(ServingEngine):
     def remove_queued(self, request_id):
         return self.scheduler.remove(request_id)
 
+    # the steady-iteration precondition (README "The steady-state
+    # iteration") in two halves: admit, iteration_cost, _coast ask here
+    def _admits_nothing(self) -> bool:
+        """Same batch, queue and resident set as the ``schedule()`` that
+        decided nothing: it would decide nothing again."""
+        return (self.batch.version,
+                self.scheduler.version) == self._idle_admit_key
+
+    def _rows_unchanged(self) -> bool:
+        """``_last_batch`` is this batch's pure-decode composition: the
+        rows are the same, only the attention context grew."""
+        return self.batch.version == self._steady_version
+
     def admit(self) -> Admission:
         batch = self.batch
-        key = (batch.version, self.scheduler.version)
-        if key == self._idle_admit_key:
-            # same batch, same queue, same resident set as the call that
-            # decided nothing: schedule() would decide nothing again, and
+        if self._admits_nothing():
             # everything below is a no-op on an empty decision
             if self._sanitize:
                 _sanitizer.check_steady_verdict(
@@ -130,7 +139,8 @@ class DeltaZipEngine(ServingEngine):
         decision = self.scheduler.schedule(batch, self._resident)
         admitted = decision.admitted
         if not admitted and not decision.new_deltas:
-            self._idle_admit_key = key
+            # (a schedule() that admits nothing moves no version)
+            self._idle_admit_key = (batch.version, self.scheduler.version)
         cache = self._prefix_cache
 
         # swap newly selected deltas onto the GPU; deltas compete with the
@@ -220,15 +230,9 @@ class DeltaZipEngine(ServingEngine):
 
     def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
         kind = self.config.variant_kind
-        if not admitted and self.batch.version == self._steady_version:
-            # pure decode over the batch priced last iteration: the rows
-            # are the same, only the attention context grew
-            last = self._last_batch
-            last.context_tokens = self.batch.context_tokens
-            if self._steady_plan is None:
-                self._steady_plan = self.cost.linear_plan(last, kind)
-            cost = self.cost.plan_time(self._steady_plan,
-                                       last.context_tokens)
+        if not admitted and self._rows_unchanged():
+            cost = self.cost.plan_time(self._plan(),
+                                       self.batch.context_tokens)
             if self._sanitize:
                 _sanitizer.check_steady_price(
                     self.name, cost,
@@ -242,17 +246,68 @@ class DeltaZipEngine(ServingEngine):
         self._steady_plan = None
         return self.cost.iteration_time(batch, kind)
 
+    def _plan(self) -> LinearPlan:
+        """The linear-pass plan of ``_last_batch``, drawn on first use."""
+        if self._steady_plan is None:
+            self._steady_plan = self.cost.linear_plan(
+                self._last_batch, self.config.variant_kind)
+        return self._steady_plan
+
+    def _coast(self, limit_s: float) -> None:
+        """Run the iterations up to the next membership change in one
+        loop.  While both halves of the steady precondition hold, an
+        iteration admits nothing and prices as ``plan_time`` of a context
+        that grew by ``len(batch)``; it finishes nobody before the first
+        finish bucket, and ingests nothing if it starts before the next
+        arrival or live cancel (:meth:`step` ingests ``time <= now``).
+        All it then does is move the clock, the epoch ledger and
+        ``stats`` — unless somebody listens per iteration, or a subclass
+        prices through its own :meth:`iteration_cost` (terms this loop
+        cannot know): such engines do not coast."""
+        batch = self.batch
+        if not (self._admits_nothing() and self._rows_unchanged()) \
+                or self.on_token is not None or self.on_event is not None \
+                or type(self).iteration_cost \
+                is not DeltaZipEngine.iteration_cost or not batch.requests:
+            return
+        wake = self._next_wake()
+        if wake is not None and wake < limit_s:
+            limit_s = wake
+        last_epoch = batch.next_finish_epoch() - 1
+        start_epoch = batch.epoch
+        start_s = now = self._sim.now
+        plan = self._plan()
+        plan_time = self.cost.plan_time
+        advance = batch.advance
+        while batch.epoch < last_epoch and now < limit_s:
+            iter_time = plan_time(plan, batch.context_tokens)
+            now += iter_time          # the additions step() would tick
+            advance(iter_time)
+        n = batch.epoch - start_epoch
+        if n:
+            self._sim.advance(now)
+            self._count_iterations(n, len(batch.requests))
+            if self._sanitize:
+                _sanitizer.check_coast_run(
+                    self, self.scheduler.schedule(batch, self._resident),
+                    start_s, batch.times_since(start_epoch))
+
     def on_iteration(self, iter_time: float, load_time: float,
                      admitted: List[ServingRequest]) -> None:
+        self.stats.total_load_s += load_time
+        self._count_iterations(1, len(self.batch) + len(admitted))
+
+    def _count_iterations(self, n: int, batch_size: int) -> None:
+        """``n`` executed iterations of ``_last_batch``'s composition."""
         decode = self._last_batch.decode_per_delta
         n_deltas = len(decode)
         for delta_id in self._last_batch.prefill_tokens_per_delta:
             if delta_id not in decode:
                 n_deltas += 1
-        self.stats.iterations += 1
-        self.stats.total_load_s += load_time
-        self.stats.batched_requests += len(self.batch) + len(admitted)
-        self.stats.batched_deltas += n_deltas
+        stats = self.stats
+        stats.iterations += n
+        stats.batched_requests += n * batch_size
+        stats.batched_deltas += n * n_deltas
 
     def retire(self, newly_done: List[ServingRequest]) -> float:
         if self._prefix_cache is not None and newly_done:

@@ -7,9 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from ..workload.spec import TraceRequest
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .base import RunningBatch
 
 __all__ = ["DEFAULT_TENANT", "RequestState", "TERMINAL_STATES",
            "ServingRequest", "RequestRecord", "synthesized_abort_record"]
@@ -45,18 +48,24 @@ class ServingRequest:
 
     The trace fields every iteration reads (ids, arrival, token counts)
     are copied in once at construction; requests compare and hash by
-    identity — two objects are never "the same request"."""
+    identity — two objects are never "the same request".
+
+    ``generated_tokens`` and ``inference_s`` are plain values while the
+    request is in no batch.  A :class:`~repro.serving.base.RunningBatch`
+    member is not touched per iteration: it keeps what it joined with and
+    its join epoch, the two properties *derive* the current values from
+    the batch's epoch ledger (so do ``context_length``, ``done`` and
+    ``remaining_tokens``), and ``leave()`` writes them back.  Read them
+    at any time; write them only outside a batch."""
 
     trace: TraceRequest
     state: RequestState = RequestState.QUEUED
-    generated_tokens: int = 0
     prefilled: bool = False
     first_scheduled_s: Optional[float] = None
     first_token_s: Optional[float] = None
     finish_s: Optional[float] = None
     queue_wait_s: float = 0.0
     loading_s: float = 0.0
-    inference_s: float = 0.0
     skipped_line: bool = False
     parent_id: Optional[int] = None  # head-of-queue request we drafted behind
     preemptions: int = 0
@@ -67,6 +76,14 @@ class ServingRequest:
     # gateway finish hooks both ask for it, and a terminal request can
     # never produce a different one
     _record_cache: Optional["RequestRecord"] = field(default=None, repr=False)
+    # epoch-ledger member state: the batch (None outside one), its epoch
+    # at the join and at the last token, the two values as of the join
+    _ledger: Optional["RunningBatch"] = field(
+        default=None, init=False, repr=False)
+    _join_epoch: int = field(default=0, init=False, repr=False)
+    _due: int = field(default=0, init=False, repr=False)
+    _tokens: int = field(default=0, init=False, repr=False)
+    _inference: float = field(default=0.0, init=False, repr=False)
     request_id: int = field(init=False)
     model_id: str = field(init=False)
     arrival_s: float = field(init=False)
@@ -90,6 +107,38 @@ class ServingRequest:
     @property
     def deadline_s(self) -> Optional[float]:
         return self.trace.deadline_s
+
+    @property
+    def generated_tokens(self) -> int:
+        """Output tokens so far: one per batch epoch since the join."""
+        ledger = self._ledger
+        if ledger is None:
+            return self._tokens
+        return self._tokens + ledger.epoch - self._join_epoch
+
+    @generated_tokens.setter
+    def generated_tokens(self, value: int) -> None:
+        self._tokens += value - self.generated_tokens
+
+    @property
+    def inference_s(self) -> float:
+        """Seconds in executed iterations: the join-time value plus the
+        ``iter_time`` of every epoch since, added one at a time in order —
+        a prefix-sum difference, or ``sum()`` (compensated from Python
+        3.12 on), rounds differently, and records are bit-compared."""
+        total = self._inference
+        ledger = self._ledger
+        if ledger is not None:
+            for iter_time in ledger.times_since(self._join_epoch):
+                total += iter_time
+        return total
+
+    @inference_s.setter
+    def inference_s(self, value: float) -> None:
+        if self._ledger is not None:
+            raise AttributeError(f"inference_s of request {self.request_id} "
+                                 "is derived while it is in a batch")
+        self._inference = value
 
     @property
     def remaining_tokens(self) -> int:

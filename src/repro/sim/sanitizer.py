@@ -47,7 +47,17 @@ construction:
   equal the record's own properties and the bin rule applied per value;
 * **exact aggregates on read** — whenever a ``ServingResult`` answers
   from its sink's integer counters instead of re-summing its records,
-  the re-sum gives the same integers.
+  the re-sum gives the same integers;
+* **epoch ledger** — what ``leave()`` materialises equals a shadow
+  ``(generated_tokens, inference_s)`` per batch member, updated every
+  iteration the way the loop the ledger replaced did;
+* **coasted runs** — a stretch of iterations run without stepping is
+  re-derived the slow way: a fresh ``schedule()`` admits nothing, every
+  price equals the recomposed batch's at that context, no member finished
+  inside it, no arrival or live cancel was due at an iteration start;
+* **cost-model memos** — every served per-count column equals
+  ``sbmm_time`` on a one-delta batch, and every memoised pass total a
+  cold model's price of the same rows.
 
 Violations raise :class:`SimSanitizerError` carrying the offending
 value *and* the publishing call site (the first stack frame outside
@@ -61,9 +71,11 @@ import math
 import os
 import traceback
 from contextlib import contextmanager
-from typing import (TYPE_CHECKING, Any, Dict, Iterator, Optional, Sequence,
-                    Set, Tuple)
+from functools import lru_cache
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
+from ..hardware.kernels import sbmm_time
 from .clock import SimClock
 from .events import (AutoscalerTick, Cancel, Event, ReplicaDrain,
                      ReplicaSpawn, TelemetryTick)
@@ -286,6 +298,38 @@ def check_running_batch(engine: str, batch: Any) -> None:
                 f"{name}: holds {held!r}, members give {expected!r}")
 
 
+class EpochShadow:
+    """``[generated_tokens, inference_s]`` per batch member as the loop
+    the epoch ledger replaced held them: updated on every ``advance``."""
+
+    def __init__(self) -> None:
+        self._held: Dict[int, List[Any]] = {}
+
+    def join(self, req: Any) -> None:
+        self._held[id(req)] = [req.generated_tokens, req.inference_s]
+
+    def advance(self, iter_time: float) -> None:
+        for held in self._held.values():
+            held[0] += 1
+            held[1] += iter_time
+
+    def leave(self, req: Any) -> None:
+        check_epoch_member(req, *self._held.pop(id(req)))
+
+
+def check_epoch_member(req: Any, tokens: int, inference: float) -> None:
+    """A member left its batch: the values the epoch ledger materialised
+    must be the eagerly-updated ones (``==``: records carry the float)."""
+    for name, expected in (("generated_tokens", tokens),
+                           ("inference_s", inference)):
+        held = getattr(req, name)
+        if held != expected:
+            raise _violation(
+                f"epoch ledger drifted in {name} of request "
+                f"{req.request_id}: leave() materialised {held!r}, the "
+                f"per-iteration loop gives {expected!r}")
+
+
 def check_steady_verdict(engine: str, decision: Any) -> None:
     """An engine reused its "admit nothing" verdict: a fresh
     ``schedule()`` over the same batch and queue must agree."""
@@ -306,6 +350,36 @@ def check_steady_price(engine: str, reused: float, recomposed: float) -> None:
             f"steady-state memo of engine {engine!r} drifted in the "
             f"linear-pass plan: the reused plan prices the iteration at "
             f"{reused!r}s, the recomposed batch at {recomposed!r}s")
+
+
+def check_coast_run(engine: Any, decision: Any, start: float,
+                    prices: Sequence[float]) -> None:
+    """An engine coasted ``len(prices)`` iterations from clock ``start``;
+    ask what a ``step()`` per iteration would have asked.  ``decision``
+    is a fresh ``schedule()`` over the (unchanged) batch and queue."""
+    check_steady_verdict(engine.name, decision)
+    batch = engine.batch
+    composed = engine._compose([])
+    composed.context_tokens -= len(prices) * len(batch.requests)
+    for price in prices:
+        check_steady_price(engine.name, price, engine.cost.iteration_time(
+            composed, engine.config.variant_kind))
+        composed.context_tokens += len(batch.requests)
+        last_start, start = start, start + price
+    done = [r.request_id for r in batch.requests if r.done]
+    if done:
+        raise _violation(
+            f"engine {engine.name!r} coasted past the finish of requests "
+            f"{done}: they were done before the run's end")
+    live = [e for e in engine._cancels.in_order() if not getattr(
+        engine._live.get(e.request_id), "terminal", True)]
+    due = [e for e in engine._pending.in_order() + live
+           if e.time <= last_start]
+    if due:
+        raise _violation(
+            f"engine {engine.name!r} coasted through an iteration starting "
+            f"at {last_start!r} with {len(due)} events due, the first a "
+            f"{type(due[0]).__name__} at {due[0].time!r}")
 
 
 def check_cluster_frontier(gateway: Any) -> None:
@@ -393,6 +467,49 @@ def check_exact_aggregates(stream: Any, records: Sequence[Any]) -> None:
                 f"sink counter {name} drifted from the records it stands "
                 f"in for: holds {held!r}, {len(records)} records give "
                 f"{expected!r}")
+
+
+# the two oracles are pure in their (frozen, integer) arguments, so caching
+# them cannot go stale; a sanitized replay asks for the same few hundred
+@lru_cache(maxsize=1 << 16)
+def _one_delta_time(gpu: Any, k: int, n: int, count: int,
+                    *knobs: Any) -> float:
+    return sbmm_time([count], k, n, gpu, *knobs).compute
+
+
+@lru_cache(maxsize=1 << 16)
+def _cold_total(cls: Any, knobs: Tuple[Any, ...], pass_name: str,
+                key: Any) -> float:
+    return float(getattr(cls(*knobs), f"_{pass_name}_pass")(key))
+
+
+def check_cost_column(family: str, gpu: Any,
+                      shapes: Sequence[Tuple[int, int]],
+                      knobs: Tuple[str, int, float], count: int,
+                      held: Sequence[float]) -> None:
+    """A memoised ``count``-row column of the ``family`` SBMM (``knobs``:
+    flavour, weight bits, density) was served: each entry must equal
+    ``sbmm_time`` on a one-delta batch, bit for bit."""
+    for (k, n), entry in zip(shapes, held):
+        fresh = _one_delta_time(gpu, k, n, count, *knobs)
+        if entry != fresh:
+            raise _violation(
+                f"cost-model column drifted in the {family} pass at shape "
+                f"({k}, {n}), count {count}: the memo holds {entry!r}, "
+                f"sbmm_time gives {fresh!r}")
+
+
+def check_cost_total(model: Any, pass_name: str, key: Any,
+                     held: float) -> None:
+    """The cost model served a memoised pass total: a cold model (same
+    knobs, empty memos) must price the same rows to the same float."""
+    fresh = _cold_total(type(model), (
+        model.spec, model.gpu, model.tp, model.delta_bits,
+        model.delta_density, model.lora_rank, model.sbmm_impl), pass_name, key)
+    if held != fresh:
+        raise _violation(
+            f"cost-model memo drifted in the {pass_name} pass for rows "
+            f"{key!r}: holds {held!r}, a cold model gives {fresh!r}")
 
 
 def check_handle_finish(request_id: int, already_terminal: bool) -> None:

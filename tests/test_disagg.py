@@ -379,6 +379,100 @@ class TestOneRetireBody:
 
 
 # --------------------------------------------------------------------------- #
+# token forwarding: wired only while someone listens
+# --------------------------------------------------------------------------- #
+class TestTokenForwarding:
+    @staticmethod
+    def engine_and_trace():
+        trace = Trace(requests=[
+            TraceRequest(request_id=i, model_id=f"variant-{i % N_MODELS:02d}",
+                         arrival_s=0.15 * i, prompt_tokens=40 + 8 * i,
+                         output_tokens=1 if i == 3 else 6 + 5 * (i % 4))
+            for i in range(10)],
+            model_ids=[f"variant-{i:02d}" for i in range(N_MODELS)],
+            duration_s=2.0)
+        return make_disagg(prefill=1, decode=2), trace
+
+    @staticmethod
+    def workers(engine):
+        return engine._prefill_pool + engine._decode_pool
+
+    def test_no_listener_means_no_worker_pays_per_token(self):
+        engine, trace = self.engine_and_trace()
+        for request in trace:
+            engine.submit(request)
+        while engine.step():
+            assert all(w.on_token is None for w in self.workers(engine))
+        assert engine.unfinished == 0
+        # the canonical requests still end up with everything a listener
+        # would have synced token by token
+        for req in engine.finished:
+            assert req.generated_tokens == req.output_tokens
+            assert req.first_token_s is not None
+            assert req.first_token_s <= req.finish_s
+
+    def stream(self, attach_at):
+        """Every forwarded token as (step, request, n_generated, clock);
+        the listener goes in before step ``attach_at``."""
+        engine, trace = self.engine_and_trace()
+        for request in trace:
+            engine.submit(request)
+        seen = []
+        step = 0
+        while True:
+            if step == attach_at:
+                engine.on_token = lambda req, clock: seen.append(
+                    (step, req.request_id, req.generated_tokens, clock))
+            if not engine.step():
+                break
+            step += 1
+        return seen, [record_key(r) for r in engine.build_result().records]
+
+    @pytest.mark.parametrize("attach_at", [5, 17, 40])
+    def test_a_late_listener_hears_the_always_on_stream_from_then_on(
+            self, attach_at):
+        always, records = self.stream(0)
+        late, late_records = self.stream(attach_at)
+        assert late_records == records            # listening changes nothing
+        # effective at that very step: nothing from it on is missed
+        assert late and late == [t for t in always if t[0] >= attach_at]
+        # mid-decode for some request: its count did not restart
+        assert any(n > 1 for _, _, n, _ in late[:4])
+
+    def test_a_listener_that_leaves_unwires_the_workers(self):
+        engine, trace = self.engine_and_trace()
+        for request in trace:
+            engine.submit(request)
+        engine.on_token = lambda req, clock: None
+        assert engine.step()
+        assert all(w.on_token is not None for w in self.workers(engine))
+        engine.on_token = None
+        assert engine.step()
+        assert all(w.on_token is None for w in self.workers(engine))
+
+    def test_lookup_mid_decode_reads_the_surrogate(self):
+        engine, trace = self.engine_and_trace()
+        for request in trace:
+            engine.submit(request)
+        compared = 0
+        while engine.step():
+            for worker in engine._decode_pool:
+                for surrogate in worker.running:
+                    rid = surrogate.request_id
+                    assert engine._live[rid].generated_tokens \
+                        <= surrogate.generated_tokens     # nobody told it
+                    canonical = engine.lookup(rid)
+                    assert canonical.generated_tokens == \
+                        surrogate.generated_tokens > 1
+                    assert canonical.first_token_s is not None
+                    assert canonical.state.value == "running"
+                    compared += 1
+        assert compared > 20
+        assert engine.lookup(3).generated_tokens == 1     # terminal: as is
+        assert engine.lookup(999) is None
+
+
+# --------------------------------------------------------------------------- #
 # pool autoscaling
 # --------------------------------------------------------------------------- #
 def eager_scaler(scale_down_cooldown_s=5.0):

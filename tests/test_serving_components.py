@@ -1,4 +1,4 @@
-"""Serving components: model specs, manager, cost model, functional SBMM."""
+"""Serving components: model specs, manager, functional SBMM."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.configs import CompressionConfig
-from repro.hardware import A800
-from repro.serving import (LLAMA_13B, LLAMA_70B, LLAMA_7B, BatchComposition,
-                           IterationCostModel, ModelManager,
+from repro.serving import (LLAMA_13B, LLAMA_70B, LLAMA_7B, ModelManager,
                            group_requests_by_delta, sbmm_forward,
                            sbmm_reference)
 from repro.serving.model_manager import ArtifactKind
@@ -97,72 +95,6 @@ class TestModelManager:
         mgr = self.make()
         entry = mgr.register_lora("l1", "base", 10_000_000)
         assert entry.nbytes < mgr.get("base").nbytes / 100
-
-
-class TestIterationCostModel:
-    def make(self, **kw):
-        return IterationCostModel(LLAMA_13B, A800, tp_degree=4, **kw)
-
-    def batch(self, decode, prefill=None, context=0):
-        return BatchComposition(decode_per_delta=decode,
-                                prefill_tokens_per_delta=prefill or {},
-                                context_tokens=context)
-
-    def test_empty_batch_free(self):
-        assert self.make().iteration_time(self.batch({})) == 0.0
-
-    def test_grows_with_batch(self):
-        cm = self.make()
-        small = cm.iteration_time(self.batch({"a": 1}, context=100))
-        large = cm.iteration_time(self.batch({"a": 32}, context=3200))
-        assert large > small
-
-    def test_batching_variants_cheaper_than_fullmodel_loop(self):
-        """The decoupling payoff: 8 variants x 2 requests in one decoupled
-        pass beats 8 separate full-model passes."""
-        cm = self.make()
-        decode = {f"m{i}": 2 for i in range(8)}
-        decoupled = cm.iteration_time(self.batch(decode, context=1600))
-        scb = cm.fullmodel_iteration_time({f"m{i}": 2 for i in range(8)},
-                                          context_tokens=1600)
-        assert decoupled < scb / 2
-
-    def test_single_variant_overhead_modest(self):
-        """For one variant the decoupled path costs at most ~2x the plain
-        dense pass (base GEMM dominates; delta rides along)."""
-        cm = self.make()
-        dec = cm.iteration_time(self.batch({"m0": 8}, context=800))
-        full = cm.fullmodel_iteration_time({"m0": 8}, context_tokens=800)
-        assert dec < 2.0 * full
-
-    def test_lora_variant_cheaper_than_delta(self):
-        cm = self.make(lora_rank=16)
-        decode = {f"m{i}": 2 for i in range(8)}
-        lora = cm.iteration_time(self.batch(decode, context=800), "lora")
-        delta = cm.iteration_time(self.batch(decode, context=800), "delta")
-        assert lora <= delta * 1.1
-
-    def test_none_variant_is_base_only(self):
-        cm = self.make()
-        t = cm.iteration_time(self.batch({"m0": 4}, context=400), "none")
-        assert t > 0
-
-    def test_unknown_variant_kind_rejected(self):
-        cm = self.make()
-        with pytest.raises(ValueError):
-            cm.iteration_time(self.batch({"m0": 1}), "adapterzzz")
-
-    def test_tp_reduces_iteration_time(self):
-        decode = {f"m{i}": 4 for i in range(4)}
-        t1 = IterationCostModel(LLAMA_13B, A800, tp_degree=1).iteration_time(
-            self.batch(decode, context=1000))
-        t4 = IterationCostModel(LLAMA_13B, A800, tp_degree=4).iteration_time(
-            self.batch(decode, context=1000))
-        assert t4 < t1
-
-    def test_invalid_tp_rejected(self):
-        with pytest.raises(ValueError):
-            IterationCostModel(LLAMA_13B, A800, tp_degree=0)
 
 
 class TestFunctionalSBMM:

@@ -1,18 +1,25 @@
 """The runtime sim-sanitizer: every dynamic check fires on a seeded
 violation and stays silent on clean runs (REPRO_SIM_SANITIZE=1)."""
 
+import re
+from math import inf
+
 import pytest
 
-from repro.serving import (LLAMA_7B, ModelManager, QuantileSketch,
-                           RecordPolicy, ServingGateway, StreamingMetrics)
+from repro.hardware.specs import A100
+from repro.serving import (LLAMA_7B, IterationCostModel, ModelManager,
+                           QuantileSketch, RecordPolicy, ServingGateway,
+                           StreamingMetrics)
+from repro.serving.base import RunningBatch
 from repro.serving.metrics import ServingResult
-from repro.serving.request import RequestRecord
+from repro.serving.request import RequestRecord, ServingRequest
 from repro.serving.tenancy import TokenBucket
 from repro.sim import (Arrival, AutoscalerTick, Cancel, SimClock, SimKernel,
                        SimSanitizerError, new_clock)
 from repro.sim import sanitizer
 from repro.sim.sanitizer import SanitizedClock, install, sanitized
 from repro.workload import synthetic_trace
+from repro.workload.spec import TraceRequest
 from test_serving_gateway import make_engine
 from test_serving_metrics import record
 
@@ -485,3 +492,213 @@ class TestExactAggregatesCheck:
             assert trimmed.n_finished == 1
             assert trimmed.token_throughput() == (4 + 3) / 2.0
             assert trimmed.wasted_token_fraction() == 3 / 7
+
+
+# --------------------------------------------------------------------- #
+# epoch ledger: what leave() materialises == the per-iteration loop
+# --------------------------------------------------------------------- #
+def trace_request(rid, output=50, arrival=0.0, model="variant-00"):
+    return TraceRequest(request_id=rid, model_id=model, arrival_s=arrival,
+                        prompt_tokens=16, output_tokens=output)
+
+
+class TestEpochMemberCheck:
+    @staticmethod
+    def aged_batch():
+        old, young = (ServingRequest(trace=trace_request(rid))
+                      for rid in (0, 1))
+        batch = RunningBatch([old])
+        for i in range(5):
+            batch.advance(0.01 + 0.001 * i)
+        batch.join(young)
+        for i in range(3):
+            batch.advance(0.02 + 0.003 * i)
+        return batch, old, young
+
+    def test_clean_members_leave_silently(self):
+        with sanitized(True):
+            batch, old, young = self.aged_batch()
+            batch.leave(young)
+            batch.leave(old)
+            assert (old.generated_tokens, young.generated_tokens) == (8, 3)
+            assert old.inference_s > young.inference_s > 0.0
+
+    def test_an_epoch_that_skipped_the_log(self):
+        with sanitized(True):
+            batch, old, _ = self.aged_batch()
+            batch.epoch += 1                   # a token nobody logged
+            with pytest.raises(SimSanitizerError, match=(
+                    r"epoch ledger drifted in generated_tokens of request "
+                    r"0: leave\(\) materialised 9, the per-iteration loop "
+                    r"gives 8")):
+                batch.leave(old)
+
+    def test_a_log_entry_that_moved(self):
+        with sanitized(True):
+            batch, old, young = self.aged_batch()
+            batch._log[2] *= 1.0 + 1e-12       # before young joined
+            batch.leave(young)                 # its slice starts later
+            with pytest.raises(SimSanitizerError, match=(
+                    "epoch ledger drifted in inference_s of request 0")):
+                batch.leave(old)
+
+    def test_the_shadow_is_absent_when_the_sanitizer_is_off(self):
+        with sanitized(False):
+            batch, old, _ = self.aged_batch()
+            assert batch._shadow is None
+            batch.epoch += 1
+            batch.leave(old)
+            assert old.generated_tokens == 9
+
+
+# --------------------------------------------------------------------- #
+# coasted runs: every question a step would have asked
+# --------------------------------------------------------------------- #
+class TestCoastRunCheck:
+    MODELS = ["variant-00", "variant-01"]
+
+    def steady_engine(self):
+        engine = make_engine("deltazip", self.MODELS)
+        engine.submit(trace_request(0, output=60))
+        engine.step()                          # prefill
+        engine.step()                          # first pure decode: keys set
+        assert engine._admits_nothing() and engine._rows_unchanged()
+        return engine
+
+    def test_clean_run_coasts_to_the_finish_bucket(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            engine._coast(inf)
+            assert engine.batch.epoch == 59    # the 60th token is a step's
+            assert engine.running[0].generated_tokens == 59
+            engine.run_until_drained()
+            assert engine.unfinished == 0 and engine.stats.iterations == 60
+
+    def test_a_stale_verdict(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            engine._resident.clear()           # behind admit's back
+            with pytest.raises(SimSanitizerError,
+                               match=r"admission verdict.*loads "
+                                     r"\['variant-00'\]"):
+                engine._coast(inf)
+
+    def test_a_stale_plan(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            plan = engine._plan()
+            engine._steady_plan = plan._replace(
+                linear_s=plan.linear_s * (1.0 + 2 ** -50))
+            with pytest.raises(SimSanitizerError,
+                               match=r"'deltazip'.*linear-pass plan"):
+                engine._coast(inf)
+
+    def test_a_member_done_inside_the_run(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            finish = engine.batch._finish
+            (due, bucket), = finish.items()
+            finish.clear()
+            finish[due + 5] = bucket           # the bucket moved out
+            with pytest.raises(SimSanitizerError, match=(
+                    r"coasted past the finish of requests \[0\]")):
+                engine._coast(inf)
+
+    @pytest.mark.parametrize("kind", ["arrival", "cancel"])
+    def test_an_event_due_inside_the_run(self, kind):
+        with sanitized(True):
+            engine = self.steady_engine()
+            at_s = engine.clock + 0.2
+            if kind == "arrival":
+                engine.submit(trace_request(1, arrival=at_s,
+                                            model="variant-01"))
+            else:
+                engine.schedule_cancel(0, at_s)
+            engine._next_wake = lambda: None   # the bound went missing
+            with pytest.raises(SimSanitizerError, match=(
+                    rf"coasted through an iteration starting at .* with 1 "
+                    rf"events due, the first a {kind.capitalize()} at "
+                    rf"{re.escape(repr(at_s))}")):
+                engine._coast(inf)
+
+    def test_a_stale_cancel_is_not_an_event(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            engine.schedule_cancel(999, engine.clock + 0.2)
+            engine._next_wake = lambda: None
+            engine._coast(inf)
+            assert engine.batch.epoch == 59
+
+    def test_the_real_bounds_stop_the_run_at_the_event(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            at_s = engine.clock + 0.2
+            engine.schedule_cancel(0, at_s)
+            engine._coast(inf)
+            # the last coasted iteration started before the cancel was due
+            assert engine.clock >= at_s > engine.clock - \
+                engine.batch.times_since(engine.batch.epoch - 1)[0]
+            engine.run_until_drained()
+            assert engine.finished[0].state.value == "cancelled"
+
+    def test_checks_are_absent_when_the_sanitizer_is_off(self):
+        with sanitized(False):
+            engine = self.steady_engine()
+            engine._resident.clear()
+            engine._coast(inf)
+            assert engine.batch.epoch == 59
+
+
+# --------------------------------------------------------------------- #
+# cost-model memos: served columns and totals == the public kernels
+# --------------------------------------------------------------------- #
+class TestCostMemoChecks:
+    ROWS = [3, 5, 9]
+
+    def model(self, **kw):
+        model = IterationCostModel(LLAMA_7B, A100, tp_degree=4, lora_rank=16,
+                                   **kw)
+        model._base_pass(17)
+        model._delta_pass(self.ROWS)
+        model._lora_pass(self.ROWS)
+        return model
+
+    @pytest.mark.parametrize("impl", ["sbmm", "fp16_forloop", "fp16_bmm"])
+    def test_clean_memo_hits_pass(self, impl):
+        with sanitized(True):
+            model = self.model(sbmm_impl=impl)
+            # totals from the tuple memos, then columns under new tuples
+            for rows in (self.ROWS, [9, 3], [5, 5, 0, 3]):
+                assert model._delta_pass(rows) > 0.0
+                assert model._lora_pass(rows) > 0.0
+            assert model._base_pass(17) > 0.0
+
+    @pytest.mark.parametrize("family, price", [
+        ("delta", IterationCostModel._delta_pass),
+        ("lora_down", IterationCostModel._lora_pass),
+        ("lora_up", IterationCostModel._lora_pass)])
+    def test_poisoned_column_entry(self, family, price):
+        with sanitized(True):
+            model = self.model()
+            shapes, _, columns = model._families[family]
+            columns[5][1] *= 1.0 + 2e-16       # one ulp, one entry
+            k, n = shapes[1]
+            with pytest.raises(SimSanitizerError, match=re.escape(
+                    f"column drifted in the {family} pass at shape "
+                    f"({k}, {n}), count 5")):
+                price(model, [9, 5])            # new tuple, seen counts
+        with sanitized(False):
+            model = self.model()
+            model._families[family][-1][5][1] *= 2.0
+            price(model, [9, 5])               # off: the memo is trusted
+
+    @pytest.mark.parametrize("name, key", [
+        ("base", 17), ("delta", (3, 5, 9)), ("lora", (3, 5, 9))])
+    def test_poisoned_pass_total(self, name, key):
+        with sanitized(True):
+            model = self.model()
+            memo = getattr(model, f"_{name}_memo")
+            memo[key] *= 1.0 + 2e-16
+            with pytest.raises(SimSanitizerError, match=re.escape(
+                    f"memo drifted in the {name} pass for rows {key!r}")):
+                getattr(model, f"_{name}_pass")(key)

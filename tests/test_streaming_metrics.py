@@ -12,9 +12,7 @@ Covers the million-request-scale machinery:
 * releasing policies (SAMPLE_K / DROP) keep engine and wrapper memory
   O(active) while ``summarize()`` stays total and within error bounds;
 * the ``ServingResult`` sorted-latency cache and one-pass percentile
-  batches agree with the scalar accessors;
-* the vectorized ``IterationCostModel`` passes reproduce the scalar
-  kernel compositions bit-for-bit.
+  batches agree with the scalar accessors.
 """
 
 from __future__ import annotations
@@ -28,17 +26,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import Cluster, GPUNode, node_from_name
-from repro.hardware.kernels import GemmShape, dense_gemm_time, sbmm_time
-from repro.hardware.specs import A100, RTX3090
-from repro.serving import (BatchComposition, ClusterGateway, EngineConfig,
-                           IterationCostModel, LLAMA_13B, LLAMA_7B,
+from repro.serving import (ClusterGateway, EngineConfig, LLAMA_7B,
                            ModelManager, QuantileSketch, RecordPolicy,
                            ReservoirSampler, SchedulerConfig, ServingGateway,
                            SKETCH_RELATIVE_ERROR, StreamingMetrics, Tenant,
                            TenantCounters, TenantGateway, create_engine,
                            summarize)
 from repro.serving.metrics import ServingResult
-from repro.serving.models import LLAMA_70B
 from repro.serving.request import RequestRecord
 from repro.workload.spec import Trace, TraceRequest
 
@@ -805,128 +799,3 @@ class TestSinkDifferential:
             expected = RefSink(mine)
             expected.finish = QuantileSketch()
             assert sink_state(sink.for_tenant(tenant)) == expected.state()
-
-
-# --------------------------------------------------------------------- #
-# vectorized cost model == scalar kernel composition, bit for bit
-# --------------------------------------------------------------------- #
-def ref_base_pass(model, m):
-    """The pre-vectorization scalar loop, verbatim."""
-    if m == 0:
-        return 0.0
-    total = 0.0
-    for k, n in model.spec.layer_gemm_shapes():
-        total += dense_gemm_time(GemmShape(m, k, n // model.tp), model.gpu)
-    return total * model.spec.n_layers + model._lm_head(m)
-
-
-def ref_delta_pass(model, rows):
-    counts = [c for c in rows if c > 0]
-    if not counts:
-        return 0.0
-    total = 0.0
-    for k, n in model.spec.layer_gemm_shapes():
-        total += sbmm_time(counts, k, n // model.tp, model.gpu,
-                           impl=model.sbmm_impl,
-                           weight_bits=model.delta_bits,
-                           density=model.delta_density).total
-    return total * model.spec.n_layers
-
-
-def ref_lora_pass(model, rows):
-    counts = [c for c in rows if c > 0]
-    if not counts or model.lora_rank <= 0:
-        return 0.0
-    r = model.lora_rank
-    total = 0.0
-    for k, n in model.spec.layer_gemm_shapes():
-        down = sbmm_time(counts, k, r, model.gpu, impl="sbmm",
-                         weight_bits=16, density=1.0)
-        up = sbmm_time(counts, r, n // model.tp, model.gpu, impl="sbmm",
-                       weight_bits=16, density=1.0)
-        total += (down.total + up.compute) / 0.5 * 0.5
-    return total * model.spec.n_layers
-
-
-ROW_SETS = ([1], [3, 0, 5], [8, 8, 8, 8], [1, 2, 3, 4, 5, 6, 7, 8],
-            [100, 1], [0, 0, 7])
-M_VALUES = (1, 3, 17, 64, 100, 4096)
-
-
-class TestCostModelBitExact:
-    @pytest.mark.parametrize("spec", [LLAMA_7B, LLAMA_13B],
-                             ids=["7b", "13b"])
-    @pytest.mark.parametrize("gpu", [A100, RTX3090], ids=["a100", "3090"])
-    @pytest.mark.parametrize("tp", [1, 4])
-    def test_base_pass(self, spec, gpu, tp):
-        model = IterationCostModel(spec, gpu, tp_degree=tp)
-        for m in M_VALUES:
-            assert model._base_pass(m) == ref_base_pass(model, m)
-
-    # the variant passes evaluate each *distinct* (k, n) once, as one
-    # shapes x deltas array, and re-add the times in layer order: MHA has
-    # 3 distinct shapes of 7, GQA (kv_heads < heads) has 4
-    @pytest.mark.parametrize("impl", ["sbmm", "sbmm_reorder", "fp16_bmm",
-                                      "fp16_forloop", "naive_forloop"])
-    @pytest.mark.parametrize("tp", [1, 4])
-    @pytest.mark.parametrize("spec", [LLAMA_7B, LLAMA_70B],
-                             ids=["mha", "gqa"])
-    def test_delta_pass_all_impls(self, spec, tp, impl):
-        model = IterationCostModel(spec, A100, tp_degree=tp, sbmm_impl=impl)
-        assert len(set(model._shape_slots)) == \
-            (3 if spec.kv_heads == spec.n_heads else 4)
-        for rows in ROW_SETS:
-            assert model._delta_pass(rows) == ref_delta_pass(model, rows)
-
-    @pytest.mark.parametrize("tp", [1, 4])
-    @pytest.mark.parametrize("spec", [LLAMA_7B, LLAMA_70B],
-                             ids=["mha", "gqa"])
-    def test_lora_pass(self, spec, tp):
-        model = IterationCostModel(spec, A100, tp_degree=tp, lora_rank=16)
-        for rows in ROW_SETS:
-            assert model._lora_pass(rows) == ref_lora_pass(model, rows)
-
-    @pytest.mark.parametrize("tp", [1, 4])
-    @pytest.mark.parametrize("kind", ["delta", "lora", "none"])
-    def test_iteration_time_end_to_end(self, kind, tp):
-        model = IterationCostModel(LLAMA_7B, A100, tp_degree=tp,
-                                   lora_rank=16)
-        batch = BatchComposition(
-            decode_per_delta={"a": 3, "b": 5},
-            prefill_tokens_per_delta={"a": 64, "c": 32},
-            context_tokens=2048)
-        expected_rows = [3 + 64, 5, 32]
-        base = ref_base_pass(model, 8 + 96)
-        variant = {"delta": ref_delta_pass, "lora": ref_lora_pass,
-                   "none": lambda model, rows: 0.0}[kind](model,
-                                                          expected_rows)
-        ar = model._allreduce(104)
-        assert (ar > 0.0) == (tp > 1)
-
-        def scalar(context_tokens):
-            attn = model._attention(context_tokens, 104)
-            return max(base, variant) + attn + ar + 2e-3
-
-        assert model.iteration_time(batch, kind) == scalar(2048)
-        # the engine's steady-state path: one plan from the composition,
-        # then only attention re-priced as the context grows
-        plan = model.linear_plan(batch, kind)
-        assert plan == (104, max(base, variant), ar)
-        for context_tokens in (2048, 2049, 2048 + 104, 10 ** 6):
-            assert model.plan_time(plan, context_tokens) == \
-                scalar(context_tokens)
-            batch.context_tokens = context_tokens
-            assert model.iteration_time(batch, kind) == \
-                scalar(context_tokens)
-
-    def test_empty_composition_prices_to_zero(self):
-        model = IterationCostModel(LLAMA_7B, A100, tp_degree=4)
-        empty = BatchComposition({}, {}, context_tokens=512)
-        assert model.linear_plan(empty).rows == 0
-        assert model.iteration_time(empty) == 0.0
-
-    def test_memo_does_not_change_answers(self):
-        model = IterationCostModel(LLAMA_7B, A100)
-        first = model._base_pass(17)
-        assert model._base_pass(17) == first  # memo hit
-        assert model._delta_pass([3, 5]) == model._delta_pass([3, 5])
