@@ -669,7 +669,9 @@ class ServingEngine:
     def _coast(self, limit_s: float) -> None:
         """hook: execute, exactly as :meth:`step` would have, every
         upcoming iteration that provably ingests, admits, finishes and
-        publishes nothing, each starting before ``limit_s``."""
+        publishes nothing, each starting before ``limit_s``: the
+        next-event time of the drain loop that calls it after a
+        :meth:`step` (this engine's own, a cluster's, a disagg owner's)."""
 
     def _touch_active(self, resident: "OrderedDict[str, Any]",
                       admitted: List[ServingRequest],

@@ -667,6 +667,7 @@ class ClusterGateway(Gateway):
         self._sanitize = _sanitizer.enabled()
         # the frontier ledger: busy replicas by (clock, id), see least_busy
         self._busy: KeyedHeap[Replica] = KeyedHeap()
+        self._stepped: Optional[Replica] = None    # whom step() advanced
         if not _fixed:
             if engine_factory is None:
                 raise ValueError(
@@ -933,13 +934,63 @@ class ClusterGateway(Gateway):
         return False
 
     def _step_replica(self, replica: Replica) -> bool:
+        """One engine iteration on ``replica`` if it may run.  A step that
+        applied a due cancel to the engine's last request retires it *and*
+        returns False: a moved ``unfinished`` is progress too, or
+        :meth:`step` would advance the next replica — possibly past an
+        arrival due at its clock — without going back through routing."""
         engine = replica.engine
-        if engine.unfinished > 0 and \
+        unfinished = engine.unfinished
+        if unfinished > 0 and \
                 engine.clock < engine.config.max_sim_seconds and \
-                replica.gateway.step():
+                (replica.gateway.step() or engine.unfinished != unfinished):
             self._rekey(replica)
+            self._stepped = replica
             return True
         return False
+
+    def run_until_drained(self) -> ServingResult:
+        """Serve until everything submitted so far has finished.
+        ``step()`` is exactly one iteration; this loop owns the cluster's
+        events (routing, ticks), so after each step the replica it
+        advanced may coast up to :meth:`_horizon`.  Whoever steps the
+        gateway itself (tenancy, a handle, a subclass's own ``step``)
+        never coasts, nor does a gateway whose clients hear completions:
+        a callback may inject work "now", which a replica that ran ahead
+        would take later than one stepped in clock order."""
+        observed = self._on_complete or self._listeners or self._handles
+        while self.step():
+            replica, self._stepped = self._stepped, None
+            if replica is not None and not observed:
+                self._coast_replica(replica)
+        return self.result()
+
+    def _horizon(self, engine: ServingEngine) -> float:
+        """The time no coasted iteration may start at or after.  No other
+        replica's clock bounds it: between routing points and ticks they
+        are independent timelines, and a coast moves nothing a balancer
+        or :class:`Autoscaler` reads (``unfinished``, ``backlog``)."""
+        bounds = (engine.config.max_sim_seconds,   # _step_replica's own cap
+                  self._unrouted.peek_time(),  # routed on due <= frontier
+                  self._ticks.peek_time())     # fired on tick <= now
+        return min(bound for bound in bounds if bound is not None)
+
+    def _coast_replica(self, replica: Replica) -> None:
+        """Let ``replica`` coast to the horizon (an engine watched per
+        iteration, or without a steady state, declines), re-file it and
+        redo the post-step bookkeeping: a tick the run crossed fires at
+        this frontier, not one real step later."""
+        engine = replica.engine
+        start_s = engine.clock
+        watch = _sanitizer.CoastWatch(
+            engine, self._unrouted.peek_time(), self._ticks.peek_time()) \
+            if self._sanitize else None
+        engine._coast(self._horizon(engine))
+        if engine.clock > start_s:
+            self._rekey(replica)
+            self._made_progress()
+            if watch is not None:
+                _sanitizer.check_cluster_coast(self, replica, watch)
 
     def _made_progress(self) -> bool:
         """Post-step bookkeeping: advance the kernel clock to the new

@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Type
 from ..hardware.cluster import Cluster, GPUNode
 from ..hardware.interconnect import InterconnectModel
 from ..sim import Event, KvTransfer, PhaseTransition
+from ..sim import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
 from .base import (Admission, EngineConfig, ServingEngine, register_engine)
 from .cluster import (Autoscaler, ConversationAffinityBalancer,
@@ -333,6 +334,7 @@ class DisaggregatedEngine(ServingEngine):
         self._kv_transfers = 0
         self._kv_transfer_bytes = 0
         self._kv_transfer_s = 0.0
+        self._stepped: Optional[_PoolWorker] = None   # whom step() advanced
         # the owner hooks the pool workers are wired to; every worker is
         # wired on its way into a pool, so step() rewires only on a change
         self._wired_hooks = (self.on_event, self.emit_phases, self.on_token)
@@ -490,16 +492,65 @@ class DisaggregatedEngine(ServingEngine):
         progress = False
         for worker in candidates:
             before = (worker.clock, worker.unfinished)
-            if not worker.step():
-                continue
+            worker.step()
+            # whatever it returned: a step that applied a due cancel to
+            # the worker's last request retires it and returns False
             if (worker.clock, worker.unfinished) != before:
                 progress = True
+                self._stepped = worker
                 break
             # a clamped idle jump moved nothing: let an earlier-frontier
             # worker (already stepped) or the next candidate make time
         if self._next_check_s < inf:
             self._run_autoscalers()
         return progress
+
+    def run_until_drained(self) -> None:
+        """The base drain loop, letting the decode worker each ``step()``
+        advanced coast up to :meth:`_horizon` (prefill workers price
+        through their own ``iteration_cost``: never).  Only this loop
+        does — ``_coast`` stays the base no-op, so under an outer layer,
+        which reads this engine through ``clock``, a ``step()`` is one
+        worker iteration — and not with a finish listener: a callback may
+        submit "now", which a worker that ran ahead would take late."""
+        limit_s = self.config.max_sim_seconds
+        while self.unfinished > 0 and self.clock < limit_s:
+            if not self.step():
+                break
+            worker = self._stepped
+            if worker is not None and worker.role == "decode" \
+                    and self.on_finish is None:
+                self._coast_worker(worker)
+
+    def _coast_worker(self, worker: _PoolWorker) -> None:
+        """Let ``worker`` coast to the horizon; a check the run crossed
+        is observed at this event frontier, not one real step later."""
+        start_s = worker.clock
+        watch = _sanitizer.CoastWatch(
+            worker, self._kv_transfers, set(self._in_transfer)) \
+            if self._sanitize else None
+        worker._coast(self._horizon(worker))
+        if worker.clock > start_s:
+            if watch is not None:
+                _sanitizer.check_worker_coast(self, worker, watch)
+            if self._next_check_s < inf:
+                self._run_autoscalers()
+
+    def _horizon(self, worker: _PoolWorker) -> float:
+        """The time no coasted iteration of decode ``worker`` may start
+        at or after (its own next arrival, live cancel and first finish
+        are inside ``_coast``).  Busy decode workers do not bound each
+        other: independent timelines, and a coast finishes nobody."""
+        bounds = [self.config.max_sim_seconds,    # step() serves below it
+                  self._next_check_s,   # the controllers observe the pools
+                  self._prefill_frontier()]   # a handoff arrives after it
+        # a waiting decode worker (work, none of it arrived): step()
+        # serves the least raw clock first and ``clock`` reports the
+        # earliest busy worker, so none is left behind a coasted one
+        bounds += [w.clock for w in self._decode_pool
+                   if w is not worker and w.unfinished > 0
+                   and not w.running and w.backlog == 0]
+        return min(bound for bound in bounds if bound is not None)
 
     def _sync_hooks(self) -> None:
         """Rewire the pooled workers when the owner's ``on_event`` /

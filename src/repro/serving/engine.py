@@ -263,7 +263,10 @@ class DeltaZipEngine(ServingEngine):
         All it then does is move the clock, the epoch ledger and
         ``stats`` — unless somebody listens per iteration, or a subclass
         prices through its own :meth:`iteration_cost` (terms this loop
-        cannot know): such engines do not coast."""
+        cannot know): such engines do not coast.  ``limit_s`` is the
+        calling drain loop's horizon (events only it can see: a cluster's
+        next routing point, a disagg owner's prefill frontier); the
+        engine's own wake and first finish are bounded here."""
         batch = self.batch
         if not (self._admits_nothing() and self._rows_unchanged()) \
                 or self.on_token is not None or self.on_event is not None \

@@ -55,6 +55,11 @@ construction:
   re-derived the slow way: a fresh ``schedule()`` admits nothing, every
   price equals the recomposed batch's at that context, no member finished
   inside it, no arrival or live cancel was due at an iteration start;
+* **horizon coasting** — a replica a cluster drain let coast started
+  every iteration before the next unrouted arrival and autoscaler tick,
+  retired nothing, and the cluster's bookkeeping ran at the new frontier;
+  a decode worker a disagg drain let coast started each before the next
+  pool check and every busy-prefill / waiting-decode clock, no handoff between;
 * **cost-model memos** — every served per-count column equals
   ``sbmm_time`` on a one-delta batch, and every memoised pass total a
   cold model's price of the same rows.
@@ -380,6 +385,71 @@ def check_coast_run(engine: Any, decision: Any, start: float,
             f"engine {engine.name!r} coasted through an iteration starting "
             f"at {last_start!r} with {len(due)} events due, the first a "
             f"{type(due[0]).__name__} at {due[0].time!r}")
+
+
+class CoastWatch:
+    """Read before a drain loop lets ``engine`` coast: where the run
+    starts and ``held``, values it may not move (event heads, handoffs)."""
+
+    def __init__(self, engine: Any, *held: Any) -> None:
+        self.start_s, self.epoch = engine.clock, engine.batch.epoch
+        self.unfinished = engine.unfinished
+        self.held = held
+
+    def check_starts(self, who: str, engine: Any,
+                     bounds: Sequence[Tuple[str, Optional[float]]]) -> None:
+        """The outer loop acts at each bound: a step() per iteration goes
+        through it before starting an iteration at or after it.  Starts
+        are ``_coast``'s additions, replayed from ``batch.times_since``."""
+        start = self.start_s
+        for price in engine.batch.times_since(self.epoch):
+            for what, bound in bounds:
+                if bound is not None and start >= bound:
+                    raise _violation(
+                        f"{who} coasted through an iteration starting at "
+                        f"{start!r} with {what} due at {bound!r}")
+            start += price
+
+
+def check_cluster_coast(gateway: Any, replica: Any, watch: CoastWatch) -> None:
+    """``ClusterGateway.run_until_drained`` let ``replica`` coast and
+    redid its bookkeeping: every coasted iteration started before the
+    next unrouted arrival and autoscaler tick as they stood before the
+    run, nothing retired, the ledger holds the re-filed replica, and no
+    tick the run crossed still waits behind the frontier."""
+    watch.check_starts(f"replica {replica.name}", replica.engine, list(zip(
+        ("an unrouted arrival", "an autoscaler tick"), watch.held)))
+    if replica.unfinished != watch.unfinished:
+        raise _violation(
+            f"replica {replica.name} coasted from {watch.unfinished!r} "
+            f"unfinished requests to {replica.unfinished!r}")
+    check_cluster_frontier(gateway)
+    now, head = gateway.kernel.now, gateway._ticks.peek_time()
+    if now < gateway.frontier or (gateway.autoscaler is not None
+                                  and head is not None and head <= now):
+        raise _violation(
+            f"the cluster skipped its bookkeeping after {replica.name} "
+            f"coasted: kernel at {now!r}, frontier {gateway.frontier!r}, "
+            f"next autoscaler tick {head!r}")
+
+
+def check_worker_coast(owner: Any, worker: Any, watch: CoastWatch) -> None:
+    """``DisaggregatedEngine.run_until_drained`` let decode ``worker``
+    coast: every coasted iteration started before each bound of its
+    horizon, re-read here from the pools, and no KV handoff began or
+    landed during the run."""
+    bounds = [("an autoscaler check", owner._next_check_s)]
+    bounds += [(f"a handoff from busy {w.name}", w.clock)
+               for w in owner._prefill_pool if w.unfinished > 0]
+    bounds += [(f"waiting {w.name}", w.clock) for w in owner._decode_pool
+               if w is not worker and w.unfinished > 0
+               and not w.running and w.backlog == 0]
+    watch.check_starts(f"worker {worker.name}", worker, bounds)
+    if (owner._kv_transfers, owner._in_transfer) != watch.held:
+        raise _violation(
+            f"a KV handoff moved while worker {worker.name} coasted: "
+            f"{watch.held!r} transfers / in flight before, "
+            f"{(owner._kv_transfers, owner._in_transfer)!r} after")
 
 
 def check_cluster_frontier(gateway: Any) -> None:

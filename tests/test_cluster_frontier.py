@@ -27,6 +27,7 @@ from repro.hardware import (Cluster, ClusterCapacityError, GPUNode,
 from repro.serving import (Autoscaler, ClusterGateway, EngineConfig,
                            SchedulerConfig, create_engine)
 from repro.serving.cluster import Replica
+from repro.serving.gateway import Gateway
 from repro.serving.tenancy import Tenant, TenantGateway
 from repro.sim.sanitizer import check_cluster_frontier, sanitized
 from repro.workload import (PatienceModel, TenantWorkload,
@@ -331,20 +332,33 @@ SCENARIOS = {
 }
 
 
+class SteppedGateway(ClusterGateway):
+    """The ledger gateway drained by ``while self.step()``: one replica
+    iteration per step, so the per-step order is there to compare (its
+    own drain loop coasts between steps)."""
+
+    run_until_drained = Gateway.run_until_drained
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_step_order_and_records_equal_the_scan(name, monkeypatch):
+    """Since the cluster's drain loop coasts, "same replica, every step"
+    is asked of the ledger gateway stepped one iteration at a time, and
+    the records / kernel clock / retired count also of its own drain."""
     monkeypatch.setattr(cluster_mod, "Replica", LoggingReplica)
     runs = []
-    for cls in (ScanGateway, ClusterGateway):
+    for cls in (ScanGateway, SteppedGateway, ClusterGateway):
         STEPPED.clear()
         gateway, result = SCENARIOS[name](cls)
         runs.append((list(STEPPED),
                      [record_key(r) for r in result.records],
                      gateway.kernel.now, len(gateway.retired)))
-    scan, ledger = runs
+    scan, ledger, drained = runs
     assert len(scan[0]) > 0
     assert ledger[0] == scan[0]              # same replica, every step
     assert ledger[1:] == scan[1:]
+    assert drained[1:] == scan[1:]
+    assert len(drained[0]) <= len(scan[0])   # coasted, or the same steps
 
 
 # --------------------------------------------------------------------- #

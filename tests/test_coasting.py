@@ -173,12 +173,34 @@ def test_sharded_prices_through_its_own_iteration_cost(n_nodes):
     assert coasted_steps == stepped_steps
 
 
-@pytest.mark.parametrize("name", ["vllm-scb", "dedicated", "disagg"])
+@pytest.mark.parametrize("name", ["vllm-scb", "dedicated"])
 def test_engines_without_a_steady_state_never_coast(name):
     _, coasted_steps, stepped_steps, _ = assert_same_drain(
         lambda: build(name), long_decodes(n=24))
     if name != "dedicated":       # which drains its groups, not itself
         assert coasted_steps == stepped_steps
+
+
+def test_disagg_coasts_its_decode_workers_and_never_a_prefill_worker():
+    """Was the ``disagg`` row of the test above ("never coasts") until the
+    engine's drain loop began passing its horizon down to the decode
+    workers; the ``assert_same_drain`` equality is the same."""
+    made = []
+
+    def make():
+        engine = build("disagg", prefill_workers=2, decode_workers=2)
+        made.append([(w, CountingSteps(w)) for w in engine._all_workers()])
+        return engine
+    _, coasted_steps, stepped_steps, _ = assert_same_drain(
+        make, long_decodes(n=24))
+    assert coasted_steps < stepped_steps
+    for (worker, coasted), (twin, stepped) in zip(*made):
+        iterations = worker.stats.iterations
+        assert iterations == twin.stats.iterations <= stepped.calls
+        if worker.role == "prefill":
+            assert coasted.calls == stepped.calls
+        elif iterations:
+            assert coasted.calls < iterations
 
 
 def test_replay_through_the_gateway_is_the_coasting_drain():

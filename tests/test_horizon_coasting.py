@@ -10,14 +10,17 @@ counts, per-replica / per-worker ``EngineStats`` and clocks, and
 autoscaler histories (floats included), over trace kinds, cancel and
 deadline schedules, balancers, fleet sizes, autoscalers, both idle-skip
 modes and the prefix cache.  The counting tests pin who coasts and who
-never does: a layer that publishes or is stepped from outside makes
-exactly one engine ``step()`` per iteration.
+never does: a layer that publishes, is stepped from outside or hears
+completions (a callback may inject work "now") makes exactly one engine
+``step()`` per iteration.  Two fall-throughs the differentials found are
+pinned on their own: a step that retired a fleet member's last request
+by a due cancel returns False and used to count as "nothing happened".
 """
 
 from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import Cluster, GPUNode, node_from_name
@@ -25,10 +28,12 @@ from repro.serving import (Autoscaler, ClusterGateway, EngineConfig, LLAMA_7B,
                            ModelManager, SchedulerConfig, ServingGateway,
                            Tenant, TenantGateway, create_engine)
 from repro.serving.base import ServingEngine
+from repro.serving.gateway import Gateway
 from repro.sim import IterationDone
 from repro.telemetry import Telemetry
 from repro.workload import LengthSampler, session_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
+from test_coasting import CountingSteps as CountingEngineSteps
 
 N_MODELS = 4
 MODELS = [f"variant-{i:02d}" for i in range(N_MODELS)]
@@ -171,6 +176,8 @@ class TestClusterDrain:
             views.append(cluster_view(gateway,
                                       drain(gateway, trace, cancels)))
         assert views[0] == views[1]
+        assert views[0]["unfinished"] == 0
+        assert len(views[0]["records"]) == len(trace)
 
     def test_a_second_replay_on_the_same_gateway_is_the_first(self):
         trace = make_trace("synthetic", 8.0, 3, deadline_every=3)
@@ -183,6 +190,13 @@ class TestClusterDrain:
 class TestDisaggDrain:
     @given(TRACES, CANCELS, st.integers(1, 3), st.integers(1, 3),
            st.booleans(), st.sampled_from([None, 0.05]), st.booleans())
+    # a cancel retires a decode worker's last request in a step that
+    # returns False: step() used to fall through to the next candidate —
+    # here a prefill worker parked on the 5.0 s check — before the pools'
+    # controllers had observed at that check
+    @example(("sessions", 8.0, 864139, 3),
+             [(9158, 1.41421), (5587, 1.41421), (9525, 0.013),
+              (9213, 0.61803), (7579, 0.013)], 2, 3, True, None, True)
     @settings(max_examples=80, deadline=None)
     def test_replay_equals_one_step_per_iteration(
             self, shape, picks, n_prefill, n_decode, autoscale, quantum,
@@ -201,27 +215,22 @@ class TestDisaggDrain:
             views.append(disagg_view(gateway,
                                      drain(gateway, trace, cancels)))
         assert views[0] == views[1]
+        assert views[0]["unfinished"] == 0
+        assert len(views[0]["records"]) == len(trace)
 
 
 # --------------------------------------------------------------------- #
 # counting: one engine step() per iteration wherever somebody watches
 # --------------------------------------------------------------------- #
 class CountingSteps:
-    """Counts ``step()`` over some engine instances (the classes stay as
-    the perf tracer finds them)."""
+    """``step()`` calls summed over some engine instances."""
 
     def __init__(self, engines):
-        self.calls = 0
-        for engine in engines:
-            self._wrap(engine)
+        self._each = [CountingEngineSteps(engine) for engine in engines]
 
-    def _wrap(self, engine):
-        inner = engine.step
-
-        def step():
-            self.calls += 1
-            return inner()
-        engine.step = step
+    @property
+    def calls(self):
+        return sum(counter.calls for counter in self._each)
 
 
 def iterations(gateway):
@@ -314,3 +323,146 @@ def test_a_handle_result_loop_steps_every_iteration():
     records = [handle.result() for handle in handles]
     assert all(r.finished for r in records)
     assert 200 < iterations(gateway) <= steps.calls
+
+
+# --------------------------------------------------------------------- #
+# counting: the two drain loops do coast
+# --------------------------------------------------------------------- #
+def test_a_lightly_loaded_cluster_takes_fewer_steps_than_iterations():
+    trace = decode_heavy(n=64, seed=5)
+    counts = []
+    for drain in (ClusterGateway.replay, stepped):
+        gateway = make_cluster(n_replicas=4)
+        steps = CountingSteps(gateway.engines())
+        view = cluster_view(gateway, drain(gateway, trace, ()))
+        counts.append((steps.calls, iterations(gateway), view))
+    (coasted_steps, total, coasted), (stepped_steps, _, one_by_one) = counts
+    assert coasted == one_by_one
+    assert total > 1000 and stepped_steps >= total
+    assert coasted_steps < total // 3
+
+
+def test_a_gateway_with_its_own_step_drains_without_coasting():
+    """``ScanGateway.step`` never goes through ``_step_replica``, so the
+    inherited drain loop has nobody to coast: same records, every
+    iteration a step."""
+    from test_cluster_frontier import ScanGateway
+    trace = decode_heavy()
+    want = make_cluster(n_replicas=3)
+    want = cluster_view(want, want.replay(trace))
+    gateway = ScanGateway(engine_factory=engine_factory(), n_replicas=3,
+                          balancer="lineage")
+    steps = CountingSteps(gateway.engines())
+    assert cluster_view(gateway, gateway.replay(trace)) == want
+    assert iterations(gateway) <= steps.calls
+
+
+def test_a_disagg_drain_coasts_decode_workers_only(monkeypatch):
+    steps = {"prefill": 0, "decode": 0}
+    inner = ServingEngine.step
+
+    def step(self):
+        steps[self.role] += 1
+        return inner(self)
+    monkeypatch.setattr(ServingEngine, "step", step)
+    gateway = ServingGateway(engine_factory(
+        "disagg", prefill_workers=2, decode_workers=2)())
+    gateway.replay(decode_heavy())
+    done = {role: sum(w.stats.iterations for w in pool.members)
+            for role, pool in gateway.engine._pools.items()}
+    assert done["prefill"] <= steps["prefill"]
+    assert done["decode"] > 500 and steps["decode"] < done["decode"] // 2
+
+
+# --------------------------------------------------------------------- #
+# who hears completions never coasts: a callback may inject work "now"
+# --------------------------------------------------------------------- #
+def closed_loop(gateway, drain, n_first=6, n_more=40):
+    """Every completion ingests a follow-up arriving at that finish.  A
+    replica that had run ahead of it would take the follow-up late."""
+    state = {"next": n_first}
+
+    def follow_up(record):
+        i = state["next"]
+        if i < n_first + n_more:
+            state["next"] += 1
+            gateway.ingest(TraceRequest(
+                request_id=i, model_id=MODELS[i % N_MODELS],
+                arrival_s=record.finish_s, prompt_tokens=32 + i % 17,
+                output_tokens=20 + (37 * i) % 90))
+    gateway.add_completion_listener(follow_up)
+    for i in range(n_first):
+        gateway.ingest(TraceRequest(
+            request_id=i, model_id=MODELS[i % N_MODELS], arrival_s=0.0,
+            prompt_tokens=32, output_tokens=30 + 25 * i))
+    drain(gateway)
+    result = gateway.result()
+    assert len(result.records) == n_first + n_more
+    return [tuple(r) for r in result.records]
+
+
+@pytest.mark.parametrize("fleet", ["cluster", "disagg"])
+def test_a_closed_loop_drains_as_it_steps_and_does_not_coast(fleet):
+    views = []
+    for drain in (lambda g: g.run_until_drained(),
+                  lambda g: Gateway.run_until_drained(g)):
+        if fleet == "cluster":      # round-robin: follow-ups land anywhere
+            gateway = make_cluster(n_replicas=3, balancer="round-robin")
+            steps = CountingSteps(gateway.engines())
+            records = closed_loop(gateway, drain)
+            assert iterations(gateway) <= steps.calls
+            clock = gateway.kernel.now
+        else:
+            gateway = ServingGateway(engine_factory(
+                "disagg", prefill_workers=1, decode_workers=3)())
+            steps = CountingSteps(gateway.engine._all_workers())
+            records = closed_loop(gateway, drain)
+            assert gateway.engine.stats.iterations <= steps.calls
+            clock = gateway.engine.clock
+        views.append((records, clock))
+    assert views[0] == views[1]
+
+
+# --------------------------------------------------------------------- #
+# the fall-through: a step that only retired something is progress
+# --------------------------------------------------------------------- #
+def test_a_replica_emptied_by_a_cancel_does_not_let_the_next_one_pass_an_arrival():
+    """B's only request is cancelled at 0.3 s while A sits at the end of
+    a long prefill (0.57 s); request 2 arrives at 0.5 s.  B's step at
+    0.36 s applies the cancel and returns False: the cluster must go back
+    through routing, not step A — at a clock past the arrival — first."""
+    due = 0.5
+    gateway = make_cluster(n_replicas=2, balancer="round-robin")
+    for request_id, prompt, arrival_s in ((0, 4000, 0.0), (1, 16, 0.0),
+                                          (2, 16, due)):
+        gateway.ingest(TraceRequest(
+            request_id=request_id, model_id=MODELS[request_id],
+            arrival_s=arrival_s, prompt_tokens=prompt, output_tokens=40))
+    gateway.cancel(1, at_s=0.3)
+    started = []                  # (replica, clock, is request 2 routed?)
+    for replica in gateway.replicas:
+        def step(replica=replica, inner=replica.gateway.step):
+            started.append((replica.id, replica.clock, 2 in gateway._owner))
+            return inner()
+        replica.gateway.step = step
+    while gateway.step():
+        pass
+    a, b = gateway.replicas
+    assert started[:3] == [(0, 0.0, False), (1, 0.0, False),
+                           (1, started[2][1], False)]
+    assert 0.3 <= started[2][1] < due <= started[3][1]   # B, then A
+    assert [routed for _, clock, routed in started if clock >= due] \
+        and all(routed for _, clock, routed in started if clock >= due)
+    assert sorted(r.status for r in gateway.result().records) == \
+        ["cancelled", "finished", "finished"]
+
+
+def test_an_expiry_of_the_only_request_in_flight_does_not_end_the_drain():
+    """One replica, every third request with a deadline: at the parent
+    the step that expired the replica's last request returned False and
+    the drain stopped with seven arrivals unrouted."""
+    trace = make_trace("synthetic", 1.0, 0, deadline_every=3)
+    gateway = make_cluster(n_replicas=1, balancer="round-robin")
+    result = gateway.replay(trace)
+    assert gateway.unfinished == 0 and len(result.records) == len(trace) == 8
+    assert "expired" in {r.status for r in result.records}

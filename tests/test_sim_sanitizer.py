@@ -650,6 +650,163 @@ class TestCoastRunCheck:
 
 
 # --------------------------------------------------------------------- #
+# horizon coasting: the bounds an outer drain loop passes down
+# --------------------------------------------------------------------- #
+class TestClusterCoastCheck:
+    @staticmethod
+    def steady(arrival=None, tick_every=None):
+        """Replica 0 two steps into a 100-token decode, about to coast."""
+        from repro.serving import Autoscaler
+        from test_serving_cluster import make_gateway
+        scaler = tick_every and Autoscaler(
+            min_replicas=2, max_replicas=2, check_interval_s=tick_every)
+        gateway = make_gateway(n_replicas=2, autoscaler=scaler)
+        gateway.ingest(trace_request(0, output=100))
+        if arrival is not None:
+            gateway.ingest(trace_request(1, arrival=arrival,
+                                         model="variant-01"))
+        assert gateway.step() and gateway.step()
+        replica = gateway.replicas[0]
+        assert replica is gateway._stepped and replica.clock < 0.5
+        return gateway, replica
+
+    def test_clean_drains_coast_up_to_each_bound(self):
+        with sanitized(True):
+            gateway, replica = self.steady(arrival=0.6)
+            gateway._coast_replica(replica)
+            last = replica.engine.batch.times_since(
+                replica.engine.batch.epoch - 1)[0]
+            assert replica.clock >= 0.6 > replica.clock - last
+            assert replica.engine.batch.epoch > 5
+            gateway.run_until_drained()
+            assert gateway.unfinished == 0
+            gateway, replica = self.steady(tick_every=0.5)
+            tick = gateway._ticks.peek_time()
+            gateway._coast_replica(replica)
+            assert gateway.kernel.now == replica.clock >= tick
+            assert gateway._ticks.peek_time() == replica.clock + 0.5
+
+    def test_an_arrival_under_the_run(self):
+        with sanitized(True):
+            gateway, replica = self.steady(arrival=0.6)
+            gateway._horizon = lambda engine: inf      # the bound is gone
+            with pytest.raises(SimSanitizerError, match=(
+                    r"replica replica-0 coasted through an iteration "
+                    r"starting at .* with an unrouted arrival due at 0\.6")):
+                gateway._coast_replica(replica)
+
+    def test_a_tick_under_the_run(self):
+        with sanitized(True):
+            gateway, replica = self.steady(tick_every=0.5)
+            tick = gateway._ticks.peek_time()
+            gateway._horizon = lambda engine: inf
+            with pytest.raises(SimSanitizerError, match=(
+                    rf"with an autoscaler tick due at "
+                    rf"{re.escape(repr(tick))}")):
+                gateway._coast_replica(replica)
+
+    def test_a_skipped_made_progress(self):
+        with sanitized(True):
+            gateway, replica = self.steady(tick_every=0.5)
+            gateway._made_progress = lambda: True
+            with pytest.raises(SimSanitizerError, match=(
+                    r"skipped its bookkeeping after replica-0 coasted")):
+                gateway._coast_replica(replica)
+
+    def test_a_run_that_retired_something(self):
+        with sanitized(True):
+            gateway, replica = self.steady()
+            engine, coast = replica.engine, replica.engine._coast
+
+            def retiring(limit_s):
+                coast(limit_s)
+                engine._n_retired += 1
+            engine._coast = retiring
+            with pytest.raises(SimSanitizerError, match=(
+                    r"coasted from 1 unfinished requests to 0")):
+                gateway._coast_replica(replica)
+
+    def test_checks_are_absent_when_the_sanitizer_is_off(self):
+        with sanitized(False):
+            gateway, replica = self.steady(arrival=0.6)
+            gateway._horizon = lambda engine: inf
+            gateway._coast_replica(replica)
+            assert replica.clock > 1.0
+
+
+class TestWorkerCoastCheck:
+    @staticmethod
+    def steady():
+        """A 100-token decode in flight on the first decode worker of
+        1 + 3, the prefill pool dry, the worker about to coast."""
+        from test_disagg import make_disagg
+        engine = make_disagg(prefill=1, decode=3)
+        engine.submit(trace_request(0, output=100))
+        worker = engine._decode_pool[0]
+        for _ in range(40):
+            assert engine.step()
+            if engine._stepped is worker and worker._admits_nothing() \
+                    and worker._rows_unchanged():
+                return engine, worker
+        raise AssertionError("the decode worker never reached steady state")
+
+    def test_clean_run_coasts_to_the_finish_bucket(self):
+        with sanitized(True):
+            engine, worker = self.steady()
+            epoch = worker.batch.epoch
+            engine._coast_worker(worker)
+            assert worker.batch.epoch - epoch > 50
+            engine.run_until_drained()
+            assert engine.unfinished == 0
+
+    @pytest.mark.parametrize("fault, named", [
+        ("check", "an autoscaler check"),
+        ("prefill", "a handoff from busy disagg.prefill0"),
+        ("waiting", "waiting disagg.decode3")])
+    def test_a_bound_under_the_run(self, fault, named):
+        with sanitized(True):
+            engine, worker = self.steady()
+            at_s = worker.clock + 0.05
+            if fault == "check":
+                engine._next_check_s = at_s
+            else:
+                other = engine._prefill_pool[0] if fault == "prefill" \
+                    else engine._decode_pool[2]
+                other.submit(trace_request(9, arrival=at_s + 5.0))
+                other.clock = at_s
+            engine._horizon = lambda worker: inf       # the bounds are gone
+            with pytest.raises(SimSanitizerError, match=(
+                    rf"worker disagg.decode1 coasted through an iteration "
+                    rf"starting at .* with {named} due at "
+                    rf"{re.escape(repr(at_s))}")):
+                engine._coast_worker(worker)
+
+    def test_the_real_horizon_stops_at_a_waiting_decode_worker(self):
+        with sanitized(True):
+            engine, worker = self.steady()
+            other, at_s = engine._decode_pool[2], worker.clock + 0.05
+            other.submit(trace_request(9, arrival=at_s + 5.0))
+            other.clock = at_s
+            engine._coast_worker(worker)
+            last = worker.batch.times_since(worker.batch.epoch - 1)[0]
+            assert worker.clock >= at_s > worker.clock - last
+
+    def test_a_handoff_during_the_run(self):
+        with sanitized(True):
+            engine, worker = self.steady()
+            coast = worker._coast
+
+            def handing_off(limit_s):
+                coast(limit_s)
+                engine._in_transfer.add(9)
+            worker._coast = handing_off
+            with pytest.raises(SimSanitizerError, match=(
+                    r"a KV handoff moved while worker disagg.decode1 "
+                    r"coasted")):
+                engine._coast_worker(worker)
+
+
+# --------------------------------------------------------------------- #
 # cost-model memos: served columns and totals == the public kernels
 # --------------------------------------------------------------------- #
 class TestCostMemoChecks:
