@@ -1,15 +1,19 @@
-"""Golden record digests for the ``disagg`` and ``sharded`` engines.
+"""Golden record digests for the ``disagg`` and ``sharded`` engines, and
+for ``deltazip`` with its prefix cache on.
 
 Records are the contract: a refactor of the fleet mechanism under these
-engines must leave every record of every cell below bit-identical.  A
-cell is one scenario (pool sizes, prefix cache, trace shape) served
-through one wrapper (bare engine, :class:`ServingGateway`, the replicas
-of a 2-replica :class:`ClusterGateway`) in one stepping mode (idle-skip,
+engines, or of the prefix cache inside them, must leave every record of
+every cell below bit-identical.  A cell is one scenario (pool sizes,
+prefix cache, node, trace shape) served through one wrapper (bare
+engine, :class:`ServingGateway`, the replicas of a 2-replica
+:class:`ClusterGateway`) in one stepping mode (idle-skip,
 ``idle_quantum_s=0.05``); its digest is the sha256 of the record stream
 over the field list ``benchmarks/bench_disagg.record_digest`` uses.
 
-The table at the bottom was recorded on the commit *before* the refactor
-it guards.  Regenerate it only on purpose::
+Each block of the table at the bottom was recorded on the commit
+*before* the refactor it guards (the ``disagg`` / ``sharded`` cells
+before the one-fleet refactor, the ``deltazip-cache`` cells before the
+span-compressed prefix cache).  Regenerate it only on purpose::
 
     PYTHONPATH=src python -m pytest tests/test_golden_digests.py --regen
 
@@ -19,11 +23,14 @@ and skips the comparisons; without the flag nothing is ever written.
 
 import hashlib
 import re
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import pytest
 
 from repro.hardware import Cluster, GPUNode, node_from_name
+from repro.hardware.specs import A800, NodeSpec
 from repro.serving import (ClusterGateway, EngineConfig, LLAMA_7B,
                            ModelManager, SchedulerConfig, ServingGateway,
                            Tenant, TenantGateway, create_engine)
@@ -71,28 +78,62 @@ def traffic():
     return synthetic_trace(N_MODELS, rate=2.0, duration_s=20.0, seed=9), None
 
 
-#: name -> (engine, engine kwargs, prefix cache, trace builder)
+def pressured_sessions():
+    # test_prefix_cache's eviction trace (two variants, 256-token system
+    # prompts, six turns a conversation) plus a cancel a second into
+    # every fifth request.  On an 18 GB node the pool is evicted under
+    # most commits, admissions bounce at the KV check while holding block
+    # references, and half the cancels land on requests that hold them
+    # (at that test's 17 GB, with this table's scheduler and 32-token
+    # blocks, the second delta never fits and nothing reaches the KV check)
+    trace = session_trace(2, rate=0.2, duration_s=120.0, seed=3,
+                          shared_prefix_tokens=256, mean_turns=6.0)
+    cancels = [(r.request_id, r.arrival_s + 1.0)
+               for r in trace.requests[::5]]
+    return trace, cancels
+
+
+class Scenario(NamedTuple):
+    engine: str
+    kwargs: dict
+    prefix_cache: bool
+    trace: Callable
+    #: who routes under the ``cluster2`` wrapper
+    balancer: str = "least-outstanding"
+    #: GPU memory of the one-GPU node(s); None is the stock A800
+    memory_gb: Optional[float] = None
+
+
 SCENARIOS = {
-    "disagg-1p1d": ("disagg", {"prefill_workers": 1, "decode_workers": 1},
-                    False, sessions),
-    "disagg-1p1d-cache": ("disagg",
-                          {"prefill_workers": 1, "decode_workers": 1},
-                          True, sessions),
-    "disagg-2p2d": ("disagg", {"prefill_workers": 2, "decode_workers": 2},
-                    False, sessions),
-    "disagg-2p2d-cache": ("disagg",
-                          {"prefill_workers": 2, "decode_workers": 2},
-                          True, sessions),
-    "disagg-chunked": ("disagg",
-                       {"prefill_workers": 2, "decode_workers": 2},
-                       False, long_prompts),
-    "disagg-cancels": ("disagg",
-                       {"prefill_workers": 1, "decode_workers": 2},
-                       False, cancels_and_deadlines),
-    "sharded-1node": ("sharded", {"tp_degree": 1, "n_nodes": 1},
-                      False, traffic),
-    "sharded-2node": ("sharded", {"tp_degree": 2, "n_nodes": 2},
-                      False, traffic),
+    "disagg-1p1d": Scenario(
+        "disagg", {"prefill_workers": 1, "decode_workers": 1},
+        False, sessions),
+    "disagg-1p1d-cache": Scenario(
+        "disagg", {"prefill_workers": 1, "decode_workers": 1},
+        True, sessions),
+    "disagg-2p2d": Scenario(
+        "disagg", {"prefill_workers": 2, "decode_workers": 2},
+        False, sessions),
+    "disagg-2p2d-cache": Scenario(
+        "disagg", {"prefill_workers": 2, "decode_workers": 2},
+        True, sessions),
+    "disagg-chunked": Scenario(
+        "disagg", {"prefill_workers": 2, "decode_workers": 2},
+        False, long_prompts),
+    "disagg-cancels": Scenario(
+        "disagg", {"prefill_workers": 1, "decode_workers": 2},
+        False, cancels_and_deadlines),
+    "sharded-1node": Scenario(
+        "sharded", {"tp_degree": 1, "n_nodes": 1}, False, traffic),
+    "sharded-2node": Scenario(
+        "sharded", {"tp_degree": 2, "n_nodes": 2}, False, traffic),
+    # the prefix-on cells of ROADMAP 3(a): sessions pinned to the replica
+    # that holds their history, then the same cache under KV pressure
+    "deltazip-cache": Scenario(
+        "deltazip", {}, True, sessions, balancer="conversation"),
+    "deltazip-cache-tight": Scenario(
+        "deltazip", {}, True, pressured_sessions, balancer="conversation",
+        memory_gb=18.0),
 }
 
 
@@ -107,12 +148,18 @@ def make_manager():
     return mgr
 
 
+def node_spec(memory_gb=None):
+    if memory_gb is None:
+        return node_from_name("a800", 1)
+    return NodeSpec(gpu=replace(A800, memory_gb=memory_gb), n_gpus=1)
+
+
 def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
-                node=None):
+                node=None, memory_gb=None):
     tp = kwargs.get("tp_degree", 1)
     return create_engine(
         name, mgr or make_manager(),
-        node or GPUNode(node_from_name("a800", 1)),
+        node or GPUNode(node_spec(memory_gb)),
         scheduler_config=SchedulerConfig(max_batch_requests=8,
                                          max_concurrent_deltas=4),
         engine_config=EngineConfig(tp_degree=tp, prefix_cache=prefix_cache,
@@ -120,12 +167,13 @@ def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
         **kwargs)
 
 
-def cluster_of(name, kwargs, prefix_cache, idle_quantum_s, balancer):
+def cluster_of(name, kwargs, prefix_cache, idle_quantum_s, balancer,
+               memory_gb=None):
     mgr = make_manager()
     return ClusterGateway(
         engine_factory=lambda node: make_engine(
             name, kwargs, prefix_cache, idle_quantum_s, mgr=mgr, node=node),
-        cluster=Cluster(node_from_name("a800", 1), n_nodes=2),
+        cluster=Cluster(node_spec(memory_gb), n_nodes=2),
         n_replicas=2, balancer=balancer)
 
 
@@ -140,14 +188,16 @@ def record_digest(records):
 
 
 def serve(scenario, wrapper, stepping):
-    name, kwargs, prefix_cache, build_trace = SCENARIOS[scenario]
+    name, kwargs, prefix_cache, build_trace, balancer, memory_gb = \
+        SCENARIOS[scenario]
     trace, cancels = build_trace()
     quantum = STEPPING[stepping]
     if wrapper == "cluster2":
-        gateway = cluster_of(name, kwargs, prefix_cache, quantum,
-                             "least-outstanding")
+        gateway = cluster_of(name, kwargs, prefix_cache, quantum, balancer,
+                             memory_gb)
         return gateway.replay(trace, cancels=cancels)
-    engine = make_engine(name, kwargs, prefix_cache, quantum)
+    engine = make_engine(name, kwargs, prefix_cache, quantum,
+                         memory_gb=memory_gb)
     if wrapper == "gateway":
         return ServingGateway(engine).replay(trace, cancels=cancels)
     for request in trace:
@@ -205,6 +255,17 @@ def test_the_cancel_scenario_crosses_a_handoff():
     assert counts["cancelled"] == 4 and counts["expired"] == 2
     withdrawn = [r for r in result.records if not r.finished]
     assert any(r.transfer_s > 0.0 for r in withdrawn)
+
+
+def test_the_tight_scenario_is_under_pressure():
+    """Likewise: the cell pins eviction, bounce and mid-flight release
+    only while all three happen."""
+    result = serve("deltazip-cache-tight", "gateway", "skip")
+    stats = result.stats
+    assert stats.prefix_evictions > 500 and stats.blocked_admissions > 100
+    assert result.status_counts()["cancelled"] >= 5
+    hit = [r for r in result.records if r.cached_prefix_tokens]
+    assert len(hit) > 30 and any(not r.finished for r in hit)
 
 
 def test_the_table_has_no_stale_cells():
@@ -324,6 +385,30 @@ GOLDEN = {
         "74103c8083b4f0938c3e60f8ee96d51f2dcf856539b2cca37aae9343b064b4cb",
     "sharded-2node/cluster2/dense":
         "74103c8083b4f0938c3e60f8ee96d51f2dcf856539b2cca37aae9343b064b4cb",
+    "deltazip-cache/bare/skip":
+        "3645f3c477fce8b313daf164e40d95d2d75b8427fac264e4ec46d3f124a70518",
+    "deltazip-cache/bare/dense":
+        "3645f3c477fce8b313daf164e40d95d2d75b8427fac264e4ec46d3f124a70518",
+    "deltazip-cache/gateway/skip":
+        "3645f3c477fce8b313daf164e40d95d2d75b8427fac264e4ec46d3f124a70518",
+    "deltazip-cache/gateway/dense":
+        "3645f3c477fce8b313daf164e40d95d2d75b8427fac264e4ec46d3f124a70518",
+    "deltazip-cache/cluster2/skip":
+        "b81d9a85f4c29789ceb031d79fb2088aaa2d89320b413e3f4f46e92c04eb7187",
+    "deltazip-cache/cluster2/dense":
+        "b81d9a85f4c29789ceb031d79fb2088aaa2d89320b413e3f4f46e92c04eb7187",
+    "deltazip-cache-tight/bare/skip":
+        "814a9cfd050f8b6178ef3c6913b915ec1359b856796488ffe6c98b04d9a8ba44",
+    "deltazip-cache-tight/bare/dense":
+        "814a9cfd050f8b6178ef3c6913b915ec1359b856796488ffe6c98b04d9a8ba44",
+    "deltazip-cache-tight/gateway/skip":
+        "814a9cfd050f8b6178ef3c6913b915ec1359b856796488ffe6c98b04d9a8ba44",
+    "deltazip-cache-tight/gateway/dense":
+        "814a9cfd050f8b6178ef3c6913b915ec1359b856796488ffe6c98b04d9a8ba44",
+    "deltazip-cache-tight/cluster2/skip":
+        "944a335c62e8cbf51209bc3f255ccc3325ded5b6ee866448a47df12d9b724883",
+    "deltazip-cache-tight/cluster2/dense":
+        "944a335c62e8cbf51209bc3f255ccc3325ded5b6ee866448a47df12d9b724883",
     "tenant-cluster2-disagg/lineage":
         "5fd9eff086e63d318445282c90a9aae5b3e843f95c77e385ebe2ecbfba93b58f",
     "tenant-cluster2-disagg/conversation":
