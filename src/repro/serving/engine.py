@@ -36,7 +36,7 @@ from .base import (PREEMPT_SWAP_S, WORKSPACE_FRACTION, Admission,
                    register_engine)
 from .costs import BatchComposition, IterationCostModel, LinearPlan
 from .model_manager import ArtifactKind, ModelManager
-from .prefix_cache import PrefixCache, prefix_block_keys
+from .prefix_cache import Chain, PrefixCache, prefix_block_keys
 from .request import ServingRequest
 from .scheduler import ContinuousBatchScheduler, SchedulerConfig
 
@@ -103,7 +103,7 @@ class DeltaZipEngine(ServingEngine):
         self._prefix_cache: Optional[PrefixCache] = \
             PrefixCache(self.config.prefix_block_tokens) \
             if self.config.prefix_cache else None
-        self._prefix_refs: Dict[int, List[int]] = {}  # request -> block refs
+        self._prefix_refs: Dict[int, Chain] = {}    # request -> held chain
 
     def on_arrival(self, request: ServingRequest) -> None:
         self.scheduler.add(request)
@@ -197,32 +197,36 @@ class DeltaZipEngine(ServingEngine):
         kv_in_use = kv_tokens_running
         kept: List[ServingRequest] = []
         for req in admitted:
-            if cache is not None and req.generated_tokens == 0 \
-                    and req.request_id not in self._prefix_refs:
-                self._prefix_lookup(req)
+            looked_up = cache is not None and req.generated_tokens == 0 \
+                and req.request_id not in self._prefix_refs \
+                and self._prefix_lookup(req)
             need = req.context_length if req.generated_tokens > 0 \
                 else req.prompt_tokens + 1
             need -= req.cached_prefix_tokens
-            if kv_in_use + need <= kv_budget_tokens:
-                kept.append(req)
-                kv_in_use += need
-                continue
-            if cache is not None:
+            if cache is not None and kv_in_use + need > kv_budget_tokens:
                 # make room by dropping unreferenced pool blocks
                 deficit = kv_in_use + need - kv_budget_tokens
                 n = cache.evict(int(-(-deficit // cache.block_tokens)))
                 if n:
                     self.stats.prefix_evictions += n
                     kv_in_use -= n * cache.block_tokens
-                if kv_in_use + need <= kv_budget_tokens:
-                    kept.append(req)
-                    kv_in_use += need
-                    continue
-                if req.generated_tokens == 0:
-                    # back to the queue un-admitted: it will re-run the
-                    # lookup (and re-take references) next time around
-                    self._release_prefix(req)
-                    req.cached_prefix_tokens = 0
+            if kv_in_use + need <= kv_budget_tokens:
+                kept.append(req)
+                kv_in_use += need
+                if looked_up:
+                    # counted once, now that the request is kept: a
+                    # bounced admission looks its prefix up again
+                    self.stats.prefix_lookups += 1
+                    if req.cached_prefix_tokens:
+                        self.stats.prefix_hits += 1
+                        self.stats.prefix_hit_tokens += \
+                            req.cached_prefix_tokens
+                continue
+            if cache is not None and req.generated_tokens == 0:
+                # back to the queue un-admitted: it will re-run the
+                # lookup (and re-take references) next time around
+                self._release_prefix(req)
+                req.cached_prefix_tokens = 0
             self.scheduler.reinsert(req)
             req.skipped_line = False
             self.stats.blocked_admissions += 1
@@ -387,29 +391,25 @@ class DeltaZipEngine(ServingEngine):
         # conversation ids collide
         return (self.manager.spec.name, req.model_id)
 
-    def _prefix_lookup(self, req: ServingRequest) -> None:
+    def _prefix_lookup(self, req: ServingRequest) -> bool:
         """Longest-cached-prefix lookup for a fresh prefill; takes block
         references and records the hit on the request.  Capped at the
         last complete block strictly inside the prompt, so at least one
         prompt token always remains to prefill (TTFT stays an actual
-        iteration)."""
+        iteration).  False for a request that cannot hit; ``admit``
+        counts the others, once it keeps them."""
         cache = self._prefix_cache
         trace = req.trace
         if trace.conversation_id is None and trace.shared_prefix_id is None:
-            return  # private namespace: a hit is impossible, skip the walk
-        self.stats.prefix_lookups += 1
+            return False  # private namespace: a hit is impossible
         keys = prefix_block_keys(trace, trace.prompt_tokens - 1,
                                  cache.block_tokens)
-        if not keys:
-            return
-        chain = cache.lookup(self._prefix_scope(req), keys)
-        if not chain:
-            return
-        cache.acquire(chain)
-        self._prefix_refs[req.request_id] = chain
-        req.cached_prefix_tokens = len(chain) * cache.block_tokens
-        self.stats.prefix_hits += 1
-        self.stats.prefix_hit_tokens += req.cached_prefix_tokens
+        chain = cache.lookup(self._prefix_scope(req), keys) if keys else None
+        if chain is not None:
+            cache.acquire(chain)
+            self._prefix_refs[req.request_id] = chain
+            req.cached_prefix_tokens = chain[1] * cache.block_tokens
+        return True
 
     def _prefix_commit(self, req: ServingRequest) -> None:
         """Publish a finished request's context blocks into the pool
@@ -432,7 +432,7 @@ class DeltaZipEngine(ServingEngine):
 
     def _release_prefix(self, req: ServingRequest) -> None:
         chain = self._prefix_refs.pop(req.request_id, None)
-        if chain:
+        if chain is not None:
             self._prefix_cache.release(chain)
 
     def _prefix_trim(self) -> None:

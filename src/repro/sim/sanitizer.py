@@ -503,6 +503,49 @@ def check_replica_set(replica_set: Any, cluster: Any) -> None:
             f"{cluster.n_nodes!r} with {len(live)!r} live members")
 
 
+def check_prefix_cache(cache: Any) -> None:
+    """The span structure a :class:`~repro.serving.prefix_cache.
+    PrefixCache`'s per-block answers rest on, walked from the scope
+    anchors after every mutating call."""
+    blocks = refs = 0
+    idle_leaves: List[Any] = []
+    stack = list(cache._scopes.values())
+    while stack:
+        seg = stack.pop()
+        for (ident, start), child in seg.children.items():
+            where = f"prefix segment {child.ident!r} " \
+                f"[{child.start!r}, {child.end!r})"
+            if child.parent is not seg or (ident, start) != \
+                    (child.ident, child.start) or start != seg.end:
+                raise _violation(
+                    f"{where} is filed under {(ident, start)!r} of a "
+                    f"parent ending at block {seg.end!r}")
+            if child.end <= child.start:
+                raise _violation(f"{where} is empty but still linked")
+            if child.refcount < 0 or (seg.parent is not None
+                                      and child.refcount > seg.refcount):
+                raise _violation(
+                    f"{where} holds {child.refcount!r} references under a "
+                    f"parent holding {seg.refcount!r}")
+            blocks += child.end - child.start
+            refs += child.refcount * (child.end - child.start)
+            if not child.refcount and not child.children:
+                idle_leaves.append(child)
+            stack.append(child)
+    lru = cache._evictable
+    if len(lru) != len(idle_leaves) or \
+            not all(seg in lru for seg in idle_leaves):
+        raise _violation(
+            f"prefix LRU holds {len(lru)!r} segments but the tree has "
+            f"{len(idle_leaves)!r} unreferenced leaves (a referenced or "
+            f"inner segment is evictable, or an idle leaf is not)")
+    if (cache.n_blocks, cache.total_refcount) != (blocks, refs):
+        raise _violation(
+            f"prefix cache drifted: counts {cache.n_blocks!r} blocks / "
+            f"{cache.total_refcount!r} references, segments give "
+            f"{blocks!r} / {refs!r}")
+
+
 def check_sink_row(record: Any, values: Tuple[float, float, float, float],
                    keys: Tuple[Optional[int], ...], log_gamma: float,
                    min_trackable: float) -> None:

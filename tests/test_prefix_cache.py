@@ -89,19 +89,33 @@ def session(duration_s=180.0, seed=3, shared=128, turns=4.0, rate=0.15):
 
 # --------------------------------------------------------------------------- #
 class TestPrefixBlockKeys:
+    # Edited with the span-compressed cache: ``prefix_block_keys`` returns
+    # runs ``(ident, start_block, end_block)`` instead of one key a block
+    # (block ``b`` of a run is the block the old key ``ident + (b,)``
+    # named), so these assert run boundaries and idents.  Every property
+    # pinned before is still pinned.
     def trace_req(self, prompt=100, shared=40, conv="c1"):
         return conv_req(0, 0.0, prompt, conv=conv, shared=shared)
 
     def test_complete_blocks_only(self):
-        keys = prefix_block_keys(self.trace_req(prompt=100), 100, 16)
-        assert len(keys) == 6          # 96 of 100 tokens form full blocks
+        runs = prefix_block_keys(self.trace_req(prompt=100), 100, 16)
+        assert runs[0][1] == 0 and runs[-1][2] == 6   # 96 of 100 tokens
+        assert all(a[2] == b[1] for a, b in zip(runs, runs[1:]))
+        assert prefix_block_keys(self.trace_req(), 15, 16) == []
 
     def test_shared_then_mixed_then_private(self):
-        keys = prefix_block_keys(self.trace_req(prompt=100, shared=40),
-                                 100, 16)
-        assert keys[0][0] == "s" and keys[1][0] == "s"   # 0..32 shared
-        assert keys[2][0] == "m"                         # 32..48 straddles
-        assert all(k[0] == "c" for k in keys[3:])        # rest conversation
+        shared, mixed, private = prefix_block_keys(
+            self.trace_req(prompt=100, shared=40), 100, 16)
+        assert shared == (("s", "variant-00:sys"), 0, 2)     # 0..32 shared
+        assert mixed == (("m", "variant-00:sys", "c1", 8), 2, 3)  # 32..48
+        assert private == (("c", "c1"), 3, 6)            # rest conversation
+
+    def test_a_prefix_on_a_block_boundary_has_no_straddling_run(self):
+        runs = prefix_block_keys(self.trace_req(shared=32), 100, 16)
+        assert [r[0][0] for r in runs] == ["s", "c"]
+        assert runs[0][2] == runs[1][1] == 2
+        inside = prefix_block_keys(self.trace_req(shared=40), 40, 16)
+        assert inside == [(("s", "variant-00:sys"), 0, 2)]   # 40 // 16 blocks
 
     def test_shared_blocks_agree_across_conversations(self):
         a = prefix_block_keys(self.trace_req(conv="c1"), 32, 16)
@@ -111,40 +125,50 @@ class TestPrefixBlockKeys:
     def test_private_tail_disagrees_across_conversations(self):
         a = prefix_block_keys(self.trace_req(conv="c1"), 100, 16)
         b = prefix_block_keys(self.trace_req(conv="c2"), 100, 16)
-        assert a[:2] == b[:2] and a[2:] != b[2:]
+        assert a[0] == b[0]
+        assert all(x[0] != y[0] and x[1:] == y[1:]
+                   for x, y in zip(a[1:], b[1:]))
 
     def test_untagged_request_keys_by_request_id(self):
         r = TraceRequest(request_id=7, model_id="m", arrival_s=0.0,
                          prompt_tokens=64, output_tokens=8)
-        keys = prefix_block_keys(r, 64, 16)
-        assert all(k[1] == ("req", 7) for k in keys)
+        assert prefix_block_keys(r, 64, 16) == [(("c", ("req", 7)), 0, 4)]
 
 
 class TestPrefixCacheStructure:
+    # Edited with the span-compressed cache: a chain is ``(deepest
+    # segment, blocks)``, not a list of node ids, so these assert hit
+    # blocks / ``n_blocks`` / ``n_evictable`` / ``total_refcount`` where
+    # they compared lists; the split cases at the end are new.
     SCOPE = ("llama-7b", "variant-00")
 
-    def keys(self, n, conv="c1"):
-        return prefix_block_keys(conv_req(0, 0.0, n * BLOCK + 1, conv=conv),
-                                 n * BLOCK, BLOCK)
+    def keys(self, n, conv="c1", shared=0):
+        return prefix_block_keys(
+            conv_req(0, 0.0, n * BLOCK + 1, conv=conv, shared=shared),
+            n * BLOCK, BLOCK)
+
+    def hit(self, cache, n, conv="c1", shared=0):
+        chain = cache.lookup(self.SCOPE, self.keys(n, conv, shared))
+        return 0 if chain is None else chain[1]
 
     def test_insert_lookup_roundtrip(self):
         cache = PrefixCache(BLOCK)
         chain = cache.insert(self.SCOPE, self.keys(4))
-        assert len(chain) == 4
+        assert chain[1] == 4
         assert cache.lookup(self.SCOPE, self.keys(4)) == chain
         assert cache.n_blocks == 4
 
     def test_lookup_returns_longest_cached_prefix(self):
         cache = PrefixCache(BLOCK)
         cache.insert(self.SCOPE, self.keys(3))
-        assert len(cache.lookup(self.SCOPE, self.keys(6))) == 3
-        assert cache.lookup(self.SCOPE, self.keys(6, conv="other")) == []
+        assert self.hit(cache, 6) == 3
+        assert cache.lookup(self.SCOPE, self.keys(6, conv="other")) is None
 
     def test_scope_separation(self):
         cache = PrefixCache(BLOCK)
         cache.insert(self.SCOPE, self.keys(3))
         other = ("llama-7b", "variant-01")
-        assert cache.lookup(other, self.keys(3)) == []
+        assert cache.lookup(other, self.keys(3)) is None
 
     def test_refcounts_and_underflow(self):
         cache = PrefixCache(BLOCK)
@@ -163,8 +187,7 @@ class TestPrefixCacheStructure:
         cache.insert(self.SCOPE, self.keys(3))
         assert cache.evict(1) == 1             # the depth-3 leaf
         assert cache.n_blocks == 2
-        assert cache.lookup(self.SCOPE, self.keys(3)) == \
-            cache.lookup(self.SCOPE, self.keys(2))
+        assert self.hit(cache, 3) == self.hit(cache, 2) == 2
         assert cache.evict(10) == 2            # cascade drains the chain
         assert cache.n_blocks == 0
 
@@ -184,6 +207,47 @@ class TestPrefixCacheStructure:
         cache.evict(1)                                      # drops cold b
         assert cache.lookup(self.SCOPE, self.keys(1, conv="a"))
         assert not cache.lookup(self.SCOPE, self.keys(1, conv="b"))
+
+    # -- the split paths (tests/test_prefix_cache_spans.py compares the
+    # same shapes with the per-block cache after every call) ----------- #
+    def test_a_partial_hit_pins_only_the_blocks_it_covers(self):
+        cache = PrefixCache(BLOCK)
+        cache.insert(self.SCOPE, self.keys(6))              # one segment
+        assert cache.n_evictable == 1
+        part = cache.lookup(self.SCOPE, self.keys(2))
+        assert part[1] == 2
+        assert cache.n_evictable == 1       # a lookup inside splits nothing
+        cache.acquire(part)                 # ... acquire does: [0,2) | [2,6)
+        assert (cache.n_blocks, cache.total_refcount) == (6, 2)
+        assert cache.evict(10) == 4         # the tail drains, the head stays
+        assert self.hit(cache, 6) == 2
+        cache.release(part)
+        assert cache.total_refcount == 0 and cache.n_evictable == 1
+        assert cache.evict(10) == 2 and cache.n_blocks == 0
+
+    def test_an_insert_diverging_inside_a_segment_forks_there(self):
+        cache = PrefixCache(BLOCK)
+        # one shared id at two extents: 4 shared blocks, then 2
+        cache.insert(self.SCOPE, self.keys(6, "a", shared=4 * BLOCK))
+        cache.insert(self.SCOPE, self.keys(5, "b", shared=2 * BLOCK))
+        assert cache.n_blocks == 6 + 3      # blocks 0-1 are the same blocks
+        assert cache.n_evictable == 2
+        assert self.hit(cache, 6, "a", shared=4 * BLOCK) == 6
+        assert self.hit(cache, 5, "b", shared=2 * BLOCK) == 5
+        assert self.hit(cache, 5, "c", shared=2 * BLOCK) == 2
+        assert self.hit(cache, 5, "c", shared=3 * BLOCK) == 3
+
+    def test_a_split_chain_drains_tip_first_through_both_halves(self):
+        cache = PrefixCache(BLOCK)
+        cache.insert(self.SCOPE, self.keys(5))
+        part = cache.lookup(self.SCOPE, self.keys(3))
+        cache.acquire(part)
+        cache.release(part)                 # [0,3) | [3,5), all idle again
+        assert cache.n_evictable == 1       # the head has a child
+        for left in (4, 3, 2, 1, 0):        # 5th, 4th, then 3rd, 2nd, 1st
+            assert cache.evict(1) == 1
+            assert self.hit(cache, 5) == left and cache.n_blocks == left
+        assert cache.evict(1) == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -249,6 +313,22 @@ class TestEngineIntegration:
         assert cache.total_refcount == 0
         assert gateway.engine._prefix_refs == {}
         assert cache.n_blocks == blocks_after_turn1   # nothing committed
+
+    def test_a_bounced_admission_counts_its_prefix_hit_once(self):
+        # KV admission control sends a looked-up prefill back to the
+        # queue and releases its references; the retry looks it up again.
+        # The counters are for requests *kept*, so they agree with the
+        # records however often an admission bounced.
+        trace = session(duration_s=120.0, shared=256, turns=6.0, rate=0.2)
+        result = make_gateway(node=tight_node()).replay(trace)
+        stats = result.stats
+        assert stats.blocked_admissions > 0
+        fresh = sum(1 for r in result.records if r.first_token_s is not None)
+        assert 0 < stats.prefix_hits <= stats.prefix_lookups <= fresh
+        assert stats.prefix_hits == \
+            sum(1 for r in result.records if r.cached_prefix_tokens)
+        assert stats.prefix_hit_tokens == \
+            sum(r.cached_prefix_tokens for r in result.records)
 
     @pytest.mark.parametrize("policy", [RecordPolicy.KEEP_ALL,
                                         RecordPolicy.SAMPLE_K,

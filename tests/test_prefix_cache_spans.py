@@ -24,11 +24,15 @@ chains that diverge inside a run of shared blocks), block sizes 1 / 16 /
 32, concurrent requests of one conversation (a hit that ends in the
 middle of another request's chain) and releases in any order.
 
-This file is written against the per-block module itself: both sides are
-the same code today and every comparison holds trivially.
+This file was first committed against the per-block module itself, where
+both sides are the same code and every comparison holds trivially; the
+parts written with the span cache are :func:`resident`'s walk over its
+segments and the split-path tests at the bottom, neither of which could
+exist before segments did.
 """
 
 import copy
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -57,13 +61,23 @@ def resident(cache):
     ``(scope, key of block 0, ..., key of this block)`` in the per-block
     key vocabulary."""
     blocks = {}
-    paths = {}
-    for nid, node in cache._nodes.items():          # parents come first
-        if node.depth == 0:
-            paths[nid] = (cache._scope_of[nid],)
-        else:
-            paths[nid] = paths[node.parent_id] + (node.key,)
-            blocks[paths[nid]] = node.refcount
+    if hasattr(cache, "_nodes"):                    # the oracle's nodes
+        paths = {}
+        for nid, node in cache._nodes.items():      # parents come first
+            if node.depth == 0:
+                paths[nid] = (cache._scope_of[nid],)
+            else:
+                paths[nid] = paths[node.parent_id] + (node.key,)
+                blocks[paths[nid]] = node.refcount
+        return blocks
+    stack = [(anchor, (anchor.ident[1:],))          # the span cache's
+             for anchor in cache._scopes.values()]  # segments
+    while stack:
+        seg, path = stack.pop()
+        for b in range(seg.start, seg.end):
+            path += (seg.ident + (b,),)
+            blocks[path] = seg.refcount
+        stack.extend((child, path) for child in seg.children.values())
     return blocks
 
 
@@ -169,15 +183,17 @@ def request(block_tokens, variant, conv, shared, rid=0):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, min_ops=1):
     block_tokens = draw(st.sampled_from(BLOCK_SIZES))
+    # few enough chains that most operations land on one already there
     requests = st.builds(
-        request, st.just(block_tokens), st.integers(0, 1),
-        st.sampled_from([None, "conv-a", "conv-b", "conv-c"]),
-        st.sampled_from([None, ("sys", 2), ("sys", 3), ("sys", 4),
-                         ("sys", 7), ("sys", 8), ("other", 4)]),
-        st.integers(0, 2))
-    n_tokens = st.integers(0, (MAX_BLOCKS + 1) * block_tokens - 1)
+        request, st.just(block_tokens), st.sampled_from([0, 0, 0, 1]),
+        st.sampled_from([None, "conv-a", "conv-a", "conv-b"]),
+        st.sampled_from([None, ("sys", 3), ("sys", 4), ("sys", 7),
+                         ("sys", 8), ("other", 4)]),
+        st.integers(0, 1))
+    most = (MAX_BLOCKS + 1) * block_tokens - 1
+    n_tokens = st.one_of(st.integers(0, most), st.integers(most // 2, most))
     chain_op = st.tuples(
         st.sampled_from(["lookup", "acquire", "acquire", "insert", "insert",
                          "insert_hold"]), requests, n_tokens)
@@ -186,7 +202,7 @@ def cases(draw):
         st.tuples(st.just("release"), st.integers(0, 7)),
         st.tuples(st.just("evict"), st.integers(0, 6)),
         st.tuples(st.just("evict_to"), st.integers(0, 3 * MAX_BLOCKS)))
-    return block_tokens, draw(st.lists(op, min_size=1, max_size=30))
+    return block_tokens, draw(st.lists(op, min_size=min_ops, max_size=30))
 
 
 @settings(max_examples=300, deadline=None,
@@ -245,3 +261,48 @@ def test_private_and_untagged_requests_never_share_blocks():
     side = run(32, [("insert",) + a, ("lookup",) + b, ("acquire",) + a,
                     ("insert",) + b, ("evict", 3), ("release", 0)])
     assert side.cache.evictions == 10
+
+
+# --------------------------------------------------------------------- #
+# both split paths are inside what the generator reaches
+# --------------------------------------------------------------------- #
+class Recording(shipped.PrefixCache):
+    """The shipped cache, noting which call each split came from."""
+
+    def __init__(self, block_tokens):
+        super().__init__(block_tokens)
+        self.caller, self.splits = None, []
+
+    def acquire(self, chain):
+        self.caller = "acquire"
+        super().acquire(chain)
+
+    def insert(self, scope, runs):
+        self.caller = "insert"
+        return super().insert(scope, runs)
+
+    def _split(self, seg, at):
+        self.splits.append(self.caller)
+        return super()._split(seg, at)
+
+
+def test_generated_cases_reach_both_split_paths():
+    seen = Counter()
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cases(min_ops=12))
+    def sweep(case):
+        seen.update(run(*case, Recording).cache.splits)
+
+    sweep()
+    assert seen["acquire"] >= 3 and seen["insert"] >= 3, seen
+
+
+def test_the_hand_written_shapes_split_where_they_say():
+    splits = run(16, [("insert",) + conv(8), ("acquire",) + conv(3),
+                      ("insert",) + conv(7, "conv-b", shared=("sys", 8)),
+                      ("insert",) + conv(6, "conv-c", shared=("sys", 4)),
+                      ("insert",) + conv(2, "conv-b", shared=("sys", 8)),
+                      ], Recording).cache.splits
+    assert splits == ["acquire", "insert"]

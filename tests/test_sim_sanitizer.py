@@ -807,6 +807,110 @@ class TestWorkerCoastCheck:
 
 
 # --------------------------------------------------------------------- #
+# prefix cache: the span structure behind the per-block answers
+# --------------------------------------------------------------------- #
+class TestPrefixCacheCheck:
+    SCOPE = ("llama-7b", "variant-00")
+
+    @staticmethod
+    def runs(n_blocks, conv="conv-0"):
+        from repro.serving import prefix_block_keys
+        return prefix_block_keys(
+            TraceRequest(request_id=0, model_id="variant-00", arrival_s=0.0,
+                         prompt_tokens=n_blocks * 16, output_tokens=1,
+                         conversation_id=conv), n_blocks * 16, 16)
+
+    def split_cache(self):
+        """[0,2) held | [2,6) idle, and an idle 3-block chain beside it:
+        the held head, its tail and the other leaf are three segments."""
+        from repro.serving import PrefixCache
+        cache = PrefixCache(16)
+        cache.insert(self.SCOPE, self.runs(6))
+        cache.insert(self.SCOPE, self.runs(3, "conv-1"))
+        held = cache.lookup(self.SCOPE, self.runs(2))
+        cache.acquire(held)
+        head = held[0].parent
+        assert (head.start, head.end, held[0].start) == (0, 2, 2)
+        return cache, head, held[0]
+
+    def test_every_mutating_call_runs_the_check_when_enabled(self, monkeypatch):
+        calls = []
+        check = sanitizer.check_prefix_cache
+        monkeypatch.setattr(sanitizer, "check_prefix_cache",
+                            lambda cache: calls.append(check(cache)))
+        with sanitized(True):
+            cache, _, tail = self.split_cache()     # 2 inserts + 1 acquire
+            assert len(calls) == 3
+            cache.lookup(self.SCOPE, self.runs(6))  # reorders the LRU only
+            assert len(calls) == 3
+            cache.release((tail, 2))
+            assert cache.evict(20) == 9 and cache.evict(1) == 0
+            assert len(calls) == 5
+        with sanitized(False):
+            self.split_cache()
+            assert len(calls) == 5
+
+    def test_a_stale_child_key_after_a_split(self):
+        cache, head, tail = self.split_cache()
+        head.children[(tail.ident, 0)] = head.children.pop((tail.ident, 2))
+        with pytest.raises(SimSanitizerError, match=(
+                r"prefix segment \('c', 'conv-0'\) \[2, 6\) is filed under "
+                r"\(\('c', 'conv-0'\), 0\) of a parent ending at block 2")):
+            sanitizer.check_prefix_cache(cache)
+
+    def test_a_child_under_a_mid_segment_position(self):
+        cache, head, tail = self.split_cache()
+        head.end = 3                # the tail now hangs inside its parent
+        with pytest.raises(SimSanitizerError, match=(
+                r"\[2, 6\) is filed under .* of a parent ending at block 3")):
+            sanitizer.check_prefix_cache(cache)
+
+    def test_a_referenced_segment_left_in_the_lru(self):
+        cache, head, tail = self.split_cache()
+        cache._evictable[head] = None
+        with pytest.raises(SimSanitizerError, match=(
+                r"prefix LRU holds 3 segments but the tree has 2 "
+                r"unreferenced leaves")):
+            sanitizer.check_prefix_cache(cache)
+
+    def test_an_idle_leaf_missing_from_the_lru(self):
+        cache, head, tail = self.split_cache()
+        del cache._evictable[tail]
+        cache._evictable[head] = None           # same size, wrong member
+        with pytest.raises(SimSanitizerError, match="prefix LRU holds 2"):
+            sanitizer.check_prefix_cache(cache)
+
+    def test_a_tip_dropped_without_the_counter(self):
+        cache, head, tail = self.split_cache()
+        tail.end -= 1
+        with pytest.raises(SimSanitizerError, match=(
+                r"prefix cache drifted: counts 9 blocks / 2 references, "
+                r"segments give 8 / 2")):
+            sanitizer.check_prefix_cache(cache)
+
+    def test_an_emptied_segment_still_linked(self):
+        cache, head, tail = self.split_cache()
+        tail.end = tail.start
+        with pytest.raises(SimSanitizerError, match=(
+                r"\[2, 2\) is empty but still linked")):
+            sanitizer.check_prefix_cache(cache)
+
+    def test_a_child_holding_more_references_than_its_parent(self):
+        cache, head, tail = self.split_cache()
+        tail.refcount = 2
+        with pytest.raises(SimSanitizerError, match=(
+                r"\[2, 6\) holds 2 references under a parent holding 1")):
+            sanitizer.check_prefix_cache(cache)
+
+    def test_a_reference_the_counter_never_saw(self):
+        cache, head, tail = self.split_cache()
+        head.refcount = 2
+        with pytest.raises(SimSanitizerError, match=(
+                r"counts 9 blocks / 2 references, segments give 9 / 4")):
+            sanitizer.check_prefix_cache(cache)
+
+
+# --------------------------------------------------------------------- #
 # cost-model memos: served columns and totals == the public kernels
 # --------------------------------------------------------------------- #
 class TestCostMemoChecks:
