@@ -486,24 +486,35 @@ class DisaggregatedEngine(ServingEngine):
     def step(self) -> bool:
         self._sync_hooks()
         limit = self.config.max_sim_seconds
-        candidates = [w for w in self._all_workers()
-                      if w.unfinished > 0 and w.clock < limit]
-        candidates.sort(key=lambda w: (w.clock, w.id))
-        progress = False
-        for worker in candidates:
-            before = (worker.clock, worker.unfinished)
-            worker.step()
-            # whatever it returned: a step that applied a due cancel to
-            # the worker's last request retires it and returns False
-            if (worker.clock, worker.unfinished) != before:
-                progress = True
-                self._stepped = worker
-                break
-            # a clamped idle jump moved nothing: let an earlier-frontier
-            # worker (already stepped) or the next candidate make time
+        # one pass: the least (clock, id) worker with work below the limit
+        first: Optional[_PoolWorker] = None
+        first_key = (limit, -1)
+        for pool in (self._prefill_pool, self._decode_pool):
+            for w in pool:
+                if w.unfinished > 0 and (w.clock, w.id) < first_key:
+                    first, first_key = w, (w.clock, w.id)
+        progress = first is not None and self._step_worker(first)
+        if first is not None and not progress:
+            # a clamped idle jump moved nothing: let the next candidate
+            # make time (only now are the others listed and sorted)
+            rest = [w for w in self._all_workers() if w is not first
+                    and w.unfinished > 0 and w.clock < limit]
+            rest.sort(key=lambda w: (w.clock, w.id))
+            progress = any(self._step_worker(w) for w in rest)
         if self._next_check_s < inf:
             self._run_autoscalers()
         return progress
+
+    def _step_worker(self, worker: _PoolWorker) -> bool:
+        """One worker step; did it move the worker?  Whatever ``step()``
+        returned: one that applied a due cancel to the worker's last
+        request retires it and returns False."""
+        before = (worker.clock, worker.unfinished)
+        worker.step()
+        if (worker.clock, worker.unfinished) == before:
+            return False
+        self._stepped = worker
+        return True
 
     def run_until_drained(self) -> None:
         """The base drain loop, letting the decode worker each ``step()``
@@ -514,13 +525,25 @@ class DisaggregatedEngine(ServingEngine):
         worker iteration — and not with a finish listener: a callback may
         submit "now", which a worker that ran ahead would take late."""
         limit_s = self.config.max_sim_seconds
-        while self.unfinished > 0 and self.clock < limit_s:
-            if not self.step():
-                break
+        if self.unfinished == 0 or self.clock >= limit_s:
+            return
+        while self.step():
             worker = self._stepped
-            if worker is not None and worker.role == "decode" \
-                    and self.on_finish is None:
+            assert worker is not None       # step() moved somebody
+            if worker.role == "decode" and self.on_finish is None:
                 self._coast_worker(worker)
+            if self.unfinished == 0:
+                break
+            # ``clock`` is the earliest *busy* worker while one is busy,
+            # so the one just advanced, still busy below the limit, keeps
+            # it below without the two-pool pass.  Otherwise ask: with
+            # nobody busy ``clock`` is a pending-only worker's next
+            # arrival (a handoff in flight), which can be past the limit
+            # while every raw clock is still below it.
+            if not (worker.clock < limit_s
+                    and (worker.running or worker.backlog > 0)) \
+                    and self.clock >= limit_s:
+                break
 
     def _coast_worker(self, worker: _PoolWorker) -> None:
         """Let ``worker`` coast to the horizon; a check the run crossed
@@ -541,16 +564,19 @@ class DisaggregatedEngine(ServingEngine):
         at or after (its own next arrival, live cancel and first finish
         are inside ``_coast``).  Busy decode workers do not bound each
         other: independent timelines, and a coast finishes nobody."""
-        bounds = [self.config.max_sim_seconds,    # step() serves below it
-                  self._next_check_s,   # the controllers observe the pools
-                  self._prefill_frontier()]   # a handoff arrives after it
+        horizon = min(self.config.max_sim_seconds,  # step() serves below it
+                      self._next_check_s)  # the controllers observe the pools
+        for w in self._prefill_pool:       # a handoff arrives after it
+            if w.unfinished > 0 and w.clock < horizon:
+                horizon = w.clock
         # a waiting decode worker (work, none of it arrived): step()
         # serves the least raw clock first and ``clock`` reports the
         # earliest busy worker, so none is left behind a coasted one
-        bounds += [w.clock for w in self._decode_pool
-                   if w is not worker and w.unfinished > 0
-                   and not w.running and w.backlog == 0]
-        return min(bound for bound in bounds if bound is not None)
+        for w in self._decode_pool:
+            if w is not worker and w.unfinished > 0 and not w.running \
+                    and w.backlog == 0 and w.clock < horizon:
+                horizon = w.clock
+        return horizon
 
     def _sync_hooks(self) -> None:
         """Rewire the pooled workers when the owner's ``on_event`` /

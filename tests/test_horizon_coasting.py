@@ -466,3 +466,67 @@ def test_an_expiry_of_the_only_request_in_flight_does_not_end_the_drain():
     result = gateway.replay(trace)
     assert gateway.unfinished == 0 and len(result.records) == len(trace) == 8
     assert "expired" in {r.status for r in result.records}
+
+
+# --------------------------------------------------------------------- #
+# the disagg drain's exit at max_sim_seconds
+# --------------------------------------------------------------------- #
+def disagg_with_limit(limit_s, n_decode):
+    return create_engine(
+        "disagg", make_manager(), GPUNode(node_from_name("a800", 1)),
+        scheduler_config=SchedulerConfig(max_batch_requests=6,
+                                         max_concurrent_deltas=3),
+        engine_config=EngineConfig(tp_degree=1, max_sim_seconds=limit_s),
+        prefill_workers=1, decode_workers=n_decode)
+
+
+def test_the_sim_horizon_stops_a_disagg_drain_where_clock_says():
+    """``run_until_drained()`` asks the ``clock`` property only when the
+    worker it just advanced cannot vouch for it.  The exit it must not
+    miss: with nobody busy, ``clock`` is a pending-only decode worker's
+    next arrival — a KV handoff in flight — which passes the limit while
+    every raw worker clock is still below it.  Reference: the loop as it
+    was, ``clock`` read before every ``step()``, nothing coasting."""
+    def requests(n):
+        return [TraceRequest(request_id=i, model_id=MODELS[i % 2],
+                             arrival_s=0.3 * i, prompt_tokens=512,
+                             output_tokens=40) for i in range(n)]
+
+    # where the handoffs are in flight, from an unlimited run
+    free = disagg_with_limit(1e9, 1)
+    for request in requests(4):
+        free.submit(request)
+    free.run_until_drained()
+    in_flight = [(r.first_token_s, r.first_token_s + r.transfer_s)
+                 for r in free.build_result().records]
+    assert all(0.0 < a < b for a, b in in_flight)
+    mid_handoff = [(a + b) / 2 for a, b in in_flight]
+
+    pending_only_exits = 0
+    for n_requests, n_decode in ((1, 1), (4, 1), (4, 2)):
+        for limit_s in mid_handoff[:n_requests] + [0.2, 0.7, 1.0, 1.43, 5.0]:
+            views = []
+            for reference in (False, True):
+                engine = disagg_with_limit(limit_s, n_decode)
+                for request in requests(n_requests):
+                    engine.submit(request)
+                if reference:
+                    while engine.unfinished > 0 and engine.clock < limit_s \
+                            and engine.step():
+                        pass
+                else:
+                    engine.run_until_drained()
+                workers = engine._all_workers()
+                views.append({
+                    "clock": engine.clock, "unfinished": engine.unfinished,
+                    "in_transfer": sorted(engine._in_transfer),
+                    "workers": [(w.id, w.clock, w.unfinished, asdict(w.stats),
+                                 [(r.request_id, r.generated_tokens,
+                                   r.inference_s) for r in w.running])
+                                for w in workers]})
+            assert views[0] == views[1], (n_requests, n_decode, limit_s)
+            if engine.unfinished and all(w.clock < limit_s for w in workers
+                                         if w.unfinished):
+                assert engine.clock >= limit_s and engine._in_transfer
+                pending_only_exits += 1
+    assert pending_only_exits >= 2
