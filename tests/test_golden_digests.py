@@ -1,5 +1,6 @@
-"""Golden record digests for the ``disagg`` and ``sharded`` engines, and
-for ``deltazip`` with its prefix cache on.
+"""Golden record digests for every registered engine: ``disagg``,
+``sharded``, ``deltazip`` with its prefix cache on and off, and the two
+baselines ``vllm-scb`` and ``dedicated``.
 
 Records are the contract: a refactor of the fleet mechanism under these
 engines, or of the prefix cache inside them, must leave every record of
@@ -13,7 +14,9 @@ over the field list ``benchmarks/bench_disagg.record_digest`` uses.
 Each block of the table at the bottom was recorded on the commit
 *before* the refactor it guards (the ``disagg`` / ``sharded`` cells
 before the one-fleet refactor, the ``deltazip-cache`` cells before the
-span-compressed prefix cache).  Regenerate it only on purpose::
+span-compressed prefix cache, the cache-off ``deltazip`` / ``vllm-scb`` /
+``dedicated`` cells before terminal requests were released under every
+record policy).  Regenerate it only on purpose::
 
     PYTHONPATH=src python -m pytest tests/test_golden_digests.py --regen
 
@@ -31,7 +34,7 @@ import pytest
 
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.hardware.specs import A800, NodeSpec
-from repro.serving import (ClusterGateway, EngineConfig, LLAMA_7B,
+from repro.serving import (ENGINES, ClusterGateway, EngineConfig, LLAMA_7B,
                            ModelManager, SchedulerConfig, ServingGateway,
                            Tenant, TenantGateway, create_engine)
 from repro.workload import LengthSampler, session_trace, synthetic_trace
@@ -134,17 +137,32 @@ SCENARIOS = {
     "deltazip-cache-tight": Scenario(
         "deltazip", {}, True, pressured_sessions, balancer="conversation",
         memory_gb=18.0),
+    # the remaining cells of ROADMAP 3(a): the colocated engine with the
+    # cache off and the two full-model baselines (``dedicated`` is the one
+    # engine that routes cancels through a request -> group map), on plain
+    # traffic and with cancels and deadlines landing mid-decode
+    "deltazip": Scenario("deltazip", {}, False, traffic),
+    "deltazip-cancels": Scenario(
+        "deltazip", {}, False, cancels_and_deadlines),
+    "vllm-scb": Scenario("vllm-scb", {}, False, traffic),
+    "vllm-scb-cancels": Scenario(
+        "vllm-scb", {}, False, cancels_and_deadlines),
+    "dedicated": Scenario("dedicated", {}, False, traffic),
+    "dedicated-cancels": Scenario(
+        "dedicated", {}, False, cancels_and_deadlines),
 }
 
 
 # --------------------------------------------------------------------- #
 # harness
 # --------------------------------------------------------------------- #
-def make_manager():
+def make_manager(name):
+    # each engine's own artifact kind: deltas, or whole FP16 checkpoints
+    # for the two baselines
     mgr = ModelManager(LLAMA_7B)
     mgr.register_base("base")
     for model_id in MODELS:
-        mgr.register_delta(model_id, "base", 8.0)
+        ENGINES[name].register_variant(mgr, model_id, "base", 8.0)
     return mgr
 
 
@@ -158,7 +176,7 @@ def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
                 node=None, memory_gb=None):
     tp = kwargs.get("tp_degree", 1)
     return create_engine(
-        name, mgr or make_manager(),
+        name, mgr or make_manager(name),
         node or GPUNode(node_spec(memory_gb)),
         scheduler_config=SchedulerConfig(max_batch_requests=8,
                                          max_concurrent_deltas=4),
@@ -169,7 +187,7 @@ def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
 
 def cluster_of(name, kwargs, prefix_cache, idle_quantum_s, balancer,
                memory_gb=None):
-    mgr = make_manager()
+    mgr = make_manager(name)
     return ClusterGateway(
         engine_factory=lambda node: make_engine(
             name, kwargs, prefix_cache, idle_quantum_s, mgr=mgr, node=node),
@@ -409,6 +427,78 @@ GOLDEN = {
         "944a335c62e8cbf51209bc3f255ccc3325ded5b6ee866448a47df12d9b724883",
     "deltazip-cache-tight/cluster2/dense":
         "944a335c62e8cbf51209bc3f255ccc3325ded5b6ee866448a47df12d9b724883",
+    "deltazip/bare/skip":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "deltazip/bare/dense":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "deltazip/gateway/skip":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "deltazip/gateway/dense":
+        "5eeb8f486c85b884618e32d08007b675d5cf2d8dba1d20b2d9c8a914e2d0f462",
+    "deltazip/cluster2/skip":
+        "421d9ee037215e49d26094b91b053584c49673080075de6f984ed9a69d0f0fe7",
+    "deltazip/cluster2/dense":
+        "421d9ee037215e49d26094b91b053584c49673080075de6f984ed9a69d0f0fe7",
+    "deltazip-cancels/bare/skip":
+        "b95be1f6ced6bc50b7b2d142ffc90c86d0d36ff64a2fec380ed32ffae88e838d",
+    "deltazip-cancels/bare/dense":
+        "b95be1f6ced6bc50b7b2d142ffc90c86d0d36ff64a2fec380ed32ffae88e838d",
+    "deltazip-cancels/gateway/skip":
+        "b95be1f6ced6bc50b7b2d142ffc90c86d0d36ff64a2fec380ed32ffae88e838d",
+    "deltazip-cancels/gateway/dense":
+        "b95be1f6ced6bc50b7b2d142ffc90c86d0d36ff64a2fec380ed32ffae88e838d",
+    "deltazip-cancels/cluster2/skip":
+        "79d9d658bdc54d14e7a73e65910b31ebc4b7274a7fef0a297047ca9d6fa1bec4",
+    "deltazip-cancels/cluster2/dense":
+        "79d9d658bdc54d14e7a73e65910b31ebc4b7274a7fef0a297047ca9d6fa1bec4",
+    "vllm-scb/bare/skip":
+        "e0d508394c8f565c395685ddb25e2e39922a851875d7eeada96a2b24846e759f",
+    "vllm-scb/bare/dense":
+        "e0d508394c8f565c395685ddb25e2e39922a851875d7eeada96a2b24846e759f",
+    "vllm-scb/gateway/skip":
+        "e0d508394c8f565c395685ddb25e2e39922a851875d7eeada96a2b24846e759f",
+    "vllm-scb/gateway/dense":
+        "e0d508394c8f565c395685ddb25e2e39922a851875d7eeada96a2b24846e759f",
+    "vllm-scb/cluster2/skip":
+        "1b8115fef32f8a309d37059b0d5cc012fe8a2f9d239314e3d8ae809cf72385f4",
+    "vllm-scb/cluster2/dense":
+        "1b8115fef32f8a309d37059b0d5cc012fe8a2f9d239314e3d8ae809cf72385f4",
+    "vllm-scb-cancels/bare/skip":
+        "c4edda79d08a3e493a26321c98199fde7db8d499a09af92791d5ea4dd74ab3b9",
+    "vllm-scb-cancels/bare/dense":
+        "c4edda79d08a3e493a26321c98199fde7db8d499a09af92791d5ea4dd74ab3b9",
+    "vllm-scb-cancels/gateway/skip":
+        "c4edda79d08a3e493a26321c98199fde7db8d499a09af92791d5ea4dd74ab3b9",
+    "vllm-scb-cancels/gateway/dense":
+        "c4edda79d08a3e493a26321c98199fde7db8d499a09af92791d5ea4dd74ab3b9",
+    "vllm-scb-cancels/cluster2/skip":
+        "c2ade2a59693a41660228e7b08169f229abdee602681b76766135b0cb5f23495",
+    "vllm-scb-cancels/cluster2/dense":
+        "c2ade2a59693a41660228e7b08169f229abdee602681b76766135b0cb5f23495",
+    "dedicated/bare/skip":
+        "37ad1bb7b10531b3681b93f4840cd8b783a3e2c54d9aaca6e236d15cb3a5faed",
+    "dedicated/bare/dense":
+        "37ad1bb7b10531b3681b93f4840cd8b783a3e2c54d9aaca6e236d15cb3a5faed",
+    "dedicated/gateway/skip":
+        "37ad1bb7b10531b3681b93f4840cd8b783a3e2c54d9aaca6e236d15cb3a5faed",
+    "dedicated/gateway/dense":
+        "37ad1bb7b10531b3681b93f4840cd8b783a3e2c54d9aaca6e236d15cb3a5faed",
+    "dedicated/cluster2/skip":
+        "bc81c2d87f09b75f735f0e96a8399039b5e6d1326c8f987bb5c780d2363fbd8e",
+    "dedicated/cluster2/dense":
+        "9f363d07623ab191ecb1ecbb93d3f245fa7a5fb54eaeadc0a51484d2584bd3d1",
+    "dedicated-cancels/bare/skip":
+        "d90e5de6c284a292ee531517fa765ee8c0c0c70abc8f2d97f0bf0cfcc6d87869",
+    "dedicated-cancels/bare/dense":
+        "d90e5de6c284a292ee531517fa765ee8c0c0c70abc8f2d97f0bf0cfcc6d87869",
+    "dedicated-cancels/gateway/skip":
+        "d90e5de6c284a292ee531517fa765ee8c0c0c70abc8f2d97f0bf0cfcc6d87869",
+    "dedicated-cancels/gateway/dense":
+        "d90e5de6c284a292ee531517fa765ee8c0c0c70abc8f2d97f0bf0cfcc6d87869",
+    "dedicated-cancels/cluster2/skip":
+        "32c8f7208c3eaa7bb717614fec15e16baa7a2381ce74511527637a5754f5f7a6",
+    "dedicated-cancels/cluster2/dense":
+        "ccf10813831c6b10839e5158c94028d4244f6f16009300658ca42b3164eb841d",
     "tenant-cluster2-disagg/lineage":
         "5fd9eff086e63d318445282c90a9aae5b3e843f95c77e385ebe2ecbfba93b58f",
     "tenant-cluster2-disagg/conversation":
