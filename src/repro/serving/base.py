@@ -89,14 +89,14 @@ class EngineConfig:
     exists so benchmarks and the kernel determinism tests can price
     idle-skip against the dense baseline.
 
-    ``record_policy`` selects how much per-request state survives
-    retirement (see :class:`~repro.serving.streaming_metrics.RecordPolicy`):
-    ``keep_all`` (default) keeps every request object and record exactly
-    as before; ``sample_k`` keeps a deterministic reservoir of
-    ``sample_k`` records; ``drop`` keeps none.  Under the latter two the
-    engine releases terminal requests, so live memory is O(active) —
-    aggregates come from the streaming sketches instead, within their
-    documented relative error.
+    ``record_policy`` selects what survives a retirement (see
+    :class:`~repro.serving.streaming_metrics.RecordPolicy`): ``keep_all``
+    (default) every record, ``sample_k`` a deterministic reservoir of
+    ``sample_k`` records, ``drop`` nothing — aggregates then come from
+    the streaming sketches, within their documented relative error.
+    Never the request: under every policy a terminal request is released
+    at retirement, so live engine state is O(active) and
+    :meth:`ServingEngine.lookup` answers for live requests only.
 
     ``prefix_cache`` enables the engine's radix prefix/KV cache (see
     :mod:`repro.serving.prefix_cache`): repeat turns of a conversation
@@ -363,14 +363,10 @@ class ServingEngine:
         self.batch = RunningBatch()
         self._lru_version = -1            # batch.version at the last LRU touch
         self._sanitize = _sanitizer.enabled()
-        self.finished: List[ServingRequest] = []
         self.timeline: List[TimelineEvent] = []
         self.stats = EngineStats()
         # retire-time streaming sink: sketches/counters always on, record
-        # retention per policy; under SAMPLE_K/DROP terminal requests are
-        # released (finished stays empty, _live is popped) → O(active)
-        self._keep_requests = \
-            self.config.record_policy is RecordPolicy.KEEP_ALL
+        # retention per policy (the request itself is always released)
         self.metrics = StreamingMetrics(policy=self.config.record_policy,
                                         sample_k=self.config.sample_k)
         self._reset_engine()
@@ -407,7 +403,8 @@ class ServingEngine:
         return req
 
     def lookup(self, request_id: int) -> Optional[ServingRequest]:
-        """The live (or terminal) serving state of a submitted request."""
+        """The serving state of a live request; None once it retired
+        (its record is in the sink and on its handle) or if unknown."""
         return self._live.get(request_id)
 
     def schedule_cancel(self, request_id: int, at_s: float,
@@ -431,7 +428,10 @@ class ServingEngine:
         the request's record carries ``served_tokens`` and a
         ``cancelled``/``expired`` status.  Returns the aborted request,
         or None when the id is unknown or already terminal."""
-        return self._apply_cancel(request_id, reason)
+        req = self._apply_cancel(request_id, reason)
+        if req is not None and self._sanitize:
+            _sanitizer.check_released(self, req)
+        return req
 
     @property
     def unfinished(self) -> int:
@@ -478,7 +478,7 @@ class ServingEngine:
 
         # 0. due cancellations/deadline expiries apply at the boundary
         for event in self._cancels.pop_due(self.clock):
-            self._apply_cancel(event.request_id, event.reason)
+            self.abort(event.request_id, event.reason)
 
         # 1. arrivals up to the clock join the engine's queue
         for event in self._pending.pop_due(self.clock):
@@ -579,6 +579,8 @@ class ServingEngine:
                 self.on_finish(req, self.clock)
         if self._sanitize:
             _sanitizer.check_running_batch(self.name, batch)
+            for req in newly_done:       # retire() has run: chains are back
+                _sanitizer.check_released(self, req)
         return True
 
     def run_until_drained(self) -> None:
@@ -711,14 +713,11 @@ class ServingEngine:
         """The earliest scheduled event: an arrival or a *live* cancel.
         A pending deadline can therefore unwedge an engine stuck on an
         inadmissible request — its expiry frees the queue slot.  Stale
-        cancels (target already terminal) are discarded here rather than
+        cancels (target already released) are discarded here rather than
         waited on: jumping an idle clock to a dead event's time would
         perturb the frontier for no simulated effect."""
-        while self._cancels:
-            event = self._cancels.peek()
-            target = self._live.get(event.request_id)
-            if target is not None and not target.terminal:
-                break
+        while self._cancels and \
+                self._cancels.peek().request_id not in self._live:
             self._cancels.pop()
         times = [q.peek_time() for q in (self._pending, self._cancels) if q]
         return min(times) if times else None
@@ -755,17 +754,16 @@ class ServingEngine:
         """Account terminal requests, in order — the one retire body:
         :meth:`step` passes its finished partition, a cancel, a deadline
         expiry or a disagg finalize a one-element list.  Each record is
-        folded into the streaming sink, then the request object is kept
-        (KEEP_ALL) or released (SAMPLE_K/DROP) so live state stays
+        folded into the streaming sink (which keeps it or not, per
+        policy), then the request is released, so live state stays
         O(active).  The memoized record is the same object the gateway
         finish hooks will see.  A released request drops out of
-        :meth:`lookup`; late cancels against it are discarded as stale,
-        exactly like cancels against a kept-but-terminal request."""
+        :meth:`lookup`; late cancels against it are discarded as stale."""
         # bound per call, never at construction: a profiler may swap
         # StreamingMetrics.observe on the class after the engine exists
         observe = self.metrics.observe
         emit = self.on_event if self.emit_phases else None
-        keep = self._keep_requests
+        live = self._live
         for req in requests:
             self._n_retired += 1
             observe(req.record())
@@ -775,10 +773,7 @@ class ServingEngine:
                     phase="retire", model_id=req.model_id,
                     tenant_id=req.tenant_id, status=req.state.value,
                     source=self.name))
-            if keep:
-                self.finished.append(req)
-            else:
-                self._live.pop(req.request_id, None)
+            live.pop(req.request_id, None)
 
     # ------------------------------------------------------------------ #
     # cancellation mechanics
@@ -786,8 +781,8 @@ class ServingEngine:
     def _apply_cancel(self, request_id: int,
                       reason: str) -> Optional[ServingRequest]:
         req = self._live.get(request_id)
-        if req is None or req.terminal:
-            return None              # unknown or stale: already terminal
+        if req is None:
+            return None              # unknown, or stale: already released
         if req in self.batch.requests:
             # frees the batch slot and the KV share immediately: the next
             # admit() sees one fewer running request

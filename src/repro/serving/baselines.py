@@ -204,14 +204,12 @@ class DedicatedEngine(ServingEngine):
 
     def _sync_hooks(self) -> None:
         # groups must see callback (re)assignments made after creation —
-        # e.g. a gateway token listener registered mid-session.  Under a
-        # releasing record policy the finish path also drops the
-        # request→group routing entry, keeping this map O(active).
-        finish = self.on_finish if self._keep_requests \
-            else self._fanout_finish
+        # e.g. a gateway token listener registered mid-session.  The
+        # finish path also drops the request→group routing entry, keeping
+        # this map O(active).
         for group in self._groups.values():
             group.on_token = self.on_token
-            group.on_finish = finish
+            group.on_finish = self._fanout_finish
             group.on_event = self.on_event
 
     def _fanout_finish(self, req: ServingRequest, clock_s: float) -> None:
@@ -232,9 +230,8 @@ class DedicatedEngine(ServingEngine):
 
     def schedule_cancel(self, request_id, at_s, reason="cancel"):
         group = self._request_group.get(request_id)
-        if group is None:
-            raise KeyError(f"unknown request {request_id}")
-        group.schedule_cancel(request_id, at_s, reason=reason)
+        if group is not None:        # else stale: released, or unknown
+            group.schedule_cancel(request_id, at_s, reason=reason)
 
     def abort(self, request_id, reason="cancel"):
         group = self._request_group.get(request_id)

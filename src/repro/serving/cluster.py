@@ -60,7 +60,6 @@ from .gateway import (CancelSchedule, CompletionCallback, Gateway,
 from .handle import HandleStatus
 from .metrics import ServingResult
 from .request import RequestRecord, synthesized_abort_record
-from .streaming_metrics import RecordPolicy
 
 __all__ = [
     "Replica", "ReplicaSet", "LoadBalancer", "RoundRobinBalancer",
@@ -1158,14 +1157,13 @@ class ClusterGateway(Gateway):
                     conversation_id=record.conversation_id)
             else:
                 self.balancer.on_abandoned(record.model_id)
-            self._owner.pop(record.request_id, None)
-        elif self.record_policy is not RecordPolicy.KEEP_ALL:
-            # releasing policy: drop the routing entry of every terminal
-            # request so cluster maps stay O(active).  (A stale cancel
-            # against a dropped owner parks in _pending_cancels; rare,
-            # bounded by the number of late cancels.)
-            self._owner.pop(record.request_id, None)
+        # the routing entry of a terminal request goes, so cluster maps
+        # stay O(active).  (A stale cancel against a dropped owner parks
+        # in _pending_cancels; rare, bounded by the number of late cancels.)
+        self._owner.pop(record.request_id, None)
         self._complete(record)
+        if self._sanitize:
+            _sanitizer.check_cluster_released(self, record)
 
     def _status_of(self, request_id: int) -> HandleStatus:
         """Live status for a handle: delegate to the owning replica, or

@@ -460,10 +460,7 @@ class DisaggregatedEngine(ServingEngine):
                         reason: str = "cancel") -> None:
         worker = self._owner_of.get(request_id)
         if worker is None:
-            canonical = self._live.get(request_id)
-            if canonical is not None and canonical.terminal:
-                return           # stale: already terminal, nothing to do
-            raise KeyError(f"unknown request {request_id}")
+            return               # stale: already released (or unknown)
         # remembered so a handoff after this call re-arms the cancel on
         # the decode worker (deadlines re-arm themselves via the trace)
         self._cancel_log.setdefault(request_id, []).append(
@@ -474,8 +471,8 @@ class DisaggregatedEngine(ServingEngine):
                       reason: str) -> Optional[ServingRequest]:
         canonical = self._live.get(request_id)
         worker = self._owner_of.get(request_id)
-        if canonical is None or canonical.terminal or worker is None:
-            return None
+        if canonical is None or worker is None:
+            return None          # unknown, or stale: already released
         if worker._apply_cancel(request_id, reason) is None:
             return None
         return canonical          # finalized via the worker finish hook
@@ -735,6 +732,8 @@ class DisaggregatedEngine(ServingEngine):
         self._retire([canonical])
         if self.on_finish is not None:
             self.on_finish(canonical, clock_s)
+        if self._sanitize:
+            _sanitizer.check_released(self, canonical)
 
     # phase translation: worker-local lifecycles map onto the canonical
     # queue → prefill → transfer → decode → retire span; the owner's own

@@ -211,8 +211,8 @@ class Gateway:
 
     @property
     def record_policy(self) -> RecordPolicy:
-        """The engines' record-retention policy (every layer gates its
-        per-request maps on it)."""
+        """The engines' record-retention policy (what the sinks keep; the
+        one per-request map gated on it is :attr:`_handles`)."""
         engine = self.lead_engine()
         return engine.config.record_policy if engine is not None \
             else RecordPolicy.KEEP_ALL
@@ -300,12 +300,12 @@ class Gateway:
         for listener in self._listeners:
             listener(record)
         if self._handles:
+            # the one per-request map a policy gates: ``handle(id)`` after
+            # completion is public API, so KEEP_ALL keeps the entry (the
+            # terminal handle answers from its own record either way)
             if self.record_policy is RecordPolicy.KEEP_ALL:
                 handle = self._handles.get(record.request_id)
             else:
-                # releasing policy: terminal handles answer from their own
-                # record; dropping the map entry keeps gateway memory
-                # O(active requests)
                 handle = self._handles.pop(record.request_id, None)
             if handle is not None:
                 handle._finish(record)
@@ -377,12 +377,18 @@ class ServingGateway(Gateway):
         return progressed
 
     def run_until_drained(self) -> ServingResult:
-        """Serve until everything submitted so far has finished."""
-        if self._telemetry is not None:
-            # step() advances the telemetry clock each iteration
-            return super().run_until_drained()
-        # the telemetry-off fast path: drain inside the engine
-        self.engine.run_until_drained()
+        """Serve until everything submitted so far has finished, or the
+        engine is past ``max_sim_seconds``."""
+        engine = self.engine
+        if self._telemetry is None:
+            engine.run_until_drained()   # the engine's own loop: it coasts
+            return self.result()
+        # the same loop through step(): the telemetry clock advances with
+        # every iteration, and observing must not outrun the engine's cap
+        limit_s = engine.config.max_sim_seconds
+        while engine.unfinished > 0 and engine.clock < limit_s \
+                and self.step():
+            pass
         return self.result()
 
     def result(self) -> ServingResult:
@@ -453,15 +459,10 @@ class ServingGateway(Gateway):
 
 
 def _engine_status(req: ServingRequest, clock: float) -> HandleStatus:
-    """Map an engine-side request state onto the client vocabulary."""
+    """Map a live engine-side request's state onto the client vocabulary
+    (a terminal one is released: its handle answers from the record)."""
     if req.state is RequestState.RUNNING:
         return HandleStatus.RUNNING
-    if req.state is RequestState.FINISHED:
-        return HandleStatus.FINISHED
-    if req.state is RequestState.CANCELLED:
-        return HandleStatus.CANCELLED
-    if req.state is RequestState.EXPIRED:
-        return HandleStatus.EXPIRED
     # queued or preempted: inside the engine once it has arrived
     if req.arrival_s <= clock:
         return HandleStatus.ADMITTED

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from sys import intern
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from ..workload.spec import TraceRequest
@@ -161,7 +162,9 @@ class ServingRequest:
         """This request's result row.  Built once per terminal request
         (the retire path and the gateway finish hooks share the memo);
         a running request's snapshot reads as ``finished`` and is not
-        kept.  Fields go in positionally, in ``RequestRecord`` order."""
+        kept.  Fields go in positionally, in ``RequestRecord`` order; the
+        two id strings are interned, so a million records of one variant
+        share one string however the client built each request's."""
         rec = self._record_cache
         if rec is not None:
             return rec
@@ -169,12 +172,14 @@ class ServingRequest:
         if finish_s is None:
             raise ValueError(f"request {self.request_id} not finished")
         status = _TERMINAL_STATUS.get(self.state)
+        tenant = self.tenant_id
         rec = RequestRecord(
-            self.request_id, self.model_id, self.arrival_s,
+            self.request_id, intern(self.model_id), self.arrival_s,
             self.first_token_s, finish_s, self.prompt_tokens,
             self.output_tokens, self.queue_wait_s, self.loading_s,
             self.inference_s, self.skipped_line, self.preemptions,
-            self.tenant_id, status or RequestState.FINISHED.value,
+            tenant and intern(tenant),
+            status or RequestState.FINISHED.value,
             self.generated_tokens, self.trace.conversation_id,
             self.cached_prefix_tokens, self.transfer_s)
         if status is not None:
@@ -259,12 +264,13 @@ def synthesized_abort_record(request: TraceRequest, finish_s: float,
     negative, and the whole wait (if any) is queue time.
     """
     finish = max(finish_s, request.arrival_s)
+    tenant = request.tenant_id
     return RequestRecord(
-        request_id=request.request_id, model_id=request.model_id,
+        request_id=request.request_id, model_id=intern(request.model_id),
         arrival_s=request.arrival_s, first_token_s=None, finish_s=finish,
         prompt_tokens=request.prompt_tokens,
         output_tokens=request.output_tokens,
         queue_wait_s=finish - request.arrival_s,
         loading_s=0.0, inference_s=0.0, skipped_line=False, preemptions=0,
-        tenant_id=request.tenant_id, status=status, served_tokens=0,
+        tenant_id=tenant and intern(tenant), status=status, served_tokens=0,
         conversation_id=request.conversation_id)

@@ -999,6 +999,8 @@ class TenantGateway(Gateway):
         dispatch (client cancels).  Returns the number of events popped
         (stale included — popping one is frontier progress)."""
         count = 0
+        if not self._cancels or self._cancels.peek_time() > now:
+            return count              # the quiet step: no generator built
         for event in self._cancels.pop_due(now):
             count += 1
             rid = event.request_id
@@ -1037,6 +1039,8 @@ class TenantGateway(Gateway):
 
     def _offer_due(self, now: float) -> int:
         count = 0
+        if not self._pending or self._pending.peek_time() > now:
+            return count
         for event in self._pending.pop_due(now):
             request = event.request
             predicted = self._predicted_ttft_s(request.tenant_id)
@@ -1064,6 +1068,8 @@ class TenantGateway(Gateway):
 
     def _dispatch(self, now: float) -> int:
         controller = self.controller
+        if not controller.has_eligible(now):
+            return 0      # the quiet step: nothing to release, ask no depth
         depth = self._effective_depth()
         count = 0
         bumped = False

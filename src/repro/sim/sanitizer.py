@@ -27,6 +27,10 @@ construction:
   iteration and every cancellation, the incremental totals of the
   engine's :class:`~repro.serving.base.RunningBatch` equal a brute-force
   recomputation from its member requests;
+* **release at retirement** — once the engine's own cleanup has run, a
+  retired or aborted request is in no ``_live`` map, queue, batch or
+  finish bucket, holds no prefix chain, and no queued cancel of its id
+  would hit a live request; a cluster routes no terminal id;
 * **steady-state reuse** — an engine that skips ``schedule()`` because
   neither its batch nor its queue changed, or re-prices only attention
   on the last pure-decode plan, re-derives both the slow way: the fresh
@@ -303,6 +307,45 @@ def check_running_batch(engine: str, batch: Any) -> None:
                 f"{name}: holds {held!r}, members give {expected!r}")
 
 
+def check_released(engine: Any, request: Any) -> None:
+    """Under every record policy a retired ``request`` leaves its record
+    behind and nothing else: ``engine`` must not reach it any more."""
+    rid = request.request_id
+    live = engine._live.get(rid)
+    scheduler = getattr(engine, "scheduler", None)
+    held = [where for where, holders in (
+        ("_live", [live]),
+        ("the admission queue", getattr(engine, "_queue", ())
+         if scheduler is None else scheduler.queued),
+        ("the pending arrivals",
+         [e.request for e in engine._pending.in_order()]),
+        ("the running batch", engine.batch.requests),
+        ("a finish bucket",
+         [r for bucket in engine.batch._finish.values() for r in bucket]),
+    ) if any(r is request for r in holders)]
+    if rid in getattr(engine, "_prefix_refs", ()):
+        held.append("_prefix_refs (a held chain)")
+    # a cancel still queued for the id would abort whoever holds the id now
+    if live is not None and any(e.request_id == rid
+                                for e in engine._cancels.in_order()):
+        held.append("a queued cancel that is still live")
+    if held:
+        raise _violation(
+            f"request {rid!r} retired on engine {engine.name!r} "
+            f"({request.state.value}) but is still held by "
+            + ", ".join(held))
+
+
+def check_cluster_released(gateway: Any, record: Any) -> None:
+    """A cluster routes live requests only: the terminal ``record``'s id
+    must have left ``_owner``."""
+    owner = gateway._owner.get(record.request_id)
+    if owner is not None:
+        raise _violation(
+            f"cluster still routes request {record.request_id!r} to "
+            f"{owner.name} after its {record.status} record was delivered")
+
+
 class EpochShadow:
     """``[generated_tokens, inference_s]`` per batch member as the loop
     the epoch ledger replaced held them: updated on every ``advance``."""
@@ -376,8 +419,8 @@ def check_coast_run(engine: Any, decision: Any, start: float,
         raise _violation(
             f"engine {engine.name!r} coasted past the finish of requests "
             f"{done}: they were done before the run's end")
-    live = [e for e in engine._cancels.in_order() if not getattr(
-        engine._live.get(e.request_id), "terminal", True)]
+    live = [e for e in engine._cancels.in_order()
+            if e.request_id in engine._live]
     due = [e for e in engine._pending.in_order() + live
            if e.time <= last_start]
     if due:

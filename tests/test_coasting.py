@@ -260,7 +260,8 @@ def test_one_long_decode_is_two_steps_and_a_coast_per_membership_change():
     assert engine.unfinished == 0 and engine.stats.iterations == 500
     # prefill, the first pure decode (fresh pricing), the finishing one
     assert steps.calls == 3
-    assert engine.finished[0].generated_tokens == 500
+    # (edited: read from the record — the request is released at retirement)
+    assert engine.build_result().records[0].served_tokens == 500
 
 
 @pytest.mark.parametrize("hook", ["on_token", "on_event"])

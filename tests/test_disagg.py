@@ -364,13 +364,14 @@ class TestOneRetireBody:
         assert engine.metrics.n_observed == 4
         assert engine.metrics.status_counts() == \
             {"finished": 2, "cancelled": 1, "expired": 1}
+        # (edited: the retire order is read from the records the sink
+        # kept; the requests themselves are released under every policy)
+        assert engine._live == {}
         if policy is RecordPolicy.KEEP_ALL:
-            assert [r.request_id for r in engine.finished] == order
-            assert sorted(engine._live) == [0, 1, 2, 3]
+            assert [r.request_id for r in engine.metrics.records] == order
             assert engine.metrics.records == \
                 [by_id[rid] for rid in order]
         else:
-            assert engine.finished == [] and engine._live == {}
             assert engine.metrics.records == []
         retires = [(e.request_id, e.status) for e in events
                    if isinstance(e, PhaseTransition) and e.phase == "retire"
@@ -405,11 +406,13 @@ class TestTokenForwarding:
             assert all(w.on_token is None for w in self.workers(engine))
         assert engine.unfinished == 0
         # the canonical requests still end up with everything a listener
-        # would have synced token by token
-        for req in engine.finished:
-            assert req.generated_tokens == req.output_tokens
-            assert req.first_token_s is not None
-            assert req.first_token_s <= req.finish_s
+        # would have synced token by token (edited: read from their records)
+        records = engine.metrics.records
+        assert len(records) == len(trace)
+        for rec in records:
+            assert rec.served_tokens == rec.output_tokens
+            assert rec.first_token_s is not None
+            assert rec.first_token_s <= rec.finish_s
 
     def stream(self, attach_at):
         """Every forwarded token as (step, request, n_generated, clock);
@@ -468,7 +471,10 @@ class TestTokenForwarding:
                     assert canonical.state.value == "running"
                     compared += 1
         assert compared > 20
-        assert engine.lookup(3).generated_tokens == 1     # terminal: as is
+        # (edited: a terminal lookup is None; the record carries the tokens)
+        assert engine.lookup(3) is None
+        by_id = {r.request_id: r for r in engine.metrics.records}
+        assert by_id[3].served_tokens == 1
         assert engine.lookup(999) is None
 
 
@@ -585,7 +591,8 @@ class TestPoolAutoscaling:
         engine.submit(turn(2, 10.0, 132, "conv-a"))
         assert engine._prefill.balancer._home == {"conv-a": first}
         engine.run_until_drained()
-        assert all(r.state.value == "finished" for r in engine.finished)
+        # (edited: statuses from the records)
+        assert [r.status for r in engine.metrics.records] == ["finished"] * 3
 
 
 # --------------------------------------------------------------------------- #

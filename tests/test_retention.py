@@ -38,7 +38,7 @@ ENGINE_KWARGS = {
     "sharded": {"tp_degree": 2, "n_nodes": 2},
 }
 WRAPPERS = ("bare", "gateway", "cluster2", "tenant")
-POLICIES = (RecordPolicy.DROP, RecordPolicy.SAMPLE_K)
+POLICIES = tuple(RecordPolicy)
 SAMPLE_K = 2
 
 
@@ -187,3 +187,41 @@ def test_a_drained_replay_retains_no_request(name, wrapper, policy):
 
 def test_the_table_covers_every_registered_engine():
     assert sorted(ENGINE_KWARGS) == sorted(ENGINES)
+    assert len(POLICIES) == 3
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("name", sorted(ENGINE_KWARGS))
+def test_whatever_arrives_after_the_release_is_stale(name, policy):
+    """A status read, a cancel and an abort that come after a request
+    retired find no request: the handle answers from its record and the
+    cancel changes nothing — under every policy what ``DROP`` always did."""
+    gateway = build(name, "gateway", policy)
+    engine = gateway.engine
+    handle = gateway.submit("variant-00", 64, 6)
+    doomed = gateway.submit("variant-01", 64, 400, deadline_s=0.2)
+    gateway.run_until_drained()
+    assert engine.lookup(handle.id) is None and not engine._live
+
+    assert handle.status.value == "finished"
+    assert handle.record().served_tokens == 6
+    assert doomed.status.value == "expired"
+    assert doomed.record().served_tokens < 400
+    # the handle map is the one thing KEEP_ALL still keeps per request
+    kept = policy is RecordPolicy.KEEP_ALL
+    assert (gateway.handle(handle.id) is handle) == kept
+    assert len(gateway._handles) == (2 if kept else 0)
+
+    clock, observed = engine.clock, gateway.result().n_requests
+    handle.cancel()                               # answered by the handle
+    gateway.cancel(handle.id)                     # stale at the engine
+    gateway.cancel(doomed.id, at_s=clock + 5.0)
+    assert engine.abort(handle.id) is None
+    assert not gateway.step()                     # nothing to wake for
+    assert (engine.clock, gateway.result().n_requests) == (clock, observed)
+    assert handle.status.value == "finished"
+
+    # and the engine serves on: a stale cancel is not waited for
+    later = gateway.submit("variant-00", 64, 4)
+    gateway.run_until_drained()
+    assert later.record().finished and later.record().finish_s < clock + 5.0

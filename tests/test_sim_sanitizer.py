@@ -639,7 +639,8 @@ class TestCoastRunCheck:
             assert engine.clock >= at_s > engine.clock - \
                 engine.batch.times_since(engine.batch.epoch - 1)[0]
             engine.run_until_drained()
-            assert engine.finished[0].state.value == "cancelled"
+            # (edited: the request is released; its record says the same)
+            assert engine.metrics.records[0].status == "cancelled"
 
     def test_checks_are_absent_when_the_sanitizer_is_off(self):
         with sanitized(False):
@@ -647,6 +648,122 @@ class TestCoastRunCheck:
             engine._resident.clear()
             engine._coast(inf)
             assert engine.batch.epoch == 59
+
+
+# --------------------------------------------------------------------- #
+# release at retirement: a terminal request is reachable from nowhere
+# --------------------------------------------------------------------- #
+class TestReleaseCheck:
+    MODELS = ["variant-00", "variant-01"]
+
+    def test_every_retirement_runs_the_check_when_enabled(self, monkeypatch):
+        from test_retention import build, serve, workload
+        seen = []
+        check = sanitizer.check_released
+        monkeypatch.setattr(sanitizer, "check_released", lambda engine, req:
+                            seen.append((check(engine, req), req.request_id)))
+        trace, cancels = workload()
+        with sanitized(True):
+            serve(build("deltazip", "gateway", RecordPolicy.KEEP_ALL),
+                  trace, cancels)
+        assert sorted({rid for _, rid in seen}) == list(range(len(trace)))
+        with sanitized(False):
+            serve(build("deltazip", "gateway", RecordPolicy.KEEP_ALL),
+                  trace, cancels)
+        assert len({rid for _, rid in seen}) == len(seen) == len(trace)
+
+    @pytest.mark.parametrize("how", ["finish", "cancel"])
+    def test_a_retire_that_forgets_live(self, monkeypatch, how):
+        from repro.serving.base import ServingEngine
+        retire = ServingEngine._retire
+
+        def keeping(self, requests):
+            retire(self, requests)
+            self._live.update((r.request_id, r) for r in requests)
+
+        monkeypatch.setattr(ServingEngine, "_retire", keeping)
+        with sanitized(True):
+            engine = make_engine("deltazip", self.MODELS)
+            engine.submit(trace_request(0, output=3))
+            if how == "cancel":
+                engine.schedule_cancel(0, 0.0)
+            with pytest.raises(SimSanitizerError, match=(
+                    r"request 0 retired on engine 'deltazip' \((finished|"
+                    r"cancelled)\) but is still held by _live \[")):
+                engine.run_until_drained()
+
+    def test_a_prefix_chain_left_held_by_a_cancelled_request(
+            self, monkeypatch):
+        from repro.serving import DeltaZipEngine
+        from repro.serving.base import ServingEngine
+        from test_retention import build
+
+        def turn(rid, prompt, output):
+            return TraceRequest(request_id=rid, model_id="variant-00",
+                                arrival_s=0.0, prompt_tokens=prompt,
+                                output_tokens=output, conversation_id="c")
+
+        with sanitized(True):
+            engine = build("deltazip", "bare", RecordPolicy.KEEP_ALL)
+            engine.submit(turn(0, 64, 4))
+            engine.run_until_drained()
+            engine.submit(turn(1, 132, 400))         # hits turn 0's blocks
+            engine.step()
+            assert list(engine._prefix_refs) == [1]
+            # the override that gives the references back went missing
+            monkeypatch.setattr(DeltaZipEngine, "_apply_cancel",
+                                ServingEngine._apply_cancel)
+            with pytest.raises(SimSanitizerError, match=(
+                    r"request 1 retired .* \(cancelled\) but is still held "
+                    r"by _prefix_refs \(a held chain\)")):
+                engine.abort(1)
+
+    def test_an_owner_entry_surviving_an_abort(self):
+        from test_serving_cluster import make_gateway
+
+        class Sticky(dict):
+            def pop(self, *args):              # the release went missing
+                return None
+
+        with sanitized(True):
+            gateway = make_gateway()
+            gateway._owner = Sticky()
+            gateway.ingest(trace_request(0, output=400))
+            gateway.cancel(0, at_s=0.5)
+            with pytest.raises(SimSanitizerError, match=(
+                    r"cluster still routes request 0 to replica-\d after "
+                    r"its cancelled record was delivered")):
+                gateway.run_until_drained()
+
+    def test_each_place_a_request_can_linger_is_named(self):
+        engine = make_engine("deltazip", self.MODELS, k=1)
+        running = engine.submit(trace_request(0, output=60))
+        queued = engine.submit(trace_request(1, output=5))
+        future = engine.submit(trace_request(2, output=5, arrival=9.0))
+        engine.step()
+        for req, places in (
+                (running, "_live, the running batch, a finish bucket"),
+                (queued, "_live, the admission queue"),
+                (future, "_live, the pending arrivals")):
+            with pytest.raises(SimSanitizerError, match=(
+                    rf"request {req.request_id} retired on engine "
+                    rf"'deltazip' \(\w+\) but is still held by {places} \[")):
+                sanitizer.check_released(engine, req)
+        engine.run_until_drained()
+        for req in (running, queued, future):
+            sanitizer.check_released(engine, req)        # all gone: silent
+
+    def test_a_queued_cancel_that_would_hit_the_ids_next_holder(self):
+        engine = make_engine("deltazip", self.MODELS)
+        old = engine.submit(trace_request(0, output=3))
+        engine.schedule_cancel(0, 50.0)
+        while engine.unfinished:
+            engine.step()
+        sanitizer.check_released(engine, old)   # stale cancel, nobody home
+        engine.submit(trace_request(0, output=3, arrival=40.0))
+        with pytest.raises(SimSanitizerError, match=(
+                r"still held by a queued cancel that is still live \[")):
+            sanitizer.check_released(engine, old)
 
 
 # --------------------------------------------------------------------- #

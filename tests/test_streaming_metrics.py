@@ -402,15 +402,21 @@ class TestRecordPolicies:
         gateway = build_gateway("deltazip", "plain", RecordPolicy.DROP)
         gateway.replay(make_trace())
         engine = gateway.engine
-        assert engine.finished == []
+        # (edited: ``engine.finished`` is gone; ``_live`` is the whole of it)
+        assert engine._live == {}
         assert engine.lookup(0) is None  # _live released at retire
         assert gateway.result().n_requests == 160
 
-    def test_keepall_retains_requests(self):
+    def test_keepall_retains_records_and_releases_requests(self):
+        # (edited, was test_keepall_retains_requests: KEEP_ALL keeps the
+        # 160 *records*; the requests go as under the other policies)
         gateway = build_gateway("deltazip", "plain", RecordPolicy.KEEP_ALL)
-        gateway.replay(make_trace())
-        assert len(gateway.engine.finished) == 160
-        assert gateway.engine.lookup(0) is not None
+        result = gateway.replay(make_trace())
+        assert len(result.records) == len(gateway.engine.metrics.records) \
+            == 160
+        assert any(r.request_id == 0 for r in result.records)
+        assert gateway.engine._live == {}
+        assert gateway.engine.lookup(0) is None
 
     def test_drop_releases_gateway_handles(self):
         gateway = build_gateway("deltazip", "plain", RecordPolicy.DROP)

@@ -17,11 +17,13 @@ from repro.sim.events import Arrival, Cancel
 from repro.telemetry import GaugeBoard, GaugeSnapshot, SpanRecorder, Telemetry
 from repro.telemetry.scenarios import SCENARIO_NAMES, run_scenario
 from repro.workload import TenantWorkload, multi_tenant_trace, synthetic_trace
+from repro.workload.spec import Trace, TraceRequest
 
 N_MODELS = 4
 
 
-def make_engine(name="deltazip", policy=RecordPolicy.KEEP_ALL, k=8):
+def make_engine(name="deltazip", policy=RecordPolicy.KEEP_ALL, k=8,
+                **config):
     from repro.serving import ArtifactKind
     cls = ENGINES[name]
     mgr = ModelManager(LLAMA_7B)
@@ -36,7 +38,8 @@ def make_engine(name="deltazip", policy=RecordPolicy.KEEP_ALL, k=8):
         name, mgr, GPUNode(node_from_name("a800", 1)),
         scheduler_config=SchedulerConfig(max_batch_requests=k,
                                          max_concurrent_deltas=4),
-        engine_config=EngineConfig(tp_degree=1, record_policy=policy))
+        engine_config=EngineConfig(tp_degree=1, record_policy=policy,
+                                   **config))
 
 
 def make_cluster(telemetry=None, policy=RecordPolicy.KEEP_ALL,
@@ -257,6 +260,28 @@ class TestPureObservation:
         assert [record_key(r) for r in bare.records] == \
             [record_key(r) for r in wired.records]
 
+
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_observing_does_not_outrun_the_sim_time_cap(self, name):
+        """``max_sim_seconds`` lands mid-decode: the drain stops there with
+        telemetry polling, with spans only, and with none attached."""
+        trace = Trace(requests=[
+            TraceRequest(request_id=i, model_id=f"variant-{i % N_MODELS:02d}",
+                         arrival_s=0.1 * i, prompt_tokens=64,
+                         output_tokens=400) for i in range(12)],
+            model_ids=[f"variant-{i:02d}" for i in range(N_MODELS)],
+            duration_s=2.0)
+
+        def drained(telemetry):
+            engine = make_engine(name, max_sim_seconds=3.0)
+            result = ServingGateway(engine, telemetry=telemetry).replay(trace)
+            return ([record_key(r) for r in result.records], engine.clock,
+                    engine.unfinished)
+
+        absent = drained(None)
+        assert absent[2] > 0 and absent[1] >= 3.0       # it was cut short
+        assert drained(Telemetry(interval_s=0.5)) == absent
+        assert drained(Telemetry(interval_s=None)) == absent
 
 # --------------------------------------------------------------------------- #
 # determinism: same run twice -> identical spans and gauges
