@@ -204,12 +204,12 @@ class DedicatedEngine(ServingEngine):
 
     def _sync_hooks(self) -> None:
         # groups must see callback (re)assignments made after creation —
-        # e.g. a gateway token listener registered mid-session.  The
-        # finish path also drops the request→group routing entry, keeping
-        # this map O(active).
+        # e.g. a gateway token listener registered mid-session; finishes
+        # go through the fan-out, which keeps _request_group O(active)
+        finish = self._fanout_finish
         for group in self._groups.values():
             group.on_token = self.on_token
-            group.on_finish = self._fanout_finish
+            group.on_finish = finish
             group.on_event = self.on_event
 
     def _fanout_finish(self, req: ServingRequest, clock_s: float) -> None:

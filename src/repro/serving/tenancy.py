@@ -998,9 +998,9 @@ class TenantGateway(Gateway):
         handled by the owning engine (deadlines) or were forwarded at
         dispatch (client cancels).  Returns the number of events popped
         (stale included — popping one is frontier progress)."""
-        count = 0
         if not self._cancels or self._cancels.peek_time() > now:
-            return count              # the quiet step: no generator built
+            return 0                  # the quiet step: no generator built
+        count = 0
         for event in self._cancels.pop_due(now):
             count += 1
             rid = event.request_id
@@ -1038,9 +1038,9 @@ class TenantGateway(Gateway):
         self._complete(record)
 
     def _offer_due(self, now: float) -> int:
-        count = 0
         if not self._pending or self._pending.peek_time() > now:
-            return count
+            return 0
+        count = 0
         for event in self._pending.pop_due(now):
             request = event.request
             predicted = self._predicted_ttft_s(request.tenant_id)

@@ -73,7 +73,7 @@ def make_engine(name, policy, mgr, node=None):
 
 
 def build(name, wrapper, policy):
-    """The stack under test: (what serves, its engines' common root)."""
+    """The stack under test: a bare engine or the outermost gateway."""
     mgr = ModelManager(LLAMA_7B)
     mgr.register_base("base")
     for i in range(N_MODELS):
