@@ -1,6 +1,8 @@
 """Golden record digests for every registered engine: ``disagg``,
 ``sharded``, ``deltazip`` with its prefix cache on and off, and the two
-baselines ``vllm-scb`` and ``dedicated``.
+baselines ``vllm-scb`` and ``dedicated`` — bare, behind the serving and
+cluster gateways, and behind a :class:`TenantGateway` whose admission
+path decides things (the ``tenant-vtc`` column).
 
 Records are the contract: a refactor of the fleet mechanism under these
 engines, or of the prefix cache inside them, must leave every record of
@@ -9,14 +11,15 @@ prefix cache, node, trace shape) served through one wrapper (bare
 engine, :class:`ServingGateway`, the replicas of a 2-replica
 :class:`ClusterGateway`) in one stepping mode (idle-skip,
 ``idle_quantum_s=0.05``); its digest is the sha256 of the record stream
-over the field list ``benchmarks/bench_disagg.record_digest`` uses.
+over :func:`record_digest`'s field list.
 
 Each block of the table at the bottom was recorded on the commit
 *before* the refactor it guards (the ``disagg`` / ``sharded`` cells
 before the one-fleet refactor, the ``deltazip-cache`` cells before the
 span-compressed prefix cache, the cache-off ``deltazip`` / ``vllm-scb`` /
 ``dedicated`` cells before terminal requests were released under every
-record policy).  Regenerate it only on purpose::
+record policy, the ``tenant-vtc`` cells before a cluster replica stopped
+wrapping a private gateway).  Regenerate it only on purpose::
 
     PYTHONPATH=src python -m pytest tests/test_golden_digests.py --regen
 
@@ -173,7 +176,9 @@ def node_spec(memory_gb=None):
 
 
 def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
-                node=None, memory_gb=None):
+                node=None, memory_gb=None, **config):
+    """One engine of the table; ``config`` is further ``EngineConfig``
+    fields (``tests/test_feature_shapes.py`` builds on these)."""
     tp = kwargs.get("tp_degree", 1)
     return create_engine(
         name, mgr or make_manager(name),
@@ -181,22 +186,23 @@ def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
         scheduler_config=SchedulerConfig(max_batch_requests=8,
                                          max_concurrent_deltas=4),
         engine_config=EngineConfig(tp_degree=tp, prefix_cache=prefix_cache,
-                                   idle_quantum_s=idle_quantum_s),
+                                   idle_quantum_s=idle_quantum_s, **config),
         **kwargs)
 
 
 def cluster_of(name, kwargs, prefix_cache, idle_quantum_s, balancer,
-               memory_gb=None):
+               memory_gb=None, n_replicas=2, **config):
     mgr = make_manager(name)
     return ClusterGateway(
         engine_factory=lambda node: make_engine(
-            name, kwargs, prefix_cache, idle_quantum_s, mgr=mgr, node=node),
-        cluster=Cluster(node_spec(memory_gb), n_nodes=2),
-        n_replicas=2, balancer=balancer)
+            name, kwargs, prefix_cache, idle_quantum_s, mgr=mgr, node=node,
+            **config),
+        cluster=Cluster(node_spec(memory_gb), n_nodes=n_replicas),
+        n_replicas=n_replicas, balancer=balancer)
 
 
 def record_digest(records):
-    """sha256 over ``bench_disagg.record_digest``'s field list."""
+    """Stable content hash of a replay's full record stream."""
     h = hashlib.sha256()
     for r in records:
         h.update(repr((r.request_id, r.model_id, r.arrival_s, r.finish_s,
@@ -205,19 +211,28 @@ def record_digest(records):
     return h.hexdigest()
 
 
-def serve(scenario, wrapper, stepping):
-    name, kwargs, prefix_cache, build_trace, balancer, memory_gb = \
-        SCENARIOS[scenario]
-    trace, cancels = build_trace()
-    quantum = STEPPING[stepping]
-    if wrapper == "cluster2":
-        gateway = cluster_of(name, kwargs, prefix_cache, quantum, balancer,
-                             memory_gb)
-        return gateway.replay(trace, cancels=cancels)
-    engine = make_engine(name, kwargs, prefix_cache, quantum,
-                         memory_gb=memory_gb)
+def engine_of(scenario, stepping):
+    name, kwargs, prefix_cache, _, _, memory_gb = SCENARIOS[scenario]
+    return make_engine(name, kwargs, prefix_cache, STEPPING[stepping],
+                       memory_gb=memory_gb)
+
+
+def gateway_of(scenario, wrapper, stepping):
+    """The scenario's engine(s) behind the ``gateway`` / ``cluster2``
+    wrapper."""
     if wrapper == "gateway":
-        return ServingGateway(engine).replay(trace, cancels=cancels)
+        return ServingGateway(engine_of(scenario, stepping))
+    name, kwargs, prefix_cache, _, balancer, memory_gb = SCENARIOS[scenario]
+    return cluster_of(name, kwargs, prefix_cache, STEPPING[stepping],
+                      balancer, memory_gb)
+
+
+def serve(scenario, wrapper, stepping):
+    trace, cancels = SCENARIOS[scenario].trace()
+    if wrapper != "bare":
+        return gateway_of(scenario, wrapper, stepping).replay(
+            trace, cancels=cancels)
+    engine = engine_of(scenario, stepping)
     for request in trace:
         engine.submit(request)
     for request_id, at_s in cancels or ():
@@ -240,15 +255,51 @@ def tenant_stack(balancer):
     return result
 
 
+#: the tenants of the ``tenant-vtc`` column: requests are tagged
+#: round-robin, and ``metered``'s bucket holds about two thirds of its
+#: offered token rate on the ``traffic`` trace, so half its requests defer
+VTC_TENANTS = (Tenant("free"),
+               Tenant("metered", rate_tokens_per_s=150.0, burst_tokens=300.0))
+VTC_SCENARIOS = ("deltazip", "deltazip-cancels", "vllm-scb",
+                 "vllm-scb-cancels")
+
+
+def tenant_vtc_stack(scenario, wrapper, stepping, tenants=VTC_TENANTS,
+                     policy="vtc", engine_queue_depth=4):
+    """The admission path that decides things, over the non-disagg
+    engines: VTC order between two tenants, a bucket that defers, four
+    dispatched requests per replica at most (so the rest wait at the
+    frontier in fair order), idle engines lifted to each release, and —
+    on the cancel scenarios — deadlines expiring and cancels withdrawing
+    requests the frontier still holds."""
+    trace, cancels = SCENARIOS[scenario].trace()
+    tagged = Trace(requests=[replace(r, tenant_id=tenants[i % 2].tenant_id)
+                             for i, r in enumerate(trace.requests)],
+                   model_ids=trace.model_ids, duration_s=trace.duration_s)
+    gateway = TenantGateway(gateway_of(scenario, wrapper, stepping),
+                            tenants=tenants, policy=policy,
+                            engine_queue_depth=engine_queue_depth)
+    result = gateway.replay(tagged, cancels=cancels)
+    assert len(result.records) == len(trace)
+    return result
+
+
 CELLS = [f"{scenario}/{wrapper}/{stepping}" for scenario in SCENARIOS
          for wrapper in WRAPPERS for stepping in STEPPING]
 TENANT_CELLS = [f"tenant-cluster2-disagg/{balancer}"
                 for balancer in ("lineage", "conversation")]
+VTC_CELLS = [f"tenant-vtc-{scenario}/{wrapper}/{stepping}"
+             for scenario in VTC_SCENARIOS
+             for wrapper in ("gateway", "cluster2") for stepping in STEPPING]
+ALL_CELLS = CELLS + TENANT_CELLS + VTC_CELLS
 
 
 def digest_of(cell):
     if cell in TENANT_CELLS:
         return record_digest(tenant_stack(cell.split("/")[1]).records)
+    if cell in VTC_CELLS:
+        return record_digest(tenant_vtc_stack(
+            *cell[len("tenant-vtc-"):].split("/")).records)
     result = serve(*cell.split("/"))
     assert result.records, "an empty replay pins nothing"
     return record_digest(result.records)
@@ -257,7 +308,7 @@ def digest_of(cell):
 # --------------------------------------------------------------------- #
 # tests
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("cell", CELLS + TENANT_CELLS)
+@pytest.mark.parametrize("cell", ALL_CELLS)
 def test_records_match_the_golden_digest(cell, request):
     if request.config.getoption("--regen"):
         pytest.skip("--regen: the table is being rewritten")
@@ -286,15 +337,31 @@ def test_the_tight_scenario_is_under_pressure():
     assert len(hit) > 30 and any(not r.finished for r in hit)
 
 
-def test_the_table_has_no_stale_cells():
-    assert sorted(GOLDEN) == sorted(CELLS + TENANT_CELLS)
+def test_the_tenant_cells_decide_things():
+    """Likewise: the column pins VTC order, bucket deferral and
+    depth-limited dispatch only while each of them moves a record."""
+    def digest(**changed):
+        return record_digest(tenant_vtc_stack(
+            "deltazip", "gateway", "skip", **changed).records)
+
+    pinned = digest()
+    assert pinned != GOLDEN["deltazip/gateway/skip"]
+    assert pinned != digest(policy="fcfs")
+    assert pinned != digest(engine_queue_depth=None)
+    assert pinned != digest(tenants=(Tenant("free"), Tenant("metered")))
+
+
+def test_the_table_has_no_stale_cells(request):
+    if request.config.getoption("--regen"):
+        pytest.skip("--regen: the table is being rewritten")
+    assert sorted(GOLDEN) == sorted(ALL_CELLS)
 
 
 def test_regen_rewrites_the_table(request):
     if not request.config.getoption("--regen"):
         pytest.skip("pass --regen to rewrite the golden table")
     rows = [f'    "{cell}":\n        "{digest_of(cell)}",\n'
-            for cell in CELLS + TENANT_CELLS]
+            for cell in ALL_CELLS]
     block = "# GOLDEN-BEGIN\nGOLDEN = {\n" + "".join(rows) + \
         "}\n# GOLDEN-END\n"
     path = Path(__file__)
@@ -503,5 +570,37 @@ GOLDEN = {
         "5fd9eff086e63d318445282c90a9aae5b3e843f95c77e385ebe2ecbfba93b58f",
     "tenant-cluster2-disagg/conversation":
         "d993dac20f21c5bfd66344339e2ba12a6bdb1b1aabb931ae6f974ff477c4d88c",
+    "tenant-vtc-deltazip/gateway/skip":
+        "64c9ae7ddf193156a211934aa6a238d6113dfc8cd4a4a5bac577a07c3efda846",
+    "tenant-vtc-deltazip/gateway/dense":
+        "64c9ae7ddf193156a211934aa6a238d6113dfc8cd4a4a5bac577a07c3efda846",
+    "tenant-vtc-deltazip/cluster2/skip":
+        "8de61c44ad2e2f13faf23e9a30e2ef7b3d6fe2f4e1237846c4c0fa904b7cf736",
+    "tenant-vtc-deltazip/cluster2/dense":
+        "8de61c44ad2e2f13faf23e9a30e2ef7b3d6fe2f4e1237846c4c0fa904b7cf736",
+    "tenant-vtc-deltazip-cancels/gateway/skip":
+        "b20b1d0548281b588f8fadef95c511f794240dea62dc23aaea0e7acb853676c5",
+    "tenant-vtc-deltazip-cancels/gateway/dense":
+        "b20b1d0548281b588f8fadef95c511f794240dea62dc23aaea0e7acb853676c5",
+    "tenant-vtc-deltazip-cancels/cluster2/skip":
+        "d6d9e04bb934b8787242e8d43a797f4c3dfa8358f2a88235a0248c1ca5f2b53c",
+    "tenant-vtc-deltazip-cancels/cluster2/dense":
+        "d6d9e04bb934b8787242e8d43a797f4c3dfa8358f2a88235a0248c1ca5f2b53c",
+    "tenant-vtc-vllm-scb/gateway/skip":
+        "0cd4465d1e7a5c4cc6e0ef60228337b5d3173a6a3c2764f5fb9150ea07d37e5d",
+    "tenant-vtc-vllm-scb/gateway/dense":
+        "0cd4465d1e7a5c4cc6e0ef60228337b5d3173a6a3c2764f5fb9150ea07d37e5d",
+    "tenant-vtc-vllm-scb/cluster2/skip":
+        "9f5fc757d91d30245f597b3aa5c566f6d916b57a73af9edc58c8e5f390cf37b1",
+    "tenant-vtc-vllm-scb/cluster2/dense":
+        "9f5fc757d91d30245f597b3aa5c566f6d916b57a73af9edc58c8e5f390cf37b1",
+    "tenant-vtc-vllm-scb-cancels/gateway/skip":
+        "f90c4ef83a6d8f5bd16dbfcc837d437c249c91a9627e0c5ccec5ffc475c0ff9b",
+    "tenant-vtc-vllm-scb-cancels/gateway/dense":
+        "f90c4ef83a6d8f5bd16dbfcc837d437c249c91a9627e0c5ccec5ffc475c0ff9b",
+    "tenant-vtc-vllm-scb-cancels/cluster2/skip":
+        "b78489ffa7a775bcdb23f33ec2139d5516c463a8375e2500f20c05deb0f4f171",
+    "tenant-vtc-vllm-scb-cancels/cluster2/dense":
+        "b78489ffa7a775bcdb23f33ec2139d5516c463a8375e2500f20c05deb0f4f171",
 }
 # GOLDEN-END

@@ -8,6 +8,7 @@ conversation-affinity balancers and patience-based shedding.
 """
 
 from dataclasses import replace
+from statistics import median
 
 import pytest
 
@@ -80,6 +81,17 @@ def strip_metadata(trace):
                 for r in trace.requests]
     return Trace(requests=requests, model_ids=list(trace.model_ids),
                  duration_s=trace.duration_s)
+
+
+def repeat_turn_ttfts(records):
+    """TTFTs of the finished turns >= 2 of every conversation."""
+    seen, out = set(), []
+    for rec in sorted(records, key=lambda r: (r.arrival_s, r.request_id)):
+        if rec.conversation_id is not None and rec.finished:
+            if rec.conversation_id in seen:
+                out.append(rec.ttft_s)
+            seen.add(rec.conversation_id)
+    return out
 
 
 def session(duration_s=180.0, seed=3, shared=128, turns=4.0, rate=0.15):
@@ -285,6 +297,15 @@ class TestEngineIntegration:
         # turn 1's 250-token context = 15 complete 16-token blocks
         assert on_t2.cached_prefix_tokens == 240
         assert on_t2.ttft_s < off_t2.ttft_s
+        # the floor on the high-share regime (256-token system prompts,
+        # six turns a conversation): the median turn >= 2 reaches its
+        # first token at least twice as fast with the cache on
+        trace = session(shared=256, turns=6.0)
+        off = make_gateway(mgr, prefix_cache=False).replay(trace)
+        on = make_gateway(mgr, prefix_cache=True).replay(trace)
+        assert on.stats.prefix_hit_rate > 0.0
+        assert median(repeat_turn_ttfts(off.records)) >= \
+            2.0 * median(repeat_turn_ttfts(on.records))
 
     def test_refcounts_conserve_at_drain(self):
         gateway = make_gateway(prefix_cache=True)
