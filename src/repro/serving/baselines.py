@@ -192,12 +192,14 @@ class DedicatedEngine(ServingEngine):
     def _reset_engine(self) -> None:
         self._groups: Dict[str, VLLMSCBEngine] = {}
         self._request_group: Dict[int, VLLMSCBEngine] = {}
+        self._clock_floor = 0.0    # where a group created from now on starts
 
     def _group_for(self, model_id: str) -> VLLMSCBEngine:
         group = self._groups.get(model_id)
         if group is None:
             group = VLLMSCBEngine(self.manager, self.node, self.config,
                                   self.max_batch_requests, preload=True)
+            group.clock = self._clock_floor
             self._groups[model_id] = group
         self._sync_hooks()
         return group
@@ -244,15 +246,18 @@ class DedicatedEngine(ServingEngine):
 
     @property
     def clock(self) -> float:
-        return max((g.clock for g in self._groups.values()), default=0.0)
+        return max((g.clock for g in self._groups.values()),
+                   default=self._clock_floor)
 
     @clock.setter
     def clock(self, value: float) -> None:
-        # per-group clocks are authoritative; only a fresh zero (a reset
-        # or a spawn onto an idle timeline) is meaningful here
-        if value != 0.0:
-            raise AttributeError("DedicatedEngine clock is derived from "
-                                 "its per-variant groups")
+        # outer layers re-seat idle engines (replica spawn, floor bumps):
+        # lift every group that lags, never rewind one that leads; groups
+        # are lazy, so one created later starts no earlier either
+        for group in self._groups.values():
+            if value > group.clock:
+                group.clock = value
+        self._clock_floor = max(self._clock_floor, value)
 
     def step(self) -> bool:
         self._sync_hooks()

@@ -19,7 +19,10 @@ before the one-fleet refactor, the ``deltazip-cache`` cells before the
 span-compressed prefix cache, the cache-off ``deltazip`` / ``vllm-scb`` /
 ``dedicated`` cells before terminal requests were released under every
 record policy, the ``tenant-vtc`` cells before a cluster replica stopped
-wrapping a private gateway).  Regenerate it only on purpose::
+wrapping a private gateway — except their ``dedicated`` rows, which no
+earlier commit could serve: those were recorded on the commit that let a
+``DedicatedEngine``'s clock be re-seated).  Regenerate it only on
+purpose::
 
     PYTHONPATH=src python -m pytest tests/test_golden_digests.py --regen
 
@@ -261,7 +264,7 @@ def tenant_stack(balancer):
 VTC_TENANTS = (Tenant("free"),
                Tenant("metered", rate_tokens_per_s=150.0, burst_tokens=300.0))
 VTC_SCENARIOS = ("deltazip", "deltazip-cancels", "vllm-scb",
-                 "vllm-scb-cancels")
+                 "vllm-scb-cancels", "dedicated", "dedicated-cancels")
 
 
 def tenant_vtc_stack(scenario, wrapper, stepping, tenants=VTC_TENANTS,
@@ -602,5 +605,21 @@ GOLDEN = {
         "b78489ffa7a775bcdb23f33ec2139d5516c463a8375e2500f20c05deb0f4f171",
     "tenant-vtc-vllm-scb-cancels/cluster2/dense":
         "b78489ffa7a775bcdb23f33ec2139d5516c463a8375e2500f20c05deb0f4f171",
+    "tenant-vtc-dedicated/gateway/skip":
+        "9b9de6480c7a5727eb020f196d86f501dba4475a5ffcde4589143297b95f50e5",
+    "tenant-vtc-dedicated/gateway/dense":
+        "1db9fcc9ff9bbe482b88a6220d8f7de932cdd150d99695cfb798aab8b0bbadbe",
+    "tenant-vtc-dedicated/cluster2/skip":
+        "95e94ae2d35c5e7f8df6008cd062da7698a456321552297102dd2e39667b986f",
+    "tenant-vtc-dedicated/cluster2/dense":
+        "196f9af9c3a7a3e252b9fcdd4e146a2f6f66cbeb158931520ddd566d6f12612c",
+    "tenant-vtc-dedicated-cancels/gateway/skip":
+        "b08c2dda41c1a10e5dfc65f33af733918ed7108f12c251a7c49a28daafcb7566",
+    "tenant-vtc-dedicated-cancels/gateway/dense":
+        "b08c2dda41c1a10e5dfc65f33af733918ed7108f12c251a7c49a28daafcb7566",
+    "tenant-vtc-dedicated-cancels/cluster2/skip":
+        "7e4c52abdbc0acd6deee53e32cf1d7dc3fbac661cf438a95e33656f1617f6c94",
+    "tenant-vtc-dedicated-cancels/cluster2/dense":
+        "7e4c52abdbc0acd6deee53e32cf1d7dc3fbac661cf438a95e33656f1617f6c94",
 }
 # GOLDEN-END

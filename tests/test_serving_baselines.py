@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.hardware import GPUNode, node_from_name
-from repro.serving import (DedicatedEngine, EngineConfig, LLAMA_13B,
-                           LLAMA_7B, ModelManager, VLLMSCBEngine)
+from repro.hardware import Cluster, GPUNode, node_from_name
+from repro.serving import (ClusterGateway, DedicatedEngine, EngineConfig,
+                           LLAMA_13B, LLAMA_7B, ModelManager, VLLMSCBEngine)
 from repro.workload.spec import Trace, TraceRequest
 
 
@@ -84,3 +84,44 @@ class TestDedicated:
         ded = DedicatedEngine(full_manager(LLAMA_7B, models), node,
                               EngineConfig(tp_degree=1)).run(trace)
         assert ded.mean_e2e_latency_s() < scb.mean_e2e_latency_s()
+
+    def test_a_reseated_clock_lifts_lagging_groups_and_later_ones(self):
+        """Outer layers re-seat idle engines (an admission-floor bump, a
+        replica spawn): every group that lags is lifted, none is rewound,
+        and a group created afterwards starts no earlier."""
+        engine = DedicatedEngine(full_manager(LLAMA_7B, ["m0", "m1", "m2"]),
+                                 GPUNode(node_from_name("a800", 1)),
+                                 EngineConfig(tp_degree=1))
+        engine.run(make_trace(["m0", "m1"], gap=5.0))
+        lead = engine.clock                       # m1's group, past 5 s
+        lagging = engine._groups["m0"].clock
+        assert lagging < 5.0 < lead
+        engine.clock = 5.0
+        assert engine._groups["m0"].clock == 5.0
+        assert engine._groups["m1"].clock == lead == engine.clock
+        engine.clock = lead + 10.0
+        late = engine.submit(TraceRequest(
+            request_id=9, model_id="m2", arrival_s=0.0, prompt_tokens=8,
+            output_tokens=4))
+        engine.run_until_drained()
+        assert late.first_scheduled_s >= lead + 10.0
+        engine.reset()
+        assert engine.clock == 0.0
+
+    def test_a_replica_spawned_mid_run_serves_from_the_spawn_on(self):
+        mgr = full_manager(LLAMA_7B, ["m0", "m1"])
+        gateway = ClusterGateway(
+            engine_factory=lambda node: DedicatedEngine(
+                mgr, node, EngineConfig(tp_degree=1)),
+            cluster=Cluster.from_name("a800", 2, 1), n_replicas=1,
+            balancer="round-robin")
+        gateway.submit("m0", 8, 40)
+        gateway.run_until_drained()
+        spawned_at = gateway.clock
+        assert spawned_at > 0.0
+        replica = gateway.spawn_replica()         # raised at the parent
+        assert replica.engine.clock == spawned_at
+        late = gateway.submit("m1", 8, 4, arrival_s=0.0)   # the new one's turn
+        gateway.run_until_drained()
+        assert gateway.results_by_replica()[replica.name].n_requests == 1
+        assert late.record().first_token_s > spawned_at

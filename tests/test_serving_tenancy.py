@@ -586,6 +586,13 @@ class TestTenancyCLI:
         assert "Jain fairness" in out
         assert "vip" in out
 
+    def test_tenancy_mode_serves_the_dedicated_engine(self, capsys):
+        """Dispatch lifts idle engines to the release time; a dedicated
+        engine's clock used to refuse any value but zero."""
+        assert main(["tenancy", "--engine", "dedicated", "--policy", "vtc",
+                     "--duration", "20"]) == 0
+        assert "policy: vtc" in capsys.readouterr().out
+
     def test_bad_tenant_spec_raises(self):
         with pytest.raises(ValueError, match="bad tenant spec"):
             main(["tenancy", "--tenants", "justaname"])
