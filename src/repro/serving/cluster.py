@@ -656,7 +656,8 @@ class ClusterGateway(Gateway):
         self._unrouted = EventQueue()     # Arrival events on the kernel
         self._ticks = EventQueue()        # scheduled AutoscalerTicks
         self._owner: Dict[int, Replica] = {}       # routed request -> replica
-        self._pending_cancels: Dict[int, Tuple[float, str]] = {}
+        #: unrouted request -> its earliest cancel so far (None: none yet)
+        self._pending_cancels: Dict[int, Optional[Tuple[float, str]]] = {}
         self._orphans: List[RequestRecord] = []    # cancelled before routing
         self._recent_records: Deque[RequestRecord] = deque(maxlen=256)
         self._set: ReplicaSet[Replica] = ReplicaSet(self._build_replica,
@@ -878,10 +879,12 @@ class ClusterGateway(Gateway):
 
         Routed requests forward the cancel to their owning replica's
         engine (freeing its batch slot there); not-yet-routed requests
-        carry the cancel with them — applied by the owning engine after
-        routing, or retired as an orphaned record when the cancel time
-        precedes the arrival (the request never enters a replica, and
-        the lineage balancer never pins its abandoned work).
+        carry their earliest cancel with them — applied by the owning
+        engine after routing, or retired as an orphaned record when the
+        cancel time precedes the arrival (the request never enters a
+        replica, and the lineage balancer never pins its abandoned work).
+        A cancel for an id that is neither is stale and ignored, as on
+        every engine.
         """
         rid = int(request_id)
         if at_s is None:
@@ -889,8 +892,10 @@ class ClusterGateway(Gateway):
         owner = self._owner.get(rid)
         if owner is not None:
             owner.gateway.cancel(rid, at_s=at_s, reason=reason)
-        else:
-            self._pending_cancels[rid] = (float(at_s), reason)
+        elif rid in self._pending_cancels:
+            pending = self._pending_cancels[rid]
+            if pending is None or at_s < pending[0]:
+                self._pending_cancels[rid] = (float(at_s), reason)
 
     def ingest(self, request: TraceRequest) -> int:
         """Accept a fully-formed :class:`TraceRequest` verbatim.
@@ -901,6 +906,7 @@ class ClusterGateway(Gateway):
         point the admission layer releases requests through.
         """
         self._unrouted.push(Arrival(time=request.arrival_s, request=request))
+        self._pending_cancels[request.request_id] = None
         self._next_id = max(self._next_id, request.request_id + 1)
         return request.request_id
 
@@ -1158,8 +1164,7 @@ class ClusterGateway(Gateway):
             else:
                 self.balancer.on_abandoned(record.model_id)
         # the routing entry of a terminal request goes, so cluster maps
-        # stay O(active).  (A stale cancel against a dropped owner parks
-        # in _pending_cancels; rare, bounded by the number of late cancels.)
+        # stay O(active)
         self._owner.pop(record.request_id, None)
         self._complete(record)
         if self._sanitize:

@@ -338,12 +338,16 @@ def check_released(engine: Any, request: Any) -> None:
 
 def check_cluster_released(gateway: Any, record: Any) -> None:
     """A cluster routes live requests only: the terminal ``record``'s id
-    must have left ``_owner``."""
+    must have left ``_owner``, and ``_pending_cancels`` with it."""
     owner = gateway._owner.get(record.request_id)
     if owner is not None:
         raise _violation(
             f"cluster still routes request {record.request_id!r} to "
             f"{owner.name} after its {record.status} record was delivered")
+    if record.request_id in gateway._pending_cancels:
+        raise _violation(
+            f"cluster still holds request {record.request_id!r} as unrouted "
+            f"after its {record.status} record was delivered")
 
 
 class EpochShadow:

@@ -393,6 +393,36 @@ class TestClusterHandles:
         assert rec.status == "cancelled" and rec.tokens_served == 0
         assert res.n_finished == len(trace) - 1
 
+    def test_the_earliest_cancel_before_routing_wins(self):
+        """Two cancels reach the cluster before its request is routed:
+        the earlier one decides, in either order, exactly as behind a
+        single gateway (the later one used to overwrite it)."""
+        request = TraceRequest(request_id=0, model_id="variant-00",
+                               arrival_s=1.0, prompt_tokens=64,
+                               output_tokens=400)
+        outcomes = []
+        for gateway, times in ((ServingGateway(make_engine()), (2.0, 6.0)),
+                               (self.make_cluster(), (2.0, 6.0)),
+                               (self.make_cluster(), (6.0, 2.0))):
+            gateway.ingest(request)
+            for at_s in times:
+                gateway.cancel(0, at_s)
+            outcomes.append(record_key(
+                gateway.run_until_drained().records[0]))
+        assert outcomes[0][7] == "cancelled" and 2.0 <= outcomes[0][2] < 2.1
+        assert outcomes[1] == outcomes[2] == outcomes[0]
+
+    def test_a_cancel_for_nothing_waiting_is_dropped_as_stale(self):
+        cluster = self.make_cluster()
+        cluster.ingest(TraceRequest(request_id=0, model_id="variant-00",
+                                    arrival_s=1.0, prompt_tokens=64,
+                                    output_tokens=4))
+        cluster.run_until_drained()
+        cluster.cancel(0, 50.0)         # retired: no longer routed
+        cluster.cancel(12345, 1.0)      # never seen
+        assert cluster._pending_cancels == {}
+        assert cluster.run_until_drained().status_counts() == {"finished": 1}
+
     def test_deadline_through_cluster(self):
         cluster = self.make_cluster()
         h = cluster.submit("variant-00", 32, 500, deadline_s=0.5)

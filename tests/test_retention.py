@@ -126,6 +126,7 @@ def per_request_state(stack):
     while gateway is not None:
         if isinstance(gateway, ClusterGateway):
             state["cluster._owner"] = gateway._owner
+            state["cluster._pending_cancels"] = gateway._pending_cancels
         gateway = getattr(gateway, "inner", None)
     for i, engine in enumerate(engines_under(stack)):
         who = f"{engine.name}#{i}"

@@ -735,6 +735,22 @@ class TestReleaseCheck:
                     r"its cancelled record was delivered")):
                 gateway.run_until_drained()
 
+    def test_an_unrouted_entry_surviving_the_routing(self):
+        from test_serving_cluster import make_gateway
+
+        class Sticky(dict):
+            def pop(self, *args):              # the release went missing
+                return self.get(*args)
+
+        with sanitized(True):
+            gateway = make_gateway()
+            gateway._pending_cancels = Sticky()
+            gateway.ingest(trace_request(0, output=4))
+            with pytest.raises(SimSanitizerError, match=(
+                    r"cluster still holds request 0 as unrouted after "
+                    r"its finished record was delivered")):
+                gateway.run_until_drained()
+
     def test_each_place_a_request_can_linger_is_named(self):
         engine = make_engine("deltazip", self.MODELS, k=1)
         running = engine.submit(trace_request(0, output=60))
