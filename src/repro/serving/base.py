@@ -21,12 +21,13 @@ Time lives in the :mod:`repro.sim` kernel: the engine's clock is a
 and idle gaps are *skipped* — the clock jumps straight to the next
 event in O(log n) instead of grinding through empty iterations.  Setting
 ``EngineConfig.idle_quantum_s`` bounds each idle jump to a fixed quantum
-(the naive activity-scanning simulator); records are identical either
-way, which is what the kernel determinism tests pin down.  Executed
-iterations are published as :class:`~repro.sim.IterationDone` events
-through :attr:`ServingEngine.on_event` so outer layers (the cluster
-kernel journal, benchmarks) can observe the timeline without reaching
-into engine internals.
+(the naive activity-scanning simulator), kept as the differential
+reference the idle-skip identity tests compare against: records are
+identical either way.  Executed iterations are published as
+:class:`~repro.sim.IterationDone` events through
+:attr:`ServingEngine.on_event` so outer layers (the cluster kernel
+journal, telemetry) can observe the timeline without reaching into
+engine internals.
 
 Engines register themselves in the string-keyed :data:`ENGINES` registry
 (via :func:`register_engine`) so the CLI, benchmarks, router, and the
@@ -85,9 +86,10 @@ class EngineConfig:
     to the next scheduled event; a positive value bounds every idle jump
     to that quantum, i.e. the classic activity-scanning loop that steps
     through dead time.  Request records are identical in both modes (the
-    quantum only subdivides jumps, never overshoots an event); the knob
-    exists so benchmarks and the kernel determinism tests can price
-    idle-skip against the dense baseline.
+    quantum only subdivides jumps, never overshoots an event).  It is the
+    differential reference, not a serving mode: the idle-skip identity
+    tests and the golden table's ``dense`` cells replay under it and
+    compare records with ``==``, and nothing else sets it.
 
     ``record_policy`` selects what survives a retirement (see
     :class:`~repro.serving.streaming_metrics.RecordPolicy`): ``keep_all``

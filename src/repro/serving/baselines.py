@@ -41,10 +41,8 @@ class VLLMSCBEngine(ServingEngine):
     def __init__(self, manager: ModelManager, node: GPUNode,
                  engine_config: EngineConfig = EngineConfig(),
                  max_batch_requests: int = 32,
-                 loader_factor: float = FULL_MODEL_LOADER_FACTOR,
                  preload: bool = False):
         self.max_batch_requests = max_batch_requests
-        self.loader_factor = loader_factor
         self.preload = preload  # dedicated deployments start warm
         self.cost = IterationCostModel(
             spec=manager.spec, gpu=node.gpu_spec,
@@ -116,8 +114,8 @@ class VLLMSCBEngine(ServingEngine):
                         break
                 if len(self._resident) < self._max_resident:
                     src = Tier.CPU if head_model in self._in_cpu else Tier.DISK
-                    load_time += self.loader_factor * self.node.load_time(
-                        self._model_bytes, src, Tier.GPU)
+                    load_time += FULL_MODEL_LOADER_FACTOR * \
+                        self.node.load_time(self._model_bytes, src, Tier.GPU)
                     self._resident[head_model] = True
                     self._in_cpu.add(head_model)
 

@@ -1,10 +1,10 @@
-"""Cluster serving layer: replicated gateways, load balancing, autoscaling.
+"""Cluster serving layer: replicated engines, load balancing, autoscaling.
 
-PR 1 made every engine an online submit/step system behind a
-:class:`~repro.serving.gateway.ServingGateway` — for a single replica on a
-single node.  This module scales that surface out:
+PR 1 made every engine an online submit/step system behind a single
+serving gateway — for a single replica on a single node.  This module
+scales that surface out:
 
-* :class:`Replica` — one engine + gateway on its own :class:`GPUNode`;
+* :class:`Replica` — one engine on its own :class:`GPUNode`;
 * :class:`ReplicaSet` — a fleet's members and their spawn / un-drain /
   drain / reap lifecycle on a hardware cluster: the gateway's replicas
   here, and each worker pool of :mod:`repro.serving.disagg`;
@@ -56,10 +56,10 @@ from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .base import ServingEngine
 from .gateway import (CancelSchedule, CompletionCallback, Gateway,
-                      ServingGateway, TokenCallback)
+                      TokenCallback)
 from .handle import HandleStatus
 from .metrics import ServingResult
-from .request import RequestRecord, synthesized_abort_record
+from .request import RequestRecord, ServingRequest, synthesized_abort_record
 
 __all__ = [
     "Replica", "ReplicaSet", "LoadBalancer", "RoundRobinBalancer",
@@ -75,18 +75,13 @@ EngineFactory = Callable[[GPUNode], ServingEngine]
 
 
 class Replica:
-    """One serving replica: an engine + gateway, optionally on a node."""
+    """One serving replica: an engine, optionally on a node."""
 
     def __init__(self, replica_id: int, engine: ServingEngine,
-                 name: Optional[str] = None, node: Optional[GPUNode] = None,
-                 on_request_complete: Optional[CompletionCallback] = None,
-                 collect_timeline: bool = False):
+                 name: Optional[str] = None, node: Optional[GPUNode] = None):
         self.id = replica_id
         self.name = name or f"replica-{replica_id}"
         self.node = node
-        self.gateway = ServingGateway(
-            engine, on_request_complete=on_request_complete,
-            collect_timeline=collect_timeline)
         self.engine = engine
         self.draining = False
         #: clock it is filed under in the gateway's frontier ledger
@@ -191,10 +186,8 @@ class ReplicaSet(Generic[M]):
 class LoadBalancer:
     """Chooses the replica that serves each submitted request.
 
-    ``conversation_id`` names the session a request belongs to; the
-    gateway passes it *only when the request carries one*, so balancer
-    subclasses written before sessions existed (without the keyword)
-    keep working on session-free traffic.
+    ``conversation_id`` names the session a request belongs to (None on
+    session-free traffic); every caller passes it.
     """
 
     name: str = "abstract"
@@ -758,12 +751,12 @@ class ClusterGateway(Gateway):
             # the new replica joins *now*: its private clock starts at the
             # cluster clock so cold-start latencies are measured from spawn
             engine.clock = max(engine.clock, self.clock)
-        replica = Replica(self._next_replica_id, engine, name=name, node=node,
-                          on_request_complete=self._record_completion,
-                          collect_timeline=self._collect_timeline)
+        replica = Replica(self._next_replica_id, engine, name=name, node=node)
         self._next_replica_id += 1
+        engine.collect_timeline = self._collect_timeline
+        engine.on_finish = self._finish_hook
         if self._token_tap:
-            replica.gateway.add_token_listener(self._token_fanout)
+            engine.on_token = self._token_hook
         if self._journal or self._telemetry is not None:
             # publish engine iterations (and cancels) into the journal
             # and/or onward to the telemetry layer
@@ -853,25 +846,18 @@ class ClusterGateway(Gateway):
         active = self.active_replicas()
         if not active:
             raise RuntimeError("no active replicas")
-        self._assign(self._choose_replica(request, active), request)
+        self._assign(request, active)
 
-    def _assign(self, replica: Replica, request: TraceRequest) -> None:
-        replica.gateway.ingest(request)
+    def _assign(self, request: TraceRequest, active: List[Replica]) -> Replica:
+        """One routing decision: the balancer's replica takes the request."""
+        replica = self.balancer.choose(request.model_id, active,
+                                       request.conversation_id)
+        replica.engine.submit(request)
         self._owner[request.request_id] = replica
         self._rekey(replica)
         if self._sanitize:
             _sanitizer.check_cluster_frontier(self)
-
-    def _choose_replica(self, request: TraceRequest,
-                        active: List[Replica]) -> Replica:
-        """One routing decision.  The conversation keyword is passed only
-        when the request carries a session tag, so balancer subclasses
-        predating sessions keep working on session-free traffic."""
-        if request.conversation_id is not None:
-            return self.balancer.choose(
-                request.model_id, active,
-                conversation_id=request.conversation_id)
-        return self.balancer.choose(request.model_id, active)
+        return replica
 
     def cancel(self, request_id: int, at_s: Optional[float] = None,
                reason: str = "cancel") -> None:
@@ -891,7 +877,7 @@ class ClusterGateway(Gateway):
             at_s = self.sim_now
         owner = self._owner.get(rid)
         if owner is not None:
-            owner.gateway.cancel(rid, at_s=at_s, reason=reason)
+            owner.engine.schedule_cancel(rid, float(at_s), reason=reason)
         elif rid in self._pending_cancels:
             pending = self._pending_cancels[rid]
             if pending is None or at_s < pending[0]:
@@ -911,13 +897,13 @@ class ClusterGateway(Gateway):
         return request.request_id
 
     def _wire(self) -> None:
-        """Lazily fan replica token callbacks into cluster-level
+        """Lazily fan the engines' token callbacks into cluster-level
         listeners and handles (installed on demand so replay paths
         without handles pay no per-token overhead)."""
         if not self._token_tap and self._wants_tokens():
             self._token_tap = True
             for replica in self.replicas:
-                replica.gateway.add_token_listener(self._token_fanout)
+                replica.engine.on_token = self._token_hook
 
     def step(self) -> bool:
         """Advance the least-advanced replica that has work by one engine
@@ -948,7 +934,7 @@ class ClusterGateway(Gateway):
         unfinished = engine.unfinished
         if unfinished > 0 and \
                 engine.clock < engine.config.max_sim_seconds and \
-                (replica.gateway.step() or engine.unfinished != unfinished):
+                (engine.step() or engine.unfinished != unfinished):
             self._rekey(replica)
             self._stepped = replica
             return True
@@ -1063,12 +1049,10 @@ class ClusterGateway(Gateway):
                 if pending is not None and pending[0] <= request.arrival_s:
                     self._retire_orphan(request, pending[1])
                     continue
-                replica = self._choose_replica(request,
-                                               self.active_replicas())
-                self._assign(replica, request)
+                replica = self._assign(request, self.active_replicas())
                 if pending is not None:
-                    replica.gateway.cancel(request.request_id,
-                                           at_s=pending[0], reason=pending[1])
+                    replica.engine.schedule_cancel(
+                        request.request_id, pending[0], reason=pending[1])
                 routed_any = True
             busy = self.least_busy()
             if routed_any or was_busy:
@@ -1101,7 +1085,7 @@ class ClusterGateway(Gateway):
 
     def results_by_replica(self) -> Dict[str, ServingResult]:
         """Per-replica results keyed by replica name (retired included)."""
-        return {r.name: r.gateway.result()
+        return {r.name: r.engine.build_result()
                 for r in self.retired + self.replicas}
 
     def replay(self, trace: Trace,
@@ -1154,15 +1138,15 @@ class ClusterGateway(Gateway):
         return float(np.percentile(
             [r.ttft_s for r in self._recent_records], q))
 
+    def _finish_hook(self, request: ServingRequest, clock: float) -> None:
+        """Every replica engine's ``on_finish``."""
+        self._record_completion(request.record())
+
     def _record_completion(self, record: RequestRecord) -> None:
         self._recent_records.append(record)
         if not record.finished:
-            if record.conversation_id is not None:
-                self.balancer.on_abandoned(
-                    record.model_id,
-                    conversation_id=record.conversation_id)
-            else:
-                self.balancer.on_abandoned(record.model_id)
+            self.balancer.on_abandoned(record.model_id,
+                                       record.conversation_id)
         # the routing entry of a terminal request goes, so cluster maps
         # stay O(active)
         self._owner.pop(record.request_id, None)
@@ -1171,9 +1155,9 @@ class ClusterGateway(Gateway):
             _sanitizer.check_cluster_released(self, record)
 
     def _status_of(self, request_id: int) -> HandleStatus:
-        """Live status for a handle: delegate to the owning replica, or
+        """Live status for a handle: the owning replica's view, or
         QUEUED while the request is still unrouted."""
         owner = self._owner.get(request_id)
         if owner is not None:
-            return owner.gateway._status_of(request_id)
+            return self._engine_status(owner.engine, request_id)
         return HandleStatus.QUEUED

@@ -283,6 +283,11 @@ class Gateway:
             self._token_tap = True
             self.inner.add_token_listener(self._token_fanout)
 
+    def _token_hook(self, request: ServingRequest, clock: float) -> None:
+        """An engine's ``on_token``, on the layers that own engines."""
+        self._token_fanout(request.request_id, request.model_id,
+                           request.generated_tokens, clock)
+
     def _token_fanout(self, request_id: int, model_id: str,
                       n_generated: int, clock: float) -> None:
         if self._on_token is not None:
@@ -310,6 +315,22 @@ class Gateway:
             if handle is not None:
                 handle._finish(record)
 
+    @staticmethod
+    def _engine_status(engine: ServingEngine,
+                       request_id: int) -> HandleStatus:
+        """A request's state on the engine it was handed to, in the client
+        vocabulary (a terminal one is released: its handle answers from
+        the record, so an unknown id is one still on its way in)."""
+        req = engine.lookup(request_id)
+        if req is None:
+            return HandleStatus.QUEUED
+        if req.state is RequestState.RUNNING:
+            return HandleStatus.RUNNING
+        # queued or preempted: inside the engine once it has arrived
+        if req.arrival_s <= engine.clock:
+            return HandleStatus.ADMITTED
+        return HandleStatus.QUEUED
+
 
 class ServingGateway(Gateway):
     """Online submit/step facade over any registered serving engine."""
@@ -333,10 +354,6 @@ class ServingGateway(Gateway):
             if self._wants_tokens() else None
         self.engine.on_finish = self._finish_hook \
             if self._on_complete or self._listeners or self._handles else None
-
-    def _token_hook(self, request: ServingRequest, clock: float) -> None:
-        self._token_fanout(request.request_id, request.model_id,
-                           request.generated_tokens, clock)
 
     def _finish_hook(self, request: ServingRequest, clock: float) -> None:
         self._complete(request.record())
@@ -452,18 +469,4 @@ class ServingGateway(Gateway):
 
     def _status_of(self, request_id: int) -> HandleStatus:
         """Live status for a handle (terminal handles answer locally)."""
-        req = self.engine.lookup(request_id)
-        if req is None:
-            return HandleStatus.QUEUED
-        return _engine_status(req, self.engine.clock)
-
-
-def _engine_status(req: ServingRequest, clock: float) -> HandleStatus:
-    """Map a live engine-side request's state onto the client vocabulary
-    (a terminal one is released: its handle answers from the record)."""
-    if req.state is RequestState.RUNNING:
-        return HandleStatus.RUNNING
-    # queued or preempted: inside the engine once it has arrived
-    if req.arrival_s <= clock:
-        return HandleStatus.ADMITTED
-    return HandleStatus.QUEUED
+        return self._engine_status(self.engine, request_id)

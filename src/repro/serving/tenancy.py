@@ -322,7 +322,6 @@ class AdmissionController:
                  engine_queue_depth: Optional[int] = None,
                  default_tenant: Optional[Tenant] = None,
                  prefill_weight: float = 1.0, decode_weight: float = 1.0,
-                 counter_lift: bool = True,
                  max_defer_s: Optional[float] = None):
         if policy not in ("fcfs", "vtc"):
             raise ValueError(f"unknown admission policy {policy!r}")
@@ -333,7 +332,6 @@ class AdmissionController:
         self.engine_queue_depth = engine_queue_depth
         self.prefill_weight = prefill_weight
         self.decode_weight = decode_weight
-        self.counter_lift = counter_lift
         self.max_defer_s = max_defer_s
         self._kernel: Optional[SimKernel] = None
         self._template = default_tenant or Tenant(DEFAULT_TENANT)
@@ -484,8 +482,7 @@ class AdmissionController:
             self._kernel.emit(BucketRefill(time=eligible, tenant_id=tid,
                                            request_id=request.request_id))
 
-        if self.policy == "vtc" and self.counter_lift and \
-                self.load_of(tid) == 0:
+        if self.policy == "vtc" and self.load_of(tid) == 0:
             # counter-lift: a returning tenant re-enters at the floor of
             # the *active* tenants' counters — at parity, not with the
             # absolute priority its banked idle credit would buy (the

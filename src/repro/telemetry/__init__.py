@@ -64,16 +64,14 @@ class Telemetry:
     def __init__(self, interval_s: Optional[float] = DEFAULT_INTERVAL_S,
                  gauge_capacity: int = 1024,
                  journal: bool = False,
-                 span_policy: "Optional[RecordPolicy | str]" = None,
-                 span_sample_k: int = 256) -> None:
+                 span_policy: "Optional[RecordPolicy | str]" = None) -> None:
         if interval_s is not None and interval_s <= 0:
             raise ValueError("interval_s must be > 0 (or None to disable)")
         self.kernel = SimKernel(journal=journal)
         self._pinned_policy = None if span_policy is None \
             else RecordPolicy(span_policy)
         self.spans = SpanRecorder(
-            policy=self._pinned_policy or RecordPolicy.KEEP_ALL,
-            sample_k=span_sample_k)
+            policy=self._pinned_policy or RecordPolicy.KEEP_ALL)
         self.gauges = GaugeBoard(gauge_capacity)
         self.interval_s = interval_s
         self._next_tick: Optional[float] = None

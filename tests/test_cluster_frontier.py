@@ -65,7 +65,7 @@ class ScanGateway(ClusterGateway):
                     (best is None or (r.clock, r.id) < (best.clock, best.id)):
                 best = r
         if best is not None:
-            if best.gateway.step():
+            if best.engine.step():
                 return self._made_progress()
             rest = sorted(
                 (r for r in self.replicas
@@ -73,7 +73,7 @@ class ScanGateway(ClusterGateway):
                  and r.clock < r.engine.config.max_sim_seconds),
                 key=lambda r: (r.clock, r.id))
             for replica in rest:
-                if replica.gateway.step():
+                if replica.engine.step():
                     return self._made_progress()
         self._reap_drained()
         return False
@@ -89,13 +89,14 @@ class ScanGateway(ClusterGateway):
                 if pending is not None and pending[0] <= request.arrival_s:
                     self._retire_orphan(request, pending[1])
                     continue
-                active = self.active_replicas()
-                replica = self._choose_replica(request, active)
-                replica.gateway.ingest(request)
+                replica = self.balancer.choose(
+                    request.model_id, self.active_replicas(),
+                    request.conversation_id)
+                replica.engine.submit(request)
                 self._owner[request.request_id] = replica
                 if pending is not None:
-                    replica.gateway.cancel(request.request_id,
-                                           at_s=pending[0], reason=pending[1])
+                    replica.engine.schedule_cancel(
+                        request.request_id, pending[0], reason=pending[1])
                 routed_any = True
             if routed_any or busy:
                 return
@@ -184,17 +185,17 @@ STEPPED: List[int] = []
 
 
 class LoggingReplica(Replica):
-    """Appends its id to :data:`STEPPED` on every ``gateway.step()``."""
+    """Appends its id to :data:`STEPPED` on every ``engine.step()``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        inner_step = self.gateway.step
+        inner_step = self.engine.step
 
         def step() -> bool:
             STEPPED.append(self.id)
             return inner_step()
 
-        self.gateway.step = step
+        self.engine.step = step
 
 
 def record_key(rec):

@@ -441,10 +441,10 @@ def test_a_replica_emptied_by_a_cancel_does_not_let_the_next_one_pass_an_arrival
     gateway.cancel(1, at_s=0.3)
     started = []                  # (replica, clock, is request 2 routed?)
     for replica in gateway.replicas:
-        def step(replica=replica, inner=replica.gateway.step):
+        def step(replica=replica, inner=replica.engine.step):
             started.append((replica.id, replica.clock, 2 in gateway._owner))
             return inner()
-        replica.gateway.step = step
+        replica.engine.step = step
     while gateway.step():
         pass
     a, b = gateway.replicas
