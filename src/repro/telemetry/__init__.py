@@ -18,8 +18,7 @@ Wire it by passing ``telemetry=Telemetry(...)`` to the outermost
 :class:`~repro.serving.gateway.Gateway` layer; :meth:`Telemetry.attach`
 retrofits every layer underneath.  Telemetry is pure
 observation: records and replay order are bit-identical with it on,
-off, or absent — the regression tests and ``bench_step_overhead.py``
-pin that down.
+off, or absent — ``tests/test_telemetry.py`` pins that down.
 """
 
 from __future__ import annotations

@@ -34,14 +34,15 @@ import hashlib
 import re
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import pytest
 
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.hardware.specs import A800, NodeSpec
-from repro.serving import (ENGINES, ClusterGateway, EngineConfig, LLAMA_7B,
-                           ModelManager, SchedulerConfig, ServingGateway,
+from repro.serving import (ENGINES, ClusterGateway, EngineConfig, Gateway,
+                           LLAMA_7B, ModelManager, SchedulerConfig,
+                           ServingEngine, ServingGateway, ServingResult,
                            Tenant, TenantGateway, create_engine)
 from repro.workload import LengthSampler, session_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
@@ -214,13 +215,13 @@ def record_digest(records):
     return h.hexdigest()
 
 
-def engine_of(scenario, stepping):
+def engine_of(scenario: str, stepping: str) -> ServingEngine:
     name, kwargs, prefix_cache, _, _, memory_gb = SCENARIOS[scenario]
     return make_engine(name, kwargs, prefix_cache, STEPPING[stepping],
                        memory_gb=memory_gb)
 
 
-def gateway_of(scenario, wrapper, stepping):
+def gateway_of(scenario: str, wrapper: str, stepping: str) -> Gateway:
     """The scenario's engine(s) behind the ``gateway`` / ``cluster2``
     wrapper."""
     if wrapper == "gateway":
@@ -267,8 +268,10 @@ VTC_SCENARIOS = ("deltazip", "deltazip-cancels", "vllm-scb",
                  "vllm-scb-cancels", "dedicated", "dedicated-cancels")
 
 
-def tenant_vtc_stack(scenario, wrapper, stepping, tenants=VTC_TENANTS,
-                     policy="vtc", engine_queue_depth=4):
+def tenant_vtc_stack(scenario: str, wrapper: str, stepping: str,
+                     tenants: Tuple[Tenant, Tenant] = VTC_TENANTS,
+                     policy: str = "vtc",
+                     engine_queue_depth: Optional[int] = 4) -> ServingResult:
     """The admission path that decides things, over the non-disagg
     engines: VTC order between two tenants, a bucket that defers, four
     dispatched requests per replica at most (so the rest wait at the
@@ -340,10 +343,10 @@ def test_the_tight_scenario_is_under_pressure():
     assert len(hit) > 30 and any(not r.finished for r in hit)
 
 
-def test_the_tenant_cells_decide_things():
+def test_the_tenant_cells_decide_things() -> None:
     """Likewise: the column pins VTC order, bucket deferral and
     depth-limited dispatch only while each of them moves a record."""
-    def digest(**changed):
+    def digest(**changed: object) -> str:
         return record_digest(tenant_vtc_stack(
             "deltazip", "gateway", "skip", **changed).records)
 

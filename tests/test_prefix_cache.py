@@ -9,6 +9,7 @@ conversation-affinity balancers and patience-based shedding.
 
 from dataclasses import replace
 from statistics import median
+from typing import Iterable, List
 
 import pytest
 
@@ -83,7 +84,7 @@ def strip_metadata(trace):
                  duration_s=trace.duration_s)
 
 
-def repeat_turn_ttfts(records):
+def repeat_turn_ttfts(records: Iterable[RequestRecord]) -> List[float]:
     """TTFTs of the finished turns >= 2 of every conversation."""
     seen, out = set(), []
     for rec in sorted(records, key=lambda r: (r.arrival_s, r.request_id)):

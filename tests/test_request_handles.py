@@ -231,7 +231,8 @@ class TestHandleBasics:
 
     def test_abort_frees_batch_slot(self):
         """The freed slot admits waiting work before the long requests
-        would have finished — the mechanism bench_cancellation prices."""
+        would have finished — the mechanism behind the patience sweep
+        of ``test_feature_shapes.py``."""
         gw = ServingGateway(make_engine(batch=2, deltas=2))
         long_a = gw.submit("variant-00", 32, 400)
         long_b = gw.submit("variant-00", 32, 400)
@@ -393,7 +394,7 @@ class TestClusterHandles:
         assert rec.status == "cancelled" and rec.tokens_served == 0
         assert res.n_finished == len(trace) - 1
 
-    def test_the_earliest_cancel_before_routing_wins(self):
+    def test_the_earliest_cancel_before_routing_wins(self) -> None:
         """Two cancels reach the cluster before its request is routed:
         the earlier one decides, in either order, exactly as behind a
         single gateway (the later one used to overwrite it)."""
@@ -412,7 +413,7 @@ class TestClusterHandles:
         assert outcomes[0][7] == "cancelled" and 2.0 <= outcomes[0][2] < 2.1
         assert outcomes[1] == outcomes[2] == outcomes[0]
 
-    def test_a_cancel_for_nothing_waiting_is_dropped_as_stale(self):
+    def test_a_cancel_for_nothing_waiting_is_dropped_as_stale(self) -> None:
         cluster = self.make_cluster()
         cluster.ingest(TraceRequest(request_id=0, model_id="variant-00",
                                     arrival_s=1.0, prompt_tokens=64,

@@ -87,7 +87,8 @@ class TestDedicated:
                               EngineConfig(tp_degree=1)).run(trace)
         assert ded.mean_e2e_latency_s() < scb.mean_e2e_latency_s()
 
-    def test_a_reseated_clock_lifts_lagging_groups_and_later_ones(self):
+    def test_a_reseated_clock_lifts_lagging_groups_and_later_ones(
+            self) -> None:
         """Outer layers re-seat idle engines (an admission-floor bump, a
         replica spawn): every group that lags is lifted, none is rewound,
         and a group created afterwards starts no earlier."""
@@ -110,7 +111,7 @@ class TestDedicated:
         engine.reset()
         assert engine.clock == 0.0
 
-    def test_a_replica_spawned_mid_run_serves_from_the_spawn_on(self):
+    def test_a_replica_spawned_mid_run_serves_from_the_spawn_on(self) -> None:
         mgr = full_manager(LLAMA_7B, ["m0", "m1"])
         gateway = ClusterGateway(
             engine_factory=lambda node: DedicatedEngine(

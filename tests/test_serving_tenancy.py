@@ -586,7 +586,8 @@ class TestTenancyCLI:
         assert "Jain fairness" in out
         assert "vip" in out
 
-    def test_tenancy_mode_serves_the_dedicated_engine(self, capsys):
+    def test_tenancy_mode_serves_the_dedicated_engine(
+            self, capsys: pytest.CaptureFixture) -> None:
         """Dispatch lifts idle engines to the release time; a dedicated
         engine's clock used to refuse any value but zero."""
         assert main(["tenancy", "--engine", "dedicated", "--policy", "vtc",

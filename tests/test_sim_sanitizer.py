@@ -735,12 +735,12 @@ class TestReleaseCheck:
                     r"its cancelled record was delivered")):
                 gateway.run_until_drained()
 
-    def test_an_unrouted_entry_surviving_the_routing(self):
+    def test_an_unrouted_entry_surviving_the_routing(self) -> None:
         from test_serving_cluster import make_gateway
 
         class Sticky(dict):
-            def pop(self, *args):              # the release went missing
-                return self.get(*args)
+            def pop(self, *args: object) -> object:
+                return self.get(*args)         # the release went missing
 
         with sanitized(True):
             gateway = make_gateway()
