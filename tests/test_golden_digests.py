@@ -260,8 +260,9 @@ def tenant_stack(balancer):
 
 
 #: the tenants of the ``tenant-vtc`` column: requests are tagged
-#: round-robin, and ``metered``'s bucket holds about two thirds of its
-#: offered token rate on the ``traffic`` trace, so half its requests defer
+#: round-robin, and ``metered``'s bucket refills at about two thirds of
+#: its offered token rate on the ``traffic`` trace with a burst smaller
+#: than a typical request, so every one of its requests defers
 VTC_TENANTS = (Tenant("free"),
                Tenant("metered", rate_tokens_per_s=150.0, burst_tokens=300.0))
 VTC_SCENARIOS = ("deltazip", "deltazip-cancels", "vllm-scb",
