@@ -117,6 +117,11 @@ class TestSkipTheLine:
         assert admitted[3].parent_id is None
 
 
+class Unscannable(list):
+    def __iter__(self):
+        raise AssertionError("the running batch was scanned")
+
+
 class TestPreemption:
     def test_children_identified(self):
         sched = ContinuousBatchScheduler(SchedulerConfig(8, 2))
@@ -124,7 +129,7 @@ class TestPreemption:
         parent.finish_s = 1.0
         child = make_request(3, "m0")
         child.parent_id = 0
-        running = [child, make_request(4, "m1")]
+        running = RunningBatch([child, make_request(4, "m1")])
         children = sched.children_to_preempt(parent, running)
         assert children == [child]
 
@@ -134,7 +139,23 @@ class TestPreemption:
         child = make_request(3, "m0", output=2)
         child.parent_id = 0
         child.generated_tokens = 2  # done
-        assert sched.children_to_preempt(parent, [child]) == []
+        assert sched.children_to_preempt(parent, RunningBatch([child])) == []
+
+    def test_only_the_undone_children_of_a_parent_are_preempted(self):
+        sched = ContinuousBatchScheduler(SchedulerConfig(8, 2))
+        parent = make_request(0, "m0")
+        done = make_request(3, "m0", output=2)
+        done.parent_id = 0
+        done.generated_tokens = 2
+        child = make_request(5, "m0")
+        child.parent_id = 0
+        batch = RunningBatch([done, make_request(6, "m1"), child])
+        assert sched.children_to_preempt(parent, batch) == [child]
+        batch.leave(done)
+        batch.leave(child)
+        # nobody running names the parent any more: no scan at all
+        batch.requests = Unscannable(batch.requests)
+        assert sched.children_to_preempt(parent, batch) == []
 
     def test_reinsert_restores_fcfs_position(self):
         sched = ContinuousBatchScheduler(SchedulerConfig(8, 8))

@@ -8,7 +8,8 @@ from repro.serving import (ClusterGateway, EngineConfig, LLAMA_7B,
                            ModelManager, SchedulerConfig, ServingGateway,
                            TenantGateway, create_engine)
 from repro.sim import (Arrival, AutoscalerTick, BucketRefill, EventQueue,
-                       IterationDone, ReplicaSpawn, SimClock, SimKernel)
+                       ForwardingCycleError, IterationDone, ReplicaSpawn,
+                       SimClock, SimKernel)
 from repro.workload import synthetic_trace
 from repro.workload.spec import TraceRequest
 
@@ -108,6 +109,43 @@ class TestSimKernel:
         kernel = SimKernel()
         kernel.advance(4.0)
         assert kernel.advance(1.0) == 4.0
+
+
+class TestForwarding:
+    """A layer kernel forwards into a downstream kernel; ``wants`` looks
+    through the forward and is answered when asked, never at wiring."""
+
+    def test_wants_nothing_without_a_downstream_subscriber(self):
+        upstream, downstream = SimKernel(), SimKernel()
+        upstream.forward(downstream)
+        assert not upstream.wants(IterationDone)
+        assert not downstream.wants(IterationDone)
+
+    def test_a_later_downstream_subscriber_is_wanted_with_no_rewiring(self):
+        upstream, downstream = SimKernel(), SimKernel()
+        upstream.forward(downstream)
+        seen = []
+        downstream.subscribe(IterationDone, seen.append)
+        assert upstream.wants(IterationDone)
+        assert not upstream.wants(BucketRefill)
+        upstream.emit(IterationDone(time=1.0, iter_time_s=0.1))
+        assert [e.time for e in seen] == [1.0]
+
+    def test_an_upstream_journal_wants_everything(self):
+        upstream, downstream = SimKernel(journal=True), SimKernel()
+        upstream.forward(downstream)
+        assert upstream.wants(IterationDone)
+        assert not downstream.wants(IterationDone)
+
+    def test_a_forwarding_cycle_raises_a_typed_value_error(self):
+        a, b, c = SimKernel(), SimKernel(), SimKernel()
+        a.forward(b)
+        b.forward(c)
+        with pytest.raises(ForwardingCycleError, match="cycle"):
+            c.forward(a)
+        with pytest.raises(ValueError, match="cycle"):
+            a.forward(a)
+        assert not a.wants(IterationDone)      # the rejected edges are absent
 
 
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (Arrival, Cancel, EventQueue, IterationDone, KeyedHeap,
                        ReplicaSpawn)
@@ -73,6 +75,43 @@ class TestRemoveRequest:
         queue = EventQueue()
         queue.push(Cancel(time=5.0, request_id=11))
         assert queue.remove_request(11).time == 5.0
+
+    @given(st.lists(st.tuples(st.sampled_from(("push", "push", "withdraw",
+                                               "pop_due", "count_after")),
+                              st.integers(0, 5), st.integers(0, 12)),
+                    min_size=1, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_withdrawals_match_a_plain_list(self, ops):
+        """Withdrawals, pushes, pops and ``count_after`` interleaved: the
+        queue answers like a list of its live events, and a withdrawal
+        takes the earliest-due event carrying the id (ids repeat here,
+        as a deadline and a client cancel do for one request)."""
+        queue, live, seq = EventQueue(), [], 0
+        for op, rid, tick in ops:
+            t = tick * 0.5
+            if op == "push":
+                event = _arrival(rid, t) if seq % 2 else \
+                    Cancel(time=t, request_id=rid)
+                queue.push(event)
+                live.append((t, rid, seq, event))
+                seq += 1
+            elif op == "withdraw":
+                mine = [entry for entry in live if entry[1] == rid]
+                want = min(mine)[3] if mine else None
+                if mine:
+                    live.remove(min(mine))
+                assert queue.remove_request(rid) is want
+            elif op == "pop_due":
+                due = sorted(entry for entry in live if entry[0] <= t)
+                live = [entry for entry in live if entry[0] > t]
+                assert list(queue.pop_due(t)) == [entry[3] for entry in due]
+            else:
+                assert queue.count_after(t) == \
+                    sum(1 for entry in live if entry[0] > t)
+            assert len(queue) == len(live) and bool(queue) == bool(live)
+            assert queue.peek_time() == min((e[0] for e in live),
+                                            default=None)
+            assert queue.in_order() == [entry[3] for entry in sorted(live)]
 
 
 class TestKeyedHeap:

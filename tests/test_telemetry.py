@@ -1,19 +1,24 @@
 """Live ops plane: spans, gauges, scenario drills, and the
 pure-observation guarantee (telemetry cannot change replay records)."""
 
+import hashlib
 import json
+import numbers
 import tracemalloc
 
 import pytest
 
+import repro.serving.base as base_mod
+import repro.serving.tenancy as tenancy_mod
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.serving import (Autoscaler, ClusterGateway, EngineConfig,
                            ENGINES, LLAMA_7B, ModelManager, RecordPolicy,
                            SchedulerConfig, ServingGateway, Tenant,
                            TenantGateway, create_engine)
-from repro.sim import (AdmissionDecision, PhaseTransition, SimKernel,
-                       TelemetryTick)
+from repro.sim import (AdmissionDecision, BucketRefill, IterationDone,
+                       PhaseTransition, SimKernel, TelemetryTick)
 from repro.sim.events import Arrival, Cancel
+from repro.sim.sanitizer import sanitized
 from repro.telemetry import GaugeBoard, GaugeSnapshot, SpanRecorder, Telemetry
 from repro.telemetry.scenarios import SCENARIO_NAMES, run_scenario
 from repro.workload import TenantWorkload, multi_tenant_trace, synthetic_trace
@@ -282,6 +287,151 @@ class TestPureObservation:
         assert absent[2] > 0 and absent[1] >= 3.0       # it was cut short
         assert drained(Telemetry(interval_s=0.5)) == absent
         assert drained(Telemetry(interval_s=None)) == absent
+
+# --------------------------------------------------------------------------- #
+# the event plane: only what someone wants is built
+# --------------------------------------------------------------------------- #
+#: sha256 of the gauges, span summary and closed spans of
+#: :func:`deciding_tenancy`'s replay, recorded on the commit before events
+#: were built on demand
+EVENT_PLANE_DIGEST = \
+    "12a949a4d93ef0c9fdc8e6da317629047a34f0e1f4d6a6756194dd12fcda4048"
+
+
+def _canon(value):
+    """A numpy- and dict-order-independent rendering for digests."""
+    if isinstance(value, dict):
+        return sorted((str(k), _canon(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    return repr(float(value))
+
+
+def deciding_tenancy(telemetry):
+    """Two tenants over an autoscaled cluster: VTC order, a bucket that
+    defers every silver request past its burst, a cancel a few seconds
+    after every fifth arrival."""
+    autoscaler = Autoscaler(min_replicas=1, max_replicas=3,
+                            high_queue_per_replica=2.0,
+                            low_queue_per_replica=0.5, check_interval_s=1.0,
+                            scale_up_cooldown_s=2.0,
+                            scale_down_cooldown_s=6.0)
+    tenants = (Tenant("gold", weight=2.0, slo_class="interactive"),
+               Tenant("silver", weight=1.0, rate_tokens_per_s=150.0,
+                      burst_tokens=600.0))
+    return TenantGateway(make_cluster(n_replicas=1, autoscaler=autoscaler),
+                         tenants=tenants, policy="vtc", telemetry=telemetry)
+
+
+def deciding_cancels(trace):
+    return [(r.request_id, r.arrival_s + 3.0) for r in trace
+            if r.request_id % 5 == 0]
+
+
+def iterations(gateway):
+    """Executed iterations of every replica, retired ones included."""
+    cluster = gateway.inner
+    return sum(r.engine.stats.iterations
+               for r in cluster.replicas + cluster.retired)
+
+
+def event_plane_digest(telemetry):
+    payload = (_canon([g.as_dict() for g in telemetry.series()]),
+               _canon(telemetry.spans.summary()),
+               _canon([s.as_dict() for s in telemetry.spans.completed()]))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+class CountingEvents:
+    """Counts the IterationDone / BucketRefill instances the serving
+    layers construct (the names they build through, swapped)."""
+
+    def __init__(self, monkeypatch):
+        self.built = {"IterationDone": 0, "BucketRefill": 0}
+        for module, base in ((base_mod, IterationDone),
+                             (tenancy_mod, BucketRefill)):
+            monkeypatch.setattr(module, base.__name__, self._counted(base))
+
+    def _counted(self, base):
+        built = self.built
+
+        class Counted(base):
+            def __init__(self, *args, **kwargs):
+                built[base.__name__] += 1
+                super().__init__(*args, **kwargs)
+        return Counted
+
+
+class TestEventPlane:
+    def test_gauges_and_spans_match_the_recorded_digest(self, tenant_trace):
+        telemetry = Telemetry(interval_s=1.0)
+        gateway = deciding_tenancy(telemetry)
+        result = gateway.replay(tenant_trace,
+                                cancels=deciding_cancels(tenant_trace))
+        stats = gateway.controller.stats
+        assert stats["silver"].deferred > 0          # the bucket decides
+        assert {"cancelled", "finished"} <= {r.status for r in result.records}
+        assert "scale_up" in {s.action
+                              for s in gateway.inner.autoscaler.history}
+        assert event_plane_digest(telemetry) == EVENT_PLANE_DIGEST
+
+    def test_nothing_nobody_wants_is_built(self, monkeypatch, tenant_trace):
+        counts = CountingEvents(monkeypatch)
+        cancels = deciding_cancels(tenant_trace)
+        telemetry = Telemetry(interval_s=1.0)
+        gateway = deciding_tenancy(telemetry)
+        quiet = [tuple(r) for r in gateway.replay(tenant_trace,
+                                                  cancels=cancels).records]
+        assert iterations(gateway) > 0
+        assert gateway.controller.stats["silver"].deferred > 0
+        assert counts.built == {"IterationDone": 0, "BucketRefill": 0}
+        # subscribing is the only switch: after wiring, no re-wiring, every
+        # one is built
+        telemetry = Telemetry(interval_s=1.0)
+        gateway = deciding_tenancy(telemetry)
+        done, refills = [], []
+        telemetry.kernel.subscribe(IterationDone, done.append)
+        telemetry.kernel.subscribe(BucketRefill, refills.append)
+        watched = [tuple(r) for r in gateway.replay(tenant_trace,
+                                                    cancels=cancels).records]
+        assert watched == quiet
+        assert len(done) == counts.built["IterationDone"] == \
+            iterations(gateway)
+        assert len(refills) == counts.built["BucketRefill"] == \
+            gateway.controller.stats["silver"].deferred
+
+    def test_sanitized_kernels_publish_exactly_what_is_wanted(
+            self, monkeypatch, tenant_trace):
+        """Under the sanitizer ``kernel.emit`` is an instance closure, not
+        a bound method; engines still ask the kernel behind it."""
+        cancels = deciding_cancels(tenant_trace)
+        with sanitized(False):
+            plain = deciding_tenancy(Telemetry(interval_s=1.0))
+            want = [tuple(r) for r in plain.replay(tenant_trace,
+                                                   cancels=cancels).records]
+        counts = CountingEvents(monkeypatch)
+        with sanitized(True):
+            telemetry = Telemetry(interval_s=1.0)
+            gateway = deciding_tenancy(telemetry)
+            assert not hasattr(gateway.inner.kernel.emit, "__func__")
+            got = [tuple(r) for r in gateway.replay(tenant_trace,
+                                                    cancels=cancels).records]
+            assert got == want
+            assert counts.built["IterationDone"] == 0
+            telemetry = Telemetry(interval_s=1.0)
+            gateway = deciding_tenancy(telemetry)
+            done = []
+            telemetry.kernel.subscribe(IterationDone, done.append)
+            got = [tuple(r) for r in gateway.replay(tenant_trace,
+                                                    cancels=cancels).records]
+        assert got == want
+        assert len(done) == counts.built["IterationDone"] == \
+            iterations(gateway)
+
 
 # --------------------------------------------------------------------------- #
 # determinism: same run twice -> identical spans and gauges
