@@ -27,7 +27,8 @@ identical either way.  Executed iterations are published as
 :class:`~repro.sim.IterationDone` events through
 :attr:`ServingEngine.on_event` so outer layers (the cluster kernel
 journal, telemetry) can observe the timeline without reaching into
-engine internals.
+engine internals — built only if the kernel behind ``on_event`` wants
+one (any other callable hears every iteration).
 
 Engines register themselves in the string-keyed :data:`ENGINES` registry
 (via :func:`register_engine`) so the CLI, benchmarks, router, and the
@@ -44,7 +45,7 @@ from typing import (Any, Callable, Container, Dict, Iterable, List, Optional,
 
 from ..hardware.cluster import GPUNode
 from ..sim import (Arrival, Cancel, Event, EventQueue, IterationDone,
-                   PhaseTransition, new_clock)
+                   PhaseTransition, SimKernel, new_clock)
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .costs import check_pricing_knobs
@@ -188,19 +189,21 @@ class RunningBatch:
     of rescanning the batch; the totals are integers, so reading one is
     bit-identical to re-summing it.  ``per_model`` counts running
     requests per variant in the order each variant (re)entered the batch
-    (a zero count is deleted).  ``version`` moves on every membership
-    change, ``epoch`` on every iteration.
+    and ``parents`` members per skip-the-line parent id (a zero count is
+    deleted in both).  ``version`` moves on every membership change,
+    ``epoch`` on every iteration.
     """
 
     __slots__ = ("requests", "context_tokens", "cached_prefix_tokens",
-                 "per_model", "version", "epoch", "_log", "_log_base",
-                 "_finish", "_shadow")
+                 "per_model", "parents", "version", "epoch", "_log",
+                 "_log_base", "_finish", "_shadow")
 
     def __init__(self, requests: Iterable[ServingRequest] = ()):
         self.requests: List[ServingRequest] = []
         self.context_tokens = 0          # sum of context_length
         self.cached_prefix_tokens = 0    # sum of cached_prefix_tokens
         self.per_model: Dict[str, int] = {}
+        self.parents: Dict[int, int] = {}
         self.version = 0
         self.epoch = 0                   # iterations executed so far
         self._log: List[float] = []      # iter_time of epochs _log_base..
@@ -220,6 +223,9 @@ class RunningBatch:
         self.cached_prefix_tokens += req.cached_prefix_tokens
         per_model = self.per_model
         per_model[req.model_id] = per_model.get(req.model_id, 0) + 1
+        parent = req.parent_id
+        if parent is not None:
+            self.parents[parent] = self.parents.get(parent, 0) + 1
         self.version += 1
         # the epoch of its last token: a member always gets at least one
         req._due = self.epoch + max(1, req.remaining_tokens)
@@ -246,6 +252,10 @@ class RunningBatch:
             self.per_model[req.model_id] = left
         else:
             del self.per_model[req.model_id]
+        if req.parent_id is not None:
+            left = self.parents.pop(req.parent_id) - 1
+            if left:
+                self.parents[req.parent_id] = left
         self.version += 1
 
     def advance(self, iter_time: float = 0.0) -> List[ServingRequest]:
@@ -479,18 +489,21 @@ class ServingEngine:
             self.on_event is not None else None
 
         # 0. due cancellations/deadline expiries apply at the boundary
-        for event in self._cancels.pop_due(self.clock):
-            self.abort(event.request_id, event.reason)
+        #    (nothing due: no pop_due generator is built, here or in 1.)
+        if self._cancels.due(self.clock):
+            for event in self._cancels.pop_due(self.clock):
+                self.abort(event.request_id, event.reason)
 
         # 1. arrivals up to the clock join the engine's queue
-        for event in self._pending.pop_due(self.clock):
-            self.on_arrival(event.request)
-            if emit is not None:
-                req = event.request
-                emit(PhaseTransition(
-                    time=req.arrival_s, request_id=req.request_id,
-                    phase="queue", model_id=req.model_id,
-                    tenant_id=req.tenant_id, source=self.name))
+        if self._pending.due(self.clock):
+            for event in self._pending.pop_due(self.clock):
+                self.on_arrival(event.request)
+                if emit is not None:
+                    req = event.request
+                    emit(PhaseTransition(
+                        time=req.arrival_s, request_id=req.request_id,
+                        phase="queue", model_id=req.model_id,
+                        tenant_id=req.tenant_id, source=self.name))
 
         batch = self.batch
         if not batch.requests and not self.has_queued():
@@ -561,12 +574,17 @@ class ServingEngine:
                 req.finish_s = now
             self._retire(newly_done)
         self._sim.tick(self.retire(newly_done))
-        if executed and self.on_event is not None:
-            self.on_event(IterationDone(
-                time=self.clock, iter_time_s=iter_time,
-                load_time_s=load_time,
-                n_running=len(batch.requests), n_admitted=len(admitted),
-                n_finished=len(newly_done), source=self.name))
+        on_event = self.on_event
+        if executed and on_event is not None:
+            # a kernel's emit builds only what the kernel wants
+            kernel = getattr(on_event, "__self__", None)
+            if not isinstance(kernel, SimKernel) or \
+                    kernel.wants(IterationDone):
+                on_event(IterationDone(
+                    time=self.clock, iter_time_s=iter_time,
+                    load_time_s=load_time, n_running=len(batch.requests),
+                    n_admitted=len(admitted), n_finished=len(newly_done),
+                    source=self.name))
 
         if self.collect_timeline:
             for req in newly_done:

@@ -660,6 +660,7 @@ class ClusterGateway(Gateway):
         self._sanitize = _sanitizer.enabled()
         # the frontier ledger: busy replicas by (clock, id), see least_busy
         self._busy: KeyedHeap[Replica] = KeyedHeap()
+        self._least: Optional[Replica] = None      # least_busy()'s last answer
         self._stepped: Optional[Replica] = None    # whom step() advanced
         if not _fixed:
             if engine_factory is None:
@@ -797,13 +798,19 @@ class ClusterGateway(Gateway):
         re-files a replica when it steps it or hands it a request and
         drops superseded entries here.  Outside writers only move a busy
         clock forward, so a stale key under-estimates and checking the
-        top against the live engine keeps every read exact."""
+        top against the live engine keeps every read exact — as it keeps
+        the last answer, reused while its engine is busy at its key."""
+        least = self._least
+        if least is not None and least.engine.unfinished > 0 and \
+                least.engine.clock == least.frontier_key:
+            return least
         busy = self._busy
         while (replica := busy.peek()) is not None:
             key = busy.peek_key()[0]
             live = key == replica.frontier_key
             engine = replica.engine
             if live and engine.unfinished > 0 and engine.clock == key:
+                self._least = replica
                 return replica
             busy.pop()
             if live:
@@ -816,6 +823,7 @@ class ClusterGateway(Gateway):
         key = engine.clock if engine.unfinished > 0 else None
         if key != replica.frontier_key:
             replica.frontier_key = key
+            self._least = None
             if key is not None:
                 self._busy.push((key, replica.id), replica)
 
@@ -1007,11 +1015,12 @@ class ClusterGateway(Gateway):
         if fired:
             self.autoscaler.control(self)
             self._schedule_tick(now + self.autoscaler.config.check_interval_s)
-        if self._telemetry is not None:
+        telemetry = self._telemetry
+        if telemetry is not None and now >= telemetry.next_tick_s:
             # after all emissions for this step (including autoscaler
             # spawns/drains) so forwarded kernel-timeline events never
             # land behind the telemetry clock
-            self._telemetry.advance(now)
+            telemetry.advance(now)
         return True
 
     def _schedule_tick(self, at: float) -> None:
@@ -1113,6 +1122,7 @@ class ClusterGateway(Gateway):
             replica.engine.reset()
             replica.frontier_key = None
         self._busy.clear()
+        self._least = None
         self.retired.clear()
         self.kernel.reset()
         self._unrouted.clear()

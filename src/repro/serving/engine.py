@@ -42,6 +42,9 @@ from .scheduler import ContinuousBatchScheduler, SchedulerConfig
 
 __all__ = ["EngineConfig", "DeltaZipEngine", "TimelineEvent"]
 
+#: what a standing idle verdict admits (read-only: one instance serves all)
+_ADMIT_NOTHING = Admission()
+
 
 @register_engine
 class DeltaZipEngine(ServingEngine):
@@ -135,7 +138,7 @@ class DeltaZipEngine(ServingEngine):
             if self._sanitize:
                 _sanitizer.check_steady_verdict(
                     self.name, self.scheduler.schedule(batch, self._resident))
-            return Admission()
+            return _ADMIT_NOTHING
         decision = self.scheduler.schedule(batch, self._resident)
         admitted = decision.admitted
         if not admitted and not decision.new_deltas:
@@ -324,7 +327,7 @@ class DeltaZipEngine(ServingEngine):
         preempt_time = 0.0
         for parent in newly_done:
             for child in self.scheduler.children_to_preempt(
-                    parent, self.batch.requests):
+                    parent, self.batch):
                 self.batch.leave(child)
                 child.preemptions += 1
                 self.stats.preemptions += 1

@@ -389,8 +389,9 @@ class ServingGateway(Gateway):
     def step(self) -> bool:
         """One engine iteration; False when the engine is drained."""
         progressed = self.engine.step()
-        if self._telemetry is not None:
-            self._telemetry.advance(self.engine.clock)
+        now, telemetry = self.engine.clock, self._telemetry
+        if telemetry is not None and now >= telemetry.next_tick_s:
+            telemetry.advance(now)
         return progressed
 
     def run_until_drained(self) -> ServingResult:
@@ -400,8 +401,8 @@ class ServingGateway(Gateway):
         if self._telemetry is None:
             engine.run_until_drained()   # the engine's own loop: it coasts
             return self.result()
-        # the same loop through step(): the telemetry clock advances with
-        # every iteration, and observing must not outrun the engine's cap
+        # the same loop through step(): gauge ticks fire between
+        # iterations, and observing must not outrun the engine's cap
         limit_s = engine.config.max_sim_seconds
         while engine.unfinished > 0 and engine.clock < limit_s \
                 and self.step():

@@ -240,14 +240,16 @@ class ContinuousBatchScheduler:
     # preemption
     # ------------------------------------------------------------------ #
     def children_to_preempt(self, finished: ServingRequest,
-                            running: Sequence[ServingRequest]) -> List[ServingRequest]:
-        """Running skip-the-line requests whose parent just finished.
+                            running: "RunningBatch") -> List[ServingRequest]:
+        """Running skip-the-line requests whose parent just finished, in
+        batch order; no scan when no member names it (``parents``).
 
         Children predicted to finish within ``preempt_min_remaining``
         tokens are spared (§8's output-length-prediction refinement).
         """
-        if not self.config.preemption:
+        if not self.config.preemption or \
+                finished.request_id not in running.parents:
             return []
-        return [r for r in running
+        return [r for r in running.requests
                 if r.parent_id == finished.request_id and not r.done
                 and r.remaining_tokens > self.config.preempt_min_remaining]

@@ -43,8 +43,8 @@ single clock authority, owned by the cluster kernel or the engine's
 :class:`~repro.sim.SimClock`) rather than maintained here; offered
 requests queue as :class:`~repro.sim.Arrival` events, and the controller
 publishes a :class:`~repro.sim.BucketRefill` event whenever a token
-bucket defers a request (journal/subscriber instrumentation — the
-authoritative wake-up time remains
+bucket defers a request and a journal or subscriber wants one
+(instrumentation only — the authoritative wake-up time remains
 :meth:`AdmissionController.next_eligible_s`, which the frontier polls).
 The tenancy layer also feeds :attr:`AdmissionController.total_queued`
 back into the cluster autoscaler
@@ -55,6 +55,7 @@ before shedding starts.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -388,6 +389,7 @@ class AdmissionController:
         # primitive, so no layer-private heapq survives here (SIM005)
         self._fcfs: KeyedHeap[TraceRequest] = KeyedHeap()
         self._vtc: Dict[str, Deque[Tuple[float, TraceRequest]]] = {}
+        self._vtc_next: Optional[float] = math.inf  # None: re-derive
         self._counters: Dict[str, float] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._queued: Dict[str, int] = {}
@@ -478,9 +480,11 @@ class AdmissionController:
         # the billing meter: every accepted request's tokens are charged
         # to its tenant (metered or not) — serving.economics prices them
         stats.tokens_charged += cost
-        if eligible > arrival and self._kernel is not None:
-            self._kernel.emit(BucketRefill(time=eligible, tenant_id=tid,
-                                           request_id=request.request_id))
+        kernel = self._kernel
+        if eligible > arrival and kernel is not None and \
+                kernel.wants(BucketRefill):
+            kernel.emit(BucketRefill(time=eligible, tenant_id=tid,
+                                     request_id=request.request_id))
 
         if self.policy == "vtc" and self.load_of(tid) == 0:
             # counter-lift: a returning tenant re-enters at the floor of
@@ -494,6 +498,7 @@ class AdmissionController:
 
         if self.policy == "vtc":
             self._vtc[tid].append((eligible, request))
+            self._vtc_next = None
         else:
             self._fcfs.push((eligible, arrival, request.request_id), request)
         self._queued[tid] = self._queued.get(tid, 0) + 1
@@ -528,15 +533,17 @@ class AdmissionController:
     # the release point
     # ------------------------------------------------------------------ #
     def has_eligible(self, now: float) -> bool:
-        if self.policy == "vtc":
-            return any(q and q[0][0] <= now for q in self._vtc.values())
-        return bool(self._fcfs) and self._fcfs.peek_key()[0] <= now
+        eligible = self.next_eligible_s()
+        return eligible is not None and eligible <= now
 
     def next_eligible_s(self) -> Optional[float]:
         """Earliest time any queued request becomes releasable."""
         if self.policy == "vtc":
-            heads = [q[0][0] for q in self._vtc.values() if q]
-            return min(heads) if heads else None
+            # the tenant queues' least head, re-derived once one moved
+            if self._vtc_next is None:
+                self._vtc_next = min((q[0][0] for q in self._vtc.values()
+                                      if q), default=math.inf)
+            return self._vtc_next if self._vtc_next < math.inf else None
         return self._fcfs.peek_key()[0] if self._fcfs else None
 
     def pop(self, now: float) -> Optional[TraceRequest]:
@@ -558,6 +565,7 @@ class AdmissionController:
                 return None
             tid = min(candidates, key=lambda t: (self._counters[t], t))
             _, request = self._vtc[tid].popleft()
+            self._vtc_next = None
             tenant = self.tenant(tid)
             work = self.prefill_weight * request.prompt_tokens + \
                 self.decode_weight * request.output_tokens
@@ -594,6 +602,7 @@ class AdmissionController:
                     if queued.request_id == request_id:
                         request = queued
                         del queue[i]
+                        self._vtc_next = None
                         break
                 if request is not None:
                     break
@@ -719,8 +728,6 @@ class TenantGateway(Gateway):
         gateway.set_admission_probe(lambda: self.controller.total_queued)
         self._pending = EventQueue()      # offered-but-not-due Arrivals
         self._cancels = EventQueue()      # frontier-level Cancel events
-        #: request id -> its Cancel events still in ``_cancels``
-        self._n_cancels: Dict[int, int] = {}
         #: reason="cancel" schedules to forward when a request dispatches
         self._scheduled_cancels: Dict[int, Tuple[float, str]] = {}
         self._dispatched_ids: set = set()
@@ -756,10 +763,7 @@ class TenantGateway(Gateway):
         its quota slot released — and a dispatched one is aborted
         mid-batch by the owning engine."""
         self._admit_request(request)
-        now = self._frontier()
-        self._apply_due_cancels(now)
-        self._offer_due(now)
-        self._dispatch(now)
+        self._release(self._frontier())
 
     def ingest(self, request: TraceRequest) -> int:
         """Queue a fully-formed request (verbatim id and arrival)."""
@@ -772,12 +776,9 @@ class TenantGateway(Gateway):
         if request.deadline_s is not None:
             # frontier-side expiry watch; once dispatched, the owning
             # engine schedules its own deadline Cancel from the trace
-            self._push_cancel(request.request_id, request.deadline_s,
-                              "deadline")
-
-    def _push_cancel(self, rid: int, at_s: float, reason: str) -> None:
-        self._cancels.push(Cancel(time=at_s, request_id=rid, reason=reason))
-        self._n_cancels[rid] = self._n_cancels.get(rid, 0) + 1
+            self._cancels.push(Cancel(time=request.deadline_s,
+                                      request_id=request.request_id,
+                                      reason="deadline"))
 
     def cancel(self, request_id: int, at_s: Optional[float] = None,
                reason: str = "cancel") -> None:
@@ -796,7 +797,8 @@ class TenantGateway(Gateway):
         if rid in self._dispatched_ids:
             self.inner.cancel(rid, at_s=at_s, reason=reason)
             return
-        self._push_cancel(rid, float(at_s), reason)
+        self._cancels.push(Cancel(time=float(at_s), request_id=rid,
+                                  reason=reason))
         # every *explicit* cancel is forwarded if the request dispatches
         # first (earliest wins); only the implicit trace-deadline watch
         # stays behind, because the owning engine re-derives it from
@@ -823,9 +825,7 @@ class TenantGateway(Gateway):
         if inner.at_horizon:
             return False
         now = self._frontier()
-        self._apply_due_cancels(now)
-        self._offer_due(now)
-        self._dispatch(now)
+        self._release(now)
         if inner.step():
             return True
         nxt = self._next_event_s()
@@ -833,14 +833,10 @@ class TenantGateway(Gateway):
             # nothing new can become actionable (wedged or fully drained)
             return False
         self._floor = max(self._floor, nxt)
-        now = self._frontier()
-        cancelled = self._apply_due_cancels(now)
-        offered = self._offer_due(now)
-        dispatched = self._dispatch(now)
+        moved = self._release(self._frontier())
         if inner.step():
             return True
-        return bool(offered or dispatched or cancelled) and \
-            self._next_event_s() is not None
+        return bool(moved) and self._next_event_s() is not None
 
     def result(self) -> ServingResult:
         """The wrapped gateway's result plus admission telemetry.
@@ -933,7 +929,6 @@ class TenantGateway(Gateway):
         self.kernel.reset()
         self._pending.clear()
         self._cancels.clear()
-        self._n_cancels.clear()
         self._scheduled_cancels.clear()
         self._dispatched_ids.clear()
         self._terminal_ids.clear()
@@ -978,15 +973,15 @@ class TenantGateway(Gateway):
         """Earliest future admission event: a queued arrival, a token
         bucket refill (the BucketRefill wake-ups the controller tracks),
         or a scheduled cancel/deadline for frontier-held work."""
-        events = []
-        if self._pending:
-            events.append(self._pending.peek_time())
-        if self._cancels:
-            events.append(self._cancels.peek_time())
-        eligible = self.controller.next_eligible_s()
-        if eligible is not None:
-            events.append(eligible)
-        return min(events) if events else None
+        times = (self._pending.peek_time(), self._cancels.peek_time(),
+                 self.controller.next_eligible_s())
+        return min((t for t in times if t is not None), default=None)
+
+    def _release(self, now: float) -> int:
+        """Apply the due cancels, offer the due arrivals, dispatch what
+        is eligible at ``now``; returns how many events moved."""
+        return self._apply_due_cancels(now) + self._offer_due(now) + \
+            self._dispatch(now)
 
     def _apply_due_cancels(self, now: float) -> int:
         """Apply cancels/expiries whose time the frontier has reached to
@@ -995,15 +990,12 @@ class TenantGateway(Gateway):
         handled by the owning engine (deadlines) or were forwarded at
         dispatch (client cancels).  Returns the number of events popped
         (stale included — popping one is frontier progress)."""
-        if not self._cancels or self._cancels.peek_time() > now:
+        if not self._cancels.due(now):
             return 0                  # the quiet step: no generator built
         count = 0
         for event in self._cancels.pop_due(now):
             count += 1
             rid = event.request_id
-            left = self._n_cancels.pop(rid) - 1
-            if left:
-                self._n_cancels[rid] = left
             if rid in self._terminal_ids or rid in self._dispatched_ids:
                 continue
             self._scheduled_cancels.pop(rid, None)
@@ -1035,7 +1027,7 @@ class TenantGateway(Gateway):
         self._complete(record)
 
     def _offer_due(self, now: float) -> int:
-        if not self._pending or self._pending.peek_time() > now:
+        if not self._pending.due(now):
             return 0
         count = 0
         for event in self._pending.pop_due(now):
@@ -1087,8 +1079,8 @@ class TenantGateway(Gateway):
             # the request left the frontier: its deadline watch moves to
             # the owning engine (scheduled from the trace at submit), and
             # a pending client cancel is forwarded to the wrapped gateway
-            for _ in range(self._n_cancels.pop(rid, 0)):
-                self._cancels.remove_request(rid)
+            while self._cancels.remove_request(rid) is not None:
+                pass
             scheduled = self._scheduled_cancels.pop(rid, None)
             if scheduled is not None:
                 self.inner.cancel(rid, at_s=scheduled[0],

@@ -30,13 +30,14 @@ from .events import (AdmissionDecision, Arrival, AutoscalerTick, BucketRefill,
                      Cancel, Event, IterationDone, KvTransfer,
                      PhaseTransition, ReplicaDrain, ReplicaSpawn,
                      TelemetryTick)
-from .kernel import SimKernel
+from .kernel import ForwardingCycleError, SimKernel
 from .queue import EventQueue, KeyedHeap
 from .sanitizer import SimSanitizerError, new_clock
 from .trace_export import chrome_trace_events, export_chrome_trace
 
 __all__ = [
     "SimClock", "EventQueue", "KeyedHeap", "SimKernel",
+    "ForwardingCycleError",
     "Event", "Arrival", "Cancel", "IterationDone", "BucketRefill",
     "AutoscalerTick", "ReplicaSpawn", "ReplicaDrain",
     "PhaseTransition", "AdmissionDecision", "TelemetryTick", "KvTransfer",

@@ -22,9 +22,13 @@ from . import sanitizer as _sanitizer
 from .clock import SimClock
 from .events import Event
 
-__all__ = ["SimKernel"]
+__all__ = ["SimKernel", "ForwardingCycleError"]
 
 Subscriber = Callable[[Event], None]
+
+
+class ForwardingCycleError(ValueError):
+    """:meth:`SimKernel.forward` would route a kernel's events back to it."""
 
 
 class SimKernel:
@@ -41,6 +45,7 @@ class SimKernel:
         # per-concrete-event-type dispatch cache: emit() is the kernel's
         # hottest path, and the subscriber set changes only at wiring time
         self._resolved: Dict[Type[Event], Tuple[Subscriber, ...]] = {}
+        self._forwards: List[SimKernel] = []
         if _sanitizer.enabled():
             _sanitizer.install(self)
 
@@ -73,23 +78,41 @@ class SimKernel:
             self._resolved[cls] = fns
         return fns
 
+    def forward(self, kernel: "SimKernel") -> None:
+        """Re-emit every event into ``kernel`` after this kernel's own
+        subscribers (idempotent); :meth:`wants` looks through it."""
+        if kernel is self or kernel._reaches(self):
+            raise ForwardingCycleError(
+                f"forwarding {self!r} into {kernel!r} closes a cycle")
+        if kernel not in self._forwards:
+            self._forwards.append(kernel)
+
+    def _reaches(self, kernel: "SimKernel") -> bool:
+        return any(k is kernel or k._reaches(kernel) for k in self._forwards)
+
     def wants(self, event_type: Type[Event]) -> bool:
         """Would an emitted ``event_type`` be observed by anyone?
 
-        True when the journal is on or at least one subscriber matches.
-        Producers use this to skip *constructing* events nobody would
-        see, keeping the zero-listeners path allocation-free.
+        True when the journal is on, a subscriber matches, or a kernel
+        this one forwards into wants it.  Producers ask when publishing
+        (so a later subscriber or journal counts at once) and skip
+        *constructing* events nobody would see.
         """
-        if self.journal is not None:
+        if self.journal is not None or self._resolve(event_type):
             return True
-        return bool(self._resolve(event_type))
+        for kernel in self._forwards:
+            if kernel.wants(event_type):
+                return True
+        return False
 
     def emit(self, event: Event) -> None:
-        """Record an event on this timeline and notify subscribers."""
+        """Record, notify subscribers, then forward an event."""
         if self.journal is not None:
             self.journal.append(event)
         for fn in self._resolve(type(event)):
             fn(event)
+        for kernel in self._forwards:
+            kernel.emit(event)
 
     def reset(self) -> None:
         """Fresh timeline: clock to zero, journal emptied (subscribers

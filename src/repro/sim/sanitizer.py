@@ -206,6 +206,9 @@ def install(kernel: "SimKernel") -> "SimKernel":
         inner_reset()
         kernel.clock = SanitizedClock(kernel.clock.now)
 
+    # answer ``__self__`` like the bound method it replaces: a producer
+    # holding ``kernel.emit`` asks that kernel what it wants
+    emit.__self__ = kernel   # type: ignore[attr-defined]
     kernel.emit = emit       # type: ignore[method-assign]
     kernel.reset = reset     # type: ignore[method-assign]
     return kernel
@@ -287,8 +290,11 @@ def check_running_batch(engine: str, batch: Any) -> None:
     totals must equal a recomputation from the member requests."""
     requests = batch.requests
     per_model: Dict[str, int] = {}
+    parents: Dict[int, int] = {}
     for req in requests:
         per_model[req.model_id] = per_model.get(req.model_id, 0) + 1
+        if req.parent_id is not None:
+            parents[req.parent_id] = parents.get(req.parent_id, 0) + 1
     stray = [r.request_id for r in requests if r.state.value != "running"]
     if stray or len({id(r) for r in requests}) != len(requests):
         raise _violation(
@@ -299,7 +305,7 @@ def check_running_batch(engine: str, batch: Any) -> None:
             ("context_tokens", sum(r.context_length for r in requests)),
             ("cached_prefix_tokens",
              sum(r.cached_prefix_tokens for r in requests)),
-            ("per_model", per_model)):
+            ("per_model", per_model), ("parents", parents)):
         held = getattr(batch, name)
         if held != expected:
             raise _violation(
@@ -510,10 +516,14 @@ def check_cluster_frontier(gateway: Any) -> None:
                 f"{r.name}: holds {r.frontier_key!r}, busy at clock "
                 f"{r.engine.clock!r}")
     expected = min(busy, key=lambda r: (r.engine.clock, r.id), default=None)
+    reused = gateway.least_busy()
+    gateway._least = None          # and what the heap itself answers
     held = gateway.least_busy()
     active = sum(1 for r in gateway.replicas if not r.draining)
     for name, got, want in (
             ("least_busy", held and held.name, expected and expected.name),
+            ("least_busy (reused)", reused and reused.name,
+             expected and expected.name),
             ("n_replicas", gateway.n_replicas, active)):
         if got != want:
             raise _violation(

@@ -23,6 +23,7 @@ off, or absent — ``tests/test_telemetry.py`` pins that down.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..serving.base import ServingEngine
@@ -56,7 +57,7 @@ class Telemetry:
 
     Attach by passing the instance as the ``telemetry=`` kwarg of the
     *outermost* gateway; its constructor calls :meth:`attach`, which
-    subscribes each layer's kernel and flips the engines'
+    forwards each layer's kernel into this one and flips the engines'
     ``emit_phases`` wiring.
     """
 
@@ -73,7 +74,8 @@ class Telemetry:
             policy=self._pinned_policy or RecordPolicy.KEEP_ALL)
         self.gauges = GaugeBoard(gauge_capacity)
         self.interval_s = interval_s
-        self._next_tick: Optional[float] = None
+        #: the first ``now`` at which :meth:`advance` has a tick to fire
+        self.next_tick_s = math.inf if interval_s is None else interval_s
         self._gateway: Optional[Gateway] = None     # outermost attached
         self._shed_prev: Tuple[float, float] = (0.0, 0.0)
         self.spans.subscribe(self.kernel)
@@ -107,10 +109,12 @@ class Telemetry:
 
         A layer with a kernel of its own (cluster: spawns, drains, ticks,
         replica engine events; tenancy: admission decisions, bucket
-        refills, frontier retirements) forwards every event into the
-        telemetry kernel; the engine-owning layer's engines publish
-        phases into that layer's kernel, or straight into the telemetry
-        kernel when it has none."""
+        refills, frontier retirements) forwards into the telemetry
+        kernel; the engine-owning layer's engines publish phases into
+        that layer's kernel, or straight into the telemetry kernel when
+        it has none.  Only event types someone subscribed to (or a
+        journal) are built: ``IterationDone`` and ``BucketRefill`` need
+        a subscriber of their own."""
         if gateway.telemetry is self:
             return
         kernel = gateway.kernel
@@ -125,7 +129,7 @@ class Telemetry:
         gateway._telemetry = self
         self._gateway = gateway
         if kernel is not None:
-            kernel.subscribe(Event, self.kernel.emit)
+            kernel.forward(self.kernel)
 
     # ------------------------------------------------------------------ #
     # the clock hook (driven by the innermost stepping layer)
@@ -134,19 +138,18 @@ class Telemetry:
         """Advance telemetry time to ``now``, firing every due
         :class:`~repro.sim.TelemetryTick` (and gauge snapshot) on the
         way.  The telemetry clock advances *before* each tick is
-        emitted, so the sanitizer's no-past-events invariant holds."""
+        emitted, so the sanitizer's no-past-events invariant holds.
+        Stepping layers call it only once ``now`` reaches
+        :attr:`next_tick_s`: between ticks there is nothing to observe,
+        and the telemetry clock waits for the next one."""
         interval = self.interval_s
-        if interval is None:
-            self.kernel.clock.advance(now)
-            return
-        if self._next_tick is None:
-            self._next_tick = interval
-        while self._next_tick <= now:
-            t = self._next_tick
-            self.kernel.clock.advance(t)
-            self.kernel.emit(TelemetryTick(time=t))
-            self.gauges.record(self._snapshot(t))
-            self._next_tick = t + interval
+        if interval is not None:
+            while self.next_tick_s <= now:
+                t = self.next_tick_s
+                self.kernel.clock.advance(t)
+                self.kernel.emit(TelemetryTick(time=t))
+                self.gauges.record(self._snapshot(t))
+                self.next_tick_s = t + interval
         self.kernel.clock.advance(now)
 
     # ------------------------------------------------------------------ #
@@ -241,7 +244,8 @@ class Telemetry:
         self.kernel.reset()
         self.spans.clear()
         self.gauges.clear()
-        self._next_tick = None
+        self.next_tick_s = math.inf if self.interval_s is None \
+            else self.interval_s
         self._shed_prev = (0.0, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

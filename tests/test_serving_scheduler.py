@@ -149,11 +149,13 @@ class TestPreemption:
         done.generated_tokens = 2
         child = make_request(5, "m0")
         child.parent_id = 0
-        batch = RunningBatch([done, make_request(6, "m1"), child])
+        cousin = make_request(6, "m1")
+        cousin.parent_id = 9             # another parent's child
+        batch = RunningBatch([done, cousin, child])
         assert sched.children_to_preempt(parent, batch) == [child]
         batch.leave(done)
         batch.leave(child)
-        # nobody running names the parent any more: no scan at all
+        # nobody running names this parent any more: no scan at all
         batch.requests = Unscannable(batch.requests)
         assert sched.children_to_preempt(parent, batch) == []
 
