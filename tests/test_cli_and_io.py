@@ -75,7 +75,87 @@ class TestTraceIO:
             assert "tenant_id" not in f.read()
 
 
+#: ``vars(parse_args(...))`` of the serving modes with every default taken
+#: (``func`` by name), recorded while each mode declared its own flags
+SERVING_DEFAULTS = {
+    "simulate": {
+        "command": "simulate", "func": "_cmd_simulate", "trace": "t.jsonl",
+        "model": "llama-13b", "gpu": "a800", "gpus": 4, "tp": 4,
+        "batch": 32, "deltas": 8, "ratio": 10.0, "prefix_cache": False,
+        "prefix_block": 32, "prefill_workers": 1, "decode_workers": 1,
+        "tp_degree": None, "systems": "both", "verbose": False},
+    "cluster": {
+        "command": "cluster", "func": "_cmd_cluster", "trace": "t.jsonl",
+        "model": "llama-13b", "engine": "deltazip", "replicas": "1,2,4",
+        "balancer": "least-outstanding", "autoscale": False,
+        "min_replicas": 1, "max_replicas": 8, "high_queue": 8.0,
+        "low_queue": 1.0, "gpu": "a800", "gpus": 4, "tp": 4, "batch": 32,
+        "deltas": 8, "ratio": 10.0, "prefix_cache": False,
+        "prefix_block": 32, "trace_out": None, "telemetry_interval": None,
+        "verbose": False},
+    "tenancy": {
+        "command": "tenancy", "func": "_cmd_tenancy",
+        "tenants": "agg:3.0:1.0:batch,gold:0.3:2.0:interactive,"
+                   "silver:0.3:1.0:standard",
+        "policy": "both", "shed": False, "depth": None, "duration": 120.0,
+        "seed": 0, "model": "llama-13b", "engine": "deltazip",
+        "gpu": "a800", "gpus": 4, "tp": 4, "batch": 32, "deltas": 8,
+        "ratio": 10.0, "telemetry_interval": None, "trace_out": None},
+}
+#: the flag family all three share, each set away from its default
+SHARED_FLAGS = (["--model", "llama-7b", "--gpu", "rtx3090", "--gpus", "2",
+                 "--tp", "2", "--batch", "16", "--deltas", "3",
+                 "--ratio", "5.5"],
+                {"model": "llama-7b", "gpu": "rtx3090", "gpus": 2, "tp": 2,
+                 "batch": 16, "deltas": 3, "ratio": 5.5})
+#: every other flag of each mode, set away from its default
+MODE_FLAGS = {
+    "simulate": (["--prefix-cache", "--prefix-block", "16",
+                  "--prefill-workers", "2", "--decode-workers", "3",
+                  "--tp-degree", "8", "--systems", "all", "--verbose"],
+                 {"prefix_cache": True, "prefix_block": 16,
+                  "prefill_workers": 2, "decode_workers": 3,
+                  "tp_degree": 8, "systems": "all", "verbose": True}),
+    "cluster": (["--engine", "disagg", "--replicas", "1,3",
+                 "--balancer", "lineage", "--autoscale",
+                 "--min-replicas", "2", "--max-replicas", "5",
+                 "--high-queue", "4", "--low-queue", "0.5",
+                 "--prefix-cache", "--prefix-block", "16",
+                 "--trace-out", "x.json", "--telemetry-interval", "2",
+                 "--verbose"],
+                {"engine": "disagg", "replicas": "1,3",
+                 "balancer": "lineage", "autoscale": True,
+                 "min_replicas": 2, "max_replicas": 5, "high_queue": 4.0,
+                 "low_queue": 0.5, "prefix_cache": True, "prefix_block": 16,
+                 "trace_out": "x.json", "telemetry_interval": 2.0,
+                 "verbose": True}),
+    "tenancy": (["--tenants", "a:1.0", "--policy", "vtc", "--shed",
+                 "--depth", "4", "--duration", "30", "--seed", "3",
+                 "--engine", "vllm-scb", "--telemetry-interval", "2",
+                 "--trace-out", "x.json"],
+                {"tenants": "a:1.0", "policy": "vtc", "shed": True,
+                 "depth": 4, "duration": 30.0, "seed": 3,
+                 "engine": "vllm-scb", "telemetry_interval": 2.0,
+                 "trace_out": "x.json"}),
+}
+
+
+def _parsed(argv):
+    args = vars(build_parser().parse_args(argv))
+    args["func"] = args["func"].__name__
+    return args
+
+
 class TestCLI:
+    @pytest.mark.parametrize("mode", sorted(SERVING_DEFAULTS))
+    def test_serving_flags_parse_as_recorded(self, mode):
+        head = [mode] if mode == "tenancy" else [mode, "--trace", "t.jsonl"]
+        assert _parsed(head) == SERVING_DEFAULTS[mode]
+        shared_argv, shared = SHARED_FLAGS
+        own_argv, own = MODE_FLAGS[mode]
+        assert _parsed(head + shared_argv + own_argv) == \
+            {**SERVING_DEFAULTS[mode], **shared, **own}
+
     def test_parser_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(["trace", "--out", "x.jsonl"])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.hardware import GPUNode, node_from_name
-from repro.serving import (DedicatedEngine, DeltaZipEngine, EngineConfig,
-                           LLAMA_13B, LLAMA_7B, ModelManager, SchedulerConfig,
-                           VLLMSCBEngine, slo_attainment)
+from repro.serving import (ENGINES, ArtifactKind, DedicatedEngine,
+                           DeltaZipEngine, EngineConfig, LLAMA_13B, LLAMA_7B,
+                           ModelManager, SchedulerConfig, VLLMSCBEngine,
+                           create_engine, slo_attainment)
 from repro.serving.tuning import pick_optimal_n, profile_concurrent_deltas
 from repro.workload import synthetic_trace, trace_from_distribution
 
@@ -118,6 +119,25 @@ class TestBaselines:
         result = DedicatedEngine(full_manager(), make_node(),
                                  EngineConfig()).run(short_trace)
         assert result.n_requests == len(short_trace)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_records_carry_the_fig16_breakdown(name, short_trace):
+    """Fig 16 splits each request into queueing, loading and inference:
+    every engine's records lay those phases end to end, in order, inside
+    the request's lifetime."""
+    cls = ENGINES[name]
+    mgr = delta_manager() if cls.variant_artifact == ArtifactKind.DELTA \
+        else full_manager()
+    result = create_engine(name, mgr, make_node(),
+                           scheduler_config=SchedulerConfig(16, 4),
+                           engine_config=EngineConfig()).run(short_trace)
+    assert result.n_requests == len(short_trace)
+    for rec in result.records:
+        queued = rec.arrival_s + rec.queue_wait_s
+        loaded = queued + rec.loading_s
+        assert rec.arrival_s <= queued <= loaded <= rec.finish_s + 1e-9
+    assert any(r.queue_wait_s > 0 for r in result.records)
 
 
 class TestPaperShape:

@@ -611,7 +611,25 @@ class TestScenarios:
 # --------------------------------------------------------------------------- #
 # trace export integration
 # --------------------------------------------------------------------------- #
+#: sha256 of the Chrome trace (6 511 events) of :func:`deciding_tenancy`'s
+#: journaled replay with cancels, recorded while the renderer still kept a
+#: lifecycle fold of its own beside :class:`SpanRecorder`
+CHROME_TRACE_DIGEST = \
+    "55ee25b0df3d3cba39de24e62ebe73a09742b7082a2ffc1497f5a736626d5d3c"
+
+
 class TestTraceExportSpans:
+    def test_deciding_tenancy_trace_matches_the_recorded_digest(
+            self, tenant_trace):
+        from repro.sim.trace_export import chrome_trace_events
+        telemetry = Telemetry(interval_s=1.0, journal=True)
+        deciding_tenancy(telemetry).replay(
+            tenant_trace, cancels=deciding_cancels(tenant_trace))
+        events = chrome_trace_events(telemetry.kernel.journal)
+        assert len(events) == 6511
+        assert hashlib.sha256(json.dumps(events).encode()).hexdigest() \
+            == CHROME_TRACE_DIGEST
+
     def test_nested_request_slices_with_tenant_args(self, tenant_trace):
         from repro.sim.trace_export import chrome_trace_events
         telemetry = Telemetry(interval_s=5.0, journal=True)
