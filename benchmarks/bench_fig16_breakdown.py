@@ -21,11 +21,10 @@ def _experiment():
                                     duration_s=60.0, seed=6)
     node = rtx3090_node(1)
     scb = scb_engine(full_manager(LLAMA_7B, n_models=12), node,
-                     tp=1).run(trace, collect_timeline=True)
+                     tp=1).run(trace)
     dz = deltazip_engine(delta_manager(LLAMA_7B, n_models=12,
                                        ratio=DELTA_RATIO_7B),
-                         node, n_deltas=3, tp=1).run(trace,
-                                                     collect_timeline=True)
+                         node, n_deltas=3, tp=1).run(trace)
     return {"vllm_scb": scb, "deltazip": dz}
 
 
@@ -48,13 +47,13 @@ def test_fig16_breakdown(benchmark):
     lines.append("\nper-request timeline (first 10 of each):")
     for name, result in out.items():
         lines.append(f"  {name}:")
-        for ev in sorted(result.config["timeline"],
-                         key=lambda e: e.arrival_s)[:10]:
+        for rec in sorted(result.records, key=lambda r: r.arrival_s)[:10]:
+            queued = rec.arrival_s + rec.queue_wait_s
             lines.append(
-                f"    {ev.model_id:12s} arrive={ev.arrival_s:6.1f} "
-                f"queued->{ev.queue_until_s:6.1f} "
-                f"loaded->{ev.loading_until_s:6.1f} "
-                f"finish->{ev.finish_s:6.1f}")
+                f"    {rec.model_id:12s} arrive={rec.arrival_s:6.1f} "
+                f"queued->{queued:6.1f} "
+                f"loaded->{queued + rec.loading_s:6.1f} "
+                f"finish->{rec.finish_s:6.1f}")
     save_table("fig16_breakdown", lines)
 
     scb_q, scb_l, scb_i = _phases(out["vllm_scb"])

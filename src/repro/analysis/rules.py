@@ -497,10 +497,9 @@ class EventRoutingRule(Rule):
     def applies_to(cls, ctx: FileContext) -> bool:
         if not ctx.has_component("sim", "serving"):
             return False
-        # events.py defines the classes; the sanitizer and trace export
-        # inspect events, they do not schedule them
-        return not ctx.is_file("sim/events.py", "sim/sanitizer.py",
-                               "sim/trace_export.py")
+        # events.py defines the classes; the sanitizer inspects events,
+        # it does not schedule them
+        return not ctx.is_file("sim/events.py", "sim/sanitizer.py")
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node)

@@ -127,15 +127,31 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _simulate_manager(engine_cls, spec, trace, ratio):
-    """Build the registry the way the target engine consumes variants."""
-    from repro.serving import ModelManager
+def _manager(args, name, trace):
+    """The ``--model`` registry, holding the trace's variants the way
+    engine ``name`` consumes them (sized by ``--ratio``)."""
+    from repro.serving import ENGINES, MODEL_SPECS, ModelManager
 
-    mgr = ModelManager(spec)
+    mgr = ModelManager(MODEL_SPECS[args.model])
     mgr.register_base("base")
     for m in trace.model_ids:
-        engine_cls.register_variant(mgr, m, "base", ratio)
+        ENGINES[name].register_variant(mgr, m, "base", args.ratio)
     return mgr
+
+
+def _engine(args, name, mgr, node, **extra):
+    """Engine ``name`` sized by the shared serving flags, plus the
+    prefix-cache flags in the modes that declare them."""
+    from repro.serving import EngineConfig, SchedulerConfig, create_engine
+
+    cache = {"prefix_cache": args.prefix_cache,
+             "prefix_block_tokens": args.prefix_block} \
+        if "prefix_cache" in args else {}
+    return create_engine(
+        name, mgr, node,
+        scheduler_config=SchedulerConfig(max_batch_requests=args.batch,
+                                         max_concurrent_deltas=args.deltas),
+        engine_config=EngineConfig(tp_degree=args.tp, **cache), **extra)
 
 
 def _ttft_decomposition(res):
@@ -158,12 +174,10 @@ def _ttft_decomposition(res):
 
 def _cmd_simulate(args) -> int:
     from repro.hardware import GPUNode, node_from_name
-    from repro.serving import (ENGINES, EngineConfig, MODEL_SPECS,
-                               SchedulerConfig, create_engine)
+    from repro.serving import ENGINES
     from repro.workload.io import load_trace
 
     trace = load_trace(args.trace)
-    spec = MODEL_SPECS[args.model]
     node = GPUNode(node_from_name(args.gpu, args.gpus))
     names = {"all": sorted(ENGINES),
              "both": ["deltazip", "vllm-scb"]}.get(args.systems,
@@ -171,7 +185,6 @@ def _cmd_simulate(args) -> int:
 
     results = {}
     for name in names:
-        mgr = _simulate_manager(ENGINES[name], spec, trace, args.ratio)
         # pool/shard sizing only applies to the engines that have pools
         extra = {}
         if name == "disagg":
@@ -179,16 +192,8 @@ def _cmd_simulate(args) -> int:
                      "decode_workers": args.decode_workers}
         elif name == "sharded" and args.tp_degree is not None:
             extra = {"tp_degree": args.tp_degree}
-        engine = create_engine(
-            name, mgr, node,
-            scheduler_config=SchedulerConfig(
-                max_batch_requests=args.batch,
-                max_concurrent_deltas=args.deltas),
-            engine_config=EngineConfig(
-                tp_degree=args.tp,
-                prefix_cache=args.prefix_cache,
-                prefix_block_tokens=args.prefix_block),
-            **extra)
+        engine = _engine(args, name, _manager(args, name, trace), node,
+                         **extra)
         results[name] = engine.run(trace)
 
     print(f"{'system':10s} {'thr(rps)':>9s} {'p50_e2e':>8s} "
@@ -222,16 +227,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_cluster(args) -> int:
     from repro.hardware import Cluster
-    from repro.serving import (Autoscaler, ClusterGateway, ENGINES,
-                               EngineConfig, MODEL_SPECS, SchedulerConfig,
-                               create_engine, summarize)
+    from repro.serving import Autoscaler, ClusterGateway, summarize
     from repro.workload.io import load_trace
 
     trace = load_trace(args.trace)
-    spec = MODEL_SPECS[args.model]
     replica_counts = [int(n) for n in args.replicas.split(",")]
     # engines never mutate the registry, so the sweep shares one manager
-    mgr = _simulate_manager(ENGINES[args.engine], spec, trace, args.ratio)
+    mgr = _manager(args, args.engine, trace)
 
     print(f"{'replicas':>8s} {'thr(rps)':>9s} {'makespan':>9s} "
           f"{'p50_e2e':>8s} {'p99_e2e':>8s} {'p50_ttft':>9s} "
@@ -249,15 +251,7 @@ def _cmd_cluster(args) -> int:
                                     gpus_per_node=args.gpus)
 
         def factory(node, mgr=mgr):
-            return create_engine(
-                args.engine, mgr, node,
-                scheduler_config=SchedulerConfig(
-                    max_batch_requests=args.batch,
-                    max_concurrent_deltas=args.deltas),
-                engine_config=EngineConfig(
-                    tp_degree=args.tp,
-                    prefix_cache=args.prefix_cache,
-                    prefix_block_tokens=args.prefix_block))
+            return _engine(args, args.engine, mgr, node)
 
         telemetry = None
         if args.telemetry_interval is not None:
@@ -269,16 +263,10 @@ def _cmd_cluster(args) -> int:
                                  journal=bool(args.trace_out),
                                  telemetry=telemetry)
         res = gateway.replay(trace)
-        if telemetry is not None:
-            _print_telemetry(telemetry)
-        if args.trace_out:
-            from repro.sim import export_chrome_trace
-            # one file per swept replica count: spawn/drain/tick/cancel
-            # and per-iteration spans, viewable in chrome://tracing
-            out = args.trace_out if len(replica_counts) == 1 else \
-                f"{args.trace_out}.r{n}.json"
-            n_events = export_chrome_trace(gateway.kernel.journal, out)
-            print(f"  wrote {n_events} trace events -> {out}")
+        # one trace per swept replica count: spawn/drain/tick/cancel and
+        # per-iteration spans, viewable in chrome://tracing
+        _report_observers(args, telemetry, gateway.kernel.journal,
+                          None if len(replica_counts) == 1 else f"r{n}")
         s = summarize(res)
         peak = res.config.get("max_replicas_seen", n)
         print(f"{n:8d} {res.throughput_within(trace.duration_s):9.3f} "
@@ -292,6 +280,20 @@ def _cmd_cluster(args) -> int:
                           f"{sample.n_replicas} replicas "
                           f"(queue/replica {sample.queue_per_replica:.1f})")
     return 0
+
+
+def _report_observers(args, telemetry, journal, tag) -> None:
+    """The tail of a run with observers: the telemetry digest, then
+    ``journal`` as Chrome trace JSON to ``--trace-out`` (or to
+    ``<path>.<tag>.json`` when a sweep writes one file per run)."""
+    if telemetry is not None:
+        _print_telemetry(telemetry)
+    if args.trace_out:
+        from repro.telemetry import export_chrome_trace
+        out = args.trace_out if tag is None else \
+            f"{args.trace_out}.{tag}.json"
+        n_events = export_chrome_trace(journal, out)
+        print(f"  wrote {n_events} trace events -> {out}")
 
 
 def _print_telemetry(telemetry) -> None:
@@ -340,27 +342,19 @@ def _parse_tenant_specs(text: str):
 
 def _cmd_tenancy(args) -> int:
     from repro.hardware import GPUNode, node_from_name
-    from repro.serving import (ENGINES, EngineConfig, MODEL_SPECS,
-                               SchedulerConfig, ServingGateway, TenantGateway,
-                               create_engine, jain_fairness_index)
+    from repro.serving import (ServingGateway, TenantGateway,
+                               jain_fairness_index)
     from repro.workload import multi_tenant_trace
 
     contracts, workloads = _parse_tenant_specs(args.tenants)
     trace = multi_tenant_trace(workloads, duration_s=args.duration,
                                seed=args.seed)
-    spec = MODEL_SPECS[args.model]
     node = GPUNode(node_from_name(args.gpu, args.gpus))
-    engine_cls = ENGINES[args.engine]
-    mgr = _simulate_manager(engine_cls, spec, trace, args.ratio)
+    mgr = _manager(args, args.engine, trace)
     policies = ["fcfs", "vtc"] if args.policy == "both" else [args.policy]
 
     for policy in policies:
-        engine = create_engine(
-            args.engine, mgr, node,
-            scheduler_config=SchedulerConfig(
-                max_batch_requests=args.batch,
-                max_concurrent_deltas=args.deltas),
-            engine_config=EngineConfig(tp_degree=args.tp))
+        engine = _engine(args, args.engine, mgr, node)
         telemetry = None
         if args.telemetry_interval is not None or args.trace_out:
             from repro.telemetry import Telemetry
@@ -374,16 +368,12 @@ def _cmd_tenancy(args) -> int:
                                 engine_queue_depth=args.depth,
                                 telemetry=telemetry)
         result = gateway.replay(trace)
-        if telemetry is not None:
-            _print_telemetry(telemetry)
-        if args.trace_out and telemetry is not None:
-            from repro.sim import export_chrome_trace
-            # per-policy file: admission verdicts, cancels (tenant-
-            # attributed), and nested request/phase lifecycle slices
-            out = args.trace_out if len(policies) == 1 else \
-                f"{args.trace_out}.{policy}.json"
-            n_events = export_chrome_trace(telemetry.kernel.journal, out)
-            print(f"  wrote {n_events} trace events -> {out}")
+        # one trace per policy: admission verdicts, cancels (tenant-
+        # attributed), and nested request/phase lifecycle slices
+        _report_observers(
+            args, telemetry,
+            None if telemetry is None else telemetry.kernel.journal,
+            None if len(policies) == 1 else policy)
 
         attainment = gateway.slo_attainment(result)
         print(f"\n=== policy: {policy}"
@@ -497,23 +487,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("simulate", help="serve a trace in simulation")
+    # importing the package (not just .base) registers the engine classes
+    from repro.serving import BALANCERS, ENGINES
+    # the flags simulate, cluster and tenancy share (read by _manager and
+    # _engine), and the prefix-cache pair simulate and cluster add
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--model", default="llama-13b",
+                         choices=["llama-7b", "llama-13b", "llama-70b",
+                                  "pythia-2.8b"])
+    serving.add_argument("--gpu", default="a800")
+    serving.add_argument("--gpus", type=int, default=4)
+    serving.add_argument("--tp", type=int, default=4)
+    serving.add_argument("--batch", type=int, default=32)
+    serving.add_argument("--deltas", type=int, default=8)
+    serving.add_argument("--ratio", type=float, default=10.0,
+                         help="assumed delta compression ratio")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--prefix-cache", action="store_true",
+                       help="enable prefix/KV-cache reuse for conversation "
+                            "and shared-system-prompt traffic")
+    cache.add_argument("--prefix-block", type=int, default=32,
+                       help="KV block size (tokens) for the prefix cache")
+
+    p = sub.add_parser("simulate", parents=[serving, cache],
+                       help="serve a trace in simulation")
     p.add_argument("--trace", required=True)
-    p.add_argument("--model", default="llama-13b",
-                   choices=["llama-7b", "llama-13b", "llama-70b",
-                            "pythia-2.8b"])
-    p.add_argument("--gpu", default="a800")
-    p.add_argument("--gpus", type=int, default=4)
-    p.add_argument("--tp", type=int, default=4)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--deltas", type=int, default=8)
-    p.add_argument("--ratio", type=float, default=10.0,
-                   help="assumed delta compression ratio")
-    p.add_argument("--prefix-cache", action="store_true",
-                   help="enable prefix/KV-cache reuse for conversation "
-                        "and shared-system-prompt traffic")
-    p.add_argument("--prefix-block", type=int, default=32,
-                   help="KV block size (tokens) for the prefix cache")
     p.add_argument("--prefill-workers", type=int, default=1,
                    help="disagg: prefill pool size (workers)")
     p.add_argument("--decode-workers", type=int, default=1,
@@ -521,8 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tp-degree", type=int, default=None,
                    help="sharded: total tensor-parallel degree across "
                         "nodes (default: --tp, i.e. single node)")
-    # importing the package (not just .base) registers the engine classes
-    from repro.serving import ENGINES
     p.add_argument("--systems", default="both",
                    choices=sorted(ENGINES) + ["all", "both"],
                    help="one registered engine, 'all' of them, or 'both' "
@@ -530,17 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("cluster",
+    p = sub.add_parser("cluster", parents=[serving, cache],
                        help="serve a trace on a multi-replica cluster")
     p.add_argument("--trace", required=True)
-    p.add_argument("--model", default="llama-13b",
-                   choices=["llama-7b", "llama-13b", "llama-70b",
-                            "pythia-2.8b"])
     p.add_argument("--engine", default="deltazip",
                    choices=sorted(ENGINES))
     p.add_argument("--replicas", default="1,2,4",
                    help="comma-separated replica counts to sweep")
-    from repro.serving import BALANCERS
     p.add_argument("--balancer", default="least-outstanding",
                    choices=sorted(BALANCERS))
     p.add_argument("--autoscale", action="store_true",
@@ -551,18 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale-up watermark (outstanding per replica)")
     p.add_argument("--low-queue", type=float, default=1.0,
                    help="scale-down watermark (outstanding per replica)")
-    p.add_argument("--gpu", default="a800")
-    p.add_argument("--gpus", type=int, default=4)
-    p.add_argument("--tp", type=int, default=4)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--deltas", type=int, default=8)
-    p.add_argument("--ratio", type=float, default=10.0,
-                   help="assumed delta compression ratio")
-    p.add_argument("--prefix-cache", action="store_true",
-                   help="enable prefix/KV-cache reuse for conversation "
-                        "and shared-system-prompt traffic")
-    p.add_argument("--prefix-block", type=int, default=32,
-                   help="KV block size (tokens) for the prefix cache")
     p.add_argument("--trace-out", default=None,
                    help="write the run's kernel journal as Chrome "
                         "about:tracing JSON (one file per replica count)")
@@ -572,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("tenancy",
+    p = sub.add_parser("tenancy", parents=[serving],
                        help="multi-tenant admission control study")
     p.add_argument("--tenants",
                    default="agg:3.0:1.0:batch,"
@@ -590,17 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "engine batch (--batch) for vtc")
     p.add_argument("--duration", type=float, default=120.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", default="llama-13b",
-                   choices=["llama-7b", "llama-13b", "llama-70b",
-                            "pythia-2.8b"])
     p.add_argument("--engine", default="deltazip", choices=sorted(ENGINES))
-    p.add_argument("--gpu", default="a800")
-    p.add_argument("--gpus", type=int, default=4)
-    p.add_argument("--tp", type=int, default=4)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--deltas", type=int, default=8)
-    p.add_argument("--ratio", type=float, default=10.0,
-                   help="assumed delta compression ratio")
     p.add_argument("--telemetry-interval", type=float, default=None,
                    help="wire the live ops plane and poll gauges every "
                         "N simulated seconds")

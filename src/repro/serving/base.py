@@ -57,9 +57,8 @@ from .streaming_metrics import RecordPolicy, StreamingMetrics
 
 __all__ = [
     "WORKSPACE_FRACTION", "PREEMPT_SWAP_S", "FULL_MODEL_LOADER_FACTOR",
-    "KV_RESERVE_FRACTION", "EngineConfig", "TimelineEvent", "Admission",
-    "RunningBatch", "ServingEngine", "ENGINES", "register_engine",
-    "create_engine",
+    "KV_RESERVE_FRACTION", "EngineConfig", "Admission", "RunningBatch",
+    "ServingEngine", "ENGINES", "register_engine", "create_engine",
 ]
 
 # Shared memory/timing constants (previously duplicated privately between
@@ -142,18 +141,6 @@ class EngineConfig:
             raise ValueError("sample_k must be >= 1")
         if self.prefix_block_tokens < 1:
             raise ValueError("prefix_block_tokens must be >= 1")
-
-
-@dataclass
-class TimelineEvent:
-    """Per-request phase spans for the Fig 16 breakdown."""
-
-    request_id: int
-    model_id: str
-    arrival_s: float
-    queue_until_s: float
-    loading_until_s: float
-    finish_s: float
 
 
 @dataclass
@@ -320,7 +307,6 @@ class ServingEngine:
         self.manager = manager
         self.node = node
         self.config = engine_config
-        self.collect_timeline = False
         self.on_token: Optional[TokenCallback] = None
         self.on_finish: Optional[FinishCallback] = None
         self.on_event: Optional[EventCallback] = None
@@ -375,7 +361,6 @@ class ServingEngine:
         self.batch = RunningBatch()
         self._lru_version = -1            # batch.version at the last LRU touch
         self._sanitize = _sanitizer.enabled()
-        self.timeline: List[TimelineEvent] = []
         self.stats = EngineStats()
         # retire-time streaming sink: sketches/counters always on, record
         # retention per policy (the request itself is always released)
@@ -586,14 +571,6 @@ class ServingEngine:
                     n_admitted=len(admitted), n_finished=len(newly_done),
                     source=self.name))
 
-        if self.collect_timeline:
-            for req in newly_done:
-                self.timeline.append(TimelineEvent(
-                    request_id=req.request_id, model_id=req.model_id,
-                    arrival_s=req.arrival_s,
-                    queue_until_s=req.first_scheduled_s,
-                    loading_until_s=req.first_scheduled_s + req.loading_s,
-                    finish_s=req.finish_s))
         if self.on_finish is not None:
             for req in newly_done:
                 self.on_finish(req, self.clock)
@@ -631,22 +608,18 @@ class ServingEngine:
             makespan = stream.max_finish_s - stream.min_arrival_s
         else:
             makespan = self.clock
-        result = ServingResult(
+        return ServingResult(
             engine=self.name, records=records,
             makespan_s=max(makespan, 1e-9),
             stats=self.stats if self.include_stats else None,
             config=self.result_config(), stream=stream)
-        if self.collect_timeline:
-            result.config["timeline"] = list(self.timeline)
-        return result
 
     # ------------------------------------------------------------------ #
     # offline replay (the legacy entry point)
     # ------------------------------------------------------------------ #
-    def run(self, trace: Trace, collect_timeline: bool = False) -> ServingResult:
+    def run(self, trace: Trace) -> ServingResult:
         """Replay a pre-materialized trace: submit everything, drain."""
         self.reset()
-        self.collect_timeline = collect_timeline
         for t in trace:
             self.submit(t)
         self.run_until_drained()
@@ -813,11 +786,13 @@ class ServingEngine:
         req.state = RequestState.EXPIRED if reason == "deadline" \
             else RequestState.CANCELLED
         req.finish_s = max(self.clock, req.arrival_s)
-        self._retire([req])
-        self.stats.aborts += 1
         if self.on_event is not None:
+            # before the retire transition closes the request's span, so
+            # a span recorder can annotate it with the reason
             self.on_event(Cancel(time=req.finish_s, request_id=request_id,
                                  reason=reason))
+        self._retire([req])
+        self.stats.aborts += 1
         if self.on_finish is not None:
             self.on_finish(req, self.clock)
         if self._sanitize:

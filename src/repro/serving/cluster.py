@@ -627,7 +627,6 @@ class ClusterGateway(Gateway):
                  autoscaler: Optional[Autoscaler] = None,
                  on_token: Optional[TokenCallback] = None,
                  on_request_complete: Optional[CompletionCallback] = None,
-                 collect_timeline: bool = False,
                  journal: bool = False,
                  telemetry=None, _fixed: bool = False):
         if n_replicas < 1:
@@ -640,7 +639,6 @@ class ClusterGateway(Gateway):
         self.balancer = create_balancer(balancer)
         self.autoscaler = autoscaler
         self._factory = engine_factory
-        self._collect_timeline = collect_timeline
         self._journal = journal
         self._next_replica_id = 0
         # trace requests awaiting routing: replay defers each routing
@@ -686,8 +684,8 @@ class ClusterGateway(Gateway):
                      names: Optional[Sequence[str]] = None,
                      balancer: Union[str, LoadBalancer] = "least-outstanding",
                      on_token: Optional[TokenCallback] = None,
-                     on_request_complete: Optional[CompletionCallback] = None,
-                     collect_timeline: bool = False) -> "ClusterGateway":
+                     on_request_complete: Optional[CompletionCallback] = None
+                     ) -> "ClusterGateway":
         """A fixed replica set over pre-built (possibly heterogeneous)
         engines; replica *i* is named ``names[i]`` when given."""
         if not engines:
@@ -695,8 +693,7 @@ class ClusterGateway(Gateway):
         if names is not None and len(names) != len(engines):
             raise ValueError("names must match engines one-to-one")
         gateway = cls(balancer=balancer, on_token=on_token,
-                      on_request_complete=on_request_complete,
-                      collect_timeline=collect_timeline, _fixed=True)
+                      on_request_complete=on_request_complete, _fixed=True)
         for i, engine in enumerate(engines):
             name = names[i] if names is not None else None
             gateway.replicas.append(
@@ -754,7 +751,6 @@ class ClusterGateway(Gateway):
             engine.clock = max(engine.clock, self.clock)
         replica = Replica(self._next_replica_id, engine, name=name, node=node)
         self._next_replica_id += 1
-        engine.collect_timeline = self._collect_timeline
         engine.on_finish = self._finish_hook
         if self._token_tap:
             engine.on_token = self._token_hook

@@ -32,15 +32,14 @@ from ..hardware.interconnect import InterconnectModel
 from ..hardware.memory import Tier
 from ..sim import sanitizer as _sanitizer
 from .base import (PREEMPT_SWAP_S, WORKSPACE_FRACTION, Admission,
-                   EngineConfig, ServingEngine, TimelineEvent,
-                   register_engine)
+                   EngineConfig, ServingEngine, register_engine)
 from .costs import BatchComposition, IterationCostModel, LinearPlan
 from .model_manager import ArtifactKind, ModelManager
 from .prefix_cache import Chain, PrefixCache, prefix_block_keys
 from .request import ServingRequest
 from .scheduler import ContinuousBatchScheduler, SchedulerConfig
 
-__all__ = ["EngineConfig", "DeltaZipEngine", "TimelineEvent"]
+__all__ = ["EngineConfig", "DeltaZipEngine"]
 
 #: what a standing idle verdict admits (read-only: one instance serves all)
 _ADMIT_NOTHING = Admission()
@@ -194,9 +193,7 @@ class DeltaZipEngine(ServingEngine):
 
         # KV-capacity admission control: every admitted request must fit
         # its full context into the remaining budget
-        kv_budget_tokens = max(
-            0, int((self._usable - self._base_bytes - self._resident_bytes)
-                   // self._kv_per_token))
+        kv_budget_tokens = self._kv_token_budget()
         kv_in_use = kv_tokens_running
         kept: List[ServingRequest] = []
         for req in admitted:
@@ -353,12 +350,16 @@ class DeltaZipEngine(ServingEngine):
 
     def utilization(self) -> Dict[str, float]:
         util = super().utilization()
-        kv_budget = max(
-            0, int((self._usable - self._base_bytes - self._resident_bytes)
-                   // self._kv_per_token))
+        kv_budget = self._kv_token_budget()
         if kv_budget > 0:
             util["kv_occupancy"] = self._kv_tokens_in_use() / kv_budget
         return util
+
+    def _kv_token_budget(self) -> int:
+        """KV tokens the group budget holds beside the base weights and
+        the resident deltas."""
+        return max(0, int((self._usable - self._base_bytes
+                           - self._resident_bytes) // self._kv_per_token))
 
     def _kv_tokens_in_use(self) -> int:
         """KV tokens held right now.  With the prefix cache on that is
@@ -442,9 +443,7 @@ class DeltaZipEngine(ServingEngine):
         """Evict cold pool blocks until pool + private KV fits the
         budget again (commits can overshoot transiently)."""
         cache = self._prefix_cache
-        kv_budget_tokens = max(
-            0, int((self._usable - self._base_bytes - self._resident_bytes)
-                   // self._kv_per_token))
+        kv_budget_tokens = self._kv_token_budget()
         private = self.batch.context_tokens - self.batch.cached_prefix_tokens
         allowed = max(0, kv_budget_tokens - private) // cache.block_tokens
         self.stats.prefix_evictions += cache.evict_to(allowed)

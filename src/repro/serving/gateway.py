@@ -338,11 +338,9 @@ class ServingGateway(Gateway):
     def __init__(self, engine: ServingEngine,
                  on_token: Optional[TokenCallback] = None,
                  on_request_complete: Optional[CompletionCallback] = None,
-                 collect_timeline: bool = False,
                  telemetry=None):
         super().__init__(on_token, on_request_complete)
         self.engine = engine
-        engine.collect_timeline = collect_timeline
         self._wire()
         if telemetry is not None:
             telemetry.attach(self)

@@ -84,8 +84,8 @@ class MultiBaseRouter:
         return out
 
     def gateway(self, on_token: Optional[TokenCallback] = None,
-                on_request_complete: Optional[CompletionCallback] = None,
-                collect_timeline: bool = False) -> ClusterGateway:
+                on_request_complete: Optional[CompletionCallback] = None
+                ) -> ClusterGateway:
         """An online cluster gateway over the per-base groups.
 
         One replica per group (named after its ``base_id``), with a
@@ -98,8 +98,7 @@ class MultiBaseRouter:
         gateway = ClusterGateway.from_engines(
             [self.groups[base_id].engine() for base_id in names],
             names=names, balancer=balancer, on_token=on_token,
-            on_request_complete=on_request_complete,
-            collect_timeline=collect_timeline)
+            on_request_complete=on_request_complete)
         for base_id, replica in zip(names, gateway.replicas):
             balancer.pin(base_id, replica)
         return gateway

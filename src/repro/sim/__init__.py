@@ -33,7 +33,6 @@ from .events import (AdmissionDecision, Arrival, AutoscalerTick, BucketRefill,
 from .kernel import ForwardingCycleError, SimKernel
 from .queue import EventQueue, KeyedHeap
 from .sanitizer import SimSanitizerError, new_clock
-from .trace_export import chrome_trace_events, export_chrome_trace
 
 __all__ = [
     "SimClock", "EventQueue", "KeyedHeap", "SimKernel",
@@ -42,5 +41,4 @@ __all__ = [
     "AutoscalerTick", "ReplicaSpawn", "ReplicaDrain",
     "PhaseTransition", "AdmissionDecision", "TelemetryTick", "KvTransfer",
     "SimSanitizerError", "new_clock",
-    "chrome_trace_events", "export_chrome_trace",
 ]

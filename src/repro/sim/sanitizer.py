@@ -468,15 +468,15 @@ def check_cluster_coast(gateway: Any, replica: Any, watch: CoastWatch) -> None:
     """``ClusterGateway.run_until_drained`` let ``replica`` coast and
     redid its bookkeeping: every coasted iteration started before the
     next unrouted arrival and autoscaler tick as they stood before the
-    run, nothing retired, the ledger holds the re-filed replica, and no
-    tick the run crossed still waits behind the frontier."""
+    run, nothing retired, and no tick the run crossed still waits behind
+    the frontier.  (That the ledger holds the re-filed replica,
+    ``_made_progress`` already checked.)"""
     watch.check_starts(f"replica {replica.name}", replica.engine, list(zip(
         ("an unrouted arrival", "an autoscaler tick"), watch.held)))
     if replica.unfinished != watch.unfinished:
         raise _violation(
             f"replica {replica.name} coasted from {watch.unfinished!r} "
             f"unfinished requests to {replica.unfinished!r}")
-    check_cluster_frontier(gateway)
     now, head = gateway.kernel.now, gateway._ticks.peek_time()
     if now < gateway.frontier or (gateway.autoscaler is not None
                                   and head is not None and head <= now):

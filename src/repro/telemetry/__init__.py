@@ -10,6 +10,9 @@ the observability surface a production deployment would have:
 * :class:`GaugeBoard` (:mod:`repro.telemetry.gauges`) — periodic gauge
   snapshots (backlog, occupancy, shed rate, per-tenant SLO attainment,
   replica count) in a bounded ring, consumable mid-run;
+* :func:`export_chrome_trace` (:mod:`repro.telemetry.trace_export`) — a
+  kernel journal as Chrome ``about:tracing`` JSON, its request slices the
+  spans a :class:`SpanRecorder` folds out of that journal;
 * :mod:`repro.telemetry.scenarios` — named stress drills (replica
   failure mid-burst, thundering herd, scale-from-zero, noisy neighbor)
   that *assert* recovery invariants instead of just plotting curves.
@@ -33,10 +36,11 @@ from ..sim.events import Event, TelemetryTick
 from ..sim.kernel import SimKernel
 from .gauges import GaugeBoard, GaugeSnapshot
 from .spans import RequestSpan, SpanRecorder
+from .trace_export import chrome_trace_events, export_chrome_trace
 
 __all__ = [
     "Telemetry", "SpanRecorder", "RequestSpan", "GaugeBoard",
-    "GaugeSnapshot",
+    "GaugeSnapshot", "chrome_trace_events", "export_chrome_trace",
 ]
 
 #: default gauge polling period (simulated seconds)

@@ -12,7 +12,7 @@ bounded no matter how long the run — and is consumable mid-run through
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, List, Optional
 
 __all__ = ["GaugeSnapshot", "GaugeBoard"]
@@ -59,26 +59,7 @@ class GaugeSnapshot:
     attainment: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "time_s": self.time_s, "backlog": self.backlog,
-            "unfinished": self.unfinished,
-            "queued_at_admission": self.queued_at_admission,
-            "n_replicas": self.n_replicas,
-            "batch_occupancy": self.batch_occupancy,
-            "kv_occupancy": self.kv_occupancy,
-            "shed_rate_per_s": self.shed_rate_per_s,
-            "n_retired": self.n_retired,
-            "spans_active": self.spans_active,
-            "prefix_hit_rate": self.prefix_hit_rate,
-            "prefix_saved_tokens": self.prefix_saved_tokens,
-            "prefill_workers": self.prefill_workers,
-            "decode_workers": self.decode_workers,
-            "prefill_occupancy": self.prefill_occupancy,
-            "decode_occupancy": self.decode_occupancy,
-            "prefill_backlog": self.prefill_backlog,
-            "decode_backlog": self.decode_backlog,
-            "attainment": dict(self.attainment),
-        }
+        return asdict(self)
 
 
 class GaugeBoard:

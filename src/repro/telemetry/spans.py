@@ -22,13 +22,13 @@ any retained spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..serving.streaming_metrics import QuantileSketch, RecordPolicy
-from ..sim.events import AdmissionDecision, Cancel, PhaseTransition
+from ..sim.events import AdmissionDecision, Cancel, Event, PhaseTransition
 from ..sim.kernel import SimKernel
 
 __all__ = ["RequestSpan", "SpanRecorder"]
@@ -105,23 +105,15 @@ class RequestSpan:
         return out
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "request_id": self.request_id, "tenant_id": self.tenant_id,
-            "model_id": self.model_id, "source": self.source,
-            "decision": self.decision,
-            "cancel_reason": self.cancel_reason,
-            "queue_s": self.queue_s, "prefill_s": self.prefill_s,
-            "transfer_s": self.transfer_s,
-            "decode_s": self.decode_s, "retire_s": self.retire_s,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 class SpanRecorder:
     """Kernel subscriber assembling :class:`RequestSpan` objects.
 
-    Subscribe with :meth:`subscribe`; read back with :meth:`completed`,
-    :meth:`span`, :attr:`active_count`, and :meth:`summary`.
+    Subscribe with :meth:`subscribe` (live) or replay a journal with
+    :meth:`fold`; read back with :meth:`completed`, :meth:`span`,
+    :attr:`active_count`, and :meth:`summary`.
     """
 
     def __init__(self, policy: RecordPolicy = RecordPolicy.KEEP_ALL,
@@ -144,11 +136,25 @@ class SpanRecorder:
     # ------------------------------------------------------------------ #
     # wiring
     # ------------------------------------------------------------------ #
+    def _handlers(self) -> tuple:
+        return ((PhaseTransition, self._on_phase),
+                (AdmissionDecision, self._on_decision),
+                (Cancel, self._on_cancel))
+
     def subscribe(self, kernel: SimKernel) -> None:
         """Attach this recorder to a kernel's event stream."""
-        kernel.subscribe(PhaseTransition, self._on_phase)
-        kernel.subscribe(AdmissionDecision, self._on_decision)
-        kernel.subscribe(Cancel, self._on_cancel)
+        for event_type, handler in self._handlers():
+            kernel.subscribe(event_type, handler)
+
+    def fold(self, events: Iterable[Event]) -> "SpanRecorder":
+        """Replay recorded events (a kernel journal) through the handlers
+        :meth:`subscribe` attaches; returns the recorder."""
+        handlers = self._handlers()
+        for event in events:
+            for event_type, handler in handlers:
+                if isinstance(event, event_type):
+                    handler(event)
+        return self
 
     # ------------------------------------------------------------------ #
     # event handlers (pure observation)
@@ -197,9 +203,9 @@ class SpanRecorder:
             self._close(span)
 
     def _on_cancel(self, event: Cancel) -> None:
-        span = self._active.get(event.request_id)
-        if span is not None:
-            span.cancel_reason = event.reason
+        # published before the retire transition it causes; a request
+        # cancelled before it ever queued opens its span here
+        self._get(event.request_id).cancel_reason = event.reason
 
     # ------------------------------------------------------------------ #
     # retention

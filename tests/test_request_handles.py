@@ -19,8 +19,8 @@ from repro.serving import (ClusterGateway, EngineConfig, HandleStatus,
                            LLAMA_7B, LineageAffinityBalancer, ModelManager,
                            RequestHandle, SchedulerConfig, ServingGateway,
                            Tenant, TenantGateway, create_engine)
-from repro.sim import Arrival, Cancel, EventQueue, SimKernel, \
-    chrome_trace_events
+from repro.sim import Arrival, Cancel, EventQueue, SimKernel
+from repro.telemetry import chrome_trace_events, export_chrome_trace
 from repro.workload import (ClosedLoopClient, PatienceModel,
                             impatient_cancel_schedule, synthetic_trace)
 from repro.workload.spec import TraceRequest
@@ -116,7 +116,7 @@ class TestCancelEvent:
         assert [e.request.request_id for e in queue.in_order()] == [0, 2]
 
     def test_chrome_trace_export(self, tmp_path):
-        from repro.sim import export_chrome_trace, IterationDone, ReplicaSpawn
+        from repro.sim import IterationDone, ReplicaSpawn
         journal = [ReplicaSpawn(time=0.0, replica_id=0),
                    IterationDone(time=1.0, iter_time_s=0.2, load_time_s=0.1,
                                  source="deltazip"),

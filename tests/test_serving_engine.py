@@ -84,17 +84,6 @@ class TestDeltaZipEngine:
                            EngineConfig(tp_degree=1)).run(
                 synthetic_trace(2, 0.5, 10.0, seed=0))
 
-    def test_timeline_collection(self, short_trace):
-        result = DeltaZipEngine(delta_manager(), make_node(),
-                                SchedulerConfig(16, 4),
-                                EngineConfig()).run(short_trace,
-                                                    collect_timeline=True)
-        timeline = result.config["timeline"]
-        assert len(timeline) == result.n_requests
-        for ev in timeline:
-            assert ev.arrival_s <= ev.queue_until_s <= ev.loading_until_s \
-                <= ev.finish_s + 1e-9
-
     def test_lora_variant_kind(self, short_trace):
         engine = DeltaZipEngine(lora_manager(), make_node(),
                                 SchedulerConfig(16, 8),
@@ -108,12 +97,6 @@ class TestBaselines:
         result = VLLMSCBEngine(full_manager(), make_node(),
                                EngineConfig()).run(short_trace)
         assert result.n_requests == len(short_trace)
-
-    def test_scb_timeline(self, short_trace):
-        result = VLLMSCBEngine(full_manager(), make_node(),
-                               EngineConfig()).run(short_trace,
-                                                   collect_timeline=True)
-        assert len(result.config["timeline"]) == result.n_requests
 
     def test_dedicated_runs_per_variant(self, short_trace):
         result = DedicatedEngine(full_manager(), make_node(),

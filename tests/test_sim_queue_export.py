@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.sim import (Arrival, Cancel, EventQueue, IterationDone, KeyedHeap,
                        ReplicaSpawn)
-from repro.sim.trace_export import chrome_trace_events, export_chrome_trace
+from repro.telemetry import chrome_trace_events, export_chrome_trace
 from repro.workload.spec import TraceRequest
 
 

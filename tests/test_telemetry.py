@@ -5,6 +5,7 @@ import hashlib
 import json
 import numbers
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.sim import (AdmissionDecision, BucketRefill, IterationDone,
                        PhaseTransition, SimKernel, TelemetryTick)
 from repro.sim.events import Arrival, Cancel
 from repro.sim.sanitizer import sanitized
-from repro.telemetry import GaugeBoard, GaugeSnapshot, SpanRecorder, Telemetry
+from repro.telemetry import (GaugeBoard, GaugeSnapshot, SpanRecorder,
+                             Telemetry, chrome_trace_events)
 from repro.telemetry.scenarios import SCENARIO_NAMES, run_scenario
 from repro.workload import TenantWorkload, multi_tenant_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
@@ -292,9 +294,13 @@ class TestPureObservation:
 # the event plane: only what someone wants is built
 # --------------------------------------------------------------------------- #
 #: sha256 of the gauges, span summary and closed spans of
-#: :func:`deciding_tenancy`'s replay, recorded on the commit before events
-#: were built on demand
+#: :func:`deciding_tenancy`'s replay, re-recorded once engines published a
+#: cancel before the retire it causes (cancelled spans gained their reason)
 EVENT_PLANE_DIGEST = \
+    "85916b70a3058bbaf0bbf9f8f895a84d1dbcb601cc366803161d6e1e8d09f897"
+#: the same with every span's ``cancel_reason`` masked: the digest recorded
+#: before events were built on demand, so nothing else moved
+UNREASONED_DIGEST = \
     "12a949a4d93ef0c9fdc8e6da317629047a34f0e1f4d6a6756194dd12fcda4048"
 
 
@@ -339,10 +345,13 @@ def iterations(gateway):
                for r in cluster.replicas + cluster.retired)
 
 
-def event_plane_digest(telemetry):
+def event_plane_digest(telemetry, masked=()):
+    """sha256 of gauges, span summary and closed spans (the span fields
+    named in ``masked`` read as None)."""
+    spans = [{**s.as_dict(), **dict.fromkeys(masked)}
+             for s in telemetry.spans.completed()]
     payload = (_canon([g.as_dict() for g in telemetry.series()]),
-               _canon(telemetry.spans.summary()),
-               _canon([s.as_dict() for s in telemetry.spans.completed()]))
+               _canon(telemetry.spans.summary()), _canon(spans))
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -378,6 +387,8 @@ class TestEventPlane:
         assert "scale_up" in {s.action
                               for s in gateway.inner.autoscaler.history}
         assert event_plane_digest(telemetry) == EVENT_PLANE_DIGEST
+        assert event_plane_digest(telemetry, masked=("cancel_reason",)) \
+            == UNREASONED_DIGEST
 
     def test_nothing_nobody_wants_is_built(self, monkeypatch, tenant_trace):
         counts = CountingEvents(monkeypatch)
@@ -618,10 +629,29 @@ CHROME_TRACE_DIGEST = \
     "55ee25b0df3d3cba39de24e62ebe73a09742b7082a2ffc1497f5a736626d5d3c"
 
 
+def impatient(trace):
+    """``trace`` with a deadline 2 s after every third arrival, and client
+    cancels 1 s after every fifth."""
+    requests = [replace(r, deadline_s=r.arrival_s + 2.0)
+                if r.request_id % 3 == 0 else r for r in trace]
+    cancels = [(r.request_id, r.arrival_s + 1.0) for r in trace
+               if r.request_id % 5 == 0]
+    return (Trace(requests=requests, model_ids=trace.model_ids,
+                  duration_s=trace.duration_s), cancels)
+
+
+def shedding_tenancy(telemetry):
+    """One engine behind an admission layer that sheds silver requests
+    whose predicted TTFT breaches a tight SLO."""
+    tenants = (Tenant("gold", weight=2.0, slo_class="interactive"),
+               Tenant("silver", weight=1.0, ttft_slo_s=0.05))
+    return TenantGateway(ServingGateway(make_engine(k=2)), tenants=tenants,
+                         policy="vtc", shed=True, telemetry=telemetry)
+
+
 class TestTraceExportSpans:
     def test_deciding_tenancy_trace_matches_the_recorded_digest(
             self, tenant_trace):
-        from repro.sim.trace_export import chrome_trace_events
         telemetry = Telemetry(interval_s=1.0, journal=True)
         deciding_tenancy(telemetry).replay(
             tenant_trace, cancels=deciding_cancels(tenant_trace))
@@ -631,7 +661,6 @@ class TestTraceExportSpans:
             == CHROME_TRACE_DIGEST
 
     def test_nested_request_slices_with_tenant_args(self, tenant_trace):
-        from repro.sim.trace_export import chrome_trace_events
         telemetry = Telemetry(interval_s=5.0, journal=True)
         tenants = (Tenant("gold", weight=2.0, slo_class="interactive"),
                    Tenant("silver", weight=1.0, slo_class="standard"))
@@ -657,3 +686,73 @@ class TestTraceExportSpans:
         assert ticks and all(e["tid"] == "telemetry" for e in ticks)
         verdicts = [e for e in events if e["name"].startswith("admission:")]
         assert len(verdicts) == len(tenant_trace)
+
+    @pytest.mark.parametrize("stack", ["deciding-tenancy", "disagg",
+                                       "shedding-tenancy"])
+    def test_every_closed_span_is_its_outer_trace_slice(
+            self, stack, short_trace, tenant_trace):
+        """The Chrome request slices are the spans the live recorder
+        closed: one outer slice per span with a phase, carrying its
+        status and attributes, its phase slices the span's bounds (a
+        shed request's: one zero-length queue phase)."""
+        telemetry = Telemetry(interval_s=1.0, journal=True)
+        if stack == "disagg":
+            trace, cancels = impatient(short_trace)
+            ServingGateway(make_engine("disagg"), telemetry=telemetry) \
+                .replay(trace, cancels=cancels)
+        elif stack == "deciding-tenancy":
+            deciding_tenancy(telemetry).replay(
+                tenant_trace, cancels=deciding_cancels(tenant_trace))
+        else:
+            shedding_tenancy(telemetry).replay(tenant_trace)
+        slices = {}
+        for e in chrome_trace_events(telemetry.kernel.journal):
+            if e["tid"].startswith("req:"):
+                slices.setdefault(e["args"]["request_id"], []).append(e)
+        spans = [s for s in telemetry.spans.completed() if s.phase_bounds()]
+        assert sorted(slices) == sorted(s.request_id for s in spans)
+        if stack == "disagg":
+            assert any(s.transfer_s is not None for s in spans)   # handoffs
+        if stack == "shedding-tenancy":
+            assert any(s.status == "shed" for s in spans)
+        for span in spans:
+            outer, *phases = slices[span.request_id]
+            args = outer["args"]
+            assert (args["status"], args.get("tenant"), args.get("variant"),
+                    args.get("replica"), args.get("cancel_reason")) == \
+                (span.status, span.tenant_id, span.model_id or None,
+                 span.source, span.cancel_reason)
+            assert [(p["name"], p["ts"], p["ts"] + p["dur"])
+                    for p in phases] == [
+                (name, pytest.approx(start * 1e6), pytest.approx(end * 1e6))
+                for name, start, end in span.phase_bounds()]
+
+
+class TestCancelReason:
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_every_engine_cancelled_span_carries_its_reason(
+            self, name, short_trace):
+        trace, cancels = impatient(short_trace)
+        telemetry = Telemetry(interval_s=None)
+        result = ServingGateway(make_engine(name), telemetry=telemetry) \
+            .replay(trace, cancels=cancels)
+        assert {"cancelled", "expired"} <= {r.status for r in result.records}
+        reason = {"cancelled": "cancel", "expired": "deadline"}
+        ended = [s for s in telemetry.spans.completed()
+                 if s.status in reason]
+        assert len(ended) == sum(r.status in reason for r in result.records)
+        assert [s.cancel_reason for s in ended] == \
+            [reason[s.status] for s in ended]
+
+    def test_tenancy_engine_cancels_carry_their_reason(self, tenant_trace):
+        """Under an admission layer a cancel reaches the engine once the
+        request was dispatched; one still held at the frontier retires
+        there, with no engine cancel to name a reason."""
+        telemetry = Telemetry(interval_s=1.0)
+        deciding_tenancy(telemetry).replay(
+            tenant_trace, cancels=deciding_cancels(tenant_trace))
+        cancelled = [s for s in telemetry.spans.completed()
+                     if s.status == "cancelled"]
+        in_engine = [s for s in cancelled if s.source != "frontier"]
+        assert in_engine and len(in_engine) < len(cancelled)
+        assert all(s.cancel_reason == "cancel" for s in in_engine)
