@@ -387,6 +387,13 @@ class TestEventPlane:
         assert "scale_up" in {s.action
                               for s in gateway.inner.autoscaler.history}
         assert event_plane_digest(telemetry) == EVENT_PLANE_DIGEST
+
+    def test_reasons_masked_the_digest_is_the_unreasoned_one(
+            self, tenant_trace):
+        """Whoever names a withdrawal's reason, nothing else moves."""
+        telemetry = Telemetry(interval_s=1.0)
+        deciding_tenancy(telemetry).replay(
+            tenant_trace, cancels=deciding_cancels(tenant_trace))
         assert event_plane_digest(telemetry, masked=("cancel_reason",)) \
             == UNREASONED_DIGEST
 
@@ -627,6 +634,26 @@ class TestScenarios:
 #: lifecycle fold of its own beside :class:`SpanRecorder`
 CHROME_TRACE_DIGEST = \
     "55ee25b0df3d3cba39de24e62ebe73a09742b7082a2ffc1497f5a736626d5d3c"
+#: the same trace with what frontier withdrawals publish masked out
+#: (:func:`without_frontier_cancels`): recorded before they published any
+UNWITHDRAWN_TRACE_DIGEST = \
+    "55ee25b0df3d3cba39de24e62ebe73a09742b7082a2ffc1497f5a736626d5d3c"
+
+
+def without_frontier_cancels(events, request_ids):
+    """Chrome ``events`` without the cancel instants of ``request_ids``
+    and without the ``cancel_reason`` arg of their slices."""
+    out = []
+    for event in events:
+        args = event["args"]
+        if args.get("request_id") in request_ids:
+            if event["name"].startswith("cancel:"):
+                continue
+            if "cancel_reason" in args:
+                event = {**event, "args": {k: v for k, v in args.items()
+                                           if k != "cancel_reason"}}
+        out.append(event)
+    return out
 
 
 def impatient(trace):
@@ -659,6 +686,23 @@ class TestTraceExportSpans:
         assert len(events) == 6511
         assert hashlib.sha256(json.dumps(events).encode()).hexdigest() \
             == CHROME_TRACE_DIGEST
+
+    def test_frontier_withdrawals_masked_the_trace_is_the_recorded_one(
+            self, tenant_trace):
+        """What the admission frontier publishes for a request it withdraws
+        (a cancel instant, the reason on its slices) is all that a
+        frontier ``Cancel`` may add to the trace."""
+        telemetry = Telemetry(interval_s=1.0, journal=True)
+        deciding_tenancy(telemetry).replay(
+            tenant_trace, cancels=deciding_cancels(tenant_trace))
+        frontier = {s.request_id for s in telemetry.spans.completed()
+                    if s.source == "frontier"}
+        assert frontier
+        events = without_frontier_cancels(
+            chrome_trace_events(telemetry.kernel.journal), frontier)
+        assert len(events) == 6511
+        assert hashlib.sha256(json.dumps(events).encode()).hexdigest() \
+            == UNWITHDRAWN_TRACE_DIGEST
 
     def test_nested_request_slices_with_tenant_args(self, tenant_trace):
         telemetry = Telemetry(interval_s=5.0, journal=True)
