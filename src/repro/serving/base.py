@@ -27,8 +27,9 @@ identical either way.  Executed iterations are published as
 :class:`~repro.sim.IterationDone` events through
 :attr:`ServingEngine.on_event` so outer layers (the cluster kernel
 journal, telemetry) can observe the timeline without reaching into
-engine internals — built only if the kernel behind ``on_event`` wants
-one (any other callable hears every iteration).
+engine internals.  Every event an engine publishes — iterations, request
+phases, cancels — is built only if the kernel behind ``on_event`` wants
+it (:meth:`ServingEngine._wants`; any other callable hears everything).
 
 Engines register themselves in the string-keyed :data:`ENGINES` registry
 (via :func:`register_engine`) so the CLI, benchmarks, router, and the
@@ -115,7 +116,6 @@ class EngineConfig:
     delta_density: float = 0.5
     lora_rank: int = 16
     sbmm_impl: str = "sbmm"
-    lossless_decompress_gbps: Optional[float] = None
     preempt_mode: str = "swap"       # "swap" | "recompute"
     max_sim_seconds: float = 36000.0
     idle_quantum_s: Optional[float] = None
@@ -310,11 +310,6 @@ class ServingEngine:
         self.on_token: Optional[TokenCallback] = None
         self.on_finish: Optional[FinishCallback] = None
         self.on_event: Optional[EventCallback] = None
-        # telemetry wiring (not state — survives reset): when True and
-        # on_event is set, the engine publishes PhaseTransition events so
-        # a span recorder can assemble request lifecycles.  Off by
-        # default: the disabled path constructs no events at all.
-        self.emit_phases: bool = False
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -443,20 +438,23 @@ class ServingEngine:
         clock reaches them (an O(log n) kernel count, not a heap scan)."""
         return self.unfinished - self._pending.count_after(self.clock)
 
+    @property
+    def batch_limit(self) -> Optional[int]:
+        """The most requests one iteration may batch: the scheduler's
+        limit, or the engine's own; None when it has neither."""
+        sched = getattr(self, "scheduler_config", None)
+        if sched is not None:
+            return sched.max_batch_requests
+        return getattr(self, "max_batch_requests", None)
+
     def utilization(self) -> Dict[str, float]:
         """Instantaneous occupancy gauges for the telemetry layer.
 
-        ``batch_occupancy`` is running requests over the scheduler's
-        batch limit (0.0 when no limit is discoverable);
-        ``kv_occupancy`` is engine-specific — 0.0 here, overridden by
-        engines that track a KV-token budget.
+        ``batch_occupancy`` is running requests over :attr:`batch_limit`
+        (0.0 without one); ``kv_occupancy`` is engine-specific — 0.0
+        here, overridden by engines that track a KV-token budget.
         """
-        cap: Optional[int] = None
-        sched = getattr(self, "scheduler_config", None)
-        if sched is not None:
-            cap = getattr(sched, "max_batch_requests", None)
-        if cap is None:
-            cap = getattr(self, "max_batch_requests", None)
+        cap = self.batch_limit
         occupancy = len(self.batch) / cap if cap else 0.0
         return {"batch_occupancy": occupancy, "kv_occupancy": 0.0}
 
@@ -467,11 +465,6 @@ class ServingEngine:
         or future-pending work) — the engine is drained.
         """
         self._before_step()
-        # hoisted telemetry gate: None on the hot (disabled) path.  The
-        # local is named `emit` deliberately — it IS the kernel publish
-        # path (simlint SIM008 keys on the call name).
-        emit = self.on_event if self.emit_phases and \
-            self.on_event is not None else None
 
         # 0. due cancellations/deadline expiries apply at the boundary
         #    (nothing due: no pop_due generator is built, here or in 1.)
@@ -481,14 +474,12 @@ class ServingEngine:
 
         # 1. arrivals up to the clock join the engine's queue
         if self._pending.due(self.clock):
+            phases = self._wants(PhaseTransition)
             for event in self._pending.pop_due(self.clock):
-                self.on_arrival(event.request)
-                if emit is not None:
-                    req = event.request
-                    emit(PhaseTransition(
-                        time=req.arrival_s, request_id=req.request_id,
-                        phase="queue", model_id=req.model_id,
-                        tenant_id=req.tenant_id, source=self.name))
+                req = event.request
+                self.on_arrival(req)
+                if phases:
+                    self._phase(req, "queue", req.arrival_s)
 
         batch = self.batch
         if not batch.requests and not self.has_queued():
@@ -505,16 +496,14 @@ class ServingEngine:
         admitted = admission.admitted
         load_time = admission.load_time_s
         clock = self.clock
+        phases = bool(admitted) and self._wants(PhaseTransition)
         for req in admitted:
             req.state = RequestState.RUNNING
             if req.first_scheduled_s is None:
                 req.first_scheduled_s = clock
                 req.queue_wait_s = clock - req.arrival_s
-                if emit is not None:
-                    emit(PhaseTransition(
-                        time=clock, request_id=req.request_id,
-                        phase="prefill", model_id=req.model_id,
-                        tenant_id=req.tenant_id, source=self.name))
+                if phases:
+                    self._phase(req, "prefill", clock)
             req.loading_s += load_time
 
         # 4. execute one fused prefill+decode iteration
@@ -539,11 +528,8 @@ class ServingEngine:
             req.prefilled = True
             if req.first_token_s is None:
                 req.first_token_s = now
-                if emit is not None:
-                    emit(PhaseTransition(
-                        time=now, request_id=req.request_id,
-                        phase="decode", model_id=req.model_id,
-                        tenant_id=req.tenant_id, source=self.name))
+                if phases:
+                    self._phase(req, "decode", now)
             batch.join(req)
         newly_done = batch.advance(iter_time)
         if self.on_token is not None:
@@ -559,17 +545,12 @@ class ServingEngine:
                 req.finish_s = now
             self._retire(newly_done)
         self._sim.tick(self.retire(newly_done))
-        on_event = self.on_event
-        if executed and on_event is not None:
-            # a kernel's emit builds only what the kernel wants
-            kernel = getattr(on_event, "__self__", None)
-            if not isinstance(kernel, SimKernel) or \
-                    kernel.wants(IterationDone):
-                on_event(IterationDone(
-                    time=self.clock, iter_time_s=iter_time,
-                    load_time_s=load_time, n_running=len(batch.requests),
-                    n_admitted=len(admitted), n_finished=len(newly_done),
-                    source=self.name))
+        if executed and self._wants(IterationDone):
+            self.on_event(IterationDone(
+                time=self.clock, iter_time_s=iter_time,
+                load_time_s=load_time, n_running=len(batch.requests),
+                n_admitted=len(admitted), n_finished=len(newly_done),
+                source=self.name))
 
         if self.on_finish is not None:
             for req in newly_done:
@@ -741,6 +722,28 @@ class ServingEngine:
         return None
 
     # ------------------------------------------------------------------ #
+    # publication
+    # ------------------------------------------------------------------ #
+    def _wants(self, event_type: Type[Event]) -> bool:
+        """Would an ``event_type`` published now be observed?  The one
+        demand rule: build an event only if this is True.  No hook: no.
+        A hook bound to a kernel (``kernel.emit``, or the sanitizer's
+        closure standing in for it): whatever that kernel wants, asked at
+        publish time so a later subscriber counts at once.  Any other
+        callable hears everything."""
+        hook = self.on_event
+        if hook is None:
+            return False
+        kernel = getattr(hook, "__self__", None)
+        return not isinstance(kernel, SimKernel) or kernel.wants(event_type)
+
+    def _phase(self, req: ServingRequest, phase: str, time: float,
+               status: str = "") -> None:
+        """Publish ``req`` entering lifecycle ``phase`` (the caller asked
+        :meth:`_wants` first)."""
+        self.on_event(PhaseTransition.of(req, phase, time, self.name, status))
+
+    # ------------------------------------------------------------------ #
     # retirement
     # ------------------------------------------------------------------ #
     def _retire(self, requests: List[ServingRequest]) -> None:
@@ -755,17 +758,13 @@ class ServingEngine:
         # bound per call, never at construction: a profiler may swap
         # StreamingMetrics.observe on the class after the engine exists
         observe = self.metrics.observe
-        emit = self.on_event if self.emit_phases else None
+        phases = self._wants(PhaseTransition)
         live = self._live
         for req in requests:
             self._n_retired += 1
             observe(req.record())
-            if emit is not None:
-                emit(PhaseTransition(
-                    time=req.finish_s, request_id=req.request_id,
-                    phase="retire", model_id=req.model_id,
-                    tenant_id=req.tenant_id, status=req.state.value,
-                    source=self.name))
+            if phases:
+                self._phase(req, "retire", req.finish_s, req.state.value)
             live.pop(req.request_id, None)
 
     # ------------------------------------------------------------------ #
@@ -786,7 +785,7 @@ class ServingEngine:
         req.state = RequestState.EXPIRED if reason == "deadline" \
             else RequestState.CANCELLED
         req.finish_s = max(self.clock, req.arrival_s)
-        if self.on_event is not None:
+        if self._wants(Cancel):
             # before the retire transition closes the request's span, so
             # a span recorder can annotate it with the reason
             self.on_event(Cancel(time=req.finish_s, request_id=request_id,

@@ -211,7 +211,6 @@ class DedicatedEngine(ServingEngine):
             group.on_token = self.on_token
             group.on_finish = finish
             group.on_event = self.on_event
-            group.emit_phases = self.emit_phases
 
     def _fanout_finish(self, req: ServingRequest, clock_s: float) -> None:
         self._request_group.pop(req.request_id, None)

@@ -59,7 +59,7 @@ from .gateway import (CancelSchedule, CompletionCallback, Gateway,
                       TokenCallback)
 from .handle import HandleStatus
 from .metrics import ServingResult
-from .request import RequestRecord, ServingRequest, synthesized_abort_record
+from .request import RequestRecord, ServingRequest
 
 __all__ = [
     "Replica", "ReplicaSet", "LoadBalancer", "RoundRobinBalancer",
@@ -72,6 +72,11 @@ __all__ = [
 
 #: builds one engine on the node a replica was allocated
 EngineFactory = Callable[[GPUNode], ServingEngine]
+
+#: requests a non-home replica must be ahead by to win a lineage choice
+AFFINITY_BIAS = 4.0
+#: the recent-TTFT percentile the autoscaler's ``ttft_high_s`` watches
+TTFT_QUANTILE = 90.0
 
 
 class Replica:
@@ -250,9 +255,9 @@ class LineageAffinityBalancer(LoadBalancer):
     but spill to a less-loaded replica when the residency advantage is
     outweighed by queue imbalance.
 
-    Each eligible replica is scored ``outstanding + affinity_bias *
+    Each eligible replica is scored ``outstanding + AFFINITY_BIAS *
     (not home)`` (ties break on replica id): a non-home replica wins
-    only when it is more than ``affinity_bias`` requests ahead.  A
+    only when it is more than ``AFFINITY_BIAS`` requests ahead.  A
     spill *teaches* the key a secondary home — the delta is swapped
     onto the spill target, so it is genuinely resident there from then
     on (replicated hot deltas).
@@ -273,13 +278,9 @@ class LineageAffinityBalancer(LoadBalancer):
     name = "lineage"
 
     def __init__(self, owner_of: Optional[Callable[[str], str]] = None,
-                 fallback: Optional[LoadBalancer] = None,
-                 affinity_bias: float = 4.0):
-        if affinity_bias <= 0:
-            raise ValueError("affinity_bias must be > 0")
+                 fallback: Optional[LoadBalancer] = None):
         self._owner_of = owner_of or (lambda model_id: model_id)
         self._fallback = fallback or LeastOutstandingBalancer()
-        self._affinity_bias = affinity_bias
         self._pinned: Dict[str, Replica] = {}
         self._home: Dict[str, Replica] = {}
         self._secondary: Dict[str, List[Replica]] = {}
@@ -323,10 +324,9 @@ class LineageAffinityBalancer(LoadBalancer):
             # (one GPU group per base model), so load never spills it
             chosen = homes[0]
         else:
-            bias = self._affinity_bias
             chosen = min(replicas, key=lambda r: (
                 r.unfinished + (0.0 if any(h is r for h in homes)
-                                else bias), r.id))
+                                else AFFINITY_BIAS), r.id))
             if not any(h is chosen for h in homes):
                 # load outweighed residency; the swap-in makes the delta
                 # resident here too, so remember the replication
@@ -480,7 +480,6 @@ class AutoscalerConfig:
     high_queue_per_replica: float = 8.0
     low_queue_per_replica: float = 1.0
     ttft_high_s: Optional[float] = None     # watermark on recent TTFT tail
-    ttft_quantile: float = 90.0
     check_interval_s: float = 2.0
     scale_up_cooldown_s: float = 5.0
     scale_down_cooldown_s: float = 30.0
@@ -496,9 +495,7 @@ class AutoscalerConfig:
                 ("check_interval_s", self.check_interval_s > 0, "> 0"),
                 ("scale_up_cooldown_s", self.scale_up_cooldown_s >= 0, ">= 0"),
                 ("scale_down_cooldown_s", self.scale_down_cooldown_s >= 0,
-                 ">= 0"),
-                ("ttft_quantile", 0 <= self.ttft_quantile <= 100,
-                 "in [0, 100]")):
+                 ">= 0")):
             if not ok:
                 raise ValueError(
                     f"{knob} must be {want}, got {getattr(self, knob)!r}")
@@ -575,7 +572,7 @@ class Autoscaler:
         # they are offered load the engines cannot see.
         offered = sum(r.backlog for r in active) + target.admission_queued
         queue_per = offered / max(n, 1)
-        ttft_tail = target.recent_ttft_percentile(cfg.ttft_quantile)
+        ttft_tail = target.recent_ttft_percentile(TTFT_QUANTILE)
 
         action = None
         overloaded = queue_per > cfg.high_queue_per_replica or \
@@ -634,12 +631,11 @@ class ClusterGateway(Gateway):
         super().__init__(on_token, on_request_complete)
         # the one clock: kernel time is the cluster frontier, and every
         # cross-layer event (spawns, drains, autoscaler ticks, engine
-        # iterations when journaling) flows through it
+        # events when journaled or observed) flows through it
         self.kernel = SimKernel(journal=journal)
         self.balancer = create_balancer(balancer)
         self.autoscaler = autoscaler
         self._factory = engine_factory
-        self._journal = journal
         self._next_replica_id = 0
         # trace requests awaiting routing: replay defers each routing
         # decision until the simulation frontier reaches the arrival, so
@@ -649,7 +645,6 @@ class ClusterGateway(Gateway):
         self._owner: Dict[int, Replica] = {}       # routed request -> replica
         #: unrouted request -> its earliest cancel so far (None: none yet)
         self._pending_cancels: Dict[int, Optional[Tuple[float, str]]] = {}
-        self._orphans: List[RequestRecord] = []    # cancelled before routing
         self._recent_records: Deque[RequestRecord] = deque(maxlen=256)
         self._set: ReplicaSet[Replica] = ReplicaSet(self._build_replica,
                                                     cluster)
@@ -754,12 +749,10 @@ class ClusterGateway(Gateway):
         engine.on_finish = self._finish_hook
         if self._token_tap:
             engine.on_token = self._token_hook
-        if self._journal or self._telemetry is not None:
-            # publish engine iterations (and cancels) into the journal
-            # and/or onward to the telemetry layer
+        if self.kernel.journal is not None or self._telemetry is not None:
+            # publish engine events into the journal and/or onward to the
+            # telemetry layer (each built only if the kernel wants it)
             engine.on_event = self.kernel.emit
-        if self._telemetry is not None:
-            engine.emit_phases = True
         return replica
 
     def _reap_drained(self) -> None:
@@ -870,9 +863,9 @@ class ClusterGateway(Gateway):
         Routed requests forward the cancel to their owning replica's
         engine (freeing its batch slot there); not-yet-routed requests
         carry their earliest cancel with them — applied by the owning
-        engine after routing, or retired as an orphaned record when the
-        cancel time precedes the arrival (the request never enters a
-        replica, and the lineage balancer never pins its abandoned work).
+        engine after routing, or withdrawn here (:meth:`Gateway._withdraw`)
+        when the cancel time precedes the arrival (the request never enters
+        a replica, and the lineage balancer never pins its abandoned work).
         A cancel for an id that is neither is stale and ignored, as on
         every engine.
         """
@@ -1035,10 +1028,10 @@ class ClusterGateway(Gateway):
         the clocks: the cluster-level idle-skip.
 
         A request whose scheduled cancel precedes its arrival never
-        reaches a replica: it retires as an orphaned cancelled/expired
-        record, consumes no balancer choice, and — when every due request
-        was such an orphan while all replicas idle — the next arrival
-        group is released immediately so the drain cannot wedge.
+        reaches a replica: it is withdrawn at its arrival as a
+        cancelled/expired record, consumes no balancer choice, and — when
+        every due request was withdrawn while all replicas idle — the next
+        arrival group is released immediately so the drain cannot wedge.
         """
         busy = self.least_busy()
         while self._unrouted:
@@ -1052,7 +1045,9 @@ class ClusterGateway(Gateway):
                 request = event.request
                 pending = self._pending_cancels.pop(request.request_id, None)
                 if pending is not None and pending[0] <= request.arrival_s:
-                    self._retire_orphan(request, pending[1])
+                    # never enters a replica: withdrawn at its arrival
+                    self._record_completion(self._withdraw(
+                        request, request.arrival_s, pending[1]))
                     continue
                 replica = self._assign(request, self.active_replicas())
                 if pending is not None:
@@ -1064,21 +1059,13 @@ class ClusterGateway(Gateway):
                 break
         return busy
 
-    def _retire_orphan(self, request: TraceRequest, reason: str) -> None:
-        """Terminal record for a request cancelled before it was routed."""
-        status = "expired" if reason == "deadline" else "cancelled"
-        record = synthesized_abort_record(request, request.arrival_s, status)
-        self._orphans.append(record)
-        self._record_completion(record)
-
     def result(self) -> ServingResult:
         """Merged cluster-level snapshot of completions so far (records
         of requests cancelled before routing included)."""
         parts = list(self.results_by_replica().values())
-        if self._orphans:
-            parts.append(ServingResult(engine="cluster",
-                                       records=list(self._orphans),
-                                       makespan_s=1e-9))
+        if self._withdrawn:
+            parts.append(ServingResult(engine="cluster", makespan_s=1e-9,
+                                       records=list(self._withdrawn)))
         merged = ServingResult.merge(
             parts, engine="cluster",
             config={"replicas": len(self.replicas) + len(self.retired),
@@ -1127,7 +1114,6 @@ class ClusterGateway(Gateway):
         self._recent_records.clear()
         self._owner.clear()
         self._pending_cancels.clear()
-        self._orphans.clear()
         self.balancer.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()

@@ -49,7 +49,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Type
 
 from ..hardware.cluster import Cluster, GPUNode
 from ..hardware.interconnect import InterconnectModel
-from ..sim import Event, KvTransfer, PhaseTransition
+from ..sim import KvTransfer, PhaseTransition
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
 from .base import (Admission, EngineConfig, ServingEngine, register_engine)
@@ -77,15 +77,20 @@ DEFAULT_PREFILL_CHUNK_TOKENS = 512
 class _PoolWorker(DeltaZipEngine):
     """One pool member: a DeltaZip engine on its own timeline.
 
-    Workers forward finishes (and, while it has a listener, tokens and
-    events) to the owning :class:`DisaggregatedEngine`, which maintains
-    the canonical (client-visible) requests.  A worker is itself its pool's
+    Workers forward finishes (and, while it has a listener, tokens) to
+    the owning :class:`DisaggregatedEngine`, which maintains the canonical
+    (client-visible) requests, and publish events into the owner's
+    ``on_event``: their lifecycle phases translated by :attr:`phases`
+    onto the canonical span.  A worker is itself its pool's
     :class:`~repro.serving.cluster.ReplicaSet` member (``id``,
     ``draining``): a draining worker accepts no new routes but runs its
     queue dry before its node is released.
     """
 
     role = "worker"
+    #: worker-local phase -> the canonical span's phase it stands for;
+    #: the rest are the other pool's or the owner's (transfer, retire)
+    phases: Dict[str, str] = {}
 
     def __init__(self, owner: "DisaggregatedEngine", worker_id: int,
                  node: GPUNode):
@@ -97,13 +102,16 @@ class _PoolWorker(DeltaZipEngine):
                          owner.config)
         self.on_finish = self._finish_to_owner
 
-    # forwarded hooks: finish is permanent, the owner's _wire_hooks
-    # installs the other two only while it has a listener for them
+    # finish is forwarded for good; the owner's _wire_hooks sets on_token
+    # and on_event while it has a listener for them
     def _finish_to_owner(self, req: ServingRequest, clock_s: float) -> None:
         self.owner._on_worker_finish(self, req, clock_s)
 
-    def _event_to_owner(self, event: Event) -> None:
-        self.owner._on_worker_event(self, event)
+    def _phase(self, req: ServingRequest, phase: str, time: float,
+               status: str = "") -> None:
+        canonical = self.phases.get(phase)
+        if canonical is not None:
+            super()._phase(req, canonical, time, status)
 
     def _next_wake(self) -> Optional[float]:
         """Clamp idle jumps to the owner's next autoscaler check so the
@@ -121,6 +129,7 @@ class _PrefillWorker(_PoolWorker):
     token (their surrogate trace asks for exactly one output token)."""
 
     role = "prefill"
+    phases = {"queue": "queue", "prefill": "prefill"}
 
     def iteration_cost(self,
                        admitted: List[ServingRequest]) -> Optional[float]:
@@ -170,6 +179,7 @@ class _DecodeWorker(_PoolWorker):
     """
 
     role = "decode"
+    phases = {"prefill": "decode"}      # admitted to decode its KV
 
     def _reset_engine(self) -> None:
         super()._reset_engine()
@@ -280,7 +290,6 @@ class DisaggregatedEngine(ServingEngine):
                  prefill_workers: int = 1, decode_workers: int = 1,
                  prefill_chunk_tokens: int = DEFAULT_PREFILL_CHUNK_TOKENS,
                  cluster: Optional[Cluster] = None,
-                 link: Optional[InterconnectModel] = None,
                  prefill_autoscaler: Optional[Autoscaler] = None,
                  decode_autoscaler: Optional[Autoscaler] = None):
         if prefill_workers < 1 or decode_workers < 1:
@@ -293,7 +302,7 @@ class DisaggregatedEngine(ServingEngine):
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self._n_prefill = prefill_workers
         self._n_decode = decode_workers
-        self._link = link if link is not None else InterconnectModel()
+        self._link = InterconnectModel()
         self._scalers = (prefill_autoscaler, decode_autoscaler)
         ceiling = 0
         for n, scaler in zip((prefill_workers, decode_workers),
@@ -337,7 +346,7 @@ class DisaggregatedEngine(ServingEngine):
         self._stepped: Optional[_PoolWorker] = None   # whom step() advanced
         # the owner hooks the pool workers are wired to; every worker is
         # wired on its way into a pool, so step() rewires only on a change
-        self._wired_hooks = (self.on_event, self.emit_phases, self.on_token)
+        self._wired_hooks = (self.on_event, self.on_token)
         # conversation affinity keeps a session on the prefill worker
         # whose prefix cache holds its history; decode has no such state
         prefill = _Pool(self, _PrefillWorker,
@@ -577,18 +586,17 @@ class DisaggregatedEngine(ServingEngine):
 
     def _sync_hooks(self) -> None:
         """Rewire the pooled workers when the owner's ``on_event`` /
-        ``emit_phases`` / ``on_token`` changed since they were last wired
-        (a listener attached mid-run takes effect at the next step)."""
-        hooks = (self.on_event, self.emit_phases, self.on_token)
+        ``on_token`` changed since they were last wired (a listener
+        attached mid-run takes effect at the next step)."""
+        hooks = (self.on_event, self.on_token)
         if hooks != self._wired_hooks:
             self._wired_hooks = hooks
             for worker in self._all_workers():
                 self._wire_hooks(worker)
 
     def _wire_hooks(self, worker: _PoolWorker) -> None:
-        has_sink = self.on_event is not None
-        worker.emit_phases = self.emit_phases and has_sink
-        worker.on_event = worker._event_to_owner if has_sink else None
+        # the owner's own hook: a worker asks the kernel behind it
+        worker.on_event = self.on_event
         # forwarded only while someone listens: no per-token cost otherwise
         worker.on_token = self._on_worker_token \
             if self.on_token is not None else None
@@ -698,17 +706,14 @@ class DisaggregatedEngine(ServingEngine):
         dst = self._decode.balancer.choose(canonical.model_id,
                                            self._decode.active_replicas())
         emit = self.on_event
-        if emit is not None:
+        if emit is not None and self._wants(KvTransfer):
             emit(KvTransfer(
                 time=start_s, request_id=rid, model_id=canonical.model_id,
                 nbytes=plan.nbytes, transfer_s=plan.transfer_s,
                 tokens=plan.tokens, cached_tokens=plan.cached_tokens,
                 src=src.name, dst=dst.name))
-            if self.emit_phases:
-                emit(PhaseTransition(
-                    time=start_s, request_id=rid, phase="transfer",
-                    model_id=canonical.model_id,
-                    tenant_id=canonical.tenant_id, source=self.name))
+        if self._wants(PhaseTransition):
+            self._phase(canonical, "transfer", start_s)
         self._owner_of[rid] = dst
         self._in_transfer.add(rid)
         dst.seed(rid, req.cached_prefix_tokens)
@@ -734,28 +739,6 @@ class DisaggregatedEngine(ServingEngine):
             self.on_finish(canonical, clock_s)
         if self._sanitize:
             _sanitizer.check_released(self, canonical)
-
-    # phase translation: worker-local lifecycles map onto the canonical
-    # queue → prefill → transfer → decode → retire span; the owner's own
-    # _retire emits retire, _handoff emits transfer
-    _PREFILL_PHASE_MAP = {"queue": "queue", "prefill": "prefill"}
-    _DECODE_PHASE_MAP = {"prefill": "decode"}
-
-    def _on_worker_event(self, worker: _PoolWorker, event: Event) -> None:
-        emit = self.on_event
-        if emit is None:
-            return
-        if isinstance(event, PhaseTransition):
-            mapping = self._PREFILL_PHASE_MAP if worker.role == "prefill" \
-                else self._DECODE_PHASE_MAP
-            phase = mapping.get(event.phase)
-            if phase is None:
-                return
-            if phase != event.phase:
-                event = replace(event, phase=phase, source=self.name)
-            emit(event)
-            return
-        emit(event)
 
     # ------------------------------------------------------------------ #
     # protocol surface the pools satisfy jointly
@@ -852,8 +835,7 @@ class ShardedEngine(DeltaZipEngine):
                  engine_config: EngineConfig = EngineConfig(),
                  tp_degree: Optional[int] = None,
                  n_nodes: Optional[int] = None,
-                 cluster: Optional[Cluster] = None,
-                 link: Optional[InterconnectModel] = None):
+                 cluster: Optional[Cluster] = None):
         tp = tp_degree if tp_degree is not None else engine_config.tp_degree
         per_node_gpus = node.spec.n_gpus
         if n_nodes is None:
@@ -866,7 +848,7 @@ class ShardedEngine(DeltaZipEngine):
                 f"{n_nodes} nodes")
         self._n_nodes = n_nodes
         self._per_node_tp = tp // n_nodes
-        self._link = link if link is not None else InterconnectModel()
+        self._link = InterconnectModel()
         self._shard_nodes: List[GPUNode] = [node]
         if n_nodes > 1:
             src = cluster if cluster is not None \

@@ -453,9 +453,7 @@ class DeltaZipEngine(ServingEngine):
         if model_id in self._cpu_ready_s:
             return
         entry = self.manager.get(model_id)
-        decompress = self.config.lossless_decompress_gbps
-        fetch = self.node.load_time(entry.nbytes, Tier.DISK, Tier.CPU,
-                                    decompress_gbps=decompress)
+        fetch = self.node.load_time(entry.nbytes, Tier.DISK, Tier.CPU)
         self._cpu_ready_s[model_id] = now_s + fetch
 
     def receive_delta(self, model_id: str, at_s: float,

@@ -44,12 +44,13 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..sim import SimKernel
+from ..sim import Cancel, PhaseTransition, SimKernel
 from ..workload.spec import Trace, TraceRequest
 from .base import ServingEngine
 from .handle import HandleStatus, RequestHandle
 from .metrics import ServingResult
-from .request import RequestRecord, RequestState, ServingRequest
+from .request import (RequestRecord, RequestState, ServingRequest,
+                      synthesized_abort_record)
 from .streaming_metrics import RecordPolicy
 
 __all__ = ["Gateway", "ServingGateway"]
@@ -94,6 +95,8 @@ class Gateway:
         self._next_id = 0
         self._telemetry = None
         self._admission_probe: Optional[Callable[[], int]] = None
+        #: records of requests this layer retired itself (:meth:`_withdraw`)
+        self._withdrawn: List[RequestRecord] = []
 
     # ------------------------------------------------------------------ #
     # the client surface
@@ -175,6 +178,7 @@ class Gateway:
         handles from the previous timeline are dropped.  Layers reset
         their own state, then call this."""
         self._handles.clear()
+        self._withdrawn.clear()
         self._next_id = 0
         self._wire()
         if self._telemetry is not None:
@@ -297,6 +301,27 @@ class Gateway:
         handle = self._handles.get(request_id)
         if handle is not None:
             handle._push_token(clock, n_generated)
+
+    def _withdraw(self, request: TraceRequest, at_s: float,
+                  reason: str) -> RequestRecord:
+        """Retire a request that never reached an engine, withdrawn at
+        ``at_s`` by a cancel (``reason="cancel"``) or its deadline: its
+        ``Cancel`` then its ``retire`` phase are published on
+        :attr:`kernel` (each only if wanted, as an engine publishes an
+        abort) and the record is kept for ``result()``.  The layer
+        delivers the returned record through its own completion path."""
+        status = "expired" if reason == "deadline" else "cancelled"
+        kernel = self.kernel
+        if kernel is not None:
+            if kernel.wants(Cancel):
+                kernel.emit(Cancel(time=at_s, request_id=request.request_id,
+                                   reason=reason))
+            if kernel.wants(PhaseTransition):
+                kernel.emit(PhaseTransition.of(request, "retire", at_s,
+                                               "frontier", status))
+        record = synthesized_abort_record(request, at_s, status)
+        self._withdrawn.append(record)
+        return record
 
     def _complete(self, record: RequestRecord) -> None:
         """Deliver one terminal record: callbacks, then the handle."""

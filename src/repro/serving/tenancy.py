@@ -59,7 +59,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim import (Arrival, BucketRefill, Cancel, EventQueue, KeyedHeap,
                    SimKernel)
@@ -395,6 +395,8 @@ class AdmissionController:
         self._queued: Dict[str, int] = {}
         self._inflight: Dict[str, int] = {}
         self.stats: Dict[str, TenantAdmissionStats] = {}
+        # the one per-request map the admission layer keeps past a
+        # request's end: TenantGateway.decision(id) is read after a drain
         self.decisions: Dict[int, AdmissionDecision] = {}
         for tid, tenant in self.tenants.items():
             self._init_tenant_state(tid, tenant)
@@ -730,9 +732,8 @@ class TenantGateway(Gateway):
         self._cancels = EventQueue()      # frontier-level Cancel events
         #: reason="cancel" schedules to forward when a request dispatches
         self._scheduled_cancels: Dict[int, Tuple[float, str]] = {}
-        self._dispatched_ids: set = set()
-        self._terminal_ids: set = set()   # resolved at this layer/below
-        self._frontier_records: List[RequestRecord] = []
+        self._held: Set[int] = set()      # pending or queued at admission
+        self._dispatched_ids: Set[int] = set()
         self._floor = 0.0                 # admission-time frontier floor
         self._dispatched_unfinished = 0
         self._recent_finish: Deque[float] = deque(
@@ -773,6 +774,7 @@ class TenantGateway(Gateway):
 
     def _admit_request(self, request: TraceRequest) -> None:
         self._pending.push(Arrival(time=request.arrival_s, request=request))
+        self._held.add(request.request_id)
         if request.deadline_s is not None:
             # frontier-side expiry watch; once dispatched, the owning
             # engine schedules its own deadline Cancel from the trace
@@ -788,9 +790,11 @@ class TenantGateway(Gateway):
         offered), queued at the admission frontier (it is withdrawn with
         a full bucket/billing refund), or dispatched (the cancel is
         forwarded to the wrapped gateway and the un-served charge is
-        refunded when the abort record comes back)."""
+        refunded when the abort record comes back).  A cancel for a
+        request that is neither — terminal, or never submitted — is stale
+        and ignored."""
         rid = int(request_id)
-        if rid in self._terminal_ids:
+        if rid not in self._held and rid not in self._dispatched_ids:
             return
         if at_s is None:
             at_s = self._frontier()
@@ -846,11 +850,10 @@ class TenantGateway(Gateway):
         the engine-side ones; shed and rejected requests stay out (they
         are visible through handles and the admission stats)."""
         result = self.inner.result()
-        if self._frontier_records:
+        if self._withdrawn:
             merged = ServingResult.merge(
-                [result, ServingResult(engine=result.engine,
-                                       records=list(self._frontier_records),
-                                       makespan_s=1e-9)],
+                [result, ServingResult(engine=result.engine, makespan_s=1e-9,
+                                       records=list(self._withdrawn))],
                 engine=result.engine, config=result.config)
             merged.stats = result.stats
             result = merged
@@ -930,9 +933,8 @@ class TenantGateway(Gateway):
         self._pending.clear()
         self._cancels.clear()
         self._scheduled_cancels.clear()
+        self._held.clear()
         self._dispatched_ids.clear()
-        self._terminal_ids.clear()
-        self._frontier_records.clear()
         self._recent_finish.clear()
         self._floor = 0.0
         self._dispatched_unfinished = 0
@@ -996,35 +998,19 @@ class TenantGateway(Gateway):
         for event in self._cancels.pop_due(now):
             count += 1
             rid = event.request_id
-            if rid in self._terminal_ids or rid in self._dispatched_ids:
-                continue
+            if rid not in self._held:
+                continue              # dispatched or terminal: stale here
+            self._held.discard(rid)
             self._scheduled_cancels.pop(rid, None)
             request = self.controller.cancel(rid, reason=event.reason)
             if request is None:
-                arrival = self._pending.remove_request(rid)
-                if arrival is None:
-                    continue          # unknown or resolved elsewhere
-                request = arrival.request
-                # withdrawn before it was even offered: no charge to
-                # refund, but the withdrawal still counts in stats
+                # held but not queued: withdrawn before it was even
+                # offered, so no charge to refund, but it counts in stats
+                request = self._pending.remove_request(rid).request
                 self.controller.note_withdrawn(request.tenant_id,
                                                event.reason)
-            self._retire_at_frontier(request, event.time, event.reason)
+            self._complete(self._withdraw(request, event.time, event.reason))
         return count
-
-    def _retire_at_frontier(self, request: TraceRequest, at_s: float,
-                            reason: str) -> None:
-        """Terminal record for a request withdrawn at the frontier."""
-        status = "expired" if reason == "deadline" else "cancelled"
-        if self.kernel.wants(sim_events.PhaseTransition):
-            self.kernel.emit(sim_events.PhaseTransition(
-                time=at_s, request_id=request.request_id, phase="retire",
-                model_id=request.model_id, tenant_id=request.tenant_id,
-                status=status, source="frontier"))
-        record = synthesized_abort_record(request, at_s, status)
-        self._frontier_records.append(record)
-        self._terminal_ids.add(request.request_id)
-        self._complete(record)
 
     def _offer_due(self, now: float) -> int:
         if not self._pending.due(now):
@@ -1048,7 +1034,7 @@ class TenantGateway(Gateway):
         and :attr:`AdmissionController.stats`, keeping served-side
         metrics identical to the pre-handle behavior."""
         rid = request.request_id
-        self._terminal_ids.add(rid)
+        self._held.discard(rid)
         self._scheduled_cancels.pop(rid, None)
         handle = self._handles.get(rid)
         if handle is not None:
@@ -1075,6 +1061,7 @@ class TenantGateway(Gateway):
             rid = request.request_id
             self.inner.ingest(request)
             self._dispatched_unfinished += 1
+            self._held.discard(rid)
             self._dispatched_ids.add(rid)
             # the request left the frontier: its deadline watch moves to
             # the owning engine (scheduled from the trace at submit), and
@@ -1097,17 +1084,10 @@ class TenantGateway(Gateway):
             # saturated while every excess request waits at the frontier
             # in fair order (deeper engine queues would re-serialize the
             # backlog FCFS inside the engine)
-            depth = self._engine_batch_size() or _DEFAULT_VTC_DEPTH
+            engine = self.inner.lead_engine()
+            depth = (engine is not None and engine.batch_limit) \
+                or _DEFAULT_VTC_DEPTH
         return depth * max(1, self.inner.n_replicas)
-
-    def _engine_batch_size(self) -> Optional[int]:
-        engine = self.inner.lead_engine()
-        if engine is None:
-            return None
-        scheduler_config = getattr(engine, "scheduler_config", None)
-        if scheduler_config is not None:
-            return scheduler_config.max_batch_requests
-        return getattr(engine, "max_batch_requests", None)
 
     # ------------------------------------------------------------------ #
     # shed prediction
@@ -1141,7 +1121,6 @@ class TenantGateway(Gateway):
     def _completion_hook(self, record: RequestRecord) -> None:
         self._dispatched_unfinished = max(0, self._dispatched_unfinished - 1)
         self._dispatched_ids.discard(record.request_id)
-        self._terminal_ids.add(record.request_id)
         if record.finished:
             # aborted completions are excluded from the service-rate
             # window: they did not finish a unit of work

@@ -182,6 +182,15 @@ class PhaseTransition(Event):
     def sort_key(self) -> float:
         return self.request_id
 
+    @classmethod
+    def of(cls, request: Any, phase: str, time: float,
+           source: Optional[str], status: str = "") -> "PhaseTransition":
+        """``request`` (anything with ``request_id`` / ``model_id`` /
+        ``tenant_id``) entering ``phase`` at ``time``."""
+        return cls(time=time, request_id=request.request_id, phase=phase,
+                   model_id=request.model_id, tenant_id=request.tenant_id,
+                   status=status, source=source)
+
 
 @dataclass(frozen=True)
 class KvTransfer(Event):

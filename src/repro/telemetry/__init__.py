@@ -31,7 +31,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..serving.base import ServingEngine
 from ..serving.gateway import Gateway
-from ..serving.streaming_metrics import RecordPolicy
 from ..sim.events import Event, TelemetryTick
 from ..sim.kernel import SimKernel
 from .gauges import GaugeBoard, GaugeSnapshot
@@ -55,28 +54,22 @@ class Telemetry:
     :class:`SpanRecorder` subscribed to it, and a :class:`GaugeBoard`
     filled on a :class:`~repro.sim.TelemetryTick` cadence of
     ``interval_s`` simulated seconds (``None`` disables gauge polling;
-    spans still record).  ``span_policy`` defaults to the attached
-    engine's ``record_policy``, so ``DROP`` stacks keep span memory
-    O(active) automatically.
+    spans still record).  Spans are retained under the attached engines'
+    ``record_policy``, so ``DROP`` stacks keep span memory O(active).
 
     Attach by passing the instance as the ``telemetry=`` kwarg of the
     *outermost* gateway; its constructor calls :meth:`attach`, which
-    forwards each layer's kernel into this one and flips the engines'
-    ``emit_phases`` wiring.
+    forwards each layer's kernel into this one and points the engines'
+    ``on_event`` at it.
     """
 
     def __init__(self, interval_s: Optional[float] = DEFAULT_INTERVAL_S,
-                 gauge_capacity: int = 1024,
-                 journal: bool = False,
-                 span_policy: "Optional[RecordPolicy | str]" = None) -> None:
+                 journal: bool = False) -> None:
         if interval_s is not None and interval_s <= 0:
             raise ValueError("interval_s must be > 0 (or None to disable)")
         self.kernel = SimKernel(journal=journal)
-        self._pinned_policy = None if span_policy is None \
-            else RecordPolicy(span_policy)
-        self.spans = SpanRecorder(
-            policy=self._pinned_policy or RecordPolicy.KEEP_ALL)
-        self.gauges = GaugeBoard(gauge_capacity)
+        self.spans = SpanRecorder()
+        self.gauges = GaugeBoard()
         self.interval_s = interval_s
         #: the first ``now`` at which :meth:`advance` has a tick to fire
         self.next_tick_s = math.inf if interval_s is None else interval_s
@@ -87,16 +80,11 @@ class Telemetry:
     # ------------------------------------------------------------------ #
     # attachment (called from the gateways' constructors)
     # ------------------------------------------------------------------ #
-    def _adopt_policy(self, policy: RecordPolicy) -> None:
-        """Inherit the stack's record policy unless the user pinned one."""
-        if self._pinned_policy is None and self.spans.n_closed == 0:
-            self.spans.policy = RecordPolicy(policy)
-
     @staticmethod
     def _wire_engine(engine: ServingEngine,
                      sink: Callable[[Event], None]) -> None:
         """Point an engine's event hook at ``sink`` (chained after any
-        other pre-existing hook) and enable phase emission."""
+        other pre-existing hook)."""
         prev = engine.on_event
         if prev is None or prev == sink:
             engine.on_event = sink
@@ -106,19 +94,19 @@ class Telemetry:
                 chained(event)
                 sink(event)
             engine.on_event = fanout
-        engine.emit_phases = True
 
     def attach(self, gateway: Gateway) -> None:
         """Wire a gateway and every layer under it (idempotent).
 
         A layer with a kernel of its own (cluster: spawns, drains, ticks,
         replica engine events; tenancy: admission decisions, bucket
-        refills, frontier retirements) forwards into the telemetry
-        kernel; the engine-owning layer's engines publish phases into
-        that layer's kernel, or straight into the telemetry kernel when
-        it has none.  Only event types someone subscribed to (or a
-        journal) are built: ``IterationDone`` and ``BucketRefill`` need
-        a subscriber of their own."""
+        refills, frontier withdrawals) forwards into the telemetry
+        kernel; the engine-owning layer's engines publish into that
+        layer's kernel, or straight into the telemetry kernel when it has
+        none.  Only event types someone subscribed to (or a journal) are
+        built: ``IterationDone``, ``KvTransfer`` and ``BucketRefill`` need
+        a subscriber of their own.  Spans are kept under the engines'
+        record policy."""
         if gateway.telemetry is self:
             return
         kernel = gateway.kernel
@@ -126,7 +114,8 @@ class Telemetry:
         if inner is not None:
             self.attach(inner)
         else:
-            self._adopt_policy(gateway.record_policy)
+            if self.spans.n_closed == 0:
+                self.spans.policy = gateway.record_policy
             sink = self.kernel.emit if kernel is None else kernel.emit
             for engine in gateway.engines():
                 self._wire_engine(engine, sink)

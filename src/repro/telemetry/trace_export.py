@@ -2,10 +2,11 @@
 
 ``SimKernel(journal=True)`` records every typed event that crossed a
 timeline — engine iterations, replica spawns/drains, autoscaler ticks,
-bucket refills, cancellations, and (with telemetry wired) per-request
-phase transitions.  This module renders that journal in the Chrome
-``about:tracing`` / Perfetto JSON format, so a run's scheduling history
-can be opened in ``chrome://tracing`` and inspected visually.
+bucket refills, cancellations and per-request phase transitions (a
+journal wants every event type, so producers build them all for it).
+This module renders that journal in the Chrome ``about:tracing`` /
+Perfetto JSON format, so a run's scheduling history can be opened in
+``chrome://tracing`` and inspected visually.
 
 Mapping: :class:`~repro.sim.IterationDone` becomes a complete ("X") span
 on its source engine's track.  Request lifecycles are the

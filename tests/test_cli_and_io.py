@@ -1,5 +1,6 @@
 """CLI workflow, model checkpoints, and trace serialization."""
 
+import json
 import os
 
 import numpy as np
@@ -184,6 +185,23 @@ class TestCLI:
         lines = [ln for ln in capsys.readouterr().out.splitlines()
                  if ln.strip() and not ln.startswith("replicas")]
         assert len(lines) >= 2  # one row per swept replica count
+
+    def test_cluster_trace_out_draws_one_slice_per_request(self, tmp_path):
+        """The journal alone, no telemetry: every request's lifecycle."""
+        trace_path = str(tmp_path / "t.jsonl")
+        out = str(tmp_path / "trace.json")
+        assert main(["trace", "--distribution", "uniform", "--models", "4",
+                     "--rate", "2.0", "--duration", "20",
+                     "--out", trace_path]) == 0
+        assert main(["cluster", "--trace", trace_path,
+                     "--model", "llama-7b", "--gpus", "1", "--tp", "1",
+                     "--replicas", "2", "--trace-out", out]) == 0
+        with open(out) as f:
+            events = json.load(f)["traceEvents"]
+        outers = {e["args"]["request_id"] for e in events
+                  if e["tid"].startswith("req:") and "status" in e["args"]}
+        assert outers == {r.request_id for r in load_trace(trace_path)}
+        assert any(e["name"] == "iteration" for e in events)
 
     def test_cluster_mode_autoscale(self, tmp_path, capsys):
         trace_path = str(tmp_path / "t.jsonl")

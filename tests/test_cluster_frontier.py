@@ -87,7 +87,8 @@ class ScanGateway(ClusterGateway):
                 request = event.request
                 pending = self._pending_cancels.pop(request.request_id, None)
                 if pending is not None and pending[0] <= request.arrival_s:
-                    self._retire_orphan(request, pending[1])
+                    self._record_completion(self._withdraw(
+                        request, request.arrival_s, pending[1]))
                     continue
                 replica = self.balancer.choose(
                     request.model_id, self.active_replicas(),

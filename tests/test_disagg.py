@@ -192,7 +192,6 @@ class TestTransferCostGroundTruth:
 
     def test_kv_transfer_events_match_the_counters(self):
         engine = make_disagg()
-        engine.emit_phases = True
         events = []
         engine.on_event = events.append
         gw = ServingGateway(engine)
@@ -323,7 +322,6 @@ class TestOneRetireBody:
                                              max_concurrent_deltas=4),
             engine_config=EngineConfig(tp_degree=1, record_policy=policy),
             **workers)
-        engine.emit_phases = True
         events = []
         engine.on_event = events.append
         calls = []                  # (ids, records) per call on `engine`

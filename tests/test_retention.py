@@ -5,10 +5,14 @@ deadlines, a cancel that precedes its arrival — nothing under the stack
 still refers to a request: every engine's ``_live`` is empty (pool
 workers and per-variant groups included), so are the ``dedicated``
 engine's request -> group map, ``ClusterGateway._owner``, the prefix
-references a ``DeltaZipEngine`` holds per request and the disagg owner's
-per-request maps, and the garbage collector finds no ``ServingRequest``
-the replay created.  What survives is the record (``KEEP_ALL``), a
-sample (``SAMPLE_K``) or nothing (``DROP``) — never the request.
+references a ``DeltaZipEngine`` holds per request, the disagg owner's
+per-request maps and every set or map of a ``TenantGateway`` (held,
+dispatched, scheduled cancels), and the garbage collector finds no
+``ServingRequest`` the replay created.  What survives is the record
+(``KEEP_ALL``), a sample (``SAMPLE_K``) or nothing (``DROP``) — never
+the request.  The one exception is the admission controller's
+``decisions``, one verdict per request, which ``decision(id)`` reads
+after the drain.
 
 The table is {bare engine, ``ServingGateway``, 2-replica
 ``ClusterGateway``, ``TenantGateway`` over that cluster} x the five
@@ -127,6 +131,12 @@ def per_request_state(stack):
         if isinstance(gateway, ClusterGateway):
             state["cluster._owner"] = gateway._owner
             state["cluster._pending_cancels"] = gateway._pending_cancels
+        if isinstance(gateway, TenantGateway):
+            # every set or map of the admission layer (its controller's
+            # ``decisions`` is kept on purpose: read after the drain)
+            for attr, value in vars(gateway).items():
+                if isinstance(value, (set, dict)):
+                    state[f"tenancy.{attr}"] = value
         gateway = getattr(gateway, "inner", None)
     for i, engine in enumerate(engines_under(stack)):
         who = f"{engine.name}#{i}"

@@ -566,15 +566,15 @@ class TestDisaggHookWiring:
         for _ in range(10):
             engine.step()
         assert len(wired) == 2 and events
-        engine.emit_phases = True
+        assert all(w.on_event == events.append for w in memo_holders(engine))
+        engine.on_token = lambda req, clock_s: None
         engine.step()
         assert len(wired) == 4
-        assert all(w.emit_phases for w in memo_holders(engine))
+        assert all(w.on_token is not None for w in memo_holders(engine))
         engine.on_event = None
         engine.step()
         assert len(wired) == 6
-        assert not any(w.emit_phases or w.on_event
-                       for w in memo_holders(engine))
+        assert not any(w.on_event for w in memo_holders(engine))
 
     def test_spawned_and_undrained_workers_join_wired(self):
         # a never-firing autoscaler: only there to size the node cluster
@@ -582,18 +582,17 @@ class TestDisaggHookWiring:
                        decode_autoscaler=Autoscaler(check_interval_s=1e9))
         events = []
         engine.on_event = events.append
-        engine.emit_phases = True
         engine.step()                            # wires the two pools
         spawned = engine._decode.spawn_replica()
         assert spawned in engine._decode_pool
-        assert spawned.emit_phases and spawned.on_event is not None
+        assert spawned.on_event == events.append
         # a draining worker stays in its pool, so a hook change while it
         # drains reaches it like any other member
         spawned.submit(hand_trace([(0, 50.0, 16, 4)]).requests[0])
         engine._decode.shrink(spawned)
-        engine.emit_phases = False
+        engine.on_event = None
         engine.step()
-        assert not spawned.emit_phases and spawned.on_event is not None
+        assert spawned.on_event is None
         assert engine._decode.spawn_replica() is spawned     # un-drained
         assert not spawned.draining
 

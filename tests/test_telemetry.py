@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 import repro.serving.base as base_mod
+import repro.serving.disagg as disagg_mod
 import repro.serving.tenancy as tenancy_mod
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.serving import (Autoscaler, ClusterGateway, EngineConfig,
@@ -17,7 +18,7 @@ from repro.serving import (Autoscaler, ClusterGateway, EngineConfig,
                            SchedulerConfig, ServingGateway, Tenant,
                            TenantGateway, create_engine)
 from repro.sim import (AdmissionDecision, BucketRefill, IterationDone,
-                       PhaseTransition, SimKernel, TelemetryTick)
+                       KvTransfer, PhaseTransition, SimKernel, TelemetryTick)
 from repro.sim.events import Arrival, Cancel
 from repro.sim.sanitizer import sanitized
 from repro.telemetry import (GaugeBoard, GaugeSnapshot, SpanRecorder,
@@ -50,7 +51,7 @@ def make_engine(name="deltazip", policy=RecordPolicy.KEEP_ALL, k=8,
 
 
 def make_cluster(telemetry=None, policy=RecordPolicy.KEEP_ALL,
-                 n_replicas=2, autoscaler=None):
+                 n_replicas=2, autoscaler=None, journal=False):
     ceiling = autoscaler.config.max_replicas if autoscaler else n_replicas
 
     def factory(node):
@@ -64,7 +65,7 @@ def make_cluster(telemetry=None, policy=RecordPolicy.KEEP_ALL,
     return ClusterGateway(engine_factory=factory,
                           cluster=Cluster.from_name("a800", ceiling, 1),
                           n_replicas=n_replicas, autoscaler=autoscaler,
-                          telemetry=telemetry)
+                          journal=journal, telemetry=telemetry)
 
 
 def _shared_manager():
@@ -256,7 +257,6 @@ class TestPureObservation:
     def test_telemetry_off_leaves_engine_hooks_untouched(self):
         gw = ServingGateway(make_engine())
         assert gw.engine.on_event is None
-        assert gw.engine.emit_phases is False
 
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_all_engines_unaffected_by_telemetry(self, name, short_trace):
@@ -295,9 +295,10 @@ class TestPureObservation:
 # --------------------------------------------------------------------------- #
 #: sha256 of the gauges, span summary and closed spans of
 #: :func:`deciding_tenancy`'s replay, re-recorded once engines published a
-#: cancel before the retire it causes (cancelled spans gained their reason)
+#: cancel before the retire it causes, and again once the admission
+#: frontier did (every cancelled span carries its reason)
 EVENT_PLANE_DIGEST = \
-    "85916b70a3058bbaf0bbf9f8f895a84d1dbcb601cc366803161d6e1e8d09f897"
+    "80cf9ecc192f0e8fde2d7decff92a3529ced2ca70cfed49efca292b9a1e91c9f"
 #: the same with every span's ``cancel_reason`` masked: the digest recorded
 #: before events were built on demand, so nothing else moved
 UNREASONED_DIGEST = \
@@ -356,13 +357,14 @@ def event_plane_digest(telemetry, masked=()):
 
 
 class CountingEvents:
-    """Counts the IterationDone / BucketRefill instances the serving
-    layers construct (the names they build through, swapped)."""
+    """Counts the IterationDone / BucketRefill / KvTransfer instances the
+    serving layers construct (the names they build through, swapped)."""
 
     def __init__(self, monkeypatch):
-        self.built = {"IterationDone": 0, "BucketRefill": 0}
+        self.built = {"IterationDone": 0, "BucketRefill": 0, "KvTransfer": 0}
         for module, base in ((base_mod, IterationDone),
-                             (tenancy_mod, BucketRefill)):
+                             (tenancy_mod, BucketRefill),
+                             (disagg_mod, KvTransfer)):
             monkeypatch.setattr(module, base.__name__, self._counted(base))
 
     def _counted(self, base):
@@ -406,7 +408,8 @@ class TestEventPlane:
                                                   cancels=cancels).records]
         assert iterations(gateway) > 0
         assert gateway.controller.stats["silver"].deferred > 0
-        assert counts.built == {"IterationDone": 0, "BucketRefill": 0}
+        assert counts.built == {"IterationDone": 0, "BucketRefill": 0,
+                                "KvTransfer": 0}
         # subscribing is the only switch: after wiring, no re-wiring, every
         # one is built
         telemetry = Telemetry(interval_s=1.0)
@@ -421,6 +424,33 @@ class TestEventPlane:
             iterations(gateway)
         assert len(refills) == counts.built["BucketRefill"] == \
             gateway.controller.stats["silver"].deferred
+
+    def test_disagg_workers_build_only_what_is_wanted(self, monkeypatch,
+                                                      short_trace):
+        """Pool workers publish into their owner's hook, so they ask the
+        kernel behind it too: telemetry wants phases and cancels, not
+        iterations or KV transfers, until someone subscribes."""
+        trace, cancels = impatient(short_trace)
+        counts = CountingEvents(monkeypatch)
+        telemetry = Telemetry(interval_s=1.0)
+        engine = make_engine("disagg")
+        ServingGateway(engine, telemetry=telemetry).replay(trace,
+                                                           cancels=cancels)
+        assert engine.stats.iterations > 0 and engine.stats.kv_transfers > 0
+        assert counts.built == {"IterationDone": 0, "BucketRefill": 0,
+                                "KvTransfer": 0}
+        assert telemetry.spans.n_closed == len(trace)
+        telemetry = Telemetry(interval_s=1.0)
+        engine = make_engine("disagg")
+        done, moves = [], []
+        telemetry.kernel.subscribe(IterationDone, done.append)
+        telemetry.kernel.subscribe(KvTransfer, moves.append)
+        ServingGateway(engine, telemetry=telemetry).replay(trace,
+                                                           cancels=cancels)
+        assert len(done) == counts.built["IterationDone"] == \
+            engine.stats.iterations
+        assert len(moves) == counts.built["KvTransfer"] == \
+            engine.stats.kv_transfers
 
     def test_sanitized_kernels_publish_exactly_what_is_wanted(
             self, monkeypatch, tenant_trace):
@@ -629,31 +659,23 @@ class TestScenarios:
 # --------------------------------------------------------------------------- #
 # trace export integration
 # --------------------------------------------------------------------------- #
-#: sha256 of the Chrome trace (6 511 events) of :func:`deciding_tenancy`'s
-#: journaled replay with cancels, recorded while the renderer still kept a
-#: lifecycle fold of its own beside :class:`SpanRecorder`
+#: sha256 of the Chrome trace (6 514 events) of :func:`deciding_tenancy`'s
+#: journaled replay with cancels, re-recorded once the admission frontier
+#: published a ``Cancel`` for each request it withdrew
 CHROME_TRACE_DIGEST = \
-    "55ee25b0df3d3cba39de24e62ebe73a09742b7082a2ffc1497f5a736626d5d3c"
-#: the same trace with what frontier withdrawals publish masked out
-#: (:func:`without_frontier_cancels`): recorded before they published any
+    "681f546fa6a15b18ac8c5470aa3fd60abd1af8f6b64de66a5b178a573915479b"
+#: the same trace (6 511 events) without those frontier cancel instants
+#: (:func:`without_frontier_cancels`): recorded before they were published
 UNWITHDRAWN_TRACE_DIGEST = \
     "55ee25b0df3d3cba39de24e62ebe73a09742b7082a2ffc1497f5a736626d5d3c"
 
 
 def without_frontier_cancels(events, request_ids):
     """Chrome ``events`` without the cancel instants of ``request_ids``
-    and without the ``cancel_reason`` arg of their slices."""
-    out = []
-    for event in events:
-        args = event["args"]
-        if args.get("request_id") in request_ids:
-            if event["name"].startswith("cancel:"):
-                continue
-            if "cancel_reason" in args:
-                event = {**event, "args": {k: v for k, v in args.items()
-                                           if k != "cancel_reason"}}
-        out.append(event)
-    return out
+    (requests withdrawn at the frontier: they entered no phase, so no
+    request slice of theirs carries a reason)."""
+    return [e for e in events if not (e["name"].startswith("cancel:") and
+                                      e["args"]["request_id"] in request_ids)]
 
 
 def impatient(trace):
@@ -683,15 +705,14 @@ class TestTraceExportSpans:
         deciding_tenancy(telemetry).replay(
             tenant_trace, cancels=deciding_cancels(tenant_trace))
         events = chrome_trace_events(telemetry.kernel.journal)
-        assert len(events) == 6511
+        assert len(events) == 6514
         assert hashlib.sha256(json.dumps(events).encode()).hexdigest() \
             == CHROME_TRACE_DIGEST
 
     def test_frontier_withdrawals_masked_the_trace_is_the_recorded_one(
             self, tenant_trace):
-        """What the admission frontier publishes for a request it withdraws
-        (a cancel instant, the reason on its slices) is all that a
-        frontier ``Cancel`` may add to the trace."""
+        """A cancel instant per request the admission frontier withdrew is
+        all that its ``Cancel`` adds to the trace."""
         telemetry = Telemetry(interval_s=1.0, journal=True)
         deciding_tenancy(telemetry).replay(
             tenant_trace, cancels=deciding_cancels(tenant_trace))
@@ -703,6 +724,18 @@ class TestTraceExportSpans:
         assert len(events) == 6511
         assert hashlib.sha256(json.dumps(events).encode()).hexdigest() \
             == UNWITHDRAWN_TRACE_DIGEST
+
+    def test_a_journal_alone_sees_every_request_lifecycle(self, short_trace):
+        """A journal wants every event type, so the engines under a
+        journaling cluster publish their phases with no telemetry."""
+        gateway = make_cluster(journal=True)
+        gateway.replay(short_trace)
+        spans = SpanRecorder().fold(gateway.kernel.journal)
+        assert spans.active_count == 0
+        assert sorted(s.request_id for s in spans.completed()) == \
+            sorted(r.request_id for r in short_trace)
+        assert all(s.status == "finished" and s.phase_bounds()
+                   for s in spans.completed())
 
     def test_nested_request_slices_with_tenant_args(self, tenant_trace):
         telemetry = Telemetry(interval_s=5.0, journal=True)
@@ -788,15 +821,30 @@ class TestCancelReason:
         assert [s.cancel_reason for s in ended] == \
             [reason[s.status] for s in ended]
 
-    def test_tenancy_engine_cancels_carry_their_reason(self, tenant_trace):
-        """Under an admission layer a cancel reaches the engine once the
-        request was dispatched; one still held at the frontier retires
-        there, with no engine cancel to name a reason."""
+    @pytest.mark.parametrize("stack", ["deciding-tenancy", "cluster"])
+    def test_requests_withdrawn_above_the_engine_carry_their_reason(
+            self, stack, short_trace, tenant_trace):
+        """A request the admission frontier withdraws, or one a cluster
+        cancel reaches before it was routed, publishes its ``Cancel`` and
+        retire like an engine abort: one span each, with its reason (the
+        cluster's, zero-length at the arrival)."""
         telemetry = Telemetry(interval_s=1.0)
-        deciding_tenancy(telemetry).replay(
-            tenant_trace, cancels=deciding_cancels(tenant_trace))
-        cancelled = [s for s in telemetry.spans.completed()
-                     if s.status == "cancelled"]
-        in_engine = [s for s in cancelled if s.source != "frontier"]
-        assert in_engine and len(in_engine) < len(cancelled)
-        assert all(s.cancel_reason == "cancel" for s in in_engine)
+        if stack == "deciding-tenancy":
+            result = deciding_tenancy(telemetry).replay(
+                tenant_trace, cancels=deciding_cancels(tenant_trace))
+        else:
+            trace, cancels = impatient(short_trace)
+            cancels += [(r.request_id, r.arrival_s - 0.5) for r in trace
+                        if r.request_id % 7 == 3]
+            result = make_cluster(telemetry=telemetry).replay(
+                trace, cancels=cancels)
+        reason = {"cancelled": "cancel", "expired": "deadline"}
+        ended = [s for s in telemetry.spans.completed()
+                 if s.status in reason]
+        assert len(ended) == sum(r.status in reason for r in result.records)
+        above = [s for s in ended if s.source == "frontier"]
+        assert above and len(above) < len(ended)       # engine aborts too
+        assert [s.cancel_reason for s in ended] == \
+            [reason[s.status] for s in ended]
+        if stack == "cluster":
+            assert all(s.duration_s() == 0.0 for s in above)
