@@ -115,15 +115,28 @@ class TestPoolAccounting:
         with pytest.raises(ValueError, match="prefill_chunk_tokens"):
             make_disagg(mgr, prefill_chunk_tokens=0)
 
-    def test_workers_conserve_cluster_nodes_across_reset(self):
-        spec = node_from_name("a800", 1)
-        cluster = Cluster(spec, n_nodes=3)
-        engine = make_disagg(prefill=2, decode=1, cluster=cluster)
-        assert cluster.n_free == 0
-        engine.reset()          # release + reacquire, never leaks a node
-        assert cluster.n_free == 0
-        assert len(engine.active_workers("prefill")) == 2
-        assert len(engine.active_workers("decode")) == 1
+    def test_pools_are_fixed_across_a_replay_and_reset(self):
+        engine = make_disagg(prefill=2, decode=3)
+
+        def layout():
+            return [[(w.id, w.name) for w in pool]
+                    for pool in (engine._prefill_pool, engine._decode_pool)]
+
+        def nodes():
+            return {id(w.node)
+                    for w in engine._prefill_pool + engine._decode_pool}
+
+        want = [[(0, "disagg.prefill0"), (1, "disagg.prefill1")],
+                [(2, "disagg.decode2"), (3, "disagg.decode3"),
+                 (4, "disagg.decode4")]]
+        assert layout() == want
+        held = nodes()
+        assert len(held) == 5                    # one node per worker
+        res = ServingGateway(engine).replay(
+            synthetic_trace(N_MODELS, rate=2.0, duration_s=10.0, seed=5))
+        assert res.records and engine.unfinished == 0
+        engine.reset()
+        assert layout() == want and nodes() == held
 
     def test_pool_gauges_and_result_config(self):
         engine = make_disagg(prefill=2, decode=3)
