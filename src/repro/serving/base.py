@@ -384,11 +384,15 @@ class ServingEngine:
         """Enqueue one request; it joins the queue once the clock reaches
         its ``arrival_s`` (which may be in the past: it joins immediately,
         at the next :meth:`step`).  A request carrying a ``deadline_s``
-        schedules its own expiry as a :class:`~repro.sim.Cancel` event."""
+        schedules its own expiry as a :class:`~repro.sim.Cancel` event.
+        An id still live here is rejected."""
+        rid = request.request_id
+        if rid in self._live:
+            raise ValueError(f"request id {rid!r} is already live")
         req = ServingRequest(trace=request)
         self._pending.push(Arrival(time=request.arrival_s, request=req))
         self._n_submitted += 1
-        self._live[request.request_id] = req
+        self._live[rid] = req
         if request.deadline_s is not None:
             self.schedule_cancel(request.request_id, request.deadline_s,
                                  reason="deadline")

@@ -219,6 +219,9 @@ class DedicatedEngine(ServingEngine):
             cb(req, clock_s)
 
     def submit(self, request) -> ServingRequest:
+        rid = request.request_id
+        if rid in self._request_group:
+            raise ValueError(f"request id {rid!r} is already live")
         self._n_submitted += 1
         group = self._group_for(request.model_id)
         self._request_group[request.request_id] = group

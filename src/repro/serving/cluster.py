@@ -5,16 +5,14 @@ serving gateway — for a single replica on a single node.  This module
 scales that surface out:
 
 * :class:`Replica` — one engine on its own :class:`GPUNode`;
-* :class:`ReplicaSet` — a fleet's members and their spawn / un-drain /
-  drain / reap lifecycle on a hardware cluster: the gateway's replicas
-  here, and each worker pool of :mod:`repro.serving.disagg`;
+* :class:`ReplicaSet` — the gateway's replicas and their spawn /
+  un-drain / drain / reap lifecycle on a hardware cluster;
 * :class:`LoadBalancer` policies (:data:`BALANCERS` registry):
   ``round-robin``, ``least-outstanding``, and ``lineage`` session affinity
   that keeps a variant's delta resident on the replica that already paid to
   load it;
-* :class:`Autoscaler` — a queue-depth / TTFT-watermark controller with
-  cooldowns that spawns and drains the members of a gateway (or of one
-  disaggregated pool) at runtime;
+* :class:`Autoscaler` — an offered-backlog watermark controller with
+  cooldowns that spawns and drains the gateway's replicas at runtime;
 * :class:`ClusterGateway` — the same ``submit`` / ``step`` /
   ``run_until_drained`` / ``replay`` surface as a single gateway, so
   clients are replica-count-agnostic.
@@ -42,12 +40,9 @@ through :meth:`ClusterGateway.ingest`; completions flow back through
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, Generic, List, Optional,
-                    Sequence, Tuple, Type, TypeVar, Union)
-
-import numpy as np
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Type,
+                    TypeVar, Union)
 
 from ..hardware.cluster import Cluster, GPUNode
 from ..sim import (Arrival, AutoscalerTick, EventQueue, KeyedHeap,
@@ -75,8 +70,6 @@ EngineFactory = Callable[[GPUNode], ServingEngine]
 
 #: requests a non-home replica must be ahead by to win a lineage choice
 AFFINITY_BIAS = 4.0
-#: the recent-TTFT percentile the autoscaler's ``ttft_high_s`` watches
-TTFT_QUANTILE = 90.0
 
 
 class Replica:
@@ -110,37 +103,34 @@ class Replica:
                 f"unfinished={self.unfinished}, clock={self.clock:.1f})")
 
 
-#: a fleet member: anything with ``id``, ``draining``, ``unfinished``, ``node``
+#: a balancer's member: anything with ``id``, ``draining``, ``unfinished``
 M = TypeVar("M")
 
 
-class ReplicaSet(Generic[M]):
-    """One fleet's members and their spawn / un-drain / drain / reap
-    lifecycle: a :class:`ClusterGateway`'s replicas, and each worker
-    pool of a :class:`~repro.serving.disagg.DisaggregatedEngine`.
-    ``build(node)`` makes a member on a node acquired from ``cluster``
-    (``None``: a fleet without a hardware ledger).  A draining member
-    stays in ``members`` while it runs its queue dry, then moves to
-    ``retired`` (kept for its stats) and returns its node."""
+class ReplicaSet:
+    """A :class:`ClusterGateway`'s replicas and their spawn / un-drain /
+    drain / reap lifecycle.  ``build(node)`` makes a replica on a node
+    acquired from ``cluster`` (``None``: a fleet without a hardware
+    ledger).  A draining replica stays in ``members`` while it runs its
+    queue dry, then moves to ``retired`` (kept for its stats) and
+    returns its node."""
 
-    def __init__(self, build: Callable[[Optional[GPUNode]], M],
+    def __init__(self, build: Callable[[Optional[GPUNode]], Replica],
                  cluster: Optional[Cluster] = None):
-        self.members: List[M] = []
-        self.retired: List[M] = []
+        self.members: List[Replica] = []
+        self.retired: List[Replica] = []
         self.n_draining = 0               # draining entries of `members`
         self.cluster = cluster
-        #: other sets leasing from ``cluster`` (for the sanitizer's census)
-        self.peers: Tuple["ReplicaSet[Any]", ...] = ()
         self._build = build
 
-    def active_replicas(self) -> List[M]:
+    def active_replicas(self) -> List[Replica]:
         return [m for m in self.members if not m.draining]
 
     @property
     def n_replicas(self) -> int:
         return len(self.members) - self.n_draining
 
-    def grow(self) -> Tuple[M, bool]:
+    def grow(self) -> Tuple[Replica, bool]:
         """One more active member, and whether it was revived: the
         youngest draining member is un-drained before anything is built
         (no cold start, and draining members still hold their nodes)."""
@@ -158,7 +148,7 @@ class ReplicaSet(Generic[M]):
             _sanitizer.check_replica_set(self, self.cluster)
         return member, revived
 
-    def shrink(self, member: Optional[M] = None) -> M:
+    def shrink(self, member: Optional[Replica] = None) -> Replica:
         """Stop routing to one member — by default the cheapest to
         retire: least outstanding work, on ties the youngest."""
         if self.n_replicas <= 1:
@@ -277,10 +267,9 @@ class LineageAffinityBalancer(LoadBalancer):
 
     name = "lineage"
 
-    def __init__(self, owner_of: Optional[Callable[[str], str]] = None,
-                 fallback: Optional[LoadBalancer] = None):
+    def __init__(self, owner_of: Optional[Callable[[str], str]] = None):
         self._owner_of = owner_of or (lambda model_id: model_id)
-        self._fallback = fallback or LeastOutstandingBalancer()
+        self._fallback = LeastOutstandingBalancer()
         self._pinned: Dict[str, Replica] = {}
         self._home: Dict[str, Replica] = {}
         self._secondary: Dict[str, List[Replica]] = {}
@@ -411,8 +400,8 @@ class ConversationAffinityBalancer(LoadBalancer):
 
     name = "conversation"
 
-    def __init__(self, fallback: Optional[LoadBalancer] = None):
-        self._fallback = fallback or LeastOutstandingBalancer()
+    def __init__(self):
+        self._fallback = LeastOutstandingBalancer()
         self._home: Dict[str, Replica] = {}
 
     def choose(self, model_id: str, replicas: Sequence[Replica],
@@ -469,8 +458,7 @@ class AutoscalerConfig:
     backlog plus any requests an admission layer holds at the cluster
     frontier (see :meth:`Gateway.set_admission_probe
     <repro.serving.gateway.Gateway.set_admission_probe>`) — exceeds
-    ``high_queue_per_replica`` (or recent TTFT tail exceeds
-    ``ttft_high_s``); scale down when it drops below
+    ``high_queue_per_replica``; scale down when it drops below
     ``low_queue_per_replica``.  Cooldowns stop the controller from
     flapping on bursty arrivals.
     """
@@ -479,7 +467,6 @@ class AutoscalerConfig:
     max_replicas: int = 8
     high_queue_per_replica: float = 8.0
     low_queue_per_replica: float = 1.0
-    ttft_high_s: Optional[float] = None     # watermark on recent TTFT tail
     check_interval_s: float = 2.0
     scale_up_cooldown_s: float = 5.0
     scale_down_cooldown_s: float = 30.0
@@ -508,16 +495,11 @@ class AutoscalerSample:
     clock_s: float
     n_replicas: int
     queue_per_replica: float
-    ttft_tail_s: float
     action: Optional[str] = None    # "scale_up" | "scale_down" | None
 
 
 class Autoscaler:
-    """Queue-driven replica controller for a :class:`ClusterGateway`, or
-    for a disaggregated worker pool: anything with the six members
-    :meth:`control` uses (``sim_now``, ``active_replicas()``,
-    ``admission_queued``, ``recent_ttft_percentile()``,
-    ``spawn_replica()``, ``drain_replica()`` / ``n_replicas``).
+    """Queue-driven replica controller for a :class:`ClusterGateway`.
 
     The gateway schedules the controller as
     :class:`~repro.sim.AutoscalerTick` events on its sim kernel — one
@@ -551,7 +533,7 @@ class Autoscaler:
     def max_replica_count(self) -> int:
         return max((s.n_replicas for s in self.history), default=0)
 
-    def control(self, target: Any) -> Optional[str]:
+    def control(self, target: "ClusterGateway") -> Optional[str]:
         # observe at the monotone kernel clock (the ratcheted frontier),
         # not the most-advanced replica: a replica that raced ahead must
         # not fast-forward the controller's notion of elapsed time, and
@@ -572,13 +554,10 @@ class Autoscaler:
         # they are offered load the engines cannot see.
         offered = sum(r.backlog for r in active) + target.admission_queued
         queue_per = offered / max(n, 1)
-        ttft_tail = target.recent_ttft_percentile(TTFT_QUANTILE)
 
         action = None
-        overloaded = queue_per > cfg.high_queue_per_replica or \
-            (cfg.ttft_high_s is not None and ttft_tail > cfg.ttft_high_s)
-        idle = queue_per < cfg.low_queue_per_replica and \
-            (cfg.ttft_high_s is None or ttft_tail <= cfg.ttft_high_s)
+        overloaded = queue_per > cfg.high_queue_per_replica
+        idle = queue_per < cfg.low_queue_per_replica
         if overloaded and n < cfg.max_replicas and \
                 self._cooled(self._last_up, now, cfg.scale_up_cooldown_s):
             target.spawn_replica()
@@ -593,8 +572,7 @@ class Autoscaler:
 
         self.history.append(AutoscalerSample(
             clock_s=now, n_replicas=target.n_replicas,
-            queue_per_replica=queue_per, ttft_tail_s=ttft_tail,
-            action=action))
+            queue_per_replica=queue_per, action=action))
         return action
 
     @staticmethod
@@ -645,9 +623,7 @@ class ClusterGateway(Gateway):
         self._owner: Dict[int, Replica] = {}       # routed request -> replica
         #: unrouted request -> its earliest cancel so far (None: none yet)
         self._pending_cancels: Dict[int, Optional[Tuple[float, str]]] = {}
-        self._recent_records: Deque[RequestRecord] = deque(maxlen=256)
-        self._set: ReplicaSet[Replica] = ReplicaSet(self._build_replica,
-                                                    cluster)
+        self._set = ReplicaSet(self._build_replica, cluster)
         self.replicas: List[Replica] = self._set.members   # the same lists
         self.retired: List[Replica] = self._set.retired
         self._sanitize = _sanitizer.enabled()
@@ -886,10 +862,14 @@ class ClusterGateway(Gateway):
         Preserves the caller's request id and arrival time; the request is
         routed once the simulation frontier reaches its arrival (see
         :meth:`_route_due`), exactly like trace replay.  This is the entry
-        point the admission layer releases requests through.
+        point the admission layer releases requests through.  An id still
+        live here (unrouted or routed) is rejected.
         """
+        rid = request.request_id
+        if rid in self._pending_cancels or rid in self._owner:
+            raise ValueError(f"request id {rid!r} is already live")
         self._unrouted.push(Arrival(time=request.arrival_s, request=request))
-        self._pending_cancels[request.request_id] = None
+        self._pending_cancels[rid] = None
         self._next_id = max(self._next_id, request.request_id + 1)
         return request.request_id
 
@@ -1111,7 +1091,6 @@ class ClusterGateway(Gateway):
         self._unrouted.clear()
         self._ticks.clear()
         self._schedule_tick(0.0)
-        self._recent_records.clear()
         self._owner.clear()
         self._pending_cancels.clear()
         self.balancer.reset()
@@ -1120,22 +1099,13 @@ class ClusterGateway(Gateway):
         super().reset()
 
     # ------------------------------------------------------------------ #
-    # cluster-level telemetry
+    # completions
     # ------------------------------------------------------------------ #
-    def recent_ttft_percentile(self, q: float = 90.0) -> float:
-        """TTFT percentile over the most recent completions (the
-        autoscaler's latency signal)."""
-        if not self._recent_records:
-            return 0.0
-        return float(np.percentile(
-            [r.ttft_s for r in self._recent_records], q))
-
     def _finish_hook(self, request: ServingRequest, clock: float) -> None:
         """Every replica engine's ``on_finish``."""
         self._record_completion(request.record())
 
     def _record_completion(self, record: RequestRecord) -> None:
-        self._recent_records.append(record)
         if not record.finished:
             self.balancer.on_abandoned(record.model_id,
                                        record.conversation_id)

@@ -5,26 +5,20 @@ different machines (DistServe, Splitwise): *prefill* is compute-bound
 and batches well by tokens, *decode* is memory-bound and batches well
 by requests, so colocating them forces one pool's batching policy onto
 the other.  This module builds that architecture on top of the existing
-engine template and the cluster layer's fleet mechanism:
+engine template and the cluster layer's balancers:
 
-* :class:`DisaggregatedEngine` (registered ``disagg``) owns two
-  heterogeneous worker pools on one :class:`~repro.hardware.cluster.
-  Cluster` — a prefill pool running chunked prefill to completion and a
-  decode pool running continuous batching.  Each pool *is* a
-  :class:`~repro.serving.cluster.ReplicaSet` (a cluster gateway's spawn
-  / un-drain / drain / reap lifecycle) routed by a cluster
+* :class:`DisaggregatedEngine` (registered ``disagg``) owns two fixed,
+  heterogeneous worker pools, one worker per node — a prefill pool
+  running chunked prefill to completion and a decode pool running
+  continuous batching — each routed by a cluster
   :class:`~repro.serving.cluster.LoadBalancer`.  When a request's
   prefill finishes, its KV blocks cross the node interconnect as a typed
   :class:`~repro.sim.KvTransfer` event priced by
   :func:`~repro.serving.kv_transfer.plan_kv_transfer` (uncached suffix
   only when the prefill side's prefix cache held the shared prefix),
   and the request resumes decoding on the least-loaded decode worker.
-* Scaling is pool-aware: each pool takes its own
-  :class:`~repro.serving.cluster.Autoscaler` — separate watermarks,
-  cooldowns and check intervals per role — so a prefill-heavy burst
-  grows the prefill pool without over-provisioning decode.
 * :class:`ShardedEngine` (registered ``sharded``) spans one
-  tensor-parallel group across several cluster nodes, charging the
+  tensor-parallel group across several nodes, charging the
   per-layer inter-node ring all-reduce over the same
   :class:`~repro.hardware.interconnect.InterconnectModel` on top of the
   intra-node collective already priced by
@@ -33,10 +27,9 @@ engine template and the cluster layer's fleet mechanism:
 Determinism contract: pool workers are full
 :class:`~repro.serving.engine.DeltaZipEngine` instances on their own
 kernel clocks; the owner steps whichever busy worker is earliest
-(ties broken by worker id), decode workers never idle-jump past the
+(ties broken by worker id), and decode workers never idle-jump past the
 prefill frontier (a handoff can only be scheduled at or after the
-prefill worker's clock), and idle jumps are clamped to autoscaler
-check boundaries — so run-to-run and idle-skip replays produce
+prefill worker's clock) — so run-to-run and idle-skip replays produce
 identical records, and every existing engine is bit-identical with
 disaggregation off (nothing in this module runs unless constructed).
 """
@@ -44,17 +37,16 @@ disaggregation off (nothing in this module runs unless constructed).
 from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields, replace
-from math import inf
-from typing import Any, Dict, List, Optional, Set, Tuple, Type
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..hardware.cluster import Cluster, GPUNode
+from ..hardware.cluster import GPUNode
 from ..hardware.interconnect import InterconnectModel
 from ..sim import KvTransfer, PhaseTransition
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
 from .base import (Admission, EngineConfig, ServingEngine, register_engine)
-from .cluster import (Autoscaler, ConversationAffinityBalancer,
-                      LeastOutstandingBalancer, LoadBalancer, ReplicaSet)
+from .cluster import (ConversationAffinityBalancer, LeastOutstandingBalancer,
+                      LoadBalancer)
 from .costs import BatchComposition
 from .engine import DeltaZipEngine
 from .kv_transfer import plan_kv_transfer
@@ -81,10 +73,9 @@ class _PoolWorker(DeltaZipEngine):
     the owning :class:`DisaggregatedEngine`, which maintains the canonical
     (client-visible) requests, and publish events into the owner's
     ``on_event``: their lifecycle phases translated by :attr:`phases`
-    onto the canonical span.  A worker is itself its pool's
-    :class:`~repro.serving.cluster.ReplicaSet` member (``id``,
-    ``draining``): a draining worker accepts no new routes but runs its
-    queue dry before its node is released.
+    onto the canonical span.  A worker is what its pool's balancer
+    routes to (``id``, and ``draining``: always False, the pools are
+    fixed).
     """
 
     role = "worker"
@@ -112,16 +103,6 @@ class _PoolWorker(DeltaZipEngine):
         canonical = self.phases.get(phase)
         if canonical is not None:
             super()._phase(req, canonical, time, status)
-
-    def _next_wake(self) -> Optional[float]:
-        """Clamp idle jumps to the owner's next autoscaler check so the
-        controllers observe the pools at their scheduled boundaries in
-        both idle-skip modes (a jump may not overshoot a check)."""
-        wake = super()._next_wake()
-        bound = self.owner._next_check_s
-        if wake is not None and self.clock < bound < wake:
-            return bound
-        return wake
 
 
 class _PrefillWorker(_PoolWorker):
@@ -211,58 +192,6 @@ class _DecodeWorker(_PoolWorker):
 
 
 # --------------------------------------------------------------------- #
-# worker pools
-# --------------------------------------------------------------------- #
-class _Pool(ReplicaSet[_PoolWorker]):
-    """One role's workers: a :class:`~repro.serving.cluster.ReplicaSet`
-    whose members are the worker engines, the balancer that routes to
-    them, and the six members an :class:`~repro.serving.cluster.
-    Autoscaler` reads and drives on its target."""
-
-    def __init__(self, owner: "DisaggregatedEngine",
-                 worker_cls: Type[_PoolWorker], balancer: LoadBalancer,
-                 scaler: Optional[Autoscaler]):
-        super().__init__(self._build_worker, owner._cluster)
-        self.owner = owner
-        self.role = worker_cls.role
-        self.balancer = balancer
-        self.scaler = scaler
-        self._worker_cls = worker_cls
-        self.sim_now = 0.0    # the check boundary the controller observes
-        self.next_check_s = inf
-        if scaler is not None:
-            scaler.reset()
-            self.next_check_s = scaler.config.check_interval_s
-
-    def _build_worker(self, node: Optional[GPUNode]) -> _PoolWorker:
-        assert node is not None           # pools always sit on a cluster
-        owner = self.owner
-        worker = self._worker_cls(owner, owner._next_worker_id, node)
-        owner._next_worker_id += 1
-        worker.clock = self.sim_now       # cold start counts from spawn
-        owner._wire_hooks(worker)
-        return worker
-
-    # the rest of what an Autoscaler asks of its target ----------------- #
-    @property
-    def admission_queued(self) -> int:
-        # KV moves in flight: decode load its engines cannot see yet
-        return len(self.owner._in_transfer) if self.role == "decode" else 0
-
-    def recent_ttft_percentile(self, q: float = 90.0) -> float:
-        return 0.0                        # pools scale on backlog alone
-
-    def spawn_replica(self) -> _PoolWorker:
-        return self.grow()[0]
-
-    def drain_replica(self) -> _PoolWorker:
-        worker = self.shrink()
-        # e.g. conversation homes pinned to it re-learn on the next turn
-        self.balancer.on_removed(worker, self.active_replicas())
-        return worker
-
-
-# --------------------------------------------------------------------- #
 # the disaggregated engine
 # --------------------------------------------------------------------- #
 @register_engine
@@ -288,37 +217,20 @@ class DisaggregatedEngine(ServingEngine):
                  scheduler_config: SchedulerConfig,
                  engine_config: EngineConfig = EngineConfig(),
                  prefill_workers: int = 1, decode_workers: int = 1,
-                 prefill_chunk_tokens: int = DEFAULT_PREFILL_CHUNK_TOKENS,
-                 cluster: Optional[Cluster] = None,
-                 prefill_autoscaler: Optional[Autoscaler] = None,
-                 decode_autoscaler: Optional[Autoscaler] = None):
+                 prefill_chunk_tokens: int = DEFAULT_PREFILL_CHUNK_TOKENS):
         if prefill_workers < 1 or decode_workers < 1:
             raise ValueError("each pool needs at least one worker")
         if prefill_chunk_tokens < 1:
             raise ValueError("prefill_chunk_tokens must be >= 1")
-        if prefill_autoscaler is decode_autoscaler is not None:
-            raise ValueError("each pool needs its own Autoscaler")
         self.scheduler_config = scheduler_config
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self._n_prefill = prefill_workers
         self._n_decode = decode_workers
         self._link = InterconnectModel()
-        self._scalers = (prefill_autoscaler, decode_autoscaler)
-        ceiling = 0
-        for n, scaler in zip((prefill_workers, decode_workers),
-                             self._scalers):
-            if scaler is not None and scaler.config.ttft_high_s is not None:
-                raise ValueError(
-                    "a pool autoscaler scales on backlog alone: it has no "
-                    f"signal for ttft_high_s={scaler.config.ttft_high_s!r}")
-            ceiling += n if scaler is None \
-                else max(n, scaler.config.max_replicas)
-        if cluster is not None and cluster.n_nodes < ceiling:
-            raise ValueError(
-                f"cluster has {cluster.n_nodes} nodes but up to "
-                f"{ceiling} workers were requested")
-        self._cluster = cluster if cluster is not None \
-            else Cluster(node.spec, n_nodes=ceiling)
+        # one node per worker, made once: each reset builds fresh workers
+        # on them, prefill first, ids counting up through both pools
+        self._nodes = [GPUNode(node.spec)
+                       for _ in range(prefill_workers + decode_workers)]
         super().__init__(manager, node, engine_config)
 
     @classmethod
@@ -333,10 +245,6 @@ class DisaggregatedEngine(ServingEngine):
     # state
     # ------------------------------------------------------------------ #
     def _reset_engine(self) -> None:
-        for pool in getattr(self, "_pools", {}).values():   # none at first
-            for worker in pool.members:
-                self._cluster.release(worker.node)
-        self._next_worker_id = 0
         self._owner_of: Dict[int, _PoolWorker] = {}
         self._cancel_log: Dict[int, List[Tuple[float, str]]] = {}
         self._in_transfer: Set[int] = set()
@@ -344,48 +252,41 @@ class DisaggregatedEngine(ServingEngine):
         self._kv_transfer_bytes = 0
         self._kv_transfer_s = 0.0
         self._stepped: Optional[_PoolWorker] = None   # whom step() advanced
-        # the owner hooks the pool workers are wired to; every worker is
-        # wired on its way into a pool, so step() rewires only on a change
+        n = self._n_prefill
+        self._prefill_pool: List[_PoolWorker] = [
+            _PrefillWorker(self, i, node)
+            for i, node in enumerate(self._nodes[:n])]
+        self._decode_pool: List[_PoolWorker] = [
+            _DecodeWorker(self, n + i, node)
+            for i, node in enumerate(self._nodes[n:])]
+        # the owner hooks the pool workers are wired to; step() rewires
+        # them only on a change
         self._wired_hooks = (self.on_event, self.on_token)
+        for worker in self._all_workers():
+            self._wire_hooks(worker)
         # conversation affinity keeps a session on the prefill worker
         # whose prefix cache holds its history; decode has no such state
-        prefill = _Pool(self, _PrefillWorker,
-                        ConversationAffinityBalancer()
-                        if self.config.prefix_cache
-                        else LeastOutstandingBalancer(), self._scalers[0])
-        decode = _Pool(self, _DecodeWorker, LeastOutstandingBalancer(),
-                       self._scalers[1])
-        prefill.peers, decode.peers = (decode,), (prefill,)
-        self._prefill, self._decode = prefill, decode
-        self._pools = {"prefill": prefill, "decode": decode}
-        self._prefill_pool, self._decode_pool = prefill.members, decode.members
-        self._next_check_s = min(prefill.next_check_s, decode.next_check_s)
-        for pool, n in ((prefill, self._n_prefill), (decode, self._n_decode)):
-            for _ in range(n):
-                pool.grow()
+        self._prefill_balancer: LoadBalancer = \
+            ConversationAffinityBalancer() if self.config.prefix_cache \
+            else LeastOutstandingBalancer()
+        self._decode_balancer = LeastOutstandingBalancer()
 
     def _all_workers(self) -> List[_PoolWorker]:
         return self._prefill_pool + self._decode_pool
-
-    def active_workers(self, role: str) -> List[_PoolWorker]:
-        """Non-draining members of one pool (the routable set)."""
-        return self._pools[role].active_replicas()
 
     # aggregated stats: the owner's counters are derived, so the base
     # class's ``self.stats = EngineStats()`` in reset() is a no-op here
     @property
     def stats(self) -> EngineStats:
         agg = EngineStats()
-        for pool in getattr(self, "_pools", {}).values():
-            # reaped workers stay in `retired` for exactly this sum
-            for worker in pool.members + pool.retired:
-                ws = worker.stats
-                for f in dataclass_fields(EngineStats):
-                    setattr(agg, f.name,
-                            getattr(agg, f.name) + getattr(ws, f.name))
-        agg.kv_transfers += getattr(self, "_kv_transfers", 0)
-        agg.kv_transfer_bytes += getattr(self, "_kv_transfer_bytes", 0)
-        agg.kv_transfer_s += getattr(self, "_kv_transfer_s", 0.0)
+        for worker in self._all_workers():
+            ws = worker.stats
+            for f in dataclass_fields(EngineStats):
+                setattr(agg, f.name,
+                        getattr(agg, f.name) + getattr(ws, f.name))
+        agg.kv_transfers += self._kv_transfers
+        agg.kv_transfer_bytes += self._kv_transfer_bytes
+        agg.kv_transfer_s += self._kv_transfer_s
         return agg
 
     @stats.setter
@@ -440,14 +341,16 @@ class DisaggregatedEngine(ServingEngine):
     # submission and routing
     # ------------------------------------------------------------------ #
     def submit(self, request: TraceRequest) -> ServingRequest:
+        rid = request.request_id
+        if rid in self._live:
+            raise ValueError(f"request id {rid!r} is already live")
         req = ServingRequest(trace=request)
-        self._live[request.request_id] = req
+        self._live[rid] = req
         self._n_submitted += 1
-        pool = self._prefill
-        worker = pool.balancer.choose(request.model_id,
-                                      pool.active_replicas(),
-                                      request.conversation_id)
-        self._owner_of[request.request_id] = worker
+        worker = self._prefill_balancer.choose(request.model_id,
+                                               self._prefill_pool,
+                                               request.conversation_id)
+        self._owner_of[rid] = worker
         # the prefill surrogate asks for exactly one token: prefill plus
         # the first decode step, after which the worker retires it and
         # the owner hands the KV state to the decode pool
@@ -507,8 +410,6 @@ class DisaggregatedEngine(ServingEngine):
                     and w.unfinished > 0 and w.clock < limit]
             rest.sort(key=lambda w: (w.clock, w.id))
             progress = any(self._step_worker(w) for w in rest)
-        if self._next_check_s < inf:
-            self._run_autoscalers()
         return progress
 
     def _step_worker(self, worker: _PoolWorker) -> bool:
@@ -552,26 +453,21 @@ class DisaggregatedEngine(ServingEngine):
                 break
 
     def _coast_worker(self, worker: _PoolWorker) -> None:
-        """Let ``worker`` coast to the horizon; a check the run crossed
-        is observed at this event frontier, not one real step later."""
+        """Let ``worker`` coast to the horizon."""
         start_s = worker.clock
         watch = _sanitizer.CoastWatch(
             worker, self._kv_transfers, set(self._in_transfer)) \
             if self._sanitize else None
         worker._coast(self._horizon(worker))
-        if worker.clock > start_s:
-            if watch is not None:
-                _sanitizer.check_worker_coast(self, worker, watch)
-            if self._next_check_s < inf:
-                self._run_autoscalers()
+        if watch is not None and worker.clock > start_s:
+            _sanitizer.check_worker_coast(self, worker, watch)
 
     def _horizon(self, worker: _PoolWorker) -> float:
         """The time no coasted iteration of decode ``worker`` may start
         at or after (its own next arrival, live cancel and first finish
         are inside ``_coast``).  Busy decode workers do not bound each
         other: independent timelines, and a coast finishes nobody."""
-        horizon = min(self.config.max_sim_seconds,  # step() serves below it
-                      self._next_check_s)  # the controllers observe the pools
+        horizon = self.config.max_sim_seconds   # step() serves below it
         for w in self._prefill_pool:       # a handoff arrives after it
             if w.unfinished > 0 and w.clock < horizon:
                 horizon = w.clock
@@ -604,42 +500,6 @@ class DisaggregatedEngine(ServingEngine):
     def _prefill_frontier(self) -> Optional[float]:
         times = [w.clock for w in self._prefill_pool if w.unfinished > 0]
         return min(times) if times else None
-
-    def _event_frontier(self) -> float:
-        """The earliest point any worker can still act: raw clocks for
-        workers with arrived work, next-arrival times for pending-only
-        ones.  Unlike the tenancy-facing ``clock`` (which prefers busy
-        workers), this never ignores a worker that will wake soon, so it
-        crosses an autoscaler check boundary at the same position in
-        event order under both idle-skip and dense-quantum stepping —
-        how far an idle worker's clock happened to creep cannot change
-        when a scale action lands relative to the surrounding handoffs.
-        """
-        vals = []
-        for w in self._all_workers():
-            if w.running or w.backlog > 0:
-                vals.append(w.clock)
-            elif w.unfinished > 0:
-                nxt = w._pending.peek_time()
-                vals.append(w.clock if nxt is None else max(w.clock, nxt))
-        return min(vals) if vals else self.clock
-
-    def _run_autoscalers(self) -> None:
-        """Let each pool's controller observe at every check boundary
-        the event frontier has reached, then retire drained workers."""
-        if self.unfinished == 0:
-            return                # a drained system never rescales
-        now = self._event_frontier()
-        for pool in self._pools.values():
-            scaler = pool.scaler
-            while scaler is not None and now >= pool.next_check_s:
-                pool.sim_now = pool.next_check_s
-                scaler.control(pool)
-                pool.next_check_s += scaler.config.check_interval_s
-            if pool.n_draining:
-                pool.reap()
-        self._next_check_s = min(self._prefill.next_check_s,
-                                 self._decode.next_check_s)
 
     # ------------------------------------------------------------------ #
     # worker callbacks: canonical request maintenance + KV handoff
@@ -703,8 +563,8 @@ class DisaggregatedEngine(ServingEngine):
         self._kv_transfers += 1
         self._kv_transfer_bytes += plan.nbytes
         self._kv_transfer_s += plan.transfer_s
-        dst = self._decode.balancer.choose(canonical.model_id,
-                                           self._decode.active_replicas())
+        dst = self._decode_balancer.choose(canonical.model_id,
+                                           self._decode_pool)
         emit = self.on_event
         if emit is not None and self._wants(KvTransfer):
             emit(KvTransfer(
@@ -763,8 +623,6 @@ class DisaggregatedEngine(ServingEngine):
 
     def utilization(self) -> Dict[str, float]:
         workers = self._all_workers()
-        if not workers:
-            return {"batch_occupancy": 0.0, "kv_occupancy": 0.0}
         batch = 0.0
         kv = 0.0
         for worker in workers:
@@ -778,14 +636,15 @@ class DisaggregatedEngine(ServingEngine):
         """Per-pool occupancy/backlog for the telemetry gauge board; KV
         moves in flight count as decode backlog (where they land)."""
         gauges: Dict[str, float] = {}
-        for role, pool in self._pools.items():
-            workers = pool.members
-            gauges[f"{role}_workers"] = float(pool.n_replicas)
+        for role, workers, in_flight in (
+                ("prefill", self._prefill_pool, 0),
+                ("decode", self._decode_pool, len(self._in_transfer))):
+            gauges[f"{role}_workers"] = float(len(workers))
             gauges[f"{role}_occupancy"] = sum(
                 w.utilization()["batch_occupancy"]
                 for w in workers) / len(workers)
             gauges[f"{role}_backlog"] = float(
-                sum(w.backlog for w in workers) + pool.admission_queued)
+                sum(w.backlog for w in workers) + in_flight)
         return gauges
 
     def result_config(self) -> Dict[str, object]:
@@ -800,10 +659,6 @@ class DisaggregatedEngine(ServingEngine):
             "prefill_chunk_tokens": self.prefill_chunk_tokens,
             "kv_link_gbps": self._link.gbps,
         }
-        for role, pool in self._pools.items():
-            if pool.scaler is not None:
-                cfg[f"max_{role}_workers_seen"] = \
-                    pool.scaler.max_replica_count
         if self.config.prefix_cache:
             cfg["prefix_cache"] = True
             cfg["prefix_block_tokens"] = self.config.prefix_block_tokens
@@ -815,15 +670,15 @@ class DisaggregatedEngine(ServingEngine):
 # --------------------------------------------------------------------- #
 @register_engine
 class ShardedEngine(DeltaZipEngine):
-    """One tensor-parallel group spanning several cluster nodes.
+    """One tensor-parallel group spanning several nodes.
 
     The intra-node collective stage is already priced by
     :class:`~repro.serving.costs.IterationCostModel` (NVLink/PCIe ring
     inside the node); this engine adds the hierarchical *inter-node*
     stage: per layer, two ring all-reduces of the activation block
-    across ``n_nodes`` participants over the RDMA interconnect.  Node
-    membership is validated against :meth:`GPUNode.tp_group` on every
-    node acquired from the cluster.
+    across ``n_nodes`` participants over the RDMA interconnect.  Every
+    shard node has ``node``'s shape and is validated against
+    :meth:`GPUNode.tp_group`.
     """
 
     name = "sharded"
@@ -834,8 +689,7 @@ class ShardedEngine(DeltaZipEngine):
                  scheduler_config: SchedulerConfig,
                  engine_config: EngineConfig = EngineConfig(),
                  tp_degree: Optional[int] = None,
-                 n_nodes: Optional[int] = None,
-                 cluster: Optional[Cluster] = None):
+                 n_nodes: Optional[int] = None):
         tp = tp_degree if tp_degree is not None else engine_config.tp_degree
         per_node_gpus = node.spec.n_gpus
         if n_nodes is None:
@@ -849,12 +703,8 @@ class ShardedEngine(DeltaZipEngine):
         self._n_nodes = n_nodes
         self._per_node_tp = tp // n_nodes
         self._link = InterconnectModel()
-        self._shard_nodes: List[GPUNode] = [node]
-        if n_nodes > 1:
-            src = cluster if cluster is not None \
-                else Cluster(node.spec, n_nodes=n_nodes - 1)
-            for _ in range(n_nodes - 1):
-                self._shard_nodes.append(src.acquire())
+        self._shard_nodes = [node] + [GPUNode(node.spec)
+                                      for _ in range(n_nodes - 1)]
         for member in self._shard_nodes:
             member.tp_group(self._per_node_tp)  # validates the degree
         super().__init__(manager, node, scheduler_config,

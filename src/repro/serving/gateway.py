@@ -121,11 +121,7 @@ class Gateway:
         tag is a ``TypeError``.  The returned handle streams this
         request's tokens and exposes its status and terminal record.
         """
-        if prompt_len < 1 or output_len < 1:
-            raise ValueError("prompt_len and output_len must be >= 1")
         arrival_s = self._now() if arrival_s is None else float(arrival_s)
-        if not math.isfinite(arrival_s):
-            raise ValueError(f"arrival_s must be finite, got {arrival_s!r}")
         if deadline_s is not None:
             if not (math.isfinite(deadline_s) and deadline_s > 0):
                 raise ValueError("deadline_s must be finite and > 0 when "

@@ -11,7 +11,7 @@ deployment; this module adds the control layer that makes sharing safe:
   clock, with borrow-ahead semantics so deferred requests serialize on a
   per-tenant virtual timeline;
 * :class:`AdmissionController` — decides, per offered request:
-  **reject** (quota or rate bound exceeded), **shed** (predicted TTFT
+  **reject** (quota exceeded), **shed** (predicted TTFT
   under the current backlog breaches the tenant's SLO), **defer**
   (queue until the bucket refills), or **admit**; admitted work queues at
   the frontier in either FCFS arrival order or VTC fair order
@@ -68,7 +68,7 @@ from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .gateway import CancelSchedule, Gateway
 from .handle import HandleStatus
-from .metrics import ServingResult, summarize
+from .metrics import ServingResult
 from .request import (DEFAULT_TENANT, RequestRecord,
                       synthesized_abort_record)
 
@@ -168,16 +168,6 @@ class Tenant:
             return None
         return self.burst_tokens if self.burst_tokens is not None \
             else 4.0 * self.rate_tokens_per_s
-
-    def renamed(self, tenant_id: str) -> "Tenant":
-        """This contract applied to a different tenant id (the template
-        mechanism behind auto-registered tenants)."""
-        return Tenant(tenant_id=tenant_id, weight=self.weight,
-                      slo_class=self.slo_class, ttft_slo_s=self.ttft_slo_s,
-                      rate_tokens_per_s=self.rate_tokens_per_s,
-                      burst_tokens=self.burst_tokens,
-                      max_outstanding=self.max_outstanding,
-                      patience_s=self.patience_s)
 
 
 class TokenBucket:
@@ -314,16 +304,14 @@ class AdmissionController:
     smallest known counter on re-arrival so sleeping never banks
     unbounded credit).  ``shed=True`` drops a request at offer time when
     the predicted TTFT under the current backlog exceeds its tenant's
-    SLO.  Unknown tenant ids auto-register from ``default_tenant`` (an
-    unthrottled best-effort contract unless one is given).
+    SLO.  Unknown tenant ids auto-register as unthrottled best-effort
+    contracts.
     """
 
     def __init__(self, tenants: Sequence[Tenant] = (),
                  policy: str = "fcfs", shed: bool = False,
                  engine_queue_depth: Optional[int] = None,
-                 default_tenant: Optional[Tenant] = None,
-                 prefill_weight: float = 1.0, decode_weight: float = 1.0,
-                 max_defer_s: Optional[float] = None):
+                 prefill_weight: float = 1.0, decode_weight: float = 1.0):
         if policy not in ("fcfs", "vtc"):
             raise ValueError(f"unknown admission policy {policy!r}")
         if engine_queue_depth is not None and engine_queue_depth < 1:
@@ -333,9 +321,7 @@ class AdmissionController:
         self.engine_queue_depth = engine_queue_depth
         self.prefill_weight = prefill_weight
         self.decode_weight = decode_weight
-        self.max_defer_s = max_defer_s
         self._kernel: Optional[SimKernel] = None
-        self._template = default_tenant or Tenant(DEFAULT_TENANT)
         self.tenants: Dict[str, Tenant] = {}
         for tenant in tenants:
             self.register(tenant)
@@ -367,7 +353,7 @@ class AdmissionController:
         existing = self.tenants.get(tid)
         if existing is not None:
             return existing
-        return self.register(self._template.renamed(tid))
+        return self.register(Tenant(tid))
 
     @property
     def passthrough(self) -> bool:
@@ -377,7 +363,6 @@ class AdmissionController:
         wrapped gateway."""
         return (self.policy == "fcfs" and not self.shed
                 and self.engine_queue_depth is None
-                and self._template.unthrottled
                 and all(t.unthrottled for t in self.tenants.values()))
 
     # ------------------------------------------------------------------ #
@@ -471,14 +456,6 @@ class AdmissionController:
         bucket = self._buckets.get(tid)
         if bucket is not None:
             eligible = bucket.charge(cost, arrival)
-            if self.max_defer_s is not None and \
-                    eligible - arrival > self.max_defer_s:
-                bucket.refund(cost)
-                stats.rejected += 1
-                self.decisions[request.request_id] = \
-                    AdmissionDecision.REJECTED
-                self._emit_decision(request, tid, AdmissionDecision.REJECTED)
-                return AdmissionDecision.REJECTED
         # the billing meter: every accepted request's tokens are charged
         # to its tenant (metered or not) — serving.economics prices them
         stats.tokens_charged += cost
@@ -767,7 +744,11 @@ class TenantGateway(Gateway):
         self._release(self._frontier())
 
     def ingest(self, request: TraceRequest) -> int:
-        """Queue a fully-formed request (verbatim id and arrival)."""
+        """Queue a fully-formed request (verbatim id and arrival); an id
+        still held here, or dispatched and unfinished, is rejected."""
+        rid = request.request_id
+        if rid in self._held or rid in self._dispatched_ids:
+            raise ValueError(f"request id {rid!r} is already live")
         self._admit_request(request)
         self._next_id = max(self._next_id, request.request_id + 1)
         return request.request_id
@@ -890,17 +871,6 @@ class TenantGateway(Gateway):
                           and r.ttft_s <= tenant.slo_s)
             out[tid] = met / stats.offered if stats.offered else 1.0
         return out
-
-    def streaming_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-tenant ``summarize()`` rows straight off the streaming
-        plane — O(tenants × sketch bins) regardless of how many requests
-        retired, so it is callable mid-flight at million-request scale
-        (the always-on dashboard read).  Under ``KEEP_ALL`` the rows are
-        the exact record-based values; under ``SAMPLE_K``/``DROP`` they
-        come from the sketches within the documented error."""
-        result = self.result()
-        return {tenant: summarize(result.for_tenant(tenant))
-                for tenant in result.tenant_ids}
 
     def billing(self, gpu, n_gpus: int,
                 system: Optional[str] = None) -> Dict[str, float]:

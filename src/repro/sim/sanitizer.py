@@ -41,8 +41,8 @@ construction:
   ledger's least busy replica is the brute-force ``(clock, id)``
   minimum, and the active-replica counter equals a recount;
 * **replica-set node census** — after every grow / shrink / reap of a
-  :class:`~repro.serving.cluster.ReplicaSet` (cluster replicas, disagg
-  pools), the draining counter equals a recount, every live member
+  cluster gateway's :class:`~repro.serving.cluster.ReplicaSet`, the
+  draining counter equals a recount, every live member
   holds its own allocated node, no retired member's node is still
   allocated, and the cluster's free count is its size minus the live
   members;
@@ -62,8 +62,8 @@ construction:
 * **horizon coasting** — a replica a cluster drain let coast started
   every iteration before the next unrouted arrival and autoscaler tick,
   retired nothing, and the cluster's bookkeeping ran at the new frontier;
-  a decode worker a disagg drain let coast started each before the next
-  pool check and every busy-prefill / waiting-decode clock, no handoff between;
+  a decode worker a disagg drain let coast started each before every
+  busy-prefill / waiting-decode clock, no handoff between;
 * **cost-model memos** — every served per-count column equals
   ``sbmm_time`` on a one-delta batch, and every memoised pass total a
   cold model's price of the same rows.
@@ -491,9 +491,8 @@ def check_worker_coast(owner: Any, worker: Any, watch: CoastWatch) -> None:
     coast: every coasted iteration started before each bound of its
     horizon, re-read here from the pools, and no KV handoff began or
     landed during the run."""
-    bounds = [("an autoscaler check", owner._next_check_s)]
-    bounds += [(f"a handoff from busy {w.name}", w.clock)
-               for w in owner._prefill_pool if w.unfinished > 0]
+    bounds = [(f"a handoff from busy {w.name}", w.clock)
+              for w in owner._prefill_pool if w.unfinished > 0]
     bounds += [(f"waiting {w.name}", w.clock) for w in owner._decode_pool
                if w is not worker and w.unfinished > 0
                and not w.running and w.backlog == 0]
@@ -533,8 +532,7 @@ def check_cluster_frontier(gateway: Any) -> None:
 
 def check_replica_set(replica_set: Any, cluster: Any) -> None:
     """A fleet's membership must agree with its own draining counter and
-    with the hardware cluster's node ledger; the live members of
-    ``replica_set.peers`` (other sets on the same cluster) count too."""
+    with the hardware cluster's node ledger."""
     draining = sum(1 for m in replica_set.members if m.draining)
     if replica_set.n_draining != draining:
         raise _violation(
@@ -542,7 +540,7 @@ def check_replica_set(replica_set: Any, cluster: Any) -> None:
             f"{replica_set.n_draining!r}, members give {draining!r}")
     if cluster is None:
         return
-    live = [m for s in (replica_set, *replica_set.peers) for m in s.members]
+    live = replica_set.members
     held = {id(m.node) for m in live}
     for m in replica_set.members:
         if not cluster.is_allocated(m.node):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -44,6 +45,24 @@ class TraceRequest:
     conversation_id: Optional[str] = None
     shared_prefix_id: Optional[str] = None
     shared_prefix_tokens: int = 0
+
+    def __post_init__(self) -> None:
+        # every entry point (submit, ingest, replay, load_trace) builds
+        # this envelope, so a length that would be served as finished or
+        # a time that would hang or strand a drain is refused here, once.
+        # A deadline may precede the arrival: the request expires on it.
+        if not self.prompt_tokens >= 1:
+            name, want = "prompt_tokens", ">= 1"
+        elif not self.output_tokens >= 1:
+            name, want = "output_tokens", ">= 1"
+        elif not math.isfinite(self.arrival_s):
+            name, want = "arrival_s", "finite"
+        elif self.deadline_s is not None and not math.isfinite(self.deadline_s):
+            name, want = "deadline_s", "finite when set"
+        else:
+            return
+        raise ValueError(f"request {self.request_id!r}: {name} must be "
+                         f"{want}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from repro.hardware import GPUNode, node_from_name
 from repro.hardware.specs import A800, NodeSpec
 from repro.serving import (AdmissionController, AdmissionDecision, BALANCERS,
                            ClusterGateway, ConversationAffinityBalancer,
-                           EngineConfig, LLAMA_7B, LeastOutstandingBalancer,
+                           EngineConfig, LLAMA_7B,
                            LineageAffinityBalancer, ModelManager, PrefixCache,
                            RecordPolicy, SchedulerConfig, ServingGateway,
                            StreamingMetrics, Tenant, create_balancer,
@@ -419,8 +419,7 @@ class TestConversationAffinity:
 
     def test_on_abandoned_and_on_removed_unpin(self):
         replicas = self.replicas()
-        bal = ConversationAffinityBalancer(
-            fallback=LeastOutstandingBalancer())
+        bal = ConversationAffinityBalancer()
         home = bal.choose("m", replicas, conversation_id="conv-1")
         bal.on_abandoned("m", conversation_id="conv-1")
         assert "conv-1" not in bal._home

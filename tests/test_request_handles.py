@@ -9,7 +9,9 @@ bit-identical to the pre-handle behavior.
 """
 
 import inspect
+import json
 import math
+import re
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.sim import Arrival, Cancel, EventQueue, SimKernel
 from repro.telemetry import chrome_trace_events, export_chrome_trace
 from repro.workload import (ClosedLoopClient, PatienceModel,
                             impatient_cancel_schedule, synthetic_trace)
+from repro.workload.io import load_trace
 from repro.workload.spec import TraceRequest
 
 N_MODELS = 4
@@ -255,6 +258,16 @@ class TestHandleBasics:
         assert gw.handle(0) is None
 
 
+#: a valid envelope, and each field value it must refuse
+ENVELOPE = dict(request_id=7, model_id="variant-00", arrival_s=0.0,
+                prompt_tokens=32, output_tokens=4)
+HOSTILE = [("arrival_s", math.nan), ("arrival_s", math.inf),
+           ("arrival_s", -math.inf), ("deadline_s", math.nan),
+           ("deadline_s", math.inf), ("prompt_tokens", 0),
+           ("prompt_tokens", -5), ("output_tokens", 0),
+           ("output_tokens", -5)]
+
+
 class TestRequestEnvelope:
     """One ``submit()`` builds the one ``TraceRequest`` envelope: the
     same validation and the same tag forwarding behind every front."""
@@ -276,6 +289,32 @@ class TestRequestEnvelope:
         result = front.run_until_drained()
         assert result.n_requests == 1 and handle.record().finished
         assert math.isfinite(front.clock)
+
+    @pytest.mark.parametrize("front", WRAPPERS)
+    @pytest.mark.parametrize("field, value", HOSTILE)
+    def test_hostile_envelopes_are_rejected_at_ingest(self, front, field,
+                                                      value):
+        """Regression: through ``ingest`` a NaN arrival hung the drain,
+        an infinite one was served as nothing, and 0 / -5 token lengths
+        came back ``finished``."""
+        front = build_wrapper(front, make_manager(), "deltazip")
+        row = dict(ENVELOPE)
+        with pytest.raises(ValueError, match=(
+                rf"request 7: {field} .*{re.escape(repr(value))}")):
+            front.ingest(TraceRequest(**{**row, field: value}))
+        front.ingest(TraceRequest(**row))
+        result = front.run_until_drained()
+        assert [r.status for r in result.records] == ["finished"]
+        assert math.isfinite(front.clock)
+
+    @pytest.mark.parametrize("field, value", HOSTILE)
+    def test_hostile_rows_are_rejected_by_load_trace(self, tmp_path, field,
+                                                     value):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({**ENVELOPE, field: value}) + "\n")
+        with pytest.raises(ValueError, match=(
+                rf"request 7: {field} .*{re.escape(repr(value))}")):
+            load_trace(str(path))
 
     # round-robin alternates replicas, so turn 2 meets a cold cache there
     @pytest.mark.parametrize(
@@ -749,3 +788,33 @@ class TestClosedLoopClient:
             pass
         assert client.done and not client.abandoned
         assert all(h.record().finished for h in client.handles)
+
+
+# --------------------------------------------------------------------------- #
+# one live request per id, at every layer that holds requests
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("wrapper", ["gateway", "cluster:least-outstanding",
+                                     "tenant:fcfs"])
+@pytest.mark.parametrize("engine_name", ["deltazip", "vllm-scb", "dedicated",
+                                         "disagg", "sharded"])
+def test_an_ingest_reusing_a_live_id_is_rejected(wrapper, engine_name):
+    """Regression: a second id 0 used to come back as a second record
+    with the same id, or (``disagg``) as one record with one request
+    left unfinished for good.  Once the first retired, the id is free."""
+    front = build_wrapper(wrapper, make_manager(), engine_name)
+
+    def request(arrival_s):
+        return TraceRequest(request_id=0, model_id="variant-00",
+                            arrival_s=arrival_s, prompt_tokens=32,
+                            output_tokens=8)
+    front.ingest(request(0.0))
+    with pytest.raises(ValueError, match="request id 0 is already live"):
+        front.ingest(request(0.5))
+    first = front.run_until_drained()
+    assert [(r.request_id, r.status) for r in first.records] == \
+        [(0, "finished")]
+    front.ingest(request(first.records[0].finish_s + 1.0))
+    again = front.run_until_drained()
+    assert [(r.request_id, r.status) for r in again.records] == \
+        [(0, "finished")] * 2
+    assert front.unfinished == 0

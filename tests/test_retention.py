@@ -111,14 +111,14 @@ def serve(stack, trace, cancels):
 # --------------------------------------------------------------------- #
 def engines_under(stack):
     """Every engine object of the stack: the wrapper's engines, and below
-    each the per-variant groups / pool workers (reaped ones too)."""
+    each the per-variant groups / pool workers."""
     roots = stack.engines() if hasattr(stack, "engines") else [stack]
     found = []
     for engine in roots:
         found.append(engine)
         found.extend(getattr(engine, "_groups", {}).values())
-        for pool in getattr(engine, "_pools", {}).values():
-            found.extend(pool.members + pool.retired)
+        found.extend(getattr(engine, "_prefill_pool", []))
+        found.extend(getattr(engine, "_decode_pool", []))
     return found
 
 

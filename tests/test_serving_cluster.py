@@ -242,47 +242,31 @@ class TestClusterGateway:
 
 
 # --------------------------------------------------------------------------- #
-# the one fleet lifecycle, over both of its users
+# the replica lifecycle
 # --------------------------------------------------------------------------- #
 class Fleet:
-    """A ``ReplicaSet`` reached the way its owner reaches it: the
-    gateway's replicas through ``spawn_replica`` / ``drain_replica``,
-    a disaggregated pool through the same two names on the pool."""
+    """A gateway's ``ReplicaSet``, reached the way the gateway reaches
+    it: ``spawn_replica`` / ``drain_replica`` and the reap after a step."""
 
-    def __init__(self, kind):
+    def __init__(self):
         self.cluster = Cluster.from_name("a800", 5, 1)
-        if kind == "cluster":
-            gateway = ClusterGateway(engine_factory=make_factory(),
-                                     cluster=self.cluster, n_replicas=3)
-            self.set = gateway._set
-            self.spawn, self.reap = gateway.spawn_replica, \
-                gateway._reap_drained
-            self.drain = gateway.drain_replica
-            self.engine_of = lambda member: member.engine
-        else:
-            engine = create_engine(
-                "disagg", make_manager(), GPUNode(node_from_name("a800", 1)),
-                scheduler_config=SchedulerConfig(max_batch_requests=8,
-                                                 max_concurrent_deltas=4),
-                prefill_workers=3, decode_workers=1, cluster=self.cluster)
-            self.set = engine._prefill
-            self.spawn, self.reap = self.set.spawn_replica, self.set.reap
-            self.drain = lambda member=None: self.set.drain_replica() \
-                if member is None else self.set.shrink(member)
-            self.engine_of = lambda member: member
-        self.n_other = self.cluster.n_allocated - 3   # the decode worker
+        gateway = ClusterGateway(engine_factory=make_factory(),
+                                 cluster=self.cluster, n_replicas=3)
+        self.set = gateway._set
+        self.spawn, self.reap = gateway.spawn_replica, gateway._reap_drained
+        self.drain = gateway.drain_replica
 
     def load(self, member, n):
         for _ in range(n):
-            self.engine_of(member).submit(TraceRequest(
+            member.engine.submit(TraceRequest(
                 request_id=1000 + 10 * member.id + member.unfinished,
                 model_id="variant-00", arrival_s=0.0, prompt_tokens=16,
                 output_tokens=4))
 
 
-@pytest.fixture(params=["cluster", "disagg-pool"])
-def fleet(request):
-    return Fleet(request.param)
+@pytest.fixture
+def fleet():
+    return Fleet()
 
 
 class TestReplicaSetLifecycle:
@@ -323,7 +307,7 @@ class TestReplicaSetLifecycle:
         assert fleet.set.n_draining == 1 and fleet.set.n_replicas == 1
         assert fleet.cluster.is_allocated(b.node)
         assert not fleet.cluster.is_allocated(c.node)
-        assert fleet.cluster.n_free == 5 - 2 - fleet.n_other
+        assert fleet.cluster.n_free == 5 - 2
 
     def test_never_below_one_active_member(self, fleet):
         a, b, c = fleet.set.members

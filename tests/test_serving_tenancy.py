@@ -82,14 +82,6 @@ class TestTenant:
         assert Tenant("t", rate_tokens_per_s=50.0).resolved_burst() == 200.0
         assert Tenant("t").resolved_burst() is None
 
-    def test_renamed_keeps_contract(self):
-        t = Tenant("a", weight=3.0, rate_tokens_per_s=10.0,
-                   max_outstanding=4)
-        r = t.renamed("b")
-        assert r.tenant_id == "b"
-        assert (r.weight, r.rate_tokens_per_s, r.max_outstanding) == \
-            (3.0, 10.0, 4)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Tenant("")
@@ -157,16 +149,13 @@ class TestAdmissionController:
         assert not AdmissionController(engine_queue_depth=4).passthrough
         assert not AdmissionController(
             tenants=[Tenant("t", max_outstanding=1)]).passthrough
-        assert not AdmissionController(
-            default_tenant=Tenant("d", rate_tokens_per_s=1.0)).passthrough
 
-    def test_unknown_tenants_autoregister_from_template(self):
-        controller = AdmissionController(
-            default_tenant=Tenant("d", max_outstanding=3))
+    def test_unknown_tenants_autoregister_unthrottled(self):
+        controller = AdmissionController()
         tenant = controller.tenant("newcomer")
-        assert tenant.tenant_id == "newcomer"
-        assert tenant.max_outstanding == 3
+        assert tenant.tenant_id == "newcomer" and tenant.unthrottled
         assert controller.tenant(None).tenant_id == DEFAULT_TENANT
+        assert controller.passthrough
 
     def test_duplicate_registration_rejected(self):
         controller = AdmissionController(tenants=[Tenant("a")])
@@ -180,15 +169,12 @@ class TestAdmissionController:
         assert controller.offer(req(1, "q")) is AdmissionDecision.REJECTED
         assert controller.stats["q"].rejected == 1
 
-    def test_bucket_defers_and_bounded_defer_rejects(self):
+    def test_bucket_defers(self):
         tenants = [Tenant("m", rate_tokens_per_s=10.0, burst_tokens=50.0)]
         controller = AdmissionController(tenants=tenants)
         # 48 tokens fits the burst; the next 48 must wait on refill
         assert controller.offer(req(0, "m")) is AdmissionDecision.ADMITTED
         assert controller.offer(req(1, "m")) is AdmissionDecision.DEFERRED
-        bounded = AdmissionController(tenants=tenants, max_defer_s=1.0)
-        assert bounded.offer(req(0, "m")) is AdmissionDecision.ADMITTED
-        assert bounded.offer(req(1, "m")) is AdmissionDecision.REJECTED
 
     def test_shed_compares_prediction_to_tenant_slo(self):
         controller = AdmissionController(shed=True)

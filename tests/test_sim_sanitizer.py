@@ -324,12 +324,12 @@ class TestClusterFrontierCheck:
 
 
 # --------------------------------------------------------------------- #
-# replica-set node census: one seeded fault per clause, on both fleets
+# replica-set node census: one seeded fault per clause
 # --------------------------------------------------------------------- #
-@pytest.fixture(params=["cluster", "disagg-pool"])
-def fleet(request):
+@pytest.fixture
+def fleet():
     from test_serving_cluster import Fleet
-    return Fleet(request.param)
+    return Fleet()
 
 
 class TestReplicaSetCheck:
@@ -375,11 +375,10 @@ class TestReplicaSetCheck:
         with pytest.raises(SimSanitizerError, match="node census"):
             sanitizer.check_replica_set(fleet.set, fleet.cluster)
 
-    @pytest.mark.parametrize("kind", ["cluster", "disagg-pool"])
-    def test_grow_shrink_and_reap_run_the_check_when_enabled(self, kind):
+    def test_grow_shrink_and_reap_run_the_check_when_enabled(self):
         from test_serving_cluster import Fleet
         with sanitized(True):
-            fleet = Fleet(kind)
+            fleet = Fleet()
             fleet.cluster.acquire()
             for op in (fleet.drain, fleet.set.reap, fleet.spawn):
                 with pytest.raises(SimSanitizerError, match="node census"):
@@ -893,20 +892,16 @@ class TestWorkerCoastCheck:
             assert engine.unfinished == 0
 
     @pytest.mark.parametrize("fault, named", [
-        ("check", "an autoscaler check"),
         ("prefill", "a handoff from busy disagg.prefill0"),
         ("waiting", "waiting disagg.decode3")])
     def test_a_bound_under_the_run(self, fault, named):
         with sanitized(True):
             engine, worker = self.steady()
             at_s = worker.clock + 0.05
-            if fault == "check":
-                engine._next_check_s = at_s
-            else:
-                other = engine._prefill_pool[0] if fault == "prefill" \
-                    else engine._decode_pool[2]
-                other.submit(trace_request(9, arrival=at_s + 5.0))
-                other.clock = at_s
+            other = engine._prefill_pool[0] if fault == "prefill" \
+                else engine._decode_pool[2]
+            other.submit(trace_request(9, arrival=at_s + 5.0))
+            other.clock = at_s
             engine._horizon = lambda worker: inf       # the bounds are gone
             with pytest.raises(SimSanitizerError, match=(
                     rf"worker disagg.decode1 coasted through an iteration "

@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.hardware import GPUNode, node_from_name
-from repro.serving import (Autoscaler, EngineConfig, LLAMA_7B, ModelManager,
+from repro.serving import (EngineConfig, LLAMA_7B, ModelManager,
                            SchedulerConfig, create_engine)
 from repro.serving.costs import IterationCostModel
 from repro.serving.disagg import DisaggregatedEngine
@@ -27,7 +27,6 @@ from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.sim.sanitizer import SimSanitizerError, sanitized
 from repro.workload import session_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
-from test_disagg import eager_scaler
 
 N_MODELS = 8
 MODELS = [f"variant-{i:02d}" for i in range(N_MODELS)]
@@ -290,32 +289,6 @@ def test_receive_delta(monkeypatch, sanitize):
 
 
 @SANITIZE
-def test_pool_workers_built_and_reaped_mid_run(monkeypatch, sanitize):
-    engines = []
-
-    def scenario():
-        # two bursts with a lull between: the pools grow, drain and
-        # retire their extra workers, then build fresh cold ones
-        rows = [(i % 4, 0.1 * i, 48, 40 + i % 9) for i in range(60)]
-        rows += [(i % 4, 40.0 + 0.1 * i, 48, 40 + i % 9) for i in range(60)]
-        engine = build("disagg", prefill_autoscaler=eager_scaler(3.0),
-                       decode_autoscaler=eager_scaler(3.0))
-        engines.append(engine)
-        return engine, hand_trace(rows), None
-    assert_reuse_changes_nothing(scenario, monkeypatch, sanitize)
-    for engine in engines:
-        retired = engine._prefill.retired + engine._decode.retired
-        assert retired, "the lull must retire a worker"
-        # the second burst was served by workers built after a retirement
-        youngest = max(w.id for w in memo_holders(engine) + retired)
-        assert youngest > min(w.id for w in retired)
-        assert not any(w in memo_holders(engine) for w in retired)
-        # retired workers stay counted in the engine's stats
-        assert engine.stats.iterations == sum(
-            w.stats.iterations for w in memo_holders(engine) + retired)
-
-
-@SANITIZE
 def test_deep_queue_blocked_by_the_delta_limit(monkeypatch, sanitize):
     def scenario():
         # one variant decodes for a long time while 40 requests of other
@@ -575,26 +548,6 @@ class TestDisaggHookWiring:
         engine.step()
         assert len(wired) == 6
         assert not any(w.on_event for w in memo_holders(engine))
-
-    def test_spawned_and_undrained_workers_join_wired(self):
-        # a never-firing autoscaler: only there to size the node cluster
-        engine = build("disagg", prefill_workers=1, decode_workers=1,
-                       decode_autoscaler=Autoscaler(check_interval_s=1e9))
-        events = []
-        engine.on_event = events.append
-        engine.step()                            # wires the two pools
-        spawned = engine._decode.spawn_replica()
-        assert spawned in engine._decode_pool
-        assert spawned.on_event == events.append
-        # a draining worker stays in its pool, so a hook change while it
-        # drains reaches it like any other member
-        spawned.submit(hand_trace([(0, 50.0, 16, 4)]).requests[0])
-        engine._decode.shrink(spawned)
-        engine.on_event = None
-        engine.step()
-        assert spawned.on_event is None
-        assert engine._decode.spawn_replica() is spawned     # un-drained
-        assert not spawned.draining
 
     def test_clock_matches_the_list_building_definition(self):
         def reference(engine):
