@@ -269,7 +269,7 @@ class DisaggregatedEngine(ServingEngine):
         self._prefill_balancer: LoadBalancer = \
             ConversationAffinityBalancer() if self.config.prefix_cache \
             else LeastOutstandingBalancer()
-        self._decode_balancer = LeastOutstandingBalancer()
+        self._decode_balancer: LoadBalancer = LeastOutstandingBalancer()
 
     def _all_workers(self) -> List[_PoolWorker]:
         return self._prefill_pool + self._decode_pool
