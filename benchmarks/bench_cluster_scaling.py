@@ -11,7 +11,7 @@ records how the replica count tracks offered load.
 import numpy as np
 
 from conftest import run_once, save_table
-from repro.serving import Autoscaler, summarize
+from repro.serving import AutoscalerConfig, summarize
 from repro.workload import ramp_trace, trace_from_distribution
 from serving_common import (N_VARIANTS, TRACE_SECONDS, delta_manager,
                             deltazip_cluster)
@@ -44,16 +44,16 @@ def _experiment():
     ramp = ramp_trace(N_VARIANTS, peak_rate=RAMP_PEAK_RATE,
                       duration_s=2 * TRACE_SECONDS, base_rate=0.2,
                       cv=2.0, seed=2)
-    autoscaler = Autoscaler(min_replicas=1, max_replicas=4,
-                            high_queue_per_replica=6.0,
-                            low_queue_per_replica=1.0,
-                            check_interval_s=5.0,
-                            scale_up_cooldown_s=10.0,
-                            scale_down_cooldown_s=30.0)
+    autoscaler = AutoscalerConfig(min_replicas=1, max_replicas=4,
+                                  high_queue_per_replica=6.0,
+                                  low_queue_per_replica=1.0,
+                                  check_interval_s=5.0,
+                                  scale_up_cooldown_s=10.0,
+                                  scale_down_cooldown_s=30.0)
     gateway = deltazip_cluster(n_replicas=1, mgr=mgr, autoscaler=autoscaler)
     auto_res = gateway.replay(ramp)
     samples = [(s.clock_s, s.n_replicas, s.queue_per_replica)
-               for s in autoscaler.history]
+               for s in gateway.autoscaler.history]
     return {"sweep": sweep, "auto_summary": summarize(auto_res),
             "auto_samples": samples, "n_ramp_requests": len(ramp)}
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.hardware import GPUNode, node_from_name
 from repro.serving import (EngineConfig, LLAMA_13B, LLAMA_7B, ModelManager,
-                           SchedulerConfig, ServingEngine, create_engine)
+                           SchedulerConfig, ServingEngine, StackSpec, build,
+                           build_engine)
 
 # the paper's serving defaults: 32 variants of a 13B model on 4xA800, TP=4
 N_VARIANTS = 32
@@ -55,31 +56,32 @@ def lora_manager(spec=LLAMA_13B, n_models: int = N_VARIANTS,
     return mgr
 
 
-def build_engine(name: str, mgr, node, scheduler: SchedulerConfig = None,
-                 engine_config: EngineConfig = None,
-                 **kwargs) -> ServingEngine:
-    """Construct any registered engine by name (see ENGINES)."""
-    return create_engine(name, mgr, node, scheduler_config=scheduler,
-                         engine_config=engine_config, **kwargs)
+def deltazip_spec(n_deltas: int = 8, k: int = 32, tp: int = 4,
+                  preemption: bool = True, variant_kind: str = "delta",
+                  lora_rank: int = 16, **stack) -> StackSpec:
+    """The paper's DeltaZip engine: K=``k`` batch, N=``n_deltas``."""
+    return StackSpec(
+        "deltazip",
+        scheduler=SchedulerConfig(max_batch_requests=k,
+                                  max_concurrent_deltas=n_deltas,
+                                  preemption=preemption),
+        config=EngineConfig(tp_degree=tp, variant_kind=variant_kind,
+                            lora_rank=lora_rank), **stack)
 
 
 def deltazip_engine(mgr, node, n_deltas: int = 8, k: int = 32,
                     tp: int = 4, preemption: bool = True,
                     variant_kind: str = "delta",
                     lora_rank: int = 16) -> ServingEngine:
-    return build_engine(
-        "deltazip", mgr, node,
-        scheduler=SchedulerConfig(max_batch_requests=k,
-                                  max_concurrent_deltas=n_deltas,
-                                  preemption=preemption),
-        engine_config=EngineConfig(tp_degree=tp, variant_kind=variant_kind,
-                                   lora_rank=lora_rank))
+    return build_engine(deltazip_spec(n_deltas, k, tp, preemption,
+                                      variant_kind, lora_rank), mgr, node)
 
 
 def scb_engine(mgr, node, tp: int = 4, k: int = 32) -> ServingEngine:
-    return build_engine("vllm-scb", mgr, node,
-                        engine_config=EngineConfig(tp_degree=tp),
-                        max_batch_requests=k)
+    return build_engine(StackSpec("vllm-scb",
+                                  config=EngineConfig(tp_degree=tp),
+                                  engine_kwargs={"max_batch_requests": k}),
+                        mgr, node)
 
 
 def deltazip_cluster(n_replicas: int = 2, mgr=None,
@@ -87,22 +89,12 @@ def deltazip_cluster(n_replicas: int = 2, mgr=None,
                      n_deltas: int = 8, k: int = 32, tp: int = 4,
                      gpu: str = "a800", gpus_per_node: int = 4,
                      spec=LLAMA_13B):
-    """A multi-replica DeltaZip deployment behind a ClusterGateway.
-
-    One engine per node drawn from a homogeneous hardware cluster sized to
-    the replica count (or the autoscaler's ceiling)."""
-    from repro.hardware import Cluster
-    from repro.serving import ClusterGateway
-
-    mgr = mgr or delta_manager(spec=spec)
-    ceiling = n_replicas if autoscaler is None else \
-        max(n_replicas, autoscaler.config.max_replicas)
-    cluster = Cluster.from_name(gpu, n_nodes=ceiling,
-                                gpus_per_node=gpus_per_node)
-
-    def factory(node):
-        return deltazip_engine(mgr, node, n_deltas=n_deltas, k=k, tp=tp)
-
-    return ClusterGateway(engine_factory=factory, cluster=cluster,
-                          n_replicas=n_replicas, balancer=balancer,
-                          autoscaler=autoscaler)
+    """A multi-replica DeltaZip deployment behind a ClusterGateway, one
+    engine per ``gpu`` x ``gpus_per_node`` node; ``autoscaler`` is an
+    ``AutoscalerConfig`` (the gateway's ``autoscaler`` keeps its
+    history)."""
+    return build(deltazip_spec(n_deltas, k, tp,
+                               node=node_from_name(gpu, gpus_per_node),
+                               replicas=n_replicas, balancer=balancer,
+                               autoscaler=autoscaler),
+                 mgr or delta_manager(spec=spec))

@@ -139,19 +139,20 @@ def _manager(args, name, trace):
     return mgr
 
 
-def _engine(args, name, mgr, node, **extra):
-    """Engine ``name`` sized by the shared serving flags, plus the
-    prefix-cache flags in the modes that declare them."""
-    from repro.serving import EngineConfig, SchedulerConfig, create_engine
+def _spec(args, name, **fields):
+    """The stack of engine ``name`` sized by the shared serving flags,
+    plus the prefix-cache flags in the modes that declare them."""
+    from repro.hardware import node_from_name
+    from repro.serving import EngineConfig, SchedulerConfig, StackSpec
 
     cache = {"prefix_cache": args.prefix_cache,
              "prefix_block_tokens": args.prefix_block} \
         if "prefix_cache" in args else {}
-    return create_engine(
-        name, mgr, node,
-        scheduler_config=SchedulerConfig(max_batch_requests=args.batch,
-                                         max_concurrent_deltas=args.deltas),
-        engine_config=EngineConfig(tp_degree=args.tp, **cache), **extra)
+    return StackSpec(
+        name, node=node_from_name(args.gpu, args.gpus),
+        scheduler=SchedulerConfig(max_batch_requests=args.batch,
+                                  max_concurrent_deltas=args.deltas),
+        config=EngineConfig(tp_degree=args.tp, **cache), **fields)
 
 
 def _ttft_decomposition(res):
@@ -173,12 +174,10 @@ def _ttft_decomposition(res):
 
 
 def _cmd_simulate(args) -> int:
-    from repro.hardware import GPUNode, node_from_name
-    from repro.serving import ENGINES
+    from repro.serving import ENGINES, build_engine
     from repro.workload.io import load_trace
 
     trace = load_trace(args.trace)
-    node = GPUNode(node_from_name(args.gpu, args.gpus))
     names = {"all": sorted(ENGINES),
              "both": ["deltazip", "vllm-scb"]}.get(args.systems,
                                                    [args.systems])
@@ -192,8 +191,8 @@ def _cmd_simulate(args) -> int:
                      "decode_workers": args.decode_workers}
         elif name == "sharded" and args.tp_degree is not None:
             extra = {"tp_degree": args.tp_degree}
-        engine = _engine(args, name, _manager(args, name, trace), node,
-                         **extra)
+        engine = build_engine(_spec(args, name, engine_kwargs=extra),
+                              _manager(args, name, trace))
         results[name] = engine.run(trace)
 
     print(f"{'system':10s} {'thr(rps)':>9s} {'p50_e2e':>8s} "
@@ -226,42 +225,32 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    from repro.hardware import Cluster
-    from repro.serving import Autoscaler, ClusterGateway, summarize
+    from repro.serving import AutoscalerConfig, build, summarize
     from repro.workload.io import load_trace
 
     trace = load_trace(args.trace)
     replica_counts = [int(n) for n in args.replicas.split(",")]
     # engines never mutate the registry, so the sweep shares one manager
     mgr = _manager(args, args.engine, trace)
+    autoscaler = None
+    if args.autoscale:
+        autoscaler = AutoscalerConfig(
+            min_replicas=args.min_replicas, max_replicas=args.max_replicas,
+            high_queue_per_replica=args.high_queue,
+            low_queue_per_replica=args.low_queue)
 
     print(f"{'replicas':>8s} {'thr(rps)':>9s} {'makespan':>9s} "
           f"{'p50_e2e':>8s} {'p99_e2e':>8s} {'p50_ttft':>9s} "
           f"{'p99_ttft':>9s} {'peak':>5s}")
     for n in replica_counts:
-        autoscaler = None
-        ceiling = n
-        if args.autoscale:
-            ceiling = max(n, args.max_replicas)
-            autoscaler = Autoscaler(
-                min_replicas=args.min_replicas, max_replicas=args.max_replicas,
-                high_queue_per_replica=args.high_queue,
-                low_queue_per_replica=args.low_queue)
-        cluster = Cluster.from_name(args.gpu, n_nodes=ceiling,
-                                    gpus_per_node=args.gpus)
-
-        def factory(node, mgr=mgr):
-            return _engine(args, args.engine, mgr, node)
-
+        spec = _spec(args, args.engine, replicas=n, balancer=args.balancer,
+                     autoscaler=autoscaler)
+        gateway = build(spec, mgr, journal=bool(args.trace_out))
         telemetry = None
         if args.telemetry_interval is not None:
             from repro.telemetry import Telemetry
             telemetry = Telemetry(interval_s=args.telemetry_interval)
-        gateway = ClusterGateway(engine_factory=factory, cluster=cluster,
-                                 n_replicas=n, balancer=args.balancer,
-                                 autoscaler=autoscaler,
-                                 journal=bool(args.trace_out),
-                                 telemetry=telemetry)
+            telemetry.attach(gateway)
         res = gateway.replay(trace)
         # one trace per swept replica count: spawn/drain/tick/cancel and
         # per-iteration spans, viewable in chrome://tracing
@@ -273,8 +262,8 @@ def _cmd_cluster(args) -> int:
               f"{s['makespan_s']:9.1f} {s['p50_e2e_s']:8.2f} "
               f"{s['p99_e2e_s']:8.2f} {s['p50_ttft_s']:9.3f} "
               f"{s['p99_ttft_s']:9.3f} {peak:5d}")
-        if args.verbose and autoscaler is not None:
-            for sample in autoscaler.history:
+        if args.verbose and gateway.autoscaler is not None:
+            for sample in gateway.autoscaler.history:
                 if sample.action:
                     print(f"  t={sample.clock_s:8.1f}s {sample.action} -> "
                           f"{sample.n_replicas} replicas "
@@ -341,20 +330,19 @@ def _parse_tenant_specs(text: str):
 
 
 def _cmd_tenancy(args) -> int:
-    from repro.hardware import GPUNode, node_from_name
-    from repro.serving import (ServingGateway, TenantGateway,
-                               jain_fairness_index)
+    from repro.serving import build, jain_fairness_index
     from repro.workload import multi_tenant_trace
 
     contracts, workloads = _parse_tenant_specs(args.tenants)
     trace = multi_tenant_trace(workloads, duration_s=args.duration,
                                seed=args.seed)
-    node = GPUNode(node_from_name(args.gpu, args.gpus))
     mgr = _manager(args, args.engine, trace)
     policies = ["fcfs", "vtc"] if args.policy == "both" else [args.policy]
 
     for policy in policies:
-        engine = _engine(args, args.engine, mgr, node)
+        gateway = build(_spec(args, args.engine, admission=policy,
+                              tenants=tuple(contracts), shed=args.shed,
+                              engine_queue_depth=args.depth), mgr)
         telemetry = None
         if args.telemetry_interval is not None or args.trace_out:
             from repro.telemetry import Telemetry
@@ -362,11 +350,7 @@ def _cmd_tenancy(args) -> int:
                 interval_s=args.telemetry_interval
                 if args.telemetry_interval is not None else 1.0,
                 journal=bool(args.trace_out))
-        gateway = TenantGateway(ServingGateway(engine),
-                                tenants=contracts, policy=policy,
-                                shed=args.shed,
-                                engine_queue_depth=args.depth,
-                                telemetry=telemetry)
+            telemetry.attach(gateway)
         result = gateway.replay(trace)
         # one trace per policy: admission verdicts, cancels (tenant-
         # attributed), and nested request/phase lifecycle slices
@@ -490,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     # importing the package (not just .base) registers the engine classes
     from repro.serving import BALANCERS, ENGINES
     # the flags simulate, cluster and tenancy share (read by _manager and
-    # _engine), and the prefix-cache pair simulate and cluster add
+    # _spec), and the prefix-cache pair simulate and cluster add
     serving = argparse.ArgumentParser(add_help=False)
     serving.add_argument("--model", default="llama-13b",
                          choices=["llama-7b", "llama-13b", "llama-70b",

@@ -1,6 +1,5 @@
 """Public facade for the DeltaZip reproduction."""
 
 from .api import DeltaZip
-from .session import ServingSession, ServingSessionBuilder
 
-__all__ = ["DeltaZip", "ServingSession", "ServingSessionBuilder"]
+__all__ = ["DeltaZip"]

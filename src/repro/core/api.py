@@ -6,19 +6,20 @@ Glues the three components together behind one object:
   delta of an uploaded FMT checkpoint against its base (offline);
 * **Model Manager** — tracks artifacts, lineage, and measured sizes;
 * **Serving** — ``runner()`` gives the functional decoupled executor for
-  real generation across variants, and ``session`` builds an at-scale
-  serving session (any registered engine) using the *measured*
-  compression ratios of the registered artifacts; sessions replay
-  offline traces or accept online submissions through the gateway.
+  real generation across variants, and ``manager()`` the at-scale
+  serving registry holding every registered artifact at its *measured*
+  compression ratio, which :func:`~repro.serving.stack.build` serves
+  through any :class:`~repro.serving.stack.StackSpec`: offline trace
+  replay or online submission through the gateway.
 
 Example::
 
     dz = DeltaZip(base_model)
     dz.register_finetuned("vicuna", finetuned_model, calib_tokens)
     out = dz.generate("vicuna", prompt_tokens)
-    session = dz.session("deltazip", served_spec=LLAMA_13B).build()
-    result = session.replay(trace)             # offline
-    handle = session.submit("vicuna", 128, 64) # ... or online
+    gateway = build(StackSpec("deltazip"), dz.manager(LLAMA_13B))
+    result = gateway.replay(trace)             # offline
+    handle = gateway.submit("vicuna", 128, 64) # ... or online
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from ..compression.configs import CompressionConfig
 from ..compression.pipeline import DeltaCompressor
 from ..nn.lora import LoRAAdapter
 from ..nn.transformer import TransformerModel
+from ..serving.base import ENGINES
+from ..serving.model_manager import ModelManager
 from ..serving.models import ServedModelSpec
 from ..serving.runner import DecoupledModelRunner
-from .session import ServingSessionBuilder
 
 __all__ = ["DeltaZip"]
 
@@ -118,21 +120,23 @@ class DeltaZip:
     # ------------------------------------------------------------------ #
     # at-scale serving (simulation)
     # ------------------------------------------------------------------ #
-    def session(self, engine: str = "deltazip",
-                served_spec: Optional[ServedModelSpec] = None
-                ) -> ServingSessionBuilder:
-        """Fluent builder for an at-scale serving session.
+    def manager(self, served_spec: ServedModelSpec,
+                engine: str = "deltazip") -> ModelManager:
+        """The serving registry for an at-scale simulation of ``engine``.
 
-        ``engine`` names any entry in the :data:`~repro.serving.ENGINES`
-        registry.  The returned builder configures hardware and scheduling,
-        and ``build()`` yields a :class:`~repro.core.session.ServingSession`
-        exposing both offline ``replay(trace)`` and the online ``submit``
-        path::
+        It holds the base plus every registered artifact at its
+        *measured* compression ratio and config, sized as
+        ``served_spec`` (weights, KV, swaps) and registered the way the
+        :data:`~repro.serving.ENGINES` entry consumes variants.  Serve it
+        through :func:`~repro.serving.stack.build`::
 
-            result = (dz.session("deltazip", served_spec=LLAMA_13B)
-                        .on_node("a800", gpus=4)
-                        .with_scheduler(max_batch_requests=32)
-                        .replay(trace))
+            gateway = build(StackSpec("deltazip"), dz.manager(LLAMA_13B))
+            result = gateway.replay(trace)
         """
-        return ServingSessionBuilder(self, engine=engine,
-                                     served_spec=served_spec)
+        manager = ModelManager(served_spec)
+        manager.register_base(self.base_model_id)
+        for model_id, artifact in sorted(self.artifacts.items()):
+            ENGINES[engine].register_variant(
+                manager, model_id, self.base_model_id,
+                artifact.compression_ratio(), config=artifact.config)
+        return manager

@@ -31,6 +31,7 @@ from .runner import DecoupledModelRunner
 from .sbmm import group_requests_by_delta, sbmm_forward, sbmm_reference
 from .scheduler import (ContinuousBatchScheduler, SchedulerConfig,
                         SchedulingDecision)
+from .stack import StackSpec, build, build_engine
 from .streaming_metrics import (QuantileSketch, RecordPolicy,
                                 ReservoirSampler, SKETCH_RELATIVE_ERROR,
                                 StreamingMetrics, TenantCounters)
@@ -70,6 +71,7 @@ __all__ = [
     "DecoupledModelRunner",
     "group_requests_by_delta", "sbmm_forward", "sbmm_reference",
     "ContinuousBatchScheduler", "SchedulerConfig", "SchedulingDecision",
+    "StackSpec", "build", "build_engine",
     "QuantileSketch", "RecordPolicy", "ReservoirSampler",
     "SKETCH_RELATIVE_ERROR", "StreamingMetrics", "TenantCounters",
     "ProfilePoint", "pick_optimal_n", "profile_concurrent_deltas",

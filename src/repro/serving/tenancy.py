@@ -685,16 +685,12 @@ class TenantGateway(Gateway):
     """
 
     def __init__(self, gateway: Gateway,
-                 controller: Optional[AdmissionController] = None,
                  tenants: Sequence[Tenant] = (), journal: bool = False,
-                 telemetry=None,
-                 **controller_kwargs):
-        if controller is not None and (tenants or controller_kwargs):
-            raise ValueError("pass either a controller or tenant/kwargs")
+                 telemetry=None, **controller_kwargs):
         super().__init__()
         self.inner = gateway
-        self.controller = controller or AdmissionController(
-            tenants=tenants, **controller_kwargs)
+        self.controller = AdmissionController(tenants=tenants,
+                                              **controller_kwargs)
         # the admission timeline: a separate journal from the cluster's
         # (frontier events here, replica events there) on a clock that
         # shadows the inner gateway's frontier; the controller publishes

@@ -26,13 +26,13 @@ Run them via ``python -m repro.cli scenarios <name>|all [--quick]`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, cast
 
-from ..hardware import Cluster, GPUNode, node_from_name
-from ..serving import (Autoscaler, ClusterGateway, EngineConfig, LLAMA_7B,
-                       ModelManager, SchedulerConfig, ServingEngine,
-                       ServingGateway, Tenant, TenantGateway, create_engine)
+from ..hardware import node_from_name
+from ..serving import (AutoscalerConfig, ClusterGateway, EngineConfig,
+                       LLAMA_7B, ModelManager, SchedulerConfig, StackSpec,
+                       Tenant, TenantGateway, build)
 from ..workload import TenantWorkload, multi_tenant_trace, synthetic_trace
 from ..workload.spec import Trace
 from . import Telemetry
@@ -90,30 +90,21 @@ def _manager(n_models: int, ratio: float = 8.0) -> ModelManager:
     return manager
 
 
-def _engine_config() -> EngineConfig:
-    return EngineConfig(tp_degree=1)
+#: every drill's replica: a small DeltaZip engine on one A800
+_REPLICA = StackSpec("deltazip", node=node_from_name("a800", 1),
+                     scheduler=SchedulerConfig(max_batch_requests=8,
+                                               max_concurrent_deltas=4),
+                     config=EngineConfig(tp_degree=1))
 
 
-def _scheduler_config() -> SchedulerConfig:
-    return SchedulerConfig(max_batch_requests=8, max_concurrent_deltas=4)
-
-
-def _cluster_stack(n_models: int, autoscaler: Autoscaler,
-                   telemetry: Telemetry, n_replicas: int = 1,
-                   max_nodes: int = 4) -> ClusterGateway:
-    manager = _manager(n_models)
-
-    def factory(node: GPUNode) -> ServingEngine:
-        return create_engine("deltazip", manager, node,
-                             scheduler_config=_scheduler_config(),
-                             engine_config=_engine_config())
-
-    return ClusterGateway(
-        engine_factory=factory,
-        cluster=Cluster.from_name("a800", n_nodes=max_nodes,
-                                  gpus_per_node=1),
-        n_replicas=n_replicas, balancer="least-outstanding",
-        autoscaler=autoscaler, telemetry=telemetry)
+def _cluster_stack(n_models: int, autoscaler: AutoscalerConfig,
+                   telemetry: Telemetry,
+                   n_replicas: int = 1) -> ClusterGateway:
+    gateway = cast(ClusterGateway, build(
+        replace(_REPLICA, replicas=n_replicas, autoscaler=autoscaler),
+        _manager(n_models)))
+    telemetry.attach(gateway)
+    return gateway
 
 
 def _first_below(series: List[GaugeSnapshot], after_s: float,
@@ -155,12 +146,12 @@ def _replica_failure(quick: bool, seed: int) -> ScenarioReport:
     rate = 3.0 if quick else 4.0
     n_models = 4
     high_wm = 4.0
-    autoscaler = Autoscaler(min_replicas=2, max_replicas=4,
-                            high_queue_per_replica=high_wm,
-                            low_queue_per_replica=0.5,
-                            check_interval_s=2.0,
-                            scale_up_cooldown_s=4.0,
-                            scale_down_cooldown_s=60.0)
+    autoscaler = AutoscalerConfig(min_replicas=2, max_replicas=4,
+                                  high_queue_per_replica=high_wm,
+                                  low_queue_per_replica=0.5,
+                                  check_interval_s=2.0,
+                                  scale_up_cooldown_s=4.0,
+                                  scale_down_cooldown_s=60.0)
     telemetry = Telemetry(interval_s=1.0)
     gateway = _cluster_stack(n_models, autoscaler, telemetry,
                              n_replicas=2)
@@ -229,12 +220,12 @@ def _thundering_herd(quick: bool, seed: int) -> ScenarioReport:
     herd = 60 if quick else 200
     n_models = 4
     high_wm = 4.0
-    autoscaler = Autoscaler(min_replicas=1, max_replicas=4,
-                            high_queue_per_replica=high_wm,
-                            low_queue_per_replica=0.5,
-                            check_interval_s=2.0,
-                            scale_up_cooldown_s=3.0,
-                            scale_down_cooldown_s=120.0)
+    autoscaler = AutoscalerConfig(min_replicas=1, max_replicas=4,
+                                  high_queue_per_replica=high_wm,
+                                  low_queue_per_replica=0.5,
+                                  check_interval_s=2.0,
+                                  scale_up_cooldown_s=3.0,
+                                  scale_down_cooldown_s=120.0)
     telemetry = Telemetry(interval_s=1.0)
     gateway = _cluster_stack(n_models, autoscaler, telemetry,
                              n_replicas=1)
@@ -291,12 +282,12 @@ def _scale_from_zero(quick: bool, seed: int) -> ScenarioReport:
     rate = 3.0 if quick else 4.0
     n_models = 4
     high_wm = 3.0
-    autoscaler = Autoscaler(min_replicas=1, max_replicas=4,
-                            high_queue_per_replica=high_wm,
-                            low_queue_per_replica=0.5,
-                            check_interval_s=2.0,
-                            scale_up_cooldown_s=3.0,
-                            scale_down_cooldown_s=300.0)
+    autoscaler = AutoscalerConfig(min_replicas=1, max_replicas=4,
+                                  high_queue_per_replica=high_wm,
+                                  low_queue_per_replica=0.5,
+                                  check_interval_s=2.0,
+                                  scale_up_cooldown_s=3.0,
+                                  scale_down_cooldown_s=300.0)
     telemetry = Telemetry(interval_s=1.0)
     gateway = _cluster_stack(n_models, autoscaler, telemetry,
                              n_replicas=1)
@@ -357,17 +348,13 @@ def _noisy_neighbor(quick: bool, seed: int) -> ScenarioReport:
                Tenant("noisy", weight=1.0, slo_class="batch",
                       max_outstanding=8))
 
-    manager = _manager(4)
     # a deliberately small replica: the flood must actually hurt
-    engine = create_engine("deltazip", manager,
-                           GPUNode(node_from_name("a800", 1)),
-                           scheduler_config=SchedulerConfig(
-                               max_batch_requests=4,
-                               max_concurrent_deltas=2),
-                           engine_config=_engine_config())
+    gateway = cast(TenantGateway, build(replace(
+        _REPLICA, scheduler=SchedulerConfig(max_batch_requests=4,
+                                            max_concurrent_deltas=2),
+        admission="vtc", tenants=tenants, shed=True), _manager(4)))
     telemetry = Telemetry(interval_s=1.0)
-    gateway = TenantGateway(ServingGateway(engine), tenants=tenants,
-                            policy="vtc", shed=True, telemetry=telemetry)
+    telemetry.attach(gateway)
 
     victim_pool = ("variant-00", "variant-01")
     noisy_pool = ("variant-02", "variant-03")

@@ -39,20 +39,33 @@ def save_trace(trace: Trace, path: str) -> None:
 
 
 def load_trace(path: str) -> Trace:
+    """Read a trace written by :func:`save_trace`.  A malformed row is a
+    ``ValueError`` naming ``path`` and the row's 1-based file line."""
     requests: List[TraceRequest] = []
     model_ids: List[str] = []
     duration = 0.0
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{where}: {e.msg} at column {e.colno}") \
+                    from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: expected a JSON object, got "
+                                 f"{type(obj).__name__}")
             if "__header__" in obj:
                 model_ids = obj["__header__"]["model_ids"]
                 duration = obj["__header__"]["duration_s"]
                 continue
-            requests.append(TraceRequest(**obj))
+            try:
+                requests.append(TraceRequest(**obj))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{where}: {e}") from e
     if not model_ids:
         model_ids = sorted({r.model_id for r in requests})
     if duration == 0.0 and requests:

@@ -66,6 +66,34 @@ class TestTraceIO:
             [r.tenant_id for r in trace]
         assert loaded.tenant_ids == ["a", "b"]
 
+    @pytest.mark.parametrize("row, reason", [
+        ('{"request_id": 2, "model_id": "m0", "arrival_s": 1.0, '
+         '"prompt_tokens": 8', "Expecting ',' delimiter at column 73"),
+        ('{"request_id": 2, "model_id": "m0", "arrival_s": 1.0, '
+         '"prompt_tokens": 8, "output_tokens": 4, "colour": "red"}',
+         "unexpected keyword argument 'colour'"),
+        ('{"request_id": 2, "model_id": "m0", "arrival_s": 1.0, '
+         '"prompt_tokens": 8}', "missing 1 required positional argument"),
+        ('[2, "m0", 1.0, 8, 4]', "expected a JSON object, got list"),
+        ('{"request_id": 2, "model_id": "m0", "arrival_s": 1.0, '
+         '"prompt_tokens": 0, "output_tokens": 4}', "prompt_tokens"),
+    ], ids=["truncated", "unknown-field", "missing-field", "not-an-object",
+            "invalid-request"])
+    def test_a_bad_row_names_its_file_line(self, tmp_path, row, reason):
+        """A malformed row is a ValueError naming the file and the row's
+        1-based line: the header is line 1, a blank line is counted."""
+        trace = synthetic_trace(1, rate=1.0, duration_s=2.0, seed=0)
+        trace.requests = trace.requests[:1]
+        path = str(tmp_path / "t.jsonl")
+        save_trace(trace, path)
+        with open(path, "a") as f:
+            f.write("\n" + row + "\n")
+        with pytest.raises(ValueError) as info:
+            load_trace(path)
+        message = str(info.value)
+        assert message.startswith(f"{path} line 4: ")
+        assert reason in message
+
     def test_untenanted_byte_format_unchanged(self, tmp_path):
         """Legacy trace files never mention tenant_id (old readers and
         diff-based fixtures stay valid)."""

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core import DeltaZip
 from repro.compression import CompressionConfig
-from repro.serving import LLAMA_7B, SchedulerConfig, EngineConfig
+from repro.serving import (EngineConfig, LLAMA_7B, SchedulerConfig, StackSpec,
+                           build)
 from repro.workload import synthetic_trace
 
 
@@ -80,10 +81,9 @@ class TestGeneration:
         assert acc_compressed >= acc_fmt - 0.1
 
 
-def session_builder(system):
-    return (system.session("deltazip", served_spec=LLAMA_7B)
-            .with_scheduler(SchedulerConfig(8, 2))
-            .with_engine_config(EngineConfig(tp_degree=1)))
+#: the facade's registry served with K=8, N=2 at TP=1
+SPEC = StackSpec(scheduler=SchedulerConfig(8, 2),
+                 config=EngineConfig(tp_degree=1))
 
 
 class TestSimulate:
@@ -94,24 +94,35 @@ class TestSimulate:
         for req in trace.requests:
             req.model_id = "review-ft"
         trace.model_ids = ["review-ft"]
-        result = session_builder(system).replay(trace)
+        result = build(SPEC, system.manager(LLAMA_7B)).replay(trace)
         assert result.n_requests == len(trace)
 
-    def test_simulate_is_retired(self, system):
-        """The deprecated wrapper is gone, and the session path it
-        pointed at replays without a deprecation warning."""
+    def test_simulate_and_session_are_retired(self, system):
+        """The deprecated wrapper and the fluent session layer are gone,
+        and the stack builder replays without a deprecation warning."""
         assert not hasattr(system, "simulate")
+        assert not hasattr(system, "session")
         trace = synthetic_trace(1, rate=0.5, duration_s=20.0, seed=0)
+        mgr = system.manager(LLAMA_7B)
+        mgr.register_delta(trace.model_ids[0], "base", 8.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            result = session_builder(system).with_default_ratio(8.0) \
-                .replay(trace)
+            result = build(SPEC, mgr).replay(trace)
         assert result.n_requests == len(trace)
 
-    def test_unregistered_model_needs_default(self, system):
+    def test_unregistered_trace_model_is_a_key_error(self, system):
         trace = synthetic_trace(2, rate=0.5, duration_s=20.0, seed=0)
-        with pytest.raises(KeyError):
-            system.session("deltazip", served_spec=LLAMA_7B).replay(trace)
-        result = session_builder(system).with_default_ratio(8.0) \
-            .replay(trace)
+        mgr = system.manager(LLAMA_7B)
+        with pytest.raises(KeyError, match="unknown model"):
+            build(SPEC, mgr).replay(trace)
+        for model_id in trace.model_ids:
+            mgr.register_delta(model_id, "base", 8.0)
+        result = build(SPEC, mgr).replay(trace)
         assert result.n_requests == len(trace)
+
+    def test_manager_holds_each_artifact_at_its_measured_ratio(self, system):
+        measured = LLAMA_7B.delta_nbytes(system.compression_ratio("review-ft"))
+        assert system.manager(LLAMA_7B).get("review-ft").nbytes == measured
+        # a full-model engine swaps the whole FP16 checkpoint instead
+        full = system.manager(LLAMA_7B, engine="vllm-scb").get("review-ft")
+        assert full.nbytes == LLAMA_7B.fp16_nbytes

@@ -14,8 +14,8 @@ import pytest
 
 from repro.hardware import GPUNode, InterconnectModel, node_from_name
 from repro.serving import (EngineConfig, LLAMA_7B, ModelManager,
-                           RecordPolicy,
-                           SchedulerConfig, ServingGateway, create_engine)
+                           RecordPolicy, SchedulerConfig, ServingGateway,
+                           StackSpec, build, create_engine)
 from repro.serving.base import ServingEngine
 from repro.serving.disagg import ShardedEngine
 from repro.serving.kv_transfer import KvTransferPlan, plan_kv_transfer
@@ -547,39 +547,30 @@ class TestShardedEngine:
 
 
 # --------------------------------------------------------------------------- #
-# session-builder entry points (the facade documented in the README)
+# stack-builder entry points (the spec documented in the README)
 # --------------------------------------------------------------------------- #
-class TestSessionBuilder:
+class TestStackBuilder:
     @staticmethod
-    def _facade():
-        from repro.core import DeltaZip
-        from repro.nn import TransformerConfig, TransformerModel
-
-        cfg = TransformerConfig(vocab_size=64, dim=16, n_layers=1,
-                                n_heads=2, mlp_hidden=32, max_seq=32)
-        return DeltaZip(TransformerModel(cfg))
-
-    def test_disaggregated_builder_serves_through_pools(self):
+    def _serve(engine, **engine_kwargs):
         trace = synthetic_trace(2, rate=2.0, duration_s=10.0, seed=3)
-        session = (self._facade().session(served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .disaggregated(prefill=2, decode=2)
-                   .with_default_ratio(8.0)
-                   .build())
-        res = session.replay(trace)
+        mgr = ModelManager(LLAMA_7B)
+        mgr.register_base("base")
+        for model_id in trace.model_ids:
+            mgr.register_delta(model_id, "base", 8.0)
+        spec = StackSpec(engine, node=node_from_name("a800", 1),
+                         engine_kwargs=engine_kwargs)
+        return build(spec, mgr).replay(trace), trace
+
+    def test_disaggregated_stack_serves_through_pools(self):
+        res, trace = self._serve("disagg", prefill_workers=2,
+                                 decode_workers=2)
         assert res.n_requests == len(trace)
         assert all(r.finished for r in res.records)
         # multi-token requests crossed the prefill/decode boundary
         assert res.stats.kv_transfers > 0
         assert any(r.transfer_s > 0 for r in res.records)
 
-    def test_sharded_builder_sets_the_tp_degree(self):
-        trace = synthetic_trace(2, rate=2.0, duration_s=10.0, seed=3)
-        session = (self._facade().session(served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .sharded(tp=2)
-                   .with_default_ratio(8.0)
-                   .build())
-        res = session.replay(trace)
+    def test_sharded_stack_sets_the_tp_degree(self):
+        res, _ = self._serve("sharded", tp_degree=2)
         assert all(r.finished for r in res.records)
         assert res.config["n_nodes"] == 2 and res.config["per_node_tp"] == 1

@@ -8,18 +8,27 @@ turn TTFT floor, is in ``test_prefix_cache.py``.
 """
 
 import tracemalloc
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.serving import RecordPolicy, ServingGateway, summarize
+from repro.serving import RecordPolicy, StackSpec, build, summarize
 from repro.workload import (LengthSampler, PatienceModel,
                             impatient_cancel_schedule, session_trace,
                             synthetic_trace)
 from repro.workload.spec import Trace, TraceRequest
 
 from test_coasting import CountingSteps
-from test_golden_digests import MODELS, N_MODELS, cluster_of, make_engine
+from test_golden_digests import MODELS, N_MODELS, SCENARIOS, make_manager
+
+#: the golden table's colocated engine, cache off
+DELTAZIP = SCENARIOS["deltazip"].spec
+
+
+def deltazip(**config: object) -> StackSpec:
+    """:data:`DELTAZIP` with further ``EngineConfig`` fields."""
+    return replace(DELTAZIP, config=replace(DELTAZIP.config, **config))
 
 
 # --------------------------------------------------------------------- #
@@ -33,7 +42,7 @@ def test_impatience_wastes_more_tokens_and_speeds_up_the_survivors() -> None:
     for patience_s in (None, 60.0, 20.0, 5.0):
         schedule = None if patience_s is None else impatient_cancel_schedule(
             trace, PatienceModel(mean_s=patience_s), seed=5)
-        gateway = ServingGateway(make_engine("deltazip", {}, False, None))
+        gateway = build(DELTAZIP, make_manager("deltazip"))
         cells.append(gateway.replay(trace, cancels=schedule))
     waste = [cell.wasted_token_fraction() for cell in cells]
     assert waste == sorted(waste) and waste[0] == 0.0 < waste[-1]
@@ -56,11 +65,10 @@ def test_disagg_beats_colocated_ttft_on_prefill_heavy_sessions() -> None:
     trace = session_trace(N_MODELS, 8.0, 60.0, seed=31, mean_turns=3.0,
                           shared_prefix_tokens=128, length_sampler=sampler)
     # the same four GPUs either way
-    colocated = cluster_of("deltazip", {}, False, None, "least-outstanding",
-                           n_replicas=4).replay(trace)
-    disagg = ServingGateway(make_engine(
-        "disagg", {"prefill_workers": 2, "decode_workers": 2}, False,
-        None)).replay(trace)
+    colocated = build(replace(DELTAZIP, replicas=4),
+                      make_manager("deltazip")).replay(trace)
+    disagg = build(SCENARIOS["disagg-2p2d"].spec,
+                   make_manager("disagg")).replay(trace)
     assert colocated.n_finished == disagg.n_finished == len(trace)
     assert disagg.percentile_ttft_s(50) < colocated.percentile_ttft_s(50)
 
@@ -72,8 +80,7 @@ def dashboard_peak_bytes(policy: RecordPolicy, n_requests: int) -> int:
     """Peak traced allocation of an always-busy closed loop (a bounded
     in-flight population) that retires ``n_requests`` while a dashboard
     polls ``summarize`` + ``slo_attainment`` every 1 000 retirements."""
-    gateway = ServingGateway(make_engine("deltazip", {}, False, None,
-                                         record_policy=policy))
+    gateway = build(deltazip(record_policy=policy), make_manager("deltazip"))
     retired = 0
 
     def on_complete(record: object) -> None:    # keeps no record itself
@@ -132,8 +139,8 @@ def test_idle_skip_halves_engine_steps_on_sparse_traffic() -> None:
     steps: Dict[Optional[float], int] = {}
     records: Dict[Optional[float], List[tuple]] = {}
     for quantum in (None, 0.05):
-        gateway = cluster_of("deltazip", {}, False, quantum,
-                             "least-outstanding", n_replicas=4)
+        gateway = build(replace(deltazip(idle_quantum_s=quantum),
+                                replicas=4), make_manager("deltazip"))
         counters = [CountingSteps(engine) for engine in gateway.engines()]
         records[quantum] = [tuple(r) for r in gateway.replay(trace).records]
         steps[quantum] = sum(c.calls for c in counters)

@@ -38,12 +38,11 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import pytest
 
-from repro.hardware import Cluster, GPUNode, node_from_name
+from repro.hardware import node_from_name
 from repro.hardware.specs import A800, NodeSpec
-from repro.serving import (ENGINES, ClusterGateway, EngineConfig, Gateway,
-                           LLAMA_7B, ModelManager, SchedulerConfig,
-                           ServingEngine, ServingGateway, ServingResult,
-                           Tenant, TenantGateway, create_engine)
+from repro.serving import (ENGINES, EngineConfig, LLAMA_7B, ModelManager,
+                           SchedulerConfig, ServingResult, StackSpec, Tenant,
+                           build, build_engine)
 from repro.workload import LengthSampler, session_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
 
@@ -103,60 +102,70 @@ def pressured_sessions():
     return trace, cancels
 
 
+#: every cell's engine: one A800 GPU, K=8 and N=4
+ONE_GPU = StackSpec(node=node_from_name("a800", 1),
+                    scheduler=SchedulerConfig(max_batch_requests=8,
+                                              max_concurrent_deltas=4),
+                    config=EngineConfig(tp_degree=1))
+
+
+def stack(engine: str, prefix_cache: bool = False,
+          memory_gb: Optional[float] = None, **engine_kwargs) -> StackSpec:
+    """``engine`` on :data:`ONE_GPU` (with ``memory_gb`` of GPU memory
+    when set), its TP degree taken from a sharded ``tp_degree``."""
+    node = ONE_GPU.node if memory_gb is None else \
+        NodeSpec(gpu=replace(A800, memory_gb=memory_gb), n_gpus=1)
+    config = replace(ONE_GPU.config, prefix_cache=prefix_cache,
+                     tp_degree=engine_kwargs.get("tp_degree", 1))
+    return replace(ONE_GPU, engine=engine, node=node, config=config,
+                   engine_kwargs=engine_kwargs)
+
+
 class Scenario(NamedTuple):
-    engine: str
-    kwargs: dict
-    prefix_cache: bool
+    spec: StackSpec
     trace: Callable
     #: who routes under the ``cluster2`` wrapper
     balancer: str = "least-outstanding"
-    #: GPU memory of the one-GPU node(s); None is the stock A800
-    memory_gb: Optional[float] = None
 
 
 SCENARIOS = {
     "disagg-1p1d": Scenario(
-        "disagg", {"prefill_workers": 1, "decode_workers": 1},
-        False, sessions),
+        stack("disagg", prefill_workers=1, decode_workers=1), sessions),
     "disagg-1p1d-cache": Scenario(
-        "disagg", {"prefill_workers": 1, "decode_workers": 1},
-        True, sessions),
+        stack("disagg", True, prefill_workers=1, decode_workers=1),
+        sessions),
     "disagg-2p2d": Scenario(
-        "disagg", {"prefill_workers": 2, "decode_workers": 2},
-        False, sessions),
+        stack("disagg", prefill_workers=2, decode_workers=2), sessions),
     "disagg-2p2d-cache": Scenario(
-        "disagg", {"prefill_workers": 2, "decode_workers": 2},
-        True, sessions),
+        stack("disagg", True, prefill_workers=2, decode_workers=2),
+        sessions),
     "disagg-chunked": Scenario(
-        "disagg", {"prefill_workers": 2, "decode_workers": 2},
-        False, long_prompts),
+        stack("disagg", prefill_workers=2, decode_workers=2),
+        long_prompts),
     "disagg-cancels": Scenario(
-        "disagg", {"prefill_workers": 1, "decode_workers": 2},
-        False, cancels_and_deadlines),
+        stack("disagg", prefill_workers=1, decode_workers=2),
+        cancels_and_deadlines),
     "sharded-1node": Scenario(
-        "sharded", {"tp_degree": 1, "n_nodes": 1}, False, traffic),
+        stack("sharded", tp_degree=1, n_nodes=1), traffic),
     "sharded-2node": Scenario(
-        "sharded", {"tp_degree": 2, "n_nodes": 2}, False, traffic),
+        stack("sharded", tp_degree=2, n_nodes=2), traffic),
     # the prefix-on cells of ROADMAP 3(a): sessions pinned to the replica
     # that holds their history, then the same cache under KV pressure
     "deltazip-cache": Scenario(
-        "deltazip", {}, True, sessions, balancer="conversation"),
+        stack("deltazip", True), sessions, balancer="conversation"),
     "deltazip-cache-tight": Scenario(
-        "deltazip", {}, True, pressured_sessions, balancer="conversation",
-        memory_gb=18.0),
+        stack("deltazip", True, memory_gb=18.0), pressured_sessions,
+        balancer="conversation"),
     # the remaining cells of ROADMAP 3(a): the colocated engine with the
     # cache off and the two full-model baselines (``dedicated`` is the one
     # engine that routes cancels through a request -> group map), on plain
     # traffic and with cancels and deadlines landing mid-decode
-    "deltazip": Scenario("deltazip", {}, False, traffic),
-    "deltazip-cancels": Scenario(
-        "deltazip", {}, False, cancels_and_deadlines),
-    "vllm-scb": Scenario("vllm-scb", {}, False, traffic),
-    "vllm-scb-cancels": Scenario(
-        "vllm-scb", {}, False, cancels_and_deadlines),
-    "dedicated": Scenario("dedicated", {}, False, traffic),
-    "dedicated-cancels": Scenario(
-        "dedicated", {}, False, cancels_and_deadlines),
+    "deltazip": Scenario(stack("deltazip"), traffic),
+    "deltazip-cancels": Scenario(stack("deltazip"), cancels_and_deadlines),
+    "vllm-scb": Scenario(stack("vllm-scb"), traffic),
+    "vllm-scb-cancels": Scenario(stack("vllm-scb"), cancels_and_deadlines),
+    "dedicated": Scenario(stack("dedicated"), traffic),
+    "dedicated-cancels": Scenario(stack("dedicated"), cancels_and_deadlines),
 }
 
 
@@ -173,38 +182,6 @@ def make_manager(name):
     return mgr
 
 
-def node_spec(memory_gb=None):
-    if memory_gb is None:
-        return node_from_name("a800", 1)
-    return NodeSpec(gpu=replace(A800, memory_gb=memory_gb), n_gpus=1)
-
-
-def make_engine(name, kwargs, prefix_cache, idle_quantum_s, mgr=None,
-                node=None, memory_gb=None, **config):
-    """One engine of the table; ``config`` is further ``EngineConfig``
-    fields (``tests/test_feature_shapes.py`` builds on these)."""
-    tp = kwargs.get("tp_degree", 1)
-    return create_engine(
-        name, mgr or make_manager(name),
-        node or GPUNode(node_spec(memory_gb)),
-        scheduler_config=SchedulerConfig(max_batch_requests=8,
-                                         max_concurrent_deltas=4),
-        engine_config=EngineConfig(tp_degree=tp, prefix_cache=prefix_cache,
-                                   idle_quantum_s=idle_quantum_s, **config),
-        **kwargs)
-
-
-def cluster_of(name, kwargs, prefix_cache, idle_quantum_s, balancer,
-               memory_gb=None, n_replicas=2, **config):
-    mgr = make_manager(name)
-    return ClusterGateway(
-        engine_factory=lambda node: make_engine(
-            name, kwargs, prefix_cache, idle_quantum_s, mgr=mgr, node=node,
-            **config),
-        cluster=Cluster(node_spec(memory_gb), n_nodes=n_replicas),
-        n_replicas=n_replicas, balancer=balancer)
-
-
 def record_digest(records):
     """Stable content hash of a replay's full record stream."""
     h = hashlib.sha256()
@@ -215,28 +192,24 @@ def record_digest(records):
     return h.hexdigest()
 
 
-def engine_of(scenario: str, stepping: str) -> ServingEngine:
-    name, kwargs, prefix_cache, _, _, memory_gb = SCENARIOS[scenario]
-    return make_engine(name, kwargs, prefix_cache, STEPPING[stepping],
-                       memory_gb=memory_gb)
-
-
-def gateway_of(scenario: str, wrapper: str, stepping: str) -> Gateway:
-    """The scenario's engine(s) behind the ``gateway`` / ``cluster2``
-    wrapper."""
-    if wrapper == "gateway":
-        return ServingGateway(engine_of(scenario, stepping))
-    name, kwargs, prefix_cache, _, balancer, memory_gb = SCENARIOS[scenario]
-    return cluster_of(name, kwargs, prefix_cache, STEPPING[stepping],
-                      balancer, memory_gb)
+def spec_of(scenario: str, wrapper: str, stepping: str) -> StackSpec:
+    """The scenario's stack in one stepping mode: one engine (``bare`` /
+    ``gateway``) or the two replicas of ``cluster2``."""
+    spec, _, balancer = SCENARIOS[scenario]
+    spec = replace(spec, config=replace(spec.config,
+                                        idle_quantum_s=STEPPING[stepping]))
+    if wrapper == "cluster2":
+        return replace(spec, replicas=2, balancer=balancer)
+    return spec
 
 
 def serve(scenario, wrapper, stepping):
     trace, cancels = SCENARIOS[scenario].trace()
+    spec = spec_of(scenario, wrapper, stepping)
+    mgr = make_manager(spec.engine)
     if wrapper != "bare":
-        return gateway_of(scenario, wrapper, stepping).replay(
-            trace, cancels=cancels)
-    engine = engine_of(scenario, stepping)
+        return build(spec, mgr).replay(trace, cancels=cancels)
+    engine = build_engine(spec, mgr)
     for request in trace:
         engine.submit(request)
     for request_id, at_s in cancels or ():
@@ -249,9 +222,10 @@ def tenant_stack(balancer):
     """The composition the fleet refactor must not disturb: disagg
     engines as the replicas of a cluster behind an admission frontier,
     with nothing disagg-specific in either outer layer."""
-    inner = cluster_of("disagg", {"prefill_workers": 1, "decode_workers": 1},
-                       True, None, balancer)
-    gateway = TenantGateway(inner, tenants=(Tenant("default"),))
+    spec = replace(SCENARIOS["disagg-1p1d-cache"].spec, replicas=2,
+                   balancer=balancer, admission="fcfs",
+                   tenants=(Tenant("default"),))
+    gateway = build(spec, make_manager("disagg"))
     trace, _ = sessions()
     result = gateway.replay(trace)
     assert len(result.records) == len(trace)
@@ -283,10 +257,10 @@ def tenant_vtc_stack(scenario: str, wrapper: str, stepping: str,
     tagged = Trace(requests=[replace(r, tenant_id=tenants[i % 2].tenant_id)
                              for i, r in enumerate(trace.requests)],
                    model_ids=trace.model_ids, duration_s=trace.duration_s)
-    gateway = TenantGateway(gateway_of(scenario, wrapper, stepping),
-                            tenants=tenants, policy=policy,
-                            engine_queue_depth=engine_queue_depth)
-    result = gateway.replay(tagged, cancels=cancels)
+    spec = replace(spec_of(scenario, wrapper, stepping), admission=policy,
+                   tenants=tenants, engine_queue_depth=engine_queue_depth)
+    result = build(spec, make_manager(spec.engine)).replay(tagged,
+                                                           cancels=cancels)
     assert len(result.records) == len(trace)
     return result
 

@@ -13,7 +13,7 @@ from repro.core import DeltaZip
 from repro.evaluation import evaluate_task, make_task, run_fmt
 from repro.nn import TransformerModel
 from repro.serving import (DecoupledModelRunner, LLAMA_7B, EngineConfig,
-                           SchedulerConfig)
+                           SchedulerConfig, StackSpec, build)
 from repro.workload import synthetic_trace
 
 
@@ -69,10 +69,9 @@ class TestLifeOfAModel:
             req.model_id = ("review-expert" if req.model_id.endswith("0")
                             else "yesno-expert")
         trace.model_ids = ["review-expert", "yesno-expert"]
-        result = (dz.session("deltazip", served_spec=LLAMA_7B)
-                  .with_scheduler(SchedulerConfig(8, 2))
-                  .with_engine_config(EngineConfig(tp_degree=1))
-                  .replay(trace))
+        spec = StackSpec(scheduler=SchedulerConfig(8, 2),
+                         config=EngineConfig(tp_degree=1))
+        result = build(spec, dz.manager(LLAMA_7B)).replay(trace)
         assert result.n_requests == len(trace)
         assert result.stats is not None
         assert result.stats.iterations > 0

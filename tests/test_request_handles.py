@@ -15,12 +15,12 @@ import re
 
 import pytest
 
-from repro.core.session import ServingSession
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.serving import (ClusterGateway, EngineConfig, HandleStatus,
                            LLAMA_7B, LineageAffinityBalancer, ModelManager,
                            RequestHandle, SchedulerConfig, ServingGateway,
-                           Tenant, TenantGateway, create_engine)
+                           StackSpec, Tenant, TenantGateway, build,
+                           create_engine)
 from repro.sim import Arrival, Cancel, EventQueue, SimKernel
 from repro.telemetry import chrome_trace_events, export_chrome_trace
 from repro.workload import (ClosedLoopClient, PatienceModel,
@@ -67,8 +67,13 @@ def build_wrapper(wrapper, mgr, engine_name, idle_quantum_s=None,
     factory = make_factory(mgr, engine_name, idle_quantum_s, **engine_config)
     if wrapper == "gateway":
         return ServingGateway(factory(None))
-    if wrapper == "session":
-        return ServingSession(ServingGateway(factory(None)), mgr, "base")
+    if wrapper == "stack":
+        return build(StackSpec(
+            engine_name, node=node_from_name("a800", 1),
+            scheduler=SchedulerConfig(max_batch_requests=8,
+                                      max_concurrent_deltas=4),
+            config=EngineConfig(tp_degree=1, idle_quantum_s=idle_quantum_s,
+                                **engine_config)), mgr)
     kind, _, arg = wrapper.partition(":")
     balancer = arg if kind == "cluster" else "least-outstanding"
     cluster = ClusterGateway(
@@ -88,8 +93,8 @@ def record_key(rec):
 
 WRAPPERS = ["gateway", "cluster:round-robin", "cluster:least-outstanding",
             "cluster:lineage", "tenant:fcfs", "tenant:vtc"]
-#: every client entry point: the gateway layers plus the session facade
-FRONTS = WRAPPERS + ["session"]
+#: every client entry point: the gateway layers plus the stack builder
+FRONTS = WRAPPERS + ["stack"]
 
 
 # --------------------------------------------------------------------------- #
@@ -341,16 +346,16 @@ class TestRequestEnvelope:
 
     def test_no_frontend_names_the_prefix_tags(self):
         """A per-request field that only engines read is threaded by the
-        envelope alone: no gateway, session or client spells it."""
-        import repro.core.session
+        envelope alone: no gateway, stack builder or client spells it."""
         import repro.serving.cluster
         import repro.serving.gateway
         import repro.serving.handle
+        import repro.serving.stack
         import repro.serving.tenancy
         import repro.workload.clients
         for module in (repro.serving.gateway, repro.serving.cluster,
                        repro.serving.tenancy, repro.serving.handle,
-                       repro.core.session, repro.workload.clients):
+                       repro.serving.stack, repro.workload.clients):
             assert "shared_prefix" not in inspect.getsource(module), module
 
 

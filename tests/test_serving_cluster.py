@@ -1,4 +1,6 @@
-"""Cluster serving layer: balancers, replica sets, autoscaling, sessions."""
+"""Cluster serving layer: balancers, replica sets, autoscaling, stacks."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from repro.serving import (Autoscaler, AutoscalerConfig, BALANCERS,
                            ClusterGateway, EngineConfig,
                            LeastOutstandingBalancer, LineageAffinityBalancer,
                            LLAMA_7B, ModelManager, RoundRobinBalancer,
-                           SchedulerConfig, ServingGateway, create_balancer,
-                           create_engine)
+                           SchedulerConfig, ServingGateway, StackSpec, build,
+                           create_balancer, create_engine)
 from repro.workload import ramp_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
 
@@ -555,7 +557,11 @@ class TestAutoscaler:
         assert ups <= 1  # cooldown blocks the second spawn
 
 
-class TestSessionIntegration:
+class TestStackIntegration:
+    #: the facade's registry served on one-GPU replicas
+    ONE_GPU = StackSpec(node=node_from_name("a800", 1),
+                        config=EngineConfig(tp_degree=1))
+
     @pytest.fixture(scope="class")
     def system(self, base_model, finetuned):
         from repro.core import DeltaZip
@@ -564,40 +570,34 @@ class TestSessionIntegration:
                               finetuned.calibration_tokens)
         return dz
 
-    def test_with_replicas_builds_cluster_session(self, system):
+    def test_replicas_build_a_cluster(self, system):
         trace = synthetic_trace(3, rate=1.0, duration_s=20.0, seed=5)
-        session = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .with_engine_config(tp_degree=1)
-                   .with_scheduler(max_batch_requests=8,
-                                   max_concurrent_deltas=2)
-                   .with_default_ratio(8.0)
-                   .with_replicas(2, balancer="lineage")
-                   .build())
-        assert session.engine is None
-        assert len(session.replicas) == 2
-        result = session.replay(trace)
+        mgr = system.manager(LLAMA_7B)
+        for model_id in trace.model_ids:
+            mgr.register_delta(model_id, "base", 8.0)
+        gateway = build(replace(self.ONE_GPU,
+                                scheduler=SchedulerConfig(
+                                    max_batch_requests=8,
+                                    max_concurrent_deltas=2),
+                                replicas=2, balancer="lineage"), mgr)
+        assert isinstance(gateway, ClusterGateway)
+        assert len(gateway.replicas) == 2
+        result = gateway.replay(trace)
         assert result.n_requests == len(trace)
         assert result.config["balancer"] == "lineage"
 
-    def test_with_autoscaler_builds_controller(self, system):
-        session = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .with_engine_config(tp_degree=1)
-                   .with_default_ratio(8.0)
-                   .with_autoscaler(max_replicas=3,
-                                    high_queue_per_replica=2.0)
-                   .build())
-        gateway = session.gateway
+    def test_autoscaler_sizes_the_cluster_to_its_ceiling(self, system):
+        gateway = build(replace(self.ONE_GPU, replicas=1,
+                                autoscaler=AutoscalerConfig(
+                                    max_replicas=3,
+                                    high_queue_per_replica=2.0)),
+                        system.manager(LLAMA_7B))
         assert isinstance(gateway, ClusterGateway)
         assert gateway.autoscaler.config.max_replicas == 3
-        session.submit("review-ft", 32, 4)
-        result = session.run_until_drained()
+        gateway.spawn_replica()
+        gateway.spawn_replica()
+        with pytest.raises(ClusterCapacityError):
+            gateway.spawn_replica()
+        gateway.submit("review-ft", 32, 4)
+        result = gateway.run_until_drained()
         assert result.n_requests == 1
-
-    def test_undersized_cluster_rejected(self, system):
-        builder = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_cluster("a800", nodes=2, gpus=1)
-                   .with_replicas(4))
-        with pytest.raises(ValueError, match="cluster has 2 nodes"):
-            builder.build()

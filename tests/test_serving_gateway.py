@@ -1,4 +1,6 @@
-"""Unified engine protocol, registry, online gateway, and session builder."""
+"""Unified engine protocol, registry, online gateway, and stack builder."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.hardware import GPUNode, node_from_name
 from repro.serving import (ENGINES, ArtifactKind, EngineConfig, LLAMA_7B,
                            ModelManager, SchedulerConfig, ServingGateway,
-                           ServingResult, create_engine)
+                           ServingResult, StackSpec, build, create_engine)
 from repro.workload import synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
 
@@ -233,7 +235,13 @@ class TestServingResultMerge:
             assert summary["p50_ttft_s"] == 0.0
 
 
-class TestSessionBuilder:
+class TestStackBuilder:
+    #: the facade's registry served on one GPU
+    ONE_GPU = StackSpec(node=node_from_name("a800", 1),
+                        scheduler=SchedulerConfig(max_batch_requests=8,
+                                                  max_concurrent_deltas=2),
+                        config=EngineConfig(tp_degree=1))
+
     @pytest.fixture(scope="class")
     def system(self, base_model, finetuned):
         from repro.core import DeltaZip
@@ -242,56 +250,26 @@ class TestSessionBuilder:
                               finetuned.calibration_tokens)
         return dz
 
-    def test_session_replay_matches_built_session(self, system):
-        """Config objects + ``build().replay`` and kwargs + the builder's
-        ``replay`` shortcut are the same deployment: identical records."""
-        trace = synthetic_trace(2, rate=0.5, duration_s=30.0, seed=4)
-        legacy = (system.session("deltazip", served_spec=LLAMA_7B)
-                  .with_scheduler(SchedulerConfig(8, 2))
-                  .with_engine_config(EngineConfig(tp_degree=1))
-                  .with_default_ratio(8.0)
-                  .build().replay(trace))
-        fluent = (system.session("deltazip", served_spec=LLAMA_7B)
-                  .with_scheduler(SchedulerConfig(8, 2))
-                  .with_engine_config(tp_degree=1)
-                  .with_default_ratio(8.0)
-                  .replay(trace))
-        assert [record_key(r) for r in legacy.records] == \
-            [record_key(r) for r in fluent.records]
-
-    def test_session_online_submit(self, system):
-        session = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .with_scheduler(max_batch_requests=8,
-                                   max_concurrent_deltas=2)
-                   .with_engine_config(tp_degree=1)
-                   .build())
-        session.submit("review-ft", 32, 4)
-        result = session.run_until_drained()
+    def test_online_submit(self, system):
+        gateway = build(self.ONE_GPU, system.manager(LLAMA_7B))
+        assert isinstance(gateway, ServingGateway)
+        gateway.submit("review-ft", 32, 4)
+        result = gateway.run_until_drained()
         assert result.n_requests == 1
         assert result.records[0].model_id == "review-ft"
 
-    def test_session_unregistered_model_needs_ratio(self, system):
-        session = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .with_engine_config(tp_degree=1)
-                   .build())
-        with pytest.raises(KeyError):
-            session.submit("mystery", 8, 4)
-
-    def test_session_any_registered_engine(self, system):
+    def test_any_registered_engine(self, system):
         trace = synthetic_trace(2, rate=0.5, duration_s=20.0, seed=4)
         for name in sorted(ENGINES):
-            result = (system.session(name, served_spec=LLAMA_7B)
-                      .on_node("a800", gpus=1)
-                      .with_engine_config(tp_degree=1)
-                      .with_default_ratio(8.0)
-                      .replay(trace))
+            mgr = system.manager(LLAMA_7B, engine=name)
+            assert "review-ft" in mgr
+            for model_id in trace.model_ids:
+                ENGINES[name].register_variant(mgr, model_id, "base", 8.0)
+            spec = replace(self.ONE_GPU, engine=name,
+                           scheduler=SchedulerConfig())
+            result = build(spec, mgr).replay(trace)
             assert result.n_requests == len(trace), name
 
-    def test_unknown_engine_name_rejected_early(self, system):
-        with pytest.raises(KeyError):
-            system.session("warp-drive", served_spec=LLAMA_7B)
-
-    def test_spec_required(self, system):
-        with pytest.raises(ValueError, match="served model spec"):
-            system.session("deltazip").build()
+    def test_unknown_engine_name_rejected_early(self):
+        with pytest.raises(ValueError, match="registered: .*deltazip"):
+            StackSpec("warp-drive")

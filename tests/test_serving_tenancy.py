@@ -1,5 +1,7 @@
 """Multi-tenant admission control: buckets, VTC fair queueing, shedding."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.serving import (AdmissionController, AdmissionDecision,
                            ClusterGateway, DEFAULT_TENANT, EngineConfig,
                            LLAMA_7B, ModelManager, SchedulerConfig,
-                           ServingGateway, SLO_CLASSES, Tenant,
-                           TenantGateway, TokenBucket, create_engine)
+                           ServingGateway, SLO_CLASSES, StackSpec, Tenant,
+                           TenantGateway, TokenBucket, build, create_engine)
 from repro.workload import TenantWorkload, multi_tenant_trace, synthetic_trace
 from repro.workload.spec import TraceRequest
 
@@ -390,12 +392,6 @@ class TestTenantGatewayPolicies:
         with pytest.raises(ValueError):
             gateway.submit("variant-00", 0, 8)
 
-    def test_controller_and_kwargs_are_exclusive(self):
-        with pytest.raises(ValueError):
-            TenantGateway(make_gateway(),
-                          controller=AdmissionController(),
-                          policy="vtc")
-
     def test_cluster_inner_with_vtc_serves_everything(self):
         trace = overload_trace(duration_s=30.0)
         gateway = TenantGateway(
@@ -491,7 +487,11 @@ class TestPerTenantBilling:
                 total * tokens[t] / sum(tokens.values()))
 
 
-class TestSessionIntegration:
+class TestStackIntegration:
+    #: the facade's registry served on one GPU
+    ONE_GPU = StackSpec(node=node_from_name("a800", 1),
+                        config=EngineConfig(tp_degree=1))
+
     @pytest.fixture(scope="class")
     def system(self, base_model, finetuned):
         from repro.core import DeltaZip
@@ -500,62 +500,37 @@ class TestSessionIntegration:
                               finetuned.calibration_tokens)
         return dz
 
-    def test_with_tenants_and_admission_builds_tenant_gateway(self, system):
-        session = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .with_engine_config(tp_degree=1)
-                   .with_default_ratio(8.0)
-                   .with_tenants(Tenant("gold", weight=2.0),
-                                 Tenant("free", max_outstanding=2))
-                   .with_admission(policy="vtc")
-                   .build())
-        assert isinstance(session.gateway, TenantGateway)
-        assert session.admission is not None
-        assert set(session.admission.tenants) == {"gold", "free"}
-        assert session.engine is not None   # unwraps to the inner gateway
-        handle = session.submit("review-ft", 32, 8, tenant_id="gold")
-        result = session.run_until_drained()
+    def test_admission_puts_a_tenant_gateway_on_top(self, system):
+        gateway = build(replace(self.ONE_GPU, admission="vtc",
+                                tenants=(Tenant("gold", weight=2.0),
+                                         Tenant("free", max_outstanding=2))),
+                        system.manager(LLAMA_7B))
+        assert isinstance(gateway, TenantGateway)
+        assert isinstance(gateway.inner, ServingGateway)
+        assert set(gateway.controller.tenants) == {"gold", "free"}
+        handle = gateway.submit("review-ft", 32, 8, tenant_id="gold")
+        result = gateway.run_until_drained()
         assert result.n_requests == 1
         assert result.records[0].tenant_id == "gold"
-        assert session.gateway.decision(handle.id) is \
-            AdmissionDecision.ADMITTED
+        assert gateway.decision(handle.id) is AdmissionDecision.ADMITTED
 
-    def test_repeated_build_with_explicit_controller(self, system):
-        """Regression: build() must not re-register the builder's tenants
-        into a user-supplied controller a second time."""
-        builder = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .with_engine_config(tp_degree=1)
-                   .with_default_ratio(8.0)
-                   .with_tenants(Tenant("a"))
-                   .with_admission(AdmissionController(policy="vtc")))
-        first = builder.build()
-        second = builder.build()
-        assert first.admission is second.admission
-        assert set(second.admission.tenants) == {"a"}
-
-    def test_tenants_imply_admission_layer(self, system):
-        session = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .with_engine_config(tp_degree=1)
-                   .with_default_ratio(8.0)
-                   .with_tenants(Tenant("only"))
-                   .build())
-        assert isinstance(session.gateway, TenantGateway)
-        assert session.admission.policy == "fcfs"
+    @pytest.mark.parametrize("fields", [{"tenants": (Tenant("only"),)},
+                                        {"shed": True},
+                                        {"engine_queue_depth": 4}])
+    def test_tenant_fields_need_a_policy(self, fields):
+        with pytest.raises(ValueError, match="admission policy"):
+            replace(self.ONE_GPU, **fields)
 
     def test_admission_over_replicas(self, system):
         trace = synthetic_trace(3, rate=1.0, duration_s=15.0, seed=5)
-        session = (system.session("deltazip", served_spec=LLAMA_7B)
-                   .on_node("a800", gpus=1)
-                   .with_engine_config(tp_degree=1)
-                   .with_default_ratio(8.0)
-                   .with_replicas(2)
-                   .with_admission(policy="vtc")
-                   .build())
-        assert isinstance(session.gateway, TenantGateway)
-        assert len(session.replicas) == 2
-        result = session.replay(trace)
+        mgr = system.manager(LLAMA_7B)
+        for model_id in trace.model_ids:
+            mgr.register_delta(model_id, "base", 8.0)
+        gateway = build(replace(self.ONE_GPU, replicas=2, admission="vtc"),
+                        mgr)
+        assert isinstance(gateway, TenantGateway)
+        assert len(gateway.inner.replicas) == 2
+        result = gateway.replay(trace)
         assert result.n_requests == len(trace)
 
 
