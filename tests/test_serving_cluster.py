@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import (Cluster, ClusterCapacityError, GPUNode,
                             node_from_name)
@@ -601,3 +603,98 @@ class TestStackIntegration:
         gateway.submit("review-ft", 32, 4)
         result = gateway.run_until_drained()
         assert result.n_requests == 1
+
+
+# --------------------------------------------------------------------- #
+# lineage routing: identity sets decide what the nested scans decided
+# --------------------------------------------------------------------- #
+class ScanLineageBalancer(LineageAffinityBalancer):
+    """``_valid_homes`` and ``choose`` as they were with nested
+    ``any(x is y ...)`` membership scans, verbatim."""
+
+    def _valid_homes(self, key, replicas):
+        candidates = [self._pinned.get(key), self._home.get(key)]
+        candidates.extend(self._secondary.get(key, ()))
+        homes = []
+        for cand in candidates:
+            if cand is not None and not cand.draining \
+                    and any(r is cand for r in replicas) \
+                    and not any(h is cand for h in homes):
+                homes.append(cand)
+        return homes
+
+    def choose(self, model_id, replicas, conversation_id=None):
+        from repro.serving.cluster import AFFINITY_BIAS
+        if conversation_id is not None:
+            conv = self._conv_home.get(conversation_id)
+            if conv is not None and not conv.draining \
+                    and any(r is conv for r in replicas):
+                return conv
+        key = self._owner_of(model_id)
+        homes = self._valid_homes(key, replicas)
+        if not homes:
+            chosen = self._fallback.choose(model_id, replicas)
+            self._home[key] = chosen
+        elif homes[0] is self._pinned.get(key):
+            chosen = homes[0]
+        else:
+            chosen = min(replicas, key=lambda r: (
+                r.unfinished + (0.0 if any(h is r for h in homes)
+                                else AFFINITY_BIAS), r.id))
+            if not any(h is chosen for h in homes):
+                self._secondary.setdefault(key, []).append(chosen)
+        if conversation_id is not None:
+            self._conv_home[conversation_id] = chosen
+        return chosen
+
+
+class FakeReplica:
+    """What a balancer reads of a replica; hashes by identity."""
+
+    def __init__(self, replica_id, unfinished, draining):
+        self.id, self.unfinished, self.draining = \
+            replica_id, unfinished, draining
+
+
+def balancer_state(balancer):
+    def ids(mapping):
+        return {k: r.id for k, r in mapping.items()}
+    return (ids(balancer._pinned), ids(balancer._home),
+            {k: [r.id for r in rs] for k, rs in balancer._secondary.items()},
+            ids(balancer._conv_home))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_lineage_choices_match_the_nested_scans(data):
+    draw = data.draw
+    n = draw(st.integers(1, 9))
+    fleet = [FakeReplica(i, draw(st.integers(0, 12)), draw(st.booleans()))
+             for i in range(n)]
+    keys = ["k0", "k1", "k2", "k3"]
+    convs = [None, "c0", "c1"]
+    member = st.sampled_from(fleet)
+    shipped, scan = LineageAffinityBalancer(), ScanLineageBalancer()
+    for balancer in (shipped, scan):
+        balancer._owner_of = lambda model_id: model_id.split("/")[0]
+    pins = draw(st.dictionaries(st.sampled_from(keys), member, max_size=2))
+    homes = draw(st.dictionaries(st.sampled_from(keys), member))
+    secondary = draw(st.dictionaries(st.sampled_from(keys),
+                                     st.lists(member, max_size=4)))
+    conv = draw(st.dictionaries(st.sampled_from(convs[1:]), member))
+    for balancer in (shipped, scan):
+        balancer._pinned = dict(pins)
+        balancer._home = dict(homes)
+        balancer._secondary = {k: list(v) for k, v in secondary.items()}
+        balancer._conv_home = dict(conv)
+    for _ in range(draw(st.integers(1, 12))):
+        routable = [r for r in fleet if draw(st.booleans())] or fleet[:1]
+        model_id = f"{draw(st.sampled_from(keys))}/v{draw(st.integers(0, 2))}"
+        conversation = draw(st.sampled_from(convs))
+        want = scan.choose(model_id, routable, conversation)
+        got = shipped.choose(model_id, routable, conversation)
+        assert got is want
+        assert balancer_state(shipped) == balancer_state(scan)
+        replica = draw(member)
+        replica.unfinished += draw(st.integers(-1, 3))
+        replica.draining = draw(st.booleans())
