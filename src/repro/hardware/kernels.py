@@ -25,14 +25,15 @@ parallelism launch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .specs import GPUSpec
 
 __all__ = ["GemmShape", "dense_gemm_time", "quantized_gemm_time",
            "sparse_quantized_gemm_time", "achieved_flops_ratio",
            "SBMM_IMPLEMENTATIONS", "sbmm_time", "SBMMBreakdown",
-           "roofline_time", "sbmm_delta_time", "sbmm_compose"]
+           "roofline_time", "sbmm_delta_time", "sbmm_compose",
+           "sbmm_compose_columns"]
 
 # random-access penalty for gather/scatter of requests that are not grouped
 # by delta: effective HBM bandwidth fraction for the activation traffic ...
@@ -175,25 +176,45 @@ def sbmm_compose(per_delta: Sequence[float], n_requests: int, gpu: GPUSpec,
     """``(total, compute)`` of an SBMM whose deltas' GEMMs take
     ``per_delta`` seconds, in batch order (every flavour but
     ``fp16_bmm``, which has no per-delta term)."""
-    # an explicit left-to-right sum: sum() is compensated from Python 3.12
-    # on, and a price may not depend on the interpreter
-    compute = 0.0
-    for t in per_delta:
-        compute += t
-    n_deltas = len(per_delta)
+    return sbmm_compose_columns([[t] for t in per_delta], n_requests, gpu,
+                                impl)[0]
+
+
+def sbmm_compose_columns(columns: Sequence[Sequence[float]], n_requests: int,
+                         gpu: GPUSpec, impl: str) -> List[Tuple[float, float]]:
+    """:func:`sbmm_compose` of every layer shape in one pass:
+    ``columns[d][s]`` is delta ``d``'s GEMM time at shape ``s`` (deltas in
+    batch order); one ``(total, compute)`` per shape."""
+    n_deltas = len(columns)
     launch = gpu.kernel_launch_us * 1e-6
     if impl == "sbmm":
         # "Ours+": one host launch; children overlap across SMs, bounded
         # by the largest delta plus a small per-child scheduling cost
-        overlapped = max(per_delta) + gpu.dynamic_launch_us * 1e-6 * n_deltas
-        spread = compute / _sbmm_parallelism(gpu, n_deltas)
-        return launch + max(overlapped, spread), compute
-    # one launch per delta; requests grouped per delta (sbmm_reorder) read
-    # contiguously, the for-loops also pay a gather/scatter per request
-    total = compute + launch * n_deltas
-    if impl.endswith("forloop"):
-        total += _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * n_requests
-    return total, compute
+        per_child = gpu.dynamic_launch_us * 1e-6 * n_deltas
+        parallelism = _sbmm_parallelism(gpu, n_deltas)
+    else:
+        # one launch per delta; requests grouped per delta (sbmm_reorder)
+        # read contiguously, the for-loops also pay a gather/scatter per
+        # request
+        launches = launch * n_deltas
+        gather = _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * n_requests \
+            if impl.endswith("forloop") else None
+    out = []
+    for per_delta in zip(*columns):
+        # an explicit left-to-right sum: sum() is compensated from Python
+        # 3.12 on, and a price may not depend on the interpreter
+        compute = 0.0
+        for t in per_delta:
+            compute += t
+        if impl == "sbmm":
+            total = launch + max(max(per_delta) + per_child,
+                                 compute / parallelism)
+        else:
+            total = compute + launches
+            if gather is not None:
+                total += gather
+        out.append((total, compute))
+    return out
 
 
 def sbmm_time(requests_per_delta: Sequence[int], shape_k: int, shape_n: int,

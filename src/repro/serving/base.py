@@ -262,6 +262,32 @@ class RunningBatch:
             self._shadow.advance(iter_time)
         return self._finish.pop(self.epoch, None) or []
 
+    def advance_run(self, times: List[float]) -> List[ServingRequest]:
+        """``advance(t)`` for each ``t`` of ``times`` in one call: the same
+        epoch, context, log, trims and finish buckets.  Returns the members
+        the run finished, epoch by epoch, each epoch as :meth:`advance`
+        orders it."""
+        start = self.epoch
+        end = self.epoch = start + len(times)
+        self.context_tokens += len(times) * len(self.requests)
+        self._log.extend(times)
+        if end // _LOG > start // _LOG:
+            # membership is fixed over the run, so every trim it crosses
+            # keeps the same epoch, or the last trim's when it is empty
+            keep = min((r._join_epoch for r in self.requests),
+                       default=end - end % _LOG)
+            del self._log[:keep - self._log_base]
+            self._log_base = keep
+        if self._shadow is not None:
+            for iter_time in times:
+                self._shadow.advance(iter_time)
+        finish = self._finish
+        done: List[ServingRequest] = []
+        if finish and min(finish) <= end:
+            for epoch in sorted(e for e in finish if e <= end):
+                done.extend(finish.pop(epoch))
+        return done
+
     def next_finish_epoch(self) -> int:
         """The first epoch that finishes a member (there must be one)."""
         return min(self._finish)
@@ -650,8 +676,9 @@ class ServingEngine:
         """hook: execute, exactly as :meth:`step` would have, every
         upcoming iteration that provably ingests, admits, finishes and
         publishes nothing, each starting before ``limit_s``: the
-        next-event time of the drain loop that calls it after a
-        :meth:`step` (this engine's own, a cluster's, a disagg owner's)."""
+        next-event time of the drain loop that calls it before or after
+        a :meth:`step` (this engine's own, a cluster's, a disagg
+        owner's)."""
 
     def _touch_active(self, resident: "OrderedDict[str, Any]",
                       admitted: List[ServingRequest],

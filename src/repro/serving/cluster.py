@@ -41,8 +41,8 @@ through :meth:`ClusterGateway.ingest`; completions flow back through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Type,
-                    TypeVar, Union)
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Type, TypeVar, Union)
 
 from ..hardware.cluster import Cluster, GPUNode
 from ..sim import (Arrival, AutoscalerTick, EventQueue, KeyedHeap,
@@ -280,30 +280,27 @@ class LineageAffinityBalancer(LoadBalancer):
         self._pinned[key] = replica
 
     def _valid_homes(self, key: str,
-                     replicas: Sequence[Replica]) -> List[Replica]:
-        """The key's residencies that are still routable, primary first."""
+                     routable: Set[Replica]) -> List[Replica]:
+        """The key's residencies in ``routable`` that are not draining,
+        primary first."""
         candidates: List[Optional[Replica]] = [
             self._pinned.get(key), self._home.get(key)]
         candidates.extend(self._secondary.get(key, ()))
-        homes: List[Replica] = []
-        for cand in candidates:
-            if cand is not None and not cand.draining \
-                    and any(r is cand for r in replicas) \
-                    and not any(h is cand for h in homes):
-                homes.append(cand)
-        return homes
+        return [cand for cand in candidates if cand is not None
+                and not cand.draining and cand in routable]
 
     def choose(self, model_id: str, replicas: Sequence[Replica],
                conversation_id: Optional[str] = None) -> Replica:
+        # replicas hash and compare by identity: sets test membership
+        routable = set(replicas)
         if conversation_id is not None:
             # session turns outrank lineage: the conversation's prefix KV
             # lives on the replica that served its earlier turns
             conv = self._conv_home.get(conversation_id)
-            if conv is not None and not conv.draining \
-                    and any(r is conv for r in replicas):
+            if conv is not None and not conv.draining and conv in routable:
                 return conv
         key = self._owner_of(model_id)
-        homes = self._valid_homes(key, replicas)
+        homes = self._valid_homes(key, routable)
         if not homes:
             chosen = self._fallback.choose(model_id, replicas)
             self._home[key] = chosen
@@ -313,10 +310,11 @@ class LineageAffinityBalancer(LoadBalancer):
             # (one GPU group per base model), so load never spills it
             chosen = homes[0]
         else:
+            at_home = set(homes)
             chosen = min(replicas, key=lambda r: (
-                r.unfinished + (0.0 if any(h is r for h in homes)
-                                else AFFINITY_BIAS), r.id))
-            if not any(h is chosen for h in homes):
+                r.unfinished + (0.0 if r in at_home else AFFINITY_BIAS),
+                r.id))
+            if chosen not in at_home:
                 # load outweighed residency; the swap-in makes the delta
                 # resident here too, so remember the replication
                 self._secondary.setdefault(key, []).append(chosen)
@@ -886,7 +884,10 @@ class ClusterGateway(Gateway):
         """Advance the least-advanced replica that has work by one engine
         iteration; False once no replica can make progress (all drained,
         past their sim-time cap, or wedged on inadmissible requests)."""
-        first = self._route_due()
+        return self._step_from(self._route_due())
+
+    def _step_from(self, first: Optional[Replica]) -> bool:
+        """:meth:`step` once routing returned the least busy ``first``."""
         if first is not None:
             if self._step_replica(first):
                 return self._made_progress()
@@ -920,16 +921,26 @@ class ClusterGateway(Gateway):
     def run_until_drained(self) -> ServingResult:
         """Serve until everything submitted so far has finished.
         ``step()`` is exactly one iteration; this loop owns the cluster's
-        events (routing, ticks), so after each step the replica it
-        advanced may coast up to :meth:`_horizon`.  Whoever steps the
-        gateway itself (tenancy, a handle, a subclass's own ``step``)
-        never coasts, nor does a gateway whose clients hear completions:
-        a callback may inject work "now", which a replica that ran ahead
-        would take later than one stepped in clock order."""
-        observed = self._on_complete or self._listeners or self._handles
-        while self.step():
+        events (routing, ticks), so the least busy replica may coast up
+        to :meth:`_horizon` before it is stepped, and the replica a step
+        advanced after it.  Whoever steps the gateway itself (tenancy, a
+        handle, a subclass's own ``step``) never coasts, nor does a
+        gateway whose clients hear completions: a callback may inject
+        work "now", which a replica that ran ahead would take later than
+        one stepped in clock order."""
+        if self._on_complete or self._listeners or self._handles \
+                or type(self).step is not ClusterGateway.step:
+            while self.step():
+                pass
+            return self.result()
+        while True:
+            first = self._route_due()
+            if first is not None and self._coast_replica(first):
+                continue
+            if not self._step_from(first):
+                break
             replica, self._stepped = self._stepped, None
-            if replica is not None and not observed:
+            if replica is not None:
                 self._coast_replica(replica)
         return self.result()
 
@@ -943,22 +954,24 @@ class ClusterGateway(Gateway):
                   self._ticks.peek_time())     # fired on tick <= now
         return min(bound for bound in bounds if bound is not None)
 
-    def _coast_replica(self, replica: Replica) -> None:
+    def _coast_replica(self, replica: Replica) -> bool:
         """Let ``replica`` coast to the horizon (an engine watched per
         iteration, or without a steady state, declines), re-file it and
         redo the post-step bookkeeping: a tick the run crossed fires at
-        this frontier, not one real step later."""
+        this frontier, not one real step later.  Did it move?"""
         engine = replica.engine
         start_s = engine.clock
         watch = _sanitizer.CoastWatch(
             engine, self._unrouted.peek_time(), self._ticks.peek_time()) \
             if self._sanitize else None
         engine._coast(self._horizon(engine))
-        if engine.clock > start_s:
-            self._rekey(replica)
-            self._made_progress()
-            if watch is not None:
-                _sanitizer.check_cluster_coast(self, replica, watch)
+        if engine.clock <= start_s:
+            return False
+        self._rekey(replica)
+        self._made_progress()
+        if watch is not None:
+            _sanitizer.check_cluster_coast(self, replica, watch)
+        return True
 
     def _made_progress(self) -> bool:
         """Post-step bookkeeping: advance the kernel clock to the new

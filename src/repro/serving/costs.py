@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..hardware.cluster import allreduce_time
 from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, GemmShape,
-                                dense_gemm_time, sbmm_compose,
+                                dense_gemm_time, sbmm_compose_columns,
                                 sbmm_delta_time, sbmm_time)
 from ..hardware.specs import GPUSpec
 from ..sim import sanitizer as _sanitizer
@@ -192,9 +192,7 @@ class IterationCostModel:
                 _sanitizer.check_cost_column(family, gpu, shapes, knobs, c,
                                              column)
             picked.append(column)
-        n_requests = sum(counts)
-        return [sbmm_compose(per_delta, n_requests, gpu, knobs[0])
-                for per_delta in zip(*picked)]
+        return sbmm_compose_columns(picked, sum(counts), gpu, knobs[0])
 
     def _sum_over_layer_shapes(self, per_distinct: List[float]) -> float:
         """Sum per-distinct-shape times over the block's linears, in the
@@ -316,13 +314,37 @@ class IterationCostModel:
 
     def plan_time(self, plan: LinearPlan, context_tokens: int) -> float:
         """The context-dependent part: attention over ``context_tokens``
-        on top of a :meth:`linear_plan`.  The iteration-time formula is
-        written here and nowhere else."""
-        m_total, linear, allreduce = plan
-        if m_total == 0:
+        on top of a :meth:`linear_plan` — a run of one iteration."""
+        if plan.rows == 0:
             return 0.0
-        attn = self._attention(context_tokens, m_total)
-        return linear + attn + allreduce + _ITERATION_OVERHEAD_S
+        return self.plan_run(plan, context_tokens, 0, 1)[0][0]
+
+    def plan_run(self, plan: LinearPlan, context_tokens: int, growth: int,
+                 n: int, start_s: float = 0.0,
+                 limit_s: float = float("inf")) -> Tuple[List[float], float]:
+        """Up to ``n`` iterations of ``plan`` (with rows) from clock
+        ``start_s``, the attention context growing by ``growth`` per
+        iteration, stopping before one that would start at or after
+        ``limit_s``.  Returns their times and the clock after the last,
+        added one by one as a ``tick`` per iteration would.  The
+        iteration-time formula is written here and nowhere else."""
+        m_total, linear, allreduce = plan
+        kv, tp, hbm = self._kv_bytes_per_token, self.tp, \
+            self.gpu.hbm_bytes_per_s
+        kv_write = m_total * kv / tp
+        times: List[float] = []
+        now = start_s
+        context = context_tokens
+        for _ in range(n):
+            if now >= limit_s:
+                break
+            # attention: KV-cache reads of the context, writes of the rows
+            iter_time = linear + (context * kv / tp + kv_write) / hbm \
+                + allreduce + _ITERATION_OVERHEAD_S
+            now += iter_time
+            times.append(iter_time)
+            context += growth
+        return times, now
 
     def fullmodel_iteration_time(
         self,

@@ -394,23 +394,28 @@ class DisaggregatedEngine(ServingEngine):
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
         self._sync_hooks()
-        limit = self.config.max_sim_seconds
-        # one pass: the least (clock, id) worker with work below the limit
-        first: Optional[_PoolWorker] = None
-        first_key = (limit, -1)
-        for pool in (self._prefill_pool, self._decode_pool):
-            for w in pool:
-                if w.unfinished > 0 and (w.clock, w.id) < first_key:
-                    first, first_key = w, (w.clock, w.id)
+        first = self._least_worker()
         progress = first is not None and self._step_worker(first)
         if first is not None and not progress:
             # a clamped idle jump moved nothing: let the next candidate
             # make time (only now are the others listed and sorted)
+            limit = self.config.max_sim_seconds
             rest = [w for w in self._all_workers() if w is not first
                     and w.unfinished > 0 and w.clock < limit]
             rest.sort(key=lambda w: (w.clock, w.id))
             progress = any(self._step_worker(w) for w in rest)
         return progress
+
+    def _least_worker(self) -> Optional[_PoolWorker]:
+        """One pass: the least (clock, id) worker with work below the
+        limit, the one :meth:`step` steps first."""
+        first: Optional[_PoolWorker] = None
+        first_key = (self.config.max_sim_seconds, -1)
+        for pool in (self._prefill_pool, self._decode_pool):
+            for w in pool:
+                if w.unfinished > 0 and (w.clock, w.id) < first_key:
+                    first, first_key = w, (w.clock, w.id)
+        return first
 
     def _step_worker(self, worker: _PoolWorker) -> bool:
         """One worker step; did it move the worker?  Whatever ``step()``
@@ -424,21 +429,29 @@ class DisaggregatedEngine(ServingEngine):
         return True
 
     def run_until_drained(self) -> None:
-        """The base drain loop, letting the decode worker each ``step()``
-        advanced coast up to :meth:`_horizon` (prefill workers price
-        through their own ``iteration_cost``: never).  Only this loop
-        does — ``_coast`` stays the base no-op, so under an outer layer,
-        which reads this engine through ``clock``, a ``step()`` is one
-        worker iteration — and not with a finish listener: a callback may
-        submit "now", which a worker that ran ahead would take late."""
+        """The base drain loop, letting the least decode worker coast up
+        to :meth:`_horizon` before it is stepped, and the decode worker a
+        ``step()`` advanced after it (prefill workers price through their
+        own ``iteration_cost``: never).  Only this loop does — ``_coast``
+        stays the base no-op, so under an outer layer, which reads this
+        engine through ``clock``, a ``step()`` is one worker iteration —
+        and not with a finish listener: a callback may submit "now",
+        which a worker that ran ahead would take late."""
         limit_s = self.config.max_sim_seconds
         if self.unfinished == 0 or self.clock >= limit_s:
             return
-        while self.step():
-            worker = self._stepped
-            assert worker is not None       # step() moved somebody
-            if worker.role == "decode" and self.on_finish is None:
-                self._coast_worker(worker)
+        coast = self.on_finish is None
+        while True:
+            self._sync_hooks()              # a coast reads the hooks too
+            worker = self._least_worker() if coast else None
+            if worker is None or worker.role != "decode" \
+                    or not self._coast_worker(worker):
+                if not self.step():
+                    break
+                worker = self._stepped
+                assert worker is not None   # step() moved somebody
+                if coast and worker.role == "decode":
+                    self._coast_worker(worker)
             if self.unfinished == 0:
                 break
             # ``clock`` is the earliest *busy* worker while one is busy,
@@ -452,15 +465,18 @@ class DisaggregatedEngine(ServingEngine):
                     and self.clock >= limit_s:
                 break
 
-    def _coast_worker(self, worker: _PoolWorker) -> None:
-        """Let ``worker`` coast to the horizon."""
+    def _coast_worker(self, worker: _PoolWorker) -> bool:
+        """Let ``worker`` coast to the horizon.  Did it move?"""
         start_s = worker.clock
         watch = _sanitizer.CoastWatch(
             worker, self._kv_transfers, set(self._in_transfer)) \
             if self._sanitize else None
         worker._coast(self._horizon(worker))
-        if watch is not None and worker.clock > start_s:
+        if worker.clock <= start_s:
+            return False
+        if watch is not None:
             _sanitizer.check_worker_coast(self, worker, watch)
+        return True
 
     def _horizon(self, worker: _PoolWorker) -> float:
         """The time no coasted iteration of decode ``worker`` may start

@@ -99,7 +99,7 @@ class DeltaZipEngine(ServingEngine):
         # Versions only grow, so a stale key can never match again.
         self._idle_admit_key: Optional[Tuple[int, int]] = None
         self._steady_version = -1
-        self._steady_plan: Optional[LinearPlan] = None
+        self._steady_plan = LinearPlan(0, 0.0, 0.0)
         # opt-in prefix/KV cache: None keeps every pre-existing code path
         # untouched (cache-off records are bit-identical to older builds)
         self._prefix_cache: Optional[PrefixCache] = \
@@ -233,71 +233,85 @@ class DeltaZipEngine(ServingEngine):
         return Admission(admitted=kept, load_time_s=load_time)
 
     def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
-        kind = self.config.variant_kind
         if not admitted and self._rows_unchanged():
-            cost = self.cost.plan_time(self._plan(),
+            cost = self.cost.plan_time(self._steady_plan,
                                        self.batch.context_tokens)
             if self._sanitize:
                 _sanitizer.check_steady_price(
-                    self.name, cost,
-                    self.cost.iteration_time(self._compose([]), kind))
+                    self.name, cost, self.cost.iteration_time(
+                        self._compose([]), self.config.variant_kind))
             return cost
         batch = self._compose(admitted)
         if batch.empty:
             return None
-        self._last_batch = batch
-        self._steady_version = -1 if admitted else self.batch.version
-        self._steady_plan = None
-        return self.cost.iteration_time(batch, kind)
+        plan = self._keep_plan(batch, steady=not admitted)
+        return self.cost.plan_time(plan, batch.context_tokens)
 
-    def _plan(self) -> LinearPlan:
-        """The linear-pass plan of ``_last_batch``, drawn on first use."""
-        if self._steady_plan is None:
-            self._steady_plan = self.cost.linear_plan(
-                self._last_batch, self.config.variant_kind)
-        return self._steady_plan
+    def _keep_plan(self, batch: BatchComposition,
+                   steady: bool) -> LinearPlan:
+        """Make ``batch`` the last composition and keep its linear-pass
+        plan; ``steady`` (nothing admitted) lets it stand for every
+        pure-decode iteration of this batch version."""
+        self._last_batch = batch
+        self._steady_version = self.batch.version if steady else -1
+        plan = self._steady_plan = self.cost.linear_plan(
+            batch, self.config.variant_kind)
+        return plan
+
+    def _settle(self) -> bool:
+        """Do what an iteration's :meth:`admit` and :meth:`iteration_cost`
+        would when ``schedule()`` decides nothing: set the verdict, touch
+        the LRU, price the pure-decode rows.  False, moving nothing, when
+        it would decide something."""
+        if not self._admits_nothing():
+            if self.scheduler.admits_or_loads(self.batch, self._resident):
+                return False
+            self._idle_admit_key = (self.batch.version,
+                                    self.scheduler.version)
+            self._touch_active(self._resident, [], False)
+        if not self._rows_unchanged():
+            self._keep_plan(self._compose([]), steady=True)
+        return True
 
     def _coast(self, limit_s: float) -> None:
         """Run the iterations up to the next membership change in one
-        loop.  While both halves of the steady precondition hold, an
-        iteration admits nothing and prices as ``plan_time`` of a context
-        that grew by ``len(batch)``; it finishes nobody before the first
-        finish bucket, and ingests nothing if it starts before the next
-        arrival or live cancel (:meth:`step` ingests ``time <= now``).
-        All it then does is move the clock, the epoch ledger and
-        ``stats`` — unless somebody listens per iteration, or a subclass
-        prices through its own :meth:`iteration_cost` (terms this loop
-        cannot know): such engines do not coast.  ``limit_s`` is the
-        calling drain loop's horizon (events only it can see: a cluster's
-        next routing point, a disagg owner's prefill frontier); the
-        engine's own wake and first finish are bounded here."""
+        pass.  While ``schedule()`` decides nothing (:meth:`_settle` asks,
+        and does what a step would have done on the way), an iteration
+        prices as ``plan_time`` of a context that grew by ``len(batch)``;
+        it finishes nobody before the first finish bucket, and ingests
+        nothing if it starts before the next arrival or live cancel
+        (:meth:`step` ingests ``time <= now``).  All it then does is move
+        the clock, the epoch ledger and ``stats`` — unless somebody
+        listens per iteration, or a subclass admits or prices through
+        its own hooks (terms this pass cannot know): such engines do not
+        coast.  ``limit_s`` is the calling drain loop's horizon (events
+        only it can see: a cluster's next routing point, a disagg
+        owner's prefill frontier); the engine's own wake and first
+        finish are bounded here."""
         batch = self.batch
-        if not (self._admits_nothing() and self._rows_unchanged()) \
-                or self.on_token is not None or self.on_event is not None \
-                or type(self).iteration_cost \
-                is not DeltaZipEngine.iteration_cost or not batch.requests:
+        cls = type(self)
+        if not batch.requests or self.on_token is not None \
+                or self.on_event is not None \
+                or cls.iteration_cost is not DeltaZipEngine.iteration_cost \
+                or cls.admit is not DeltaZipEngine.admit:
             return
         wake = self._next_wake()
         if wake is not None and wake < limit_s:
             limit_s = wake
-        last_epoch = batch.next_finish_epoch() - 1
-        start_epoch = batch.epoch
-        start_s = now = self._sim.now
-        plan = self._plan()
-        plan_time = self.cost.plan_time
-        advance = batch.advance
-        while batch.epoch < last_epoch and now < limit_s:
-            iter_time = plan_time(plan, batch.context_tokens)
-            now += iter_time          # the additions step() would tick
-            advance(iter_time)
-        n = batch.epoch - start_epoch
-        if n:
-            self._sim.advance(now)
-            self._count_iterations(n, len(batch.requests))
-            if self._sanitize:
-                _sanitizer.check_coast_run(
-                    self, self.scheduler.schedule(batch, self._resident),
-                    start_s, batch.times_since(start_epoch))
+        start_s = self._sim.now
+        n = batch.next_finish_epoch() - 1 - batch.epoch
+        if n <= 0 or start_s >= limit_s or not self._settle():
+            return
+        times, now = self.cost.plan_run(
+            self._steady_plan, batch.context_tokens, len(batch.requests), n,
+            start_s, limit_s)
+        batch.advance_run(times)
+        self._sim.advance(now)
+        self._count_iterations(len(times), len(batch.requests))
+        if self._sanitize:
+            _sanitizer.check_coast_run(
+                self, self.scheduler.schedule(batch, self._resident),
+                start_s, times)
 
     def on_iteration(self, iter_time: float, load_time: float,
                      admitted: List[ServingRequest]) -> None:

@@ -160,6 +160,30 @@ class ContinuousBatchScheduler:
             d for d in selected if d not in resident_deltas)
         return decision
 
+    def admits_or_loads(self, running: "RunningBatch",
+                        resident_deltas: Container[str]) -> bool:
+        """``bool(d.admitted or d.new_deltas)`` for the ``d`` that
+        :meth:`schedule` would return, without deciding it: moves no
+        version, reorders nothing.  With a free slot, the first queued
+        request in admission order is admitted when fewer than N variants
+        are selected, else the first one of a running variant is — the
+        order never matters — and any running variant that is not
+        resident is loaded."""
+        if self.config.max_batch_requests <= len(running.requests):
+            return False
+        selected = running.per_model
+        for delta in selected:
+            if delta not in resident_deltas:
+                return True
+        if not self._queue:
+            return False
+        if len(selected) < self.config.max_concurrent_deltas:
+            return True
+        for req in self._queue:
+            if req.model_id in selected:
+                return True
+        return False
+
     def _admit_queued(self, running: "RunningBatch",
                       decision: SchedulingDecision, capacity: int) -> None:
         cfg = self.config

@@ -414,7 +414,9 @@ def check_coast_run(engine: Any, decision: Any, start: float,
                     prices: Sequence[float]) -> None:
     """An engine coasted ``len(prices)`` iterations from clock ``start``;
     ask what a ``step()`` per iteration would have asked.  ``decision``
-    is a fresh ``schedule()`` over the (unchanged) batch and queue."""
+    is a fresh ``schedule()`` over the (unchanged) batch and queue: it
+    must admit and load nothing, whether the run reused a step's verdict
+    or the coast settled it through ``admits_or_loads``."""
     check_steady_verdict(engine.name, decision)
     batch = engine.batch
     composed = engine._compose([])

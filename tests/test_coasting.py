@@ -250,7 +250,7 @@ def test_long_decodes_take_fewer_steps_than_iterations():
     assert steps <= 4 * len(trace) + 8            # O(membership changes)
 
 
-def test_one_long_decode_is_two_steps_and_a_coast_per_membership_change():
+def test_one_long_decode_is_one_step_and_a_coast_per_membership_change():
     engine = build()
     steps = CountingSteps(engine)
     engine.submit(TraceRequest(request_id=0, model_id=MODELS[0],
@@ -258,8 +258,9 @@ def test_one_long_decode_is_two_steps_and_a_coast_per_membership_change():
                                output_tokens=500))
     engine.run_until_drained()
     assert engine.unfinished == 0 and engine.stats.iterations == 500
-    # prefill, the first pure decode (fresh pricing), the finishing one
-    assert steps.calls == 3
+    # the prefill, then the finishing one: the coast after the prefill
+    # settles the pure-decode verdict and pricing itself
+    assert steps.calls == 2
     # (edited: read from the record — the request is released at retirement)
     assert engine.build_result().records[0].served_tokens == 500
 

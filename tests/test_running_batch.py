@@ -161,6 +161,53 @@ class TestLedgerOps:
                     sorted(map(id, batch.requests))
                 assert all(due > batch.epoch for due in batch._finish)
 
+    @given(st.lists(st.tuples(
+        st.sampled_from(["join", "join", "run", "run", "leave"]),
+        st.integers(0, 10 ** 6),
+        st.lists(st.floats(1e-4, 0.25), max_size=11)),
+        min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_a_bulk_run_is_n_advances(self, ops):
+        """``advance_run(times)`` against ``advance(t)`` per ``t`` on a
+        twin batch of twin requests, across log trims (every 4 epochs
+        here): the same epoch, context, log, finish buckets, finishers and
+        member accounts after every op.  Finishers leave after the run,
+        as an engine retires them."""
+        def state(batch):
+            return (batch.epoch, batch.context_tokens, batch.version,
+                    list(batch._log), batch._log_base,
+                    {due: [r.request_id for r in bucket]
+                     for due, bucket in batch._finish.items()},
+                    [(r.request_id, r.generated_tokens, r.inference_s,
+                      batch.times_since(r._join_epoch))
+                     for r in batch.requests])
+
+        with mock.patch.object(base, "_LOG", 4):
+            bulk, loop = RunningBatch(), RunningBatch()
+            next_id = 0
+            for op, pick, times in ops:
+                if op == "join":
+                    for batch in (bulk, loop):
+                        req = make_request(next_id, f"m{pick % 3}",
+                                           prompt=1 + pick % 50,
+                                           output=1 + pick % 13)
+                        req.generated_tokens = pick % 2
+                        batch.join(req)
+                    next_id += 1
+                elif op == "run":
+                    done = bulk.advance_run(times)
+                    want = [r for t in times for r in loop.advance(t)]
+                    assert [r.request_id for r in done] == \
+                        [r.request_id for r in want]
+                    for batch, finished in ((bulk, done), (loop, want)):
+                        for req in finished:
+                            batch.leave(req)
+                elif bulk.requests:
+                    i = pick % len(bulk.requests)
+                    for batch in (bulk, loop):
+                        batch.leave(batch.requests[i])
+                assert state(bulk) == state(loop)
+
     def test_values_are_writable_outside_a_batch_only(self):
         req = make_request(0, "m", output=8)
         req.generated_tokens, req.inference_s = 2, 0.5

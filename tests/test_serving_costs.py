@@ -286,6 +286,72 @@ class TestPassesMatchReference:
                     == ref_iteration_time(model, rows, kind, context)
 
 
+def ref_sbmm_compose(per_delta, n_requests, gpu, impl):
+    """``sbmm_compose`` as it was before the columns pass, verbatim."""
+    compute = 0.0
+    for t in per_delta:
+        compute += t
+    n_deltas = len(per_delta)
+    launch = gpu.kernel_launch_us * 1e-6
+    if impl == "sbmm":
+        overlapped = max(per_delta) + gpu.dynamic_launch_us * 1e-6 * n_deltas
+        spread = compute / kernels._sbmm_parallelism(gpu, n_deltas)
+        return launch + max(overlapped, spread), compute
+    total = compute + launch * n_deltas
+    if impl.endswith("forloop"):
+        total += kernels._RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * n_requests
+    return total, compute
+
+
+class TestOnePassPricing:
+    """The coast's pricing: a run of iterations from one plan, and the
+    SBMM combine over every layer shape at once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(impl_rows=impl_and_rows(), tp=st.sampled_from([1, 2, 4]),
+           kind=st.sampled_from(["delta", "lora", "none"]),
+           context=st.integers(0, 10 ** 6), growth=st.integers(1, 64),
+           n=st.integers(0, 40), start=st.floats(0.0, 100.0),
+           span=st.floats(0.0, 0.5))
+    def test_a_run_is_successive_plan_times(self, impl_rows, tp, kind,
+                                            context, growth, n, start, span):
+        impl, rows = impl_rows
+        model = IterationCostModel(LLAMA_13B, A800, tp_degree=tp,
+                                   lora_rank=16, sbmm_impl=impl)
+        plan = model.linear_plan(batch_of(rows), kind)
+        limit = start + span
+        times, end = model.plan_run(plan, context, growth, n, start, limit)
+        want, now = [], start
+        for i in range(n):
+            if now >= limit:
+                break
+            price = model.plan_time(plan, context + i * growth)
+            assert price == ref_iteration_time(model, rows, kind,
+                                               context + i * growth)
+            now += price
+            want.append(price)
+        assert times == want and end == now
+
+    @settings(max_examples=150, deadline=None)
+    @given(impl=st.sampled_from([i for i in SBMM_IMPLEMENTATIONS
+                                 if i != "fp16_bmm"]),
+           gpu=st.sampled_from(sorted(GPUS)),
+           columns=st.tuples(st.integers(1, 5), st.sampled_from([
+               # near-equal times on many deltas reach the spread bound
+               st.floats(1e-7, 1e-2), st.sampled_from([1e-3, 1.2e-3])]))
+           .flatmap(lambda shapes_times: st.lists(st.lists(
+               shapes_times[1], min_size=shapes_times[0],
+               max_size=shapes_times[0]), min_size=1, max_size=16)),
+           n_requests=st.integers(1, 512))
+    def test_the_columns_combine_is_a_compose_per_shape(
+            self, impl, gpu, columns, n_requests):
+        got = kernels.sbmm_compose_columns(columns, n_requests, GPUS[gpu],
+                                           impl)
+        assert got == [ref_sbmm_compose(per_delta, n_requests, GPUS[gpu],
+                                        impl)
+                       for per_delta in zip(*columns)]
+
+
 class TestMemoStateNeverLeaks:
     @pytest.mark.parametrize("impl", SBMM_IMPLEMENTATIONS)
     def test_long_lived_fresh_and_thrashing_models_agree(self, impl,

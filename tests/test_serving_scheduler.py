@@ -1,5 +1,7 @@
 """Scheduler: FCFS, (K, N) limits, skip-the-line semantics, preemption."""
 
+from copy import deepcopy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,38 @@ class TestConservation:
         assert admitted_ids & queued_ids == set()
         assert len(decision.admitted) <= k
         assert len({r.model_id for r in decision.admitted}) <= n
+
+
+class TestAdmitsOrLoads:
+    """The coast's verdict query == ``schedule()``'s, undecided."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_a_schedule_on_a_copy(self, data):
+        draw = data.draw
+        models = [f"m{i}" for i in range(5)]
+        k, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+        priorities = draw(st.one_of(st.none(), st.dictionaries(
+            st.sampled_from(models), st.integers(-2, 2))))
+        sched = ContinuousBatchScheduler(SchedulerConfig(
+            k, n, model_priorities=priorities))
+        picks = st.lists(st.sampled_from(models), max_size=k + 2)
+        running = RunningBatch([make_request(100 + i, m)
+                                for i, m in enumerate(draw(picks))])
+        for rid, model in enumerate(draw(st.lists(st.sampled_from(models),
+                                                  max_size=8))):
+            arrival = draw(st.sampled_from([0.0, 0.5, 1.0]))
+            if draw(st.booleans()):
+                sched.reinsert(make_request(rid, model, arrival))
+            else:
+                sched.add(make_request(rid, model, arrival))
+        # residency may miss a running variant: schedule() loads it
+        resident = set(draw(st.lists(st.sampled_from(models))))
+        queue, version = sched.queued, sched.version
+        twin_sched, twin_running = deepcopy((sched, running))
+        decision = twin_sched.schedule(twin_running, resident)
+        assert sched.admits_or_loads(running, resident) == \
+            bool(decision.admitted or decision.new_deltas)
+        assert sched.version == version     # it decided nothing
+        assert all(a is b for a, b in zip(sched.queued, queue))
+        assert len(sched) == len(queue)

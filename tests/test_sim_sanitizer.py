@@ -13,6 +13,7 @@ from repro.serving import (LLAMA_7B, IterationCostModel, ModelManager,
 from repro.serving.base import RunningBatch
 from repro.serving.metrics import ServingResult
 from repro.serving.request import RequestRecord, ServingRequest
+from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.serving.tenancy import TokenBucket
 from repro.sim import (Arrival, AutoscalerTick, Cancel, SimClock, SimKernel,
                        SimSanitizerError, new_clock)
@@ -585,7 +586,7 @@ class TestCoastRunCheck:
     def test_a_stale_plan(self):
         with sanitized(True):
             engine = self.steady_engine()
-            plan = engine._plan()
+            plan = engine._steady_plan
             engine._steady_plan = plan._replace(
                 linear_s=plan.linear_s * (1.0 + 2 ** -50))
             with pytest.raises(SimSanitizerError,
@@ -619,6 +620,37 @@ class TestCoastRunCheck:
                     rf"events due, the first a {kind.capitalize()} at "
                     rf"{re.escape(repr(at_s))}")):
                 engine._coast(inf)
+
+    @staticmethod
+    def freed_slot_engine():
+        """K=2, N=1: two decodes of variant-00 run, a third waits for a
+        slot; the short one's finish frees it for the waiting one."""
+        engine = make_engine("deltazip", ["variant-00"], n_deltas=1, k=2)
+        for rid, output in ((0, 60), (1, 5), (2, 40)):
+            engine.submit(trace_request(rid, output=output))
+        return engine
+
+    def test_a_settled_verdict_that_drops_a_running_variants_request(
+            self, monkeypatch):
+        """The coast settles its own verdict through the scheduler's
+        query; one that ignores a queued request of an already selected
+        variant lets the engine coast past the admission its finish
+        freed, and the run's fresh schedule() says so."""
+        def blind(sched, running, resident_deltas):
+            if sched.config.max_batch_requests <= len(running.requests):
+                return False
+            if any(d not in resident_deltas for d in running.per_model):
+                return True
+            return bool(sched._queue) and len(running.per_model) < \
+                sched.config.max_concurrent_deltas
+
+        with sanitized(True):
+            self.freed_slot_engine().run_until_drained()     # clean: silent
+            monkeypatch.setattr(ContinuousBatchScheduler, "admits_or_loads",
+                                blind)
+            with pytest.raises(SimSanitizerError, match=(
+                    r"'deltazip'.*admission verdict.*admits \[2\]")):
+                self.freed_slot_engine().run_until_drained()
 
     def test_a_stale_cancel_is_not_an_event(self):
         with sanitized(True):

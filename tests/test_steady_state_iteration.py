@@ -84,9 +84,9 @@ class Calls:
     """Class-level call counters for the two layers a reuse skips."""
 
     def __init__(self, monkeypatch):
-        self.schedule = self.iteration_time = self.plan_time = 0
+        self.schedule = self.linear_plan = self.plan_time = 0
         for cls, attr in ((ContinuousBatchScheduler, "schedule"),
-                          (IterationCostModel, "iteration_time"),
+                          (IterationCostModel, "linear_plan"),
                           (IterationCostModel, "plan_time")):
             monkeypatch.setattr(cls, attr,
                                 self._counting(attr, getattr(cls, attr)))
@@ -98,7 +98,7 @@ class Calls:
         return counted
 
     def snapshot(self):
-        return self.schedule, self.iteration_time, self.plan_time
+        return self.schedule, self.linear_plan, self.plan_time
 
 
 def replay(scenario, forget):
@@ -135,15 +135,16 @@ def assert_reuse_changes_nothing(scenario, monkeypatch, sanitize):
         forgetful, _ = replay(scenario, forget=True)
     assert shipped == forgetful
     assert shipped["unfinished"] == 0 and shipped["n_records"] > 0
-    schedule, iteration_time, plan_time = reused
+    schedule, compositions, plan_time = reused
     redone = tuple(b - a for a, b in zip(reused, calls.snapshot()))
-    # plan_time runs inside every iteration_time; the shipped run also
-    # reached it directly, once per reused plan (sanitized or not) ...
-    assert plan_time > iteration_time
+    # every priced iteration runs plan_time once; the forgetful run
+    # composed (linear_plan) each afresh, the shipped run reused the
+    # plan of an unchanged batch (sanitized or not) ...
+    assert plan_time > compositions
     assert redone[2] == redone[1]
     if not sanitize:
         # ... and decided fewer admissions than it ran iterations
-        assert schedule < redone[0] and iteration_time < redone[1]
+        assert schedule < redone[0] and compositions < redone[1]
     return shipped, seen, schedule
 
 
