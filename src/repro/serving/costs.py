@@ -52,6 +52,19 @@ _Family = Tuple[List[Tuple[int, int]], Tuple[str, int, float],
                 Dict[int, List[float]]]
 
 
+def _iteration_s(linear: float, allreduce: float, rows: int, context: int,
+                 kv_bytes_per_token: int, tp: int, hbm_bytes_per_s: float
+                 ) -> float:
+    """One iteration of a linear-pass plan: the decoupled linear pass,
+    attention's KV-cache reads of ``context`` tokens and writes of
+    ``rows`` new ones, the TP all-reduce and the fixed overhead.  The
+    iteration-time formula is written here and nowhere else."""
+    kv_read = context * kv_bytes_per_token / tp
+    kv_write = rows * kv_bytes_per_token / tp
+    return linear + (kv_read + kv_write) / hbm_bytes_per_s + allreduce \
+        + _ITERATION_OVERHEAD_S
+
+
 def check_pricing_knobs(sbmm_impl: str, delta_bits: int,
                         delta_density: float, lora_rank: int) -> None:
     """Reject variant-pass knobs the kernel models cannot price (shared
@@ -314,33 +327,34 @@ class IterationCostModel:
 
     def plan_time(self, plan: LinearPlan, context_tokens: int) -> float:
         """The context-dependent part: attention over ``context_tokens``
-        on top of a :meth:`linear_plan` — a run of one iteration."""
-        if plan.rows == 0:
+        on top of a :meth:`linear_plan`."""
+        m_total, linear, allreduce = plan
+        if m_total == 0:
             return 0.0
-        return self.plan_run(plan, context_tokens, 0, 1)[0][0]
+        return _iteration_s(linear, allreduce, m_total, context_tokens,
+                            self._kv_bytes_per_token, self.tp,
+                            self.gpu.hbm_bytes_per_s)
 
     def plan_run(self, plan: LinearPlan, context_tokens: int, growth: int,
-                 n: int, start_s: float = 0.0,
-                 limit_s: float = float("inf")) -> Tuple[List[float], float]:
+                 n: int, start_s: float,
+                 limit_s: float) -> Tuple[List[float], float]:
         """Up to ``n`` iterations of ``plan`` (with rows) from clock
         ``start_s``, the attention context growing by ``growth`` per
         iteration, stopping before one that would start at or after
-        ``limit_s``.  Returns their times and the clock after the last,
-        added one by one as a ``tick`` per iteration would.  The
-        iteration-time formula is written here and nowhere else."""
+        ``limit_s``: each time is :meth:`plan_time` of its context.
+        Returns the times and the clock after the last, added one by one
+        as a ``tick`` per iteration would."""
         m_total, linear, allreduce = plan
         kv, tp, hbm = self._kv_bytes_per_token, self.tp, \
             self.gpu.hbm_bytes_per_s
-        kv_write = m_total * kv / tp
         times: List[float] = []
         now = start_s
         context = context_tokens
         for _ in range(n):
             if now >= limit_s:
                 break
-            # attention: KV-cache reads of the context, writes of the rows
-            iter_time = linear + (context * kv / tp + kv_write) / hbm \
-                + allreduce + _ITERATION_OVERHEAD_S
+            iter_time = _iteration_s(linear, allreduce, m_total, context,
+                                     kv, tp, hbm)
             now += iter_time
             times.append(iter_time)
             context += growth

@@ -118,7 +118,7 @@ class DeltaZipEngine(ServingEngine):
         return self.scheduler.remove(request_id)
 
     # the steady-iteration precondition (README "The steady-state
-    # iteration") in two halves: admit, iteration_cost, _coast ask here
+    # iteration") in two halves: admit, iteration_cost, _settle ask here
     def _admits_nothing(self) -> bool:
         """Same batch, queue and resident set as the ``schedule()`` that
         decided nothing: it would decide nothing again."""
