@@ -937,6 +937,8 @@ class ClusterGateway(Gateway):
             first = self._route_due()
             if first is not None and self._coast_replica(first):
                 continue
+            # not step(): routing again before this step could place an
+            # arrival that one step per turn places after it
             if not self._step_from(first):
                 break
             replica, self._stepped = self._stepped, None
@@ -949,10 +951,12 @@ class ClusterGateway(Gateway):
         replica's clock bounds it: between routing points and ticks they
         are independent timelines, and a coast moves nothing a balancer
         or :class:`Autoscaler` reads (``unfinished``, ``backlog``)."""
-        bounds = (engine.config.max_sim_seconds,   # _step_replica's own cap
-                  self._unrouted.peek_time(),  # routed on due <= frontier
-                  self._ticks.peek_time())     # fired on tick <= now
-        return min(bound for bound in bounds if bound is not None)
+        horizon = engine.config.max_sim_seconds  # _step_replica's own cap
+        for bound in (self._unrouted.peek_time(),  # routed on due <= frontier
+                      self._ticks.peek_time()):    # fired on tick <= now
+            if bound is not None and bound < horizon:
+                horizon = bound
+        return horizon
 
     def _coast_replica(self, replica: Replica) -> bool:
         """Let ``replica`` coast to the horizon (an engine watched per

@@ -295,12 +295,14 @@ class DeltaZipEngine(ServingEngine):
                 or cls.iteration_cost is not DeltaZipEngine.iteration_cost \
                 or cls.admit is not DeltaZipEngine.admit:
             return
+        n = batch.next_finish_epoch() - 1 - batch.epoch
+        if n <= 0:
+            return                    # the next iteration retires someone
         wake = self._next_wake()
         if wake is not None and wake < limit_s:
             limit_s = wake
         start_s = self._sim.now
-        n = batch.next_finish_epoch() - 1 - batch.epoch
-        if n <= 0 or start_s >= limit_s or not self._settle():
+        if start_s >= limit_s or not self._settle():
             return
         times, now = self.cost.plan_run(
             self._steady_plan, batch.context_tokens, len(batch.requests), n,
