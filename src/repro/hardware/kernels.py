@@ -32,8 +32,7 @@ from .specs import GPUSpec
 __all__ = ["GemmShape", "dense_gemm_time", "quantized_gemm_time",
            "sparse_quantized_gemm_time", "achieved_flops_ratio",
            "SBMM_IMPLEMENTATIONS", "sbmm_time", "SBMMBreakdown",
-           "roofline_time", "sbmm_delta_time", "sbmm_compose",
-           "sbmm_compose_columns"]
+           "roofline_time", "sbmm_delta_time", "sbmm_compose"]
 
 # random-access penalty for gather/scatter of requests that are not grouped
 # by delta: effective HBM bandwidth fraction for the activation traffic ...
@@ -171,20 +170,12 @@ def sbmm_delta_time(count: int, shape_k: int, shape_n: int, gpu: GPUSpec,
                          None if dense else density, impl.endswith("forloop"))
 
 
-def sbmm_compose(per_delta: Sequence[float], n_requests: int, gpu: GPUSpec,
-                 impl: str) -> Tuple[float, float]:
-    """``(total, compute)`` of an SBMM whose deltas' GEMMs take
-    ``per_delta`` seconds, in batch order (every flavour but
-    ``fp16_bmm``, which has no per-delta term)."""
-    return sbmm_compose_columns([[t] for t in per_delta], n_requests, gpu,
-                                impl)[0]
-
-
-def sbmm_compose_columns(columns: Sequence[Sequence[float]], n_requests: int,
-                         gpu: GPUSpec, impl: str) -> List[Tuple[float, float]]:
-    """:func:`sbmm_compose` of every layer shape in one pass:
-    ``columns[d][s]`` is delta ``d``'s GEMM time at shape ``s`` (deltas in
-    batch order); one ``(total, compute)`` per shape."""
+def sbmm_compose(columns: Sequence[Sequence[float]], n_requests: int,
+                 gpu: GPUSpec, impl: str) -> List[Tuple[float, float]]:
+    """``(total, compute)`` of an SBMM per layer shape, all shapes in one
+    pass: ``columns[d][s]`` is delta ``d``'s GEMM time at shape ``s``,
+    deltas in batch order (every flavour but ``fp16_bmm``, which has no
+    per-delta term)."""
     n_deltas = len(columns)
     launch = gpu.kernel_launch_us * 1e-6
     if impl == "sbmm":
@@ -199,7 +190,7 @@ def sbmm_compose_columns(columns: Sequence[Sequence[float]], n_requests: int,
         launches = launch * n_deltas
         gather = _RANDOM_ACCESS_US_PER_REQUEST * 1e-6 * n_requests \
             if impl.endswith("forloop") else None
-    out = []
+    out: List[Tuple[float, float]] = []
     for per_delta in zip(*columns):
         # an explicit left-to-right sum: sum() is compensated from Python
         # 3.12 on, and a price may not depend on the interpreter
@@ -240,9 +231,9 @@ def sbmm_time(requests_per_delta: Sequence[int], shape_k: int, shape_n: int,
                       for _ in range(total_reqs))
         total = compute + stack_time + gpu.kernel_launch_us * 1e-6
     else:
-        total, compute = sbmm_compose(
-            [sbmm_delta_time(c, shape_k, shape_n, gpu, impl, weight_bits,
-                             density) for c in counts],
+        (total, compute), = sbmm_compose(
+            [[sbmm_delta_time(c, shape_k, shape_n, gpu, impl, weight_bits,
+                              density)] for c in counts],
             total_reqs, gpu, impl)
     return SBMMBreakdown(total=total, compute=compute)
 

@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..hardware.cluster import allreduce_time
 from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, GemmShape,
-                                dense_gemm_time, sbmm_compose_columns,
+                                dense_gemm_time, sbmm_compose,
                                 sbmm_delta_time, sbmm_time)
 from ..hardware.specs import GPUSpec
 from ..sim import sanitizer as _sanitizer
@@ -189,7 +189,7 @@ class IterationCostModel:
               counts: List[int]) -> List[Tuple[float, float]]:
         """(total, compute) of one batched multi-delta matmul per distinct
         GEMM shape of ``family``: one column per delta, looked up by its
-        row count (built on a miss), combined shape by shape."""
+        row count (built on a miss), all shapes combined in one pass."""
         shapes, knobs, columns = self._families[family]
         gpu = self.gpu
         picked = []
@@ -205,7 +205,7 @@ class IterationCostModel:
                 _sanitizer.check_cost_column(family, gpu, shapes, knobs, c,
                                              column)
             picked.append(column)
-        return sbmm_compose_columns(picked, sum(counts), gpu, knobs[0])
+        return sbmm_compose(picked, sum(counts), gpu, knobs[0])
 
     def _sum_over_layer_shapes(self, per_distinct: List[float]) -> float:
         """Sum per-distinct-shape times over the block's linears, in the

@@ -287,7 +287,8 @@ class TestPassesMatchReference:
 
 
 def ref_sbmm_compose(per_delta, n_requests, gpu, impl):
-    """``sbmm_compose`` as it was before the columns pass, verbatim."""
+    """``sbmm_compose`` of one layer shape as it was before it took every
+    shape's column at once, verbatim."""
     compute = 0.0
     for t in per_delta:
         compute += t
@@ -345,8 +346,7 @@ class TestOnePassPricing:
            n_requests=st.integers(1, 512))
     def test_the_columns_combine_is_a_compose_per_shape(
             self, impl, gpu, columns, n_requests):
-        got = kernels.sbmm_compose_columns(columns, n_requests, GPUS[gpu],
-                                           impl)
+        got = kernels.sbmm_compose(columns, n_requests, GPUS[gpu], impl)
         assert got == [ref_sbmm_compose(per_delta, n_requests, GPUS[gpu],
                                         impl)
                        for per_delta in zip(*columns)]
