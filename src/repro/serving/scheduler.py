@@ -172,17 +172,11 @@ class ContinuousBatchScheduler:
         if self.config.max_batch_requests <= len(running.requests):
             return False
         selected = running.per_model
-        for delta in selected:
-            if delta not in resident_deltas:
-                return True
-        if not self._queue:
-            return False
-        if len(selected) < self.config.max_concurrent_deltas:
+        if any(delta not in resident_deltas for delta in selected):
             return True
-        for req in self._queue:
-            if req.model_id in selected:
-                return True
-        return False
+        return bool(self._queue) and (
+            len(selected) < self.config.max_concurrent_deltas
+            or any(req.model_id in selected for req in self._queue))
 
     def _admit_queued(self, running: "RunningBatch",
                       decision: SchedulingDecision, capacity: int) -> None:
