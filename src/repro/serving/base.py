@@ -49,7 +49,8 @@ from ..sim import (Arrival, Cancel, Event, EventQueue, IterationDone,
                    PhaseTransition, SimKernel, new_clock)
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
-from .costs import check_pricing_knobs
+from .costs import (BatchComposition, IterationCostModel, LinearPlan,
+                    check_pricing_knobs)
 from .metrics import EngineStats, ServingResult
 from .model_manager import ArtifactKind, ModelManager
 from .request import RequestState, ServingRequest
@@ -327,6 +328,7 @@ class ServingEngine:
     variant_artifact: str = ArtifactKind.DELTA
     #: whether build_result attaches the EngineStats counters
     include_stats: bool = False
+    cost: IterationCostModel      # engines that step a batch of their own
 
     def __init__(self, manager: ModelManager, node: GPUNode,
                  engine_config: EngineConfig = EngineConfig()):
@@ -547,7 +549,12 @@ class ServingEngine:
             executed, iter_time = True, cost
         self._sim.tick(iter_time + load_time)
         if executed:
-            self.on_iteration(iter_time, load_time, admitted)
+            self.stats.total_load_s += load_time
+            n_models = len(batch.per_model)
+            if admitted:                 # variants admitted alongside
+                n_models = len(batch.per_model.keys()
+                               | {r.model_id for r in admitted})
+            self._count_iterations(1, len(batch) + len(admitted), n_models)
 
         # token accounting is the batch's: the admitted requests join
         # (their first token lands this iteration), then one epoch gives
@@ -654,18 +661,39 @@ class ServingEngine:
         raise NotImplementedError
 
     def admit(self) -> Admission:
-        """hook: choose requests to admit; perform swaps; return the load
-        time spent on the critical path."""
+        """Apply :meth:`_decide`: admissions, swaps, critical-path load."""
+        return self._apply(self._decide())
+
+    def _decide(self) -> Any:
+        """hook: what :meth:`admit` would do, moving nothing; falsy
+        exactly when it would admit, load and evict nothing."""
+        raise NotImplementedError
+
+    def _apply(self, decision: Any) -> Admission:
+        """hook: carry out a :meth:`_decide` decision."""
         raise NotImplementedError
 
     def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
-        """hook: compose the batch and price it; None if nothing runs."""
+        """Compose the batch and price it; None if nothing runs."""
+        if admitted:
+            batch = self._compose(admitted)
+            plan, context = self._linear_plan(batch), batch.context_tokens
+        else:
+            plan, context = self._decode_plan(), self.batch.context_tokens
+        return self.cost.plan_time(plan, context) or None
+
+    def _compose(self, admitted: List[ServingRequest]) -> BatchComposition:
+        """hook: what an iteration admitting ``admitted`` executes."""
         raise NotImplementedError
 
-    def on_iteration(self, iter_time: float, load_time: float,
-                     admitted: List[ServingRequest]) -> None:
-        """hook: per-executed-iteration telemetry (called before the
-        admitted requests join ``running``)."""
+    def _linear_plan(self, batch: BatchComposition) -> LinearPlan:
+        """hook: the price of ``batch`` but for its attention context."""
+        raise NotImplementedError
+
+    def _decode_plan(self) -> LinearPlan:
+        """The plan of an iteration that admits nothing (an engine may
+        keep it while the batch's rows stand)."""
+        return self._linear_plan(self._compose([]))
 
     def retire(self, newly_done: List[ServingRequest]) -> float:
         """hook: post-retirement cleanup (preemption); returns extra
@@ -673,12 +701,51 @@ class ServingEngine:
         return 0.0
 
     def _coast(self, limit_s: float) -> None:
-        """hook: execute, exactly as :meth:`step` would have, every
-        upcoming iteration that provably ingests, admits, finishes and
-        publishes nothing, each starting before ``limit_s``: the
-        next-event time of the drain loop that calls it before or after
-        a :meth:`step` (this engine's own, a cluster's, a disagg
-        owner's)."""
+        """Execute, exactly as :meth:`step` would have, every upcoming
+        iteration that provably ingests, admits, finishes and publishes
+        nothing, each starting before ``limit_s`` (the calling drain
+        loop's next-event time: this engine's own, a cluster's, a disagg
+        owner's).  While :meth:`_decide` is empty (applied as each
+        skipped :meth:`admit` would), an iteration prices as
+        :meth:`_decode_plan` at a context grown by ``len(batch)``, finishes
+        nobody before the first finish bucket and ingests nothing if it
+        starts before the next arrival or live cancel, so only the clock,
+        the epoch ledger and ``stats`` move.  Nothing coasts while
+        somebody listens per iteration."""
+        batch = self.batch
+        if not batch.requests or self.on_token is not None \
+                or self.on_event is not None:
+            return
+        n = batch.next_finish_epoch() - 1 - batch.epoch
+        if n <= 0:
+            return                    # the next iteration retires someone
+        wake = self._next_wake()
+        if wake is not None and wake < limit_s:
+            limit_s = wake
+        start_s = self._sim.now
+        if start_s >= limit_s:
+            return
+        decision = self._decide()
+        if decision:
+            return                    # the next iteration admits or loads
+        self._apply(decision)
+        times, now = self.cost.plan_run(
+            self._decode_plan(), batch.context_tokens, len(batch.requests),
+            n, start_s, limit_s)
+        batch.advance_run(times)
+        self._sim.advance(now)
+        self._count_iterations(len(times), len(batch.requests),
+                               len(batch.per_model))
+        if self._sanitize:
+            _sanitizer.check_coast_run(self, start_s, times)
+
+    def _count_iterations(self, n: int, batch_size: int,
+                          n_models: int) -> None:
+        """Count ``n`` iterations of ``batch_size`` requests."""
+        stats = self.stats
+        stats.iterations += n
+        stats.batched_requests += n * batch_size
+        stats.batched_deltas += n * n_models
 
     def _touch_active(self, resident: "OrderedDict[str, Any]",
                       admitted: List[ServingRequest],

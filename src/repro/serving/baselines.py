@@ -15,18 +15,18 @@ iteration loop; only admission/swap policy and batch pricing differ.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
 from .base import (FULL_MODEL_LOADER_FACTOR, KV_RESERVE_FRACTION,
                    WORKSPACE_FRACTION, Admission, EngineConfig,
                    ServingEngine, register_engine)
-from .costs import IterationCostModel
-from .metrics import ServingResult
+from .costs import BatchComposition, IterationCostModel, LinearPlan
+from .metrics import EngineStats, ServingResult
 from .model_manager import ArtifactKind, ModelManager
 from .request import ServingRequest
-from .scheduler import SchedulerConfig
+from .scheduler import SchedulerConfig, SchedulingDecision
 
 __all__ = ["VLLMSCBEngine", "DedicatedEngine"]
 
@@ -100,53 +100,73 @@ class VLLMSCBEngine(ServingEngine):
                 return self._queue.pop(i)
         return None
 
-    def admit(self) -> Admission:
-        # swap for the queue head if its model is missing (weights are
-        # read-only: eviction just frees the slot, the load pays the
-        # standard checkpoint-loader cost)
-        load_time = 0.0
-        if self._queue:
-            head_model = self._queue[0].model_id
-            if head_model not in self._resident:
-                while len(self._resident) >= self._max_resident:
-                    if self._evict_lru(self._resident,
-                                       self.batch.per_model) is None:
-                        break
-                if len(self._resident) < self._max_resident:
-                    src = Tier.CPU if head_model in self._in_cpu else Tier.DISK
-                    load_time += FULL_MODEL_LOADER_FACTOR * \
-                        self.node.load_time(self._model_bytes, src, Tier.GPU)
-                    self._resident[head_model] = True
-                    self._in_cpu.add(head_model)
+    def _decide(self) -> SchedulingDecision:
+        # swap for the queue head if its model is missing, evicting the
+        # least recently used inactive model when every slot is taken (no
+        # more than _max_resident are ever resident, so one suffices);
+        # ``selected_deltas`` is the resident set the fill then sees
+        resident = self._resident
+        ready = set(resident)
+        decision = SchedulingDecision(selected_deltas=ready)
+        if self._queue and self._queue[0].model_id not in resident:
+            if len(resident) >= self._max_resident:
+                active = self.batch.per_model
+                ready.discard(next((m for m in resident if m not in active),
+                                   None))
+            if len(ready) < self._max_resident:
+                decision.new_deltas = [self._queue[0].model_id]
+                ready.update(decision.new_deltas)
 
         # admit queued requests whose model is resident (FCFS), within
         # the KV reserve
         batch = self.batch
         capacity = self.max_batch_requests - len(batch)
         kv_in_use = batch.context_tokens
-        admitted: List[ServingRequest] = []
+        admitted = decision.admitted
         still: List[ServingRequest] = []
         for req in self._queue:
             need = req.prompt_tokens + 1
-            if capacity > 0 and req.model_id in self._resident \
+            if capacity > 0 and req.model_id in ready \
                     and kv_in_use + need <= self._kv_budget_tokens:
                 admitted.append(req)
                 capacity -= 1
                 kv_in_use += need
             else:
                 still.append(req)
-        self._queue = still
-        self._touch_active(self._resident, admitted, load_time > 0.0)
-        return Admission(admitted=admitted, load_time_s=load_time)
+        decision.queue = still
+        return decision
 
-    def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
+    def _apply(self, decision: SchedulingDecision) -> Admission:
+        # weights are read-only: eviction just frees the slot, the load
+        # pays the standard checkpoint-loader cost
+        resident = self._resident
+        load_time = 0.0
+        for model_id in decision.new_deltas:
+            for evicted in [m for m in resident
+                            if m not in decision.selected_deltas]:
+                del resident[evicted]
+                self.stats.evictions += 1
+            src = Tier.CPU if model_id in self._in_cpu else Tier.DISK
+            load_time += FULL_MODEL_LOADER_FACTOR * \
+                self.node.load_time(self._model_bytes, src, Tier.GPU)
+            resident[model_id] = True
+            self._in_cpu.add(model_id)
+            self.stats.swap_ins += 1
+        if decision.queue is not None:
+            self._queue = decision.queue
+        self._touch_active(resident, decision.admitted, load_time > 0.0)
+        return Admission(admitted=decision.admitted, load_time_s=load_time)
+
+    def _compose(self, admitted: List[ServingRequest]) -> BatchComposition:
         prefill: Dict[str, int] = {}
         for req in admitted:
             prefill[req.model_id] = prefill.get(req.model_id, 0) \
                 + req.prompt_tokens
-        iter_time = self.cost.fullmodel_iteration_time(
-            self.batch.per_model, self.batch.context_tokens, prefill)
-        return None if iter_time == 0.0 else iter_time
+        return BatchComposition(self.batch.per_model, prefill,
+                                self.batch.context_tokens)
+
+    def _linear_plan(self, batch: BatchComposition) -> LinearPlan:
+        return self.cost.fullmodel_plan(batch)
 
     def result_config(self) -> Dict[str, object]:
         return {"tp_degree": self.config.tp_degree,
@@ -244,6 +264,20 @@ class DedicatedEngine(ServingEngine):
     @property
     def unfinished(self) -> int:
         return sum(g.unfinished for g in self._groups.values())
+
+    @property
+    def backlog(self) -> int:
+        return sum(g.backlog for g in self._groups.values())
+
+    # the groups' counters, summed; the base reset's assignment is moot
+    @property
+    def stats(self) -> EngineStats:
+        return EngineStats.total(self._groups[m].stats
+                                 for m in sorted(self._groups))
+
+    @stats.setter
+    def stats(self, value: EngineStats) -> None:
+        pass
 
     @property
     def clock(self) -> float:

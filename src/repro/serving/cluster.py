@@ -960,7 +960,7 @@ class ClusterGateway(Gateway):
 
     def _coast_replica(self, replica: Replica) -> bool:
         """Let ``replica`` coast to the horizon (an engine watched per
-        iteration, or without a steady state, declines), re-file it and
+        iteration, or about to admit or load, declines), re-file it and
         redo the post-step bookkeeping: a tick the run crossed fires at
         this frontier, not one real step later.  Did it move?"""
         engine = replica.engine

@@ -23,7 +23,7 @@ one delta's count re-prices no roofline whose count was seen before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ..hardware.cluster import allreduce_time
 from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, GemmShape,
@@ -52,17 +52,18 @@ _Family = Tuple[List[Tuple[int, int]], Tuple[str, int, float],
                 Dict[int, List[float]]]
 
 
-def _iteration_s(linear: float, allreduce: float, rows: int, context: int,
-                 kv_bytes_per_token: int, tp: int, hbm_bytes_per_s: float
-                 ) -> float:
+def _iteration_s(linear: float, allreduce: float, internode: float,
+                 rows: int, context: int, kv_bytes_per_token: int, tp: int,
+                 hbm_bytes_per_s: float) -> float:
     """One iteration of a linear-pass plan: the decoupled linear pass,
     attention's KV-cache reads of ``context`` tokens and writes of
-    ``rows`` new ones, the TP all-reduce and the fixed overhead.  The
-    iteration-time formula is written here and nowhere else."""
+    ``rows`` new ones, the TP all-reduce, the fixed overhead and the
+    inter-node collective.  The iteration-time formula is written here
+    and nowhere else."""
     kv_read = context * kv_bytes_per_token / tp
     kv_write = rows * kv_bytes_per_token / tp
     return linear + (kv_read + kv_write) / hbm_bytes_per_s + allreduce \
-        + _ITERATION_OVERHEAD_S
+        + _ITERATION_OVERHEAD_S + internode
 
 
 def check_pricing_knobs(sbmm_impl: str, delta_bits: int,
@@ -94,26 +95,26 @@ class BatchComposition:
     context_tokens: int = 0
 
     @property
-    def decode_requests(self) -> int:
-        return sum(self.decode_per_delta.values())
-
-    @property
     def prefill_tokens(self) -> int:
         return sum(self.prefill_tokens_per_delta.values())
 
     @property
     def empty(self) -> bool:
-        return self.decode_requests == 0 and self.prefill_tokens == 0
+        return sum(self.decode_per_delta.values()) == 0 \
+            and self.prefill_tokens == 0
 
 
 class LinearPlan(NamedTuple):
     """What :meth:`IterationCostModel.iteration_time` derives from a
     batch's *composition* alone: total token-rows, the decoupled linear
-    pass ``max(base, variant)`` and the TP all-reduce of those rows."""
+    pass ``max(base, variant)``, the TP all-reduce of those rows and an
+    inter-node collective added after the fixed overhead (a sharded
+    group's; 0.0 on one node, which leaves every sum as it was)."""
 
     rows: int
     linear_s: float
     allreduce_s: float
+    internode_s: float = 0.0
 
 
 class IterationCostModel:
@@ -265,12 +266,6 @@ class IterationCostModel:
         self._lora_memo[key] = total
         return total
 
-    def _attention(self, context_tokens: int, new_tokens: int) -> float:
-        """KV-cache read/write traffic (memory-bound decode attention)."""
-        kv_read = context_tokens * self._kv_bytes_per_token / self.tp
-        kv_write = new_tokens * self._kv_bytes_per_token / self.tp
-        return (kv_read + kv_write) / self.gpu.hbm_bytes_per_s
-
     def _allreduce(self, m: int) -> float:
         if self.tp == 1 or m == 0:
             return 0.0
@@ -328,12 +323,12 @@ class IterationCostModel:
     def plan_time(self, plan: LinearPlan, context_tokens: int) -> float:
         """The context-dependent part: attention over ``context_tokens``
         on top of a :meth:`linear_plan`."""
-        m_total, linear, allreduce = plan
+        m_total, linear, allreduce, internode = plan
         if m_total == 0:
             return 0.0
-        return _iteration_s(linear, allreduce, m_total, context_tokens,
-                            self._kv_bytes_per_token, self.tp,
-                            self.gpu.hbm_bytes_per_s)
+        return _iteration_s(linear, allreduce, internode, m_total,
+                            context_tokens, self._kv_bytes_per_token,
+                            self.tp, self.gpu.hbm_bytes_per_s)
 
     def plan_run(self, plan: LinearPlan, context_tokens: int, growth: int,
                  n: int, start_s: float,
@@ -344,7 +339,7 @@ class IterationCostModel:
         ``limit_s``: each time is :meth:`plan_time` of its context.
         Returns the times and the clock after the last, added one by one
         as a ``tick`` per iteration would."""
-        m_total, linear, allreduce = plan
+        m_total, linear, allreduce, internode = plan
         kv, tp, hbm = self._kv_bytes_per_token, self.tp, \
             self.gpu.hbm_bytes_per_s
         times: List[float] = []
@@ -353,41 +348,29 @@ class IterationCostModel:
         for _ in range(n):
             if now >= limit_s:
                 break
-            iter_time = _iteration_s(linear, allreduce, m_total, context,
-                                     kv, tp, hbm)
+            iter_time = _iteration_s(linear, allreduce, internode, m_total,
+                                     context, kv, tp, hbm)
             now += iter_time
             times.append(iter_time)
             context += growth
         return times, now
 
-    def fullmodel_iteration_time(
-        self,
-        rows_per_model: Dict[str, int],
-        context_tokens: int,
-        prefill_tokens_per_model: Optional[Dict[str, int]] = None,
-    ) -> float:
+    def fullmodel_plan(self, batch: BatchComposition) -> LinearPlan:
         """vLLM-SCB baseline: loop over resident models, dense pass each.
 
         Batches within a model, but each model's pass is a separate series
-        of dense kernels (no cross-model batching).
+        of dense kernels (no cross-model batching), so the plan's linear
+        term is the sum of every model's base pass and all-reduce.
         """
-        prefill = prefill_tokens_per_model or {}
-        models = set(rows_per_model) | set(prefill)
-        if not models:
-            return 0.0
+        decode = batch.decode_per_delta
+        prefill = batch.prefill_tokens_per_delta
         total = 0.0
-        any_rows = False
+        m_total = 0
         # sorted: set order is hash-randomized across processes, and the
         # per-model pass times feed a non-associative float sum
-        for model_id in sorted(models):
-            m = rows_per_model.get(model_id, 0) + prefill.get(model_id, 0)
-            if m == 0:
-                continue
-            any_rows = True
+        for model_id in sorted(decode.keys() | prefill.keys()):
+            m = decode.get(model_id, 0) + prefill.get(model_id, 0)
             total += self._base_pass(m)
             total += self._allreduce(m)
-        if not any_rows:
-            return 0.0
-        new_tokens = sum(rows_per_model.values()) + sum(prefill.values())
-        total += self._attention(context_tokens, new_tokens)
-        return total + _ITERATION_OVERHEAD_S
+            m_total += m
+        return LinearPlan(m_total, total, 0.0)

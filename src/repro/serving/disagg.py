@@ -36,7 +36,7 @@ disaggregation off (nothing in this module runs unless constructed).
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..hardware.cluster import GPUNode
@@ -44,10 +44,10 @@ from ..hardware.interconnect import InterconnectModel
 from ..sim import KvTransfer, PhaseTransition
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
-from .base import (Admission, EngineConfig, ServingEngine, register_engine)
+from .base import EngineConfig, ServingEngine, register_engine
 from .cluster import (ConversationAffinityBalancer, LeastOutstandingBalancer,
                       LoadBalancer)
-from .costs import BatchComposition
+from .costs import BatchComposition, LinearPlan
 from .engine import DeltaZipEngine
 from .kv_transfer import plan_kv_transfer
 from .metrics import EngineStats
@@ -117,7 +117,6 @@ class _PrefillWorker(_PoolWorker):
         batch = self._compose(admitted)
         if batch.empty:
             return None
-        self._last_batch = batch
         chunk = self.owner.prefill_chunk_tokens
         if batch.decode_per_delta or batch.prefill_tokens <= chunk:
             return self.cost.iteration_time(batch, self.config.variant_kind)
@@ -278,12 +277,7 @@ class DisaggregatedEngine(ServingEngine):
     # class's ``self.stats = EngineStats()`` in reset() is a no-op here
     @property
     def stats(self) -> EngineStats:
-        agg = EngineStats()
-        for worker in self._all_workers():
-            ws = worker.stats
-            for f in dataclass_fields(EngineStats):
-                setattr(agg, f.name,
-                        getattr(agg, f.name) + getattr(ws, f.name))
+        agg = EngineStats.total(w.stats for w in self._all_workers())
         agg.kv_transfers += self._kv_transfers
         agg.kv_transfer_bytes += self._kv_transfer_bytes
         agg.kv_transfer_s += self._kv_transfer_s
@@ -429,14 +423,15 @@ class DisaggregatedEngine(ServingEngine):
         return True
 
     def run_until_drained(self) -> None:
-        """The base drain loop, letting the least decode worker coast up
-        to :meth:`_horizon` before it is stepped, and the decode worker a
-        ``step()`` advanced after it (prefill workers price through their
-        own ``iteration_cost``: never).  Only this loop does — ``_coast``
-        stays the base no-op, so under an outer layer, which reads this
-        engine through ``clock``, a ``step()`` is one worker iteration —
-        and not with a finish listener: a callback may submit "now",
-        which a worker that ran ahead would take late."""
+        """The base drain loop, letting the least worker coast up to
+        :meth:`_horizon` before it is stepped, and the worker a
+        ``step()`` advanced after it (a prefill worker's members finish
+        on its next iteration, so it never coasts).  Only this loop does
+        — the owner has no batch of its own to ``_coast``, so under an
+        outer layer, which reads this engine through ``clock``, a
+        ``step()`` is one worker iteration — and not with a finish
+        listener: a callback may submit "now", which a worker that ran
+        ahead would take late."""
         limit_s = self.config.max_sim_seconds
         if self.unfinished == 0 or self.clock >= limit_s:
             return
@@ -444,13 +439,12 @@ class DisaggregatedEngine(ServingEngine):
         while True:
             self._sync_hooks()              # a coast reads the hooks too
             worker = self._least_worker() if coast else None
-            if worker is None or worker.role != "decode" \
-                    or not self._coast_worker(worker):
+            if worker is None or not self._coast_worker(worker):
                 if not self.step():
                     break
                 worker = self._stepped
                 assert worker is not None   # step() moved somebody
-                if coast and worker.role == "decode":
+                if coast:
                     self._coast_worker(worker)
             if self.unfinished == 0:
                 break
@@ -479,7 +473,7 @@ class DisaggregatedEngine(ServingEngine):
         return True
 
     def _horizon(self, worker: _PoolWorker) -> float:
-        """The time no coasted iteration of decode ``worker`` may start
+        """The time no coasted iteration of ``worker`` may start
         at or after (its own next arrival, live cancel and first finish
         are inside ``_coast``).  Busy decode workers do not bound each
         other: independent timelines, and a coast finishes nobody."""
@@ -624,19 +618,6 @@ class DisaggregatedEngine(ServingEngine):
         return sum(w.backlog for w in self._all_workers()) + \
             len(self._in_transfer)
 
-    def has_queued(self) -> bool:
-        return any(w.has_queued() for w in self._all_workers())
-
-    def on_arrival(self, request: ServingRequest) -> None:
-        raise AssertionError("disagg routes at submit; no owner queue")
-
-    def admit(self) -> Admission:
-        raise AssertionError("disagg steps its pools; no owner admission")
-
-    def iteration_cost(self,
-                       admitted: List[ServingRequest]) -> Optional[float]:
-        raise AssertionError("disagg steps its pools; no owner iterations")
-
     def utilization(self) -> Dict[str, float]:
         workers = self._all_workers()
         batch = 0.0
@@ -726,20 +707,14 @@ class ShardedEngine(DeltaZipEngine):
         super().__init__(manager, node, scheduler_config,
                          replace(engine_config, tp_degree=tp))
 
-    def iteration_cost(self,
-                       admitted: List[ServingRequest]) -> Optional[float]:
-        cost = super().iteration_cost(admitted)
-        if cost is None or self._n_nodes <= 1:
-            return cost
-        batch = self._last_batch
-        assert batch is not None
-        rows = batch.decode_requests + batch.prefill_tokens
-        if rows <= 0:
-            return cost
+    def _linear_plan(self, batch: BatchComposition) -> LinearPlan:
+        plan = super()._linear_plan(batch)
+        if self._n_nodes <= 1 or plan.rows <= 0:
+            return plan
         spec = self.manager.spec
-        per_layer = self._link.allreduce_time(rows * spec.dim * FP16,
+        per_layer = self._link.allreduce_time(plan.rows * spec.dim * FP16,
                                               self._n_nodes)
-        return cost + 2 * spec.n_layers * per_layer
+        return plan._replace(internode_s=2 * spec.n_layers * per_layer)
 
     def result_config(self) -> Dict[str, object]:
         cfg = super().result_config()

@@ -37,11 +37,13 @@ from .costs import BatchComposition, IterationCostModel, LinearPlan
 from .model_manager import ArtifactKind, ModelManager
 from .prefix_cache import Chain, PrefixCache, prefix_block_keys
 from .request import ServingRequest
-from .scheduler import ContinuousBatchScheduler, SchedulerConfig
+from .scheduler import (ContinuousBatchScheduler, SchedulerConfig,
+                        SchedulingDecision)
 
 __all__ = ["EngineConfig", "DeltaZipEngine"]
 
-#: what a standing idle verdict admits (read-only: one instance serves all)
+#: what a standing idle verdict decides and admits (read-only, shared)
+_DECIDE_NOTHING = SchedulingDecision()
 _ADMIT_NOTHING = Admission()
 
 
@@ -92,10 +94,9 @@ class DeltaZipEngine(ServingEngine):
         self._cpu_ready_s: Dict[str, float] = {}  # async disk->cpu prefetch
         self._resident: "OrderedDict[str, int]" = OrderedDict()  # id -> bytes
         self._resident_bytes = 0
-        self._last_batch: Optional[BatchComposition] = None
         # steady-state memos: the (batch, scheduler) versions at which
         # schedule() last decided nothing, and the batch version whose
-        # pure-decode pricing ``_last_batch`` / ``_steady_plan`` hold.
+        # pure-decode plan ``_steady_plan`` holds.
         # Versions only grow, so a stale key can never match again.
         self._idle_admit_key: Optional[Tuple[int, int]] = None
         self._steady_version = -1
@@ -118,29 +119,37 @@ class DeltaZipEngine(ServingEngine):
         return self.scheduler.remove(request_id)
 
     # the steady-iteration precondition (README "The steady-state
-    # iteration") in two halves: admit, iteration_cost, _settle ask here
+    # iteration") in two halves: admit / _decide, and the plan's memo
     def _admits_nothing(self) -> bool:
         """Same batch, queue and resident set as the ``schedule()`` that
         decided nothing: it would decide nothing again."""
-        return (self.batch.version,
+        idle = (self.batch.version,
                 self.scheduler.version) == self._idle_admit_key
+        if idle and self._sanitize:
+            _sanitizer.check_steady_verdict(self.name, self.scheduler.decide(
+                self.batch, self._resident))
+        return idle
 
     def _rows_unchanged(self) -> bool:
-        """``_last_batch`` is this batch's pure-decode composition: the
-        rows are the same, only the attention context grew."""
+        """``_steady_plan`` prices this batch's pure-decode composition:
+        the rows are the same, only the attention context grew."""
         return self.batch.version == self._steady_version
 
     def admit(self) -> Admission:
-        batch = self.batch
         if self._admits_nothing():
-            # everything below is a no-op on an empty decision
-            if self._sanitize:
-                _sanitizer.check_steady_verdict(
-                    self.name, self.scheduler.schedule(batch, self._resident))
-            return _ADMIT_NOTHING
-        decision = self.scheduler.schedule(batch, self._resident)
+            return _ADMIT_NOTHING     # applying nothing is a no-op
+        return self._apply(self.scheduler.schedule(self.batch,
+                                                   self._resident))
+
+    def _decide(self) -> SchedulingDecision:
+        if self._admits_nothing():
+            return _DECIDE_NOTHING
+        return self.scheduler.decide(self.batch, self._resident)
+
+    def _apply(self, decision: SchedulingDecision) -> Admission:
+        batch = self.batch
         admitted = decision.admitted
-        if not admitted and not decision.new_deltas:
+        if not decision:
             # (a schedule() that admits nothing moves no version)
             self._idle_admit_key = (batch.version, self.scheduler.version)
         cache = self._prefix_cache
@@ -232,105 +241,20 @@ class DeltaZipEngine(ServingEngine):
             self.stats.blocked_admissions += 1
         return Admission(admitted=kept, load_time_s=load_time)
 
-    def iteration_cost(self, admitted: List[ServingRequest]) -> Optional[float]:
-        if not admitted and self._rows_unchanged():
-            cost = self.cost.plan_time(self._steady_plan,
-                                       self.batch.context_tokens)
-            if self._sanitize:
-                _sanitizer.check_steady_price(
-                    self.name, cost, self.cost.iteration_time(
-                        self._compose([]), self.config.variant_kind))
-            return cost
-        batch = self._compose(admitted)
-        if batch.empty:
-            return None
-        plan = self._keep_plan(batch, steady=not admitted)
-        return self.cost.plan_time(plan, batch.context_tokens)
+    def _linear_plan(self, batch: BatchComposition) -> LinearPlan:
+        return self.cost.linear_plan(batch, self.config.variant_kind)
 
-    def _keep_plan(self, batch: BatchComposition,
-                   steady: bool) -> LinearPlan:
-        """Make ``batch`` the last composition and keep its linear-pass
-        plan; ``steady`` (nothing admitted) lets it stand for every
-        pure-decode iteration of this batch version."""
-        self._last_batch = batch
-        self._steady_version = self.batch.version if steady else -1
-        plan = self._steady_plan = self.cost.linear_plan(
-            batch, self.config.variant_kind)
-        return plan
-
-    def _settle(self) -> bool:
-        """Do what an iteration's :meth:`admit` and :meth:`iteration_cost`
-        would when ``schedule()`` decides nothing: set the verdict, touch
-        the LRU, price the pure-decode rows.  False, moving nothing, when
-        it would decide something."""
-        if not self._admits_nothing():
-            if self.scheduler.admits_or_loads(self.batch, self._resident):
-                return False
-            self._idle_admit_key = (self.batch.version,
-                                    self.scheduler.version)
-            self._touch_active(self._resident, [], False)
+    def _decode_plan(self) -> LinearPlan:
         if not self._rows_unchanged():
-            self._keep_plan(self._compose([]), steady=True)
-        return True
-
-    def _coast(self, limit_s: float) -> None:
-        """Run the iterations up to the next membership change in one
-        pass.  While ``schedule()`` decides nothing (:meth:`_settle` asks,
-        and does what a step would have done on the way), an iteration
-        prices as ``plan_time`` of a context that grew by ``len(batch)``;
-        it finishes nobody before the first finish bucket, and ingests
-        nothing if it starts before the next arrival or live cancel
-        (:meth:`step` ingests ``time <= now``).  All it then does is move
-        the clock, the epoch ledger and ``stats`` — unless somebody
-        listens per iteration, or a subclass admits or prices through
-        its own hooks (terms this pass cannot know): such engines do not
-        coast.  ``limit_s`` is the calling drain loop's horizon (events
-        only it can see: a cluster's next routing point, a disagg
-        owner's prefill frontier); the engine's own wake and first
-        finish are bounded here."""
-        batch = self.batch
-        cls = type(self)
-        if not batch.requests or self.on_token is not None \
-                or self.on_event is not None \
-                or cls.iteration_cost is not DeltaZipEngine.iteration_cost \
-                or cls.admit is not DeltaZipEngine.admit:
-            return
-        n = batch.next_finish_epoch() - 1 - batch.epoch
-        if n <= 0:
-            return                    # the next iteration retires someone
-        wake = self._next_wake()
-        if wake is not None and wake < limit_s:
-            limit_s = wake
-        start_s = self._sim.now
-        if start_s >= limit_s or not self._settle():
-            return
-        times, now = self.cost.plan_run(
-            self._steady_plan, batch.context_tokens, len(batch.requests), n,
-            start_s, limit_s)
-        batch.advance_run(times)
-        self._sim.advance(now)
-        self._count_iterations(len(times), len(batch.requests))
-        if self._sanitize:
-            _sanitizer.check_coast_run(
-                self, self.scheduler.schedule(batch, self._resident),
-                start_s, times)
-
-    def on_iteration(self, iter_time: float, load_time: float,
-                     admitted: List[ServingRequest]) -> None:
-        self.stats.total_load_s += load_time
-        self._count_iterations(1, len(self.batch) + len(admitted))
-
-    def _count_iterations(self, n: int, batch_size: int) -> None:
-        """``n`` executed iterations of ``_last_batch``'s composition."""
-        decode = self._last_batch.decode_per_delta
-        n_deltas = len(decode)
-        for delta_id in self._last_batch.prefill_tokens_per_delta:
-            if delta_id not in decode:
-                n_deltas += 1
-        stats = self.stats
-        stats.iterations += n
-        stats.batched_requests += n * batch_size
-        stats.batched_deltas += n * n_deltas
+            self._steady_version = self.batch.version
+            self._steady_plan = self._linear_plan(self._compose([]))
+        elif self._sanitize:
+            context = self.batch.context_tokens
+            _sanitizer.check_steady_price(
+                self.name, self.cost.plan_time(self._steady_plan, context),
+                self.cost.plan_time(self._linear_plan(self._compose([])),
+                                    context))
+        return self._steady_plan
 
     def retire(self, newly_done: List[ServingRequest]) -> float:
         if self._prefix_cache is not None and newly_done:

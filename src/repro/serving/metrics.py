@@ -25,7 +25,7 @@ and counters instead, within the sketch's documented relative error
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +61,15 @@ class EngineStats:
     kv_transfers: int = 0           # prefill→decode KV moves (disagg)
     kv_transfer_bytes: int = 0      # bytes that crossed the pool link
     kv_transfer_s: float = 0.0      # priced interconnect occupancy
+
+    @classmethod
+    def total(cls, parts: Iterable["EngineStats"]) -> "EngineStats":
+        """Field-by-field sum of ``parts``, added in order."""
+        out = cls()
+        for part in parts:
+            for name, value in vars(part).items():
+                setattr(out, name, getattr(out, name) + value)
+        return out
 
     @property
     def prefix_hit_rate(self) -> float:

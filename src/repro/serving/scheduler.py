@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import insort_right
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Container, Dict, List, Mapping, Optional,
-                    Sequence, Set)
+                    Sequence, Set, Tuple)
 
 from .request import RequestState, ServingRequest
 
@@ -64,11 +64,20 @@ class SchedulerConfig:
 
 @dataclass
 class SchedulingDecision:
-    """What to admit this iteration."""
+    """What to admit this iteration; falsy when it admits and loads
+    nothing.  The commit names each ``skipped`` (skip-the-line) request's
+    parent (None: none) and leaves ``queue`` queued (None: the queue
+    minus its admitted head)."""
 
     admitted: List[ServingRequest] = field(default_factory=list)
     selected_deltas: Set[str] = field(default_factory=set)
     new_deltas: List[str] = field(default_factory=list)  # need loading
+    skipped: List[Tuple[ServingRequest, Optional[int]]] = \
+        field(default_factory=list)
+    queue: Optional[List[ServingRequest]] = None
+
+    def __bool__(self) -> bool:
+        return bool(self.admitted or self.new_deltas)
 
 
 class ContinuousBatchScheduler:
@@ -77,10 +86,11 @@ class ContinuousBatchScheduler:
     ``version`` moves on every queue mutation (an insert, a ``remove``
     that hits, a ``schedule`` that admits) — the twin of
     :attr:`RunningBatch.version <repro.serving.base.RunningBatch>`.
-    :meth:`schedule` is a pure function of the config, the queue, the
-    running batch's per-variant counts and size, and the resident set,
-    so a caller that saw it admit nothing may skip it while both
-    versions (and the resident set) stand.
+    :meth:`schedule` commits what :meth:`decide` returns; the decision
+    is a pure function of the config, the queue, the running batch's
+    per-variant counts and size, and the resident set, so a caller that
+    saw it admit nothing may skip it while both versions (and the
+    resident set) stand.
     """
 
     def __init__(self, config: SchedulerConfig):
@@ -142,7 +152,25 @@ class ContinuousBatchScheduler:
     # ------------------------------------------------------------------ #
     def schedule(self, running: "RunningBatch",
                  resident_deltas: Container[str]) -> SchedulingDecision:
-        """Admit queued requests alongside the already-running batch.
+        """Admit queued requests alongside the already-running batch:
+        :meth:`decide`, then mark the skip-the-line admissions and take
+        the admitted out of the queue."""
+        decision = self.decide(running, resident_deltas)
+        if decision.admitted:
+            for req, parent_id in decision.skipped:
+                req.skipped_line = True
+                if parent_id is not None:
+                    req.parent_id = parent_id
+            if decision.queue is None:
+                del self._queue[:len(decision.admitted)]
+            else:
+                self._queue = decision.queue
+            self.version += 1
+        return decision
+
+    def decide(self, running: "RunningBatch",
+               resident_deltas: Container[str]) -> SchedulingDecision:
+        """What :meth:`schedule` would admit and load, moving nothing.
 
         ``running`` requests keep their slots; their variants count toward
         N.  ``resident_deltas`` is used only to report which selected
@@ -154,36 +182,7 @@ class ContinuousBatchScheduler:
         capacity = cfg.max_batch_requests - len(running.requests)
         if capacity <= 0:
             return decision
-        if self._queue:
-            self._admit_queued(running, decision, capacity)
-        decision.new_deltas = sorted(
-            d for d in selected if d not in resident_deltas)
-        return decision
-
-    def admits_or_loads(self, running: "RunningBatch",
-                        resident_deltas: Container[str]) -> bool:
-        """``bool(d.admitted or d.new_deltas)`` for the ``d`` that
-        :meth:`schedule` would return, without deciding it: moves no
-        version, reorders nothing.  With a free slot, the first queued
-        request in admission order is admitted when fewer than N variants
-        are selected, else the first one of a running variant is — the
-        order never matters — and any running variant that is not
-        resident is loaded."""
-        if self.config.max_batch_requests <= len(running.requests):
-            return False
-        selected = running.per_model
-        if any(delta not in resident_deltas for delta in selected):
-            return True
-        return bool(self._queue) and (
-            len(selected) < self.config.max_concurrent_deltas
-            or any(req.model_id in selected for req in self._queue))
-
-    def _admit_queued(self, running: "RunningBatch",
-                      decision: SchedulingDecision, capacity: int) -> None:
-        cfg = self.config
-        selected = decision.selected_deltas
         admitted = decision.admitted
-        max_deltas = cfg.max_concurrent_deltas
         # admission order: FCFS, or (priority desc, arrival) when the
         # operator configured per-model priorities (§8)
         if cfg.model_priorities is None:
@@ -206,39 +205,43 @@ class ContinuousBatchScheduler:
                 break
             delta = req.model_id
             if delta not in selected:
-                if len(selected) >= max_deltas:
+                if len(selected) >= cfg.max_concurrent_deltas:
                     if kept is None:
                         kept = []
                     kept.append(req)
                     continue
                 selected.add(delta)
             if kept is not None:
-                req.skipped_line = True
+                parent_id = None
                 if cfg.preemption:
                     if parent_of is None:
                         parent_of = self._earliest_per_model(
                             running.requests, admitted)
                     parent = parent_of.get(delta)
                     if parent is not None:
-                        req.parent_id = parent.request_id
+                        parent_id = parent.request_id
                     else:
                         parent_of[delta] = req
+                decision.skipped.append((req, parent_id))
             admitted.append(req)
             capacity -= 1
-        if not admitted:
-            return                       # queue untouched
-        if kept is None:
-            del order[:n_walked]         # only the head was admitted: pop it
-            kept = order
-        else:
-            kept.extend(order[n_walked:])
-        if cfg.model_priorities is not None:
-            # priority order interleaves arrivals; restore FCFS.  In the
-            # plain-FCFS path kept is a subsequence of the already
-            # FCFS-ordered queue, so it is sorted by construction.
-            kept.sort(key=self._fcfs_key)
-        self._queue = kept
-        self.version += 1
+        # only the head of the FCFS queue admitted: the commit pops it in
+        # place (no O(queue) copy per admission); else the queue to keep
+        if admitted and (kept is not None or order is not self._queue):
+            if kept is None:
+                kept = order             # a private priority-ordered copy
+                del kept[:n_walked]
+            else:
+                kept.extend(order[n_walked:])
+            if cfg.model_priorities is not None:
+                # priority order interleaves arrivals; restore FCFS.  In
+                # the plain-FCFS path kept is a subsequence of the already
+                # FCFS-ordered queue, so it is sorted by construction.
+                kept.sort(key=self._fcfs_key)
+            decision.queue = kept
+        decision.new_deltas = sorted(
+            d for d in selected if d not in resident_deltas)
+        return decision
 
     def _earliest_per_model(
             self, running: Sequence[ServingRequest],

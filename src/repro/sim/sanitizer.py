@@ -389,12 +389,12 @@ def check_epoch_member(req: Any, tokens: int, inference: float) -> None:
 
 
 def check_steady_verdict(engine: str, decision: Any) -> None:
-    """An engine reused its "admit nothing" verdict: a fresh
-    ``schedule()`` over the same batch and queue must agree."""
-    if decision.admitted or decision.new_deltas:
+    """An engine took "admit nothing" as its admission verdict: a fresh
+    decision over the same batch and queue must agree."""
+    if decision:
         raise _violation(
             f"steady-state memo of engine {engine!r} drifted in the "
-            f"admission verdict: a fresh schedule() admits "
+            f"admission verdict: a fresh decision admits "
             f"{[r.request_id for r in decision.admitted]} and loads "
             f"{decision.new_deltas}")
 
@@ -410,21 +410,22 @@ def check_steady_price(engine: str, reused: float, recomposed: float) -> None:
             f"{reused!r}s, the recomposed batch at {recomposed!r}s")
 
 
-def check_coast_run(engine: Any, decision: Any, start: float,
+def check_coast_run(engine: Any, start: float,
                     prices: Sequence[float]) -> None:
     """An engine coasted ``len(prices)`` iterations from clock ``start``;
-    ask what a ``step()`` per iteration would have asked.  ``decision``
-    is a fresh ``schedule()`` over the (unchanged) batch and queue: it
-    must admit and load nothing, whether the run reused a step's verdict
-    or the coast settled it through ``admits_or_loads``."""
-    check_steady_verdict(engine.name, decision)
+    ask what a ``step()`` per iteration would have asked, of any engine:
+    its fresh pure admission decision (``_decide``) over the unchanged
+    batch and queue is empty, and each price ``==`` a freshly built plan
+    of the pure-decode composition at that iteration's context."""
+    check_steady_verdict(engine.name, engine._decide())
     batch = engine.batch
     composed = engine._compose([])
-    composed.context_tokens -= len(prices) * len(batch.requests)
+    plan = engine._linear_plan(composed)
+    context = composed.context_tokens - len(prices) * len(batch.requests)
     for price in prices:
-        check_steady_price(engine.name, price, engine.cost.iteration_time(
-            composed, engine.config.variant_kind))
-        composed.context_tokens += len(batch.requests)
+        check_steady_price(engine.name, price,
+                           engine.cost.plan_time(plan, context))
+        context += len(batch.requests)
         last_start, start = start, start + price
     done = [r.request_id for r in batch.requests if r.done]
     if done:

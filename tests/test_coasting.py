@@ -75,7 +75,7 @@ def drained(make, trace, cancels=(), coasting=True):
             pass
     result = engine.build_result()
     return {"records": [tuple(r) for r in result.records],
-            "stats": asdict(engine.stats) if engine.include_stats else None,
+            "stats": asdict(engine.stats),
             "clock": engine.clock, "unfinished": engine.unfinished,
             "sink": sink_state(engine.metrics)
             if engine.name != "dedicated" else None}, steps.calls, engine
@@ -104,7 +104,7 @@ def assert_same_drain(make, trace, cancels=()):
 
 
 # --------------------------------------------------------------------- #
-# differential: every flavour that may coast, and those that never do
+# differential: every engine flavour coasts the same as it steps
 # --------------------------------------------------------------------- #
 def mid_run_aborts(trace):
     """Client cancels in the middle of long decodes (inside what would be
@@ -165,26 +165,44 @@ def test_other_variant_kinds(kind):
 
 
 @pytest.mark.parametrize("n_nodes", [1, 2])
-def test_sharded_prices_through_its_own_iteration_cost(n_nodes):
-    """``ShardedEngine`` overrides ``iteration_cost`` (the inter-node
-    surcharge), which a coasted iteration would not call: it declines."""
+def test_sharded_coasts_with_its_surcharge_in_the_plan(n_nodes):
+    """``ShardedEngine``'s inter-node all-reduce is the last term of its
+    plan, so a coasted iteration prices it as a step does."""
     _, coasted_steps, stepped_steps, _ = assert_same_drain(
         lambda: build("sharded", tp=2, n_nodes=n_nodes), long_decodes(n=24))
-    assert coasted_steps == stepped_steps
+    assert coasted_steps < stepped_steps
 
 
+@pytest.mark.parametrize("quantum", [None, 0.05], ids=["skip", "dense"])
+@pytest.mark.parametrize("aborts", [False, True], ids=["clean", "aborts"])
 @pytest.mark.parametrize("name", ["vllm-scb", "dedicated"])
-def test_engines_without_a_steady_state_never_coast(name):
-    _, coasted_steps, stepped_steps, _ = assert_same_drain(
-        lambda: build(name), long_decodes(n=24))
-    if name != "dedicated":       # which drains its groups, not itself
-        assert coasted_steps == stepped_steps
+def test_full_model_engines_coast(name, aborts, quantum, monkeypatch):
+    """vLLM-SCB (and each dedicated group, one per variant) coasts
+    through the iterations whose admission decides nothing: no head
+    swap, no FCFS admission."""
+    trace, cancels = long_decodes(n=24), ()
+    if aborts:
+        trace, cancels = mid_run_aborts(trace)
+    group_steps = []
+    step = ENGINES["vllm-scb"].step
+
+    def counted(engine):
+        group_steps.append(engine)
+        return step(engine)
+    monkeypatch.setattr(ENGINES["vllm-scb"], "step", counted)
+    coasted, _, _, engine = assert_same_drain(
+        lambda: build(name, idle_quantum_s=quantum), trace, cancels)
+    group_steps.clear()
+    coasted_again, _, _ = drained(
+        lambda: build(name, idle_quantum_s=quantum), trace, cancels)
+    assert coasted_again == coasted
+    assert 0 < len(group_steps) < engine.stats.iterations
 
 
 def test_disagg_coasts_its_decode_workers_and_never_a_prefill_worker():
-    """Was the ``disagg`` row of the test above ("never coasts") until the
-    engine's drain loop began passing its horizon down to the decode
-    workers; the ``assert_same_drain`` equality is the same."""
+    """The engine's drain loop passes its horizon down to every worker;
+    a prefill worker's members ask for one token each, so its next
+    iteration always finishes somebody and it never coasts."""
     made = []
 
     def make():

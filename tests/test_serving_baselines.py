@@ -5,9 +5,11 @@ import pytest
 
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.hardware.memory import Tier
-from repro.serving import (ClusterGateway, DedicatedEngine, EngineConfig,
-                           LLAMA_13B, LLAMA_7B, ModelManager, VLLMSCBEngine)
+from repro.serving import (ENGINES, ClusterGateway, DedicatedEngine,
+                           EngineConfig, LLAMA_13B, LLAMA_7B, ModelManager,
+                           SchedulerConfig, VLLMSCBEngine, create_engine)
 from repro.serving.base import FULL_MODEL_LOADER_FACTOR
+from repro.sim import IterationDone
 from repro.workload.spec import Trace, TraceRequest
 
 
@@ -128,3 +130,91 @@ class TestDedicated:
         gateway.run_until_drained()
         assert gateway.results_by_replica()[replica.name].n_requests == 1
         assert late.record().first_token_s > spawned_at
+
+
+# --------------------------------------------------------------------- #
+# counters: the full-model engines count what they do
+# --------------------------------------------------------------------- #
+def swapping_trace(n=18):
+    """Three variants on a one-slot GPU, outputs long enough to decode
+    between arrivals: every model switch is a swap and an eviction."""
+    requests = [TraceRequest(request_id=i, model_id=f"m{i % 3}",
+                             arrival_s=0.7 * i, prompt_tokens=16 + i,
+                             output_tokens=20 + (13 * i) % 50)
+                for i in range(n)]
+    return Trace(requests=requests, model_ids=["m0", "m1", "m2"],
+                 duration_s=0.7 * n)
+
+
+def scb_engine():
+    return VLLMSCBEngine(full_manager(LLAMA_7B, ["m0", "m1", "m2"]),
+                         GPUNode(node_from_name("rtx3090", 1)),
+                         EngineConfig(tp_degree=1))
+
+
+def stats_fields(stats):
+    return {f: getattr(stats, f) for f in vars(stats)}
+
+
+class TestFullModelStats:
+    def test_scb_stats_equal_a_recount(self):
+        """Heard per iteration (stepped), every counter is a recount of
+        the events and the swaps; drained quietly (coasted), the
+        counters are the same, field for field."""
+        heard = scb_engine()
+        done = []
+        loads = []
+        load_time = heard.node.load_time
+
+        def counted_load(*args):
+            loads.append(args)
+            return load_time(*args)
+        heard.node.load_time = counted_load
+        heard.on_event = lambda e: done.append(e) \
+            if isinstance(e, IterationDone) else None
+        heard.run(swapping_trace())
+        stats = heard.stats
+        assert stats.iterations == len(done) > 0
+        assert stats.batched_requests == \
+            sum(e.n_running + e.n_finished for e in done)
+        assert stats.total_load_s == sum(e.load_time_s for e in done) > 0.0
+        assert stats.swap_ins == len(loads) > 3
+        assert stats.evictions == stats.swap_ins - len(heard._resident)
+        assert stats.batched_deltas >= stats.iterations
+        quiet = scb_engine()
+        result = quiet.run(swapping_trace())
+        assert stats_fields(quiet.stats) == stats_fields(stats)
+        assert result.stats is None           # results carry no stats
+
+    def test_dedicated_stats_sum_its_groups(self):
+        engine = DedicatedEngine(full_manager(LLAMA_7B, ["m0", "m1", "m2"]),
+                                 GPUNode(node_from_name("a800", 1)),
+                                 EngineConfig(tp_degree=1))
+        result = engine.run(swapping_trace())
+        groups = [engine._groups[m].stats for m in sorted(engine._groups)]
+        assert len(groups) == 3
+        for field, total in stats_fields(engine.stats).items():
+            assert total == sum(getattr(g, field) for g in groups), field
+        assert engine.stats.iterations > 0
+        assert engine.stats.swap_ins == 0     # every group starts warm
+        assert result.stats is None
+
+
+@pytest.mark.parametrize("name", ["vllm-scb", "dedicated", "deltazip"])
+def test_backlog_counts_only_arrived_requests(name):
+    """Six requests arriving at t = 100 s are not backlog at t = 0."""
+    mgr = ModelManager(LLAMA_7B)
+    mgr.register_base("base")
+    for m in ("m0", "m1"):
+        ENGINES[name].register_variant(mgr, m, "base", 8.0)
+    engine = create_engine(name, mgr, GPUNode(node_from_name("a800", 1)),
+                           scheduler_config=SchedulerConfig(),
+                           engine_config=EngineConfig(tp_degree=1))
+    for i in range(6):
+        engine.submit(TraceRequest(request_id=i, model_id=f"m{i % 2}",
+                                   arrival_s=100.0, prompt_tokens=8,
+                                   output_tokens=4))
+    assert engine.unfinished == 6
+    assert engine.backlog == 0
+    engine.clock = 100.0
+    assert engine.backlog == 6

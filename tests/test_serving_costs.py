@@ -19,6 +19,7 @@ linear — are ``==`` on floats, never ``approx``:
 from __future__ import annotations
 
 import random
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,41 @@ def ref_lora_pass(model, rows):
     return total * model.spec.n_layers
 
 
+def ref_attention(model, context_tokens, new_tokens):
+    """KV-cache read/write traffic (memory-bound decode attention)."""
+    kv = model.spec.kv_bytes_per_token()
+    kv_read = context_tokens * kv / model.tp
+    kv_write = new_tokens * kv / model.tp
+    return (kv_read + kv_write) / model.gpu.hbm_bytes_per_s
+
+
+def ref_fullmodel_time(model, rows_per_model, context_tokens,
+                       prefill_tokens_per_model=None):
+    """vLLM-SCB's loop over resident models, one dense pass each, as the
+    scalar formula it was written as before it became a plan."""
+    prefill = prefill_tokens_per_model or {}
+    models = set(rows_per_model) | set(prefill)
+    total = 0.0
+    any_rows = False
+    for model_id in sorted(models):
+        m = rows_per_model.get(model_id, 0) + prefill.get(model_id, 0)
+        if m == 0:
+            continue
+        any_rows = True
+        total += ref_base_pass(model, m)
+        total += model._allreduce(m)
+    if not any_rows:
+        return 0.0
+    new_tokens = sum(rows_per_model.values()) + sum(prefill.values())
+    total += ref_attention(model, context_tokens, new_tokens)
+    return total + 2e-3
+
+
+def fullmodel_time(model, rows_per_model, context_tokens, prefill=None):
+    return model.plan_time(model.fullmodel_plan(BatchComposition(
+        rows_per_model, prefill or {}, context_tokens)), context_tokens)
+
+
 ROW_SETS = ([1], [3, 0, 5], [8, 8, 8, 8], [1, 2, 3, 4, 5, 6, 7, 8],
             [100, 1], [0, 0, 7])
 M_VALUES = (1, 3, 17, 64, 100, 4096)
@@ -133,14 +169,14 @@ class TestCostModelBitExact:
         assert (ar > 0.0) == (tp > 1)
 
         def scalar(context_tokens):
-            attn = model._attention(context_tokens, 104)
+            attn = ref_attention(model, context_tokens, 104)
             return max(base, variant) + attn + ar + 2e-3
 
         assert model.iteration_time(batch, kind) == scalar(2048)
         # the engine's steady-state path: one plan from the composition,
         # then only attention re-priced as the context grows
         plan = model.linear_plan(batch, kind)
-        assert plan == (104, max(base, variant), ar)
+        assert plan == (104, max(base, variant), ar, 0.0)
         for context_tokens in (2048, 2049, 2048 + 104, 10 ** 6):
             assert model.plan_time(plan, context_tokens) == \
                 scalar(context_tokens)
@@ -188,8 +224,7 @@ class TestIterationCostModel:
         cm = self.make()
         decode = {f"m{i}": 2 for i in range(8)}
         decoupled = cm.iteration_time(self.batch(decode, context=1600))
-        scb = cm.fullmodel_iteration_time({f"m{i}": 2 for i in range(8)},
-                                          context_tokens=1600)
+        scb = fullmodel_time(cm, {f"m{i}": 2 for i in range(8)}, 1600)
         assert decoupled < scb / 2
 
     def test_single_variant_overhead_modest(self):
@@ -197,7 +232,7 @@ class TestIterationCostModel:
         dense pass (base GEMM dominates; delta rides along)."""
         cm = self.make()
         dec = cm.iteration_time(self.batch({"m0": 8}, context=800))
-        full = cm.fullmodel_iteration_time({"m0": 8}, context_tokens=800)
+        full = fullmodel_time(cm, {"m0": 8}, 800)
         assert dec < 2.0 * full
 
     def test_lora_variant_cheaper_than_delta(self):
@@ -255,7 +290,8 @@ def ref_iteration_time(model, rows, kind, context_tokens):
     variant = {"delta": ref_delta_pass, "lora": ref_lora_pass,
                "none": lambda model, rows: 0.0}[kind](model, rows)
     return max(ref_base_pass(model, m), variant) \
-        + model._attention(context_tokens, m) + model._allreduce(m) + 2e-3
+        + ref_attention(model, context_tokens, m) + model._allreduce(m) \
+        + 2e-3
 
 
 def batch_of(rows, context_tokens=0):
@@ -284,6 +320,30 @@ class TestPassesMatchReference:
             for kind in ("delta", "lora", "none"):
                 assert model.iteration_time(batch_of(rows, context), kind) \
                     == ref_iteration_time(model, rows, kind, context)
+
+    @settings(max_examples=300, deadline=None)
+    @given(decode=st.dictionaries(st.sampled_from("abcdefgh"),
+                                  st.integers(1, 64), max_size=6),
+           prefill=st.dictionaries(st.sampled_from("abcdefgh"),
+                                   st.integers(1, 4096), max_size=4),
+           tp=st.sampled_from([1, 2, 4]), spec=st.sampled_from(sorted(SPECS)),
+           gpu=st.sampled_from(sorted(GPUS)),
+           context=st.integers(0, 10 ** 6), growth=st.integers(0, 64))
+    def test_the_full_model_plan_is_the_full_model_formula(
+            self, decode, prefill, tp, spec, gpu, context, growth):
+        """vLLM-SCB's price as a plan, ``LinearPlan(rows, sum of (base +
+        all-reduce), 0.0)``, == the per-model loop it replaced, at the
+        step's context and along a coasted run's."""
+        model = IterationCostModel(SPECS[spec], GPUS[gpu], tp_degree=tp)
+        plan = model.fullmodel_plan(BatchComposition(decode, prefill,
+                                                     context))
+        assert model.plan_time(plan, context) == \
+            ref_fullmodel_time(model, decode, context, prefill)
+        if plan.rows:
+            times, _ = model.plan_run(plan, context, growth, 3, 0.0, inf)
+            assert times == [ref_fullmodel_time(model, decode,
+                                                context + i * growth,
+                                                prefill) for i in range(3)]
 
 
 def ref_sbmm_compose(per_delta, n_requests, gpu, impl):

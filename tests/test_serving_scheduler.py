@@ -12,6 +12,8 @@ from repro.serving.request import RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchScheduler, SchedulerConfig
 from repro.workload.spec import TraceRequest
 
+import reference_scheduler
+
 
 def make_request(rid, model, arrival=0.0, prompt=8, output=4):
     return ServingRequest(trace=TraceRequest(
@@ -189,36 +191,72 @@ class TestConservation:
         assert len({r.model_id for r in decision.admitted}) <= n
 
 
-class TestAdmitsOrLoads:
-    """The coast's verdict query == ``schedule()``'s, undecided."""
+def draw_state(draw):
+    """A scheduler over a drawn queue (adds and preemption reinserts,
+    simultaneous arrivals, optional priorities), a running batch and a
+    resident set that may miss a running variant."""
+    models = [f"m{i}" for i in range(5)]
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    priorities = draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(models), st.integers(-2, 2))))
+    sched = ContinuousBatchScheduler(SchedulerConfig(
+        k, n, preemption=draw(st.booleans()), model_priorities=priorities))
+    picks = st.lists(st.sampled_from(models), max_size=k + 2)
+    running = RunningBatch([make_request(100 + i, m, arrival=0.25 * i)
+                            for i, m in enumerate(draw(picks))])
+    for rid, model in enumerate(draw(st.lists(st.sampled_from(models),
+                                              max_size=10))):
+        arrival = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        if draw(st.booleans()):
+            sched.reinsert(make_request(rid, model, arrival))
+        else:
+            sched.add(make_request(rid, model, arrival))
+    resident = set(draw(st.lists(st.sampled_from(models))))
+    return sched, running, resident
+
+
+def flags(requests):
+    return [(r.request_id, r.parent_id, r.skipped_line, r.state)
+            for r in requests]
+
+
+class TestScheduleDifferential:
+    """``schedule()`` == the one-pass oracle in
+    ``tests/reference_scheduler.py`` on a deep copy of the same state."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_schedule_matches_the_reference(self, data):
+        sched, running, resident = draw_state(data.draw)
+        twin, twin_running = deepcopy((sched, running))
+        got = sched.schedule(running, resident)
+        want = reference_scheduler.schedule(twin, twin_running, resident)
+        assert flags(got.admitted) == flags(want.admitted)
+        assert got.new_deltas == want.new_deltas
+        assert got.selected_deltas == want.selected_deltas
+        assert flags(sched.queued) == flags(twin.queued)
+        assert sched.version == twin.version
+
+
+class TestDecideIsPure:
+    """The decide step is the decision ``schedule()`` commits, and it
+    moves nothing: the queue (its identity and order), ``version`` and
+    every request's flags stand."""
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_agrees_with_a_schedule_on_a_copy(self, data):
-        draw = data.draw
-        models = [f"m{i}" for i in range(5)]
-        k, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-        priorities = draw(st.one_of(st.none(), st.dictionaries(
-            st.sampled_from(models), st.integers(-2, 2))))
-        sched = ContinuousBatchScheduler(SchedulerConfig(
-            k, n, model_priorities=priorities))
-        picks = st.lists(st.sampled_from(models), max_size=k + 2)
-        running = RunningBatch([make_request(100 + i, m)
-                                for i, m in enumerate(draw(picks))])
-        for rid, model in enumerate(draw(st.lists(st.sampled_from(models),
-                                                  max_size=8))):
-            arrival = draw(st.sampled_from([0.0, 0.5, 1.0]))
-            if draw(st.booleans()):
-                sched.reinsert(make_request(rid, model, arrival))
-            else:
-                sched.add(make_request(rid, model, arrival))
-        # residency may miss a running variant: schedule() loads it
-        resident = set(draw(st.lists(st.sampled_from(models))))
-        queue, version = sched.queued, sched.version
-        twin_sched, twin_running = deepcopy((sched, running))
-        decision = twin_sched.schedule(twin_running, resident)
-        assert sched.admits_or_loads(running, resident) == \
-            bool(decision.admitted or decision.new_deltas)
-        assert sched.version == version     # it decided nothing
-        assert all(a is b for a, b in zip(sched.queued, queue))
-        assert len(sched) == len(queue)
+    def test_decide_moves_nothing(self, data):
+        sched, running, resident = draw_state(data.draw)
+        queue, version = sched._queue, sched.version
+        order = list(queue)
+        before = flags(order) + flags(running.requests)
+        decision = sched.decide(running, resident)
+        assert sched._queue is queue and list(queue) == order
+        assert sched.version == version
+        assert flags(order) + flags(running.requests) == before
+        twin, twin_running = deepcopy((sched, running))
+        want = reference_scheduler.schedule(twin, twin_running, resident)
+        assert [r.request_id for r in decision.admitted] == \
+            [r.request_id for r in want.admitted]
+        assert decision.new_deltas == want.new_deltas
+        assert bool(decision) == bool(want.admitted or want.new_deltas)

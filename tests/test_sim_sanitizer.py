@@ -13,7 +13,6 @@ from repro.serving import (LLAMA_7B, IterationCostModel, ModelManager,
 from repro.serving.base import RunningBatch
 from repro.serving.metrics import ServingResult
 from repro.serving.request import RequestRecord, ServingRequest
-from repro.serving.scheduler import ContinuousBatchScheduler
 from repro.serving.tenancy import TokenBucket
 from repro.sim import (Arrival, AutoscalerTick, Cancel, SimClock, SimKernel,
                        SimSanitizerError, new_clock)
@@ -630,27 +629,24 @@ class TestCoastRunCheck:
             engine.submit(trace_request(rid, output=output))
         return engine
 
-    def test_a_settled_verdict_that_drops_a_running_variants_request(
-            self, monkeypatch):
-        """The coast settles its own verdict through the scheduler's
-        query; one that ignores a queued request of an already selected
-        variant lets the engine coast past the admission its finish
-        freed, and the run's fresh schedule() says so."""
-        def blind(sched, running, resident_deltas):
-            if sched.config.max_batch_requests <= len(running.requests):
-                return False
-            if any(d not in resident_deltas for d in running.per_model):
-                return True
-            return bool(sched._queue) and len(running.per_model) < \
-                sched.config.max_concurrent_deltas
-
+    def test_a_freed_slot_drains_the_same_either_way(self):
+        """The coast's verdict is the decision itself: the finish that
+        frees a slot admits the waiting request of the running variant
+        at the same step whether the drain coasts or steps."""
         with sanitized(True):
-            self.freed_slot_engine().run_until_drained()     # clean: silent
-            monkeypatch.setattr(ContinuousBatchScheduler, "admits_or_loads",
-                                blind)
-            with pytest.raises(SimSanitizerError, match=(
-                    r"'deltazip'.*admission verdict.*admits \[2\]")):
-                self.freed_slot_engine().run_until_drained()
+            views = []
+            for coasting in (True, False):
+                engine = self.freed_slot_engine()
+                if coasting:
+                    engine.run_until_drained()
+                else:
+                    while engine.unfinished > 0 and engine.step():
+                        pass
+                views.append(([tuple(r) for r in engine.metrics.records],
+                              vars(engine.stats), engine.clock))
+        assert views[0] == views[1]
+        by_id = {r[0]: r for r in views[0][0]}
+        assert set(by_id) == {0, 1, 2}
 
     def test_a_stale_cancel_is_not_an_event(self):
         with sanitized(True):
@@ -679,6 +675,58 @@ class TestCoastRunCheck:
             engine._resident.clear()
             engine._coast(inf)
             assert engine.batch.epoch == 59
+
+
+class TestScbCoastRunCheck:
+    """The same questions of vLLM-SCB, whose decision is the queue-head
+    swap and the FCFS fill, and whose plan is the full-model loop."""
+
+    MODELS = ["variant-00", "variant-01"]
+
+    def steady_engine(self):
+        """K=1: request 0 decodes, request 1 of its model waits behind
+        it; the swap is done and the fill has no slot."""
+        engine = make_engine("vllm-scb", self.MODELS, k=1)
+        engine.submit(trace_request(0, output=60))
+        engine.submit(trace_request(1, output=5))
+        engine.step()                          # swap + prefill
+        engine.step()                          # first pure decode
+        assert not engine._decide()
+        return engine
+
+    def test_clean_run_coasts_to_the_finish_bucket(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            engine._coast(inf)
+            assert engine.batch.epoch == 59
+            engine.run_until_drained()
+            assert engine.unfinished == 0
+            assert engine.stats.iterations == 65
+            assert engine.stats.swap_ins == 1
+
+    def test_a_stale_plan(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            plan = engine._linear_plan(engine._compose([]))
+            engine._decode_plan = lambda: plan._replace(
+                linear_s=plan.linear_s * (1.0 + 2 ** -50))
+            with pytest.raises(SimSanitizerError,
+                               match=r"'vllm-scb'.*linear-pass plan"):
+                engine._coast(inf)
+
+    def test_a_head_model_made_non_resident(self):
+        with sanitized(True):
+            engine = self.steady_engine()
+            plan_run = engine.cost.plan_run
+
+            def evicting(*args):
+                engine._resident.clear()       # behind the engine's back
+                return plan_run(*args)
+            engine.cost.plan_run = evicting
+            with pytest.raises(SimSanitizerError,
+                               match=r"'vllm-scb'.*admission verdict.*"
+                                     r"loads \['variant-00'\]"):
+                engine._coast(inf)
 
 
 # --------------------------------------------------------------------- #
