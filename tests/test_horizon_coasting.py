@@ -389,7 +389,7 @@ def closed_loop(gateway, drain, n_first=6, n_more=40):
     return [tuple(r) for r in result.records]
 
 
-@pytest.mark.parametrize("fleet", ["cluster", "disagg"])
+@pytest.mark.parametrize("fleet", ["cluster", "disagg", "dedicated"])
 def test_a_closed_loop_drains_as_it_steps_and_does_not_coast(fleet):
     views = []
     for drain in (lambda g: g.run_until_drained(),
@@ -400,12 +400,16 @@ def test_a_closed_loop_drains_as_it_steps_and_does_not_coast(fleet):
             records = closed_loop(gateway, drain)
             assert iterations(gateway) <= steps.calls
             clock = gateway.kernel.now
-        else:
+        elif fleet == "disagg":
             gateway = ServingGateway(engine_factory(
                 "disagg", prefill_workers=1, decode_workers=3)())
             steps = CountingSteps(gateway.engine._all_workers())
             records = closed_loop(gateway, drain)
             assert gateway.engine.stats.iterations <= steps.calls
+            clock = gateway.engine.clock
+        else:                       # one group per variant, made lazily
+            gateway = ServingGateway(engine_factory("dedicated")())
+            records = closed_loop(gateway, drain)
             clock = gateway.engine.clock
         views.append((records, clock))
     assert views[0] == views[1]

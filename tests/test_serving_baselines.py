@@ -218,3 +218,49 @@ def test_backlog_counts_only_arrived_requests(name):
     assert engine.backlog == 0
     engine.clock = 100.0
     assert engine.backlog == 6
+
+
+# --------------------------------------------------------------------- #
+# heard on completion: a listener may submit work "now"
+# --------------------------------------------------------------------- #
+def ping_pong(drain, n_first=2, n_total=14):
+    """Two full-model variants behind a gateway whose completion listener
+    submits the other variant's next request, arriving at each finish;
+    drained by ``drain``.  Returns the record tuples and the clock."""
+    from repro.serving import ServingGateway
+    from repro.serving.gateway import Gateway
+    engine = DedicatedEngine(full_manager(LLAMA_7B, ["m0", "m1"]),
+                             GPUNode(node_from_name("a800", 1)),
+                             EngineConfig(tp_degree=1))
+    gateway = ServingGateway(engine)
+    state = {"next": n_first}
+
+    def follow_up(record):
+        i = state["next"]
+        if i < n_total:
+            state["next"] += 1
+            other = "m1" if record.model_id == "m0" else "m0"
+            gateway.ingest(TraceRequest(
+                request_id=i, model_id=other, arrival_s=record.finish_s,
+                prompt_tokens=16 + i, output_tokens=10 + (7 * i) % 30))
+    gateway.add_completion_listener(follow_up)
+    for i in range(n_first):
+        gateway.ingest(TraceRequest(
+            request_id=i, model_id=f"m{i}", arrival_s=0.0,
+            prompt_tokens=16, output_tokens=12 + 9 * i))
+    result = Gateway.run_until_drained(gateway) if drain == "stepped" \
+        else gateway.run_until_drained()
+    return [tuple(r) for r in result.records], engine.clock, \
+        engine.unfinished
+
+
+class TestDedicatedHeardOnCompletion:
+    def test_a_listener_that_submits_is_served_by_the_drain(self):
+        """The drain used to drain each group once, in name order, and
+        return with the follow-ups submitted to an already-drained group
+        still unfinished; a drain heard on completion steps the groups
+        exactly as ``while gateway.step()`` does."""
+        drained = ping_pong("drain")
+        stepped = ping_pong("stepped")
+        assert len(stepped[0]) == 14 and stepped[2] == 0
+        assert drained == stepped
