@@ -36,13 +36,15 @@ class Linear(Module):
         return x @ self.weight.data.T
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Given dL/dy, accumulate dL/dW and return dL/dx."""
+        """Given dL/dy, accumulate dL/dW (a frozen weight gets none) and
+        return dL/dx."""
         x = self._cached_input
         if x is None:
             raise RuntimeError("Linear.backward called without a cached forward")
-        flat_x = x.reshape(-1, self.in_features)
-        flat_g = grad_out.reshape(-1, self.out_features)
-        self.weight.accumulate_grad(flat_g.T @ flat_x)
+        if self.weight.trainable:
+            flat_x = x.reshape(-1, self.in_features)
+            flat_g = grad_out.reshape(-1, self.out_features)
+            self.weight.accumulate_grad(flat_g.T @ flat_x)
         grad_in = grad_out @ self.weight.data
         self._cached_input = None
         return grad_in
@@ -70,7 +72,8 @@ class RMSNorm(Module):
         if x is None:
             raise RuntimeError("RMSNorm.backward called without a cached forward")
         grad_x, grad_w = F.rms_norm_backward(x, self.weight.data, grad_out, eps=self.eps)
-        self.weight.accumulate_grad(grad_w)
+        if self.weight.trainable:
+            self.weight.accumulate_grad(grad_w)
         self._cached_input = None
         return grad_x
 
@@ -96,11 +99,12 @@ class Embedding(Module):
         indices = self._cached_indices
         if indices is None:
             raise RuntimeError("Embedding.backward called without a cached forward")
-        grad = np.zeros_like(self.weight.data)
-        flat_idx = indices.reshape(-1)
-        flat_grad = grad_out.reshape(-1, self.dim)
-        np.add.at(grad, flat_idx, flat_grad)
-        self.weight.accumulate_grad(grad)
+        if self.weight.trainable:
+            grad = np.zeros_like(self.weight.data)
+            flat_idx = indices.reshape(-1)
+            flat_grad = grad_out.reshape(-1, self.dim)
+            np.add.at(grad, flat_idx, flat_grad)
+            self.weight.accumulate_grad(grad)
         self._cached_indices = None
 
     def __call__(self, indices: np.ndarray, cache: bool = False) -> np.ndarray:

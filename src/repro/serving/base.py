@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Container, Dict, Iterable, List, Optional,
-                    Sequence, Type)
+                    Sequence, Tuple, Type)
 
 from ..hardware.cluster import GPUNode
 from ..sim import (Arrival, Cancel, Event, EventQueue, IterationDone,
@@ -305,7 +305,102 @@ FinishCallback = Callable[[ServingRequest, float], None]
 EventCallback = Callable[[Event], None]
 
 
-class ServingEngine:
+class DrainLoop:
+    """The one coast-first drain loop.  A *parent* steps *members* on
+    timelines of their own: a leaf engine is its own one member (the
+    defaults below), a disagg engine its pool workers, a dedicated engine
+    its per-variant groups, a cluster its replicas.  ``step()`` is one
+    member iteration at every layer; a drain nobody hears between two
+    steps also lets members coast (:meth:`ServingEngine._coast`) through
+    the iterations that decide nothing, up to the time the parent acts
+    next.  A parent tells the loop four things:
+
+    * :meth:`_least_member`: its least busy member below the sim-time
+      cap, once whatever it does before a step is done (the cluster
+      routes); None ends the drain;
+    * :meth:`_horizon`: the time no coasted iteration of ``member`` may
+      start at or after (the member's own next arrival, live cancel and
+      first finish are inside ``_coast``);
+    * :meth:`_step_from`: one step given the least busy member, returning
+      the member it advanced (None: nothing moved);
+    * ``observed``: the one "who does not coast" predicate, True while
+      somebody hears the members per iteration, or hears completions
+      where one member may run ahead of another (a callback may inject
+      work "now", which a member that ran ahead would take late).
+
+    A parent that files its members (the cluster's frontier ledger)
+    redoes that after a coast (:meth:`_moved`), and names, for the
+    sanitizer, what a coast must leave alone (:meth:`_coast_watch`)."""
+
+    def _least_member(self) -> Any:
+        return self if self.unfinished > 0 and not self.at_horizon else None
+
+    def _horizon(self, member: Any) -> float:
+        return self.config.max_sim_seconds
+
+    def _step_from(self, member: Any) -> Any:
+        return self if member is not None and self.step() else None
+
+    def _engine_of(self, member: Any) -> "ServingEngine":
+        """The engine that coasts for ``member``."""
+        return member
+
+    def _moved(self, member: Any) -> None:
+        """Bookkeeping after a step or a coast moved ``member``."""
+
+    def _coast_watch(self, member: Any) -> Tuple[
+            Sequence[Tuple[str, Optional[float]]], Sequence[Tuple[str, Any]]]:
+        """The events the parent acts on between steps (``(what, time)``:
+        a coasted iteration starts before each) and the values a coast may
+        not move (``(what, value)``), read from its own queues and pools."""
+        return (), ()
+
+    def _drain(self, front: Any = None) -> None:
+        """Serve until every member drained or reached its cap.  ``front``
+        is whose ``step()`` an observed drain calls: the gateway that owns
+        this engine (its telemetry samples between steps), else this
+        parent."""
+        front = self if front is None else front
+        if front.observed:
+            while front.unfinished > 0 and not front.at_horizon \
+                    and front.step():
+                pass
+            return
+        tried: Tuple[Any, float] = (None, 0.0)    # last coast: who, to
+        while True:
+            member = self._least_member()
+            if member is not None:
+                horizon = self._horizon(member)
+                # coasted to a horizon and not stepped since, a member
+                # moves no further to no later one: skip asking
+                if member is not tried[0] or horizon > tried[1]:
+                    tried = (member, horizon)
+                    if self._coast_member(member, horizon):
+                        continue
+            moved = self._step_from(member)
+            if moved is None:
+                return
+            tried = (moved, self._horizon(moved))
+            self._coast_member(*tried)
+
+    def _coast_member(self, member: Any, horizon: float) -> bool:
+        """Let ``member`` coast to ``horizon``, then redo the parent's
+        bookkeeping (:meth:`_moved`).  Did it move?"""
+        engine = self._engine_of(member)
+        start_s = engine.clock
+        watch = (engine.batch.epoch, engine.unfinished) + \
+            self._coast_watch(member) if self._sanitize else None
+        engine._coast(horizon)
+        if engine.clock <= start_s:
+            return False
+        self._moved(member)
+        if watch is not None:
+            _sanitizer.check_coast_bounds(member.name, engine, start_s,
+                                          *watch, self._coast_watch(member)[1])
+        return True
+
+
+class ServingEngine(DrainLoop):
     """Template-method base for every discrete-event serving engine.
 
     Subclasses override the hooks marked "hook:" below; the iteration
@@ -600,14 +695,20 @@ class ServingEngine:
 
     def run_until_drained(self) -> None:
         """Step until every submitted request finished (or the engine is
-        stuck / past ``max_sim_seconds``).  No outer layer can inject an
-        event between two steps of this loop, so after each the engine may
-        :meth:`_coast` through the iterations that decide nothing."""
-        limit_s = self.config.max_sim_seconds
-        while self.unfinished > 0 and self.clock < limit_s:
-            if not self.step():
-                break
-            self._coast(limit_s)
+        stuck / past ``max_sim_seconds``), through :meth:`_drain`."""
+        self._drain()
+
+    @property
+    def observed(self) -> bool:
+        """Somebody hears this engine per iteration.  Heard only on
+        completion, a leaf engine still coasts: work a callback submits
+        "now" is its own next arrival, which bounds the coast."""
+        return self.on_token is not None or self.on_event is not None
+
+    @property
+    def at_horizon(self) -> bool:
+        """True when ``step()`` would simulate past ``max_sim_seconds``."""
+        return self.clock >= self.config.max_sim_seconds
 
     def build_result(self) -> ServingResult:
         """Snapshot the retired requests as a :class:`ServingResult`.
@@ -702,19 +803,18 @@ class ServingEngine:
 
     def _coast(self, limit_s: float) -> None:
         """Execute, exactly as :meth:`step` would have, every upcoming
-        iteration that provably ingests, admits, finishes and publishes
-        nothing, each starting before ``limit_s`` (the calling drain
-        loop's next-event time: this engine's own, a cluster's, a disagg
-        owner's).  While :meth:`_decide` is empty (applied as each
-        skipped :meth:`admit` would), an iteration prices as
-        :meth:`_decode_plan` at a context grown by ``len(batch)``, finishes
-        nobody before the first finish bucket and ingests nothing if it
-        starts before the next arrival or live cancel, so only the clock,
-        the epoch ledger and ``stats`` move.  Nothing coasts while
-        somebody listens per iteration."""
+        iteration that provably ingests, admits and finishes nothing,
+        each starting before ``limit_s`` (the drain loop's horizon: this
+        engine's cap, a cluster's or a disagg owner's next event).  While
+        :meth:`_decide` is empty (applied as each skipped :meth:`admit`
+        would), an iteration prices as :meth:`_decode_plan` at a context
+        grown by ``len(batch)``, finishes nobody before the first finish
+        bucket and ingests nothing if it starts before the next arrival
+        or live cancel, so only the clock, the epoch ledger and ``stats``
+        move.  Only the drain loop calls it (:class:`DrainLoop`), for a
+        parent nobody observes, so nobody listens per iteration."""
         batch = self.batch
-        if not batch.requests or self.on_token is not None \
-                or self.on_event is not None:
+        if not batch.requests:
             return
         n = batch.next_finish_epoch() - 1 - batch.epoch
         if n <= 0:

@@ -15,7 +15,7 @@ iteration loop; only admission/swap policy and batch pricing differ.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
@@ -304,11 +304,42 @@ class DedicatedEngine(ServingEngine):
                 progressed = group.step() or progressed
         return progressed
 
-    def run_until_drained(self) -> None:
-        # groups are independent GPU sets: drain each on its own timeline
-        self._sync_hooks()
-        for model_id in sorted(self._groups):
-            self._groups[model_id].run_until_drained()
+    # the drain loop's parent hooks: the members are the groups,
+    # independent GPU sets on timelines of their own
+    @property
+    def observed(self) -> bool:
+        return self.on_finish is not None or super().observed
+
+    def _busy_groups(self) -> List[VLLMSCBEngine]:
+        """Groups with work below their cap, least (clock, variant) first."""
+        return [group for _, _, group in sorted(
+            (group.clock, model_id, group)
+            for model_id, group in self._groups.items()
+            if group.unfinished > 0
+            and group.clock < group.config.max_sim_seconds)]
+
+    @property
+    def at_horizon(self) -> bool:
+        # while a group has work, each stops at its own cap, in ``step()``
+        # as in the drain; idle, the furthest group's clock answers
+        busy = [g for g in self._groups.values() if g.unfinished > 0]
+        if busy:
+            return all(g.clock >= g.config.max_sim_seconds for g in busy)
+        return super().at_horizon
+
+    def _least_member(self) -> Optional[VLLMSCBEngine]:
+        self._sync_hooks()              # a coast reads the hooks too
+        return next(iter(self._busy_groups()), None)
+
+    def _step_from(self, first: Optional[VLLMSCBEngine]
+                   ) -> Optional[VLLMSCBEngine]:
+        """One iteration of the least busy group ``first``, else of the
+        next one that moves (a wedged group's step moves nothing)."""
+        for group in self._busy_groups() if first is not None else ():
+            unfinished = group.unfinished
+            if group.step() or group.unfinished != unfinished:
+                return group
+        return None
 
     def build_result(self) -> ServingResult:
         subs = [self._groups[m].build_result()

@@ -49,7 +49,7 @@ from ..sim import (Arrival, AutoscalerTick, EventQueue, KeyedHeap,
                    ReplicaDrain, ReplicaSpawn, SimKernel)
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
-from .base import ServingEngine
+from .base import DrainLoop, ServingEngine
 from .gateway import (CancelSchedule, CompletionCallback, Gateway,
                       TokenCallback)
 from .handle import HandleStatus
@@ -581,7 +581,7 @@ class Autoscaler:
 # --------------------------------------------------------------------------- #
 # the cluster gateway
 # --------------------------------------------------------------------------- #
-class ClusterGateway(Gateway):
+class ClusterGateway(Gateway, DrainLoop):
     """Replica-count-agnostic serving frontend over a set of replicas.
 
     The :class:`~repro.serving.gateway.Gateway` surface — ``submit`` /
@@ -628,7 +628,6 @@ class ClusterGateway(Gateway):
         # the frontier ledger: busy replicas by (clock, id), see least_busy
         self._busy: KeyedHeap[Replica] = KeyedHeap()
         self._least: Optional[Replica] = None      # least_busy()'s last answer
-        self._stepped: Optional[Replica] = None    # whom step() advanced
         if not _fixed:
             if engine_factory is None:
                 raise ValueError(
@@ -884,13 +883,14 @@ class ClusterGateway(Gateway):
         """Advance the least-advanced replica that has work by one engine
         iteration; False once no replica can make progress (all drained,
         past their sim-time cap, or wedged on inadmissible requests)."""
-        return self._step_from(self._route_due())
+        return self._step_from(self._route_due()) is not None
 
-    def _step_from(self, first: Optional[Replica]) -> bool:
-        """:meth:`step` once routing returned the least busy ``first``."""
+    def _step_from(self, first: Optional[Replica]) -> Optional[Replica]:
+        """:meth:`step` once routing returned the least busy ``first``:
+        the replica it advanced, or None."""
         if first is not None:
             if self._step_replica(first):
-                return self._made_progress()
+                return first
             # the least-advanced replica is at its own horizon or wedged:
             # fall through to the other busy ones in (clock, id) order
             for replica in sorted(
@@ -898,9 +898,9 @@ class ClusterGateway(Gateway):
                      if r is not first and r.frontier_key is not None),
                     key=lambda r: (r.engine.clock, r.id)):
                 if self._step_replica(replica):
-                    return self._made_progress()
+                    return replica
         self._reap_drained()
-        return False
+        return None
 
     def _step_replica(self, replica: Replica) -> bool:
         """One engine iteration on ``replica`` if it may run.  A step that
@@ -913,69 +913,61 @@ class ClusterGateway(Gateway):
         if unfinished > 0 and \
                 engine.clock < engine.config.max_sim_seconds and \
                 (engine.step() or engine.unfinished != unfinished):
-            self._rekey(replica)
-            self._stepped = replica
+            self._moved(replica)
             return True
         return False
 
     def run_until_drained(self) -> ServingResult:
-        """Serve until everything submitted so far has finished.
-        ``step()`` is exactly one iteration; this loop owns the cluster's
-        events (routing, ticks), so the least busy replica may coast up
-        to :meth:`_horizon` before it is stepped, and the replica a step
-        advanced after it.  Whoever steps the gateway itself (tenancy, a
-        handle, a subclass's own ``step``) never coasts, nor does a
-        gateway whose clients hear completions: a callback may inject
-        work "now", which a replica that ran ahead would take later than
-        one stepped in clock order."""
-        if self._on_complete or self._listeners or self._handles \
-                or type(self).step is not ClusterGateway.step:
-            while self.step():
-                pass
-            return self.result()
-        while True:
-            first = self._route_due()
-            if first is not None and self._coast_replica(first):
-                continue
-            # not step(): routing again before this step could place an
-            # arrival that one step per turn places after it
-            if not self._step_from(first):
-                break
-            replica, self._stepped = self._stepped, None
-            if replica is not None:
-                self._coast_replica(replica)
+        """Serve until everything submitted so far has finished (the
+        drain loop: :class:`~repro.serving.base.DrainLoop`)."""
+        self._drain()
         return self.result()
 
-    def _horizon(self, engine: ServingEngine) -> float:
-        """The time no coasted iteration may start at or after.  No other
-        replica's clock bounds it: between routing points and ticks they
-        are independent timelines, and a coast moves nothing a balancer
-        or :class:`Autoscaler` reads (``unfinished``, ``backlog``)."""
-        horizon = engine.config.max_sim_seconds  # _step_replica's own cap
+    # the drain loop's parent hooks: the members are the replicas
+    @property
+    def observed(self) -> bool:
+        """A completion listener or a handle; the replica engines' token
+        tap, journal or telemetry; a subclass's own ``step``."""
+        return bool(self._listeners or self._handles or self._token_tap) \
+            or self.kernel.journal is not None \
+            or self._telemetry is not None \
+            or type(self).step is not ClusterGateway.step
+
+    def _least_member(self) -> Optional[Replica]:
+        # not step(): routing again before the step could place an
+        # arrival that one step per turn places after it
+        return self._route_due()
+
+    def _horizon(self, replica: Replica) -> float:
+        """No other replica's clock bounds it: between routing points and
+        ticks they are independent timelines, and a coast moves nothing a
+        balancer or :class:`Autoscaler` reads (``unfinished``,
+        ``backlog``)."""
+        horizon = replica.engine.config.max_sim_seconds   # _step_replica's
         for bound in (self._unrouted.peek_time(),  # routed on due <= frontier
                       self._ticks.peek_time()):    # fired on tick <= now
             if bound is not None and bound < horizon:
                 horizon = bound
         return horizon
 
-    def _coast_replica(self, replica: Replica) -> bool:
-        """Let ``replica`` coast to the horizon (an engine watched per
-        iteration, or about to admit or load, declines), re-file it and
-        redo the post-step bookkeeping: a tick the run crossed fires at
-        this frontier, not one real step later.  Did it move?"""
-        engine = replica.engine
-        start_s = engine.clock
-        watch = _sanitizer.CoastWatch(
-            engine, self._unrouted.peek_time(), self._ticks.peek_time()) \
-            if self._sanitize else None
-        engine._coast(self._horizon(engine))
-        if engine.clock <= start_s:
-            return False
+    def _engine_of(self, replica: Replica) -> ServingEngine:
+        return replica.engine
+
+    def _moved(self, replica: Replica) -> None:
+        """Re-file ``replica`` and redo the post-step bookkeeping: a tick a
+        coasted run crossed fires at this frontier, not one step later."""
         self._rekey(replica)
         self._made_progress()
-        if watch is not None:
-            _sanitizer.check_cluster_coast(self, replica, watch)
-        return True
+
+    def _coast_watch(self, replica: Replica) -> Tuple[
+            List[Tuple[str, Optional[float]]], List[Tuple[str, bool]]]:
+        now, head = self.kernel.now, self._ticks.peek_time()
+        booked = now >= self.frontier and (
+            self.autoscaler is None or head is None or head > now)
+        return ([("an unrouted arrival", self._unrouted.peek_time()),
+                 ("an autoscaler tick", head)],
+                [("the cluster's bookkeeping (kernel at the frontier, no "
+                  "tick behind it)", booked)])
 
     def _made_progress(self) -> bool:
         """Post-step bookkeeping: advance the kernel clock to the new

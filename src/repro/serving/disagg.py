@@ -422,61 +422,40 @@ class DisaggregatedEngine(ServingEngine):
         self._stepped = worker
         return True
 
-    def run_until_drained(self) -> None:
-        """The base drain loop, letting the least worker coast up to
-        :meth:`_horizon` before it is stepped, and the worker a
-        ``step()`` advanced after it (a prefill worker's members finish
-        on its next iteration, so it never coasts).  Only this loop does
-        — the owner has no batch of its own to ``_coast``, so under an
-        outer layer, which reads this engine through ``clock``, a
-        ``step()`` is one worker iteration — and not with a finish
-        listener: a callback may submit "now", which a worker that ran
-        ahead would take late."""
-        limit_s = self.config.max_sim_seconds
-        if self.unfinished == 0 or self.clock >= limit_s:
-            return
-        coast = self.on_finish is None
-        while True:
-            self._sync_hooks()              # a coast reads the hooks too
-            worker = self._least_worker() if coast else None
-            if worker is None or not self._coast_worker(worker):
-                if not self.step():
-                    break
-                worker = self._stepped
-                assert worker is not None   # step() moved somebody
-                if coast:
-                    self._coast_worker(worker)
-            if self.unfinished == 0:
-                break
-            # ``clock`` is the earliest *busy* worker while one is busy,
-            # so the one just advanced, still busy below the limit, keeps
-            # it below without the two-pool pass.  Otherwise ask: with
-            # nobody busy ``clock`` is a pending-only worker's next
-            # arrival (a handoff in flight), which can be past the limit
-            # while every raw clock is still below it.
-            if not (worker.clock < limit_s
-                    and (worker.running or worker.backlog > 0)) \
-                    and self.clock >= limit_s:
-                break
+    # the drain loop's parent hooks: the members are the pool workers.
+    # Under an outer layer, which reads this engine through ``clock``, a
+    # ``step()`` is one worker iteration: the owner has no batch to coast.
+    @property
+    def observed(self) -> bool:
+        return self.on_finish is not None or super().observed
 
-    def _coast_worker(self, worker: _PoolWorker) -> bool:
-        """Let ``worker`` coast to the horizon.  Did it move?"""
-        start_s = worker.clock
-        watch = _sanitizer.CoastWatch(
-            worker, self._kv_transfers, set(self._in_transfer)) \
-            if self._sanitize else None
-        worker._coast(self._horizon(worker))
-        if worker.clock <= start_s:
+    @property
+    def at_horizon(self) -> bool:
+        # ``clock`` is the earliest *busy* worker while one is busy, so the
+        # one last stepped, still busy below the limit, keeps it below
+        # without the two-pool pass.  Otherwise ask: with nobody busy
+        # ``clock`` is a pending-only worker's next arrival (a handoff in
+        # flight), which can be past the limit while every raw clock is
+        # still below it.
+        limit_s = self.config.max_sim_seconds
+        worker = self._stepped
+        if worker is not None and worker.clock < limit_s \
+                and (worker.running or worker.backlog > 0):
             return False
-        if watch is not None:
-            _sanitizer.check_worker_coast(self, worker, watch)
-        return True
+        return self.clock >= limit_s
+
+    def _least_member(self) -> Optional[_PoolWorker]:
+        self._sync_hooks()              # a coast reads the hooks too
+        return None if self.at_horizon else self._least_worker()
+
+    def _step_from(self, first: Optional[_PoolWorker]
+                   ) -> Optional[_PoolWorker]:
+        return self._stepped if first is not None and self.step() else None
 
     def _horizon(self, worker: _PoolWorker) -> float:
-        """The time no coasted iteration of ``worker`` may start
-        at or after (its own next arrival, live cancel and first finish
-        are inside ``_coast``).  Busy decode workers do not bound each
-        other: independent timelines, and a coast finishes nobody."""
+        """Busy decode workers do not bound each other: independent
+        timelines, and a coast finishes nobody.  (A prefill worker's
+        members finish on its next iteration, so it never coasts.)"""
         horizon = self.config.max_sim_seconds   # step() serves below it
         for w in self._prefill_pool:       # a handoff arrives after it
             if w.unfinished > 0 and w.clock < horizon:
@@ -489,6 +468,17 @@ class DisaggregatedEngine(ServingEngine):
                     and w.backlog == 0 and w.clock < horizon:
                 horizon = w.clock
         return horizon
+
+    def _coast_watch(self, worker: _PoolWorker) -> Tuple[
+            List[Tuple[str, Optional[float]]], List[Tuple[str, Any]]]:
+        bounds: List[Tuple[str, Optional[float]]] = [
+            (f"a handoff from busy {w.name}", w.clock)
+            for w in self._prefill_pool if w.unfinished > 0]
+        bounds += [(f"waiting {w.name}", w.clock) for w in self._decode_pool
+                   if w is not worker and w.unfinished > 0
+                   and not w.running and w.backlog == 0]
+        return bounds, [("a KV handoff (begun, in flight)",
+                         (self._kv_transfers, sorted(self._in_transfer)))]
 
     def _sync_hooks(self) -> None:
         """Rewire the pooled workers when the owner's ``on_event`` /

@@ -86,10 +86,11 @@ class Gateway:
 
     def __init__(self, on_token: Optional[TokenCallback] = None,
                  on_request_complete: Optional[CompletionCallback] = None):
-        self._on_token = on_token
-        self._on_complete = on_request_complete
-        self._listeners: List[CompletionCallback] = []
-        self._token_listeners: List[TokenCallback] = []
+        # the constructor's callbacks are the first listeners
+        self._listeners: List[CompletionCallback] = \
+            [] if on_request_complete is None else [on_request_complete]
+        self._token_listeners: List[TokenCallback] = \
+            [] if on_token is None else [on_token]
         self._token_tap = False           # inner token fan-out installed?
         self._handles: Dict[int, RequestHandle] = {}
         self._next_id = 0
@@ -274,7 +275,7 @@ class Gateway:
         return self.clock
 
     def _wants_tokens(self) -> bool:
-        return bool(self._on_token or self._token_listeners or self._handles)
+        return bool(self._token_listeners or self._handles)
 
     def _wire(self) -> None:
         """Ask the layer below for token events once someone consumes
@@ -290,8 +291,6 @@ class Gateway:
 
     def _token_fanout(self, request_id: int, model_id: str,
                       n_generated: int, clock: float) -> None:
-        if self._on_token is not None:
-            self._on_token(request_id, model_id, n_generated, clock)
         for listener in self._token_listeners:
             listener(request_id, model_id, n_generated, clock)
         handle = self._handles.get(request_id)
@@ -320,9 +319,7 @@ class Gateway:
         return record
 
     def _complete(self, record: RequestRecord) -> None:
-        """Deliver one terminal record: callbacks, then the handle."""
-        if self._on_complete is not None:
-            self._on_complete(record)
+        """Deliver one terminal record: listeners, then the handle."""
         for listener in self._listeners:
             listener(record)
         if self._handles:
@@ -372,7 +369,7 @@ class ServingGateway(Gateway):
         self.engine.on_token = self._token_hook \
             if self._wants_tokens() else None
         self.engine.on_finish = self._finish_hook \
-            if self._on_complete or self._listeners or self._handles else None
+            if self._listeners or self._handles else None
 
     def _finish_hook(self, request: ServingRequest, clock: float) -> None:
         self._complete(request.record())
@@ -415,18 +412,15 @@ class ServingGateway(Gateway):
 
     def run_until_drained(self) -> ServingResult:
         """Serve until everything submitted so far has finished, or the
-        engine is past ``max_sim_seconds``."""
-        engine = self.engine
-        if self._telemetry is None:
-            engine.run_until_drained()   # the engine's own loop: it coasts
-            return self.result()
-        # the same loop through step(): gauge ticks fire between
-        # iterations, and observing must not outrun the engine's cap
-        limit_s = engine.config.max_sim_seconds
-        while engine.unfinished > 0 and engine.clock < limit_s \
-                and self.step():
-            pass
+        engine is past ``max_sim_seconds``: the engine's drain, observed
+        through :meth:`step` while telemetry samples between steps."""
+        self.engine._drain(self)
         return self.result()
+
+    @property
+    def observed(self) -> bool:
+        """Telemetry samples between steps, or the engine is observed."""
+        return self._telemetry is not None or self.engine.observed
 
     def result(self) -> ServingResult:
         """Snapshot of completions so far (callable mid-flight)."""
@@ -485,7 +479,7 @@ class ServingGateway(Gateway):
 
     @property
     def at_horizon(self) -> bool:
-        return self.engine.clock >= self.engine.config.max_sim_seconds
+        return self.engine.at_horizon
 
     def _status_of(self, request_id: int) -> HandleStatus:
         """Live status for a handle (terminal handles answer locally)."""

@@ -59,11 +59,12 @@ construction:
   re-derived the slow way: a fresh ``schedule()`` admits nothing, every
   price equals the recomposed batch's at that context, no member finished
   inside it, no arrival or live cancel was due at an iteration start;
-* **horizon coasting** — a replica a cluster drain let coast started
-  every iteration before the next unrouted arrival and autoscaler tick,
-  retired nothing, and the cluster's bookkeeping ran at the new frontier;
-  a decode worker a disagg drain let coast started each before every
-  busy-prefill / waiting-decode clock, no handoff between;
+* **horizon coasting** — a member a drain loop let coast is heard by
+  nobody per iteration, started every iteration before each event its
+  parent acts on (an unrouted arrival, an autoscaler tick, a busy prefill
+  or waiting decode worker's clock) and its cap, retired nothing, and left
+  what its parent holds alone (the cluster's bookkeeping at the new
+  frontier, the disagg handoffs);
 * **cost-model memos** — every served per-count column equals
   ``sbmm_time`` on a one-delta batch, and every memoised pass total a
   cold model's price of the same rows.
@@ -443,68 +444,39 @@ def check_coast_run(engine: Any, start: float,
             f"{type(due[0]).__name__} at {due[0].time!r}")
 
 
-class CoastWatch:
-    """Read before a drain loop lets ``engine`` coast: where the run
-    starts and ``held``, values it may not move (event heads, handoffs)."""
-
-    def __init__(self, engine: Any, *held: Any) -> None:
-        self.start_s, self.epoch = engine.clock, engine.batch.epoch
-        self.unfinished = engine.unfinished
-        self.held = held
-
-    def check_starts(self, who: str, engine: Any,
-                     bounds: Sequence[Tuple[str, Optional[float]]]) -> None:
-        """The outer loop acts at each bound: a step() per iteration goes
-        through it before starting an iteration at or after it.  Starts
-        are ``_coast``'s additions, replayed from ``batch.times_since``."""
-        start = self.start_s
-        for price in engine.batch.times_since(self.epoch):
-            for what, bound in bounds:
-                if bound is not None and start >= bound:
-                    raise _violation(
-                        f"{who} coasted through an iteration starting at "
-                        f"{start!r} with {what} due at {bound!r}")
-            start += price
-
-
-def check_cluster_coast(gateway: Any, replica: Any, watch: CoastWatch) -> None:
-    """``ClusterGateway.run_until_drained`` let ``replica`` coast and
-    redid its bookkeeping: every coasted iteration started before the
-    next unrouted arrival and autoscaler tick as they stood before the
-    run, nothing retired, and no tick the run crossed still waits behind
-    the frontier.  (That the ledger holds the re-filed replica,
-    ``_made_progress`` already checked.)"""
-    watch.check_starts(f"replica {replica.name}", replica.engine, list(zip(
-        ("an unrouted arrival", "an autoscaler tick"), watch.held)))
-    if replica.unfinished != watch.unfinished:
+def check_coast_bounds(who: str, engine: Any, start_s: float, epoch: int,
+                       unfinished: int,
+                       bounds: Sequence[Tuple[str, Optional[float]]],
+                       held: Sequence[Tuple[str, Any]],
+                       held_now: Sequence[Tuple[str, Any]]) -> None:
+    """A drain loop let member ``who`` (``engine``) coast from ``start_s``
+    (batch epoch ``epoch``) and redid its parent's bookkeeping: nobody
+    hears the engine per iteration; every coasted iteration started
+    before each of the parent's ``bounds``, read before the run, and the
+    engine's cap (starts replayed from ``batch.times_since``); nothing
+    retired; and each value the parent ``held`` reads the same after."""
+    if engine.on_token is not None or engine.on_event is not None:
+        raise _violation(f"{who} coasted while somebody hears it per "
+                         f"iteration")
+    bounds = list(bounds) + [("the sim-time cap",
+                              engine.config.max_sim_seconds)]
+    start = start_s
+    for price in engine.batch.times_since(epoch):
+        for what, bound in bounds:
+            if bound is not None and start >= bound:
+                raise _violation(
+                    f"{who} coasted through an iteration starting at "
+                    f"{start!r} with {what} due at {bound!r}")
+        start += price
+    if engine.unfinished != unfinished:
         raise _violation(
-            f"replica {replica.name} coasted from {watch.unfinished!r} "
-            f"unfinished requests to {replica.unfinished!r}")
-    now, head = gateway.kernel.now, gateway._ticks.peek_time()
-    if now < gateway.frontier or (gateway.autoscaler is not None
-                                  and head is not None and head <= now):
-        raise _violation(
-            f"the cluster skipped its bookkeeping after {replica.name} "
-            f"coasted: kernel at {now!r}, frontier {gateway.frontier!r}, "
-            f"next autoscaler tick {head!r}")
-
-
-def check_worker_coast(owner: Any, worker: Any, watch: CoastWatch) -> None:
-    """``DisaggregatedEngine.run_until_drained`` let decode ``worker``
-    coast: every coasted iteration started before each bound of its
-    horizon, re-read here from the pools, and no KV handoff began or
-    landed during the run."""
-    bounds = [(f"a handoff from busy {w.name}", w.clock)
-              for w in owner._prefill_pool if w.unfinished > 0]
-    bounds += [(f"waiting {w.name}", w.clock) for w in owner._decode_pool
-               if w is not worker and w.unfinished > 0
-               and not w.running and w.backlog == 0]
-    watch.check_starts(f"worker {worker.name}", worker, bounds)
-    if (owner._kv_transfers, owner._in_transfer) != watch.held:
-        raise _violation(
-            f"a KV handoff moved while worker {worker.name} coasted: "
-            f"{watch.held!r} transfers / in flight before, "
-            f"{(owner._kv_transfers, owner._in_transfer)!r} after")
+            f"{who} coasted from {unfinished!r} unfinished requests to "
+            f"{engine.unfinished!r}")
+    for (what, before), (_, after) in zip(held, held_now):
+        if before != after:
+            raise _violation(
+                f"{what} moved while {who} coasted: {before!r} before the "
+                f"run, {after!r} after")
 
 
 def check_cluster_frontier(gateway: Any) -> None:

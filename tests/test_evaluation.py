@@ -127,6 +127,42 @@ class TestFinetuneDrivers:
         assert len(result.adapter.matrices) == \
             2 * base_model.config.n_layers
 
+    def test_lora_leaves_frozen_weights_without_gradients(
+            self, base_model, review_task, monkeypatch):
+        """Frozen weights accumulate no dW (dL/dx still flows), and that
+        changes nothing the optimizer sees: adapter and merged weights
+        ``==`` a run whose frozen weights accumulate dW, as every layer's
+        backward once did (flipped trainable once the optimizer skipped
+        them)."""
+        import repro.nn.training as training
+
+        def run():
+            result = run_lora(base_model, review_task, rank=2, n_train=32,
+                              epochs=2)
+            return result, [(name, a.copy(), b.copy()) for name, (a, b)
+                            in sorted(result.adapter.matrices.items())], \
+                result.model.state_dict()
+
+        quiet, adapter, merged = run()
+        # every model parameter was frozen while the adapter trained
+        assert all(p.grad is None for p in quiet.model.parameters())
+
+        built = training.Adam.__init__
+
+        def accumulating(self, params, **kwargs):
+            params = list(params)
+            built(self, params, **kwargs)
+            for p in params:
+                p.trainable = True
+        monkeypatch.setattr(training.Adam, "__init__", accumulating)
+        heard, adapter_then, merged_then = run()
+        assert sum(p.grad is not None for p in heard.model.parameters()) \
+            == len(list(heard.model.parameters()))
+        assert [(n, a.tobytes(), b.tobytes()) for n, a, b in adapter] == \
+            [(n, a.tobytes(), b.tobytes()) for n, a, b in adapter_then]
+        assert {k: v.tobytes() for k, v in merged.items()} == \
+            {k: v.tobytes() for k, v in merged_then.items()}
+
     def test_lora_merge_false_leaves_base(self, base_model, review_task,
                                           rng):
         result = run_lora(base_model, review_task, rank=2, n_train=32,

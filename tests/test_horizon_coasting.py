@@ -1,8 +1,8 @@
 """Horizon coasting: an outer drain loop == one ``step()`` per iteration.
 
-``ClusterGateway.run_until_drained()`` and ``DisaggregatedEngine.
-run_until_drained()`` let what ``step()`` just advanced coast up to the
-loop's own next-event time.  The differential tests drain one trace both
+The one drain loop (``DrainLoop._drain``) lets a cluster's replicas and a
+disagg engine's workers coast up to their parent's next-event time,
+before a step and after it.  The differential tests drain one trace both
 ways — ``gateway.replay()``, and reset + ``ingest`` + ``cancel`` +
 ``while gateway.step(): pass``, which is one iteration per step at every
 layer — and require ``==`` record tuples, ``kernel.now``, retired
@@ -11,8 +11,9 @@ autoscaler histories (floats included), over trace kinds, cancel and
 deadline schedules, balancers, fleet sizes, autoscalers, both idle-skip
 modes and the prefix cache.  The counting tests pin who coasts and who
 never does: a layer that publishes, is stepped from outside or hears
-completions (a callback may inject work "now") makes exactly one engine
-``step()`` per iteration.  Two fall-throughs the differentials found are
+completions (a callback may inject work "now"; a cluster, a disagg
+engine, a dedicated one) makes exactly one engine ``step()`` per
+iteration.  Two fall-throughs the differentials found are
 pinned on their own: a step that retired a fleet member's last request
 by a due cancel returns False and used to count as "nothing happened".
 """

@@ -264,3 +264,39 @@ class TestDedicatedHeardOnCompletion:
         stepped = ping_pong("stepped")
         assert len(stepped[0]) == 14 and stepped[2] == 0
         assert drained == stepped
+
+    @pytest.mark.parametrize("observer", ["listener", "telemetry"])
+    def test_the_cap_stops_an_observed_drain_where_it_stops_a_quiet_one(
+            self, observer):
+        """Both groups have work past ``max_sim_seconds``: each stops at
+        its own cap whoever observes the drain (telemetry used to stop
+        every group once the furthest one passed its cap)."""
+        from repro.serving import ServingGateway
+        from repro.telemetry import Telemetry
+
+        def drain(observed):
+            engine = DedicatedEngine(
+                full_manager(LLAMA_7B, ["m0", "m1"]),
+                GPUNode(node_from_name("a800", 1)),
+                EngineConfig(tp_degree=1, max_sim_seconds=2.0))
+            telemetry = Telemetry(interval_s=0.5) \
+                if observed and observer == "telemetry" else None
+            gateway = ServingGateway(engine, telemetry=telemetry)
+            if observed and observer == "listener":
+                gateway.add_completion_listener(lambda record: None)
+            for i in range(10):
+                gateway.ingest(TraceRequest(
+                    request_id=100 + i, model_id="m0",
+                    arrival_s=0.3 * i + 0.01, prompt_tokens=16,
+                    output_tokens=40))
+            for i in range(1, 60):
+                gateway.ingest(TraceRequest(
+                    request_id=i, model_id="m1", arrival_s=0.05 * i,
+                    prompt_tokens=16, output_tokens=8))
+            result = gateway.run_until_drained()
+            return ([tuple(r) for r in result.records], engine.unfinished,
+                    {m: g.clock for m, g in engine._groups.items()})
+
+        quiet = drain(False)
+        assert quiet[1] > 0 and min(quiet[2].values()) >= 2.0
+        assert drain(True) == quiet

@@ -864,6 +864,11 @@ class TestReleaseCheck:
 # --------------------------------------------------------------------- #
 # horizon coasting: the bounds an outer drain loop passes down
 # --------------------------------------------------------------------- #
+def coast_member(parent, member):
+    """What the drain loop does with a member it lets coast."""
+    return parent._coast_member(member, parent._horizon(member))
+
+
 class TestClusterCoastCheck:
     @staticmethod
     def steady(arrival=None, tick_every=None):
@@ -877,15 +882,16 @@ class TestClusterCoastCheck:
         if arrival is not None:
             gateway.ingest(trace_request(1, arrival=arrival,
                                          model="variant-01"))
-        assert gateway.step() and gateway.step()
+        for _ in range(2):
+            stepped = gateway._step_from(gateway._route_due())
         replica = gateway.replicas[0]
-        assert replica is gateway._stepped and replica.clock < 0.5
+        assert replica is stepped and replica.clock < 0.5
         return gateway, replica
 
     def test_clean_drains_coast_up_to_each_bound(self):
         with sanitized(True):
             gateway, replica = self.steady(arrival=0.6)
-            gateway._coast_replica(replica)
+            coast_member(gateway, replica)
             last = replica.engine.batch.times_since(
                 replica.engine.batch.epoch - 1)[0]
             assert replica.clock >= 0.6 > replica.clock - last
@@ -894,7 +900,7 @@ class TestClusterCoastCheck:
             assert gateway.unfinished == 0
             gateway, replica = self.steady(tick_every=0.5)
             tick = gateway._ticks.peek_time()
-            gateway._coast_replica(replica)
+            coast_member(gateway, replica)
             assert gateway.kernel.now == replica.clock >= tick
             assert gateway._ticks.peek_time() == replica.clock + 0.5
 
@@ -903,9 +909,9 @@ class TestClusterCoastCheck:
             gateway, replica = self.steady(arrival=0.6)
             gateway._horizon = lambda engine: inf      # the bound is gone
             with pytest.raises(SimSanitizerError, match=(
-                    r"replica replica-0 coasted through an iteration "
+                    r"replica-0 coasted through an iteration "
                     r"starting at .* with an unrouted arrival due at 0\.6")):
-                gateway._coast_replica(replica)
+                coast_member(gateway, replica)
 
     def test_a_tick_under_the_run(self):
         with sanitized(True):
@@ -915,15 +921,16 @@ class TestClusterCoastCheck:
             with pytest.raises(SimSanitizerError, match=(
                     rf"with an autoscaler tick due at "
                     rf"{re.escape(repr(tick))}")):
-                gateway._coast_replica(replica)
+                coast_member(gateway, replica)
 
     def test_a_skipped_made_progress(self):
         with sanitized(True):
             gateway, replica = self.steady(tick_every=0.5)
             gateway._made_progress = lambda: True
             with pytest.raises(SimSanitizerError, match=(
-                    r"skipped its bookkeeping after replica-0 coasted")):
-                gateway._coast_replica(replica)
+                    r"the cluster's bookkeeping .* moved while replica-0 "
+                    r"coasted")):
+                coast_member(gateway, replica)
 
     def test_a_run_that_retired_something(self):
         with sanitized(True):
@@ -936,13 +943,23 @@ class TestClusterCoastCheck:
             engine._coast = retiring
             with pytest.raises(SimSanitizerError, match=(
                     r"coasted from 1 unfinished requests to 0")):
-                gateway._coast_replica(replica)
+                coast_member(gateway, replica)
+
+    def test_a_member_somebody_hears_per_iteration(self):
+        with sanitized(True):
+            gateway, replica = self.steady()
+            # a listener the gateway's ``observed`` does not know of
+            replica.engine.on_event = lambda event: None
+            with pytest.raises(SimSanitizerError, match=(
+                    r"replica-0 coasted while somebody hears it per "
+                    r"iteration")):
+                coast_member(gateway, replica)
 
     def test_checks_are_absent_when_the_sanitizer_is_off(self):
         with sanitized(False):
             gateway, replica = self.steady(arrival=0.6)
             gateway._horizon = lambda engine: inf
-            gateway._coast_replica(replica)
+            coast_member(gateway, replica)
             assert replica.clock > 1.0
 
 
@@ -966,7 +983,7 @@ class TestWorkerCoastCheck:
         with sanitized(True):
             engine, worker = self.steady()
             epoch = worker.batch.epoch
-            engine._coast_worker(worker)
+            coast_member(engine, worker)
             assert worker.batch.epoch - epoch > 50
             engine.run_until_drained()
             assert engine.unfinished == 0
@@ -984,10 +1001,10 @@ class TestWorkerCoastCheck:
             other.clock = at_s
             engine._horizon = lambda worker: inf       # the bounds are gone
             with pytest.raises(SimSanitizerError, match=(
-                    rf"worker disagg.decode1 coasted through an iteration "
+                    rf"disagg.decode1 coasted through an iteration "
                     rf"starting at .* with {named} due at "
                     rf"{re.escape(repr(at_s))}")):
-                engine._coast_worker(worker)
+                coast_member(engine, worker)
 
     def test_the_real_horizon_stops_at_a_waiting_decode_worker(self):
         with sanitized(True):
@@ -995,7 +1012,7 @@ class TestWorkerCoastCheck:
             other, at_s = engine._decode_pool[2], worker.clock + 0.05
             other.submit(trace_request(9, arrival=at_s + 5.0))
             other.clock = at_s
-            engine._coast_worker(worker)
+            coast_member(engine, worker)
             last = worker.batch.times_since(worker.batch.epoch - 1)[0]
             assert worker.clock >= at_s > worker.clock - last
 
@@ -1009,9 +1026,9 @@ class TestWorkerCoastCheck:
                 engine._in_transfer.add(9)
             worker._coast = handing_off
             with pytest.raises(SimSanitizerError, match=(
-                    r"a KV handoff moved while worker disagg.decode1 "
-                    r"coasted")):
-                engine._coast_worker(worker)
+                    r"a KV handoff \(begun, in flight\) moved while "
+                    r"disagg.decode1 coasted")):
+                coast_member(engine, worker)
 
 
 # --------------------------------------------------------------------- #
