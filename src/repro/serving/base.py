@@ -309,18 +309,14 @@ class DrainLoop:
     """The one coast-first drain loop.  A *parent* steps *members* on
     timelines of their own: a leaf engine is its own one member (the
     defaults below), a disagg engine its pool workers, a dedicated engine
-    its per-variant groups, a cluster its replicas.  ``step()`` is one
-    member iteration at every layer; a drain nobody hears between two
-    steps also lets members coast (:meth:`ServingEngine._coast`) through
-    the iterations that decide nothing, up to the time the parent acts
-    next.  A parent tells the loop four things:
+    its per-variant groups, a cluster its replicas.  It states
 
     * :meth:`_least_member`: its least busy member below the sim-time
       cap, once whatever it does before a step is done (the cluster
       routes); None ends the drain;
     * :meth:`_horizon`: the time no coasted iteration of ``member`` may
       start at or after (the member's own next arrival, live cancel and
-      first finish are inside ``_coast``);
+      first finish are inside :meth:`ServingEngine._coast`);
     * :meth:`_step_from`: one step given the least busy member, returning
       the member it advanced (None: nothing moved);
     * ``observed``: the one "who does not coast" predicate, True while
@@ -328,9 +324,11 @@ class DrainLoop:
       where one member may run ahead of another (a callback may inject
       work "now", which a member that ran ahead would take late).
 
-    A parent that files its members (the cluster's frontier ledger)
-    redoes that after a coast (:meth:`_moved`), and names, for the
-    sanitizer, what a coast must leave alone (:meth:`_coast_watch`)."""
+    An observed drain calls ``step()``, one member iteration at every
+    layer.  Any other lets the least busy member coast through the
+    iterations that decide nothing before stepping it, and the member a
+    step advanced after it; for the sanitizer, :meth:`_coast_watch`
+    names what a coast must leave alone."""
 
     def _least_member(self) -> Any:
         return self if self.unfinished > 0 and not self.at_horizon else None
@@ -341,12 +339,8 @@ class DrainLoop:
     def _step_from(self, member: Any) -> Any:
         return self if member is not None and self.step() else None
 
-    def _engine_of(self, member: Any) -> "ServingEngine":
-        """The engine that coasts for ``member``."""
-        return member
-
-    def _moved(self, member: Any) -> None:
-        """Bookkeeping after a step or a coast moved ``member``."""
+    def _sync_hooks(self) -> None:
+        """Wire the members to this parent's hooks (the loop steps them)."""
 
     def _coast_watch(self, member: Any) -> Tuple[
             Sequence[Tuple[str, Optional[float]]], Sequence[Tuple[str, Any]]]:
@@ -361,13 +355,10 @@ class DrainLoop:
         this engine (its telemetry samples between steps), else this
         parent."""
         front = self if front is None else front
-        if front.observed:
-            while front.unfinished > 0 and not front.at_horizon \
-                    and front.step():
-                pass
-            return
+        observed = front.observed
+        self._sync_hooks()
         tried: Tuple[Any, float] = (None, 0.0)    # last coast: who, to
-        while True:
+        while not observed:
             member = self._least_member()
             if member is not None:
                 horizon = self._horizon(member)
@@ -380,23 +371,29 @@ class DrainLoop:
             moved = self._step_from(member)
             if moved is None:
                 return
-            tried = (moved, self._horizon(moved))
-            self._coast_member(*tried)
+            # a completion callback may have begun to listen per
+            # iteration (a handle, a token listener): step from now on
+            observed = front.observed
+            if not observed:
+                tried = (moved, self._horizon(moved))
+                self._coast_member(*tried)
+        while front.unfinished > 0 and not front.at_horizon and front.step():
+            pass
 
     def _coast_member(self, member: Any, horizon: float) -> bool:
-        """Let ``member`` coast to ``horizon``, then redo the parent's
-        bookkeeping (:meth:`_moved`).  Did it move?"""
-        engine = self._engine_of(member)
-        start_s = engine.clock
-        watch = (engine.batch.epoch, engine.unfinished) + \
+        """Let ``member`` coast to ``horizon``.  Did it move?"""
+        start_s = member.clock
+        watch = (member.batch.epoch, member.unfinished) + \
             self._coast_watch(member) if self._sanitize else None
-        engine._coast(horizon)
-        if engine.clock <= start_s:
+        member._coast(horizon)
+        if member.clock <= start_s:
             return False
-        self._moved(member)
         if watch is not None:
-            _sanitizer.check_coast_bounds(member.name, engine, start_s,
-                                          *watch, self._coast_watch(member)[1])
+            epoch, unfinished, bounds, held = watch
+            _sanitizer.check_coast_bounds(
+                member.name, member, start_s, epoch, unfinished, bounds,
+                [(what, before, after) for (what, before), (_, after)
+                 in zip(held, self._coast_watch(member)[1])])
         return True
 
 

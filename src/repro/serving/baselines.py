@@ -15,7 +15,7 @@ iteration loop; only admission/swap policy and batch pricing differ.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
@@ -211,6 +211,7 @@ class DedicatedEngine(ServingEngine):
         self._groups: Dict[str, VLLMSCBEngine] = {}
         self._request_group: Dict[int, VLLMSCBEngine] = {}
         self._clock_floor = 0.0    # where a group created from now on starts
+        self._current: Optional[VLLMSCBEngine] = None   # the drain's group
 
     def _group_for(self, model_id: str) -> VLLMSCBEngine:
         group = self._groups.get(model_id)
@@ -310,36 +311,53 @@ class DedicatedEngine(ServingEngine):
     def observed(self) -> bool:
         return self.on_finish is not None or super().observed
 
-    def _busy_groups(self) -> List[VLLMSCBEngine]:
-        """Groups with work below their cap, least (clock, variant) first."""
-        return [group for _, _, group in sorted(
-            (group.clock, model_id, group)
-            for model_id, group in self._groups.items()
-            if group.unfinished > 0
-            and group.clock < group.config.max_sim_seconds)]
+    def _busy(self) -> Iterator[Tuple[float, str, VLLMSCBEngine]]:
+        """``(clock, variant, group)`` of each group with work below its
+        cap, in no order."""
+        return ((group.clock, model_id, group)
+                for model_id, group in self._groups.items()
+                if group.unfinished > 0
+                and group.clock < group.config.max_sim_seconds)
 
     @property
     def at_horizon(self) -> bool:
         # while a group has work, each stops at its own cap, in ``step()``
         # as in the drain; idle, the furthest group's clock answers
-        busy = [g for g in self._groups.values() if g.unfinished > 0]
-        if busy:
-            return all(g.clock >= g.config.max_sim_seconds for g in busy)
+        if any(g.unfinished > 0 for g in self._groups.values()):
+            return next(self._busy(), None) is None
         return super().at_horizon
 
     def _least_member(self) -> Optional[VLLMSCBEngine]:
-        self._sync_hooks()              # a coast reads the hooks too
-        return next(iter(self._busy_groups()), None)
+        """The group stepped last while it has work below its cap, else
+        the least (clock, variant) one: nobody hears these independent
+        timelines, so the drain runs one group dry before the next."""
+        group = self._current
+        if group is None or group.unfinished == 0 \
+                or group.clock >= group.config.max_sim_seconds:
+            least = min(self._busy(), default=None)
+            group = None if least is None else least[2]
+        return group
 
     def _step_from(self, first: Optional[VLLMSCBEngine]
                    ) -> Optional[VLLMSCBEngine]:
-        """One iteration of the least busy group ``first``, else of the
-        next one that moves (a wedged group's step moves nothing)."""
-        for group in self._busy_groups() if first is not None else ():
-            unfinished = group.unfinished
-            if group.step() or group.unfinished != unfinished:
+        """One iteration of ``first``, else of the least busy group that
+        moves."""
+        if first is None or self._moves(first):
+            self._current = first
+            return first
+        for _, _, group in sorted(b for b in self._busy()
+                                  if b[2] is not first):
+            if self._moves(group):
+                self._current = group
                 return group
         return None
+
+    @staticmethod
+    def _moves(group: VLLMSCBEngine) -> bool:
+        """Step ``group``: did it move?  A wedged group's step moves
+        nothing; one that applied a due cancel to its last request did."""
+        unfinished = group.unfinished
+        return group.step() or group.unfinished != unfinished
 
     def build_result(self) -> ServingResult:
         subs = [self._groups[m].build_result()

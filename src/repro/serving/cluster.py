@@ -913,7 +913,8 @@ class ClusterGateway(Gateway, DrainLoop):
         if unfinished > 0 and \
                 engine.clock < engine.config.max_sim_seconds and \
                 (engine.step() or engine.unfinished != unfinished):
-            self._moved(replica)
+            self._rekey(replica)
+            self._made_progress()
             return True
         return False
 
@@ -950,24 +951,30 @@ class ClusterGateway(Gateway, DrainLoop):
                 horizon = bound
         return horizon
 
-    def _engine_of(self, replica: Replica) -> ServingEngine:
-        return replica.engine
-
-    def _moved(self, replica: Replica) -> None:
-        """Re-file ``replica`` and redo the post-step bookkeeping: a tick a
-        coasted run crossed fires at this frontier, not one step later."""
+    def _coast_member(self, replica: Replica, horizon: float) -> bool:
+        """Let ``replica`` coast to ``horizon``, re-file it and redo the
+        post-step bookkeeping: a tick the run crossed fires at this
+        frontier, not one real step later.  Did it move?"""
+        engine = replica.engine
+        start_s = engine.clock
+        watch = (engine.batch.epoch, engine.unfinished, [
+            ("an unrouted arrival", self._unrouted.peek_time()),
+            ("an autoscaler tick", self._ticks.peek_time())]) \
+            if self._sanitize else None
+        engine._coast(horizon)
+        if engine.clock <= start_s:
+            return False
         self._rekey(replica)
         self._made_progress()
-
-    def _coast_watch(self, replica: Replica) -> Tuple[
-            List[Tuple[str, Optional[float]]], List[Tuple[str, bool]]]:
-        now, head = self.kernel.now, self._ticks.peek_time()
-        booked = now >= self.frontier and (
-            self.autoscaler is None or head is None or head > now)
-        return ([("an unrouted arrival", self._unrouted.peek_time()),
-                 ("an autoscaler tick", head)],
-                [("the cluster's bookkeeping (kernel at the frontier, no "
-                  "tick behind it)", booked)])
+        if watch is not None:
+            now, head = self.kernel.now, self._ticks.peek_time()
+            _sanitizer.check_coast_bounds(
+                replica.name, engine, start_s, *watch, [(
+                    "the cluster's bookkeeping (kernel at the frontier, no "
+                    "tick behind it)", True, now >= self.frontier and (
+                        self.autoscaler is None or head is None
+                        or head > now))])
+        return True
 
     def _made_progress(self) -> bool:
         """Post-step bookkeeping: advance the kernel clock to the new

@@ -445,7 +445,6 @@ class DisaggregatedEngine(ServingEngine):
         return self.clock >= limit_s
 
     def _least_member(self) -> Optional[_PoolWorker]:
-        self._sync_hooks()              # a coast reads the hooks too
         return None if self.at_horizon else self._least_worker()
 
     def _step_from(self, first: Optional[_PoolWorker]

@@ -447,14 +447,14 @@ def check_coast_run(engine: Any, start: float,
 def check_coast_bounds(who: str, engine: Any, start_s: float, epoch: int,
                        unfinished: int,
                        bounds: Sequence[Tuple[str, Optional[float]]],
-                       held: Sequence[Tuple[str, Any]],
-                       held_now: Sequence[Tuple[str, Any]]) -> None:
+                       held: Sequence[Tuple[str, Any, Any]]) -> None:
     """A drain loop let member ``who`` (``engine``) coast from ``start_s``
     (batch epoch ``epoch``) and redid its parent's bookkeeping: nobody
     hears the engine per iteration; every coasted iteration started
     before each of the parent's ``bounds``, read before the run, and the
     engine's cap (starts replayed from ``batch.times_since``); nothing
-    retired; and each value the parent ``held`` reads the same after."""
+    retired; and each of the parent's ``held`` values (``(what, want,
+    got)``) reads what it must after the run."""
     if engine.on_token is not None or engine.on_event is not None:
         raise _violation(f"{who} coasted while somebody hears it per "
                          f"iteration")
@@ -472,11 +472,10 @@ def check_coast_bounds(who: str, engine: Any, start_s: float, epoch: int,
         raise _violation(
             f"{who} coasted from {unfinished!r} unfinished requests to "
             f"{engine.unfinished!r}")
-    for (what, before), (_, after) in zip(held, held_now):
-        if before != after:
-            raise _violation(
-                f"{what} moved while {who} coasted: {before!r} before the "
-                f"run, {after!r} after")
+    for what, want, got in held:
+        if got != want:
+            raise _violation(f"{what} moved while {who} coasted: {got!r}, "
+                             f"not {want!r}")
 
 
 def check_cluster_frontier(gateway: Any) -> None:

@@ -410,9 +410,61 @@ def test_a_closed_loop_drains_as_it_steps_and_does_not_coast(fleet):
             clock = gateway.engine.clock
         else:                       # one group per variant, made lazily
             gateway = ServingGateway(engine_factory("dedicated")())
+            steps = CountingGroupSteps(gateway.engine)
             records = closed_loop(gateway, drain)
+            assert gateway.engine.stats.iterations <= steps.calls
             clock = gateway.engine.clock
         views.append((records, clock))
+    assert views[0] == views[1]
+
+
+class CountingGroupSteps(CountingSteps):
+    """``step()`` calls over every group dedicated ``engine`` makes
+    (lazily, one per variant)."""
+
+    def __init__(self, engine):
+        super().__init__(())
+        make = engine._group_for
+
+        def group_for(model_id):
+            new = model_id not in engine._groups
+            group = make(model_id)
+            if new:
+                self._each.append(CountingEngineSteps(group))
+            return group
+        engine._group_for = group_for
+
+
+@pytest.mark.parametrize("starts", ["submit", "add_token_listener"])
+def test_a_listener_a_completion_wires_hears_every_later_token(starts):
+    """A leaf engine heard only on completion coasts.  A completion
+    callback that starts listening per token (``submit`` wires a handle,
+    or a token listener) ends the coasting at once: the drain hears the
+    same tokens and makes the same records as ``while gateway.step()``."""
+    views = []
+    for drain in (lambda g: g.run_until_drained(),
+                  lambda g: Gateway.run_until_drained(g)):
+        gateway = ServingGateway(engine_factory()())
+        heard, handles = [], []
+
+        def on_complete(record):
+            if record.request_id != 0:
+                return
+            if starts == "submit":
+                handles.append(gateway.submit(MODELS[1], 32, 60))
+            else:
+                gateway.add_token_listener(
+                    lambda *event: heard.append(event))
+        gateway.add_completion_listener(on_complete)
+        for i in range(N_MODELS):
+            gateway.ingest(TraceRequest(
+                request_id=i, model_id=MODELS[i], arrival_s=0.0,
+                prompt_tokens=32, output_tokens=20 + 40 * i))
+        drain(gateway)
+        views.append(([tuple(r) for r in gateway.result().records], heard,
+                      [h.token_events for h in handles],
+                      asdict(gateway.engine.stats)))
+    assert views[0][1] or views[0][2][0]      # the listener heard tokens
     assert views[0] == views[1]
 
 

@@ -932,6 +932,20 @@ class TestClusterCoastCheck:
                     r"coasted")):
                 coast_member(gateway, replica)
 
+    def test_a_skipped_made_progress_already_behind_before_the_run(self):
+        """The bookkeeping must read right after the coast, whatever it
+        read before the run."""
+        with sanitized(True):
+            gateway, replica = self.steady(tick_every=0.5)
+            replica.engine.step()         # not through the gateway:
+            gateway._rekey(replica)       # the kernel stays behind
+            assert gateway.kernel.now < gateway.frontier
+            gateway._made_progress = lambda: True
+            with pytest.raises(SimSanitizerError, match=(
+                    r"the cluster's bookkeeping .* moved while replica-0 "
+                    r"coasted: False, not True")):
+                coast_member(gateway, replica)
+
     def test_a_run_that_retired_something(self):
         with sanitized(True):
             gateway, replica = self.steady()
