@@ -39,6 +39,7 @@ including future ones — by name through :func:`create_engine`.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Container, Dict, Iterable, List, Optional,
@@ -305,78 +306,136 @@ FinishCallback = Callable[[ServingRequest, float], None]
 EventCallback = Callable[[Event], None]
 
 
+#: a member's quiet bound stays this factor below its clock plus the
+#: quiet iterations' time: their float sum may round below the product
+_QUIET_MARGIN = 1.0 - 1e-9
+
+
 class DrainLoop:
     """The one coast-first drain loop.  A *parent* steps *members* on
-    timelines of their own: a leaf engine is its own one member (the
-    defaults below), a disagg engine its pool workers, a dedicated engine
-    its per-variant groups, a cluster its replicas.  It states
+    timelines of their own: a leaf engine is its own one member, a disagg
+    engine its pool workers, a dedicated engine its per-variant groups, a
+    cluster its replicas.  A parent of other members states
 
     * :meth:`_least_member`: its least busy member below the sim-time
       cap, once whatever it does before a step is done (the cluster
-      routes); None ends the drain;
+      routes); None: nothing below can move;
     * :meth:`_horizon`: the time no coasted iteration of ``member`` may
       start at or after (the member's own next arrival, live cancel and
       first finish are inside :meth:`ServingEngine._coast`);
     * :meth:`_step_from`: one step given the least busy member, returning
-      the member it advanced (None: nothing moved);
-    * ``observed``: the one "who does not coast" predicate, True while
-      somebody hears the members per iteration, or hears completions
-      where one member may run ahead of another (a callback may inject
-      work "now", which a member that ran ahead would take late).
+      the member it advanced (None: nothing moved).
 
-    An observed drain calls ``step()``, one member iteration at every
-    layer.  Any other lets the least busy member coast through the
-    iterations that decide nothing before stepping it, and the member a
-    step advanced after it; for the sanitizer, :meth:`_coast_watch`
-    names what a coast must leave alone."""
+    The drain runs under a *front*: the outermost gateway, whose
+    ``step()`` is one member iteration at every layer, else the parent.
+    The front states
+
+    * ``observed``: True while somebody hears the members per iteration
+      (a token listener or handle, an ``IterationDone`` subscriber or a
+      journal: the demand rule of :meth:`ServingEngine._wants`), or
+      steps them its own way;
+    * :meth:`_turn`: before each move, what the layers above the parent
+      act on (a gauge tick a coast crossed, admission work now due) is
+      done; it returns the time no coasted iteration may start at or
+      after (the next tick, admission's next event);
+    * :meth:`_resume`: nothing below could move; the front's own idle
+      path (admission jumps to its next event): did anything move?
+
+    An observed drain calls the front's ``step()``.  Any other lets the
+    least busy member coast through the iterations that decide nothing
+    before stepping it; ``observed`` is re-read after every step and
+    every fired gauge tick, the places where a callback runs mid-drain.
+    For the sanitizer, :meth:`_coast_watch` names what a coast must
+    leave alone, on the parent and on the front."""
+
+    #: the parent is its own one member (a leaf engine)
+    _leaf = False
+    #: the front of the drain running now (None: the parent itself)
+    _front: Any = None
 
     def _least_member(self) -> Any:
-        return self if self.unfinished > 0 and not self.at_horizon else None
+        raise NotImplementedError
 
     def _horizon(self, member: Any) -> float:
         return self.config.max_sim_seconds
 
     def _step_from(self, member: Any) -> Any:
-        return self if member is not None and self.step() else None
+        raise NotImplementedError
 
     def _sync_hooks(self) -> None:
         """Wire the members to this parent's hooks (the loop steps them)."""
 
     def _coast_watch(self, member: Any) -> Tuple[
             Sequence[Tuple[str, Optional[float]]], Sequence[Tuple[str, Any]]]:
-        """The events the parent acts on between steps (``(what, time)``:
+        """The events this layer acts on between steps (``(what, time)``:
         a coasted iteration starts before each) and the values a coast may
         not move (``(what, value)``), read from its own queues and pools."""
         return (), ()
 
+    def _turn(self) -> float:
+        return math.inf
+
+    def _resume(self) -> bool:
+        return False
+
     def _drain(self, front: Any = None) -> None:
-        """Serve until every member drained or reached its cap.  ``front``
-        is whose ``step()`` an observed drain calls: the gateway that owns
-        this engine (its telemetry samples between steps), else this
-        parent."""
+        """Serve until every member drained or reached its cap, and the
+        front holds nothing more.  ``front`` is the gateway that owns this
+        parent (its ``step()`` steps the whole stack), else this parent."""
         front = self if front is None else front
-        observed = front.observed
+        self._front = front
         self._sync_hooks()
+        telemetry = getattr(front, "telemetry", None)
+        tick = -math.inf if telemetry is None else telemetry.next_tick_s
+        observed = front.observed
         tried: Tuple[Any, float] = (None, 0.0)    # last coast: who, to
         while not observed:
-            member = self._least_member()
-            if member is not None:
-                horizon = self._horizon(member)
-                # coasted to a horizon and not stepped since, a member
-                # moves no further to no later one: skip asking
-                if member is not tried[0] or horizon > tried[1]:
-                    tried = (member, horizon)
-                    if self._coast_member(member, horizon):
+            bound = front._turn()
+            if telemetry is not None and telemetry.next_tick_s > tick:
+                # a gauge tick fired: a subscriber may listen per
+                # iteration from now on
+                tick = telemetry.next_tick_s
+                observed = front.observed
+                if observed:
+                    break
+            if self._leaf:
+                cap = self.config.max_sim_seconds
+                if self._n_retired < self._n_submitted and \
+                        self._sim.now < cap:
+                    horizon = bound if bound < cap else cap
+                    if self._sanitize:
+                        self._coast_member(self, horizon)
+                    else:
+                        self._coast(horizon)
+                    if self._sim.now >= horizon:
+                        continue      # past the bound: the front acts first
+                    retired = self._n_retired
+                    if self.step():
+                        # a completion callback may have begun to listen
+                        # per iteration (a handle, a token listener)
+                        if self._n_retired != retired:
+                            observed = front.observed
                         continue
-            moved = self._step_from(member)
-            if moved is None:
-                return
-            # a completion callback may have begun to listen per
-            # iteration (a handle, a token listener): step from now on
+            else:
+                member = self._least_member()
+                if member is not None:
+                    horizon = self._horizon(member)
+                    if bound < horizon:
+                        horizon = bound
+                    # coasted to a horizon and not stepped since, a member
+                    # moves no further to no later one: skip asking
+                    if member is not tried[0] or horizon > tried[1]:
+                        tried = (member, horizon)
+                        if self._coast_member(member, horizon):
+                            continue
+                if self._step_from(member) is not None:
+                    tried = (None, 0.0)
+                    observed = front.observed
+                    continue
+            if not front._resume():
+                break
+            tried = (None, 0.0)
             observed = front.observed
-            if not observed:
-                tried = (moved, self._horizon(moved))
-                self._coast_member(*tried)
         while front.unfinished > 0 and not front.at_horizon and front.step():
             pass
 
@@ -384,7 +443,7 @@ class DrainLoop:
         """Let ``member`` coast to ``horizon``.  Did it move?"""
         start_s = member.clock
         watch = (member.batch.epoch, member.unfinished) + \
-            self._coast_watch(member) if self._sanitize else None
+            self._watch(member) if self._sanitize else None
         member._coast(horizon)
         if member.clock <= start_s:
             return False
@@ -395,6 +454,15 @@ class DrainLoop:
                 [(what, before, after) for (what, before), (_, after)
                  in zip(held, self._coast_watch(member)[1])])
         return True
+
+    def _watch(self, member: Any) -> Tuple[
+            List[Tuple[str, Optional[float]]], Sequence[Tuple[str, Any]]]:
+        """:meth:`_coast_watch` with the front's bounds added."""
+        bounds, held = self._coast_watch(member)
+        front = self._front
+        if front is not None and front is not self:
+            bounds = [*bounds, *front._coast_watch(member)[0]]
+        return list(bounds), held
 
 
 class ServingEngine(DrainLoop):
@@ -416,6 +484,7 @@ class ServingEngine(DrainLoop):
     """
 
     name: str = "abstract"
+    _leaf = True
     #: how the CLI/benchmarks should register trace variants for this engine
     variant_artifact: str = ArtifactKind.DELTA
     #: whether build_result attaches the EngineStats counters
@@ -475,6 +544,7 @@ class ServingEngine(DrainLoop):
         self._n_retired = 0
         self.batch = RunningBatch()
         self._lru_version = -1            # batch.version at the last LRU touch
+        self._quiet_at: Optional[float] = None    # _quiet_until's answer
         self._sanitize = _sanitizer.enabled()
         self.stats = EngineStats()
         # retire-time streaming sink: sketches/counters always on, record
@@ -499,6 +569,7 @@ class ServingEngine(DrainLoop):
         # outer layers legitimately re-seat an idle engine's timeline
         # (replica spawn at the cluster frontier, admission-floor bumps)
         self._sim.reseat(value)
+        self._quiet_at = None
 
     def submit(self, request: TraceRequest) -> ServingRequest:
         """Enqueue one request; it joins the queue once the clock reaches
@@ -511,6 +582,7 @@ class ServingEngine(DrainLoop):
             raise ValueError(f"request id {rid!r} is already live")
         req = ServingRequest(trace=request)
         self._pending.push(Arrival(time=request.arrival_s, request=req))
+        self._quiet_at = None
         self._n_submitted += 1
         self._live[rid] = req
         if request.deadline_s is not None:
@@ -535,6 +607,7 @@ class ServingEngine(DrainLoop):
         """
         self._cancels.push(Cancel(time=float(at_s), request_id=request_id,
                                   reason=reason))
+        self._quiet_at = None
 
     def abort(self, request_id: int,
               reason: str = "cancel") -> Optional[ServingRequest]:
@@ -588,6 +661,7 @@ class ServingEngine(DrainLoop):
         Returns False when there is nothing left to do (no queued, running,
         or future-pending work) — the engine is drained.
         """
+        self._quiet_at = None
         self._before_step()
 
         # 0. due cancellations/deadline expiries apply at the boundary
@@ -697,10 +771,11 @@ class ServingEngine(DrainLoop):
 
     @property
     def observed(self) -> bool:
-        """Somebody hears this engine per iteration.  Heard only on
-        completion, a leaf engine still coasts: work a callback submits
-        "now" is its own next arrival, which bounds the coast."""
-        return self.on_token is not None or self.on_event is not None
+        """Somebody hears this engine per iteration: a token hook, or an
+        event hook that wants ``IterationDone`` (the demand rule).  Heard
+        only on completion, a leaf engine still coasts: work a callback
+        submits "now" is its own next arrival, which bounds the coast."""
+        return self.on_token is not None or self._wants(IterationDone)
 
     @property
     def at_horizon(self) -> bool:
@@ -830,11 +905,36 @@ class ServingEngine(DrainLoop):
             self._decode_plan(), batch.context_tokens, len(batch.requests),
             n, start_s, limit_s)
         batch.advance_run(times)
+        self._quiet_at = None
         self._sim.advance(now)
         self._count_iterations(len(times), len(batch.requests),
                                len(batch.per_model))
         if self._sanitize:
             _sanitizer.check_coast_run(self, start_s, times)
+
+    def _quiet_until(self) -> float:
+        """The earliest time this engine could start an iteration that is
+        not provably quiet: one that ingests, admits, cancels or finishes,
+        which a completion listener may hear.  While the batch stands each
+        quiet iteration left takes at least as long as the next (the
+        attention context only grows): the clock plus that many, less a
+        rounding margin, up to the next arrival or live cancel.  With
+        nothing running or an admission due: the clock (a composite
+        engine's own clock never moves: never quiet).  Kept until the
+        engine moves or takes work."""
+        until = self._quiet_at
+        if until is None:
+            until = self._sim.now
+            batch = self.batch
+            if batch.requests and not (self.has_queued() and self._decide()):
+                iter_s = self.cost.plan_time(self._decode_plan(),
+                                             batch.context_tokens)
+                quiet = (until + (batch.next_finish_epoch() - 1
+                                  - batch.epoch) * iter_s) * _QUIET_MARGIN
+                wake = self._next_wake()
+                until = quiet if wake is None or wake > quiet else wake
+            self._quiet_at = until
+        return until
 
     def _count_iterations(self, n: int, batch_size: int,
                           n_models: int) -> None:
@@ -885,11 +985,13 @@ class ServingEngine(DrainLoop):
         cancels (target already released) are discarded here rather than
         waited on: jumping an idle clock to a dead event's time would
         perturb the frontier for no simulated effect."""
-        while self._cancels and \
-                self._cancels.peek().request_id not in self._live:
-            self._cancels.pop()
-        times = [q.peek_time() for q in (self._pending, self._cancels) if q]
-        return min(times) if times else None
+        cancels = self._cancels
+        while cancels and cancels.peek().request_id not in self._live:
+            cancels.pop()
+        arrival, cancel = self._pending.peek_time(), cancels.peek_time()
+        if cancel is None or (arrival is not None and arrival < cancel):
+            return arrival
+        return cancel
 
     def _stall(self) -> bool:
         wake = self._next_wake()
@@ -970,6 +1072,7 @@ class ServingEngine(DrainLoop):
         req = self._live.get(request_id)
         if req is None:
             return None              # unknown, or stale: already released
+        self._quiet_at = None
         if req in self.batch.requests:
             # frees the batch slot and the KV share immediately: the next
             # admit() sees one fewer running request

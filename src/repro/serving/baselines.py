@@ -307,9 +307,15 @@ class DedicatedEngine(ServingEngine):
 
     # the drain loop's parent hooks: the members are the groups,
     # independent GPU sets on timelines of their own
+    _leaf = False
+
     @property
     def observed(self) -> bool:
-        return self.on_finish is not None or super().observed
+        """Any hook at all: ``step()`` moves every group in lockstep, so
+        what a listener or a gauge reads between steps depends on that
+        order, which a drain that runs one group dry does not keep."""
+        return self.on_finish is not None or self.on_event is not None \
+            or self.on_token is not None
 
     def _busy(self) -> Iterator[Tuple[float, str, VLLMSCBEngine]]:
         """``(clock, variant, group)`` of each group with work below its

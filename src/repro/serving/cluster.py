@@ -41,12 +41,12 @@ through :meth:`ClusterGateway.ingest`; completions flow back through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
-                    Type, TypeVar, Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple, Type, TypeVar, Union)
 
 from ..hardware.cluster import Cluster, GPUNode
-from ..sim import (Arrival, AutoscalerTick, EventQueue, KeyedHeap,
-                   ReplicaDrain, ReplicaSpawn, SimKernel)
+from ..sim import (Arrival, AutoscalerTick, EventQueue, IterationDone,
+                   KeyedHeap, ReplicaDrain, ReplicaSpawn, SimKernel)
 from ..sim import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .base import DrainLoop, ServingEngine
@@ -927,12 +927,14 @@ class ClusterGateway(Gateway, DrainLoop):
     # the drain loop's parent hooks: the members are the replicas
     @property
     def observed(self) -> bool:
-        """A completion listener or a handle; the replica engines' token
-        tap, journal or telemetry; a subclass's own ``step``."""
-        return bool(self._listeners or self._handles or self._token_tap) \
-            or self.kernel.journal is not None \
-            or self._telemetry is not None \
-            or type(self).step is not ClusterGateway.step
+        """The replica engines' token tap (a token listener or handle),
+        an ``IterationDone`` subscriber or journal; a subclass that steps
+        or drains its own way.  Completion listeners and telemetry bound
+        the horizon instead."""
+        cls = type(self)
+        return self._token_tap or self.kernel.wants(IterationDone) \
+            or cls.step is not ClusterGateway.step \
+            or cls.run_until_drained is not ClusterGateway.run_until_drained
 
     def _least_member(self) -> Optional[Replica]:
         # not step(): routing again before the step could place an
@@ -940,16 +942,41 @@ class ClusterGateway(Gateway, DrainLoop):
         return self._route_due()
 
     def _horizon(self, replica: Replica) -> float:
-        """No other replica's clock bounds it: between routing points and
-        ticks they are independent timelines, and a coast moves nothing a
-        balancer or :class:`Autoscaler` reads (``unfinished``,
-        ``backlog``)."""
+        """The next unrouted arrival, autoscaler tick and gauge tick: the
+        cluster acts on each at the frontier.  While a completion listener
+        may inject work, also the earliest time another busy replica could
+        start an iteration that is not quiet (it finishes or admits): its
+        callback runs there.  Between these the replicas are independent
+        timelines, and a coast moves nothing a balancer or
+        :class:`Autoscaler` reads (``unfinished``, ``backlog``)."""
         horizon = replica.engine.config.max_sim_seconds   # _step_replica's
         for bound in (self._unrouted.peek_time(),  # routed on due <= frontier
                       self._ticks.peek_time()):    # fired on tick <= now
             if bound is not None and bound < horizon:
                 horizon = bound
+        telemetry = self._telemetry
+        if telemetry is not None and telemetry.next_tick_s < horizon:
+            horizon = telemetry.next_tick_s
+        if self._listeners:
+            for other in self.replicas:
+                if other is not replica and other.frontier_key is not None:
+                    quiet = other.engine._quiet_until()
+                    if quiet < horizon:
+                        horizon = quiet
         return horizon
+
+    def _coast_watch(self, replica: Replica) -> Tuple[
+            List[Tuple[str, Optional[float]]], List[Tuple[str, Any]]]:
+        bounds = [("an unrouted arrival", self._unrouted.peek_time()),
+                  ("an autoscaler tick", self._ticks.peek_time())]
+        if self._telemetry is not None:
+            bounds.append(("a telemetry tick", self._telemetry.next_tick_s))
+        if self._listeners:
+            bounds += [(f"a completion on busy {other.name}",
+                        other.engine._quiet_until())
+                       for other in self.replicas if other is not replica
+                       and other.engine.unfinished > 0]
+        return bounds, []
 
     def _coast_member(self, replica: Replica, horizon: float) -> bool:
         """Let ``replica`` coast to ``horizon``, re-file it and redo the
@@ -957,10 +984,8 @@ class ClusterGateway(Gateway, DrainLoop):
         frontier, not one real step later.  Did it move?"""
         engine = replica.engine
         start_s = engine.clock
-        watch = (engine.batch.epoch, engine.unfinished, [
-            ("an unrouted arrival", self._unrouted.peek_time()),
-            ("an autoscaler tick", self._ticks.peek_time())]) \
-            if self._sanitize else None
+        watch = (engine.batch.epoch, engine.unfinished,
+                 self._watch(replica)[0]) if self._sanitize else None
         engine._coast(horizon)
         if engine.clock <= start_s:
             return False

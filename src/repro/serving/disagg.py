@@ -104,6 +104,18 @@ class _PoolWorker(DeltaZipEngine):
         if canonical is not None:
             super()._phase(req, canonical, time, status)
 
+    def _reset_engine(self) -> None:
+        super()._reset_engine()
+        self.metrics = None          # no sink of its own: see _retire
+
+    def _retire(self, requests: List[ServingRequest]) -> None:
+        # a surrogate leaves no record behind: clients, gateways and the
+        # metrics observe the owner's canonical request (which publishes
+        # the retire phase)
+        self._n_retired += len(requests)
+        for req in requests:
+            self._live.pop(req.request_id, None)
+
 
 class _PrefillWorker(_PoolWorker):
     """Prefill pool member: chunked prefill, requests retire after one
@@ -425,9 +437,16 @@ class DisaggregatedEngine(ServingEngine):
     # the drain loop's parent hooks: the members are the pool workers.
     # Under an outer layer, which reads this engine through ``clock``, a
     # ``step()`` is one worker iteration: the owner has no batch to coast.
+    _leaf = False
+
     @property
     def observed(self) -> bool:
-        return self.on_finish is not None or super().observed
+        """Any hook at all: a gauge tick compares :attr:`clock`, the
+        earliest *busy* worker, while a step moves the least worker by
+        raw clock, so a tick can fall between moves a drain orders
+        otherwise; a completion callback may inject work "now"."""
+        return self.on_finish is not None or self.on_event is not None \
+            or self.on_token is not None
 
     @property
     def at_horizon(self) -> bool:

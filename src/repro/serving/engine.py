@@ -150,8 +150,11 @@ class DeltaZipEngine(ServingEngine):
         batch = self.batch
         admitted = decision.admitted
         if not decision:
-            # (a schedule() that admits nothing moves no version)
+            # (a schedule() that admits nothing moves no version, loads and
+            # keeps nothing: only the LRU order is touched)
             self._idle_admit_key = (batch.version, self.scheduler.version)
+            self._touch_active(self._resident, admitted, False)
+            return _ADMIT_NOTHING
         cache = self._prefix_cache
 
         # swap newly selected deltas onto the GPU; deltas compete with the

@@ -238,6 +238,18 @@ class Gateway:
         enforce that cap itself ever answers True."""
         return False
 
+    # the front of a drain loop (:class:`~repro.serving.base.DrainLoop`):
+    # a layer with nothing of its own to act on between two moves
+    def _turn(self) -> float:
+        return math.inf
+
+    def _resume(self) -> bool:
+        return False
+
+    def _coast_watch(self, member: Any) -> Tuple[
+            List[Tuple[str, Optional[float]]], List[Tuple[str, Any]]]:
+        return [], []
+
     def lift_idle_clocks(self, now: float) -> None:
         """Raise every idle engine's clock to ``now``: a request an outer
         layer releases at ``now`` must not be served in an idle engine's
@@ -405,22 +417,39 @@ class ServingGateway(Gateway):
     def step(self) -> bool:
         """One engine iteration; False when the engine is drained."""
         progressed = self.engine.step()
-        now, telemetry = self.engine.clock, self._telemetry
-        if telemetry is not None and now >= telemetry.next_tick_s:
-            telemetry.advance(now)
+        self._turn()
         return progressed
 
     def run_until_drained(self) -> ServingResult:
         """Serve until everything submitted so far has finished, or the
-        engine is past ``max_sim_seconds``: the engine's drain, observed
-        through :meth:`step` while telemetry samples between steps."""
-        self.engine._drain(self)
+        engine is past ``max_sim_seconds``: the engine's drain loop, with
+        this gateway its front."""
+        self._drain(self)
         return self.result()
+
+    def _drain(self, front: Gateway) -> None:
+        self.engine._drain(front)
 
     @property
     def observed(self) -> bool:
-        """Telemetry samples between steps, or the engine is observed."""
-        return self._telemetry is not None or self.engine.observed
+        return self.engine.observed
+
+    def _turn(self) -> float:
+        """Fire the gauge ticks the engine's clock has reached; the next
+        one bounds a coast (its gauges read the engine between steps)."""
+        telemetry = self._telemetry
+        if telemetry is None:
+            return math.inf
+        now = self.engine.clock
+        if now >= telemetry.next_tick_s:
+            telemetry.advance(now)
+        return telemetry.next_tick_s
+
+    def _coast_watch(self, member: Any) -> Tuple[
+            List[Tuple[str, Optional[float]]], List[Tuple[str, Any]]]:
+        telemetry = self._telemetry
+        return ([("a telemetry tick", telemetry.next_tick_s)]
+                if telemetry is not None else []), []
 
     def result(self) -> ServingResult:
         """Snapshot of completions so far (callable mid-flight)."""

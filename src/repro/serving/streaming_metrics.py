@@ -658,6 +658,13 @@ class StreamingMetrics:
         the relative error around the threshold)."""
         return self._latency_sketch(metric, "fin_").count_leq(slo_s)
 
+    def tenant_ttft_met_count(self, tenant_id: Optional[str],
+                              slo_s: float) -> int:
+        """``for_tenant(tenant_id).slo_met_count(slo_s)``, read in place:
+        no slice of the sink is copied (a gauge asks at every tick)."""
+        stream = self._tenants.get(tenant_id or DEFAULT_TENANT)
+        return 0 if stream is None else stream.fin_ttft.count_leq(slo_s)
+
     def slo_attainment(self, slo_s: float, metric: str = "e2e") -> float:
         """Fraction of *observed* requests whose latency meets the SLO —
         the sketch twin of :func:`repro.serving.metrics.slo_attainment`."""

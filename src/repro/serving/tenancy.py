@@ -797,20 +797,56 @@ class TenantGateway(Gateway):
 
         Applies due cancellations/expiries, offers arrivals the frontier
         has reached, releases eligible queued work in admission order,
-        then steps the wrapped gateway.  When the gateway is idle but
-        admission still holds future work (a deferred request waiting on
-        its bucket, a future arrival, a scheduled cancel or deadline),
-        the frontier jumps to the next admission event.
+        then steps the wrapped gateway; when that moves nothing,
+        :meth:`_resume`.
         """
         inner = self.inner
         if inner.at_horizon:
             return False
+        self._release(self._frontier())
+        return inner.step() or self._resume()
+
+    def run_until_drained(self) -> ServingResult:
+        """Serve until everything submitted so far has finished: the
+        wrapped layers' drain loop with this gateway its front.  Its
+        members coast between admission events, which it releases as
+        the frontier reaches them."""
+        self._drain(self)
+        return self.result()
+
+    def _drain(self, front: Gateway) -> None:
+        self.inner._drain(front)
+
+    # the front of the drain loop below (:class:`~repro.serving.base.
+    # DrainLoop`): the wrapped gateway's listeners, plus admission events
+    @property
+    def observed(self) -> bool:
+        return self.inner.observed or type(self).step is not TenantGateway.step
+
+    def _turn(self) -> float:
+        """Release what is due at the frontier (as :meth:`step` does first);
+        the next admission event bounds a coast."""
+        inner = self.inner
+        bound = inner._turn()
+        if inner.at_horizon:
+            return bound
         now = self._frontier()
-        self._release(now)
-        if inner.step():
-            return True
+        nxt = self._next_action_s()
+        if nxt is not None and nxt <= now:
+            self._release(now)
+            nxt = self._next_action_s()
+        return bound if nxt is None or nxt > bound else nxt
+
+    def _resume(self) -> bool:
+        """The wrapped gateway moved nothing.  When admission still holds
+        future work (a deferred request waiting on its bucket, a future
+        arrival, a scheduled cancel or deadline), the frontier jumps to
+        the next admission event."""
+        inner = self.inner
+        if inner.at_horizon:
+            return False
         nxt = self._next_event_s()
-        if nxt is None or nxt <= now:
+        if nxt is None or nxt <= self._frontier():
             # nothing new can become actionable (wedged or fully drained)
             return False
         self._floor = max(self._floor, nxt)
@@ -818,6 +854,15 @@ class TenantGateway(Gateway):
         if inner.step():
             return True
         return bool(moved) and self._next_event_s() is not None
+
+    def _coast_watch(self, member) -> Tuple[
+            List[Tuple[str, Optional[float]]], List[Tuple[str, object]]]:
+        bounds = [("an admission arrival", self._pending.peek_time()),
+                  ("an admission cancel", self._cancels.peek_time())]
+        if self._depth_open():
+            bounds.append(("an admission eligibility",
+                           self.controller.next_eligible_s()))
+        return bounds + self.inner._coast_watch(member)[0], []
 
     def result(self) -> ServingResult:
         """The wrapped gateway's result plus admission telemetry.
@@ -944,6 +989,23 @@ class TenantGateway(Gateway):
         times = (self._pending.peek_time(), self._cancels.peek_time(),
                  self.controller.next_eligible_s())
         return min((t for t in times if t is not None), default=None)
+
+    def _next_action_s(self) -> Optional[float]:
+        """Earliest time :meth:`_release` may move anything: a pending
+        arrival, a scheduled cancel, or — while the dispatch depth has
+        room — the next eligibility (at full depth only a completion
+        frees a slot, and the drain loop steps every completion)."""
+        nxt = self._pending.peek_time()
+        for t in (self._cancels.peek_time(),
+                  self.controller.next_eligible_s()
+                  if self._depth_open() else None):
+            if t is not None and (nxt is None or t < nxt):
+                nxt = t
+        return nxt
+
+    def _depth_open(self) -> bool:
+        depth = self._effective_depth()
+        return depth is None or self._dispatched_unfinished < depth
 
     def _release(self, now: float) -> int:
         """Apply the due cancels, offer the due arrivals, dispatch what

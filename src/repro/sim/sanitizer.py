@@ -87,8 +87,8 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
 
 from ..hardware.kernels import sbmm_time
 from .clock import SimClock
-from .events import (AutoscalerTick, Cancel, Event, ReplicaDrain,
-                     ReplicaSpawn, TelemetryTick)
+from .events import (AutoscalerTick, Cancel, Event, IterationDone,
+                     ReplicaDrain, ReplicaSpawn, TelemetryTick)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .kernel import SimKernel
@@ -450,12 +450,15 @@ def check_coast_bounds(who: str, engine: Any, start_s: float, epoch: int,
                        held: Sequence[Tuple[str, Any, Any]]) -> None:
     """A drain loop let member ``who`` (``engine``) coast from ``start_s``
     (batch epoch ``epoch``) and redid its parent's bookkeeping: nobody
-    hears the engine per iteration; every coasted iteration started
-    before each of the parent's ``bounds``, read before the run, and the
-    engine's cap (starts replayed from ``batch.times_since``); nothing
-    retired; and each of the parent's ``held`` values (``(what, want,
-    got)``) reads what it must after the run."""
-    if engine.on_token is not None or engine.on_event is not None:
+    hears the engine per iteration (no token hook, and its event hook
+    wants no ``IterationDone``: the demand rule); every coasted iteration
+    started before each of the ``bounds`` its parent and front act on,
+    read before the run (an unrouted arrival, a tick, admission's next
+    event, another busy member's next iteration that is not quiet), and
+    the engine's cap (starts replayed from ``batch.times_since``);
+    nothing retired; and each of the parent's ``held`` values (``(what,
+    want, got)``) reads what it must after the run."""
+    if engine.on_token is not None or engine._wants(IterationDone):
         raise _violation(f"{who} coasted while somebody hears it per "
                          f"iteration")
     bounds = list(bounds) + [("the sim-time cap",

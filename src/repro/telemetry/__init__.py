@@ -174,8 +174,7 @@ class Telemetry:
                     attainment[tid] = 1.0
                     continue
                 slo_s = controller.tenant(tid).slo_s
-                met = sum(e.metrics.for_tenant(tid)
-                          .slo_met_count(slo_s, metric="ttft")
+                met = sum(e.metrics.tenant_ttft_met_count(tid, slo_s)
                           for e in engines)
                 attainment[tid] = met / stats.offered
 

@@ -1,8 +1,8 @@
 """Horizon coasting: an outer drain loop == one ``step()`` per iteration.
 
 The one drain loop (``DrainLoop._drain``) lets a cluster's replicas and a
-disagg engine's workers coast up to their parent's next-event time,
-before a step and after it.  The differential tests drain one trace both
+disagg engine's workers coast up to their parent's next-event time
+before stepping them.  The differential tests drain one trace both
 ways — ``gateway.replay()``, and reset + ``ingest`` + ``cancel`` +
 ``while gateway.step(): pass``, which is one iteration per step at every
 layer — and require ``==`` record tuples, ``kernel.now``, retired
@@ -10,10 +10,11 @@ counts, per-replica / per-worker ``EngineStats`` and clocks, and
 autoscaler histories (floats included), over trace kinds, cancel and
 deadline schedules, balancers, fleet sizes, autoscalers, both idle-skip
 modes and the prefix cache.  The counting tests pin who coasts and who
-never does: a layer that publishes, is stepped from outside or hears
-completions (a callback may inject work "now"; a cluster, a disagg
-engine, a dedicated one) makes exactly one engine ``step()`` per
-iteration.  Two fall-throughs the differentials found are
+never does: a layer that publishes or is stepped from outside, and a
+disagg or dedicated engine that hears completions (a callback may
+inject work "now"), makes exactly one engine ``step()`` per iteration;
+a cluster heard on completion coasts each replica only up to the other
+replicas' next iteration that is not quiet.  Two fall-throughs the differentials found are
 pinned on their own: a step that retired a fleet member's last request
 by a due cancel returns False and used to count as "nothing happened".
 """
@@ -265,7 +266,10 @@ def test_a_watched_cluster_publishes_every_iteration(watcher):
         assert len(done) == iterations(gateway)
 
 
-def test_a_tenant_gateway_over_a_cluster_steps_every_iteration():
+def test_a_tenant_gateway_over_a_cluster_coasts():
+    """Admission hears the cluster on completion: that bounds a replica's
+    coast by the other replicas' next finishes, and no longer makes the
+    cluster step every iteration.  Same records, far fewer steps."""
     trace = decode_heavy()
     counts = []
     for drain in (TenantGateway.replay, stepped):
@@ -274,10 +278,12 @@ def test_a_tenant_gateway_over_a_cluster_steps_every_iteration():
         steps = CountingSteps(cluster.engines())
         result = drain(gateway, trace, ())
         assert len(result.records) == len(trace)
-        assert iterations(cluster) <= steps.calls
         counts.append((steps.calls, iterations(cluster),
                        [tuple(r) for r in result.records]))
-    assert counts[0] == counts[1]
+    (coasted_steps, total, coasted), (stepped_steps, _, one_by_one) = counts
+    assert coasted == one_by_one
+    assert total > 1000 and stepped_steps >= total
+    assert coasted_steps < total // 3
 
 
 def test_a_cluster_of_disagg_engines_steps_every_iteration(monkeypatch):
@@ -364,7 +370,9 @@ def test_a_disagg_drain_coasts_decode_workers_only(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# who hears completions never coasts: a callback may inject work "now"
+# who hears completions: a callback may inject work "now", so a
+# cluster coasts a replica only up to the others' next finishes, and a
+# disagg or dedicated engine never coasts
 # --------------------------------------------------------------------- #
 def closed_loop(gateway, drain, n_first=6, n_more=40):
     """Every completion ingests a follow-up arriving at that finish.  A
@@ -399,7 +407,11 @@ def test_a_closed_loop_drains_as_it_steps_and_does_not_coast(fleet):
             gateway = make_cluster(n_replicas=3, balancer="round-robin")
             steps = CountingSteps(gateway.engines())
             records = closed_loop(gateway, drain)
-            assert iterations(gateway) <= steps.calls
+            if views:               # one step per turn
+                assert iterations(gateway) <= steps.calls
+            else:                   # each coast bounded by the other
+                #                     replicas' next finishes
+                assert steps.calls < iterations(gateway) // 3
             clock = gateway.kernel.now
         elif fleet == "disagg":
             gateway = ServingGateway(engine_factory(
