@@ -341,10 +341,13 @@ class DrainLoop:
     * :meth:`_resume`: nothing below could move; the front's own idle
       path (admission jumps to its next event): did anything move?
 
-    An observed drain calls the front's ``step()``.  Any other lets the
-    least busy member coast through the iterations that decide nothing
-    before stepping it; ``observed`` is re-read after every step and
-    every fired gauge tick, the places where a callback runs mid-drain.
+    An observed drain calls the front's ``step()``.  Any other turn lets
+    the least busy member coast through the iterations that decide
+    nothing, then the next least while they move, and steps the least
+    busy one; a turn whose coasts brought the frontier to the front's
+    bound ends there, so the front acts before the step.  ``observed``
+    is re-read after every step and every fired gauge tick, the places
+    where a callback runs mid-drain.
     For the sanitizer, :meth:`_coast_watch` names what a coast must
     leave alone, on the parent and on the front."""
 
@@ -403,11 +406,9 @@ class DrainLoop:
                 if self._n_retired < self._n_submitted and \
                         self._sim.now < cap:
                     horizon = bound if bound < cap else cap
-                    if self._sanitize:
-                        self._coast_member(self, horizon)
-                    else:
-                        self._coast(horizon)
-                    if self._sim.now >= horizon:
+                    moved = self._coast_member(self, horizon) \
+                        if self._sanitize else self._coast(horizon)
+                    if moved and self._sim.now >= horizon:
                         continue      # past the bound: the front acts first
                     retired = self._n_retired
                     if self.step():
@@ -417,17 +418,25 @@ class DrainLoop:
                             observed = front.observed
                         continue
             else:
+                # coast the least busy member, then the next least, while
+                # they move: below the front's bound nothing it reads moves
+                moved = False
                 member = self._least_member()
-                if member is not None:
+                while member is not None:
                     horizon = self._horizon(member)
                     if bound < horizon:
                         horizon = bound
                     # coasted to a horizon and not stepped since, a member
                     # moves no further to no later one: skip asking
-                    if member is not tried[0] or horizon > tried[1]:
-                        tried = (member, horizon)
-                        if self._coast_member(member, horizon):
-                            continue
+                    if member is tried[0] and horizon <= tried[1]:
+                        break
+                    tried = (member, horizon)
+                    if not self._coast_member(member, horizon):
+                        break
+                    moved = True
+                    member = self._least_member()
+                if moved and member is not None and member.clock >= bound:
+                    continue          # the frontier reached it: front first
                 if self._step_from(member) is not None:
                     tried = (None, 0.0)
                     observed = front.observed
@@ -441,18 +450,18 @@ class DrainLoop:
 
     def _coast_member(self, member: Any, horizon: float) -> bool:
         """Let ``member`` coast to ``horizon``.  Did it move?"""
-        start_s = member.clock
-        watch = (member.batch.epoch, member.unfinished) + \
+        watch = (member.clock, member.batch.epoch, member.unfinished) + \
             self._watch(member) if self._sanitize else None
-        member._coast(horizon)
-        if member.clock <= start_s:
+        moved = member._coast(horizon)
+        if watch is None:
+            return moved
+        start_s, epoch, unfinished, bounds, held = watch
+        if member.clock <= start_s:   # the check reads the clock itself
             return False
-        if watch is not None:
-            epoch, unfinished, bounds, held = watch
-            _sanitizer.check_coast_bounds(
-                member.name, member, start_s, epoch, unfinished, bounds,
-                [(what, before, after) for (what, before), (_, after)
-                 in zip(held, self._coast_watch(member)[1])])
+        _sanitizer.check_coast_bounds(
+            member.name, member, start_s, epoch, unfinished, bounds,
+            [(what, before, after) for (what, before), (_, after)
+             in zip(held, self._coast_watch(member)[1])])
         return True
 
     def _watch(self, member: Any) -> Tuple[
@@ -873,7 +882,7 @@ class ServingEngine(DrainLoop):
         seconds to advance the clock."""
         return 0.0
 
-    def _coast(self, limit_s: float) -> None:
+    def _coast(self, limit_s: float) -> bool:
         """Execute, exactly as :meth:`step` would have, every upcoming
         iteration that provably ingests, admits and finishes nothing,
         each starting before ``limit_s`` (the drain loop's horizon: this
@@ -884,33 +893,38 @@ class ServingEngine(DrainLoop):
         bucket and ingests nothing if it starts before the next arrival
         or live cancel, so only the clock, the epoch ledger and ``stats``
         move.  Only the drain loop calls it (:class:`DrainLoop`), for a
-        parent nobody observes, so nobody listens per iteration."""
+        parent nobody observes, so nobody listens per iteration.  Did it
+        move?"""
         batch = self.batch
         if not batch.requests:
-            return
+            return False
         n = batch.next_finish_epoch() - 1 - batch.epoch
         if n <= 0:
-            return                    # the next iteration retires someone
+            return False              # the next iteration retires someone
         wake = self._next_wake()
         if wake is not None and wake < limit_s:
             limit_s = wake
         start_s = self._sim.now
         if start_s >= limit_s:
-            return
+            return False
         decision = self._decide()
         if decision:
-            return                    # the next iteration admits or loads
+            return False              # the next iteration admits or loads
         self._apply(decision)
         times, now = self.cost.plan_run(
             self._decode_plan(), batch.context_tokens, len(batch.requests),
             n, start_s, limit_s)
         batch.advance_run(times)
-        self._quiet_at = None
+        # _quiet_until's answer, known here: each quiet iteration left
+        # takes at least as long as the last one run
+        quiet = (now + (n - len(times)) * times[-1]) * _QUIET_MARGIN
+        self._quiet_at = quiet if wake is None or wake > quiet else wake
         self._sim.advance(now)
         self._count_iterations(len(times), len(batch.requests),
                                len(batch.per_model))
         if self._sanitize:
             _sanitizer.check_coast_run(self, start_s, times)
+        return True
 
     def _quiet_until(self) -> float:
         """The earliest time this engine could start an iteration that is
@@ -926,13 +940,17 @@ class ServingEngine(DrainLoop):
         if until is None:
             until = self._sim.now
             batch = self.batch
-            if batch.requests and not (self.has_queued() and self._decide()):
-                iter_s = self.cost.plan_time(self._decode_plan(),
-                                             batch.context_tokens)
-                quiet = (until + (batch.next_finish_epoch() - 1
-                                  - batch.epoch) * iter_s) * _QUIET_MARGIN
+            n = batch.next_finish_epoch() - 1 - batch.epoch \
+                if batch.requests else 0
+            if n > 0 and not (self.has_queued() and self._decide()):
                 wake = self._next_wake()
-                until = quiet if wake is None or wake > quiet else wake
+                if wake is None or wake > until:
+                    iter_s = self.cost.plan_time(self._decode_plan(),
+                                                 batch.context_tokens)
+                    quiet = (until + n * iter_s) * _QUIET_MARGIN
+                    until = quiet if wake is None or wake > quiet else wake
+                else:
+                    until = wake
             self._quiet_at = until
         return until
 

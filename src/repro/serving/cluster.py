@@ -40,6 +40,7 @@ through :meth:`ClusterGateway.ingest`; completions flow back through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple, Type, TypeVar, Union)
@@ -941,6 +942,18 @@ class ClusterGateway(Gateway, DrainLoop):
         # arrival that one step per turn places after it
         return self._route_due()
 
+    def _turn(self) -> float:
+        """The next autoscaler and gauge tick: what the cluster acts on
+        as the frontier reaches it (in :meth:`_made_progress`), and what
+        an admission layer above reads again after."""
+        bound = self._ticks.peek_time()
+        if bound is None:
+            bound = math.inf
+        telemetry = self._telemetry
+        if telemetry is not None and telemetry.next_tick_s < bound:
+            bound = telemetry.next_tick_s
+        return bound
+
     def _horizon(self, replica: Replica) -> float:
         """The next unrouted arrival, autoscaler tick and gauge tick: the
         cluster acts on each at the frontier.  While a completion listener
@@ -983,18 +996,19 @@ class ClusterGateway(Gateway, DrainLoop):
         post-step bookkeeping: a tick the run crossed fires at this
         frontier, not one real step later.  Did it move?"""
         engine = replica.engine
-        start_s = engine.clock
-        watch = (engine.batch.epoch, engine.unfinished,
+        watch = (engine.clock, engine.batch.epoch, engine.unfinished,
                  self._watch(replica)[0]) if self._sanitize else None
-        engine._coast(horizon)
-        if engine.clock <= start_s:
+        moved = engine._coast(horizon)
+        if watch is not None:         # the check reads the clock itself
+            moved = engine.clock > watch[0]
+        if not moved:
             return False
         self._rekey(replica)
         self._made_progress()
         if watch is not None:
             now, head = self.kernel.now, self._ticks.peek_time()
             _sanitizer.check_coast_bounds(
-                replica.name, engine, start_s, *watch, [(
+                replica.name, engine, *watch, [(
                     "the cluster's bookkeeping (kernel at the frontier, no "
                     "tick behind it)", True, now >= self.frontier and (
                         self.autoscaler is None or head is None

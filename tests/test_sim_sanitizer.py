@@ -977,6 +977,88 @@ class TestClusterCoastCheck:
             assert replica.clock > 1.0
 
 
+class TestHeardCoastCheck:
+    """The bounds a coast keeps where somebody hears the stack between
+    iterations: another busy replica's next iteration that is not quiet
+    (a completion listener may inject work there), the next gauge tick,
+    admission's next event."""
+
+    @staticmethod
+    def heard():
+        """Replica 0 two steps into a 100-token decode, replica 1 into a
+        12-token one, a completion listener on the gateway."""
+        from test_serving_cluster import make_gateway
+        gateway = make_gateway(n_replicas=2)
+        gateway.add_completion_listener(lambda record: None)
+        gateway.ingest(trace_request(0, output=100))
+        gateway.ingest(trace_request(1, output=12, model="variant-01"))
+        for _ in range(4):
+            gateway._step_from(gateway._route_due())
+        return gateway, gateway.replicas[0], gateway.replicas[1]
+
+    def test_a_clean_coast_stops_before_another_replicas_finish(self):
+        with sanitized(True):
+            gateway, replica, other = self.heard()
+            finish = other.engine._quiet_until()
+            assert finish > other.clock
+            assert coast_member(gateway, replica)
+            last = replica.engine.batch.times_since(
+                replica.engine.batch.epoch - 1)[0]
+            assert replica.clock - last < finish <= replica.clock
+            gateway.run_until_drained()
+            assert gateway.unfinished == 0
+
+    def test_one_iteration_past_another_replicas_finish(self):
+        with sanitized(True):
+            gateway, replica, other = self.heard()
+            finish = other.engine._quiet_until()
+            engine = replica.engine
+            iter_s = engine.cost.plan_time(engine._decode_plan(),
+                                           engine.batch.context_tokens)
+            # the bound moved one iteration later
+            gateway._horizon = lambda member: finish + 1.5 * iter_s
+            with pytest.raises(SimSanitizerError, match=(
+                    rf"replica-0 coasted through an iteration starting at "
+                    rf".* with a completion on busy replica-1 due at "
+                    rf"{re.escape(repr(finish))}")):
+                coast_member(gateway, replica)
+
+    @pytest.mark.parametrize("layer", ["cluster", "gateway"])
+    def test_a_coast_across_a_telemetry_tick(self, layer):
+        from repro.serving import ServingGateway
+        from repro.telemetry import Telemetry
+        from test_serving_cluster import make_gateway
+        with sanitized(True):
+            telemetry = Telemetry(interval_s=0.4)
+            gateway = make_gateway(n_replicas=2) if layer == "cluster" \
+                else ServingGateway(make_engine("deltazip", ["variant-00"]))
+            # the tick is gone from the bounds
+            gateway._horizon = gateway._turn = lambda *member: inf
+            telemetry.attach(gateway)
+            gateway.ingest(trace_request(0, output=100))
+            with pytest.raises(SimSanitizerError, match=(
+                    r"coasted through an iteration starting at .* with a "
+                    r"telemetry tick due at 0\.4")):
+                gateway.run_until_drained()
+
+    def test_a_coast_across_an_admission_arrival(self):
+        from repro.serving import Tenant, TenantGateway
+        from test_serving_cluster import make_gateway
+        with sanitized(True):
+            gateway = TenantGateway(make_gateway(n_replicas=2),
+                                    tenants=(Tenant("default"),))
+            gateway.ingest(trace_request(0, output=100))
+            gateway.ingest(trace_request(1, arrival=0.6))
+            for _ in range(2):             # request 0 released and running
+                assert gateway.step()
+            # admission's bound is gone; the cluster's own are kept
+            gateway._turn = lambda: inf
+            with pytest.raises(SimSanitizerError, match=(
+                    r"replica-0 coasted through an iteration starting at "
+                    r".* with an admission arrival due at 0\.6")):
+                gateway.run_until_drained()
+
+
 class TestWorkerCoastCheck:
     @staticmethod
     def steady():
