@@ -896,17 +896,17 @@ class ServingEngine(DrainLoop):
         parent nobody observes, so nobody listens per iteration.  Did it
         move?"""
         batch = self.batch
-        if not batch.requests:
+        start_s = self._sim.now
+        if not batch.requests or start_s >= limit_s:
             return False
         n = batch.next_finish_epoch() - 1 - batch.epoch
         if n <= 0:
             return False              # the next iteration retires someone
         wake = self._next_wake()
         if wake is not None and wake < limit_s:
+            if start_s >= wake:
+                return False
             limit_s = wake
-        start_s = self._sim.now
-        if start_s >= limit_s:
-            return False
         decision = self._decide()
         if decision:
             return False              # the next iteration admits or loads

@@ -973,7 +973,10 @@ class ClusterGateway(Gateway, DrainLoop):
         if self._listeners:
             for other in self.replicas:
                 if other is not replica and other.frontier_key is not None:
-                    quiet = other.engine._quiet_until()
+                    engine = other.engine
+                    quiet = engine._quiet_at    # kept until it moves
+                    if quiet is None:
+                        quiet = engine._quiet_until()
                     if quiet < horizon:
                         horizon = quiet
         return horizon

@@ -1064,6 +1064,8 @@ class TenantGateway(Gateway):
         rid = request.request_id
         self._held.discard(rid)
         self._scheduled_cancels.pop(rid, None)
+        while self._cancels.remove_request(rid) is not None:
+            pass                      # nothing left to cancel at the frontier
         handle = self._handles.get(rid)
         if handle is not None:
             handle._finish(synthesized_abort_record(
