@@ -943,9 +943,9 @@ class ClusterGateway(Gateway, DrainLoop):
         return self._route_due()
 
     def _turn(self) -> float:
-        """The next autoscaler and gauge tick: what the cluster acts on
-        as the frontier reaches it (in :meth:`_made_progress`), and what
-        an admission layer above reads again after."""
+        """The next autoscaler and gauge tick: the cluster fires each as
+        the frontier reaches it (:meth:`_made_progress`), and an admission
+        layer above reads it again after."""
         bound = self._ticks.peek_time()
         if bound is None:
             bound = math.inf
@@ -955,21 +955,17 @@ class ClusterGateway(Gateway, DrainLoop):
         return bound
 
     def _horizon(self, replica: Replica) -> float:
-        """The next unrouted arrival, autoscaler tick and gauge tick: the
-        cluster acts on each at the frontier.  While a completion listener
-        may inject work, also the earliest time another busy replica could
+        """The next unrouted arrival (routed on ``due <= frontier``; the
+        ticks are :meth:`_turn`'s).  While a completion listener may
+        inject work, also the earliest time another busy replica could
         start an iteration that is not quiet (it finishes or admits): its
         callback runs there.  Between these the replicas are independent
         timelines, and a coast moves nothing a balancer or
         :class:`Autoscaler` reads (``unfinished``, ``backlog``)."""
         horizon = replica.engine.config.max_sim_seconds   # _step_replica's
-        for bound in (self._unrouted.peek_time(),  # routed on due <= frontier
-                      self._ticks.peek_time()):    # fired on tick <= now
-            if bound is not None and bound < horizon:
-                horizon = bound
-        telemetry = self._telemetry
-        if telemetry is not None and telemetry.next_tick_s < horizon:
-            horizon = telemetry.next_tick_s
+        head = self._unrouted.peek_time()
+        if head is not None and head < horizon:
+            horizon = head
         if self._listeners:
             for other in self.replicas:
                 if other is not replica and other.frontier_key is not None:

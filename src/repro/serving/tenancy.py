@@ -821,7 +821,8 @@ class TenantGateway(Gateway):
     # DrainLoop`): the wrapped gateway's listeners, plus admission events
     @property
     def observed(self) -> bool:
-        return self.inner.observed or type(self).step is not TenantGateway.step
+        return self.inner.observed \
+            or type(self).step is not TenantGateway.step
 
     def _turn(self) -> float:
         """Release what is due at the frontier (as :meth:`step` does first);
@@ -831,10 +832,10 @@ class TenantGateway(Gateway):
         if inner.at_horizon:
             return bound
         now = self._frontier()
-        nxt = self._next_action_s()
+        nxt = self._next_event_s(self._depth_open())
         if nxt is not None and nxt <= now:
             self._release(now)
-            nxt = self._next_action_s()
+            nxt = self._next_event_s(self._depth_open())
         return bound if nxt is None or nxt > bound else nxt
 
     def _resume(self) -> bool:
@@ -855,7 +856,7 @@ class TenantGateway(Gateway):
             return True
         return bool(moved) and self._next_event_s() is not None
 
-    def _coast_watch(self, member) -> Tuple[
+    def _coast_watch(self, member: object) -> Tuple[
             List[Tuple[str, Optional[float]]], List[Tuple[str, object]]]:
         bounds = [("an admission arrival", self._pending.peek_time()),
                   ("an admission cancel", self._cancels.peek_time())]
@@ -982,23 +983,16 @@ class TenantGateway(Gateway):
         self.kernel.clock.advance(now)
         return now
 
-    def _next_event_s(self) -> Optional[float]:
-        """Earliest future admission event: a queued arrival, a token
-        bucket refill (the BucketRefill wake-ups the controller tracks),
-        or a scheduled cancel/deadline for frontier-held work."""
-        times = (self._pending.peek_time(), self._cancels.peek_time(),
-                 self.controller.next_eligible_s())
-        return min((t for t in times if t is not None), default=None)
-
-    def _next_action_s(self) -> Optional[float]:
-        """Earliest time :meth:`_release` may move anything: a pending
-        arrival, a scheduled cancel, or — while the dispatch depth has
-        room — the next eligibility (at full depth only a completion
-        frees a slot, and the drain loop steps every completion)."""
+    def _next_event_s(self, eligible: bool = True) -> Optional[float]:
+        """Earliest future admission event: a queued arrival, a scheduled
+        cancel/deadline for frontier-held work, or (with ``eligible``) a
+        token bucket refill (the BucketRefill wake-ups the controller
+        tracks).  The drain loop asks for refills only while the dispatch
+        depth has room: at full depth only a completion frees a slot, and
+        it steps every completion."""
         nxt = self._pending.peek_time()
         for t in (self._cancels.peek_time(),
-                  self.controller.next_eligible_s()
-                  if self._depth_open() else None):
+                  self.controller.next_eligible_s() if eligible else None):
             if t is not None and (nxt is None or t < nxt):
                 nxt = t
         return nxt

@@ -14,9 +14,10 @@ never does: a layer that publishes or is stepped from outside, and a
 disagg or dedicated engine that hears completions (a callback may
 inject work "now"), makes exactly one engine ``step()`` per iteration;
 a cluster heard on completion coasts each replica only up to the other
-replicas' next iteration that is not quiet.  Two fall-throughs the differentials found are
-pinned on their own: a step that retired a fleet member's last request
-by a due cancel returns False and used to count as "nothing happened".
+replicas' next iteration that is not quiet.  Two fall-throughs the
+differentials found are pinned on their own: a step that retired a
+fleet member's last request by a due cancel returns False and used to
+count as "nothing happened".
 """
 
 from dataclasses import asdict, replace

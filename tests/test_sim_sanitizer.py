@@ -866,7 +866,8 @@ class TestReleaseCheck:
 # --------------------------------------------------------------------- #
 def coast_member(parent, member):
     """What the drain loop does with a member it lets coast."""
-    return parent._coast_member(member, parent._horizon(member))
+    return parent._coast_member(member, min(parent._horizon(member),
+                                            parent._turn()))
 
 
 class TestClusterCoastCheck:
@@ -917,7 +918,7 @@ class TestClusterCoastCheck:
         with sanitized(True):
             gateway, replica = self.steady(tick_every=0.5)
             tick = gateway._ticks.peek_time()
-            gateway._horizon = lambda engine: inf
+            gateway._turn = lambda: inf
             with pytest.raises(SimSanitizerError, match=(
                     rf"with an autoscaler tick due at "
                     rf"{re.escape(repr(tick))}")):
