@@ -447,6 +447,7 @@ class DrainLoop:
             observed = front.observed
         while front.unfinished > 0 and not front.at_horizon and front.step():
             pass
+        self._front = None            # no parent <-> gateway cycle left
 
     def _coast_member(self, member: Any, horizon: float) -> bool:
         """Let ``member`` coast to ``horizon``.  Did it move?"""
