@@ -347,9 +347,9 @@ class DrainLoop:
     busy one; a turn whose coasts brought the frontier to the front's
     bound ends there, so the front acts before the step.  ``observed``
     is re-read after every step and every fired gauge tick, the places
-    where a callback runs mid-drain.
-    For the sanitizer, :meth:`_coast_watch` names what a coast must
-    leave alone, on the parent and on the front."""
+    where a callback runs mid-drain.  For the sanitizer,
+    :meth:`_coast_watch` names what a coast must leave alone, on the
+    parent and on the front."""
 
     #: the parent is its own one member (a leaf engine)
     _leaf = False
