@@ -1,16 +1,22 @@
 """vLLM-SCB baseline specifics: swapping, preload, KV admission."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.hardware.memory import Tier
 from repro.serving import (ENGINES, ClusterGateway, DedicatedEngine,
-                           EngineConfig, LLAMA_13B, LLAMA_7B, ModelManager,
-                           SchedulerConfig, VLLMSCBEngine, create_engine)
+                           EngineConfig, EngineStats, LLAMA_13B, LLAMA_7B,
+                           ModelManager, SchedulerConfig, VLLMSCBEngine,
+                           create_engine)
 from repro.serving.base import FULL_MODEL_LOADER_FACTOR
 from repro.sim import IterationDone
+from repro.workload import trace_from_distribution
 from repro.workload.spec import Trace, TraceRequest
+
+from test_coasting import CountingSteps, mid_run_aborts
 
 
 def full_manager(spec, models):
@@ -300,3 +306,54 @@ class TestDedicatedHeardOnCompletion:
         quiet = drain(False)
         assert quiet[1] > 0 and min(quiet[2].values()) >= 2.0
         assert drain(True) == quiet
+
+
+
+# --------------------------------------------------------------------- #
+# unheard: a dedicated drain is each group drained alone
+# --------------------------------------------------------------------- #
+def submit_all(engine, trace, cancels):
+    """Submit ``trace`` and the cancels of its requests to ``engine``."""
+    ids = set()
+    for request in trace:
+        engine.submit(request)
+        ids.add(request.request_id)
+    for request_id, at_s in cancels:
+        if request_id in ids:
+            engine.schedule_cancel(request_id, at_s)
+
+
+@pytest.mark.parametrize("quantum", [None, 0.05], ids=["skip", "dense"])
+@pytest.mark.parametrize("aborts", [False, True], ids=["clean", "aborts"])
+def test_a_dedicated_drain_is_each_group_drained_alone(quantum, aborts):
+    """Nobody hears the engine, so its groups are independent timelines:
+    every group leaves the records, ``EngineStats`` and ``step()`` count
+    of a preloaded ``vllm-scb`` engine that drains its variant's share of
+    the trace (and of the cancels) on its own."""
+    trace = trace_from_distribution("zipf:1.5", 8, rate=1.0, duration_s=60,
+                                    seed=1)
+    cancels = []
+    if aborts:
+        trace, cancels = mid_run_aborts(trace)
+    mgr = full_manager(LLAMA_7B, trace.model_ids)
+    node = GPUNode(node_from_name("a800", 1))
+    config = EngineConfig(tp_degree=1, idle_quantum_s=quantum)
+    engine = DedicatedEngine(mgr, node, config)
+    submit_all(engine, trace, cancels)
+    steps = {m: CountingSteps(g) for m, g in engine._groups.items()}
+    engine.run_until_drained()
+    assert len(steps) > 1 and engine.unfinished == 0
+    alone_stats = []
+    for model_id in sorted(steps):
+        group = engine._groups[model_id]
+        alone = VLLMSCBEngine(mgr, node, config, preload=True)
+        submit_all(alone, [r for r in trace if r.model_id == model_id],
+                   cancels)
+        alone_steps = CountingSteps(alone)
+        alone.run_until_drained()
+        assert [tuple(r) for r in group.build_result().records] == \
+            [tuple(r) for r in alone.build_result().records], model_id
+        assert asdict(group.stats) == asdict(alone.stats), model_id
+        assert steps[model_id].calls == alone_steps.calls > 0, model_id
+        alone_stats.append(alone.stats)
+    assert asdict(engine.stats) == asdict(EngineStats.total(alone_stats))
