@@ -312,10 +312,11 @@ _QUIET_MARGIN = 1.0 - 1e-9
 
 
 class DrainLoop:
-    """The one coast-first drain loop.  A *parent* steps *members* on
-    timelines of their own: a leaf engine is its own one member, a disagg
-    engine its pool workers, a dedicated engine its per-variant groups, a
-    cluster its replicas.  A parent of other members states
+    """The one coast-first drain loop.  A *parent* steps *members* that
+    meet on timelines of their own: a leaf engine is its own one member,
+    disagg its pool workers (the handoff), a cluster its replicas
+    (routing, ticks, listeners); never a dedicated engine's groups, which
+    never meet.  A parent of other members states
 
     * :meth:`_least_member`: its least busy member below the sim-time
       cap, once whatever it does before a step is done (the cluster
@@ -366,7 +367,8 @@ class DrainLoop:
         raise NotImplementedError
 
     def _sync_hooks(self) -> None:
-        """Wire the members to this parent's hooks (the loop steps them)."""
+        """Wire the members to this parent's hooks (the loop steps them):
+        disagg's workers; a cluster wires each replica itself."""
 
     def _coast_watch(self, member: Any) -> Tuple[
             Sequence[Tuple[str, Optional[float]]], Sequence[Tuple[str, Any]]]:

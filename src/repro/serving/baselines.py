@@ -15,7 +15,7 @@ iteration loop; only admission/swap policy and batch pricing differ.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set
 
 from ..hardware.cluster import GPUNode
 from ..hardware.memory import Tier
@@ -211,7 +211,6 @@ class DedicatedEngine(ServingEngine):
         self._groups: Dict[str, VLLMSCBEngine] = {}
         self._request_group: Dict[int, VLLMSCBEngine] = {}
         self._clock_floor = 0.0    # where a group created from now on starts
-        self._current: Optional[VLLMSCBEngine] = None   # the drain's group
 
     def _group_for(self, model_id: str) -> VLLMSCBEngine:
         group = self._groups.get(model_id)
@@ -300,70 +299,33 @@ class DedicatedEngine(ServingEngine):
         progressed = False
         for model_id in sorted(self._groups):
             group = self._groups[model_id]
-            if group.unfinished > 0 and \
-                    group.clock < group.config.max_sim_seconds:
+            if group.unfinished > 0 and not group.at_horizon:
                 progressed = group.step() or progressed
         return progressed
 
-    # the drain loop's parent hooks: the members are the groups,
-    # independent GPU sets on timelines of their own
-    _leaf = False
+    def _drain(self, front: Any = None) -> None:
+        """Unheard, each group (an independent timeline) drains through
+        its own loop, in variant order.  Heard at all, ``step()`` moves
+        the groups in lockstep: listeners and gauges read that order."""
+        front = self if front is None else front
+        self._sync_hooks()
+        if not front.observed:
+            for model_id in sorted(self._groups):
+                self._groups[model_id]._drain()
+        while front.unfinished > 0 and not front.at_horizon and front.step():
+            pass
 
     @property
     def observed(self) -> bool:
-        """Any hook at all: ``step()`` moves every group in lockstep, so
-        what a listener or a gauge reads between steps depends on that
-        order, which a drain that runs one group dry does not keep."""
         return self.on_finish is not None or self.on_event is not None \
             or self.on_token is not None
-
-    def _busy(self) -> Iterator[Tuple[float, str, VLLMSCBEngine]]:
-        """``(clock, variant, group)`` of each group with work below its
-        cap, in no order."""
-        return ((group.clock, model_id, group)
-                for model_id, group in self._groups.items()
-                if group.unfinished > 0
-                and group.clock < group.config.max_sim_seconds)
 
     @property
     def at_horizon(self) -> bool:
         # while a group has work, each stops at its own cap, in ``step()``
         # as in the drain; idle, the furthest group's clock answers
-        if any(g.unfinished > 0 for g in self._groups.values()):
-            return next(self._busy(), None) is None
-        return super().at_horizon
-
-    def _least_member(self) -> Optional[VLLMSCBEngine]:
-        """The group stepped last while it has work below its cap, else
-        the least (clock, variant) one: nobody hears these independent
-        timelines, so the drain runs one group dry before the next."""
-        group = self._current
-        if group is None or group.unfinished == 0 \
-                or group.clock >= group.config.max_sim_seconds:
-            least = min(self._busy(), default=None)
-            group = None if least is None else least[2]
-        return group
-
-    def _step_from(self, first: Optional[VLLMSCBEngine]
-                   ) -> Optional[VLLMSCBEngine]:
-        """One iteration of ``first``, else of the least busy group that
-        moves."""
-        if first is None or self._moves(first):
-            self._current = first
-            return first
-        for _, _, group in sorted(b for b in self._busy()
-                                  if b[2] is not first):
-            if self._moves(group):
-                self._current = group
-                return group
-        return None
-
-    @staticmethod
-    def _moves(group: VLLMSCBEngine) -> bool:
-        """Step ``group``: did it move?  A wedged group's step moves
-        nothing; one that applied a due cancel to its last request did."""
-        unfinished = group.unfinished
-        return group.step() or group.unfinished != unfinished
+        busy = [g for g in self._groups.values() if g.unfinished > 0]
+        return all(g.at_horizon for g in busy) if busy else super().at_horizon
 
     def build_result(self) -> ServingResult:
         subs = [self._groups[m].build_result()
