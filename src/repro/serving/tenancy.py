@@ -706,9 +706,8 @@ class TenantGateway(Gateway):
         #: reason="cancel" schedules to forward when a request dispatches
         self._scheduled_cancels: Dict[int, Tuple[float, str]] = {}
         self._held: Set[int] = set()      # pending or queued at admission
-        self._dispatched_ids: Set[int] = set()
+        self._dispatched_ids: Set[int] = set()   # dispatched, unfinished
         self._floor = 0.0                 # admission-time frontier floor
-        self._dispatched_unfinished = 0
         self._recent_finish: Deque[float] = deque(
             maxlen=8 * _MIN_COMPLETIONS_FOR_PREDICTION)
         if telemetry is not None:
@@ -722,7 +721,7 @@ class TenantGateway(Gateway):
         """In-system requests: frontier-queued plus dispatched-unfinished
         (rejected and shed requests are gone, not unfinished)."""
         return len(self._pending) + self.controller.total_queued + \
-            self._dispatched_unfinished
+            len(self._dispatched_ids)
 
     def _now(self) -> float:
         return max(self.inner.clock, self._floor)
@@ -948,7 +947,6 @@ class TenantGateway(Gateway):
         self._dispatched_ids.clear()
         self._recent_finish.clear()
         self._floor = 0.0
-        self._dispatched_unfinished = 0
         super().reset()
 
     # ------------------------------------------------------------------ #
@@ -998,7 +996,7 @@ class TenantGateway(Gateway):
 
     def _depth_open(self) -> bool:
         depth = self._effective_depth()
-        return depth is None or self._dispatched_unfinished < depth
+        return depth is None or len(self._dispatched_ids) < depth
 
     def _release(self, now: float) -> int:
         """Apply the due cancels, offer the due arrivals, dispatch what
@@ -1072,7 +1070,7 @@ class TenantGateway(Gateway):
         count = 0
         bumped = False
         while controller.has_eligible(now) and \
-                (depth is None or self._dispatched_unfinished < depth):
+                (depth is None or len(self._dispatched_ids) < depth):
             request = controller.pop(now)
             if request is None:      # pragma: no cover - has_eligible guard
                 break
@@ -1083,7 +1081,6 @@ class TenantGateway(Gateway):
                 bumped = True
             rid = request.request_id
             self.inner.ingest(request)
-            self._dispatched_unfinished += 1
             self._held.discard(rid)
             self._dispatched_ids.add(rid)
             # the request left the frontier: its deadline watch moves to
@@ -1132,7 +1129,7 @@ class TenantGateway(Gateway):
             return None
         controller = self.controller
         if controller.policy == "fcfs":
-            ahead = self._dispatched_unfinished + controller.total_queued
+            ahead = len(self._dispatched_ids) + controller.total_queued
             return (ahead + 1) / rate
         tenant = controller.tenant(tenant_id)
         active = set(controller.active_tenants()) | {tenant.tenant_id}
@@ -1142,7 +1139,6 @@ class TenantGateway(Gateway):
         return (own + 1) / (rate * share)
 
     def _completion_hook(self, record: RequestRecord) -> None:
-        self._dispatched_unfinished = max(0, self._dispatched_unfinished - 1)
         self._dispatched_ids.discard(record.request_id)
         if record.finished:
             # aborted completions are excluded from the service-rate
