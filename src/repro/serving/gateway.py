@@ -239,16 +239,9 @@ class Gateway:
         return False
 
     # the front of a drain loop (:class:`~repro.serving.base.DrainLoop`):
-    # a layer with nothing of its own to act on between two moves
-    def _turn(self) -> float:
-        return math.inf
-
+    # a layer with no idle path of its own
     def _resume(self) -> bool:
         return False
-
-    def _coast_watch(self, member: Any) -> Tuple[
-            List[Tuple[str, Optional[float]]], List[Tuple[str, Any]]]:
-        return [], []
 
     def lift_idle_clocks(self, now: float) -> None:
         """Raise every idle engine's clock to ``now``: a request an outer
