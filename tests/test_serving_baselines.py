@@ -308,7 +308,6 @@ class TestDedicatedHeardOnCompletion:
         assert drain(True) == quiet
 
 
-
 # --------------------------------------------------------------------- #
 # unheard: a dedicated drain is each group drained alone
 # --------------------------------------------------------------------- #
