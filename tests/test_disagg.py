@@ -10,6 +10,10 @@ engine-level byte/second counters must be the sum of the per-request
 plans.
 """
 
+import hashlib
+from collections import Counter
+from dataclasses import asdict, replace
+
 import pytest
 
 from repro.hardware import GPUNode, InterconnectModel, node_from_name
@@ -17,11 +21,11 @@ from repro.serving import (EngineConfig, LLAMA_7B, ModelManager,
                            RecordPolicy, SchedulerConfig, ServingGateway,
                            StackSpec, build, create_engine)
 from repro.serving.base import ServingEngine
-from repro.serving.disagg import ShardedEngine
+from repro.serving.disagg import ShardedEngine, _PoolWorker
 from repro.serving.kv_transfer import KvTransferPlan, plan_kv_transfer
 from repro.workload.spec import Trace, TraceRequest
 from repro.sim import KvTransfer, PhaseTransition
-from repro.workload import session_trace, synthetic_trace
+from repro.workload import LengthSampler, session_trace, synthetic_trace
 
 N_MODELS = 4
 
@@ -574,3 +578,102 @@ class TestStackBuilder:
         res, _ = self._serve("sharded", tp_degree=2)
         assert all(r.finished for r in res.records)
         assert res.config["n_nodes"] == 2 and res.config["per_node_tp"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# the drain's decisions, counted
+# --------------------------------------------------------------------------- #
+#: prompts around the 512-token chunk (so some prefills are slabbed),
+#: decodes long enough that decode workers coast between events
+PREFILL_HEAVY = LengthSampler(prompt_log_mean=6.3, prompt_log_sigma=0.4,
+                              output_mean=60.0, max_prompt=2048,
+                              max_output=160)
+
+
+def counted_sessions(cancels):
+    trace = session_trace(N_MODELS, rate=1.0, duration_s=60.0, seed=11,
+                          mean_turns=3.0, think_time_s=3.0,
+                          shared_prefix_tokens=128,
+                          length_sampler=PREFILL_HEAVY)
+    if not cancels:
+        return trace, None
+    # a deadline on every seventh request, a cancel on every fifth, each
+    # landing in prefill, in the KV handoff or in decode
+    requests = [replace(r, deadline_s=r.arrival_s + 1.0) if i % 7 == 3
+                else r for i, r in enumerate(trace.requests)]
+    schedule = [(r.request_id, r.arrival_s + 0.2 * (i % 4))
+                for i, r in enumerate(requests) if i % 5 == 1]
+    return replace(trace, requests=requests), schedule
+
+
+def counted_replay(monkeypatch, prefill, decode, prefix_cache, cancels):
+    """Replay the session trace through a gateway; the records and stats
+    digest, and each worker's ``step()`` calls and coasted runs."""
+    steps, coasts = Counter(), Counter()
+    step, coast = _PoolWorker.step, _PoolWorker._coast
+
+    def counted_step(worker):
+        steps[worker.name] += 1
+        return step(worker)
+
+    def counted_coast(worker, limit_s):
+        moved = coast(worker, limit_s)
+        coasts[worker.name] += moved
+        return moved
+
+    monkeypatch.setattr(_PoolWorker, "step", counted_step)
+    monkeypatch.setattr(_PoolWorker, "_coast", counted_coast)
+    engine = create_engine(
+        "disagg", make_manager(), GPUNode(node_from_name("a800", 1)),
+        scheduler_config=SchedulerConfig(max_batch_requests=8,
+                                         max_concurrent_deltas=4),
+        engine_config=EngineConfig(tp_degree=1, prefix_cache=prefix_cache),
+        prefill_workers=prefill, decode_workers=decode)
+    trace, schedule = counted_sessions(cancels)
+    result = ServingGateway(engine).replay(trace, cancels=schedule)
+    digest = hashlib.sha256(repr(
+        ([tuple(r) for r in result.records],
+         sorted(asdict(engine.stats).items()))).encode()).hexdigest()
+    workers = engine._prefill_pool + engine._decode_pool
+    return (len(result.records), digest[:16],
+            tuple(steps[w.name] for w in workers),
+            tuple(coasts[w.name] for w in workers))
+
+
+#: (prefill workers, decode workers, prefix cache, cancels + deadlines) ->
+#: (records, sha256 of records and stats, step() calls per worker, coasted
+#: runs per worker), workers in id order: recorded before the owner
+#: stepped the worker its drain loop chose, and to hold on every commit
+#: since
+COUNTED = {
+    (1, 1, False, False): (172, '7be3abd14ca5e467',
+                           (276, 418), (0, 442)),
+    (1, 1, False, True): (172, '1ae71f25011cc434',
+                          (277, 405), (0, 410)),
+    (1, 1, True, False): (172, '15847816a2cc70f0',
+                          (316, 419), (0, 476)),
+    (1, 1, True, True): (172, '8d5a8e118b19a8da',
+                         (309, 406), (0, 442)),
+    (2, 2, False, False): (172, 'bfb039a5516f05f5',
+                           (168, 165, 332, 240), (0, 0, 324, 252)),
+    (2, 2, False, True): (172, '9b6914d1d370a0cd',
+                          (161, 165, 322, 241), (0, 0, 293, 232)),
+    (2, 2, True, False): (172, 'fbb2a8fa980984e3',
+                          (170, 158, 313, 236), (0, 0, 337, 233)),
+    (2, 2, True, True): (172, 'c3d7aa7d0e263e29',
+                         (166, 155, 313, 226), (0, 0, 303, 211)),
+    (1, 3, False, False): (172, 'e1dd6626396147a2',
+                           (276, 280, 192, 134), (0, 240, 194, 120)),
+    (1, 3, False, True): (172, '3de85e2c57edb8bd',
+                          (277, 279, 182, 123), (0, 238, 167, 105)),
+    (1, 3, True, False): (172, 'e6b24a6840cc2fe4',
+                          (316, 288, 194, 118), (0, 279, 202, 126)),
+    (1, 3, True, True): (172, 'a3be12487c5242cc',
+                         (309, 304, 188, 97), (0, 246, 180, 116)),
+}
+
+
+class TestDrainDecisionsCounted:
+    @pytest.mark.parametrize("shape", sorted(COUNTED))
+    def test_every_turn_moves_the_same_worker(self, shape, monkeypatch):
+        assert counted_replay(monkeypatch, *shape) == COUNTED[shape]
