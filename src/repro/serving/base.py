@@ -678,14 +678,15 @@ class ServingEngine(DrainLoop):
 
         # 0. due cancellations/deadline expiries apply at the boundary
         #    (nothing due: no pop_due generator is built, here or in 1.)
-        if self._cancels.due(self.clock):
-            for event in self._cancels.pop_due(self.clock):
+        now = self._sim.now
+        if self._cancels.due(now):
+            for event in self._cancels.pop_due(now):
                 self.abort(event.request_id, event.reason)
 
         # 1. arrivals up to the clock join the engine's queue
-        if self._pending.due(self.clock):
+        if self._pending.due(now):
             phases = self._wants(PhaseTransition)
-            for event in self._pending.pop_due(self.clock):
+            for event in self._pending.pop_due(now):
                 req = event.request
                 self.on_arrival(req)
                 if phases:
@@ -698,14 +699,14 @@ class ServingEngine(DrainLoop):
                 return False
             # idle-skip: jump to the next scheduled arrival or cancel
             # (bounded to a quantum when dense activity-scanning is on)
-            self.clock = self._bounded_jump(max(self.clock, wake))
+            self.clock = self._bounded_jump(max(now, wake))
             return True
 
         # 2-3. engine-specific admission (scheduling, swaps, KV control)
         admission = self.admit()
         admitted = admission.admitted
         load_time = admission.load_time_s
-        clock = self.clock
+        clock = self._sim.now
         phases = bool(admitted) and self._wants(PhaseTransition)
         for req in admitted:
             req.state = RequestState.RUNNING
@@ -762,14 +763,14 @@ class ServingEngine(DrainLoop):
         self._sim.tick(self.retire(newly_done))
         if executed and self._wants(IterationDone):
             self.on_event(IterationDone(
-                time=self.clock, iter_time_s=iter_time,
+                time=self._sim.now, iter_time_s=iter_time,
                 load_time_s=load_time, n_running=len(batch.requests),
                 n_admitted=len(admitted), n_finished=len(newly_done),
                 source=self.name))
 
         if self.on_finish is not None:
             for req in newly_done:
-                self.on_finish(req, self.clock)
+                self.on_finish(req, self._sim.now)
         if self._sanitize:
             _sanitizer.check_running_batch(self.name, batch)
             for req in newly_done:       # retire() has run: chains are back
@@ -919,9 +920,11 @@ class ServingEngine(DrainLoop):
             n, start_s, limit_s)
         batch.advance_run(times)
         # _quiet_until's answer, known here: each quiet iteration left
-        # takes at least as long as the last one run
+        # takes at least as long as the last one run; never below the
+        # clock (the run used them all up, or crossed the wake)
         quiet = (now + (n - len(times)) * times[-1]) * _QUIET_MARGIN
-        self._quiet_at = quiet if wake is None or wake > quiet else wake
+        self._quiet_at = max(now, quiet if wake is None or wake > quiet
+                             else wake)
         self._sim.advance(now)
         self._count_iterations(len(times), len(batch.requests),
                                len(batch.per_model))
@@ -936,9 +939,9 @@ class ServingEngine(DrainLoop):
         quiet iteration left takes at least as long as the next (the
         attention context only grows): the clock plus that many, less a
         rounding margin, up to the next arrival or live cancel.  With
-        nothing running or an admission due: the clock (a composite
-        engine's own clock never moves: never quiet).  Kept until the
-        engine moves or takes work."""
+        nothing running, an admission or an event due: the clock (a
+        composite engine's own clock never moves: never quiet); never
+        below it.  Kept until the engine moves or takes work."""
         until = self._quiet_at
         if until is None:
             until = self._sim.now
@@ -951,9 +954,8 @@ class ServingEngine(DrainLoop):
                     iter_s = self.cost.plan_time(self._decode_plan(),
                                                  batch.context_tokens)
                     quiet = (until + n * iter_s) * _QUIET_MARGIN
-                    until = quiet if wake is None or wake > quiet else wake
-                else:
-                    until = wake
+                    until = max(until, quiet if wake is None
+                                or wake > quiet else wake)
             self._quiet_at = until
         return until
 

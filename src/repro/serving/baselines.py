@@ -219,18 +219,20 @@ class DedicatedEngine(ServingEngine):
                                   self.max_batch_requests, preload=True)
             group.clock = self._clock_floor
             self._groups[model_id] = group
-        self._sync_hooks()
+            self._wire(group)
         return group
 
     def _sync_hooks(self) -> None:
-        # groups must see callback (re)assignments made after creation —
-        # e.g. a gateway token listener registered mid-session; finishes
-        # go through the fan-out, which keeps _request_group O(active)
-        finish = self._fanout_finish
         for group in self._groups.values():
-            group.on_token = self.on_token
-            group.on_finish = finish
-            group.on_event = self.on_event
+            self._wire(group)
+
+    def _wire(self, group: VLLMSCBEngine) -> None:
+        # once at creation, then before whatever runs a group (step(), the
+        # drain, abort()): a hook may be set mid-session.  Finishes go
+        # through the fan-out, which keeps _request_group O(active)
+        group.on_token = self.on_token
+        group.on_finish = self._fanout_finish
+        group.on_event = self.on_event
 
     def _fanout_finish(self, req: ServingRequest, clock_s: float) -> None:
         self._request_group.pop(req.request_id, None)
@@ -258,8 +260,10 @@ class DedicatedEngine(ServingEngine):
 
     def abort(self, request_id, reason="cancel"):
         group = self._request_group.get(request_id)
-        return group.abort(request_id, reason=reason) \
-            if group is not None else None
+        if group is None:
+            return None
+        self._wire(group)      # a hook changed since the last step counts
+        return group.abort(request_id, reason=reason)
 
     @property
     def unfinished(self) -> int:

@@ -294,14 +294,19 @@ class IterationCostModel:
         does."""
         decode = batch.decode_per_delta
         prefill = batch.prefill_tokens_per_delta
-        # rows in sorted variant order: dict/set order differs across
-        # batches and processes, and the row order feeds non-associative
-        # float sums in the variant pass
         if prefill:
             rows = [decode.get(delta_id, 0) + prefill.get(delta_id, 0)
                     for delta_id in sorted(decode.keys() | prefill.keys())]
         else:
             rows = [decode[delta_id] for delta_id in sorted(decode)]
+        return self.rows_plan(rows, variant_kind)
+
+    def rows_plan(self, rows: List[int],
+                  variant_kind: str = "delta") -> LinearPlan:
+        """The plan of one token-row count per variant.  ``rows`` must
+        come in sorted variant order: dict/set order differs across
+        batches and processes, and the row order feeds non-associative
+        float sums in the variant pass."""
         m_total = sum(rows)              # integers: exact in any order
         if m_total == 0:
             return LinearPlan(0, 0.0, 0.0)

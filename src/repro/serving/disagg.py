@@ -63,6 +63,16 @@ __all__ = ["DEFAULT_PREFILL_CHUNK_TOKENS", "DisaggregatedEngine",
 DEFAULT_PREFILL_CHUNK_TOKENS = 512
 
 
+def _copy(r: TraceRequest, arrival_s: float,
+          output_tokens: int) -> TraceRequest:
+    """``replace(r, arrival_s=..., output_tokens=...)`` without its
+    per-call field scan (``TraceRequest`` still validates the copy)."""
+    return TraceRequest(r.request_id, r.model_id, arrival_s, r.prompt_tokens,
+                        output_tokens, r.tenant_id, r.deadline_s,
+                        r.conversation_id, r.shared_prefix_id,
+                        r.shared_prefix_tokens)
+
+
 # --------------------------------------------------------------------- #
 # pool workers
 # --------------------------------------------------------------------- #
@@ -130,35 +140,28 @@ class _PrefillWorker(_PoolWorker):
         if batch.empty:
             return None
         chunk = self.owner.prefill_chunk_tokens
+        cost, kind = self.cost, self.config.variant_kind
         if batch.decode_per_delta or batch.prefill_tokens <= chunk:
-            return self.cost.iteration_time(batch, self.config.variant_kind)
+            return cost.iteration_time(batch, kind)
         # chunked prefill: slab the token budget across deltas in id
-        # order; later slabs attend over earlier ones (context grows)
+        # order (so a slab's rows are in the order rows_plan asks for);
+        # later slabs attend over earlier ones (context grows)
+        left = [n for _, n in sorted(batch.prefill_tokens_per_delta.items())]
         total = 0.0
-        processed = 0
-        remaining = dict(sorted(batch.prefill_tokens_per_delta.items()))
-        while remaining:
-            slab: Dict[str, int] = {}
+        context = batch.context_tokens
+        i = 0
+        while i < len(left):
+            rows: List[int] = []
             space = chunk
-            for delta_id in sorted(remaining):
-                if space <= 0:
-                    break
-                take = min(remaining[delta_id], space)
-                slab[delta_id] = take
+            while i < len(left) and space > 0:
+                take = min(left[i], space)
+                rows.append(take)
                 space -= take
-            for delta_id, take in slab.items():
-                left = remaining[delta_id] - take
-                if left:
-                    remaining[delta_id] = left
-                else:
-                    del remaining[delta_id]
-            total += self.cost.iteration_time(
-                BatchComposition(decode_per_delta={},
-                                 prefill_tokens_per_delta=slab,
-                                 context_tokens=batch.context_tokens
-                                 + processed),
-                self.config.variant_kind)
-            processed += sum(slab.values())
+                left[i] -= take
+                if not left[i]:
+                    i += 1
+            total += cost.plan_time(cost.rows_plan(rows, kind), context)
+            context += chunk - space
         return total
 
 
@@ -270,10 +273,11 @@ class DisaggregatedEngine(ServingEngine):
         self._decode_pool: List[_PoolWorker] = [
             _DecodeWorker(self, n + i, node)
             for i, node in enumerate(self._nodes[n:])]
+        self._workers = self._prefill_pool + self._decode_pool   # id order
         # the owner hooks the pool workers are wired to; step() rewires
         # them only on a change
         self._wired_hooks = (self.on_event, self.on_token)
-        for worker in self._all_workers():
+        for worker in self._workers:
             self._wire_hooks(worker)
         # conversation affinity keeps a session on the prefill worker
         # whose prefix cache holds its history; decode has no such state
@@ -282,14 +286,11 @@ class DisaggregatedEngine(ServingEngine):
             else LeastOutstandingBalancer()
         self._decode_balancer: LoadBalancer = LeastOutstandingBalancer()
 
-    def _all_workers(self) -> List[_PoolWorker]:
-        return self._prefill_pool + self._decode_pool
-
     # aggregated stats: the owner's counters are derived, so the base
     # class's ``self.stats = EngineStats()`` in reset() is a no-op here
     @property
     def stats(self) -> EngineStats:
-        agg = EngineStats.total(w.stats for w in self._all_workers())
+        agg = EngineStats.total(w.stats for w in self._workers)
         agg.kv_transfers += self._kv_transfers
         agg.kv_transfer_bytes += self._kv_transfer_bytes
         agg.kv_transfer_s += self._kv_transfer_s
@@ -315,20 +316,20 @@ class DisaggregatedEngine(ServingEngine):
         busy: Optional[float] = None
         waiting: Optional[float] = None
         latest: Optional[float] = None
-        for pool in (self._prefill_pool, self._decode_pool):
-            for w in pool:
-                now = w.clock
-                if w.running or w.backlog > 0:
-                    if busy is None or now < busy:
-                        busy = now
-                elif busy is None:
-                    if w.unfinished > 0:
-                        nxt = w._pending.peek_time()
-                        wake = now if nxt is None else max(now, nxt)
-                        if waiting is None or wake < waiting:
-                            waiting = wake
-                    if latest is None or now > latest:
-                        latest = now
+        for w in self._workers:
+            now = w._sim.now
+            left = w._n_submitted - w._n_retired      # w.unfinished
+            if w.batch.requests or left > w._pending.count_after(now):
+                if busy is None or now < busy:
+                    busy = now
+            elif busy is None:
+                if left > 0:
+                    nxt = w._pending.peek_time()
+                    wake = now if nxt is None else max(now, nxt)
+                    if waiting is None or wake < waiting:
+                        waiting = wake
+                if latest is None or now > latest:
+                    latest = now
         if busy is not None:
             return busy
         if waiting is not None:
@@ -339,7 +340,7 @@ class DisaggregatedEngine(ServingEngine):
     def clock(self, value: float) -> None:
         # outer layers re-seat idle engines (replica spawn, floor bumps):
         # lift every worker that lags, never rewind one that leads
-        for worker in self._all_workers():
+        for worker in self._workers:
             if value > worker.clock:
                 worker.clock = value
 
@@ -360,7 +361,7 @@ class DisaggregatedEngine(ServingEngine):
         # the prefill surrogate asks for exactly one token: prefill plus
         # the first decode step, after which the worker retires it and
         # the owner hands the KV state to the decode pool
-        worker.submit(replace(request, output_tokens=1)
+        worker.submit(_copy(request, request.arrival_s, 1)
                       if request.output_tokens > 1 else request)
         return req
 
@@ -400,36 +401,26 @@ class DisaggregatedEngine(ServingEngine):
     # ------------------------------------------------------------------ #
     def step(self) -> bool:
         self._sync_hooks()
-        first = self._least_worker()
-        progress = first is not None and self._step_worker(first)
-        if first is not None and not progress:
-            # a clamped idle jump moved nothing: let the next candidate
-            # make time (only now are the others listed and sorted)
-            limit = self.config.max_sim_seconds
-            rest = [w for w in self._all_workers() if w is not first
-                    and w.unfinished > 0 and w.clock < limit]
-            rest.sort(key=lambda w: (w.clock, w.id))
-            progress = any(self._step_worker(w) for w in rest)
-        return progress
+        return self._step_from(self._least_worker()) is not None
 
     def _least_worker(self) -> Optional[_PoolWorker]:
         """One pass: the least (clock, id) worker with work below the
         limit, the one :meth:`step` steps first."""
         first: Optional[_PoolWorker] = None
-        first_key = (self.config.max_sim_seconds, -1)
-        for pool in (self._prefill_pool, self._decode_pool):
-            for w in pool:
-                if w.unfinished > 0 and (w.clock, w.id) < first_key:
-                    first, first_key = w, (w.clock, w.id)
+        least = self.config.max_sim_seconds
+        for w in self._workers:           # id order: the first wins a tie
+            if w._n_retired < w._n_submitted and w._sim.now < least:
+                first, least = w, w._sim.now
         return first
 
     def _step_worker(self, worker: _PoolWorker) -> bool:
         """One worker step; did it move the worker?  Whatever ``step()``
         returned: one that applied a due cancel to the worker's last
         request retires it and returns False."""
-        before = (worker.clock, worker.unfinished)
+        before = (worker._sim.now, worker._n_submitted - worker._n_retired)
         worker.step()
-        if (worker.clock, worker.unfinished) == before:
+        if (worker._sim.now, worker._n_submitted - worker._n_retired) \
+                == before:
             return False
         self._stepped = worker
         return True
@@ -458,8 +449,8 @@ class DisaggregatedEngine(ServingEngine):
         # still below it.
         limit_s = self.config.max_sim_seconds
         worker = self._stepped
-        if worker is not None and worker.clock < limit_s \
-                and (worker.running or worker.backlog > 0):
+        if worker is not None and worker._sim.now < limit_s \
+                and (worker.batch.requests or worker.backlog > 0):
             return False
         return self.clock >= limit_s
 
@@ -468,7 +459,19 @@ class DisaggregatedEngine(ServingEngine):
 
     def _step_from(self, first: Optional[_PoolWorker]
                    ) -> Optional[_PoolWorker]:
-        return self._stepped if first is not None and self.step() else None
+        """Step ``first``, the least worker (the drain loop has synced
+        the hooks); a step that moved nothing (a clamped idle jump) lets
+        the next candidate make time, and only then are the others listed
+        and sorted.  The worker advanced, or None."""
+        if first is None:
+            return None
+        if self._step_worker(first):
+            return first
+        limit = self.config.max_sim_seconds
+        rest = [w for w in self._workers if w is not first
+                and w.unfinished > 0 and w.clock < limit]
+        rest.sort(key=lambda w: (w.clock, w.id))
+        return next((w for w in rest if self._step_worker(w)), None)
 
     def _horizon(self, worker: _PoolWorker) -> float:
         """Busy decode workers do not bound each other: independent
@@ -476,15 +479,16 @@ class DisaggregatedEngine(ServingEngine):
         members finish on its next iteration, so it never coasts.)"""
         horizon = self.config.max_sim_seconds   # step() serves below it
         for w in self._prefill_pool:       # a handoff arrives after it
-            if w.unfinished > 0 and w.clock < horizon:
-                horizon = w.clock
+            if w._n_retired < w._n_submitted and w._sim.now < horizon:
+                horizon = w._sim.now
         # a waiting decode worker (work, none of it arrived): step()
         # serves the least raw clock first and ``clock`` reports the
         # earliest busy worker, so none is left behind a coasted one
         for w in self._decode_pool:
-            if w is not worker and w.unfinished > 0 and not w.running \
-                    and w.backlog == 0 and w.clock < horizon:
-                horizon = w.clock
+            if w is not worker and not w.batch.requests \
+                    and w._n_retired < w._n_submitted \
+                    and w._sim.now < horizon and w.backlog == 0:
+                horizon = w._sim.now
         return horizon
 
     def _coast_watch(self, worker: _PoolWorker) -> Tuple[
@@ -505,7 +509,7 @@ class DisaggregatedEngine(ServingEngine):
         hooks = (self.on_event, self.on_token)
         if hooks != self._wired_hooks:
             self._wired_hooks = hooks
-            for worker in self._all_workers():
+            for worker in self._workers:
                 self._wire_hooks(worker)
 
     def _wire_hooks(self, worker: _PoolWorker) -> None:
@@ -516,7 +520,8 @@ class DisaggregatedEngine(ServingEngine):
             if self.on_token is not None else None
 
     def _prefill_frontier(self) -> Optional[float]:
-        times = [w.clock for w in self._prefill_pool if w.unfinished > 0]
+        times = [w._sim.now for w in self._prefill_pool
+                 if w._n_retired < w._n_submitted]
         return min(times) if times else None
 
     # ------------------------------------------------------------------ #
@@ -595,8 +600,9 @@ class DisaggregatedEngine(ServingEngine):
         self._owner_of[rid] = dst
         self._in_transfer.add(rid)
         dst.seed(rid, req.cached_prefix_tokens)
-        dst.submit(replace(canonical.trace,
-                           arrival_s=start_s + plan.transfer_s))
+        trace = canonical.trace
+        dst.submit(_copy(trace, start_s + plan.transfer_s,
+                         trace.output_tokens))
         for at_s, reason in self._cancel_log.get(rid, ()):
             dst.schedule_cancel(rid, at_s, reason)
 
@@ -623,11 +629,11 @@ class DisaggregatedEngine(ServingEngine):
     # ------------------------------------------------------------------ #
     @property
     def backlog(self) -> int:
-        return sum(w.backlog for w in self._all_workers()) + \
+        return sum(w.backlog for w in self._workers) + \
             len(self._in_transfer)
 
     def utilization(self) -> Dict[str, float]:
-        workers = self._all_workers()
+        workers = self._workers
         batch = 0.0
         kv = 0.0
         for worker in workers:

@@ -207,7 +207,7 @@ def test_disagg_coasts_its_decode_workers_and_never_a_prefill_worker():
 
     def make():
         engine = build("disagg", prefill_workers=2, decode_workers=2)
-        made.append([(w, CountingSteps(w)) for w in engine._all_workers()])
+        made.append([(w, CountingSteps(w)) for w in engine._workers])
         return engine
     _, coasted_steps, stepped_steps, _ = assert_same_drain(
         make, long_decodes(n=24))
@@ -316,3 +316,36 @@ def test_a_telemetry_attached_gateway_steps_every_iteration():
     iterations = gateway.engine.stats.iterations
     assert quiet_steps < iterations <= steps.calls
     assert len(done) == iterations
+
+
+def test_the_quiet_bound_never_falls_below_the_clock():
+    """``_quiet_until()`` is the earliest start of an iteration that is
+    not quiet, so never before the clock: not with an arrival already due,
+    nor after a coast that crossed its wake or ran every quiet iteration
+    (a cluster bounds the other replicas' coasts by it)."""
+    def decoding(output_tokens):
+        engine = build()
+        engine.submit(TraceRequest(request_id=0, model_id=MODELS[0],
+                                   arrival_s=0.0, prompt_tokens=48,
+                                   output_tokens=output_tokens))
+        assert engine.step() and len(engine.running) == 1
+        return engine
+
+    engine = decoding(200)                 # an arrival due, not ingested
+    engine.submit(TraceRequest(request_id=1, model_id=MODELS[1],
+                               arrival_s=engine.clock / 2, prompt_tokens=48,
+                               output_tokens=20))
+    assert engine._quiet_until() == engine.clock
+
+    engine = decoding(200)                 # the coast crosses the arrival
+    wake = engine.clock + 0.1
+    engine.submit(TraceRequest(request_id=1, model_id=MODELS[1],
+                               arrival_s=wake, prompt_tokens=48,
+                               output_tokens=20))
+    assert engine._coast(float("inf")) and engine.clock > wake
+    assert engine._quiet_until() == engine.clock
+
+    engine = decoding(10)                  # the coast runs every quiet one
+    assert engine._coast(float("inf"))
+    assert engine.batch.next_finish_epoch() == engine.batch.epoch + 1
+    assert engine._quiet_until() == engine.clock

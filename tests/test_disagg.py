@@ -12,7 +12,7 @@ plans.
 
 import hashlib
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -21,7 +21,7 @@ from repro.serving import (EngineConfig, LLAMA_7B, ModelManager,
                            RecordPolicy, SchedulerConfig, ServingGateway,
                            StackSpec, build, create_engine)
 from repro.serving.base import ServingEngine
-from repro.serving.disagg import ShardedEngine, _PoolWorker
+from repro.serving.disagg import ShardedEngine, _copy, _PoolWorker
 from repro.serving.kv_transfer import KvTransferPlan, plan_kv_transfer
 from repro.workload.spec import Trace, TraceRequest
 from repro.sim import KvTransfer, PhaseTransition
@@ -578,6 +578,23 @@ class TestStackBuilder:
         res, _ = self._serve("sharded", tp_degree=2)
         assert all(r.finished for r in res.records)
         assert res.config["n_nodes"] == 2 and res.config["per_node_tp"] == 1
+
+
+def test_a_surrogate_copy_is_replace_field_for_field():
+    """Submit and handoff copy a request without ``dataclasses.replace``:
+    every field but the two it sets comes across (a field added to
+    ``TraceRequest`` fails here until the copy passes it on)."""
+    values = {"request_id": 7, "model_id": "variant-01", "arrival_s": 1.5,
+              "prompt_tokens": 90, "output_tokens": 30, "tenant_id": "t",
+              "deadline_s": 9.0, "conversation_id": "c",
+              "shared_prefix_id": "variant-01:sys",
+              "shared_prefix_tokens": 32}
+    request = TraceRequest(**{f.name: values[f.name]
+                              for f in fields(TraceRequest)})
+    assert _copy(request, 2.5, 1) == \
+        replace(request, arrival_s=2.5, output_tokens=1)
+    with pytest.raises(ValueError, match="output_tokens"):
+        _copy(request, 2.5, 0)
 
 
 # --------------------------------------------------------------------------- #

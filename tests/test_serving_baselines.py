@@ -308,6 +308,27 @@ class TestDedicatedHeardOnCompletion:
         assert drain(True) == quiet
 
 
+    def test_an_abort_honours_a_hook_set_since_the_last_step(self):
+        """Groups are wired when made and before each step or drain, so
+        submits rewire nothing; an abort rewires its group first, and an
+        event hook set after the submits still hears the cancel."""
+        from repro.sim import Cancel
+
+        engine = DedicatedEngine(full_manager(LLAMA_7B, ["m0", "m1"]),
+                                 GPUNode(node_from_name("a800", 1)),
+                                 EngineConfig(tp_degree=1))
+        for i in range(4):
+            engine.submit(TraceRequest(request_id=i, model_id=f"m{i % 2}",
+                                       arrival_s=0.0, prompt_tokens=16,
+                                       output_tokens=20))
+        assert engine.step()
+        events = []
+        engine.on_event = events.append
+        assert engine.abort(3) is not None
+        assert [(e.request_id, e.reason) for e in events
+                if isinstance(e, Cancel)] == [(3, "cancel")]
+
+
 # --------------------------------------------------------------------- #
 # unheard: a dedicated drain is each group drained alone
 # --------------------------------------------------------------------- #

@@ -81,12 +81,14 @@ def drop_memos(engine):
 
 
 class Calls:
-    """Class-level call counters for the two layers a reuse skips."""
+    """Class-level call counters for the two layers a reuse skips.  A
+    composition is counted at ``rows_plan``, the step every plan passes
+    through (``linear_plan`` and a chunked prefill's slabs alike)."""
 
     def __init__(self, monkeypatch):
-        self.schedule = self.linear_plan = self.plan_time = 0
+        self.schedule = self.rows_plan = self.plan_time = 0
         for cls, attr in ((ContinuousBatchScheduler, "schedule"),
-                          (IterationCostModel, "linear_plan"),
+                          (IterationCostModel, "rows_plan"),
                           (IterationCostModel, "plan_time")):
             monkeypatch.setattr(cls, attr,
                                 self._counting(attr, getattr(cls, attr)))
@@ -98,7 +100,7 @@ class Calls:
         return counted
 
     def snapshot(self):
-        return self.schedule, self.linear_plan, self.plan_time
+        return self.schedule, self.rows_plan, self.plan_time
 
 
 def replay(scenario, forget):
@@ -138,7 +140,7 @@ def assert_reuse_changes_nothing(scenario, monkeypatch, sanitize):
     schedule, compositions, plan_time = reused
     redone = tuple(b - a for a, b in zip(reused, calls.snapshot()))
     # every priced iteration runs plan_time once; the forgetful run
-    # composed (linear_plan) each afresh, the shipped run reused the
+    # composed (rows_plan) each afresh, the shipped run reused the
     # plan of an unchanged batch (sanitized or not) ...
     assert plan_time > compositions
     assert redone[2] == redone[1]
