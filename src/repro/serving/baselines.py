@@ -22,7 +22,7 @@ from ..hardware.memory import Tier
 from .base import (FULL_MODEL_LOADER_FACTOR, KV_RESERVE_FRACTION,
                    WORKSPACE_FRACTION, Admission, EngineConfig,
                    ServingEngine, register_engine)
-from .costs import BatchComposition, IterationCostModel, LinearPlan
+from .costs import BatchComposition, LinearPlan
 from .metrics import EngineStats, ServingResult
 from .model_manager import ArtifactKind, ModelManager
 from .request import ServingRequest
@@ -44,9 +44,8 @@ class VLLMSCBEngine(ServingEngine):
                  preload: bool = False):
         self.max_batch_requests = max_batch_requests
         self.preload = preload  # dedicated deployments start warm
-        self.cost = IterationCostModel(
-            spec=manager.spec, gpu=node.gpu_spec,
-            tp_degree=engine_config.tp_degree)
+        self.cost = manager.cost_model(node.gpu_spec,
+                                       tp_degree=engine_config.tp_degree)
         super().__init__(manager, node, engine_config)
 
     @classmethod

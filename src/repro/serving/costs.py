@@ -18,6 +18,14 @@ depends on (GEMM shape, ``c``) alone, so the variant passes keep it as a
 *column* per row count (one float per distinct layer shape) and a batch of
 ``d`` deltas merely combines ``d`` columns; a membership change that moves
 one delta's count re-prices no roofline whose count was seen before.
+
+While the SBMM children of an ``sbmm`` pass all overlap (at most
+:func:`~repro.hardware.kernels._sbmm_parallelism` deltas), the pass is
+bounded by its largest delta: its total depends on (largest count,
+number of deltas) alone and is memoised under that pair, so the batches
+a membership change produces mostly hit.  Every engine serving one
+:class:`~repro.serving.model_manager.ModelManager` on one deployment
+shares one model (:meth:`ModelManager.cost_model`), hence its memos.
 """
 
 from __future__ import annotations
@@ -27,8 +35,8 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ..hardware.cluster import allreduce_time
 from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, GemmShape,
-                                dense_gemm_time, sbmm_compose,
-                                sbmm_delta_time, sbmm_time)
+                                _sbmm_parallelism, dense_gemm_time,
+                                sbmm_compose, sbmm_delta_time, sbmm_time)
 from ..hardware.specs import GPUSpec
 from ..sim import sanitizer as _sanitizer
 from .models import FP16, ServedModelSpec
@@ -45,6 +53,9 @@ _LORA_SBMM = ("sbmm", 16, 1.0)
 # bound on every memo below (pass totals and per-count columns alike):
 # cleared when full, so no workload grows them without bound
 _MEMO_LIMIT = 65536
+# the (largest count, n) key of the delta pass is tried up to this many
+# deltas (the SM-bound parallelism is far lower on every GPU modelled)
+_TOP_KEY_MAX_N = 64
 
 #: one SBMM the variant passes run: its GEMM shapes (one per distinct layer
 #: shape), (flavour, weight bits, density) and ``{row count: column}`` memo
@@ -149,7 +160,19 @@ class IterationCostModel:
             "lora_up": ([(r, n) for _, n in distinct], _LORA_SBMM, {}),
         }
         self._kv_bytes_per_token = spec.kv_bytes_per_token()
+        self._hbm_bytes_per_s = gpu.hbm_bytes_per_s
+        # the delta pass is keyed by (largest count, n) up to this many
+        # deltas (see _delta_pass), by the count tuple beyond: "Ours+"
+        # with a positive per-child term only, while every child overlaps
+        top_n = 0
+        if sbmm_impl == "sbmm" and gpu.dynamic_launch_us > 0:
+            while _sbmm_parallelism(gpu, top_n + 1) >= top_n + 1 \
+                    and top_n < _TOP_KEY_MAX_N:
+                top_n += 1
+        self._top_n = top_n
         self._base_memo: Dict[int, float] = {}
+        self._allreduce_memo: Dict[int, float] = {}
+        self._top_memo: Dict[Tuple[int, ...], float] = {}
         self._delta_memo: Dict[Tuple[int, ...], float] = {}
         self._lora_memo: Dict[Tuple[int, ...], float] = {}
         self._sanitize = _sanitizer.enabled()
@@ -217,15 +240,31 @@ class IterationCostModel:
         return total
 
     def _delta_pass(self, rows_per_delta: Sequence[int]) -> float:
-        """SBMM pass: grouped sparse low-precision matmuls per linear."""
+        """SBMM pass: grouped sparse low-precision matmuls per linear.
+
+        Memoised by the count tuple, or — "Ours+" over ``n`` deltas that
+        all overlap (``n <= _top_n``) — by (largest count, ``n``): each
+        shape then prices ``launch + max(max(per_delta) + per_child,
+        compute / n)``, where ``compute / n`` is a mean of the columns
+        (within ~1e-15 of their max in floats) and ``per_child`` is ``n``
+        device launches (microseconds), so the first term wins for every
+        batch; the roofline never falls as rows grow, so ``max(per_delta)``
+        is the largest count's column.  A miss still prices the counts."""
         counts = [c for c in rows_per_delta if c > 0]
         if not counts:
             return 0.0
-        key = tuple(counts)
-        cached = self._delta_memo.get(key)
+        n = len(counts)
+        if n <= self._top_n:
+            key: Tuple[int, ...] = (max(counts), n)
+            memo = self._top_memo
+        else:
+            key = tuple(counts)
+            memo = self._delta_memo
+        cached = memo.get(key)
         if cached is not None:
             if self._sanitize:
-                _sanitizer.check_cost_total(self, "delta", key, cached)
+                _sanitizer.check_cost_total(self, "delta", tuple(counts),
+                                            cached)
             return cached
         if self.sbmm_impl == "fp16_bmm":
             # per-request stacked BMM has no per-delta term to keep
@@ -234,9 +273,9 @@ class IterationCostModel:
         else:
             per_shape = [t for t, _ in self._sbmm("delta", counts)]
         total = self._sum_over_layer_shapes(per_shape) * self.spec.n_layers
-        if len(self._delta_memo) >= _MEMO_LIMIT:
-            self._delta_memo.clear()
-        self._delta_memo[key] = total
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        memo[key] = total
         return total
 
     def _lora_pass(self, rows_per_adapter: Sequence[int]) -> float:
@@ -266,12 +305,22 @@ class IterationCostModel:
         self._lora_memo[key] = total
         return total
 
-    def _allreduce(self, m: int) -> float:
+    def _allreduce_pass(self, m: int) -> float:
+        """The TP all-reduces of ``m`` token-rows: two per layer."""
         if self.tp == 1 or m == 0:
             return 0.0
+        cached = self._allreduce_memo.get(m)
+        if cached is not None:
+            if self._sanitize:
+                _sanitizer.check_cost_total(self, "allreduce", m, cached)
+            return cached
         per_layer = 2 * allreduce_time(m * self.spec.dim * FP16, self.tp,
                                        self.gpu)
-        return per_layer * self.spec.n_layers
+        total = per_layer * self.spec.n_layers
+        if len(self._allreduce_memo) >= _MEMO_LIMIT:
+            self._allreduce_memo.clear()
+        self._allreduce_memo[m] = total
+        return total
 
     # ------------------------------------------------------------------ #
     # public entry points
@@ -323,7 +372,7 @@ class IterationCostModel:
 
         # decoupled: base GEMM and variant matmuls execute in parallel
         return LinearPlan(m_total, max(base, variant),
-                          self._allreduce(m_total))
+                          self._allreduce_pass(m_total))
 
     def plan_time(self, plan: LinearPlan, context_tokens: int) -> float:
         """The context-dependent part: attention over ``context_tokens``
@@ -333,7 +382,7 @@ class IterationCostModel:
             return 0.0
         return _iteration_s(linear, allreduce, internode, m_total,
                             context_tokens, self._kv_bytes_per_token,
-                            self.tp, self.gpu.hbm_bytes_per_s)
+                            self.tp, self._hbm_bytes_per_s)
 
     def plan_run(self, plan: LinearPlan, context_tokens: int, growth: int,
                  n: int, start_s: float,
@@ -346,7 +395,7 @@ class IterationCostModel:
         as a ``tick`` per iteration would."""
         m_total, linear, allreduce, internode = plan
         kv, tp, hbm = self._kv_bytes_per_token, self.tp, \
-            self.gpu.hbm_bytes_per_s
+            self._hbm_bytes_per_s
         times: List[float] = []
         now = start_s
         context = context_tokens
@@ -376,6 +425,6 @@ class IterationCostModel:
         for model_id in sorted(decode.keys() | prefill.keys()):
             m = decode.get(model_id, 0) + prefill.get(model_id, 0)
             total += self._base_pass(m)
-            total += self._allreduce(m)
+            total += self._allreduce_pass(m)
             m_total += m
         return LinearPlan(m_total, total, 0.0)

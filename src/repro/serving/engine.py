@@ -33,7 +33,7 @@ from ..hardware.memory import Tier
 from ..sim import sanitizer as _sanitizer
 from .base import (PREEMPT_SWAP_S, WORKSPACE_FRACTION, Admission,
                    EngineConfig, ServingEngine, register_engine)
-from .costs import BatchComposition, IterationCostModel, LinearPlan
+from .costs import BatchComposition, LinearPlan
 from .model_manager import ArtifactKind, ModelManager
 from .prefix_cache import Chain, PrefixCache, prefix_block_keys
 from .request import ServingRequest
@@ -59,9 +59,8 @@ class DeltaZipEngine(ServingEngine):
                  scheduler_config: SchedulerConfig,
                  engine_config: EngineConfig = EngineConfig()):
         self.scheduler_config = scheduler_config
-        self.cost = IterationCostModel(
-            spec=manager.spec, gpu=node.gpu_spec,
-            tp_degree=engine_config.tp_degree,
+        self.cost = manager.cost_model(
+            node.gpu_spec, tp_degree=engine_config.tp_degree,
             delta_bits=engine_config.delta_bits,
             delta_density=engine_config.delta_density,
             lora_rank=engine_config.lora_rank,

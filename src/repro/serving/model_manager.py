@@ -2,16 +2,21 @@
 
 Tracks every registered artifact (base models, compressed FMT deltas, LoRA
 adapters), its byte size, lineage (which base it derives from), and its
-current storage tier.  The serving engines consult it for swap planning.
+current storage tier.  The serving engines consult it for swap planning,
+and price their iterations with the one cost model it keeps per
+deployment (:meth:`ModelManager.cost_model`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..compression.configs import CompressionConfig
 from ..hardware.memory import Tier
+from ..hardware.specs import GPUSpec
+from ..sim import sanitizer as _sanitizer
+from .costs import IterationCostModel
 from .models import ServedModelSpec
 
 __all__ = ["ArtifactKind", "RegisteredModel", "ModelManager"]
@@ -48,6 +53,7 @@ class ModelManager:
     def __init__(self, spec: ServedModelSpec):
         self.spec = spec
         self._models: Dict[str, RegisteredModel] = {}
+        self._cost_models: Dict[Tuple, IterationCostModel] = {}
 
     # ------------------------------------------------------------------ #
     def register_base(self, model_id: str) -> RegisteredModel:
@@ -82,6 +88,24 @@ class ModelManager:
         return self._insert(entry)
 
     # ------------------------------------------------------------------ #
+    def cost_model(self, gpu: GPUSpec, tp_degree: int = 1,
+                   delta_bits: int = 4, delta_density: float = 0.5,
+                   lora_rank: int = 0,
+                   sbmm_impl: str = "sbmm") -> IterationCostModel:
+        """The iteration cost model of one deployment of this spec: every
+        engine built over this manager with the same GPU and pricing
+        knobs (a cluster's replicas, disagg workers, dedicated groups)
+        shares it, hence its memos, which hold pure prices.  Scoped to
+        the manager: a new manager starts cold."""
+        key = (gpu, tp_degree, delta_bits, delta_density, lora_rank,
+               sbmm_impl, _sanitizer.enabled())
+        model = self._cost_models.get(key)
+        if model is None:
+            model = self._cost_models[key] = IterationCostModel(
+                self.spec, gpu, tp_degree, delta_bits, delta_density,
+                lora_rank, sbmm_impl)
+        return model
+
     def get(self, model_id: str) -> RegisteredModel:
         if model_id not in self._models:
             raise KeyError(f"unknown model {model_id!r}")

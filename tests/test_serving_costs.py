@@ -19,6 +19,7 @@ linear — are ``==`` on floats, never ``approx``:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import inf
 
 import pytest
@@ -29,9 +30,10 @@ from repro.hardware import A800
 from repro.hardware import kernels
 from repro.hardware.kernels import (SBMM_IMPLEMENTATIONS, GemmShape,
                                     dense_gemm_time, sbmm_time)
-from repro.hardware.specs import A100, RTX3090
-from repro.serving import (LLAMA_13B, LLAMA_7B, BatchComposition,
-                           EngineConfig, IterationCostModel)
+from repro.hardware.specs import A100, GPU_SPECS, RTX3090
+from repro.serving import (LLAMA_13B, LLAMA_7B, MODEL_SPECS,
+                           BatchComposition, EngineConfig,
+                           IterationCostModel)
 from repro.serving import costs
 from repro.serving.models import LLAMA_70B
 from repro.sim.sanitizer import sanitized
@@ -100,7 +102,7 @@ def ref_fullmodel_time(model, rows_per_model, context_tokens,
             continue
         any_rows = True
         total += ref_base_pass(model, m)
-        total += model._allreduce(m)
+        total += model._allreduce_pass(m)
     if not any_rows:
         return 0.0
     new_tokens = sum(rows_per_model.values()) + sum(prefill.values())
@@ -165,7 +167,7 @@ class TestCostModelBitExact:
         variant = {"delta": ref_delta_pass, "lora": ref_lora_pass,
                    "none": lambda model, rows: 0.0}[kind](model,
                                                           expected_rows)
-        ar = model._allreduce(104)
+        ar = model._allreduce_pass(104)
         assert (ar > 0.0) == (tp > 1)
 
         def scalar(context_tokens):
@@ -290,8 +292,8 @@ def ref_iteration_time(model, rows, kind, context_tokens):
     variant = {"delta": ref_delta_pass, "lora": ref_lora_pass,
                "none": lambda model, rows: 0.0}[kind](model, rows)
     return max(ref_base_pass(model, m), variant) \
-        + ref_attention(model, context_tokens, m) + model._allreduce(m) \
-        + 2e-3
+        + ref_attention(model, context_tokens, m) \
+        + model._allreduce_pass(m) + 2e-3
 
 
 def batch_of(rows, context_tokens=0):
@@ -437,10 +439,75 @@ class TestMemoStateNeverLeaks:
         monkeypatch.setattr(costs, "_MEMO_LIMIT", 4)
         thrashing = make()
         assert [price(thrashing, rows) for rows in batches] == fresh
-        for memo in (thrashing._base_memo, thrashing._delta_memo,
+        for memo in (thrashing._base_memo, thrashing._allreduce_memo,
+                     thrashing._top_memo, thrashing._delta_memo,
                      thrashing._lora_memo,
                      *(f[-1] for f in thrashing._families.values())):
             assert len(memo) <= 4
+
+
+@st.composite
+def same_largest_and_n(draw):
+    """1-8 deltas' row counts, then more batches of as many deltas with
+    the same largest count, in any order: one (largest, n) key."""
+    n = draw(st.integers(1, 8))
+    top = draw(st.integers(1, 4096))
+    batch = st.lists(st.integers(1, top), min_size=n - 1,
+                     max_size=n - 1).flatmap(
+        lambda rest: st.permutations(rest + [top]))
+    return draw(st.lists(batch, min_size=2, max_size=5))
+
+
+class TestLargestDeltaKey:
+    """"Ours+" over deltas that all overlap is keyed by (largest count,
+    n): the kernel property the key rests on, and the key against the
+    count tuple."""
+
+    @pytest.mark.parametrize("tp", [1, 2, 4, 8])
+    @pytest.mark.parametrize("spec", sorted(MODEL_SPECS))
+    @pytest.mark.parametrize("gpu", sorted(GPU_SPECS))
+    def test_every_delta_column_is_non_decreasing_in_rows(self, gpu, spec,
+                                                          tp):
+        model = IterationCostModel(MODEL_SPECS[spec], GPU_SPECS[gpu],
+                                   tp_degree=tp)
+        _, knobs, _ = model._families["delta"]
+        for k, n in model._distinct:
+            column = [kernels.sbmm_delta_time(c, k, n, model.gpu, *knobs)
+                      for c in range(1, 8193)]
+            assert all(a <= b for a, b in zip(column, column[1:])), (k, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(batches=same_largest_and_n(), tp=st.sampled_from([1, 2, 4]),
+           spec=st.sampled_from(sorted(SPECS)),
+           gpu=st.sampled_from(sorted(GPUS)))
+    def test_the_key_prices_as_a_cold_tuple_keyed_model(self, batches, tp,
+                                                        spec, gpu):
+        def make():
+            return IterationCostModel(SPECS[spec], GPUS[gpu], tp_degree=tp)
+
+        keyed = make()
+        assert keyed._top_n == 8
+        got = [keyed._delta_pass(rows) for rows in batches]
+        assert len(keyed._top_memo) == 1 and not keyed._delta_memo
+        want = []
+        for rows in batches:
+            cold = make()
+            cold._top_n = 0                  # the count tuple, cold
+            want.append(cold._delta_pass(rows))
+            assert list(cold._delta_memo) == [tuple(rows)]
+        assert got == want == [ref_delta_pass(keyed, rows)
+                               for rows in batches]
+
+    @pytest.mark.parametrize("gpu, impl, rows", [
+        (A100, "sbmm", list(range(1, 10))),           # nine deltas
+        (replace(A100, dynamic_launch_us=0.0), "sbmm", [3, 5, 9]),
+        (A100, "sbmm_reorder", [3, 5, 9]),
+        (A100, "fp16_bmm", [3, 5, 9])])
+    def test_elsewhere_the_count_tuple_keys_the_pass(self, gpu, impl, rows):
+        model = IterationCostModel(LLAMA_7B, gpu, sbmm_impl=impl)
+        assert model._delta_pass(rows) == ref_delta_pass(model, rows)
+        assert list(model._delta_memo) == [tuple(rows)]
+        assert not model._top_memo
 
 
 class TestRooflineTraffic:

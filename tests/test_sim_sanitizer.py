@@ -1275,13 +1275,22 @@ class TestCostMemoChecks:
             model._families[family][-1][5][1] *= 2.0
             price(model, [9, 5])               # off: the memo is trusted
 
-    @pytest.mark.parametrize("name, key", [
-        ("base", 17), ("delta", (3, 5, 9)), ("lora", (3, 5, 9))])
-    def test_poisoned_pass_total(self, name, key):
+    @pytest.mark.parametrize("name, memo, key, rows", [
+        ("base", "base", 17, 17),
+        ("allreduce", "allreduce", 17, 17),
+        # three overlapping deltas: keyed by (largest count, n), and the
+        # hit is re-priced from its own counts, not from the key
+        ("delta", "top", (9, 3), (3, 5, 9)),
+        ("delta", "top", (9, 3), (1, 2, 9)),
+        # nine deltas do not all overlap: keyed by the count tuple
+        ("delta", "delta", tuple(range(1, 10)), tuple(range(1, 10))),
+        ("lora", "lora", (3, 5, 9), (3, 5, 9))])
+    def test_poisoned_pass_total(self, name, memo, key, rows):
         with sanitized(True):
             model = self.model()
-            memo = getattr(model, f"_{name}_memo")
-            memo[key] *= 1.0 + 2e-16
+            price = getattr(model, f"_{name}_pass")
+            price(rows)
+            getattr(model, f"_{memo}_memo")[key] *= 1.0 + 2e-16
             with pytest.raises(SimSanitizerError, match=re.escape(
-                    f"memo drifted in the {name} pass for rows {key!r}")):
-                getattr(model, f"_{name}_pass")(key)
+                    f"memo drifted in the {name} pass for rows {rows!r}")):
+                price(rows)
