@@ -322,8 +322,9 @@ class DrainLoop:
       cap, once whatever it does before a step is done (the cluster
       routes); None: nothing below can move;
     * :meth:`_horizon`: the time no coasted iteration of ``member`` may
-      start at or after (the member's own next arrival, live cancel and
-      first finish are inside :meth:`ServingEngine._coast`);
+      start at or after (the member's own next arrival and live cancel
+      are inside :meth:`ServingEngine._coast`), and :meth:`_finish_bound`
+      the time no coasted iteration that finishes somebody may;
     * :meth:`_step_from`: one step given the least busy member, returning
       the member it advanced (None: nothing moved).
 
@@ -343,12 +344,14 @@ class DrainLoop:
       path (admission jumps to its next event): did anything move?
 
     An observed drain calls the front's ``step()``.  Any other turn lets
-    the least busy member coast through the iterations that decide
+    the least busy member coast through the iterations that admit
     nothing, then the next least while they move, and steps the least
-    busy one; a turn whose coasts brought the frontier to the front's
-    bound ends there, so the front acts before the step.  ``observed``
-    is re-read after every step and every fired gauge tick, the places
-    where a callback runs mid-drain.  For the sanitizer,
+    busy one: a step only admits (ingests, loads, cancels).  A coast that
+    finished somebody ends the turn as a step that retired would, and a
+    turn whose coasts brought the frontier to the front's bound ends
+    there, so the front acts before the step.  ``observed`` is re-read
+    after every step, every coast that finished somebody and every fired
+    gauge tick, the places where a callback runs mid-drain.  For the sanitizer,
     :meth:`_coast_watch` names what a coast must leave alone, on the
     parent and on the front."""
 
@@ -362,6 +365,14 @@ class DrainLoop:
 
     def _horizon(self, member: Any) -> float:
         return self.config.max_sim_seconds
+
+    def _finish_bound(self, member: Any) -> float:
+        """The time no coasted iteration of ``member`` that finishes
+        somebody may start at or after: where the parent hears the
+        finish in an order across members or reads the others' clocks,
+        the least clock of its other busy members (the finish then runs
+        where a step would have run it, its member the least busy)."""
+        return math.inf
 
     def _step_from(self, member: Any) -> Any:
         raise NotImplementedError
@@ -408,21 +419,24 @@ class DrainLoop:
                 if self._n_retired < self._n_submitted and \
                         self._sim.now < cap:
                     horizon = bound if bound < cap else cap
+                    retired = self._n_retired
                     moved = self._coast_member(self, horizon) \
                         if self._sanitize else self._coast(horizon)
-                    if moved and self._sim.now >= horizon:
-                        continue      # past the bound: the front acts first
-                    retired = self._n_retired
-                    if self.step():
+                    if self._n_retired != retired:
                         # a completion callback may have begun to listen
                         # per iteration (a handle, a token listener)
+                        observed = front.observed
+                        continue
+                    if moved and self._sim.now >= horizon:
+                        continue      # past the bound: the front acts first
+                    if self.step():
                         if self._n_retired != retired:
                             observed = front.observed
                         continue
             else:
                 # coast the least busy member, then the next least, while
                 # they move: below the front's bound nothing it reads moves
-                moved = False
+                moved = finished = False
                 member = self._least_member()
                 while member is not None:
                     horizon = self._horizon(member)
@@ -433,10 +447,21 @@ class DrainLoop:
                     if member is tried[0] and horizon <= tried[1]:
                         break
                     tried = (member, horizon)
+                    unfinished = member.unfinished
                     if not self._coast_member(member, horizon):
                         break
                     moved = True
+                    if member.unfinished != unfinished:
+                        finished = True
+                        break
                     member = self._least_member()
+                if finished:
+                    # as after a step that retired: a completion callback
+                    # may listen per iteration now, and the run stopped
+                    # short of its horizon (it may move on to the same)
+                    tried = (None, 0.0)
+                    observed = front.observed
+                    continue
                 if moved and member is not None and member.clock >= bound:
                     continue          # the frontier reached it: front first
                 if self._step_from(member) is not None:
@@ -453,16 +478,17 @@ class DrainLoop:
 
     def _coast_member(self, member: Any, horizon: float) -> bool:
         """Let ``member`` coast to ``horizon``.  Did it move?"""
-        watch = (member.clock, member.batch.epoch, member.unfinished) + \
+        watch = (member.clock, member.batch.epoch,
+                 _sanitizer.coast_ledger(member)) + \
             self._watch(member) if self._sanitize else None
-        moved = member._coast(horizon)
+        moved = member._coast(horizon, self._finish_bound(member))
         if watch is None:
             return moved
-        start_s, epoch, unfinished, bounds, held = watch
+        start_s, epoch, ledger, bounds, held = watch
         if member.clock <= start_s:   # the check reads the clock itself
             return False
         _sanitizer.check_coast_bounds(
-            member.name, member, start_s, epoch, unfinished, bounds,
+            member.name, member, start_s, epoch, ledger, bounds,
             [(what, before, after) for (what, before), (_, after)
              in zip(held, self._coast_watch(member)[1])])
         return True
@@ -754,28 +780,41 @@ class ServingEngine(DrainLoop):
                 self.on_token(req, now)
 
         # 5. retire finished requests; engine-specific cleanup (preemption)
-        if newly_done:
-            for req in newly_done:
+        self._finish(newly_done, now, iter_time if executed else None,
+                     load_time, len(admitted))
+        return True
+
+    def _finish(self, done: List[ServingRequest], now: float,
+                iter_time: Optional[float], load_time: float = 0.0,
+                n_admitted: int = 0) -> None:
+        """The finishing tail of an iteration, :meth:`step`'s and
+        :meth:`_coast`'s alike: ``done`` (what the batch's ``advance``
+        handed back) leaves the batch finished at ``now`` and retires,
+        the :meth:`retire` hook's cleanup moves the clock, the iteration
+        is published where wanted (``iter_time`` None: none executed),
+        the sanitizer checks the batch and each release, and
+        ``on_finish`` hears each finish."""
+        batch = self.batch
+        if done:
+            for req in done:
                 batch.leave(req)
                 req.state = RequestState.FINISHED
                 req.finish_s = now
-            self._retire(newly_done)
-        self._sim.tick(self.retire(newly_done))
-        if executed and self._wants(IterationDone):
+            self._retire(done)
+        self._sim.tick(self.retire(done))
+        if iter_time is not None and self._wants(IterationDone):
             self.on_event(IterationDone(
                 time=self._sim.now, iter_time_s=iter_time,
                 load_time_s=load_time, n_running=len(batch.requests),
-                n_admitted=len(admitted), n_finished=len(newly_done),
+                n_admitted=n_admitted, n_finished=len(done),
                 source=self.name))
-
-        if self.on_finish is not None:
-            for req in newly_done:
-                self.on_finish(req, self._sim.now)
         if self._sanitize:
             _sanitizer.check_running_batch(self.name, batch)
-            for req in newly_done:       # retire() has run: chains are back
+            for req in done:             # retire() has run: chains are back
                 _sanitizer.check_released(self, req)
-        return True
+        if self.on_finish is not None:
+            for req in done:
+                self.on_finish(req, self._sim.now)
 
     def run_until_drained(self) -> None:
         """Step until every submitted request finished (or the engine is
@@ -886,51 +925,80 @@ class ServingEngine(DrainLoop):
         seconds to advance the clock."""
         return 0.0
 
-    def _coast(self, limit_s: float) -> bool:
+    def _coast(self, limit_s: float, finish_s: float = math.inf) -> bool:
         """Execute, exactly as :meth:`step` would have, every upcoming
-        iteration that provably ingests, admits and finishes nothing,
-        each starting before ``limit_s`` (the drain loop's horizon: this
-        engine's cap, a cluster's or a disagg owner's next event).  While
-        :meth:`_decide` is empty (applied as each skipped :meth:`admit`
-        would), an iteration prices as :meth:`_decode_plan` at a context
-        grown by ``len(batch)``, finishes nobody before the first finish
-        bucket and ingests nothing if it starts before the next arrival
-        or live cancel, so only the clock, the epoch ledger and ``stats``
-        move.  Only the drain loop calls it (:class:`DrainLoop`), for a
-        parent nobody observes, so nobody listens per iteration.  Did it
-        move?"""
+        iteration that provably ingests and admits nothing, each starting
+        before ``limit_s`` (the drain loop's horizon: this engine's cap, a
+        cluster's or a disagg owner's next event).  While :meth:`_decide`
+        is empty (applied as each skipped :meth:`admit` would), an
+        iteration prices as :meth:`_decode_plan` at a context grown by
+        ``len(batch)`` and ingests nothing if it starts before the next
+        arrival or live cancel; up to the first finish bucket only the
+        clock, the epoch ledger and ``stats`` move, and the iteration that
+        finishes members goes through :meth:`_finish`, as in
+        :meth:`step` if it starts before ``finish_s`` too (the parent's
+        :meth:`~DrainLoop._finish_bound`).  With an ``on_finish`` or
+        ``on_event`` hook the run ends there (a callback may act, or start
+        to listen, before the next iteration); without one the decision
+        is asked again and the run goes on.
+        Only the drain loop
+        calls it (:class:`DrainLoop`), for a parent nobody observes, so
+        nobody listens per iteration.  Did it move?"""
         batch = self.batch
         start_s = self._sim.now
         if not batch.requests or start_s >= limit_s:
             return False
-        n = batch.next_finish_epoch() - 1 - batch.epoch
-        if n <= 0:
-            return False              # the next iteration retires someone
         wake = self._next_wake()
         if wake is not None and wake < limit_s:
             if start_s >= wake:
                 return False
             limit_s = wake
-        decision = self._decide()
-        if decision:
-            return False              # the next iteration admits or loads
-        self._apply(decision)
-        times, now = self.cost.plan_run(
-            self._decode_plan(), batch.context_tokens, len(batch.requests),
-            n, start_s, limit_s)
-        batch.advance_run(times)
-        # _quiet_until's answer, known here: each quiet iteration left
-        # takes at least as long as the last one run; never below the
-        # clock (the run used them all up, or crossed the wake)
-        quiet = (now + (n - len(times)) * times[-1]) * _QUIET_MARGIN
-        self._quiet_at = max(now, quiet if wake is None or wake > quiet
-                             else wake)
-        self._sim.advance(now)
-        self._count_iterations(len(times), len(batch.requests),
-                               len(batch.per_model))
-        if self._sanitize:
-            _sanitizer.check_coast_run(self, start_s, times)
-        return True
+        moved = False
+        while True:
+            decision = self._decide()
+            if decision:
+                break                 # the next iteration admits or loads
+            self._apply(decision)
+            start_s = self._sim.now
+            # the iterations up to and including the next finish
+            n = batch.next_finish_epoch() - batch.epoch
+            cost, plan = self.cost, self._decode_plan()
+            context, growth = batch.context_tokens, len(batch.requests)
+            if finish_s < limit_s:
+                times, now = cost.plan_run(plan, context, growth, n - 1,
+                                           start_s, limit_s)
+                if len(times) == n - 1 and now < finish_s:
+                    times.append(cost.plan_time(
+                        plan, context + (n - 1) * growth))
+                    now += times[-1]
+            else:
+                times, now = cost.plan_run(plan, context, growth, n,
+                                           start_s, limit_s)
+            if not times:
+                break
+            done = batch.advance_run(times)
+            self._sim.advance(now)
+            self._count_iterations(len(times), len(batch.requests),
+                                   len(batch.per_model))
+            if self._sanitize:
+                _sanitizer.check_coast_run(self, start_s, times, done, moved)
+            moved = True
+            if not done:
+                # stopped at the limit: _quiet_until's answer, known here:
+                # each quiet iteration left takes at least as long as the
+                # last one run; never below the clock (the run used them
+                # all up, or crossed the wake)
+                quiet = (now + (n - 1 - len(times)) * times[-1]) \
+                    * _QUIET_MARGIN
+                self._quiet_at = max(now, quiet if wake is None
+                                     or wake > quiet else wake)
+                break
+            self._finish(done, now, times[-1])
+            self._quiet_at = None
+            if self.on_finish is not None or self.on_event is not None \
+                    or not batch.requests:
+                break
+        return moved
 
     def _quiet_until(self) -> float:
         """The earliest time this engine could start an iteration that is

@@ -977,6 +977,19 @@ class ClusterGateway(Gateway, DrainLoop):
                         horizon = quiet
         return horizon
 
+    def _finish_bound(self, replica: Replica) -> float:
+        """While a completion listener hears finishes (and may read the
+        frontier or inject work), the least clock of the other busy
+        replicas: a finish coasts only where a step would have run it."""
+        bound = math.inf
+        if self._listeners:
+            for other in self.replicas:
+                engine = other.engine
+                if other is not replica and engine.unfinished > 0 \
+                        and engine.clock < bound:
+                    bound = engine.clock
+        return bound
+
     def _coast_watch(self, replica: Replica) -> Tuple[
             List[Tuple[str, Optional[float]]], List[Tuple[str, Any]]]:
         bounds = [("an unrouted arrival", self._unrouted.peek_time()),
@@ -995,9 +1008,10 @@ class ClusterGateway(Gateway, DrainLoop):
         post-step bookkeeping: a tick the run crossed fires at this
         frontier, not one real step later.  Did it move?"""
         engine = replica.engine
-        watch = (engine.clock, engine.batch.epoch, engine.unfinished,
+        watch = (engine.clock, engine.batch.epoch,
+                 _sanitizer.coast_ledger(engine),
                  self._watch(replica)[0]) if self._sanitize else None
-        moved = engine._coast(horizon)
+        moved = engine._coast(horizon, self._finish_bound(replica))
         if watch is not None:         # the check reads the clock itself
             moved = engine.clock > watch[0]
         if not moved:

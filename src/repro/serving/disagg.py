@@ -36,6 +36,7 @@ disaggregation off (nothing in this module runs unless constructed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -474,9 +475,10 @@ class DisaggregatedEngine(ServingEngine):
         return next((w for w in rest if self._step_worker(w)), None)
 
     def _horizon(self, worker: _PoolWorker) -> float:
-        """Busy decode workers do not bound each other: independent
-        timelines, and a coast finishes nobody.  (A prefill worker's
-        members finish on its next iteration, so it never coasts.)"""
+        """Busy decode workers do not bound each other's quiet
+        iterations: independent timelines (:meth:`_finish_bound` orders
+        their finishes).  (A prefill worker's members finish on the
+        iteration that admits them, so it never coasts.)"""
         horizon = self.config.max_sim_seconds   # step() serves below it
         for w in self._prefill_pool:       # a handoff arrives after it
             if w._n_retired < w._n_submitted and w._sim.now < horizon:
@@ -490,6 +492,17 @@ class DisaggregatedEngine(ServingEngine):
                     and w._sim.now < horizon and w.backlog == 0:
                 horizon = w._sim.now
         return horizon
+
+    def _finish_bound(self, worker: _PoolWorker) -> float:
+        """Finishes reach the owner's sink in the order a step per
+        iteration gives them: a worker finishes inside a coast only while
+        it is the least busy (the least clock of the others with work)."""
+        bound = math.inf
+        for w in self._workers:
+            if w is not worker and w._n_retired < w._n_submitted \
+                    and w._sim.now < bound:
+                bound = w._sim.now
+        return bound
 
     def _coast_watch(self, worker: _PoolWorker) -> Tuple[
             List[Tuple[str, Optional[float]]], List[Tuple[str, Any]]]:

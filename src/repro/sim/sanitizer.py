@@ -411,13 +411,24 @@ def check_steady_price(engine: str, reused: float, recomposed: float) -> None:
             f"{reused!r}s, the recomposed batch at {recomposed!r}s")
 
 
-def check_coast_run(engine: Any, start: float,
-                    prices: Sequence[float]) -> None:
-    """An engine coasted ``len(prices)`` iterations from clock ``start``;
-    ask what a ``step()`` per iteration would have asked, of any engine:
-    its fresh pure admission decision (``_decide``) over the unchanged
-    batch and queue is empty, and each price ``==`` a freshly built plan
-    of the pure-decode composition at that iteration's context."""
+def check_coast_run(engine: Any, start: float, prices: Sequence[float],
+                    finished: Sequence[Any], after_finish: bool) -> None:
+    """An engine coasted ``len(prices)`` iterations of one batch from
+    clock ``start`` (a segment of its run), the last one finishing
+    ``finished`` (none: the run stopped short of the finish bucket),
+    which have not left yet; ask what a ``step()`` per iteration would
+    have asked, of any engine: its fresh pure admission decision
+    (``_decide``) over the unchanged batch and queue is empty, each price
+    ``==`` a freshly built plan of the pure-decode composition at that
+    iteration's context, the members done are ``finished``, each on its
+    last token, and no event was due.  ``after_finish``: an earlier
+    segment of the run finished somebody, which a run may go on past only
+    while the engine has no ``on_finish`` or ``on_event`` hook."""
+    if after_finish and (engine.on_finish is not None
+                         or engine.on_event is not None):
+        raise _violation(
+            f"engine {engine.name!r} coasted on past a finish a hook "
+            f"hears")
     check_steady_verdict(engine.name, engine._decide())
     batch = engine.batch
     composed = engine._compose([])
@@ -428,11 +439,18 @@ def check_coast_run(engine: Any, start: float,
                            engine.cost.plan_time(plan, context))
         context += len(batch.requests)
         last_start, start = start, start + price
-    done = [r.request_id for r in batch.requests if r.done]
-    if done:
+    late = [r.request_id for r in batch.requests
+            if r.generated_tokens > r.output_tokens
+            or (r.done and not any(r is f for f in finished))]
+    if late:
         raise _violation(
             f"engine {engine.name!r} coasted past the finish of requests "
-            f"{done}: they were done before the run's end")
+            f"{late}: they were done before the run's end")
+    early = [r.request_id for r in finished if not r.done]
+    if early:
+        raise _violation(
+            f"engine {engine.name!r} finished requests {early} inside a "
+            f"coast before their last token")
     live = [e for e in engine._cancels.in_order()
             if e.request_id in engine._live]
     due = [e for e in engine._pending.in_order() + live
@@ -444,21 +462,38 @@ def check_coast_run(engine: Any, start: float,
             f"{type(due[0]).__name__} at {due[0].time!r}")
 
 
+def coast_ledger(engine: Any) -> Tuple[bool, int, int, int, int]:
+    """What :func:`check_coast_bounds` reads before the run: whether
+    somebody hears the engine per iteration (a completion callback at
+    the run's end may start to), and what finishing members moves:
+    submitted, retired and live requests, records the engine's sink
+    observed (-1: no sink of its own)."""
+    sink = engine.metrics
+    return (engine.on_token is not None or engine._wants(IterationDone),
+            engine._n_submitted, engine._n_retired, len(engine._live),
+            -1 if sink is None else sink.n_observed)
+
+
 def check_coast_bounds(who: str, engine: Any, start_s: float, epoch: int,
-                       unfinished: int,
+                       ledger: Tuple[bool, int, int, int, int],
                        bounds: Sequence[Tuple[str, Optional[float]]],
                        held: Sequence[Tuple[str, Any, Any]]) -> None:
     """A drain loop let member ``who`` (``engine``) coast from ``start_s``
     (batch epoch ``epoch``) and redid its parent's bookkeeping: nobody
-    hears the engine per iteration (no token hook, and its event hook
-    wants no ``IterationDone``: the demand rule); every coasted iteration
-    started before each of the ``bounds`` its parent and front act on,
-    read before the run (an unrouted arrival, a tick, admission's next
-    event, another busy member's next iteration that is not quiet), and
-    the engine's cap (starts replayed from ``batch.times_since``);
-    nothing retired; and each of the parent's ``held`` values (``(what,
-    want, got)``) reads what it must after the run."""
-    if engine.on_token is not None or engine._wants(IterationDone):
+    heard the engine per iteration as the run began (no token hook, and
+    its event hook wanted no ``IterationDone``: the demand rule); every
+    coasted iteration started before each of the ``bounds`` its parent
+    and front act on, read before the run (an unrouted arrival, a tick,
+    admission's next event, another busy member's next iteration that
+    is not quiet), and the engine's cap (starts replayed from
+    ``batch.times_since``); whatever retired went through the finishing
+    tail: released once and observed once by the engine's sink
+    (``ledger``: :func:`coast_ledger` before the run); nothing was
+    submitted but by the completion callback of a run that retired; and
+    each of the parent's ``held`` values (``(what, want, got)``) reads
+    what it must after the run."""
+    heard, submitted, retired, live, observed = ledger
+    if heard:
         raise _violation(f"{who} coasted while somebody hears it per "
                          f"iteration")
     bounds = list(bounds) + [("the sim-time cap",
@@ -471,10 +506,20 @@ def check_coast_bounds(who: str, engine: Any, start_s: float, epoch: int,
                     f"{who} coasted through an iteration starting at "
                     f"{start!r} with {what} due at {bound!r}")
         start += price
-    if engine.unfinished != unfinished:
+    retired = engine._n_retired - retired
+    submitted = engine._n_submitted - submitted
+    if submitted and not (retired and engine.on_finish is not None):
         raise _violation(
-            f"{who} coasted from {unfinished!r} unfinished requests to "
-            f"{engine.unfinished!r}")
+            f"{who} took {submitted} submissions while it coasted, none "
+            f"from a completion callback")
+    now_observed = -1 if engine.metrics is None else engine.metrics.n_observed
+    if len(engine._live) != live - retired + submitted or (
+            observed >= 0 and now_observed != observed + retired):
+        raise _violation(
+            f"{who} retired {retired} requests while it coasted, but "
+            f"released {live + submitted - len(engine._live)} and its "
+            f"sink observed {now_observed - observed}: a retirement "
+            f"outside the finishing tail")
     for what, want, got in held:
         if got != want:
             raise _violation(f"{what} moved while {who} coasted: {got!r}, "

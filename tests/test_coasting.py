@@ -276,9 +276,9 @@ def test_one_long_decode_is_one_step_and_a_coast_per_membership_change():
                                output_tokens=500))
     engine.run_until_drained()
     assert engine.unfinished == 0 and engine.stats.iterations == 500
-    # the prefill, then the finishing one: the coast after the prefill
-    # settles the pure-decode verdict and pricing itself
-    assert steps.calls == 2
+    # the prefill only: the coast after it settles the pure-decode
+    # verdict and pricing itself, and runs the finishing iteration too
+    assert steps.calls == 1
     # (edited: read from the record — the request is released at retirement)
     assert engine.build_result().records[0].served_tokens == 500
 
@@ -322,7 +322,8 @@ def test_the_quiet_bound_never_falls_below_the_clock():
     """``_quiet_until()`` is the earliest start of an iteration that is
     not quiet, so never before the clock: not with an arrival already due,
     nor after a coast that crossed its wake or ran every quiet iteration
-    (a cluster bounds the other replicas' coasts by it)."""
+    (a cluster bounds the other replicas' coasts by it), nor after a
+    coast whose finish bound refused the finishing iteration."""
     def decoding(output_tokens):
         engine = build()
         engine.submit(TraceRequest(request_id=0, model_id=MODELS[0],
@@ -346,6 +347,6 @@ def test_the_quiet_bound_never_falls_below_the_clock():
     assert engine._quiet_until() == engine.clock
 
     engine = decoding(10)                  # the coast runs every quiet one
-    assert engine._coast(float("inf"))
+    assert engine._coast(float("inf"), engine.clock)
     assert engine.batch.next_finish_epoch() == engine.batch.epoch + 1
     assert engine._quiet_until() == engine.clock

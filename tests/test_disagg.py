@@ -633,8 +633,8 @@ def counted_replay(monkeypatch, prefill, decode, prefix_cache, cancels):
         steps[worker.name] += 1
         return step(worker)
 
-    def counted_coast(worker, limit_s):
-        moved = coast(worker, limit_s)
+    def counted_coast(worker, *bounds):
+        moved = coast(worker, *bounds)
         coasts[worker.name] += moved
         return moved
 
@@ -659,34 +659,39 @@ def counted_replay(monkeypatch, prefill, decode, prefix_cache, cancels):
 
 #: (prefill workers, decode workers, prefix cache, cancels + deadlines) ->
 #: (records, sha256 of records and stats, step() calls per worker, coasted
-#: runs per worker), workers in id order: recorded before the owner
-#: stepped the worker its drain loop chose, and to hold on every commit
-#: since
+#: runs per worker), workers in id order.  The records and stats were
+#: recorded before the owner stepped the worker its drain loop chose, and
+#: hold on every commit since; the counts since a finish that admits
+#: nobody coasts (decode workers step only to admit)
 COUNTED = {
-    (1, 1, False, False): (172, '7be3abd14ca5e467',
-                           (276, 418), (0, 442)),
-    (1, 1, False, True): (172, '1ae71f25011cc434',
-                          (277, 405), (0, 410)),
-    (1, 1, True, False): (172, '15847816a2cc70f0',
-                          (316, 419), (0, 476)),
-    (1, 1, True, True): (172, '8d5a8e118b19a8da',
-                         (309, 406), (0, 442)),
+    (1, 1, False, False): (172, '7be3abd14ca5e467', (276, 251), (0, 460)),
+    (1, 1, False, True): (172, '1ae71f25011cc434', (277, 273), (0, 423)),
+    (1, 1, True, False): (172, '15847816a2cc70f0', (316, 252), (0, 489)),
+    (1, 1, True, True): (172, '8d5a8e118b19a8da', (309, 270), (0, 453)),
     (2, 2, False, False): (172, 'bfb039a5516f05f5',
-                           (168, 165, 332, 240), (0, 0, 324, 252)),
+                           (168, 165, 229, 172),
+                           (0, 0, 373, 290)),
     (2, 2, False, True): (172, '9b6914d1d370a0cd',
-                          (161, 165, 322, 241), (0, 0, 293, 232)),
+                          (161, 165, 237, 183),
+                          (0, 0, 336, 261)),
     (2, 2, True, False): (172, 'fbb2a8fa980984e3',
-                          (170, 158, 313, 236), (0, 0, 337, 233)),
+                          (170, 158, 213, 166),
+                          (0, 0, 380, 265)),
     (2, 2, True, True): (172, 'c3d7aa7d0e263e29',
-                         (166, 155, 313, 226), (0, 0, 303, 211)),
+                         (166, 155, 228, 168),
+                         (0, 0, 345, 239)),
     (1, 3, False, False): (172, 'e1dd6626396147a2',
-                           (276, 280, 192, 134), (0, 240, 194, 120)),
+                           (276, 201, 137, 98),
+                           (0, 290, 233, 145)),
     (1, 3, False, True): (172, '3de85e2c57edb8bd',
-                          (277, 279, 182, 123), (0, 238, 167, 105)),
+                          (277, 211, 141, 93),
+                          (0, 279, 196, 127)),
     (1, 3, True, False): (172, 'e6b24a6840cc2fe4',
-                          (316, 288, 194, 118), (0, 279, 202, 126)),
+                          (316, 203, 140, 87),
+                          (0, 329, 235, 153)),
     (1, 3, True, True): (172, 'a3be12487c5242cc',
-                         (309, 304, 188, 97), (0, 246, 180, 116)),
+                         (309, 228, 145, 72),
+                         (0, 289, 206, 134)),
 }
 
 

@@ -564,14 +564,37 @@ class TestCoastRunCheck:
         assert engine._admits_nothing() and engine._rows_unchanged()
         return engine
 
-    def test_clean_run_coasts_to_the_finish_bucket(self):
+    def test_clean_run_coasts_through_the_finish(self):
         with sanitized(True):
             engine = self.steady_engine()
-            engine._coast(inf)
-            assert engine.batch.epoch == 59    # the 60th token is a step's
-            assert engine.running[0].generated_tokens == 59
-            engine.run_until_drained()
+            assert engine._coast(inf)
+            # the 60th token too: the finish admits nobody
+            assert engine.batch.epoch == 60 and not engine.running
             assert engine.unfinished == 0 and engine.stats.iterations == 60
+            record, = engine.metrics.records
+            assert record.finished and record.finish_s == engine.clock
+
+    def test_a_hooked_finish_ends_the_run(self):
+        """Two decodes of 30 and 60 tokens: unheard, one run retires
+        both; heard on completion, the run ends after the first finish
+        (its listener may act before the next iteration)."""
+        with sanitized(True):
+            ends = []
+            for hooked in (False, True):
+                engine = make_engine("deltazip", self.MODELS)
+                engine.submit(trace_request(0, output=30))
+                engine.submit(trace_request(1, output=60,
+                                            model="variant-01"))
+                engine.step()
+                if hooked:
+                    engine.on_finish = lambda req, clock: None
+                assert engine._coast(inf)
+                ends.append((engine.batch.epoch, engine.unfinished))
+            assert ends == [(60, 0), (30, 1)]
+            with pytest.raises(SimSanitizerError, match=(
+                    r"'deltazip' coasted on past a finish a hook hears")):
+                sanitizer.check_coast_run(engine, engine.clock, [], [],
+                                          True)
 
     def test_a_stale_verdict(self):
         with sanitized(True):
@@ -592,15 +615,21 @@ class TestCoastRunCheck:
                                match=r"'deltazip'.*linear-pass plan"):
                 engine._coast(inf)
 
-    def test_a_member_done_inside_the_run(self):
+    @pytest.mark.parametrize("shift, fault", [
+        (5, r"coasted past the finish of requests \[0\]"),
+        (-5, r"finished requests \[0\] inside a coast before their last "
+             r"token")])
+    def test_a_member_done_off_its_finish_bucket(self, shift, fault):
+        """The run ends on the finish bucket; a bucket moved out lets it
+        run past the request's last token, one moved in retires the
+        request short of it."""
         with sanitized(True):
             engine = self.steady_engine()
             finish = engine.batch._finish
             (due, bucket), = finish.items()
             finish.clear()
-            finish[due + 5] = bucket           # the bucket moved out
-            with pytest.raises(SimSanitizerError, match=(
-                    r"coasted past the finish of requests \[0\]")):
+            finish[due + shift] = bucket
+            with pytest.raises(SimSanitizerError, match=fault):
                 engine._coast(inf)
 
     @pytest.mark.parametrize("kind", ["arrival", "cancel"])
@@ -654,7 +683,7 @@ class TestCoastRunCheck:
             engine.schedule_cancel(999, engine.clock + 0.2)
             engine._next_wake = lambda: None
             engine._coast(inf)
-            assert engine.batch.epoch == 59
+            assert engine.batch.epoch == 60 and engine.unfinished == 0
 
     def test_the_real_bounds_stop_the_run_at_the_event(self):
         with sanitized(True):
@@ -674,7 +703,7 @@ class TestCoastRunCheck:
             engine = self.steady_engine()
             engine._resident.clear()
             engine._coast(inf)
-            assert engine.batch.epoch == 59
+            assert engine.batch.epoch == 60
 
 
 class TestScbCoastRunCheck:
@@ -694,11 +723,13 @@ class TestScbCoastRunCheck:
         assert not engine._decide()
         return engine
 
-    def test_clean_run_coasts_to_the_finish_bucket(self):
+    def test_clean_run_coasts_to_the_admission_it_frees(self):
         with sanitized(True):
             engine = self.steady_engine()
             engine._coast(inf)
-            assert engine.batch.epoch == 59
+            # through request 0's finish, up to request 1's admission
+            assert engine.batch.epoch == 60 and not engine.running
+            assert engine.unfinished == 1 and engine._decide()
             engine.run_until_drained()
             assert engine.unfinished == 0
             assert engine.stats.iterations == 65
@@ -947,17 +978,36 @@ class TestClusterCoastCheck:
                     r"coasted: False, not True")):
                 coast_member(gateway, replica)
 
-    def test_a_run_that_retired_something(self):
+    def test_a_retirement_outside_the_finishing_tail(self):
+        """A coast may retire only through the tail ``step()`` shares:
+        one counted retired that the sink never saw and that is still
+        live is a fault."""
         with sanitized(True):
-            gateway, replica = self.steady()
+            gateway, replica = self.steady(arrival=0.6)
             engine, coast = replica.engine, replica.engine._coast
 
-            def retiring(limit_s):
-                coast(limit_s)
+            def retiring(*bounds):
+                coast(*bounds)
                 engine._n_retired += 1
             engine._coast = retiring
             with pytest.raises(SimSanitizerError, match=(
-                    r"coasted from 1 unfinished requests to 0")):
+                    r"replica-0 retired 1 requests while it coasted, but "
+                    r"released 0 and its sink observed 0: a retirement "
+                    r"outside the finishing tail")):
+                coast_member(gateway, replica)
+
+    def test_a_submission_under_the_run(self):
+        with sanitized(True):
+            gateway, replica = self.steady(arrival=0.6)
+            engine, coast = replica.engine, replica.engine._coast
+
+            def submitting(*bounds):
+                coast(*bounds)
+                engine._n_submitted += 1
+            engine._coast = submitting
+            with pytest.raises(SimSanitizerError, match=(
+                    r"replica-0 took 1 submissions while it coasted, none "
+                    r"from a completion callback")):
                 coast_member(gateway, replica)
 
     def test_a_member_somebody_hears_per_iteration(self):
@@ -1118,8 +1168,8 @@ class TestWorkerCoastCheck:
             engine, worker = self.steady()
             coast = worker._coast
 
-            def handing_off(limit_s):
-                coast(limit_s)
+            def handing_off(*bounds):
+                coast(*bounds)
                 engine._in_transfer.add(9)
             worker._coast = handing_off
             with pytest.raises(SimSanitizerError, match=(

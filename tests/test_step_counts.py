@@ -79,8 +79,8 @@ def counted_replay(monkeypatch, stack):
         steps[id(engine)] += 1
         return step(engine)
 
-    def counted_coast(engine, limit_s):
-        moved = coast(engine, limit_s)
+    def counted_coast(engine, *bounds):
+        moved = coast(engine, *bounds)
         coasts[id(engine)] += moved
         return moved
 
@@ -105,27 +105,27 @@ STACKS = {
 #: (stack, seed) -> (records, sha256 of records and stats, step() calls
 #: per engine, coasted runs per engine)
 COUNTED = {
-    ("leaf", 0): (678, '54fb4538aec8d374', (1236,), (517,)),
-    ("leaf", 1): (530, '48666e2d4a31f0d7', (966,), (385,)),
-    ("leaf", 2): (535, 'd67bafa5fbd8e71f', (977,), (420,)),
+    ("leaf", 0): (678, '54fb4538aec8d374', (712,), (577,)),
+    ("leaf", 1): (530, '48666e2d4a31f0d7', (570,), (431,)),
+    ("leaf", 2): (535, 'd67bafa5fbd8e71f', (576,), (444,)),
     ("cluster", 0): (678, '7e9bf0ea5b1d9603',
-                     (119, 141, 131, 105, 141, 135, 127, 108),
-                     (121, 140, 133, 122, 138, 126, 138, 111)),
+                     (50, 63, 48, 45, 59, 56, 54, 41),
+                     (138, 156, 158, 134, 159, 141, 150, 126)),
     ("cluster", 1): (530, 'fdb66c6ea3543dc0',
-                     (95, 91, 89, 88, 97, 92, 81, 65),
-                     (124, 113, 113, 119, 125, 116, 110, 113)),
+                     (29, 31, 23, 29, 29, 30, 26, 19),
+                     (137, 123, 123, 131, 137, 128, 120, 121)),
     ("cluster", 2): (535, 'b9d56b5fa10705b8',
-                     (88, 75, 90, 113, 74, 105, 80, 80),
-                     (121, 118, 120, 150, 117, 131, 108, 110)),
+                     (28, 21, 31, 38, 19, 38, 22, 26),
+                     (133, 126, 128, 161, 127, 144, 116, 116)),
     ("cluster-heard", 0): (678, '7e9bf0ea5b1d9603',
-                           (119, 141, 131, 105, 141, 135, 127, 108),
-                           (423, 411, 401, 398, 395, 367, 428, 363)),
+                           (50, 63, 48, 45, 59, 56, 54, 41),
+                           (490, 483, 480, 457, 474, 443, 495, 426)),
     ("cluster-heard", 1): (530, 'fdb66c6ea3543dc0',
-                           (95, 91, 89, 88, 97, 92, 81, 65),
-                           (398, 378, 338, 371, 370, 352, 362, 375)),
+                           (29, 31, 23, 29, 29, 30, 26, 19),
+                           (460, 430, 398, 428, 432, 409, 412, 420)),
     ("cluster-heard", 2): (535, 'b9d56b5fa10705b8',
-                           (88, 75, 90, 113, 74, 105, 80, 80),
-                           (392, 361, 352, 390, 344, 386, 354, 330)),
+                           (28, 21, 31, 38, 19, 38, 22, 26),
+                           (447, 412, 406, 459, 399, 449, 405, 380)),
 }
 
 
