@@ -438,7 +438,8 @@ class DrainLoop:
                 # they move: below the front's bound nothing it reads moves
                 moved = finished = False
                 member = self._least_member()
-                while member is not None:
+                # nothing running: its coast would not move it, step it
+                while member is not None and member.running:
                     horizon = self._horizon(member)
                     if bound < horizon:
                         horizon = bound

@@ -98,6 +98,10 @@ class Replica:
     def backlog(self) -> int:
         return self.engine.backlog
 
+    @property
+    def running(self) -> Sequence[ServingRequest]:
+        return self.engine.running
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "draining" if self.draining else "active"
         return (f"Replica({self.name}, {state}, "
