@@ -166,8 +166,8 @@ class IterationCostModel:
         # with a positive per-child term only, while every child overlaps
         top_n = 0
         if sbmm_impl == "sbmm" and gpu.dynamic_launch_us > 0:
-            while _sbmm_parallelism(gpu, top_n + 1) >= top_n + 1 \
-                    and top_n < _TOP_KEY_MAX_N:
+            while top_n < _TOP_KEY_MAX_N \
+                    and _sbmm_parallelism(gpu, top_n + 1) >= top_n + 1:
                 top_n += 1
         self._top_n = top_n
         self._base_memo: Dict[int, float] = {}
@@ -246,10 +246,11 @@ class IterationCostModel:
         all overlap (``n <= _top_n``) — by (largest count, ``n``): each
         shape then prices ``launch + max(max(per_delta) + per_child,
         compute / n)``, where ``compute / n`` is a mean of the columns
-        (within ~1e-15 of their max in floats) and ``per_child`` is ``n``
-        device launches (microseconds), so the first term wins for every
-        batch; the roofline never falls as rows grow, so ``max(per_delta)``
-        is the largest count's column.  A miss still prices the counts."""
+        (above their max by at most ~1e-15 relative, in floats) and
+        ``per_child`` is ``n`` device launches (microseconds), so the
+        first term wins for every batch; the roofline never falls as rows
+        grow, so ``max(per_delta)`` is the largest count's column.  A miss
+        still prices the counts."""
         counts = [c for c in rows_per_delta if c > 0]
         if not counts:
             return 0.0
