@@ -438,8 +438,10 @@ class DrainLoop:
                 # they move: below the front's bound nothing it reads moves
                 moved = finished = False
                 member = self._least_member()
-                # nothing running: its coast would not move it, step it
-                while member is not None and member.running:
+                while member is not None:
+                    running = member.running
+                    if not running:
+                        break         # its coast would not move it: step it
                     horizon = self._horizon(member)
                     if bound < horizon:
                         horizon = bound
@@ -448,12 +450,12 @@ class DrainLoop:
                     if member is tried[0] and horizon <= tried[1]:
                         break
                     tried = (member, horizon)
-                    unfinished = member.unfinished
+                    size = len(running)
                     if not self._coast_member(member, horizon):
                         break
                     moved = True
-                    if member.unfinished != unfinished:
-                        finished = True
+                    if len(running) != size:
+                        finished = True   # a finish left the batch
                         break
                     member = self._least_member()
                 if finished:

@@ -100,7 +100,7 @@ class Replica:
 
     @property
     def running(self) -> Sequence[ServingRequest]:
-        return self.engine.running
+        return self.engine.batch.requests
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "draining" if self.draining else "active"
@@ -983,15 +983,15 @@ class ClusterGateway(Gateway, DrainLoop):
 
     def _finish_bound(self, replica: Replica) -> float:
         """While a completion listener hears finishes (and may read the
-        frontier or inject work), the least clock of the other busy
-        replicas: a finish coasts only where a step would have run it."""
+        frontier or inject work), the least clock the other busy replicas
+        are filed under (a stale key only under-estimates): a finish
+        coasts only where a step would have run it."""
         bound = math.inf
         if self._listeners:
             for other in self.replicas:
-                engine = other.engine
-                if other is not replica and engine.unfinished > 0 \
-                        and engine.clock < bound:
-                    bound = engine.clock
+                key = other.frontier_key
+                if key is not None and key < bound and other is not replica:
+                    bound = key
         return bound
 
     def _coast_watch(self, replica: Replica) -> Tuple[
@@ -1015,7 +1015,11 @@ class ClusterGateway(Gateway, DrainLoop):
         watch = (engine.clock, engine.batch.epoch,
                  _sanitizer.coast_ledger(engine),
                  self._watch(replica)[0]) if self._sanitize else None
-        moved = engine._coast(horizon, self._finish_bound(replica))
+        # a finish known to start at or after the horizon needs no bound
+        quiet = engine._quiet_at
+        moved = engine._coast(horizon, math.inf if quiet is not None
+                              and quiet >= horizon
+                              else self._finish_bound(replica))
         if watch is not None:         # the check reads the clock itself
             moved = engine.clock > watch[0]
         if not moved:
