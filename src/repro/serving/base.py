@@ -943,10 +943,9 @@ class ServingEngine(DrainLoop):
         :meth:`~DrainLoop._finish_bound`).  With an ``on_finish`` or
         ``on_event`` hook the run ends there (a callback may act, or start
         to listen, before the next iteration); without one the decision
-        is asked again and the run goes on.
-        Only the drain loop
-        calls it (:class:`DrainLoop`), for a parent nobody observes, so
-        nobody listens per iteration.  Did it move?"""
+        is asked again and the run goes on.  Only the drain loop calls it
+        (:class:`DrainLoop`), for a parent nobody observes, so nobody
+        listens per iteration.  Did it move?"""
         batch = self.batch
         start_s = self._sim.now
         if not batch.requests or start_s >= limit_s:
@@ -996,8 +995,8 @@ class ServingEngine(DrainLoop):
                 self._quiet_at = max(now, quiet if wake is None
                                      or wake > quiet else wake)
                 break
-            self._finish(done, now, times[-1])
             self._quiet_at = None
+            self._finish(done, now, times[-1])
             if self.on_finish is not None or self.on_event is not None \
                     or not batch.requests:
                 break

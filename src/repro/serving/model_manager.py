@@ -97,6 +97,7 @@ class ModelManager:
         knobs (a cluster's replicas, disagg workers, dedicated groups)
         shares it, hence its memos, which hold pure prices.  Scoped to
         the manager: a new manager starts cold."""
+        # a model reads the sanitizer switch once, at construction
         key = (gpu, tp_degree, delta_bits, delta_density, lora_rank,
                sbmm_impl, _sanitizer.enabled())
         model = self._cost_models.get(key)
