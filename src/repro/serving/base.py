@@ -966,16 +966,11 @@ class ServingEngine(DrainLoop):
             n = batch.next_finish_epoch() - batch.epoch
             cost, plan = self.cost, self._decode_plan()
             context, growth = batch.context_tokens, len(batch.requests)
-            if finish_s < limit_s:
-                times, now = cost.plan_run(plan, context, growth, n - 1,
-                                           start_s, limit_s)
-                if len(times) == n - 1 and now < finish_s:
-                    times.append(cost.plan_time(
-                        plan, context + (n - 1) * growth))
-                    now += times[-1]
-            else:
-                times, now = cost.plan_run(plan, context, growth, n,
-                                           start_s, limit_s)
+            times, now = cost.plan_run(plan, context, growth, n - 1,
+                                       start_s, limit_s)
+            if len(times) == n - 1 and now < limit_s and now < finish_s:
+                times.append(cost.plan_time(plan, context + (n - 1) * growth))
+                now += times[-1]
             if not times:
                 break
             done = batch.advance_run(times)
