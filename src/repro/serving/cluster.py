@@ -1015,11 +1015,7 @@ class ClusterGateway(Gateway, DrainLoop):
         watch = (engine.clock, engine.batch.epoch,
                  _sanitizer.coast_ledger(engine),
                  self._watch(replica)[0]) if self._sanitize else None
-        # a finish known to start at or after the horizon needs no bound
-        quiet = engine._quiet_at
-        moved = engine._coast(horizon, math.inf if quiet is not None
-                              and quiet >= horizon
-                              else self._finish_bound(replica))
+        moved = engine._coast(horizon, self._finish_bound(replica))
         if watch is not None:         # the check reads the clock itself
             moved = engine.clock > watch[0]
         if not moved:
