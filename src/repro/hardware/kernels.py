@@ -32,7 +32,8 @@ from .specs import GPUSpec
 __all__ = ["GemmShape", "dense_gemm_time", "quantized_gemm_time",
            "sparse_quantized_gemm_time", "achieved_flops_ratio",
            "SBMM_IMPLEMENTATIONS", "sbmm_time", "SBMMBreakdown",
-           "roofline_time", "sbmm_delta_time", "sbmm_compose"]
+           "roofline_time", "sbmm_delta_time", "sbmm_compose",
+           "SBMM_MAX_OVERLAP"]
 
 # random-access penalty for gather/scatter of requests that are not grouped
 # by delta: effective HBM bandwidth fraction for the activation traffic ...
@@ -41,6 +42,8 @@ _SCATTERED_BW_FRACTION = 0.25
 _RANDOM_ACCESS_US_PER_REQUEST = 3.0
 # fraction of peak compute reachable by a GEMM with m input rows
 _SMALL_M_KNEE = 64.0
+#: how many SBMM child kernels can genuinely overlap (SM-bound)
+SBMM_MAX_OVERLAP = 8
 
 
 @dataclass(frozen=True)
@@ -240,4 +243,4 @@ def sbmm_time(requests_per_delta: Sequence[int], shape_k: int, shape_n: int,
 
 def _sbmm_parallelism(gpu: GPUSpec, n_deltas: int) -> float:
     """How many child kernels can genuinely overlap (SM-bound)."""
-    return float(min(n_deltas, 8))
+    return float(min(n_deltas, SBMM_MAX_OVERLAP))

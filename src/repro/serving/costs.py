@@ -20,7 +20,7 @@ depends on (GEMM shape, ``c``) alone, so the variant passes keep it as a
 one delta's count re-prices no roofline whose count was seen before.
 
 While the SBMM children of an ``sbmm`` pass all overlap (at most
-:func:`~repro.hardware.kernels._sbmm_parallelism` deltas), the pass is
+:data:`~repro.hardware.kernels.SBMM_MAX_OVERLAP` deltas), the pass is
 bounded by its largest delta: its total depends on (largest count,
 number of deltas) alone and is memoised under that pair, so the batches
 a membership change produces mostly hit.  Every engine serving one
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ..hardware.cluster import allreduce_time
-from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, GemmShape,
-                                _sbmm_parallelism, dense_gemm_time,
-                                sbmm_compose, sbmm_delta_time, sbmm_time)
+from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, SBMM_MAX_OVERLAP,
+                                GemmShape, dense_gemm_time, sbmm_compose,
+                                sbmm_delta_time, sbmm_time)
 from ..hardware.specs import GPUSpec
 from ..sim import sanitizer as _sanitizer
 from .models import FP16, ServedModelSpec
@@ -53,9 +53,6 @@ _LORA_SBMM = ("sbmm", 16, 1.0)
 # bound on every memo below (pass totals and per-count columns alike):
 # cleared when full, so no workload grows them without bound
 _MEMO_LIMIT = 65536
-# the (largest count, n) key of the delta pass is tried up to this many
-# deltas (the SM-bound parallelism is far lower on every GPU modelled)
-_TOP_KEY_MAX_N = 64
 
 #: one SBMM the variant passes run: its GEMM shapes (one per distinct layer
 #: shape), (flavour, weight bits, density) and ``{row count: column}`` memo
@@ -164,12 +161,8 @@ class IterationCostModel:
         # the delta pass is keyed by (largest count, n) up to this many
         # deltas (see _delta_pass), by the count tuple beyond: "Ours+"
         # with a positive per-child term only, while every child overlaps
-        top_n = 0
-        if sbmm_impl == "sbmm" and gpu.dynamic_launch_us > 0:
-            while top_n < _TOP_KEY_MAX_N \
-                    and _sbmm_parallelism(gpu, top_n + 1) >= top_n + 1:
-                top_n += 1
-        self._top_n = top_n
+        self._top_n = SBMM_MAX_OVERLAP \
+            if sbmm_impl == "sbmm" and gpu.dynamic_launch_us > 0 else 0
         self._base_memo: Dict[int, float] = {}
         self._allreduce_memo: Dict[int, float] = {}
         self._top_memo: Dict[Tuple[int, ...], float] = {}
