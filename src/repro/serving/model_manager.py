@@ -10,7 +10,7 @@ deployment (:meth:`ModelManager.cost_model`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..compression.configs import CompressionConfig
 from ..hardware.memory import Tier
@@ -88,23 +88,19 @@ class ModelManager:
         return self._insert(entry)
 
     # ------------------------------------------------------------------ #
-    def cost_model(self, gpu: GPUSpec, tp_degree: int = 1,
-                   delta_bits: int = 4, delta_density: float = 0.5,
-                   lora_rank: int = 0,
-                   sbmm_impl: str = "sbmm") -> IterationCostModel:
+    def cost_model(self, gpu: GPUSpec, **knobs: Any) -> IterationCostModel:
         """The iteration cost model of one deployment of this spec: every
         engine built over this manager with the same GPU and pricing
-        knobs (a cluster's replicas, disagg workers, dedicated groups)
-        shares it, hence its memos, which hold pure prices.  Scoped to
-        the manager: a new manager starts cold."""
+        knobs (``IterationCostModel``'s keyword arguments; a cluster's
+        replicas, disagg workers, dedicated groups) shares it, hence its
+        memos, which hold pure prices.  Scoped to the manager: a new
+        manager starts cold."""
         # a model reads the sanitizer switch once, at construction
-        key = (gpu, tp_degree, delta_bits, delta_density, lora_rank,
-               sbmm_impl, _sanitizer.enabled())
+        key = (gpu, tuple(sorted(knobs.items())), _sanitizer.enabled())
         model = self._cost_models.get(key)
         if model is None:
             model = self._cost_models[key] = IterationCostModel(
-                self.spec, gpu, tp_degree, delta_bits, delta_density,
-                lora_rank, sbmm_impl)
+                self.spec, gpu, **knobs)
         return model
 
     def get(self, model_id: str) -> RegisteredModel:
