@@ -315,6 +315,7 @@ def test_no_replica_is_stepped_quiet_behind_a_bound_below_its_clock(
     result = TenantGateway(cluster, tenants=(Tenant("default"),)).replay(
         trace)
     assert len(result.records) == len(trace)
+    assert (counts["steps"], counts["quiet"]) == (65, 17)
     assert counts["quiet"] == counts["ingesting"]
 
 
