@@ -132,9 +132,12 @@ class LengthSampler:
     max_output: int = 512
 
     def sample(self, rng: np.random.Generator) -> tuple:
-        prompt = int(np.clip(rng.lognormal(self.prompt_log_mean,
-                                           self.prompt_log_sigma),
-                             self.min_tokens, self.max_prompt))
-        output = int(np.clip(rng.geometric(1.0 / self.output_mean),
-                             self.min_tokens, self.max_output))
+        # builtin min/max: the same ints as np.clip (lo > hi gives hi),
+        # without a numpy dispatch per scalar draw
+        lo = self.min_tokens
+        prompt = int(min(max(rng.lognormal(self.prompt_log_mean,
+                                           self.prompt_log_sigma), lo),
+                         self.max_prompt))
+        output = int(min(max(rng.geometric(1.0 / self.output_mean), lo),
+                         self.max_output))
         return prompt, output

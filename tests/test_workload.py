@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload import (ARENA_MODEL_NAMES, LengthSampler, TenantWorkload,
                             Trace, TraceRequest, arena_trace,
@@ -164,6 +166,37 @@ class TestTraces:
             prompt, output = sampler.sample(rng)
             assert 4 <= prompt <= 64
             assert 4 <= output <= 32
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           log_mean=st.floats(0.0, 8.0), log_sigma=st.floats(0.0, 2.0),
+           output_mean=st.floats(1.0, 2000.0),
+           max_prompt=st.integers(1, 2048), max_output=st.integers(1, 1024),
+           min_tokens=st.integers(1, 64),
+           pin=st.sampled_from([None, "prompt", "output", "above"]))
+    def test_length_sampler_draws_equal_np_clip(self, seed, log_mean,
+                                                log_sigma, output_mean,
+                                                max_prompt, max_output,
+                                                min_tokens, pin):
+        """The sampler's builtin clip gives, draw for draw, the ints of
+        ``int(np.clip(draw, min_tokens, max))``, also where
+        ``min_tokens`` equals a maximum or lies above both."""
+        min_tokens = {None: min_tokens, "prompt": max_prompt,
+                      "output": max_output,
+                      "above": max(max_prompt, max_output) + min_tokens}[pin]
+        sampler = LengthSampler(prompt_log_mean=log_mean,
+                                prompt_log_sigma=log_sigma,
+                                output_mean=output_mean,
+                                min_tokens=min_tokens,
+                                max_prompt=max_prompt, max_output=max_output)
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for _ in range(50):
+            prompt = int(np.clip(theirs.lognormal(log_mean, log_sigma),
+                                 min_tokens, max_prompt))
+            output = int(np.clip(theirs.geometric(1.0 / output_mean),
+                                 min_tokens, max_output))
+            assert sampler.sample(ours) == (prompt, output)
 
 
 class TestArenaTrace:
