@@ -19,7 +19,7 @@ from repro.evaluation.finetune import make_task_dataset
 from repro.nn import (RoSAConfig, TrainingConfig, TransformerConfig,
                       TransformerModel, attach_rosa, detach_rosa, merge_rosa,
                       train_lm)
-from repro.serving import DecoupledModelRunner
+from repro.serving.runner import DecoupledModelRunner
 
 
 def rosa_delta_artifact(adapter, base_state, model_id="rosa-variant"):

@@ -1,4 +1,10 @@
-"""DeltaZip serving engine, baselines, and serving metrics (paper §5-6)."""
+"""DeltaZip serving engine, baselines, and serving metrics (paper §5-6).
+
+The package re-exports the simulation stack only.  The numpy model
+execution (:mod:`.runner`, :mod:`.sbmm`, :mod:`.packed_compute`, which
+load :mod:`repro.compression` and :mod:`repro.nn`) is imported from its
+own module, so a serving run never loads it.
+"""
 
 from .base import (Admission, ENGINES, EngineConfig, ServingEngine,
                    create_engine, register_engine)
@@ -21,14 +27,11 @@ from .metrics import (EngineStats, ServingResult, UNTENANTED,
                       slo_attainment_by_tenant, summarize,
                       summarize_by_tenant)
 from .model_manager import ArtifactKind, ModelManager, RegisteredModel
-from .packed_compute import PackedDeltaLinear, packed_matmul
 from .prefix_cache import PrefixCache, prefix_block_keys
 from .router import BaseModelGroup, MultiBaseRouter
 from .models import (LLAMA_13B, LLAMA_70B, LLAMA_7B, MODEL_SPECS,
                      PYTHIA_2_8B, ServedModelSpec)
 from .request import RequestRecord, RequestState, ServingRequest
-from .runner import DecoupledModelRunner
-from .sbmm import group_requests_by_delta, sbmm_forward, sbmm_reference
 from .scheduler import (ContinuousBatchScheduler, SchedulerConfig,
                         SchedulingDecision)
 from .stack import StackSpec, build, build_engine
@@ -61,15 +64,12 @@ __all__ = [
     "AdmissionController", "AdmissionDecision", "DEFAULT_TENANT",
     "SLO_CLASSES", "Tenant", "TenantAdmissionStats", "TenantGateway",
     "TokenBucket",
-    "PackedDeltaLinear", "packed_matmul",
     "PrefixCache", "prefix_block_keys",
     "BaseModelGroup", "MultiBaseRouter",
     "ArtifactKind", "ModelManager", "RegisteredModel",
     "LLAMA_13B", "LLAMA_70B", "LLAMA_7B", "MODEL_SPECS", "PYTHIA_2_8B",
     "ServedModelSpec",
     "RequestRecord", "RequestState", "ServingRequest",
-    "DecoupledModelRunner",
-    "group_requests_by_delta", "sbmm_forward", "sbmm_reference",
     "ContinuousBatchScheduler", "SchedulerConfig", "SchedulingDecision",
     "StackSpec", "build", "build_engine",
     "QuantileSketch", "RecordPolicy", "ReservoirSampler",

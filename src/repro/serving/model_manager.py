@@ -10,14 +10,16 @@ deployment (:meth:`ModelManager.cost_model`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..compression.configs import CompressionConfig
 from ..hardware.memory import Tier
 from ..hardware.specs import GPUSpec
 from ..sim import sanitizer as _sanitizer
 from .costs import IterationCostModel
 from .models import ServedModelSpec
+
+if TYPE_CHECKING:        # annotations only: serving never loads compression
+    from ..compression.configs import CompressionConfig
 
 __all__ = ["ArtifactKind", "RegisteredModel", "ModelManager"]
 
@@ -142,3 +144,4 @@ class ModelManager:
         if entry.kind != kind:
             raise ValueError(
                 f"{model_id!r} is a {entry.kind}, expected {kind}")
+

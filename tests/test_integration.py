@@ -12,8 +12,9 @@ from repro.compression import load_compressed_delta, save_compressed_delta
 from repro.core import DeltaZip
 from repro.evaluation import evaluate_task, make_task, run_fmt
 from repro.nn import TransformerModel
-from repro.serving import (DecoupledModelRunner, LLAMA_7B, EngineConfig,
-                           SchedulerConfig, StackSpec, build)
+from repro.serving import (LLAMA_7B, EngineConfig, SchedulerConfig,
+                           StackSpec, build)
+from repro.serving.runner import DecoupledModelRunner
 from repro.workload import synthetic_trace
 
 

@@ -127,7 +127,7 @@ class TestGQAModel:
 
     def test_decoupled_runner_serves_gqa(self, rng):
         from repro.compression import CompressionConfig, DeltaCompressor
-        from repro.serving import DecoupledModelRunner
+        from repro.serving.runner import DecoupledModelRunner
         config = TransformerConfig.tiny_gqa()
         base = TransformerModel(config, seed=0)
         ft = TransformerModel(config, seed=0)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.configs import CompressionConfig
-from repro.serving import (LLAMA_13B, LLAMA_70B, LLAMA_7B, ModelManager,
-                           group_requests_by_delta, sbmm_forward,
-                           sbmm_reference)
+from repro.serving import LLAMA_13B, LLAMA_70B, LLAMA_7B, ModelManager
+from repro.serving.sbmm import (group_requests_by_delta, sbmm_forward,
+                                sbmm_reference)
 from repro.serving.model_manager import ArtifactKind
 
 
