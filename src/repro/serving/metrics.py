@@ -25,6 +25,7 @@ and counters instead, within the sketch's documented relative error
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,18 +175,23 @@ class ServingResult:
         """Cached (sorted e2e, sorted ttft, per-token) latency arrays."""
         cache = self._lat_cache
         if cache is None:
-            n = len(self.records)
-            e2e = np.fromiter((r.finish_s - r.arrival_s
-                               for r in self.records),
-                              dtype=np.float64, count=n)
-            ttft = np.fromiter(
-                ((r.first_token_s - r.arrival_s
-                  if r.first_token_s is not None
-                  else r.finish_s - r.arrival_s) for r in self.records),
-                dtype=np.float64, count=n)
-            tpt = np.fromiter((r.e2e_latency_s / max(r.output_tokens, 1)
-                               for r in self.records),
-                              dtype=np.float64, count=n)
+            # one C-level pass per field, then the record properties'
+            # arithmetic vectorised (the same float operations, so the
+            # same bytes): a first token of None reads as the finish
+            records = self.records
+            n = len(records)
+
+            def column(name: str, dtype: type) -> np.ndarray:
+                return np.fromiter(map(attrgetter(name), records),
+                                   dtype=dtype, count=n)
+
+            arrival = column("arrival_s", np.float64)
+            finish = column("finish_s", np.float64)
+            first = np.array(list(map(attrgetter("first_token_s"), records)),
+                             dtype=np.float64)          # None -> nan
+            e2e = finish - arrival
+            ttft = np.where(np.isnan(first), finish, first) - arrival
+            tpt = e2e / np.maximum(column("output_tokens", np.int64), 1)
             e2e.sort()
             ttft.sort()
             cache = (e2e, ttft, tpt)

@@ -146,6 +146,30 @@ class TestServingResult:
         assert s["n_requests"] == 10
         assert s["mean_e2e_s"] == res.mean_e2e_latency_s()
 
+    @pytest.mark.parametrize("records", [
+        [],
+        [record(rid=0, arrival=0.1, first=None, finish=2.3)],
+        [record(rid=i, arrival=i * 0.37, finish=i * 0.37 + 1.0 / (i + 3),
+                first=None if i % 4 == 0 else i * 0.37 + 0.01 * i,
+                output=0 if i % 5 == 0 else i)
+         for i in range(40)],
+    ], ids=["empty", "none-first-token", "mixed"])
+    def test_latency_columns_are_the_per_record_properties(self, records):
+        """The vectorised columns hold, byte for byte, what one pass over
+        the record properties builds (a first token of None reads as
+        the finish; zero output tokens divide by one)."""
+        res = ServingResult(engine="t", records=records, makespan_s=1.0)
+        n = len(records)
+        want = (np.sort(np.fromiter((r.e2e_latency_s for r in records),
+                                    np.float64, n)),
+                np.sort(np.fromiter((r.ttft_s for r in records),
+                                    np.float64, n)),
+                np.fromiter((r.time_per_token_s for r in records),
+                            np.float64, n))
+        got = res._lat_arrays()
+        assert [a.dtype for a in got] == [np.float64] * 3
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
 
 class TestSLO:
     def test_attainment_fractions(self):
