@@ -53,7 +53,7 @@ from ..workload.spec import Trace, TraceRequest
 from .costs import (BatchComposition, IterationCostModel, LinearPlan,
                     check_pricing_knobs)
 from .metrics import EngineStats, ServingResult
-from .model_manager import ArtifactKind, ModelManager
+from .model_manager import ArtifactKind, ModelManager, unknown_model
 from .request import RequestState, ServingRequest
 from .scheduler import SchedulerConfig
 from .streaming_metrics import RecordPolicy, StreamingMetrics
@@ -617,10 +617,13 @@ class ServingEngine(DrainLoop):
         its ``arrival_s`` (which may be in the past: it joins immediately,
         at the next :meth:`step`).  A request carrying a ``deadline_s``
         schedules its own expiry as a :class:`~repro.sim.Cancel` event.
-        An id still live here is rejected."""
+        An id still live here, or a model the manager does not register,
+        is rejected."""
         rid = request.request_id
         if rid in self._live:
             raise ValueError(f"request id {rid!r} is already live")
+        if request.model_id not in self.manager:
+            raise unknown_model(request)
         req = ServingRequest(trace=request)
         self._pending.push(Arrival(time=request.arrival_s, request=req))
         self._quiet_at = None

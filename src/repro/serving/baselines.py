@@ -24,7 +24,7 @@ from .base import (FULL_MODEL_LOADER_FACTOR, KV_RESERVE_FRACTION,
                    ServingEngine, register_engine)
 from .costs import BatchComposition, LinearPlan
 from .metrics import EngineStats, ServingResult
-from .model_manager import ArtifactKind, ModelManager
+from .model_manager import ArtifactKind, ModelManager, unknown_model
 from .request import ServingRequest
 from .scheduler import SchedulerConfig, SchedulingDecision
 
@@ -243,6 +243,8 @@ class DedicatedEngine(ServingEngine):
         rid = request.request_id
         if rid in self._request_group:
             raise ValueError(f"request id {rid!r} is already live")
+        if request.model_id not in self.manager:
+            raise unknown_model(request)
         self._n_submitted += 1
         group = self._group_for(request.model_id)
         self._request_group[request.request_id] = group

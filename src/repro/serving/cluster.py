@@ -55,6 +55,7 @@ from .gateway import (CancelSchedule, CompletionCallback, Gateway,
                       TokenCallback)
 from .handle import HandleStatus
 from .metrics import ServingResult
+from .model_manager import unknown_model
 from .request import RequestRecord, ServingRequest
 
 __all__ = [
@@ -865,15 +866,24 @@ class ClusterGateway(Gateway, DrainLoop):
         routed once the simulation frontier reaches its arrival (see
         :meth:`_route_due`), exactly like trace replay.  This is the entry
         point the admission layer releases requests through.  An id still
-        live here (unrouted or routed) is rejected.
+        live here (unrouted or routed), or a model no replica's manager
+        registers, is rejected.
         """
         rid = request.request_id
         if rid in self._pending_cancels or rid in self._owner:
             raise ValueError(f"request id {rid!r} is already live")
+        if not self._serves(request.model_id):
+            raise unknown_model(request)
         self._unrouted.push(Arrival(time=request.arrival_s, request=request))
         self._pending_cancels[rid] = None
         self._next_id = max(self._next_id, request.request_id + 1)
         return request.request_id
+
+    def _serves(self, model_id: str) -> bool:
+        # replicas share one manager unless built from_engines over
+        # several (one per base model): the first replica answers
+        return any(model_id in replica.engine.manager
+                   for replica in self.replicas)
 
     def _wire(self) -> None:
         """Lazily fan the engines' token callbacks into cluster-level

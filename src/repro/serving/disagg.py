@@ -52,7 +52,7 @@ from .costs import BatchComposition, LinearPlan
 from .engine import DeltaZipEngine
 from .kv_transfer import plan_kv_transfer
 from .metrics import EngineStats
-from .model_manager import ArtifactKind, ModelManager
+from .model_manager import ArtifactKind, ModelManager, unknown_model
 from .models import FP16
 from .request import RequestState, ServingRequest
 from .scheduler import SchedulerConfig
@@ -352,6 +352,8 @@ class DisaggregatedEngine(ServingEngine):
         rid = request.request_id
         if rid in self._live:
             raise ValueError(f"request id {rid!r} is already live")
+        if request.model_id not in self.manager:
+            raise unknown_model(request)
         req = ServingRequest(trace=request)
         self._live[rid] = req
         self._n_submitted += 1

@@ -49,6 +49,7 @@ from ..workload.spec import Trace, TraceRequest
 from .base import ServingEngine
 from .handle import HandleStatus, RequestHandle
 from .metrics import ServingResult
+from .model_manager import unknown_model
 from .request import (RequestRecord, RequestState, ServingRequest,
                       synthesized_abort_record)
 from .streaming_metrics import RecordPolicy
@@ -133,6 +134,8 @@ class Gateway:
                                prompt_tokens=int(prompt_len),
                                output_tokens=int(output_len),
                                deadline_s=deadline_s, **tags)
+        if not self._serves(model_id):
+            raise unknown_model(request)
         self._next_id += 1
         handle = RequestHandle(request, self)
         self._handles[request.request_id] = handle
@@ -209,6 +212,11 @@ class Gateway:
     def backlog(self) -> int:
         """Arrived-but-unfinished requests (future arrivals excluded)."""
         return self.inner.backlog
+
+    def _serves(self, model_id: str) -> bool:
+        """True when a manager below this layer registers ``model_id``:
+        every layer that accepts a request asks before queueing it."""
+        return self.inner._serves(model_id)
 
     @property
     def record_policy(self) -> RecordPolicy:
@@ -381,6 +389,9 @@ class ServingGateway(Gateway):
 
     def _accept(self, request: TraceRequest) -> None:
         self.engine.submit(request)
+
+    def _serves(self, model_id: str) -> bool:
+        return model_id in self.engine.manager
 
     # ------------------------------------------------------------------ #
     # online path

@@ -15,13 +15,15 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..hardware.memory import Tier
 from ..hardware.specs import GPUSpec
 from ..sim import sanitizer as _sanitizer
+from ..workload.spec import TraceRequest
 from .costs import IterationCostModel
 from .models import ServedModelSpec
 
 if TYPE_CHECKING:        # annotations only: serving never loads compression
     from ..compression.configs import CompressionConfig
 
-__all__ = ["ArtifactKind", "RegisteredModel", "ModelManager"]
+__all__ = ["ArtifactKind", "RegisteredModel", "ModelManager",
+           "unknown_model"]
 
 
 class ArtifactKind:
@@ -145,3 +147,11 @@ class ModelManager:
             raise ValueError(
                 f"{model_id!r} is a {entry.kind}, expected {kind}")
 
+
+def unknown_model(request: TraceRequest) -> KeyError:
+    """The error every layer that accepts a request raises, before it
+    queues anything, when no manager below it registers the request's
+    model (else the request would fail mid-drain, once an engine loads
+    it)."""
+    return KeyError(f"request {request.request_id!r}: unknown model "
+                    f"{request.model_id!r}")

@@ -69,6 +69,7 @@ from ..workload.spec import Trace, TraceRequest
 from .gateway import CancelSchedule, Gateway
 from .handle import HandleStatus
 from .metrics import ServingResult
+from .model_manager import unknown_model
 from .request import (DEFAULT_TENANT, RequestRecord,
                       synthesized_abort_record)
 
@@ -740,10 +741,13 @@ class TenantGateway(Gateway):
 
     def ingest(self, request: TraceRequest) -> int:
         """Queue a fully-formed request (verbatim id and arrival); an id
-        still held here, or dispatched and unfinished, is rejected."""
+        still held here, or dispatched and unfinished, or a model no
+        manager below registers, is rejected."""
         rid = request.request_id
         if rid in self._held or rid in self._dispatched_ids:
             raise ValueError(f"request id {rid!r} is already live")
+        if not self._serves(request.model_id):
+            raise unknown_model(request)
         self._admit_request(request)
         self._next_id = max(self._next_id, request.request_id + 1)
         return request.request_id
