@@ -176,22 +176,26 @@ class ServingResult:
         cache = self._lat_cache
         if cache is None:
             # one C-level pass per field, then the record properties'
-            # arithmetic vectorised (the same float operations, so the
-            # same bytes): a first token of None reads as the finish
+            # arithmetic in numpy, in place (the same float operations,
+            # so the same bytes; at most four columns alive at once)
             records = self.records
             n = len(records)
 
-            def column(name: str, dtype: type) -> np.ndarray:
+            def column(name: str, dtype: type = np.float64) -> np.ndarray:
                 return np.fromiter(map(attrgetter(name), records),
                                    dtype=dtype, count=n)
 
-            arrival = column("arrival_s", np.float64)
-            finish = column("finish_s", np.float64)
-            first = np.array(list(map(attrgetter("first_token_s"), records)),
-                             dtype=np.float64)          # None -> nan
-            e2e = finish - arrival
-            ttft = np.where(np.isnan(first), finish, first) - arrival
-            tpt = e2e / np.maximum(column("output_tokens", np.int64), 1)
+            arrival = column("arrival_s")
+            e2e = column("finish_s")
+            e2e -= arrival
+            ttft = column("first_token_s")               # None -> nan
+            ttft -= arrival
+            del arrival
+            # no first token: the TTFT is the e2e latency
+            np.copyto(ttft, e2e, where=np.isnan(ttft))
+            outputs = column("output_tokens", np.int64)
+            np.maximum(outputs, 1, out=outputs)
+            tpt = e2e / outputs
             e2e.sort()
             ttft.sort()
             cache = (e2e, ttft, tpt)
