@@ -177,13 +177,14 @@ class ServingResult:
         if cache is None:
             # one C-level pass per field, then the record properties'
             # arithmetic in numpy, in place (the same float operations,
-            # so the same bytes; at most four columns alive at once)
+            # so the same bytes; never more than three columns alive,
+            # as many as the result holds)
             records = self.records
             n = len(records)
 
-            def column(name: str, dtype: type = np.float64) -> np.ndarray:
+            def column(name: str) -> np.ndarray:
                 return np.fromiter(map(attrgetter(name), records),
-                                   dtype=dtype, count=n)
+                                   dtype=np.float64, count=n)
 
             arrival = column("arrival_s")
             e2e = column("finish_s")
@@ -193,9 +194,9 @@ class ServingResult:
             del arrival
             # no first token: the TTFT is the e2e latency
             np.copyto(ttft, e2e, where=np.isnan(ttft))
-            outputs = column("output_tokens", np.int64)
-            np.maximum(outputs, 1, out=outputs)
-            tpt = e2e / outputs
+            tpt = column("output_tokens")         # token counts, exact
+            np.maximum(tpt, 1.0, out=tpt)
+            np.divide(e2e, tpt, out=tpt)
             e2e.sort()
             ttft.sort()
             cache = (e2e, ttft, tpt)
