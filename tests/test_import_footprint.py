@@ -35,11 +35,3 @@ def test_the_serving_imports_load_no_model_execution():
     assert [name for name in loaded
             if name.startswith(NOT_LOADED)] == []
 
-
-def test_model_execution_imports_from_its_own_modules():
-    from repro.serving.packed_compute import PackedDeltaLinear
-    from repro.serving.runner import DecoupledModelRunner
-    from repro.serving.sbmm import sbmm_forward
-    assert callable(sbmm_forward)
-    assert DecoupledModelRunner.__module__ == "repro.serving.runner"
-    assert PackedDeltaLinear.__module__ == "repro.serving.packed_compute"

@@ -16,7 +16,7 @@ registered engines, the stacks of ``tests/test_retention.py``.
 import pytest
 
 from repro.hardware import GPUNode, node_from_name
-from repro.serving import (ENGINES, ClusterGateway, LLAMA_7B, ModelManager,
+from repro.serving import (ClusterGateway, LLAMA_7B, ModelManager,
                            RecordPolicy, create_engine)
 from repro.workload.spec import TraceRequest
 from test_retention import ENGINE_KWARGS, WRAPPERS, build, per_request_state
@@ -79,7 +79,3 @@ def test_a_cluster_over_several_managers_serves_each_ones_models():
         gateway.ingest(TraceRequest(2, UNKNOWN, 0.0, 16, 8))
     assert sorted(r.request_id for r in gateway.run_until_drained().records) \
         == [0, 1]
-
-
-def test_the_table_covers_every_registered_engine():
-    assert sorted(ENGINE_KWARGS) == sorted(ENGINES)
