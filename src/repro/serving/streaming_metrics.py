@@ -26,11 +26,16 @@ maintained incrementally:
 Always-on is only true if the write is cheap: :meth:`StreamingMetrics.
 observe` derives each latency once, takes one ``math.log`` per distinct
 value (:meth:`QuantileSketch.bin_key`, the only definition of the bin
-rule) and feeds the same ``(value, key)`` to every sketch that wants it,
-which requires all sketches of one sink to share its ``relative_error``.
-The integer counters are exact, so a complete sink may answer
-``ServingResult`` reads; the float sums are sequential in retirement
-order and are only ever read as themselves.
+rule) and bins each record once, into one (tenant, status) cell: three
+sketch writes (e2e, TTFT, finish time).  Every other view merges cells
+at read time (bins, counts, min and max merge exactly): a stream's
+all-status sketches and the whole sink, kept until the next write, and
+``finished_view()`` / ``for_tenant()``, fresh sinks over copied cells.
+A merged float total would round differently, so each tenant and the
+sink keep their float sums as scalars added in retirement order, and
+every view takes its totals from them.  The integer counters are exact,
+so a complete sink may answer ``ServingResult`` reads (summed over
+tenants, no sketch merged); the float sums are only read as themselves.
 
 Error bounds
 ------------
@@ -289,63 +294,95 @@ class TenantCounters:
                 "prefix_hits": self.prefix_hits,
                 "prefix_saved_tokens": self.prefix_saved_tokens}
 
+    def merge(self, other: "TenantCounters") -> None:
+        for name, n in vars(other).items():
+            setattr(self, name, getattr(self, name) + n)
+
+
+class _Sums:
+    """One scope's float sums (a tenant's, or the whole sink's), each
+    added in retirement order: all statuses, then finished only."""
+
+    __slots__ = ("e2e", "ttft", "finish", "tpt",
+                 "fin_e2e", "fin_ttft", "fin_finish", "fin_tpt")
+
+    def __init__(self, values: Sequence[float] = (0.0,) * 8) -> None:
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+    def values(self) -> List[float]:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def merge(self, other: "_Sums") -> None:
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def finished(self) -> "_Sums":
+        """The finished-only sums, as all-status ones (a finished view)."""
+        return _Sums(self.values()[4:] * 2)
+
+
+#: a cell's sketches, by position: e2e latency, TTFT, finish time
+_E2E, _TTFT, _FINISH = range(3)
+
 
 class _TenantStream:
-    """One tenant's (or the overall) incremental aggregate state."""
+    """One tenant's stored state, or a view merged from several: exact
+    counters, the arrival/finish span, a ``fin`` and an ``aborted`` cell
+    (by the record's status) and ``sums``, whose floats every merged
+    sketch takes its total from (see the module docstring)."""
 
-    __slots__ = ("counters", "e2e", "ttft", "fin_e2e", "fin_ttft",
-                 "tpt_sum", "fin_tpt_sum", "min_arrival_s", "max_finish_s")
+    __slots__ = ("counters", "fin", "aborted", "sums", "min_arrival_s",
+                 "max_finish_s", "_all")
 
     def __init__(self, relative_error: float) -> None:
         self.counters = TenantCounters()
-        self.e2e = QuantileSketch(relative_error)
-        self.ttft = QuantileSketch(relative_error)
-        # finished-only twins, for finished_only()/SLO views under DROP
-        self.fin_e2e = QuantileSketch(relative_error)
-        self.fin_ttft = QuantileSketch(relative_error)
-        self.tpt_sum = 0.0
-        self.fin_tpt_sum = 0.0
+        self.fin = [QuantileSketch(relative_error) for _ in range(3)]
+        self.aborted = [QuantileSketch(relative_error) for _ in range(3)]
+        self.sums = _Sums()
         self.min_arrival_s = math.inf
         self.max_finish_s = -math.inf
+        self._all: Optional[List[QuantileSketch]] = None
 
     def merge(self, other: "_TenantStream") -> None:
-        c, o = self.counters, other.counters
-        c.finished += o.finished
-        c.cancelled += o.cancelled
-        c.expired += o.expired
-        c.shed += o.shed
-        c.tokens_served += o.tokens_served
-        c.tokens_wasted += o.tokens_wasted
-        c.prefix_hits += o.prefix_hits
-        c.prefix_saved_tokens += o.prefix_saved_tokens
-        self.e2e.merge(other.e2e)
-        self.ttft.merge(other.ttft)
-        self.fin_e2e.merge(other.fin_e2e)
-        self.fin_ttft.merge(other.fin_ttft)
-        self.tpt_sum += other.tpt_sum
-        self.fin_tpt_sum += other.fin_tpt_sum
+        self.counters.merge(other.counters)
+        for mine, theirs in zip(self.fin + self.aborted,
+                                other.fin + other.aborted):
+            mine.merge(theirs)
+        self.sums.merge(other.sums)
         self.min_arrival_s = min(self.min_arrival_s, other.min_arrival_s)
         self.max_finish_s = max(self.max_finish_s, other.max_finish_s)
+        self._all = None
 
     def copy(self) -> "_TenantStream":
-        out = _TenantStream(self.e2e.relative_error)
-        out.counters = TenantCounters(**vars(self.counters))
-        out.e2e = self.e2e.copy()
-        out.ttft = self.ttft.copy()
-        out.fin_e2e = self.fin_e2e.copy()
-        out.fin_ttft = self.fin_ttft.copy()
-        out.tpt_sum = self.tpt_sum
-        out.fin_tpt_sum = self.fin_tpt_sum
-        out.min_arrival_s = self.min_arrival_s
-        out.max_finish_s = self.max_finish_s
+        out = _TenantStream(self.fin[_E2E].relative_error)
+        out.merge(self)
         return out
+
+    def all_status(self) -> List[QuantileSketch]:
+        """The (e2e, TTFT, finish) sketches over both cells."""
+        if self._all is None:
+            self._all = [sketch.copy() for sketch in self.fin]
+            for sketch, aborted, total in zip(self._all, self.aborted,
+                                              self.sums.values()):
+                sketch.merge(aborted)
+                sketch.total = total
+        return self._all
+
+    e2e = property(lambda self: self.all_status()[_E2E])
+    ttft = property(lambda self: self.all_status()[_TTFT])
+    finish = property(lambda self: self.all_status()[_FINISH])
+    fin_e2e = property(lambda self: self.fin[_E2E])
+    fin_ttft = property(lambda self: self.fin[_TTFT])
+    tpt_sum = property(lambda self: self.sums.tpt)
+    fin_tpt_sum = property(lambda self: self.sums.fin_tpt)
 
     def finished_view(self) -> "_TenantStream":
         """This stream restricted to finished requests (the sketch-side
         twin of ``ServingResult.finished_only``).  The arrival/finish
         span is the all-statuses span — per-status spans are not
         tracked, and the difference only shifts the *view's* makespan."""
-        out = _TenantStream(self.e2e.relative_error)
+        out = _TenantStream(self.fin[_E2E].relative_error)
         c = self.counters
         # prefix counters stay all-statuses: a hit saved prefill work
         # whether or not the request ultimately finished
@@ -354,12 +391,8 @@ class _TenantStream:
             tokens_served=c.tokens_served - c.tokens_wasted,
             prefix_hits=c.prefix_hits,
             prefix_saved_tokens=c.prefix_saved_tokens)
-        out.e2e = self.fin_e2e.copy()
-        out.ttft = self.fin_ttft.copy()
-        out.fin_e2e = self.fin_e2e.copy()
-        out.fin_ttft = self.fin_ttft.copy()
-        out.tpt_sum = self.fin_tpt_sum
-        out.fin_tpt_sum = self.fin_tpt_sum
+        out.fin = [sketch.copy() for sketch in self.fin]
+        out.sums = self.sums.finished()
         out.min_arrival_s = self.min_arrival_s
         out.max_finish_s = self.max_finish_s
         return out
@@ -384,10 +417,12 @@ class StreamingMetrics:
         self.relative_error = relative_error
         self.sample_seed = sample_seed
         self.complete = self.policy is RecordPolicy.KEEP_ALL
-        self._overall = _TenantStream(relative_error)
         self._tenants: Dict[str, _TenantStream] = {}
-        # finish-time sketch for throughput_within (overall only)
-        self._finish = QuantileSketch(relative_error)
+        self._sums = _Sums()
+        # whose bin rule every sketch of this sink shares
+        self._binner = QuantileSketch(relative_error)
+        # the tenants merged (``_overall``), until the next write
+        self._whole: Optional[_TenantStream] = None
         self._sanitize = _sanitizer.enabled()
         self._kept: List[RequestRecord] = []
         self._reservoir: Optional[ReservoirSampler] = \
@@ -401,9 +436,9 @@ class StreamingMetrics:
         """Fold one retired request in (sketches, counters, retention).
 
         One fused pass: each latency and bin key is computed once from
-        the record's plain fields and shared by the overall and the
-        tenant stream; every float sum sees the additions, and the
-        order, a per-stream ``add`` of each value would give it."""
+        the record's plain fields and binned once, into the tenant's cell
+        for the record's status; the tenant's and the sink's float sums
+        each see the additions a per-value ``add`` would give them."""
         arrival = record.arrival_s
         finish = record.finish_s
         first = record.first_token_s
@@ -416,53 +451,67 @@ class StreamingMetrics:
             served = output
         cached = record.cached_prefix_tokens
         status = record.status
-        finished = status == "finished"
-        bin_key = self._finish.bin_key
+        bin_key = self._binner.bin_key
         e2e_key = bin_key(e2e)
         ttft_key = bin_key(ttft)
         finish_key = bin_key(finish)
         tenant = record.tenant_id or DEFAULT_TENANT
         stream = self._tenants.get(tenant)
         if stream is None:
-            if self.relative_error != self._finish.relative_error:
+            if self.relative_error != self._binner.relative_error:
                 raise ValueError(
                     "every sketch of one sink shares its bin keys: tenant "
                     f"{tenant!r} would bin at {self.relative_error!r}, "
-                    f"the sink at {self._finish.relative_error!r}")
+                    f"the sink at {self._binner.relative_error!r}")
             stream = self._tenants[tenant] = \
                 _TenantStream(self.relative_error)
-        for part in (self._overall, stream):
-            c = part.counters
-            if finished:
-                c.finished += 1
-            elif status == "cancelled":
+        c = stream.counters
+        mine, whole = stream.sums, self._sums
+        if status == "finished":
+            c.finished += 1
+            cell = stream.fin
+            mine.fin_e2e += e2e
+            mine.fin_ttft += ttft
+            mine.fin_finish += finish
+            mine.fin_tpt += tpt
+            whole.fin_e2e += e2e
+            whole.fin_ttft += ttft
+            whole.fin_finish += finish
+            whole.fin_tpt += tpt
+        else:
+            if status == "cancelled":
                 c.cancelled += 1
             elif status == "expired":
                 c.expired += 1
             else:                       # "shed"/"rejected": frontier drops
                 c.shed += 1
-            c.tokens_served += served
-            if cached > 0:
-                c.prefix_hits += 1
-                c.prefix_saved_tokens += cached
-            part.e2e.add_binned(e2e, e2e_key)
-            part.ttft.add_binned(ttft, ttft_key)
-            part.tpt_sum += tpt
-            if finished:
-                part.fin_e2e.add_binned(e2e, e2e_key)
-                part.fin_ttft.add_binned(ttft, ttft_key)
-                part.fin_tpt_sum += tpt
-            else:
-                c.tokens_wasted += served
-            if arrival < part.min_arrival_s:
-                part.min_arrival_s = arrival
-            if finish > part.max_finish_s:
-                part.max_finish_s = finish
-        self._finish.add_binned(finish, finish_key)
+            c.tokens_wasted += served
+            cell = stream.aborted
+        c.tokens_served += served
+        if cached > 0:
+            c.prefix_hits += 1
+            c.prefix_saved_tokens += cached
+        cell[_E2E].add_binned(e2e, e2e_key)
+        cell[_TTFT].add_binned(ttft, ttft_key)
+        cell[_FINISH].add_binned(finish, finish_key)
+        mine.e2e += e2e
+        mine.ttft += ttft
+        mine.finish += finish
+        mine.tpt += tpt
+        whole.e2e += e2e
+        whole.ttft += ttft
+        whole.finish += finish
+        whole.tpt += tpt
+        if arrival < stream.min_arrival_s:
+            stream.min_arrival_s = arrival
+        if finish > stream.max_finish_s:
+            stream.max_finish_s = finish
+        stream._all = None
+        self._whole = None
         if self._sanitize:
             _sanitizer.check_sink_row(
                 record, (e2e, ttft, tpt, finish),
-                (e2e_key, ttft_key, finish_key), self._finish._log_gamma,
+                (e2e_key, ttft_key, finish_key), self._binner._log_gamma,
                 _MIN_TRACKABLE)
         if self.policy is RecordPolicy.KEEP_ALL:
             self._kept.append(record)
@@ -485,26 +534,33 @@ class StreamingMetrics:
         memory bound).  The merged sink is ``complete`` only if both
         sides were.
         """
-        self._overall.merge(other._overall)
         for tenant, stream in other._tenants.items():
             mine = self._tenants.get(tenant)
             if mine is None:
                 self._tenants[tenant] = stream.copy()
             else:
                 mine.merge(stream)
-        self._finish.merge(other._finish)
+        self._sums.merge(other._sums)
+        self._whole = None
         self.complete = self.complete and other.complete
 
-    def copy(self) -> "StreamingMetrics":
+    def _view(self, tenants: Dict[str, _TenantStream],
+              sums: _Sums) -> "StreamingMetrics":
+        """A record-less sink over ``tenants``, whose whole sums ``sums``."""
         out = StreamingMetrics(policy=RecordPolicy.DROP,
                                sample_k=self.sample_k,
                                relative_error=self.relative_error,
                                sample_seed=self.sample_seed)
+        out.complete = False
+        out._tenants = tenants
+        out._sums = sums
+        return out
+
+    def copy(self) -> "StreamingMetrics":
+        out = self._view({t: s.copy() for t, s in self._tenants.items()},
+                         _Sums(self._sums.values()))
         out.policy = self.policy
         out.complete = self.complete
-        out._overall = self._overall.copy()
-        out._tenants = {t: s.copy() for t, s in self._tenants.items()}
-        out._finish = self._finish.copy()
         out._kept = list(self._kept)
         if self._reservoir is not None:
             res = ReservoirSampler(self.sample_k, self.sample_seed)
@@ -517,28 +573,38 @@ class StreamingMetrics:
 
     def finished_view(self) -> "StreamingMetrics":
         """Sketch-side ``finished_only``: finished requests only."""
-        out = StreamingMetrics(policy=RecordPolicy.DROP,
-                               sample_k=self.sample_k,
-                               relative_error=self.relative_error,
-                               sample_seed=self.sample_seed)
-        out.complete = False
-        out._overall = self._overall.finished_view()
-        out._tenants = {t: s.finished_view()
-                        for t, s in self._tenants.items()}
-        return out
+        return self._view(
+            {t: s.finished_view() for t, s in self._tenants.items()},
+            self._sums.finished())
 
     def for_tenant(self, tenant_id: Optional[str]) -> "StreamingMetrics":
         """Sketch-side per-tenant slice (empty sink for idle tenants)."""
         key = tenant_id or DEFAULT_TENANT
-        out = StreamingMetrics(policy=RecordPolicy.DROP,
-                               sample_k=self.sample_k,
-                               relative_error=self.relative_error,
-                               sample_seed=self.sample_seed)
-        out.complete = False
         stream = self._tenants.get(key)
-        if stream is not None:
-            out._overall = stream.copy()
-            out._tenants = {key: stream.copy()}
+        if stream is None:
+            return self._view({}, _Sums())
+        return self._view({key: stream.copy()}, _Sums(stream.sums.values()))
+
+    @property
+    def _overall(self) -> _TenantStream:
+        """Every tenant's cells merged, with the sink's own float sums;
+        built at read time and kept until the next write."""
+        whole = self._whole
+        if whole is None:
+            whole = _TenantStream(self._binner.relative_error)
+            for stream in self._tenants.values():
+                whole.merge(stream)
+            whole.sums = _Sums(self._sums.values())
+            for sketch, total in zip(whole.fin, whole.sums.values()[4:]):
+                sketch.total = total
+            self._whole = whole
+        return whole
+
+    def _counters(self) -> TenantCounters:
+        """The whole's counters: the tenants' summed, no sketch merged."""
+        out = TenantCounters()
+        for stream in self._tenants.values():
+            out.merge(stream.counters)
         return out
 
     # ------------------------------------------------------------------ #
@@ -556,37 +622,26 @@ class StreamingMetrics:
 
     @property
     def n_observed(self) -> int:
-        return self._overall.counters.n
+        return sum(stream.counters.n for stream in self._tenants.values())
 
-    @property
-    def n_finished(self) -> int:
-        return self._overall.counters.finished
-
-    @property
-    def tokens_served(self) -> int:
-        return self._overall.counters.tokens_served
-
-    @property
-    def tokens_wasted(self) -> int:
-        return self._overall.counters.tokens_wasted
-
-    @property
-    def prefix_hits(self) -> int:
-        """Observed requests that reused a cached KV prefix."""
-        return self._overall.counters.prefix_hits
-
-    @property
-    def prefix_saved_tokens(self) -> int:
-        """Prefill tokens skipped across observed requests via reuse."""
-        return self._overall.counters.prefix_saved_tokens
+    n_finished = property(lambda self: self._counters().finished)
+    tokens_served = property(lambda self: self._counters().tokens_served)
+    tokens_wasted = property(lambda self: self._counters().tokens_wasted)
+    # observed requests that reused a cached KV prefix, and the prefill
+    # tokens that reuse skipped
+    prefix_hits = property(lambda self: self._counters().prefix_hits)
+    prefix_saved_tokens = property(
+        lambda self: self._counters().prefix_saved_tokens)
 
     @property
     def min_arrival_s(self) -> float:
-        return self._overall.min_arrival_s
+        return min((s.min_arrival_s for s in self._tenants.values()),
+                   default=math.inf)
 
     @property
     def max_finish_s(self) -> float:
-        return self._overall.max_finish_s
+        return max((s.max_finish_s for s in self._tenants.values()),
+                   default=-math.inf)
 
     @property
     def makespan_s(self) -> float:
@@ -594,20 +649,13 @@ class StreamingMetrics:
         (0.0 before anything retired)."""
         if self.n_observed == 0:
             return 0.0
-        return self._overall.max_finish_s - self._overall.min_arrival_s
+        return self.max_finish_s - self.min_arrival_s
 
     def status_counts(self) -> Dict[str, int]:
-        c = self._overall.counters
-        out: Dict[str, int] = {}
-        if c.finished:
-            out["finished"] = c.finished
-        if c.cancelled:
-            out["cancelled"] = c.cancelled
-        if c.expired:
-            out["expired"] = c.expired
-        if c.shed:
-            out["shed"] = c.shed
-        return out
+        c = self._counters()
+        return {status: n for status, n in (
+            ("finished", c.finished), ("cancelled", c.cancelled),
+            ("expired", c.expired), ("shed", c.shed)) if n}
 
     @property
     def tenant_ids(self) -> List[str]:
@@ -626,7 +674,7 @@ class StreamingMetrics:
 
     def mean_time_per_token_s(self) -> float:
         n = self.n_observed
-        return self._overall.tpt_sum / n if n else 0.0
+        return self._sums.tpt / n if n else 0.0
 
     def percentile_e2e_s(self, q: float) -> float:
         return self._overall.e2e.quantile(q)
@@ -644,7 +692,7 @@ class StreamingMetrics:
         """Observed requests whose finish time is <= ``horizon_s``
         (sketch-approximate around the threshold) — the streaming twin
         of ``ServingResult.throughput_within``'s numerator."""
-        return self._finish.count_leq(horizon_s)
+        return self._overall.finish.count_leq(horizon_s)
 
     def _latency_sketch(self, metric: str, prefix: str = "") -> QuantileSketch:
         """The overall ``e2e``/``ttft`` sketch (``prefix="fin_"``: its

@@ -34,6 +34,7 @@ from repro.serving import (ClusterGateway, EngineConfig, LLAMA_7B,
                            summarize)
 from repro.serving.metrics import ServingResult
 from repro.serving.request import RequestRecord
+from repro.workload import azure_like_trace
 from repro.workload.spec import Trace, TraceRequest
 
 ALPHA = SKETCH_RELATIVE_ERROR
@@ -368,6 +369,36 @@ class TestSketchMatchesExact:
                        <= slo_s * (1 + 2 * ALPHA))
             assert abs(est - exact) <= (near + 1e-9) / len(finished)
 
+    @pytest.mark.parametrize("policy", [RecordPolicy.DROP,
+                                        RecordPolicy.SAMPLE_K])
+    def test_views_count_finishes_like_kept_records(self, policy):
+        """A finished-only or per-tenant view of a released run counts
+        finishes by a horizon from its own finish bins, as the kept
+        records do (within the sketch error around the horizon)."""
+        trace = azure_like_trace(N_MODELS, rate=2.0, duration_s=30.0,
+                                 seed=1)
+        mgr = ModelManager(LLAMA_7B)
+        mgr.register_base("base")
+        for model_id in trace.model_ids:
+            mgr.register_delta(model_id, "base", 8.0)
+
+        def run(policy):
+            return create_engine(
+                "deltazip", mgr, GPUNode(node_from_name("a800", 1)),
+                engine_config=EngineConfig(tp_degree=1, record_policy=policy,
+                                           sample_k=8)).run(trace)
+
+        keep, released = run(RecordPolicy.KEEP_ALL), run(policy)
+        horizon = 20.0
+        near = sum(1 for r in keep.records
+                   if abs(r.finish_s - horizon) <= 2 * ALPHA * horizon)
+        for view in (ServingResult.finished_only,
+                     lambda res: res.for_tenant(None)):
+            exact = view(keep).throughput_within(horizon)
+            assert exact > 0.0
+            assert abs(view(released).throughput_within(horizon) - exact) \
+                <= near / horizon
+
 
 # --------------------------------------------------------------------- #
 # releasing policies: determinism and O(active) memory
@@ -676,7 +707,7 @@ def sink_state(sink):
     return {"overall": stream_state(sink._overall),
             "tenants": {t: stream_state(s)
                         for t, s in sink._tenants.items()},
-            "finish": sketch_state(sink._finish)}
+            "finish": sketch_state(sink._overall.finish)}
 
 
 @st.composite
@@ -787,7 +818,6 @@ class TestSinkDifferential:
         # finished_view: finished records only, except that the span and
         # the prefix counters stay all-statuses (documented on the view)
         expected = RefSink([r for r in records if r.finished])
-        expected.finish = QuantileSketch()
         for tenant, stream in full.tenants.items():
             expected.tenants.setdefault(tenant, RefStream())
         for view, whole in [(expected.overall, full.overall)] + [
@@ -803,5 +833,66 @@ class TestSinkDifferential:
             key = tenant or "default"
             mine = [r for r in records if (r.tenant_id or "default") == key]
             expected = RefSink(mine)
-            expected.finish = QuantileSketch()
             assert sink_state(sink.for_tenant(tenant)) == expected.state()
+
+    @given(rows=ROWS, cut=st.integers(0, 40))
+    @example(rows=CORNER_ROWS, cut=4)
+    @settings(max_examples=30, deadline=None)
+    def test_reads_between_writes_see_every_write(self, rows, cut):
+        """The merged views are kept between writes: a read, then more
+        observes and a merge_from, must still match the reference."""
+        records = build_records(rows)
+        sink = StreamingMetrics(policy=RecordPolicy.DROP)
+        sink.observe_all(records[:cut])
+        assert sink_state(sink) == RefSink(records[:cut]).state()
+        sink.observe_all(records[cut:])
+        assert sink_state(sink) == RefSink(records).state()
+        other = StreamingMetrics(policy=RecordPolicy.DROP)
+        other.observe_all(records)
+        sink.merge_from(other)
+        expected = RefSink(records)
+        expected.merge(RefSink(records))
+        assert sink_state(sink) == expected.state()
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap ``QuantileSketch`` methods on the class; returns the log."""
+    calls = []
+    for name in names:
+        def wrapped(self, *args, _name=name,
+                    _original=getattr(QuantileSketch, name)):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(QuantileSketch, name, wrapped)
+    return calls
+
+
+class TestSinkWriteShape:
+    @pytest.mark.parametrize("status", COUNTED_STATUSES + ("rejected",))
+    def test_a_record_is_binned_once(self, monkeypatch, status):
+        """Three sketch writes per record, into its tenant's cell for its
+        status: e2e, TTFT and finish time."""
+        sink = StreamingMetrics(policy=RecordPolicy.DROP)
+        sink.observe_all(build_records(CORNER_ROWS))
+        writes = count_calls(monkeypatch, "add_binned")
+        sink.observe(build_records([corner_row(
+            2.5, status, "a", first_token_s=0.5, served_tokens=2)])[0])
+        assert writes == ["add_binned"] * 3
+
+    def test_integer_reads_merge_no_sketch(self, monkeypatch):
+        """Telemetry reads ``n_observed`` at every gauge tick: the integer
+        reads sum the tenants' counters and never build a merged view."""
+        sink = StreamingMetrics(policy=RecordPolicy.DROP)
+        records = build_records(CORNER_ROWS)
+        built = count_calls(monkeypatch, "merge", "copy")
+        for n, rec in enumerate(records, 1):
+            sink.observe(rec)
+            assert sink.n_observed == n
+            sink.status_counts()
+            assert sink.tokens_served == sum(
+                r.tokens_served for r in records[:n])
+            sink.tenant_counters("a")
+            sink.tenant_ttft_met_count("a", 1.0)
+        assert built == []
+        assert sink.tenant_ttft_met_count("a", 1.0) == \
+            sink.for_tenant("a").slo_met_count(1.0)
