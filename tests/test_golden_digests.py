@@ -21,7 +21,9 @@ span-compressed prefix cache, the cache-off ``deltazip`` / ``vllm-scb`` /
 record policy, the ``tenant-vtc`` cells before a cluster replica stopped
 wrapping a private gateway — except their ``dedicated`` rows, which no
 earlier commit could serve: those were recorded on the commit that let a
-``DedicatedEngine``'s clock be re-seated).  Regenerate it only on
+``DedicatedEngine``'s clock be re-seated; the ``drop-`` cells, which
+digest what a ``DROP`` replay's sink answers, before the settings no
+caller set were deleted from the metrics plane).  Regenerate it only on
 purpose::
 
     PYTHONPATH=src python -m pytest tests/test_golden_digests.py --regen
@@ -41,8 +43,8 @@ import pytest
 from repro.hardware import node_from_name
 from repro.hardware.specs import A800, NodeSpec
 from repro.serving import (ENGINES, EngineConfig, LLAMA_7B, ModelManager,
-                           SchedulerConfig, ServingResult, StackSpec, Tenant,
-                           build, build_engine)
+                           RecordPolicy, SchedulerConfig, ServingResult,
+                           StackSpec, Tenant, build, build_engine, summarize)
 from repro.workload import LengthSampler, session_trace, synthetic_trace
 from repro.workload.spec import Trace, TraceRequest
 
@@ -265,6 +267,28 @@ def tenant_vtc_stack(scenario: str, wrapper: str, stepping: str,
     return result
 
 
+#: one scenario per registered engine, replayed under ``DROP``: no record
+#: survives, so the cell pins what the metrics sink answers instead
+DROP_SCENARIOS = ("disagg-cancels", "sharded-1node", "deltazip-cache",
+                  "vllm-scb-cancels", "dedicated-cancels")
+
+
+def drop_digest(scenario: str, wrapper: str, stepping: str) -> str:
+    """sha256 of ``summarize(result)``, ``status_counts()`` and
+    ``n_requests`` of a ``DROP`` replay, every float at full precision."""
+    trace, cancels = SCENARIOS[scenario].trace()
+    spec = spec_of(scenario, wrapper, stepping)
+    spec = replace(spec, config=replace(spec.config,
+                                        record_policy=RecordPolicy.DROP))
+    result = build(spec, make_manager(spec.engine)).replay(trace,
+                                                           cancels=cancels)
+    assert not result.records and result.n_requests == len(trace)
+    return hashlib.sha256(repr((
+        sorted(summarize(result).items()),
+        sorted(result.status_counts().items()),
+        result.n_requests)).encode()).hexdigest()
+
+
 CELLS = [f"{scenario}/{wrapper}/{stepping}" for scenario in SCENARIOS
          for wrapper in WRAPPERS for stepping in STEPPING]
 TENANT_CELLS = [f"tenant-cluster2-disagg/{balancer}"
@@ -272,7 +296,10 @@ TENANT_CELLS = [f"tenant-cluster2-disagg/{balancer}"
 VTC_CELLS = [f"tenant-vtc-{scenario}/{wrapper}/{stepping}"
              for scenario in VTC_SCENARIOS
              for wrapper in ("gateway", "cluster2") for stepping in STEPPING]
-ALL_CELLS = CELLS + TENANT_CELLS + VTC_CELLS
+DROP_CELLS = [f"drop-{scenario}/{wrapper}/{stepping}"
+              for scenario in DROP_SCENARIOS
+              for wrapper in ("gateway", "cluster2") for stepping in STEPPING]
+ALL_CELLS = CELLS + TENANT_CELLS + VTC_CELLS + DROP_CELLS
 
 
 def digest_of(cell):
@@ -281,6 +308,8 @@ def digest_of(cell):
     if cell in VTC_CELLS:
         return record_digest(tenant_vtc_stack(
             *cell[len("tenant-vtc-"):].split("/")).records)
+    if cell in DROP_CELLS:
+        return drop_digest(*cell[len("drop-"):].split("/"))
     result = serve(*cell.split("/"))
     assert result.records, "an empty replay pins nothing"
     return record_digest(result.records)
@@ -599,5 +628,45 @@ GOLDEN = {
         "7e4c52abdbc0acd6deee53e32cf1d7dc3fbac661cf438a95e33656f1617f6c94",
     "tenant-vtc-dedicated-cancels/cluster2/dense":
         "7e4c52abdbc0acd6deee53e32cf1d7dc3fbac661cf438a95e33656f1617f6c94",
+    "drop-disagg-cancels/gateway/skip":
+        "59b3a7519f699aa6e6e4d56c5db53a8e08461ff0154bb33e9bb5f7cb65b1a6e8",
+    "drop-disagg-cancels/gateway/dense":
+        "59b3a7519f699aa6e6e4d56c5db53a8e08461ff0154bb33e9bb5f7cb65b1a6e8",
+    "drop-disagg-cancels/cluster2/skip":
+        "c3422b994f71bc665dcca496918dc23d0bee48c797d2a343f331e6fc9ea282e6",
+    "drop-disagg-cancels/cluster2/dense":
+        "c3422b994f71bc665dcca496918dc23d0bee48c797d2a343f331e6fc9ea282e6",
+    "drop-sharded-1node/gateway/skip":
+        "85b6b99f55b703b0a2cf2c5ee87bf9566d00214b3f4b54826d82aa589cade6ed",
+    "drop-sharded-1node/gateway/dense":
+        "85b6b99f55b703b0a2cf2c5ee87bf9566d00214b3f4b54826d82aa589cade6ed",
+    "drop-sharded-1node/cluster2/skip":
+        "d08f609a0fc80e68d8b3326be7f141992f5cae8c66b35ca750f7742e7b3205e9",
+    "drop-sharded-1node/cluster2/dense":
+        "d08f609a0fc80e68d8b3326be7f141992f5cae8c66b35ca750f7742e7b3205e9",
+    "drop-deltazip-cache/gateway/skip":
+        "331ab19ef535b349b2ff3b0b0f821f27f643a7f85afa64cb22e3c56989c1909e",
+    "drop-deltazip-cache/gateway/dense":
+        "331ab19ef535b349b2ff3b0b0f821f27f643a7f85afa64cb22e3c56989c1909e",
+    "drop-deltazip-cache/cluster2/skip":
+        "39bac1f3f0a428a8175922a68f3baa6d5cb17b8027d80d143d959ea4cb55801e",
+    "drop-deltazip-cache/cluster2/dense":
+        "39bac1f3f0a428a8175922a68f3baa6d5cb17b8027d80d143d959ea4cb55801e",
+    "drop-vllm-scb-cancels/gateway/skip":
+        "eef4b508d2f1705e95d7b6cc342b7d9f0f9dbbd244a62befad11877375975c6b",
+    "drop-vllm-scb-cancels/gateway/dense":
+        "eef4b508d2f1705e95d7b6cc342b7d9f0f9dbbd244a62befad11877375975c6b",
+    "drop-vllm-scb-cancels/cluster2/skip":
+        "fbcf9a60a94be0b248b1be972c13a3fa0ecfeadac23054713e2cfafd3e9abbcb",
+    "drop-vllm-scb-cancels/cluster2/dense":
+        "fbcf9a60a94be0b248b1be972c13a3fa0ecfeadac23054713e2cfafd3e9abbcb",
+    "drop-dedicated-cancels/gateway/skip":
+        "c78126e0b72d70bf2e9f2c297e46a23abd68896d87ee6e3f495f637af1f08c35",
+    "drop-dedicated-cancels/gateway/dense":
+        "c78126e0b72d70bf2e9f2c297e46a23abd68896d87ee6e3f495f637af1f08c35",
+    "drop-dedicated-cancels/cluster2/skip":
+        "eca436b2956dd9e78c3a297481f82e8f7a370716987e6f365a7838d38f1cfe4d",
+    "drop-dedicated-cancels/cluster2/dense":
+        "50fc2c6c71a245dbfc28c5d60cf5effb89cb5c893f0e05398ca840a0c9cba8c5",
 }
 # GOLDEN-END
