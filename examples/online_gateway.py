@@ -40,8 +40,8 @@ def main():
     turns_left = {}        # request_id -> (user's variant, remaining turns)
     followups = []         # completions to turn into next-turn submissions
 
-    gateway = ServingGateway(engine,
-                             on_request_complete=followups.append)
+    gateway = ServingGateway(engine)
+    gateway.add_completion_listener(followups.append)
 
     def submit_turn(variant, turns, arrival_s=None):
         prompt = int(rng.integers(16, 256))

@@ -10,7 +10,7 @@ counterparts at run time (``REPRO_SIM_SANITIZE=1``).
 
 CLI::
 
-    python -m repro.analysis [paths] --format text|json|sarif
+    python -m repro.analysis [paths] --format text|json
 
 API::
 
@@ -19,20 +19,19 @@ API::
 
 Rules SIM001–SIM008 are documented in :mod:`repro.analysis.rules` and
 in the README's "Determinism: rules and enforcement" section.
-Suppressions: ``# simlint: disable=SIM001`` on the offending line,
-``# simlint: disable-file=SIM005`` anywhere in a file, per-path ignores
-in ``[tool.simlint.per-path-ignore]``, and the exclusion list shared
-with ruff via ``[tool.ruff] extend-exclude``.
+The one waiver is ``# simlint: disable=SIM001`` on the flagged line;
+what simlint does not lint at all is the exclusion list shared with
+ruff via ``[tool.ruff] extend-exclude``.
 """
 
 from .config import LintConfig, Pragmas, parse_pragmas
 from .engine import check_paths, check_source
 from .findings import PARSE_RULE, Finding
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_json, render_text
 from .rules import RULES, rule_docs
 
 __all__ = [
     "Finding", "PARSE_RULE", "LintConfig", "Pragmas", "parse_pragmas",
     "check_paths", "check_source", "RULES", "rule_docs",
-    "render_text", "render_json", "render_sarif",
+    "render_text", "render_json",
 ]

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python -m repro.analysis [paths...] [--format text|json|sarif]
-                             [--select SIM001,SIM004] [--ignore SIM006]
+    python -m repro.analysis [paths...] [--format text|json]
                              [--fail-on-findings] [--list-rules]
 
 Paths default to ``src``.  Exit status: 0 when clean, 1 when findings
@@ -17,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from .config import LintConfig
 from .engine import check_paths
@@ -25,12 +24,6 @@ from .reporters import REPORTERS
 from .rules import rule_docs
 
 __all__ = ["main"]
-
-
-def _rule_set(values: List[str]) -> Optional[Set[str]]:
-    rules = {part.strip().upper() for value in values
-             for part in value.split(",") if part.strip()}
-    return rules or None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -42,12 +35,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", choices=sorted(REPORTERS),
                         default="text", help="output format")
-    parser.add_argument("--select", action="append", default=[],
-                        metavar="RULES",
-                        help="comma-separated rules to run exclusively")
-    parser.add_argument("--ignore", action="append", default=[],
-                        metavar="RULES",
-                        help="comma-separated rules to skip")
     parser.add_argument("--fail-on-findings", action="store_true",
                         help="exit 1 when findings exist (the default; "
                              "this flag states the contract explicitly)")
@@ -60,9 +47,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{rule_id}  {summary}")
         return 0
 
-    config = LintConfig.load(start=Path(args.paths[0]),
-                             select=_rule_set(args.select),
-                             ignore=_rule_set(args.ignore))
+    config = LintConfig.load(start=Path(args.paths[0]))
     findings = check_paths(args.paths, config=config)
     print(REPORTERS[args.format](findings))
     return 1 if findings else 0

@@ -1,21 +1,15 @@
-"""simlint configuration: exclusions, rule selection, inline pragmas.
+"""simlint configuration: the exclusion list and the one inline waiver.
 
-Three layers, strongest last:
-
-1. **pyproject.toml** — ``[tool.simlint]`` holds ``select`` / ``ignore``
-   and a ``[tool.simlint.per-path-ignore]`` table mapping a path prefix
-   to the rules ignored under it.  The *exclusion* list is deliberately
-   NOT a simlint key: simlint reads ``[tool.ruff] extend-exclude`` so
-   ruff and simlint share one list (benchmarks/examples) and cannot
-   drift — a unit test pins the sharing.
-2. **CLI / API arguments** — ``--select`` / ``--ignore`` narrow the
-   loaded config.
-3. **Inline pragmas** — ``# simlint: disable=SIM001,SIM004`` suppresses
-   those rules on its physical line (anchor line of the flagged AST
-   node), bare ``# simlint: disable`` suppresses all rules on the line,
-   and ``# simlint: disable-file=SIM005`` anywhere in a file suppresses
-   the rules for the whole file.  Pragmas are parsed from real COMMENT
-   tokens (``tokenize``), so a pragma-shaped string literal is inert.
+* **Exclusions** are deliberately NOT a simlint key: simlint reads
+  ``[tool.ruff] extend-exclude`` so ruff and simlint share one list
+  (benchmarks/examples) and cannot drift — a unit test pins the sharing.
+  Every rule runs on every file that is not excluded.
+* **The waiver** — ``# simlint: disable=SIM001,SIM004`` suppresses those
+  rules on its physical line (anchor line of the flagged AST node).
+  Pragmas are parsed from real COMMENT tokens (``tokenize``), so a
+  pragma-shaped string literal is inert.  A ``# simlint: disable``
+  comment of any other shape (bare, or ``disable-file=…``) waives
+  nothing: it is reported as a finding.
 
 TOML parsing uses :mod:`tomllib` when available (Python ≥ 3.11) and
 falls back to a tiny line-oriented parser that understands the subset
@@ -30,7 +24,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["LintConfig", "Pragmas", "parse_pragmas", "load_pyproject",
            "DEFAULT_EXCLUDE"]
@@ -42,8 +36,6 @@ DEFAULT_EXCLUDE: Tuple[str, ...] = (
 
 #: the shared exclusion list used when no pyproject.toml is found
 FALLBACK_SHARED_EXCLUDE: Tuple[str, ...] = ("benchmarks", "examples")
-
-_ALL_RULES_SENTINEL = "ALL"
 
 
 # --------------------------------------------------------------------- #
@@ -133,49 +125,20 @@ class LintConfig:
     #: path components / posix prefixes excluded from linting entirely
     #: (shared with ruff via ``[tool.ruff] extend-exclude``)
     exclude: Tuple[str, ...] = FALLBACK_SHARED_EXCLUDE + DEFAULT_EXCLUDE
-    #: only these rules run (None = all registered rules)
-    select: Optional[FrozenSet[str]] = None
-    #: these rules never run
-    ignore: FrozenSet[str] = frozenset()
-    #: (path-prefix, rules-ignored-under-it) pairs, most specific wins
-    per_path_ignore: Tuple[Tuple[str, FrozenSet[str]], ...] = ()
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def load(cls, start: Optional[Path] = None,
-             select: Optional[Set[str]] = None,
-             ignore: Optional[Set[str]] = None) -> "LintConfig":
+    def load(cls, start: Optional[Path] = None) -> "LintConfig":
         """Build the config from the nearest pyproject.toml (searching
-        ``start`` and its parents) plus explicit select/ignore."""
+        ``start`` and its parents)."""
         pyproject = _find_pyproject(start or Path.cwd())
         exclude: Tuple[str, ...] = FALLBACK_SHARED_EXCLUDE
-        file_select: Optional[FrozenSet[str]] = None
-        file_ignore: FrozenSet[str] = frozenset()
-        per_path: Tuple[Tuple[str, FrozenSet[str]], ...] = ()
         if pyproject is not None:
-            tables = load_pyproject(pyproject)
-            ruff = tables.get("tool.ruff", {})
-            shared = ruff.get("extend-exclude")
+            shared = load_pyproject(pyproject).get(
+                "tool.ruff", {}).get("extend-exclude")
             if isinstance(shared, list):
                 exclude = tuple(str(e) for e in shared)
-            simlint = tables.get("tool.simlint", {})
-            raw_select = simlint.get("select")
-            if isinstance(raw_select, list) and raw_select:
-                file_select = frozenset(str(r) for r in raw_select)
-            raw_ignore = simlint.get("ignore")
-            if isinstance(raw_ignore, list):
-                file_ignore = frozenset(str(r) for r in raw_ignore)
-            table = tables.get("tool.simlint.per-path-ignore", {})
-            per_path = tuple(
-                (prefix, frozenset(_rule_list(rules)))
-                for prefix, rules in sorted(table.items())
-                if _rule_list(rules))
-        if select:
-            file_select = frozenset(select)
-        if ignore:
-            file_ignore = file_ignore | frozenset(ignore)
-        return cls(exclude=exclude + DEFAULT_EXCLUDE, select=file_select,
-                   ignore=file_ignore, per_path_ignore=per_path)
+        return cls(exclude=exclude + DEFAULT_EXCLUDE)
 
     # ------------------------------------------------------------------ #
     def excluded(self, path: str) -> bool:
@@ -192,25 +155,6 @@ class LintConfig:
                 return True
         return False
 
-    def rule_enabled(self, rule_id: str, path: str) -> bool:
-        """Does ``rule_id`` apply to ``path`` under this config?"""
-        if self.select is not None and rule_id not in self.select:
-            return False
-        if rule_id in self.ignore:
-            return False
-        for prefix, rules in self.per_path_ignore:
-            if path.startswith(prefix) and rule_id in rules:
-                return False
-        return True
-
-
-def _rule_list(value: object) -> List[str]:
-    if isinstance(value, list):
-        return [str(v) for v in value]
-    if isinstance(value, str):
-        return [r.strip() for r in value.split(",") if r.strip()]
-    return []
-
 
 def _find_pyproject(start: Path) -> Optional[Path]:
     node = start if start.is_dir() else start.parent
@@ -224,27 +168,21 @@ def _find_pyproject(start: Path) -> Optional[Path]:
 # --------------------------------------------------------------------- #
 # pragmas
 # --------------------------------------------------------------------- #
-_PRAGMA = re.compile(
-    r"#\s*simlint:\s*(disable-file|disable)\s*(?:=\s*([A-Za-z0-9_,\s]+))?")
+_PRAGMA = re.compile(r"#\s*simlint:\s*disable")
+_WAIVER = re.compile(r"#\s*simlint:\s*disable\s*=\s*([A-Za-z0-9_,\s]+)")
 
 
 @dataclass
 class Pragmas:
-    """Inline suppressions for one file."""
+    """Inline waivers for one file."""
 
-    #: rules disabled for the whole file (None element = all rules)
-    file_rules: Set[str] = field(default_factory=set)
-    file_all: bool = False
-    #: line -> rules disabled on that line
+    #: line -> rules waived on that line
     line_rules: Dict[int, Set[str]] = field(default_factory=dict)
-    #: lines where all rules are disabled
-    line_all: Set[int] = field(default_factory=set)
+    #: (line, col, comment) of each disable pragma that is not a waiver
+    #: of the one accepted shape
+    unsupported: List[Tuple[int, int, str]] = field(default_factory=list)
 
     def suppressed(self, rule_id: str, line: int) -> bool:
-        if self.file_all or rule_id in self.file_rules:
-            return True
-        if line in self.line_all:
-            return True
         return rule_id in self.line_rules.get(line, ())
 
 
@@ -253,25 +191,18 @@ def parse_pragmas(source: str) -> Pragmas:
     pragmas = Pragmas()
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [(tok.start[0], tok.string) for tok in tokens
+        comments = [(tok.start, tok.string) for tok in tokens
                     if tok.type == tokenize.COMMENT]
     except (tokenize.TokenError, SyntaxError, IndentationError):
         return pragmas
-    for line, comment in comments:
-        match = _PRAGMA.search(comment)
-        if not match:
+    for (line, col), comment in comments:
+        if not _PRAGMA.search(comment):
             continue
-        kind, raw_rules = match.groups()
-        rules = {r.strip().upper() for r in (raw_rules or "").split(",")
-                 if r.strip()}
-        if kind == "disable-file":
-            if rules:
-                pragmas.file_rules |= rules
-            else:
-                pragmas.file_all = True
+        match = _WAIVER.search(comment)
+        rules = {r.strip().upper() for r in match.group(1).split(",")
+                 if r.strip()} if match else set()
+        if rules:
+            pragmas.line_rules.setdefault(line, set()).update(rules)
         else:
-            if rules:
-                pragmas.line_rules.setdefault(line, set()).update(rules)
-            else:
-                pragmas.line_all.add(line)
+            pragmas.unsupported.append((line, col, comment))
     return pragmas

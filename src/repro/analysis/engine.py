@@ -1,4 +1,4 @@
-"""The simlint engine: parse, run rules, filter pragmas, sort.
+"""The simlint engine: parse, run rules, filter waivers, sort.
 
 Two entry points:
 
@@ -24,10 +24,10 @@ from .rules import RULES, FileContext
 __all__ = ["check_source", "check_paths", "iter_python_files"]
 
 
-def check_source(source: str, path: str = "<string>",
-                 config: Optional[LintConfig] = None) -> List[Finding]:
-    """Lint one source string as if it lived at ``path``."""
-    config = config or LintConfig()
+def check_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Lint one source string as if it lived at ``path``: every rule that
+    applies there, less the findings its line waivers suppress, plus one
+    finding per pragma that waives nothing."""
     try:
         tree = ast.parse(source, filename=path)
     except (SyntaxError, ValueError) as exc:
@@ -38,10 +38,12 @@ def check_source(source: str, path: str = "<string>",
                         message=f"file does not parse: {detail}")]
     ctx = FileContext(path, source, tree)
     pragmas = parse_pragmas(source)
-    findings: List[Finding] = []
+    findings = [Finding(path=path, line=line, col=col, rule=PARSE_RULE,
+                        message=f"unsupported pragma {comment!r}: waive a "
+                                "rule on its flagged line with "
+                                "'# simlint: disable=SIMxxx'")
+                for line, col, comment in pragmas.unsupported]
     for rule_cls in RULES:
-        if not config.rule_enabled(rule_cls.id, ctx.path):
-            continue
         if not rule_cls.applies_to(ctx):
             continue
         for finding in rule_cls(ctx).run():
@@ -86,6 +88,5 @@ def check_paths(paths: Sequence[str],
                 path=path.as_posix(), line=1, col=0, rule=PARSE_RULE,
                 message=f"file is unreadable: {exc}"))
             continue
-        findings.extend(check_source(source, path=path.as_posix(),
-                                     config=config))
+        findings.extend(check_source(source, path=path.as_posix()))
     return sorted(findings)

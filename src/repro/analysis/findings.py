@@ -1,7 +1,7 @@
 """The unit of simlint output: one typed, locatable finding.
 
 A :class:`Finding` is deliberately flat and hashable — reporters render
-it three ways (text, JSON, SARIF-lite), tests compare lists of them
+it two ways (text, JSON), tests compare lists of them
 directly, and the natural sort order ``(path, line, col, rule)`` is the
 stable presentation order every reporter uses.
 """
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 __all__ = ["Finding", "PARSE_RULE"]
 
-#: pseudo-rule id attached to files that fail to parse
+#: pseudo-rule id for what simlint cannot read as intended: a file that
+#: fails to parse, or a disable pragma that waives nothing
 PARSE_RULE = "SIM000"
 
 
@@ -23,7 +24,7 @@ class Finding:
     path: str      # repo-relative posix path
     line: int      # 1-indexed
     col: int       # 0-indexed (ast convention)
-    rule: str      # "SIM001" … "SIM008" (or SIM000 for parse errors)
+    rule: str      # "SIM001" … "SIM008" (or SIM000, see PARSE_RULE)
     message: str
 
     def render(self) -> str:

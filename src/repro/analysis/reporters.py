@@ -1,24 +1,20 @@
-"""simlint output formats: text, JSON, and SARIF-lite.
+"""simlint output formats: text and JSON.
 
 * **text** — one ``path:line:col: RULE message`` line per finding plus
   a summary line; what humans read in a terminal.
 * **json** — ``{"findings": [...], "count": N, "rules": {...}}``; what
   CI uploads as an artifact and scripts consume.
-* **sarif** — a minimal SARIF 2.1.0 document (one run, one driver, one
-  result per finding) so code-scanning UIs can ingest the output.
-  "Lite" because it carries locations and messages, not flows or
-  fix-its.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Sequence
 
 from .findings import Finding
 from .rules import rule_docs
 
-__all__ = ["render_text", "render_json", "render_sarif", "REPORTERS"]
+__all__ = ["render_text", "render_json", "REPORTERS"]
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -42,40 +38,7 @@ def render_json(findings: Sequence[Finding]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_sarif(findings: Sequence[Finding]) -> str:
-    rules: List[Dict[str, object]] = [
-        {"id": rule_id, "shortDescription": {"text": summary}}
-        for rule_id, summary in rule_docs()
-    ]
-    results = [
-        {
-            "ruleId": f.rule,
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": f.path},
-                    "region": {"startLine": f.line,
-                               "startColumn": f.col + 1},
-                },
-            }],
-        }
-        for f in findings
-    ]
-    document = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {"name": "simlint", "rules": rules}},
-            "results": results,
-        }],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 REPORTERS: Dict[str, Callable[[Sequence[Finding]], str]] = {
     "text": render_text,
     "json": render_json,
-    "sarif": render_sarif,
 }

@@ -36,8 +36,8 @@ from .scheduler import (ContinuousBatchScheduler, SchedulerConfig,
                         SchedulingDecision)
 from .stack import StackSpec, build, build_engine
 from .streaming_metrics import (QuantileSketch, RecordPolicy,
-                                ReservoirSampler, SKETCH_RELATIVE_ERROR,
-                                StreamingMetrics, TenantCounters)
+                                SKETCH_RELATIVE_ERROR, StreamingMetrics,
+                                TenantCounters)
 from .tenancy import (AdmissionController, AdmissionDecision, DEFAULT_TENANT,
                       SLO_CLASSES, Tenant, TenantAdmissionStats,
                       TenantGateway, TokenBucket)
@@ -72,7 +72,7 @@ __all__ = [
     "RequestRecord", "RequestState", "ServingRequest",
     "ContinuousBatchScheduler", "SchedulerConfig", "SchedulingDecision",
     "StackSpec", "build", "build_engine",
-    "QuantileSketch", "RecordPolicy", "ReservoirSampler",
-    "SKETCH_RELATIVE_ERROR", "StreamingMetrics", "TenantCounters",
+    "QuantileSketch", "RecordPolicy", "SKETCH_RELATIVE_ERROR",
+    "StreamingMetrics", "TenantCounters",
     "ProfilePoint", "pick_optimal_n", "profile_concurrent_deltas",
 ]

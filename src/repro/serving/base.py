@@ -48,7 +48,7 @@ from typing import (Any, Callable, Container, Dict, Iterable, List, Optional,
 from ..hardware.cluster import GPUNode
 from ..sim import (Arrival, Cancel, Event, EventQueue, IterationDone,
                    PhaseTransition, SimKernel, new_clock)
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .costs import (BatchComposition, IterationCostModel, LinearPlan,
                     check_pricing_knobs)
@@ -96,8 +96,7 @@ class EngineConfig:
 
     ``record_policy`` selects what survives a retirement (see
     :class:`~repro.serving.streaming_metrics.RecordPolicy`): ``keep_all``
-    (default) every record, ``sample_k`` a deterministic reservoir of
-    ``sample_k`` records, ``drop`` nothing — aggregates then come from
+    (default) every record, ``drop`` nothing — aggregates then come from
     the streaming sketches, within their documented relative error.
     Never the request: under every policy a terminal request is released
     at retirement, so live engine state is O(active) and
@@ -122,7 +121,6 @@ class EngineConfig:
     max_sim_seconds: float = 36000.0
     idle_quantum_s: Optional[float] = None
     record_policy: RecordPolicy = RecordPolicy.KEEP_ALL
-    sample_k: int = 1024
     prefix_cache: bool = False
     prefix_block_tokens: int = 32
 
@@ -136,11 +134,9 @@ class EngineConfig:
         if self.idle_quantum_s is not None and self.idle_quantum_s <= 0:
             raise ValueError("idle_quantum_s must be > 0 when set")
         if not isinstance(self.record_policy, RecordPolicy):
-            # accept the plain string spelling ("drop", "sample_k", ...)
+            # accept the plain string spelling ("keep_all", "drop")
             object.__setattr__(self, "record_policy",
                                RecordPolicy(self.record_policy))
-        if self.sample_k < 1:
-            raise ValueError("sample_k must be >= 1")
         if self.prefix_block_tokens < 1:
             raise ValueError("prefix_block_tokens must be >= 1")
 
@@ -590,8 +586,7 @@ class ServingEngine(DrainLoop):
         self.stats = EngineStats()
         # retire-time streaming sink: sketches/counters always on, record
         # retention per policy (the request itself is always released)
-        self.metrics = StreamingMetrics(policy=self.config.record_policy,
-                                        sample_k=self.config.sample_k)
+        self.metrics = StreamingMetrics(policy=self.config.record_policy)
         self._reset_engine()
 
     @property
@@ -846,8 +841,8 @@ class ServingEngine(DrainLoop):
         The result carries a copy of the streaming sink; under
         ``KEEP_ALL`` its record list is identical (same memoized record
         objects, same retirement order) to the pre-streaming snapshot,
-        under ``SAMPLE_K``/``DROP`` the sink's sketches stand in for the
-        missing records.
+        under ``DROP`` the sink's sketches stand in for the missing
+        records.
         """
         stream = self.metrics.copy()
         records = stream.records

@@ -48,11 +48,10 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
 from ..hardware.cluster import Cluster, GPUNode
 from ..sim import (Arrival, AutoscalerTick, EventQueue, IterationDone,
                    KeyedHeap, ReplicaDrain, ReplicaSpawn, SimKernel)
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .base import DrainLoop, ServingEngine
-from .gateway import (CancelSchedule, CompletionCallback, Gateway,
-                      TokenCallback)
+from .gateway import CancelSchedule, Gateway
 from .handle import HandleStatus
 from .metrics import ServingResult
 from .model_manager import unknown_model
@@ -604,13 +603,11 @@ class ClusterGateway(Gateway, DrainLoop):
                  n_replicas: int = 1,
                  balancer: Union[str, LoadBalancer] = "least-outstanding",
                  autoscaler: Optional[Autoscaler] = None,
-                 on_token: Optional[TokenCallback] = None,
-                 on_request_complete: Optional[CompletionCallback] = None,
                  journal: bool = False,
                  telemetry=None, _fixed: bool = False):
         if n_replicas < 1:
             raise ValueError("need at least one replica")
-        super().__init__(on_token, on_request_complete)
+        super().__init__()
         # the one clock: kernel time is the cluster frontier, and every
         # cross-layer event (spawns, drains, autoscaler ticks, engine
         # events when journaled or observed) flows through it
@@ -649,16 +646,13 @@ class ClusterGateway(Gateway, DrainLoop):
             for _ in range(n_replicas):
                 self.spawn_replica()
         self._schedule_tick(0.0)
-        self._wire()                      # an on_token callback taps now
         if telemetry is not None:
             telemetry.attach(self)
 
     @classmethod
     def from_engines(cls, engines: Sequence[ServingEngine],
                      names: Optional[Sequence[str]] = None,
-                     balancer: Union[str, LoadBalancer] = "least-outstanding",
-                     on_token: Optional[TokenCallback] = None,
-                     on_request_complete: Optional[CompletionCallback] = None
+                     balancer: Union[str, LoadBalancer] = "least-outstanding"
                      ) -> "ClusterGateway":
         """A fixed replica set over pre-built (possibly heterogeneous)
         engines; replica *i* is named ``names[i]`` when given."""
@@ -666,8 +660,7 @@ class ClusterGateway(Gateway, DrainLoop):
             raise ValueError("need at least one engine")
         if names is not None and len(names) != len(engines):
             raise ValueError("names must match engines one-to-one")
-        gateway = cls(balancer=balancer, on_token=on_token,
-                      on_request_complete=on_request_complete, _fixed=True)
+        gateway = cls(balancer=balancer, _fixed=True)
         for i, engine in enumerate(engines):
             name = names[i] if names is not None else None
             gateway.replicas.append(

@@ -38,7 +38,7 @@ from ..hardware.kernels import (SBMM_IMPLEMENTATIONS, SBMM_MAX_OVERLAP,
                                 GemmShape, dense_gemm_time, sbmm_compose,
                                 sbmm_delta_time, sbmm_time)
 from ..hardware.specs import GPUSpec
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from .models import FP16, ServedModelSpec
 
 __all__ = ["IterationCostModel", "BatchComposition", "LinearPlan",

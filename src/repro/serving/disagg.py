@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from ..hardware.cluster import GPUNode
 from ..hardware.interconnect import InterconnectModel
 from ..sim import KvTransfer, PhaseTransition
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
 from .base import EngineConfig, ServingEngine, register_engine
 from .cluster import (ConversationAffinityBalancer, LeastOutstandingBalancer,

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from ..hardware.cluster import GPUNode
 from ..hardware.interconnect import InterconnectModel
 from ..hardware.memory import Tier
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from .base import (PREEMPT_SWAP_S, WORKSPACE_FRACTION, Admission,
                    EngineConfig, ServingEngine, register_engine)
 from .costs import BatchComposition, LinearPlan

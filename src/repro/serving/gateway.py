@@ -15,9 +15,9 @@ is that client surface, declared once for every layer of the stack:
 * per-token and per-request completion callbacks fire as the simulated
   clock produces tokens, enabling closed-loop clients, autoscalers, and
   interactive sessions.  :meth:`~Gateway.add_token_listener` and
-  :meth:`~Gateway.add_completion_listener` register extra observers
-  without stealing the constructor callbacks' slots; listeners survive
-  :meth:`~Gateway.reset` (they are wiring, not per-timeline state).
+  :meth:`~Gateway.add_completion_listener` register them, in call
+  order; listeners survive :meth:`~Gateway.reset` (they are wiring, not
+  per-timeline state).
 
 The layers differ only in where an accepted request goes next:
 :class:`ServingGateway` (this module) hands it to one engine speaking the
@@ -85,13 +85,9 @@ class Gateway:
     #: the layer's own sim kernel (None: it has no events to forward)
     kernel: Optional[SimKernel] = None
 
-    def __init__(self, on_token: Optional[TokenCallback] = None,
-                 on_request_complete: Optional[CompletionCallback] = None):
-        # the constructor's callbacks are the first listeners
-        self._listeners: List[CompletionCallback] = \
-            [] if on_request_complete is None else [on_request_complete]
-        self._token_listeners: List[TokenCallback] = \
-            [] if on_token is None else [on_token]
+    def __init__(self) -> None:
+        self._listeners: List[CompletionCallback] = []
+        self._token_listeners: List[TokenCallback] = []
         self._token_tap = False           # inner token fan-out installed?
         self._handles: Dict[int, RequestHandle] = {}
         self._next_id = 0
@@ -148,21 +144,20 @@ class Gateway:
         return self._handles.get(int(request_id))
 
     def add_completion_listener(self, listener: CompletionCallback) -> None:
-        """Register an extra per-request completion callback.
+        """Register a per-request completion callback.
 
         Fires once per terminal record that appears in ``result()``,
-        after the constructor's ``on_request_complete`` (if any); outer
-        layers use this to track outstanding work without stealing the
-        user's callback slot.  Listeners survive :meth:`reset`.
+        after the listeners registered before it; outer layers use this
+        to track outstanding work.  Listeners survive :meth:`reset`.
         """
         self._listeners.append(listener)
         self._wire()
 
     def add_token_listener(self, listener: TokenCallback) -> None:
-        """Register an extra per-token callback — the streaming-side
-        parity of :meth:`add_completion_listener`.  Fires as
-        ``(request_id, model_id, generated_tokens, clock_s)`` after the
-        constructor's ``on_token`` (if any) and survives :meth:`reset`."""
+        """Register a per-token callback — the streaming-side parity of
+        :meth:`add_completion_listener`.  Fires as ``(request_id,
+        model_id, generated_tokens, clock_s)`` after the listeners
+        registered before it and survives :meth:`reset`."""
         self._token_listeners.append(listener)
         self._wire()
 
@@ -366,11 +361,8 @@ class Gateway:
 class ServingGateway(Gateway):
     """Online submit/step facade over any registered serving engine."""
 
-    def __init__(self, engine: ServingEngine,
-                 on_token: Optional[TokenCallback] = None,
-                 on_request_complete: Optional[CompletionCallback] = None,
-                 telemetry=None):
-        super().__init__(on_token, on_request_complete)
+    def __init__(self, engine: ServingEngine, telemetry=None):
+        super().__init__()
         self.engine = engine
         self._wire()
         if telemetry is not None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterator, List, Optional, Protocol, Tuple
 
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
 from .request import RequestRecord
 

@@ -16,8 +16,8 @@ with the latency arrays built and sorted *once* and cached (percentiles
 and SLO attainment both read them), and with the integer aggregates
 (``n_finished``, served and wasted tokens) read from the sink's exact
 counters whenever it observed exactly the records held, instead of one
-Python pass over the records per question.  When records were sampled
-or dropped, every aggregate routes through the sink's quantile sketches
+Python pass over the records per question.  When records were dropped,
+every aggregate routes through the sink's quantile sketches
 and counters instead, within the sketch's documented relative error
 (see :data:`~repro.serving.streaming_metrics.SKETCH_RELATIVE_ERROR`).
 """
@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from .request import DEFAULT_TENANT, RequestRecord
 from .streaming_metrics import StreamingMetrics, merged_streams
 
@@ -148,7 +148,7 @@ class ServingResult:
     @property
     def _sketch(self) -> Optional[StreamingMetrics]:
         """The sink, when it must stand in for the records (records were
-        sampled or dropped); None when records are the full population."""
+        dropped); None when records are the full population."""
         if self.stream is not None and not self.stream.complete:
             return self.stream
         return None

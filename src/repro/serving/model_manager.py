@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..hardware.memory import Tier
 from ..hardware.specs import GPUSpec
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
 from .costs import IterationCostModel
 from .models import ServedModelSpec

@@ -70,7 +70,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from ..workload.spec import TraceRequest
 
 __all__ = ["BlockKey", "BlockRun", "Chain", "ScopeKey", "PrefixCache",

@@ -14,13 +14,12 @@ engine owning its variant's lineage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..hardware.cluster import GPUNode
 from ..workload.spec import Trace
 from .base import EngineConfig, ServingEngine, create_engine
 from .cluster import ClusterGateway, LineageAffinityBalancer
-from .gateway import CompletionCallback, TokenCallback
 from .metrics import ServingResult
 from .model_manager import ModelManager
 from .scheduler import SchedulerConfig
@@ -83,9 +82,7 @@ class MultiBaseRouter:
                                  duration_s=trace.duration_s)
         return out
 
-    def gateway(self, on_token: Optional[TokenCallback] = None,
-                on_request_complete: Optional[CompletionCallback] = None
-                ) -> ClusterGateway:
+    def gateway(self) -> ClusterGateway:
         """An online cluster gateway over the per-base groups.
 
         One replica per group (named after its ``base_id``), with a
@@ -97,8 +94,7 @@ class MultiBaseRouter:
         names = list(self.groups)
         gateway = ClusterGateway.from_engines(
             [self.groups[base_id].engine() for base_id in names],
-            names=names, balancer=balancer, on_token=on_token,
-            on_request_complete=on_request_complete)
+            names=names, balancer=balancer)
         for base_id, replica in zip(names, gateway.replicas):
             balancer.pin(base_id, replica)
         return gateway

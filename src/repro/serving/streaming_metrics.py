@@ -11,17 +11,15 @@ into a :class:`StreamingMetrics` sink, and every aggregate that
 maintained incrementally:
 
 * **Quantile sketches** (:class:`QuantileSketch`) — DDSketch-style
-  logarithmic fixed-ratio bins with a documented *relative* error bound
-  (:data:`SKETCH_RELATIVE_ERROR`).  Deterministic: no RNG, no wall
+  logarithmic fixed-ratio bins at one fixed *relative* accuracy
+  (:data:`SKETCH_RELATIVE_ERROR`, 1 %).  Deterministic: no RNG, no wall
   clock, bin arithmetic only; mergeable by bin-count addition.
 * **Per-tenant counters** — finished/cancelled/expired/shed, tokens
   served/wasted, arrival/finish span — exact, O(tenants) memory.
 * **A record-retention policy** (:class:`RecordPolicy`) — ``KEEP_ALL``
-  (legacy exact records), ``SAMPLE_K`` (a deterministic Algorithm-R
-  reservoir of K records for debugging/inspection), or ``DROP``
-  (sketches and counters only).  Under ``SAMPLE_K``/``DROP`` the
-  serving stack releases terminal per-request state, so live memory is
-  O(active requests) instead of O(total).
+  (exact records) or ``DROP`` (sketches and counters only).  The
+  serving stack releases terminal per-request state under both, so
+  under ``DROP`` live memory is O(active requests) instead of O(total).
 
 Always-on is only true if the write is cheap: :meth:`StreamingMetrics.
 observe` derives each latency once, takes one ``math.log`` per distinct
@@ -39,8 +37,9 @@ tenants, no sketch merged); the float sums are only read as themselves.
 
 Error bounds
 ------------
-A sketch with relative accuracy ``alpha`` stores a value ``v`` in the
-bin ``ceil(log_gamma(v))`` with ``gamma = (1+alpha)/(1-alpha)``; the
+With ``alpha`` = :data:`SKETCH_RELATIVE_ERROR`, a sketch stores a value
+``v`` in the bin ``ceil(log_gamma(v))`` with ``gamma =
+(1+alpha)/(1-alpha)``; the
 bin's representative value ``2*gamma**i/(gamma+1)`` is within ``alpha``
 relative error of every value in the bin.  ``quantile(q)`` locates the
 bin containing the order statistic of index ``floor(q/100*(n-1))`` (the
@@ -57,36 +56,36 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from .request import DEFAULT_TENANT, RequestRecord
 
 __all__ = ["RecordPolicy", "SKETCH_RELATIVE_ERROR", "QuantileSketch",
-           "ReservoirSampler", "TenantCounters", "StreamingMetrics"]
+           "TenantCounters", "StreamingMetrics"]
 
-#: default relative-error guarantee of every quantile sketch (1%)
+#: the relative-error guarantee of every quantile sketch (1%), and the
+#: bin ratio it gives: every sketch bins alike, so any two merge
 SKETCH_RELATIVE_ERROR = 0.01
+_GAMMA = (1.0 + SKETCH_RELATIVE_ERROR) / (1.0 - SKETCH_RELATIVE_ERROR)
+_LOG_GAMMA = math.log(_GAMMA)
 
 #: values at or below this are lumped into the sketch's "zero" bin —
 #: relative error is meaningless at 0, and no simulated latency the
 #: engines produce is meaningfully below a nanosecond
 _MIN_TRACKABLE = 1e-9
 
-#: SeedSequence root entropy for reservoir sampling; combined with the
-#: caller's ``sample_seed`` spawn key so reservoirs are deterministic
-#: run-to-run yet decorrelated across sinks
-_RESERVOIR_ENTROPY = 0x5EED_CAFE
-
 
 class RecordPolicy(str, Enum):
     """How much per-request state a run retains after retirement."""
 
-    KEEP_ALL = "keep_all"    # every RequestRecord kept (legacy, exact)
-    SAMPLE_K = "sample_k"    # deterministic reservoir of K records
+    KEEP_ALL = "keep_all"    # every RequestRecord kept (exact)
     DROP = "drop"            # sketches/counters only: O(active) memory
+
+    @classmethod
+    def _missing_(cls, value: object) -> "RecordPolicy":
+        raise ValueError(f"unknown record policy {value!r}: expected one "
+                         f"of {', '.join(p.value for p in cls)}")
 
 
 class QuantileSketch:
@@ -94,22 +93,17 @@ class QuantileSketch:
 
     DDSketch-style: bin ``i`` covers ``(gamma**(i-1), gamma**i]`` and is
     represented by ``2*gamma**i/(gamma+1)``, giving a guaranteed
-    relative error of ``relative_error`` per value (see the module
+    relative error of :data:`SKETCH_RELATIVE_ERROR` per value (see the module
     docstring for the quantile-level bound).  Memory is O(distinct
     bins) — for latencies spanning 1 ms to 10 h at 1% accuracy, under
     ~900 bins.  Merging adds bin counts, so sketches aggregate across
     replicas exactly like record lists concatenate.
     """
 
-    __slots__ = ("relative_error", "_gamma", "_log_gamma", "_bins",
-                 "_n_small", "count", "total", "min_value", "max_value")
+    __slots__ = ("_bins", "_n_small", "count", "total", "min_value",
+                 "max_value")
 
-    def __init__(self, relative_error: float = SKETCH_RELATIVE_ERROR) -> None:
-        if not 0.0 < relative_error < 1.0:
-            raise ValueError("relative_error must be in (0, 1)")
-        self.relative_error = relative_error
-        self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
-        self._log_gamma = math.log(self._gamma)
+    def __init__(self) -> None:
         self._bins: Dict[int, int] = {}
         self._n_small = 0            # values <= _MIN_TRACKABLE
         self.count = 0
@@ -120,11 +114,10 @@ class QuantileSketch:
     # ------------------------------------------------------------------ #
     def bin_key(self, value: float) -> Optional[int]:
         """The log bin ``value`` falls in (None: the "zero" bin) — the
-        one definition of the bin rule.  Sketches of equal
-        ``relative_error`` agree on every key."""
+        one definition of the bin rule, shared by every sketch."""
         if value <= _MIN_TRACKABLE:
             return None
-        return math.ceil(math.log(value) / self._log_gamma)
+        return math.ceil(math.log(value) / _LOG_GAMMA)
 
     def add_binned(self, value: float, key: Optional[int]) -> None:
         """Fold in one observation whose :meth:`bin_key` is ``key``."""
@@ -146,8 +139,6 @@ class QuantileSketch:
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch in (bin-count addition; exact)."""
-        if not math.isclose(other._gamma, self._gamma, rel_tol=1e-12):
-            raise ValueError("cannot merge sketches with different accuracy")
         for key, n in other._bins.items():
             self._bins[key] = self._bins.get(key, 0) + n
         self._n_small += other._n_small
@@ -157,7 +148,7 @@ class QuantileSketch:
         self.max_value = max(self.max_value, other.max_value)
 
     def copy(self) -> "QuantileSketch":
-        out = QuantileSketch(self.relative_error)
+        out = QuantileSketch()
         out._bins = dict(self._bins)
         out._n_small = self._n_small
         out.count = self.count
@@ -200,8 +191,8 @@ class QuantileSketch:
             while cum <= rank and taken < len(keys):
                 cum += self._bins[keys[taken]]
                 taken += 1
-            estimate = 2.0 * self._gamma ** keys[taken - 1] \
-                / (self._gamma + 1.0) if cum > rank else self.max_value
+            estimate = 2.0 * _GAMMA ** keys[taken - 1] \
+                / (_GAMMA + 1.0) if cum > rank else self.max_value
             # min/max are exact: clamping only ever tightens the estimate
             out[i] = min(max(estimate, self.min_value), self.max_value)
         return out
@@ -213,7 +204,7 @@ class QuantileSketch:
             return 0
         n = self._n_small
         for key in sorted(self._bins):
-            if 2.0 * self._gamma ** key / (self._gamma + 1.0) <= threshold:
+            if 2.0 * _GAMMA ** key / (_GAMMA + 1.0) <= threshold:
                 n += self._bins[key]
             else:
                 break
@@ -224,49 +215,7 @@ class QuantileSketch:
         return len(self._bins)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"QuantileSketch(n={self.count}, bins={len(self._bins)}, "
-                f"alpha={self.relative_error})")
-
-
-class ReservoirSampler:
-    """Algorithm-R reservoir of up to ``k`` records, spawn-key seeded.
-
-    Selection is a pure function of ``(sample_seed, offer order)``: the
-    generator derives from a fixed root :class:`numpy.random.SeedSequence`
-    via the ``sample_seed`` spawn key, so two runs offering the same
-    record stream retain the *identical* sample — the determinism the
-    sketch tests pin down.  No wall clock, no global RNG.
-    """
-
-    __slots__ = ("k", "sample_seed", "_rng", "_samples", "_offered")
-
-    def __init__(self, k: int, sample_seed: int = 0) -> None:
-        if k < 1:
-            raise ValueError("reservoir size k must be >= 1")
-        self.k = k
-        self.sample_seed = sample_seed
-        seq = np.random.SeedSequence(_RESERVOIR_ENTROPY,
-                                     spawn_key=(sample_seed,))
-        self._rng = np.random.default_rng(seq)
-        self._samples: List[RequestRecord] = []
-        self._offered = 0
-
-    def offer(self, record: RequestRecord) -> None:
-        self._offered += 1
-        if len(self._samples) < self.k:
-            self._samples.append(record)
-            return
-        j = int(self._rng.integers(0, self._offered))
-        if j < self.k:
-            self._samples[j] = record
-
-    @property
-    def n_offered(self) -> int:
-        return self._offered
-
-    @property
-    def samples(self) -> List[RequestRecord]:
-        return list(self._samples)
+        return f"QuantileSketch(n={self.count}, bins={len(self._bins)})"
 
 
 @dataclass
@@ -335,10 +284,10 @@ class _TenantStream:
     __slots__ = ("counters", "fin", "aborted", "sums", "min_arrival_s",
                  "max_finish_s", "_all")
 
-    def __init__(self, relative_error: float) -> None:
+    def __init__(self) -> None:
         self.counters = TenantCounters()
-        self.fin = [QuantileSketch(relative_error) for _ in range(3)]
-        self.aborted = [QuantileSketch(relative_error) for _ in range(3)]
+        self.fin = [QuantileSketch() for _ in range(3)]
+        self.aborted = [QuantileSketch() for _ in range(3)]
         self.sums = _Sums()
         self.min_arrival_s = math.inf
         self.max_finish_s = -math.inf
@@ -355,7 +304,7 @@ class _TenantStream:
         self._all = None
 
     def copy(self) -> "_TenantStream":
-        out = _TenantStream(self.fin[_E2E].relative_error)
+        out = _TenantStream()
         out.merge(self)
         return out
 
@@ -382,7 +331,7 @@ class _TenantStream:
         twin of ``ServingResult.finished_only``).  The arrival/finish
         span is the all-statuses span — per-status spans are not
         tracked, and the difference only shifts the *view's* makespan."""
-        out = _TenantStream(self.fin[_E2E].relative_error)
+        out = _TenantStream()
         c = self.counters
         # prefix counters stay all-statuses: a hit saved prefill work
         # whether or not the request ultimately finished
@@ -399,7 +348,7 @@ class _TenantStream:
 
 
 class StreamingMetrics:
-    """The retire-time metrics sink: sketches + counters + retention.
+    """The retire-time metrics sink: sketches + counters + records.
 
     One sink per engine timeline; :meth:`observe` is called exactly once
     per retired request (finished *or* aborted).  ``complete`` reports
@@ -408,26 +357,18 @@ class StreamingMetrics:
     ServingResult` routes every aggregate through the sketches instead.
     """
 
-    def __init__(self, policy: "RecordPolicy | str" = RecordPolicy.KEEP_ALL,
-                 sample_k: int = 1024,
-                 relative_error: float = SKETCH_RELATIVE_ERROR,
-                 sample_seed: int = 0) -> None:
+    def __init__(self,
+                 policy: "RecordPolicy | str" = RecordPolicy.KEEP_ALL) -> None:
         self.policy = RecordPolicy(policy)
-        self.sample_k = sample_k
-        self.relative_error = relative_error
-        self.sample_seed = sample_seed
         self.complete = self.policy is RecordPolicy.KEEP_ALL
         self._tenants: Dict[str, _TenantStream] = {}
         self._sums = _Sums()
-        # whose bin rule every sketch of this sink shares
-        self._binner = QuantileSketch(relative_error)
+        # whose bin rule (the one every sketch shares) bins each write
+        self._binner = QuantileSketch()
         # the tenants merged (``_overall``), until the next write
         self._whole: Optional[_TenantStream] = None
         self._sanitize = _sanitizer.enabled()
         self._kept: List[RequestRecord] = []
-        self._reservoir: Optional[ReservoirSampler] = \
-            ReservoirSampler(sample_k, sample_seed) \
-            if self.policy is RecordPolicy.SAMPLE_K else None
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -458,13 +399,7 @@ class StreamingMetrics:
         tenant = record.tenant_id or DEFAULT_TENANT
         stream = self._tenants.get(tenant)
         if stream is None:
-            if self.relative_error != self._binner.relative_error:
-                raise ValueError(
-                    "every sketch of one sink shares its bin keys: tenant "
-                    f"{tenant!r} would bin at {self.relative_error!r}, "
-                    f"the sink at {self._binner.relative_error!r}")
-            stream = self._tenants[tenant] = \
-                _TenantStream(self.relative_error)
+            stream = self._tenants[tenant] = _TenantStream()
         c = stream.counters
         mine, whole = stream.sums, self._sums
         if status == "finished":
@@ -511,12 +446,9 @@ class StreamingMetrics:
         if self._sanitize:
             _sanitizer.check_sink_row(
                 record, (e2e, ttft, tpt, finish),
-                (e2e_key, ttft_key, finish_key), self._binner._log_gamma,
-                _MIN_TRACKABLE)
+                (e2e_key, ttft_key, finish_key), _LOG_GAMMA, _MIN_TRACKABLE)
         if self.policy is RecordPolicy.KEEP_ALL:
             self._kept.append(record)
-        elif self._reservoir is not None:
-            self._reservoir.offer(record)
 
     def observe_all(self, records: Iterable[RequestRecord]) -> None:
         for record in records:
@@ -547,11 +479,7 @@ class StreamingMetrics:
     def _view(self, tenants: Dict[str, _TenantStream],
               sums: _Sums) -> "StreamingMetrics":
         """A record-less sink over ``tenants``, whose whole sums ``sums``."""
-        out = StreamingMetrics(policy=RecordPolicy.DROP,
-                               sample_k=self.sample_k,
-                               relative_error=self.relative_error,
-                               sample_seed=self.sample_seed)
-        out.complete = False
+        out = StreamingMetrics(policy=RecordPolicy.DROP)
         out._tenants = tenants
         out._sums = sums
         return out
@@ -562,13 +490,6 @@ class StreamingMetrics:
         out.policy = self.policy
         out.complete = self.complete
         out._kept = list(self._kept)
-        if self._reservoir is not None:
-            res = ReservoirSampler(self.sample_k, self.sample_seed)
-            res._samples = list(self._reservoir._samples)
-            res._offered = self._reservoir._offered
-            res._rng.bit_generator.state = \
-                self._reservoir._rng.bit_generator.state
-            out._reservoir = res
         return out
 
     def finished_view(self) -> "StreamingMetrics":
@@ -591,7 +512,7 @@ class StreamingMetrics:
         built at read time and kept until the next write."""
         whole = self._whole
         if whole is None:
-            whole = _TenantStream(self._binner.relative_error)
+            whole = _TenantStream()
             for stream in self._tenants.values():
                 whole.merge(stream)
             whole.sums = _Sums(self._sums.values())
@@ -612,13 +533,8 @@ class StreamingMetrics:
     # ------------------------------------------------------------------ #
     @property
     def records(self) -> List[RequestRecord]:
-        """Retained records: all (KEEP_ALL), a deterministic sample
-        (SAMPLE_K), or none (DROP)."""
-        if self.policy is RecordPolicy.KEEP_ALL:
-            return list(self._kept)
-        if self._reservoir is not None:
-            return self._reservoir.samples
-        return []
+        """Retained records: all (KEEP_ALL) or none (DROP)."""
+        return list(self._kept)
 
     @property
     def n_observed(self) -> int:
@@ -740,10 +656,7 @@ def merged_streams(parts: Sequence[Optional[StreamingMetrics]],
     live = [p for p in parts if p is not None]
     if not live:
         return None
-    out = StreamingMetrics(policy=RecordPolicy.DROP,
-                           sample_k=live[0].sample_k,
-                           relative_error=live[0].relative_error,
-                           sample_seed=live[0].sample_seed)
+    out = StreamingMetrics(policy=RecordPolicy.DROP)
     out.complete = True
     for part in live:
         out.merge_from(part)

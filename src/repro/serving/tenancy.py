@@ -64,7 +64,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 from ..sim import (Arrival, BucketRefill, Cancel, EventQueue, KeyedHeap,
                    SimKernel)
 from ..sim import events as sim_events
-from ..sim import sanitizer as _sanitizer
+from ..sim.clock import sanitizer as _sanitizer
 from ..workload.spec import Trace, TraceRequest
 from .gateway import CancelSchedule, Gateway
 from .handle import HandleStatus
@@ -902,7 +902,7 @@ class TenantGateway(Gateway):
             sliced = result.for_tenant(tid)
             sketch = sliced.stream
             if sketch is not None and not sketch.complete:
-                # streaming fallback (records sampled/dropped): finished
+                # streaming fallback (records dropped): finished
                 # requests meeting the TTFT SLO, sketch-approximate
                 # within the relative error around the threshold.
                 # Aborted requests whose first token still arrived in

@@ -25,14 +25,13 @@ arrivals and stall-jumps from an :class:`EventQueue` on a
 :class:`BucketRefill` events the admission controller emits.
 """
 
-from .clock import SimClock
+from .clock import SimClock, SimSanitizerError, new_clock
 from .events import (AdmissionDecision, Arrival, AutoscalerTick, BucketRefill,
                      Cancel, Event, IterationDone, KvTransfer,
                      PhaseTransition, ReplicaDrain, ReplicaSpawn,
                      TelemetryTick)
 from .kernel import ForwardingCycleError, SimKernel
 from .queue import EventQueue, KeyedHeap
-from .sanitizer import SimSanitizerError, new_clock
 
 __all__ = [
     "SimClock", "EventQueue", "KeyedHeap", "SimKernel",

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
-from . import sanitizer as _sanitizer
-from .clock import SimClock
+from .clock import SimClock, sanitizer as _sanitizer
 from .events import Event
 
 __all__ = ["SimKernel", "ForwardingCycleError"]

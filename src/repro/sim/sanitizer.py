@@ -5,7 +5,9 @@ simlint (:mod:`repro.analysis`) enforces the repo's determinism rules
 simulation runs.  Enable it with ``REPRO_SIM_SANITIZE=1`` (read at
 import; tests can toggle with the :func:`sanitized` context manager) and
 every :class:`~repro.sim.SimKernel` self-installs the checks at
-construction:
+construction.  The switch, :class:`SanitizedClock` and :func:`new_clock`
+live in :mod:`repro.sim.clock` (re-exported here), so the serving layers
+load this module only once a check runs:
 
 * **monotone clock per timeline** — a sanitized clock rejects negative
   ``tick`` durations; ``advance`` is structurally monotone and
@@ -67,7 +69,15 @@ construction:
   frontier, the disagg handoffs);
 * **cost-model memos** — every served per-count column equals
   ``sbmm_time`` on a one-delta batch, and every memoised pass total a
-  cold model's price of the same rows.
+  cold model's price of the same rows;
+* **prefix-cache structure** — after every mutating call, children are
+  filed where their parent ends, refcounts never rise toward the tip,
+  the LRU holds exactly the idle leaf segments, and the block and
+  reference counters equal a walk.
+
+CI's determinism shard re-runs the sim/serving suite with all of these
+on (``REPRO_SIM_SANITIZE=1``; its test list is in
+``.github/workflows/ci.yml``).
 
 Violations raise :class:`SimSanitizerError` carrying the offending
 value *and* the publishing call site (the first stack frame outside
@@ -80,13 +90,13 @@ from __future__ import annotations
 import math
 import os
 import traceback
-from contextlib import contextmanager
 from functools import lru_cache
-from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..hardware.kernels import sbmm_time
-from .clock import SimClock
+from .clock import (ENV_VAR, SanitizedClock, SimSanitizerError, enabled,
+                    new_clock, sanitized)
 from .events import (AutoscalerTick, Cancel, Event, IterationDone,
                      ReplicaDrain, ReplicaSpawn, TelemetryTick)
 
@@ -98,47 +108,10 @@ __all__ = [
     "SanitizedClock", "new_clock", "install",
 ]
 
-#: environment variable that turns the sanitizer on (``1``/``true``/…)
-ENV_VAR = "REPRO_SIM_SANITIZE"
-
 #: absolute tolerance for "in the past" time comparisons
 _TIME_EPS = 1e-9
 #: absolute tolerance for token-bucket conservation checks
 _TOKEN_EPS = 1e-6
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_VAR, "").strip().lower() not in (
-        "", "0", "false", "no", "off")
-
-
-_active: bool = _env_enabled()
-
-
-def enabled() -> bool:
-    """Is the sanitizer active for newly constructed kernels/buckets?"""
-    return _active
-
-
-@contextmanager
-def sanitized(active: bool = True) -> Iterator[None]:
-    """Force the sanitizer on (or off) within a ``with`` block — the
-    test hook; production use goes through ``REPRO_SIM_SANITIZE=1``."""
-    global _active
-    previous, _active = _active, active
-    try:
-        yield
-    finally:
-        _active = previous
-
-
-class SimSanitizerError(AssertionError):
-    """A dynamic determinism invariant was violated.
-
-    Subclasses :class:`AssertionError` deliberately: these are the
-    runtime *assertions* behind the SIM lint rules, and any test or
-    harness treating assertion failures as fatal does the right thing.
-    """
 
 
 def _call_site() -> str:
@@ -153,31 +126,6 @@ def _call_site() -> str:
 
 def _violation(message: str) -> SimSanitizerError:
     return SimSanitizerError(f"{message} [published at {_call_site()}]")
-
-
-# --------------------------------------------------------------------- #
-# clock
-# --------------------------------------------------------------------- #
-class SanitizedClock(SimClock):
-    """A :class:`SimClock` that rejects backward ``tick`` durations.
-
-    ``advance`` is monotone by construction and ``reseat`` is the
-    sanctioned non-monotone mutation, so the only way a timeline can
-    silently run backward is a negative tick — which this rejects."""
-
-    __slots__ = ()
-
-    def tick(self, dt: float) -> float:
-        if dt < 0.0 or dt != dt:  # negative or NaN
-            raise _violation(
-                f"clock tick of {dt!r}s would move timeline backward "
-                f"(now={self.now:.9f})")
-        return super().tick(dt)
-
-
-def new_clock(now: float = 0.0) -> SimClock:
-    """The clock factory timeline owners use: sanitized when enabled."""
-    return SanitizedClock(now) if _active else SimClock(now)
 
 
 # --------------------------------------------------------------------- #

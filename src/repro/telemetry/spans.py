@@ -11,8 +11,6 @@ records.
 Memory follows the serving stack's ``record_policy`` contract:
 
 * ``KEEP_ALL`` — every closed span is retained;
-* ``SAMPLE_K`` — a deterministic Algorithm-R reservoir of ``sample_k``
-  closed spans (seeded, so identical runs keep identical samples);
 * ``DROP`` — closed spans are discarded entirely.
 
 Under every policy the *open* spans are O(active requests), and the
@@ -25,17 +23,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional
 
-import numpy as np
-
 from ..serving.streaming_metrics import QuantileSketch, RecordPolicy
 from ..sim.events import AdmissionDecision, Cancel, Event, PhaseTransition
 from ..sim.kernel import SimKernel
 
 __all__ = ["RequestSpan", "SpanRecorder"]
-
-#: fixed entropy for the span reservoir's seed sequence (deterministic,
-#: independent of the metrics reservoir's stream)
-_SPAN_ENTROPY = 0x5BA2_CAFE
 
 #: lifecycle phases in span order (``transfer`` appears only under
 #: disaggregated serving, between the prefill and decode pools)
@@ -116,16 +108,10 @@ class SpanRecorder:
     :attr:`active_count`, and :meth:`summary`.
     """
 
-    def __init__(self, policy: RecordPolicy = RecordPolicy.KEEP_ALL,
-                 sample_k: int = 256, sample_seed: int = 0) -> None:
-        if sample_k < 1:
-            raise ValueError("sample_k must be >= 1")
+    def __init__(self, policy: RecordPolicy = RecordPolicy.KEEP_ALL) -> None:
         self.policy = RecordPolicy(policy)
-        self._sample_k = sample_k
-        self._sample_seed = sample_seed
         self._active: Dict[int, RequestSpan] = {}
         self._closed: List[RequestSpan] = []
-        self._rng: Optional[np.random.Generator] = None
         self.n_closed = 0
         self.status_counts: Dict[str, int] = {}
         #: always-on duration sketches, one per phase plus end-to-end
@@ -222,22 +208,7 @@ class SpanRecorder:
             self.sketches["e2e"].add(total)
         if self.policy is RecordPolicy.KEEP_ALL:
             self._closed.append(span)
-        elif self.policy is RecordPolicy.SAMPLE_K:
-            self._offer_sample(span)
         # DROP: discard
-
-    def _offer_sample(self, span: RequestSpan) -> None:
-        """Algorithm-R reservoir over closed spans (deterministic)."""
-        if len(self._closed) < self._sample_k:
-            self._closed.append(span)
-            return
-        if self._rng is None:
-            seq = np.random.SeedSequence(
-                _SPAN_ENTROPY, spawn_key=(self._sample_seed,))
-            self._rng = np.random.Generator(np.random.PCG64(seq))
-        j = int(self._rng.integers(0, self.n_closed))
-        if j < self._sample_k:
-            self._closed[j] = span
 
     # ------------------------------------------------------------------ #
     # read side
@@ -253,7 +224,7 @@ class SpanRecorder:
         return self._active.get(request_id)
 
     def completed(self) -> List[RequestSpan]:
-        """Retained closed spans (all / sampled / none, per policy)."""
+        """Retained closed spans (all or none, per policy)."""
         return list(self._closed)
 
     def summary(self) -> Dict[str, object]:
@@ -270,11 +241,9 @@ class SpanRecorder:
                 "phases": phases}
 
     def clear(self) -> None:
-        """Fresh timeline: drop every span, counter, and sketch (the
-        reservoir reseeds so a reset run resamples identically)."""
+        """Fresh timeline: drop every span, counter, and sketch."""
         self._active.clear()
         self._closed.clear()
-        self._rng = None
         self.n_closed = 0
         self.status_counts.clear()
         for name in list(self.sketches):

@@ -289,8 +289,8 @@ def closed_loop(cls):
                            32 + state["left"] % 17, 2 + state["left"] % 5)
 
     gateway = cls(engine_factory=make_factory(), n_replicas=4,
-                  balancer="least-outstanding",
-                  on_request_complete=on_complete)
+                  balancer="least-outstanding")
+    gateway.add_completion_listener(on_complete)
     for i in range(12):
         gateway.submit(f"variant-{i % N_MODELS:02d}", 32, 3 + i % 4)
     result = gateway.run_until_drained()

@@ -248,9 +248,9 @@ def test_a_watched_cluster_publishes_every_iteration(watcher):
     tokens, done = [], []
     telemetry = Telemetry(interval_s=0.5) if watcher == "telemetry" else None
     gateway = make_cluster(
-        n_replicas=3, telemetry=telemetry, journal=watcher == "journal",
-        on_token=(lambda *args: tokens.append(args))
-        if watcher == "on_token" else None)
+        n_replicas=3, telemetry=telemetry, journal=watcher == "journal")
+    if watcher == "on_token":
+        gateway.add_token_listener(lambda *args: tokens.append(args))
     steps = CountingSteps(gateway.engines())
     if telemetry is not None:
         telemetry.kernel.subscribe(IterationDone, done.append)

@@ -353,7 +353,6 @@ class TestEngineIntegration:
             sum(r.cached_prefix_tokens for r in result.records)
 
     @pytest.mark.parametrize("policy", [RecordPolicy.KEEP_ALL,
-                                        RecordPolicy.SAMPLE_K,
                                         RecordPolicy.DROP])
     def test_eviction_determinism_under_every_record_policy(self, policy):
         trace = session(duration_s=120.0, shared=256, turns=6.0, rate=0.2)
@@ -361,7 +360,7 @@ class TestEngineIntegration:
 
         def run():
             gw = make_gateway(mgr, prefix_cache=True, node=tight_node(),
-                              record_policy=policy, sample_k=16)
+                              record_policy=policy)
             return gw.replay(trace)
 
         a, b = run(), run()

@@ -9,8 +9,7 @@ references a ``DeltaZipEngine`` holds per request, the disagg owner's
 per-request maps and every set or map of a ``TenantGateway`` (held,
 dispatched, scheduled cancels), and the garbage collector finds no
 ``ServingRequest`` the replay created.  What survives is the record
-(``KEEP_ALL``), a sample (``SAMPLE_K``) or nothing (``DROP``) — never
-the request.  The one exception is the admission controller's
+(``KEEP_ALL``) or nothing (``DROP``) — never the request.  The one exception is the admission controller's
 ``decisions``, one verdict per request, which ``decision(id)`` reads
 after the drain.
 
@@ -43,7 +42,6 @@ ENGINE_KWARGS = {
 }
 WRAPPERS = ("bare", "gateway", "cluster2", "tenant")
 POLICIES = tuple(RecordPolicy)
-SAMPLE_K = 2
 
 
 # --------------------------------------------------------------------- #
@@ -71,8 +69,7 @@ def make_engine(name, policy, mgr, node=None):
         scheduler_config=SchedulerConfig(max_batch_requests=8,
                                          max_concurrent_deltas=4),
         engine_config=EngineConfig(tp_degree=kwargs.get("tp_degree", 1),
-                                   prefix_cache=True, record_policy=policy,
-                                   sample_k=SAMPLE_K),
+                                   prefix_cache=True, record_policy=policy),
         **kwargs)
 
 
@@ -183,8 +180,6 @@ def test_a_drained_replay_retains_no_request(name, wrapper, policy):
         assert all(r.first_token_s is None and not r.finished
                    for r in result.records)
         assert bool(result.records) == (wrapper in ("cluster2", "tenant"))
-    elif policy is RecordPolicy.SAMPLE_K:
-        assert 0 < len(result.records) < n    # a reservoir per sink
     else:
         assert len(result.records) == n
 
@@ -198,7 +193,7 @@ def test_a_drained_replay_retains_no_request(name, wrapper, policy):
 
 def test_the_table_covers_every_registered_engine():
     assert sorted(ENGINE_KWARGS) == sorted(ENGINES)
-    assert len(POLICIES) == 3
+    assert len(POLICIES) == 2
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)

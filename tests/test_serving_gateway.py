@@ -152,10 +152,10 @@ class TestGatewayOnline:
 
     def test_callbacks_fire(self):
         tokens, completions = [], []
-        gw = ServingGateway(
-            make_engine("deltazip", ["m0"]),
-            on_token=lambda rid, mid, n, t: tokens.append((rid, n, t)),
-            on_request_complete=completions.append)
+        gw = ServingGateway(make_engine("deltazip", ["m0"]))
+        gw.add_token_listener(
+            lambda rid, mid, n, t: tokens.append((rid, n, t)))
+        gw.add_completion_listener(completions.append)
         gw.submit("m0", 8, 3)
         gw.submit("m0", 8, 2)
         gw.run_until_drained()

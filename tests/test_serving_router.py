@@ -131,8 +131,8 @@ class TestOnlinePath:
 
     def test_per_group_callback_delivery(self, router):
         completions = []
-        gateway = router.gateway(
-            on_request_complete=lambda rec: completions.append(rec))
+        gateway = router.gateway()
+        gateway.add_completion_listener(completions.append)
         rid_p = gateway.submit("pythia-ft-a", 16, 4).id
         rid_l = gateway.submit("llama-ft-a", 16, 4).id
         gateway.run_until_drained()

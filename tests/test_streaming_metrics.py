@@ -1,15 +1,14 @@
-"""Streaming metrics: sketches, reservoirs, record policies, hot paths.
+"""Streaming metrics: sketches, record policies, hot paths.
 
 Covers the million-request-scale machinery:
 
 * ``QuantileSketch`` keeps every quantile within the documented
   ``SKETCH_RELATIVE_ERROR`` of the exact order statistics, and merges
   losslessly (bin addition);
-* ``ReservoirSampler`` is spawn-key seeded — run-to-run deterministic;
 * KEEP_ALL runs carry both exact records and sketches, so the sketch
   answers are checkable against ground truth across every engine and
   every gateway wrapper (the acceptance property);
-* releasing policies (SAMPLE_K / DROP) keep engine and wrapper memory
+* the releasing policy (DROP) keeps engine and wrapper memory
   O(active) while ``summarize()`` stays total and within error bounds;
 * the ``ServingResult`` sorted-latency cache and one-pass percentile
   batches agree with the scalar accessors.
@@ -28,11 +27,13 @@ from hypothesis import strategies as st
 from repro.hardware import Cluster, GPUNode, node_from_name
 from repro.serving import (ClusterGateway, EngineConfig, LLAMA_7B,
                            ModelManager, QuantileSketch, RecordPolicy,
-                           ReservoirSampler, SchedulerConfig, ServingGateway,
+                           SchedulerConfig, ServingGateway,
                            SKETCH_RELATIVE_ERROR, StreamingMetrics, Tenant,
                            TenantCounters, TenantGateway, create_engine,
                            summarize)
 from repro.serving.metrics import ServingResult
+from repro.serving.streaming_metrics import _GAMMA
+from repro.telemetry.spans import SpanRecorder
 from repro.serving.request import RequestRecord
 from repro.workload import azure_like_trace
 from repro.workload.spec import Trace, TraceRequest
@@ -80,11 +81,9 @@ def make_trace(n: int = 160, seed: int = 11) -> Trace:
                  duration_s=float(times[-1]) + 1.0)
 
 
-def build_gateway(engine_name: str, wrapper: str, policy: RecordPolicy,
-                  sample_k: int = 64):
+def build_gateway(engine_name: str, wrapper: str, policy: RecordPolicy):
     mgr = make_manager()
-    config = EngineConfig(tp_degree=1, record_policy=policy,
-                          sample_k=sample_k)
+    config = EngineConfig(tp_degree=1, record_policy=policy)
 
     def factory(node=None):
         return create_engine(
@@ -207,7 +206,7 @@ class TestQuantileSketch:
         for key in sorted(sketch._bins):
             cum += sketch._bins[key]
             if cum > rank:
-                estimate = 2.0 * sketch._gamma ** key / (sketch._gamma + 1.0)
+                estimate = 2.0 * _GAMMA ** key / (_GAMMA + 1.0)
                 break
         return min(max(estimate, sketch.min_value), sketch.max_value)
 
@@ -257,34 +256,6 @@ class TestQuantileSketch:
         assert a.bin_key(1e-9) is None and a.bin_key(0.3) == b.bin_key(0.3)
         assert sketch_state(a) == sketch_state(b)
         assert a._n_small == 3
-
-
-class TestReservoirSampler:
-    def test_run_to_run_deterministic(self):
-        def fill(seed):
-            sampler = ReservoirSampler(16, sample_seed=seed)
-            for i in range(500):
-                sampler.offer(i)
-            return sampler.samples
-
-        assert fill(0) == fill(0)
-        assert fill(1) == fill(1)
-        assert fill(0) != fill(1)
-
-    def test_keeps_everything_below_k(self):
-        sampler = ReservoirSampler(32, sample_seed=0)
-        for i in range(20):
-            sampler.offer(i)
-        assert sampler.samples == list(range(20))
-        assert sampler.n_offered == 20
-
-    def test_sample_is_subset(self):
-        sampler = ReservoirSampler(8, sample_seed=2)
-        for i in range(300):
-            sampler.offer(i)
-        samples = sampler.samples
-        assert len(samples) == 8
-        assert all(0 <= s < 300 for s in samples)
 
 
 # --------------------------------------------------------------------- #
@@ -369,10 +340,9 @@ class TestSketchMatchesExact:
                        <= slo_s * (1 + 2 * ALPHA))
             assert abs(est - exact) <= (near + 1e-9) / len(finished)
 
-    @pytest.mark.parametrize("policy", [RecordPolicy.DROP,
-                                        RecordPolicy.SAMPLE_K])
+    @pytest.mark.parametrize("policy", [RecordPolicy.DROP])
     def test_views_count_finishes_like_kept_records(self, policy):
-        """A finished-only or per-tenant view of a released run counts
+        """A finished-only or per-tenant view of a dropped run counts
         finishes by a horizon from its own finish bins, as the kept
         records do (within the sketch error around the horizon)."""
         trace = azure_like_trace(N_MODELS, rate=2.0, duration_s=30.0,
@@ -385,8 +355,8 @@ class TestSketchMatchesExact:
         def run(policy):
             return create_engine(
                 "deltazip", mgr, GPUNode(node_from_name("a800", 1)),
-                engine_config=EngineConfig(tp_degree=1, record_policy=policy,
-                                           sample_k=8)).run(trace)
+                engine_config=EngineConfig(tp_degree=1,
+                                           record_policy=policy)).run(trace)
 
         keep, released = run(RecordPolicy.KEEP_ALL), run(policy)
         horizon = 20.0
@@ -401,34 +371,9 @@ class TestSketchMatchesExact:
 
 
 # --------------------------------------------------------------------- #
-# releasing policies: determinism and O(active) memory
+# the releasing policy: O(active) memory
 # --------------------------------------------------------------------- #
 class TestRecordPolicies:
-    def test_sample_k_runs_are_identical(self):
-        trace = make_trace()
-
-        def run():
-            gateway = build_gateway("deltazip", "plain",
-                                    RecordPolicy.SAMPLE_K, sample_k=32)
-            result = gateway.replay(trace)
-            return [(r.request_id, r.finish_s, r.first_token_s)
-                    for r in result.records]
-
-        first, second = run(), run()
-        assert first == second
-        assert len(first) == 32
-
-    def test_sampled_records_are_real_completions(self):
-        trace = make_trace()
-        keep = build_gateway("deltazip", "plain",
-                             RecordPolicy.KEEP_ALL).replay(trace)
-        sampled = build_gateway("deltazip", "plain", RecordPolicy.SAMPLE_K,
-                                sample_k=32).replay(trace)
-        exact = {(r.request_id, r.finish_s, r.first_token_s)
-                 for r in keep.records}
-        assert all((r.request_id, r.finish_s, r.first_token_s) in exact
-                   for r in sampled.records)
-
     def test_drop_keeps_engine_memory_o_active(self):
         gateway = build_gateway("deltazip", "plain", RecordPolicy.DROP)
         gateway.replay(make_trace())
@@ -584,6 +529,15 @@ class TestStreamingMetricsSink:
         assert sink.tenant_counters("b").finished == 5
         assert sink.for_tenant("a").n_finished == 5
 
+    @pytest.mark.parametrize("make", [
+        lambda: EngineConfig(record_policy="sample_k"),
+        lambda: StreamingMetrics(policy="sample_k"),
+        lambda: SpanRecorder(policy="sample_k")],
+        ids=["engine-config", "sink", "span-recorder"])
+    def test_an_unknown_policy_names_the_two_there_are(self, make):
+        with pytest.raises(ValueError, match=r"'sample_k'.*keep_all, drop"):
+            make()
+
     def test_merge_keeps_exact_counts(self):
         a = StreamingMetrics(policy=RecordPolicy.DROP)
         b = StreamingMetrics(policy=RecordPolicy.DROP)
@@ -592,17 +546,6 @@ class TestStreamingMetricsSink:
         a.merge_from(b)
         assert a.n_finished == 30
         assert a.max_finish_s == 30.0
-
-    def test_every_sketch_of_a_sink_bins_alike(self):
-        """observe computes each bin key once and hands it to every
-        sketch, so a stream built at another accuracy must be refused."""
-        sink = StreamingMetrics(policy=RecordPolicy.DROP)
-        sink.observe(self.record(0, 1.0, tenant="a"))
-        sink.relative_error = 0.05
-        sink.observe(self.record(1, 2.0, tenant="a"))   # existing stream
-        with pytest.raises(ValueError, match="tenant 'b' would bin at 0.05"):
-            sink.observe(self.record(2, 3.0, tenant="b"))
-        assert sink.tenant_ids == ["a"] and sink.n_observed == 2
 
 
 # --------------------------------------------------------------------- #
@@ -771,18 +714,13 @@ class TestSinkDifferential:
     @settings(max_examples=60, deadline=None)
     def test_observe_matches_the_reference(self, policy, rows):
         records = build_records(rows)
-        sink = StreamingMetrics(policy=policy, sample_k=4, sample_seed=7)
+        sink = StreamingMetrics(policy=policy)
         for rec in records:
             sink.observe(rec)
         assert sink_state(sink) == RefSink(records).state()
         assert sink.n_observed == len(records)
         if policy is RecordPolicy.KEEP_ALL:
             assert sink.records == records
-        elif policy is RecordPolicy.SAMPLE_K:
-            reservoir = ReservoirSampler(4, sample_seed=7)
-            for rec in records:
-                reservoir.offer(rec)
-            assert sink.records == reservoir.samples
         else:
             assert sink.records == []
 
