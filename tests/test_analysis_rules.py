@@ -378,6 +378,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
 
+    @pytest.mark.parametrize("flag", [
+        ["--select", "SIM001"], ["--ignore", "SIM005"],
+        ["--format", "sarif"]], ids=["select", "ignore", "sarif"])
+    def test_a_flag_simlint_lacks_is_a_usage_error(self, tmp_path, capsys,
+                                                   flag):
+        path = self._violation_file(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            simlint_main([str(path)] + flag)
+        assert exit_info.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         assert simlint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out

@@ -21,6 +21,7 @@ from repro.serving import (ClusterGateway, EngineConfig, HandleStatus,
                            RequestHandle, SchedulerConfig, ServingGateway,
                            StackSpec, Tenant, TenantGateway, build,
                            create_engine)
+from repro.serving.router import BaseModelGroup, MultiBaseRouter
 from repro.sim import Arrival, Cancel, EventQueue, SimKernel
 from repro.telemetry import chrome_trace_events, export_chrome_trace
 from repro.workload import (ClosedLoopClient, PatienceModel,
@@ -95,6 +96,15 @@ WRAPPERS = ["gateway", "cluster:round-robin", "cluster:least-outstanding",
             "cluster:lineage", "tenant:fcfs", "tenant:vtc"]
 #: every client entry point: the gateway layers plus the stack builder
 FRONTS = WRAPPERS + ["stack"]
+#: the fronts plus a fixed replica set over pre-built engines
+LISTENER_FRONTS = FRONTS + ["from-engines"]
+
+
+def build_listener_front(front, mgr):
+    if front == "from-engines":
+        return ClusterGateway.from_engines(
+            [make_engine(mgr), make_engine(mgr)], names=["r0", "r1"])
+    return build_wrapper(front, mgr, "deltazip")
 
 
 # --------------------------------------------------------------------------- #
@@ -402,6 +412,64 @@ class TestTokenListeners:
         cluster.submit("variant-01", 32, 2)
         cluster.run_until_drained()
         assert sorted(set(seen)) == [0, 1]
+
+    @pytest.mark.parametrize("front", LISTENER_FRONTS)
+    def test_listeners_fire_in_registration_order(self, front):
+        """Each token and each completion reaches the listeners in the
+        order they were added, and a request's completion follows its
+        last token, on every layer."""
+        gw = build_listener_front(front, make_manager())
+        heard = []
+        for tag in ("first", "second"):
+            gw.add_token_listener(lambda rid, mid, n, t, tag=tag:
+                                  heard.append((tag, rid, n)))
+            gw.add_completion_listener(lambda rec, tag=tag:
+                                       heard.append((tag, rec.request_id,
+                                                     "done")))
+        for i in range(3):
+            gw.submit(f"variant-{i:02d}", 32, 3)
+        result = gw.run_until_drained()
+        assert [e[0] for e in heard] == ["first", "second"] * (len(heard) // 2)
+        events = [e[1:] for e in heard[::2]]
+        assert events == [e[1:] for e in heard[1::2]]
+        for rid in range(3):
+            assert [n for r, n in events if r == rid] == [1, 2, 3, "done"]
+        assert sorted(r.request_id for r in result.records) == [0, 1, 2]
+
+    @pytest.mark.parametrize("front", LISTENER_FRONTS)
+    def test_listeners_survive_reset_on_every_front(self, front):
+        gw = build_listener_front(front, make_manager())
+        tokens, completions = [], []
+        gw.add_token_listener(lambda rid, mid, n, t: tokens.append((rid, n)))
+        gw.add_completion_listener(
+            lambda rec: completions.append(rec.request_id))
+        for _ in range(2):
+            gw.submit("variant-00", 32, 2)
+            gw.run_until_drained()
+            gw.reset()
+        assert tokens == [(0, 1), (0, 2)] * 2
+        assert completions == [0, 0]
+
+    @pytest.mark.parametrize("make", [
+        lambda mgr, **kw: ServingGateway(make_engine(mgr), **kw),
+        lambda mgr, **kw: ClusterGateway(
+            engine_factory=make_factory(mgr, "deltazip"), **kw),
+        lambda mgr, **kw: ClusterGateway.from_engines(
+            [make_engine(mgr)], **kw),
+        lambda mgr, **kw: MultiBaseRouter([BaseModelGroup(
+            base_id="base", manager=mgr,
+            node=GPUNode(node_from_name("a800", 1)),
+            scheduler_config=SchedulerConfig(8, 4),
+            engine_config=EngineConfig(tp_degree=1))]).gateway(**kw)],
+        ids=["serving-gateway", "cluster", "from-engines", "router"])
+    def test_listeners_are_added_not_constructed(self, make):
+        """The listener methods are the one way in: no constructor takes
+        a token or completion callback."""
+        mgr = make_manager()
+        make(mgr)
+        for kwarg in ("on_token", "on_request_complete"):
+            with pytest.raises(TypeError, match=kwarg):
+                make(mgr, **{kwarg: print})
 
 
 # --------------------------------------------------------------------------- #
